@@ -18,6 +18,7 @@ from .normalizer import OutsideComputedFamily, ea_class, ea_to_xi, leq, material
 from .signature import (
     Signature,
     SignatureError,
+    SignatureParseError,
     TermParseError,
     enumerate_signatures,
     eval_term,
@@ -34,10 +35,7 @@ from .realization import (
     genset_to_json,
     is_fast,
     is_sgen,
-    pl_eval,
-    pred_C,
-    pred_D,
-    pred_T,
+    predicates,
     realize,
     set_inflate,
     set_rotate,
@@ -65,7 +63,7 @@ def load_signature(arg: str) -> Signature:
         if text.startswith("{"):
             return sig_from_json(text)
         return eval_term(parse_term(text))
-    except (TermParseError, json.JSONDecodeError, KeyError) as e:
+    except (SignatureParseError, json.JSONDecodeError) as e:
         raise CliError(f"cannot parse signature: {e}", 2)
     except SignatureError as e:
         raise CliError(str(e), 1)
@@ -75,7 +73,7 @@ def load_genset(arg: str):
     text = _read_arg(arg).strip()
     try:
         fns = genset_from_json(text)
-    except (json.JSONDecodeError, KeyError, ValueError) as e:
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
         raise CliError(f"cannot parse generating set: {e}", 2)
     return fns
 
@@ -188,24 +186,27 @@ def cmd_diagram(args):
     _out(args, to_dot(diagram(fns)))
 
 
-def cmd_inflate(args):
-    text = _read_arg(args.arg).strip()
-    if text.startswith("["):
-        fns = load_genset(args.arg)
-        _out(args, genset_to_json(set_inflate(fns, args.at)) + "\n")
+def _by_argument_kind(args, set_op, signature_op):
+    """Apply set_op to a generating set (a JSON list), else signature_op."""
+    if _read_arg(args.arg).strip().startswith("["):
+        _out(args, genset_to_json(set_op(load_genset(args.arg))) + "\n")
     else:
-        s = load_signature(args.arg)
-        _out(args, sig_to_json(sig_inflate(s, args.at)) + "\n")
+        _out(args, sig_to_json(signature_op(load_signature(args.arg))) + "\n")
+
+
+def cmd_inflate(args):
+    _by_argument_kind(args, lambda fns: set_inflate(fns, args.at),
+                      lambda s: sig_inflate(s, args.at))
 
 
 def cmd_rotate(args):
-    text = _read_arg(args.arg).strip()
-    if text.startswith("["):
-        fns = load_genset(args.arg)
-        _out(args, genset_to_json(set_rotate(fns)) + "\n")
-    else:
-        s = load_signature(args.arg)
-        _out(args, sig_to_json(sig_rotate(s)) + "\n")
+    _by_argument_kind(args, set_rotate, sig_rotate)
+
+
+def _report(args, report: dict):
+    lines = (f"{key}: {json.dumps(value, sort_keys=True)}"
+             for key, value in sorted(report.items()))
+    _emit(args, "\n".join(lines), report)
 
 
 def cmd_verify(args):
@@ -216,40 +217,23 @@ def cmd_verify(args):
     if sgen:
         sig = signature_of(fns)
         report["signature"] = json.loads(sig_to_json(sig))
-        round_trip = signature_of(realize(sig)) == sig
-        report["round_trip"] = round_trip
-    if args.format == "json":
-        print(json.dumps(report, sort_keys=True))
-    else:
-        for key in sorted(report):
-            print(f"{key}: {json.dumps(report[key], sort_keys=True)}")
+        realize(sig)  # verifies its own round trip, raising if it fails
+        report["round_trip"] = True
+    _report(args, report)
     if not sgen:
         raise CliError("set is not a standard generating set", 1)
 
 
 def cmd_enumerate(args):
     sigs = enumerate_signatures(args.n, args.vmax)
-    if args.format == "json":
-        print(json.dumps([json.loads(sig_to_json(s)) for s in sigs]))
-    else:
-        for s in sigs:
-            print(sig_to_json(s))
-        print(f"count: {len(sigs)}")
+    lines = [sig_to_json(s) for s in sigs] + [f"count: {len(sigs)}"]
+    _emit(args, "\n".join(lines), [json.loads(sig_to_json(s)) for s in sigs])
 
 
 def cmd_predicates(args):
     fns = load_genset(args.genset)
-    x = pl_eval(fns, _parse_word(args.x))
-    y = pl_eval(fns, _parse_word(args.y))
-    out = {"C": pred_C(x, y), "D": pred_D(x, y)}
-    if args.z is not None:
-        z = pl_eval(fns, _parse_word(args.z))
-        out["T"] = pred_T(x, y, z)
-    if args.format == "json":
-        print(json.dumps(out, sort_keys=True))
-    else:
-        for key in sorted(out):
-            print(f"{key}: {'true' if out[key] else 'false'}")
+    z = None if args.z is None else _parse_word(args.z)
+    _report(args, predicates(fns, _parse_word(args.x), _parse_word(args.y), z))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -17,8 +17,6 @@ from .marked import (
 from .genset import (
     GenSet,
     NotSgenError,
-    PairInfo,
-    classify_pair,
     genset_from_json,
     genset_to_json,
     is_fast,
@@ -32,7 +30,7 @@ from .genset import (
     signature_of,
 )
 from .build import fig_bz_set, fig_g_set, realize, retrofit_slopes
-from .diagram import DynDiagram, diagram, diagram_iso, excise, to_dot
+from .diagram import DynDiagram, diagram, excise, to_dot
 from .words import (
     GroupWord,
     WreathSplitError,

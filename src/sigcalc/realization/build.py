@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from ..signature import Signature, decompose, sig_rotate
-from .genset import GenSet, is_fast, order_genset, pair_order, signature_of
+from .genset import GenSet, order_genset, pair_order, signature_of
 from .marked import (
     MarkedFn,
     RealizationError,
@@ -36,13 +36,10 @@ _build_cache: Dict[Signature, GenSet] = {}
 def realize(sig: Signature) -> GenSet:
     """A standard generating set with the given signature, self-verified."""
     fns = [f.rename(lbl) for f, lbl in zip(_build(sig), sig.default_labels())]
-    if fns:
-        if not is_fast(fns):
-            raise RealizationError(f"realization of {sig!r} is not fast")
-        got = signature_of(fns)
-        if got != sig:
-            raise RealizationError(
-                f"realization round trip failed: built {got!r} for {sig!r}")
+    got = signature_of(fns)  # checks fastness and standardness too
+    if got != sig:
+        raise RealizationError(
+            f"realization round trip failed: built {got!r} for {sig!r}")
     return fns
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-from .genset import GenSet, is_fast, order_genset
+from .genset import GenSet, _feet_of, is_fast, order_genset
 from .marked import MarkedFn, RealizationError
 
 
@@ -53,13 +53,7 @@ def diagram(fns: Sequence[MarkedFn]) -> DynDiagram:
     fns = order_genset(fns)
     if not is_fast(fns):
         raise RealizationError("dynamical diagram requires a fast set")
-    feet = []  # (lo, hi, func index, bump index, side)
-    for fi, f in enumerate(fns):
-        for bi, b in enumerate(f.bumps):
-            (l1, h1), (l2, h2) = b.feet
-            feet.append((l1, h1, fi, bi, "L"))
-            feet.append((l2, h2, fi, bi, "R"))
-    feet.sort()
+    feet = sorted(_feet_of(fns))  # (lo, hi, func index, bump index, side)
     # contract a right foot followed immediately by a left foot of the same function
     vertex_of = {}
     nv = 0
@@ -86,12 +80,6 @@ def diagram(fns: Sequence[MarkedFn]) -> DynDiagram:
                 raw_edges.append((rv, lv, fi))
     names = [f.name or str(i) for i, f in enumerate(fns)]
     return DynDiagram(nv, raw_edges, names)
-
-
-def diagram_iso(d1: DynDiagram, d2: DynDiagram) -> bool:
-    """Whether the unique order-preserving vertex bijection is an isomorphism
-    respecting directions and the label-equality pattern."""
-    return d1 == d2
 
 
 def to_dot(d: DynDiagram) -> str:

@@ -9,12 +9,11 @@ f inside g (closure of extended support contained in extended support).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
-from ..signature import OscMatrix, Signature, SignatureError, validate
-from .marked import MarkedFn, RealizationError, fn_rotate, is_standard_fn
+from ..signature import OscMatrix, Signature, SignatureError
+from .marked import MarkedFn, RealizationError, conjugate, fn_rotate, is_standard_fn, square
 from .plmap import PLMap
 
 GenSet = List[MarkedFn]
@@ -117,24 +116,6 @@ def is_standard_pair(f: MarkedFn, g: MarkedFn, _fuel: int = _STANDARD_FUEL) -> b
     return False
 
 
-@dataclass
-class PairInfo:
-    order: str
-    fast: bool
-    oscillation: Optional[int]
-    standard: bool
-
-
-def classify_pair(f: MarkedFn, g: MarkedFn) -> PairInfo:
-    rel = pair_order(f, g)
-    fast = is_fast([f, g])
-    osc = None
-    if fast and rel in (LL, GG, INSIDE, CONTAINS):
-        osc = oscillation(f, g)
-    standard = rel in (LL, INSIDE) and fast and is_standard_pair(f, g)
-    return PairInfo(rel, fast, osc, standard)
-
-
 def is_sgen(fns: Sequence[MarkedFn]) -> bool:
     """Every pair standard (in the max-transition order) and the whole set fast."""
     try:
@@ -163,6 +144,11 @@ def oscillation_matrix(fns: Sequence[MarkedFn]) -> OscMatrix:
     fns = order_genset(fns)
     if not is_fast(fns):
         raise RealizationError("oscillation matrix requires a fast set")
+    return _oscillations(fns)
+
+
+def _oscillations(fns: GenSet) -> OscMatrix:
+    """oscillation_matrix of a set already ordered and known to be fast."""
     n = len(fns)
     o = {}
     for i in range(n):
@@ -185,12 +171,11 @@ def signature_of(fns: Sequence[MarkedFn]) -> Signature:
         for g in fns[i + 1 :]:
             if not is_standard_pair(f, g):
                 raise NotSgenError(f, g)
-    m = oscillation_matrix(fns)
-    result = validate(m)
-    if isinstance(result, list):
-        raise RealizationError(
-            f"oscillation matrix of a standard set failed (!) at {result}")
-    return result
+    m = _oscillations(fns)
+    try:
+        return Signature(m.n, m.vals, m.labels)
+    except SignatureError as e:
+        raise RealizationError(f"oscillation matrix of a standard set: {e}") from None
 
 
 def set_rotate(fns: Sequence[MarkedFn]) -> GenSet:
@@ -206,8 +191,6 @@ def set_rotate(fns: Sequence[MarkedFn]) -> GenSet:
 
 def set_inflate(fns: Sequence[MarkedFn], index: int) -> GenSet:
     """Replace element a by a^2 and adjoin conjugates b^a for b below a."""
-    from .marked import conjugate, square
-
     fns = order_genset(fns)
     if not (0 <= index < len(fns)):
         raise RealizationError(f"no element at index {index}")

@@ -4,6 +4,10 @@ A marker s in a bump's support determines the feet (u,s) and [t,v), the
 outer slivers of the orbital, where t is the image of s under the bump (or
 its inverse for a negative bump).  Feet drive the fastness check and the
 dynamical diagram.
+
+A MarkedFn computes its map's orbitals once, at construction, and stores
+them; bumps, extended support, transition points and the extreme transition
+points are derived from the stored orbitals.
 """
 
 from __future__ import annotations
@@ -39,14 +43,14 @@ class Bump:
 class MarkedFn:
     """A nonidentity PL bijection with a chosen marker in each orbital."""
 
-    __slots__ = ("map", "markers", "name", "_bumps")
+    __slots__ = ("map", "markers", "name", "orbitals", "_bumps")
 
     def __init__(self, plmap: PLMap, markers: Sequence, name: Optional[str] = None):
         self.map = plmap
         self.markers = tuple(sorted(Fraction(s) for s in markers))
         self.name = name
         self._bumps = None
-        orbs = plmap.orbitals()
+        self.orbitals = orbs = tuple(plmap.orbitals())
         if not orbs:
             raise RealizationError("identity maps cannot be marked")
         if len(orbs) != len(self.markers):
@@ -60,7 +64,7 @@ class MarkedFn:
     def bumps(self) -> List[Bump]:
         if self._bumps is None:
             out = []
-            for (u, v, sign), s in zip(self.map.orbitals(), self.markers):
+            for (u, v, sign), s in zip(self.orbitals, self.markers):
                 t = self.map(s) if sign > 0 else self.map.inverse()(s)
                 if not (u < s < t < v):
                     raise RealizationError(f"degenerate foot for marker {s} in ({u},{v})")
@@ -68,14 +72,10 @@ class MarkedFn:
             self._bumps = out
         return self._bumps
 
-    @property
-    def orbitals(self) -> List[Tuple[Fraction, Fraction, int]]:
-        return self.map.orbitals()
-
     def ext_components(self) -> List[Tuple[Fraction, Fraction]]:
         """Extended support: interior of the closure of the support."""
         out: List[Tuple[Fraction, Fraction]] = []
-        for u, v, _ in self.map.orbitals():
+        for u, v, _ in self.orbitals:
             if out and out[-1][1] == u:
                 out[-1] = (out[-1][0], v)
             else:
@@ -84,15 +84,15 @@ class MarkedFn:
 
     @property
     def max_transition(self) -> Fraction:
-        return self.map.orbitals()[-1][1]
+        return self.orbitals[-1][1]
 
     @property
     def min_transition(self) -> Fraction:
-        return self.map.orbitals()[0][0]
+        return self.orbitals[0][0]
 
     def transition_points(self) -> List[Fraction]:
         pts: List[Fraction] = []
-        for u, v, _ in self.map.orbitals():
+        for u, v, _ in self.orbitals:
             if not pts or pts[-1] != u:
                 pts.append(u)
             pts.append(v)
@@ -104,14 +104,14 @@ class MarkedFn:
     def __repr__(self):
         tag = self.name or "fn"
         orbs = ", ".join(
-            ("+" if s > 0 else "-") + f"({u},{v})" for u, v, s in self.map.orbitals())
+            ("+" if s > 0 else "-") + f"({u},{v})" for u, v, s in self.orbitals)
         return f"MarkedFn({tag}: {orbs})"
 
 
 def is_standard_fn(f: MarkedFn) -> bool:
     """Connected extended support, negatives left of positives, and the
     positive bump count equals or exceeds the negative count by at most one."""
-    orbs = f.map.orbitals()
+    orbs = f.orbitals
     for (_, v1, _), (u2, _, _) in zip(orbs, orbs[1:]):
         if v1 != u2:
             return False
@@ -154,7 +154,7 @@ def midpoint_bump(u, v, name: Optional[str] = None) -> MarkedFn:
 def fn_rotate(f: MarkedFn) -> MarkedFn:
     """Drop the extreme orbitals; for a one- or two-orbital function, the
     canonical positive bump on the left foot of the positive orbital."""
-    orbs = f.map.orbitals()
+    orbs = f.orbitals
     if len(orbs) > 2:
         keep_lo, keep_hi = orbs[1][0], orbs[-2][1]
         pts = [(Fraction(0), Fraction(0)), (keep_lo, keep_lo)]

@@ -9,6 +9,12 @@ where r = p ! q means r >= min(p-1, q) with equality unless p = q.  These
 matrices are exactly the ones realizable as pairwise oscillations of a
 standard generating set; the symbolic operations here (+, *, exp, E,
 rotation, inflation, restriction) mirror the geometric ones.
+
+(!) is checked once, where a matrix enters: `Signature(n, o, labels)` checks
+it, for JSON and CLI input and in `realization.signature_of`.  The operations
+and `enumerate_signatures` keep (!) by construction and build with the
+unchecked `_trusted`; the closure tests in tests/test_signature.py assert
+`violations() == []` on everything they build.
 """
 
 from __future__ import annotations
@@ -22,7 +28,11 @@ class SignatureError(ValueError):
     pass
 
 
-class TermParseError(SignatureError):
+class SignatureParseError(SignatureError):
+    """Text that is not a signature term or a well-formed signature document."""
+
+
+class TermParseError(SignatureParseError):
     def __init__(self, message: str, pos: int):
         super().__init__(f"{message} (at position {pos})")
         self.pos = pos
@@ -37,34 +47,6 @@ def bang_rel(p: int, q: int, r: int) -> bool:
     if p == q:
         return r >= m
     return r == m
-
-
-def bang(p: int, q: int) -> Optional[int]:
-    """The unique r with r = p ! q when p != q; None when p = q (any r >= p-1)."""
-    if p == q:
-        return None
-    return min(p - 1, q)
-
-
-def bang_rel_q(p: int, q: int, r: int) -> bool:
-    """Equivalent form centered on q: q >= min(p, r), equality unless p = r+1."""
-    m = min(p, r)
-    if p == r + 1:
-        return q >= m
-    return q == m
-
-
-def bang_rel_p(p: int, q: int, r: int) -> bool:
-    """Equivalent form centered on p: p >= min(q, r+1), equality unless q = r."""
-    m = min(q, r + 1)
-    if q == r:
-        return p >= m
-    return p == m
-
-
-def bang_rel_conj(p: int, q: int, r: int) -> bool:
-    """Equivalent conjunction of the three inequalities."""
-    return p >= min(q, r + 1) and q >= min(p, r) and r >= min(p - 1, q)
 
 
 # --- matrices and signatures -------------------------------------------------
@@ -90,14 +72,16 @@ class OscMatrix:
             raise SignatureError("base cardinality must be >= 0")
         npairs = n * (n - 1) // 2
         if isinstance(o, dict):
-            vals = [0] * npairs
-            for (i, j), v in o.items():
+            for i, j in o:
                 if not (0 <= i < j < n):
                     raise SignatureError(f"pair ({i},{j}) outside base 0..{n-1}")
-                vals[_pair_index(n, i, j)] = v
             if len(o) != npairs:
-                missing = [p for p in _pairs(n) if p not in o]
-                raise SignatureError(f"missing pairs {missing}")
+                first = list(itertools.islice((p for p in _pairs(n) if p not in o), 5))
+                raise SignatureError(
+                    f"missing {npairs - len(o)} of {npairs} pairs, first {first}")
+            vals = [0] * npairs
+            for (i, j), v in o.items():
+                vals[_pair_index(n, i, j)] = v
         else:
             vals = list(o)
             if len(vals) != npairs:
@@ -134,21 +118,16 @@ class Signature(OscMatrix):
     its canonical relabeling to base 0..n-1.
     """
 
-    def __init__(self, n, o, labels=None, _checked=False):
+    def __init__(self, n, o, labels=None):
         super().__init__(n, o, labels)
-        if not _checked:
-            bad = self.violations()
-            if bad:
-                raise SignatureError(f"(!) fails at triples {bad}")
+        bad = self.violations()
+        if bad:
+            raise SignatureError(f"(!) fails at {len(bad)} triples, first {bad[:5]}")
 
     def __eq__(self, other):
         if isinstance(other, Signature):
             return self.n == other.n and self.vals == other.vals
         return NotImplemented
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
 
     def __hash__(self):
         return hash((self.n, self.vals))
@@ -170,19 +149,10 @@ class Signature(OscMatrix):
         return self.labels if self.labels is not None else tuple(str(i) for i in range(self.n))
 
 
-def validate(m: OscMatrix) -> Union[Signature, List[Tuple[int, int, int]]]:
-    """Certify an OscMatrix, or report every violating triple."""
-    bad = m.violations()
-    if bad:
-        return bad
-    return Signature(m.n, m.vals, m.labels, _checked=True)
-
-
-def _sig(n: int, vals: Sequence[int], labels=None) -> Signature:
-    s = Signature(n, vals, labels, _checked=True)
-    bad = s.violations()
-    if bad:
-        raise SignatureError(f"operation produced an invalid signature: {bad}")
+def _trusted(n: int, vals: Sequence[int], labels=None) -> Signature:
+    """A Signature from values an operation built to satisfy (!); unchecked."""
+    s = object.__new__(Signature)
+    s.n, s.vals, s.labels = n, tuple(vals), labels
     return s
 
 
@@ -203,14 +173,14 @@ def sig_sum(*parts: Signature) -> Signature:
             vals[_pair_index(n, offset + i, offset + j)] = p.val(i, j)
         labels.extend(p.default_labels())
         offset += p.n
-    return _sig(n, vals, tuple(labels) if any(p.labels for p in parts) else None)
+    return _trusted(n, vals, tuple(labels) if any(p.labels for p in parts) else None)
 
 
 def sig_exp(a: Signature, levels: int = 1) -> Signature:
     """Pointwise +levels; exp is levels=1 and E is levels=2."""
     if levels < 1:
         raise SignatureError("levels must be >= 1")
-    return _sig(a.n, tuple(v + levels for v in a.vals), a.labels)
+    return _trusted(a.n, tuple(v + levels for v in a.vals), a.labels)
 
 
 def sig_E(a: Signature) -> Signature:
@@ -225,7 +195,7 @@ def sig_shift_down(a: Signature) -> Signature:
     """Pointwise -1; the inverse of exp on its range."""
     if not is_all_positive(a):
         raise SignatureError("pointwise decrement needs an all-positive signature")
-    return _sig(a.n, tuple(v - 1 for v in a.vals), a.labels)
+    return _trusted(a.n, tuple(v - 1 for v in a.vals), a.labels)
 
 
 def sig_star(a: Signature, b: Signature) -> Signature:
@@ -241,7 +211,7 @@ def sig_star(a: Signature, b: Signature) -> Signature:
     for i in range(a.n):
         for j in range(b.n):
             vals[_pair_index(n, i, a.n + j)] = 1
-    return _sig(n, vals)
+    return _trusted(n, vals)
 
 
 def decompose(a: Signature) -> List[Signature]:
@@ -278,7 +248,7 @@ def sig_restrict(a: Signature, subset: Iterable[int]) -> Signature:
     labels = None
     if a.labels is not None:
         labels = tuple(a.labels[i] for i in idx)
-    return _sig(len(idx), vals, labels)
+    return _trusted(len(idx), vals, labels)
 
 
 def sig_drop_top(a: Signature) -> Signature:
@@ -310,7 +280,7 @@ def sig_rotate(a: Signature) -> Signature:
     labels = None
     if a.labels is not None:
         labels = (f"{a.labels[n]}^o",) + tuple(a.labels[:n])
-    out = _sig(new_n, vals, labels)
+    out = _trusted(new_n, vals, labels)
     if not (out.complexity < a.complexity):
         raise SignatureError("rotation failed to decrease complexity")
     return out
@@ -375,7 +345,7 @@ def sig_inflate(a: Signature, m: int) -> Signature:
         labels = tuple(new_labels)
     elif a.labels is not None:
         labels = a.labels
-    return _sig(n_new, vals, labels)
+    return _trusted(n_new, vals, labels)
 
 
 # --- signature terms ---------------------------------------------------------
@@ -551,7 +521,7 @@ def enumerate_signatures(n: int, vmax: int) -> List[Signature]:
 
     def column(k: int):
         if k == n:
-            out.append(Signature(n, tuple(vals), _checked=True))
+            out.append(_trusted(n, vals))
             return
         def assign(i: int):
             if i == k:
@@ -582,15 +552,33 @@ def sig_to_json(a: OscMatrix) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def sig_from_json(text: str) -> Signature:
+    """Parse {"n": int, "o": {"i,j": int, ...}, "labels": [str, ...]}.
+
+    A document of another shape raises SignatureParseError; a well-formed
+    matrix that is not a signature raises SignatureError.
+    """
     doc = json.loads(text)
-    n = doc["n"]
+    if not (isinstance(doc, dict) and _is_int(doc.get("n")) and doc["n"] >= 0):
+        raise SignatureParseError('"n" must be an integer >= 0')
+    raw = doc.get("o", {})
+    if not isinstance(raw, dict):
+        raise SignatureParseError('"o" must be an object')
     o = {}
-    for key, v in doc.get("o", {}).items():
-        i, j = (int(x) for x in key.split(","))
+    for key, v in raw.items():
+        try:
+            i, j = (int(x) for x in key.split(","))
+        except ValueError:
+            raise SignatureParseError(f'"o" key {key!r} is not "i,j"') from None
+        if not _is_int(v):
+            raise SignatureParseError(f'"o" value at {key!r} is not an integer')
         o[(i, j)] = v
-    m = OscMatrix(n, o, doc.get("labels"))
-    result = validate(m)
-    if isinstance(result, list):
-        raise SignatureError(f"(!) fails at triples {result}")
-    return result
+    labels = doc.get("labels")
+    if labels is not None and not (
+            isinstance(labels, list) and all(isinstance(x, str) for x in labels)):
+        raise SignatureParseError('"labels" must be a list of strings')
+    return Signature(doc["n"], o, labels)

@@ -21,7 +21,6 @@ from sigcalc.realization import (
     PLMap,
     RealizationError,
     canonical_bump,
-    classify_pair,
     fig_bz_set,
     fig_g_set,
     fn_rotate,
@@ -37,6 +36,8 @@ from sigcalc.realization import (
     realize,
     signature_of,
 )
+from sigcalc.realization import build, genset
+from oracles import classify_pair
 
 one = ONE_SIG
 
@@ -189,6 +190,52 @@ def test_realize_fig3():
 def test_realize_round_trip_enumerated_small():
     for s in enumerate_signatures(3, 3):
         assert signature_of(realize(s)) == s
+
+
+SIG5 = eval_term(parse_term("E(1*1+1+1+1)"))
+
+
+def test_realize_computes_orbitals_once_per_function(monkeypatch):
+    counts = {"orbitals": 0, "fns": 0}
+    orbitals, init = PLMap.orbitals, MarkedFn.__init__
+
+    def counting_orbitals(self):
+        counts["orbitals"] += 1
+        return orbitals(self)
+
+    def counting_init(self, *args):
+        counts["fns"] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(PLMap, "orbitals", counting_orbitals)
+    monkeypatch.setattr(MarkedFn, "__init__", counting_init)
+    monkeypatch.setattr(build, "_build_cache", {})
+    assert signature_of(realize(SIG5)) == SIG5
+    assert counts["fns"] > SIG5.n
+    assert counts["orbitals"] == counts["fns"]
+
+
+def test_whole_set_ordered_and_fast_checked_once(monkeypatch):
+    fns = realize(SIG5)
+    sorted_sizes, fast_sizes = [], []
+    order_genset, is_fast = genset.order_genset, genset.is_fast
+
+    def counting_order(fs):
+        sorted_sizes.append(len(fs))
+        return order_genset(fs)
+
+    def counting_fast(fs):
+        fast_sizes.append(len(fs))
+        return is_fast(fs)
+
+    monkeypatch.setattr(genset, "order_genset", counting_order)
+    monkeypatch.setattr(genset, "is_fast", counting_fast)
+    for run in (lambda: signature_of(fns), lambda: realize(SIG5)):
+        sorted_sizes.clear()
+        fast_sizes.clear()
+        assert run()
+        assert sorted_sizes == [SIG5.n]
+        assert fast_sizes.count(SIG5.n) == 1
 
 
 def test_realized_sets_are_sgen():

@@ -1,8 +1,11 @@
 import itertools
 import json
+import random
 
 import pytest
 
+from sigcalc import signature
+from sigcalc.normalizer import materialize, normalize, rho
 from sigcalc.signature import (
     ONE_SIG,
     ZERO_SIG,
@@ -10,11 +13,7 @@ from sigcalc.signature import (
     Signature,
     SignatureError,
     TermParseError,
-    bang,
     bang_rel,
-    bang_rel_conj,
-    bang_rel_p,
-    bang_rel_q,
     decompose,
     enumerate_signatures,
     eval_term,
@@ -33,8 +32,9 @@ from sigcalc.signature import (
     sig_star,
     sig_sum,
     sig_to_json,
-    validate,
 )
+from helpers import random_term
+from oracles import bang, bang_rel_conj, bang_rel_p, bang_rel_q
 
 one = ONE_SIG
 
@@ -80,17 +80,21 @@ def test_bang_shift_corollary():
 
 def test_validate_no_triples():
     for k in range(5):
-        assert isinstance(validate(OscMatrix(2, (k,))), Signature)
+        assert OscMatrix(2, (k,)).violations() == []
+        assert Signature(2, (k,)).vals == (k,)
 
 
 def test_validate_fig3():
-    m = OscMatrix(4, {(0, 1): 3, (0, 2): 2, (0, 3): 2, (1, 2): 2, (1, 3): 2, (2, 3): 2})
-    assert validate(m) == FIG3
+    o = {(0, 1): 3, (0, 2): 2, (0, 3): 2, (1, 2): 2, (1, 3): 2, (2, 3): 2}
+    assert OscMatrix(4, o).violations() == []
+    assert Signature(4, o) == FIG3
 
 
 def test_validate_violation():
-    m = OscMatrix(3, {(0, 1): 0, (1, 2): 0, (0, 2): 1})
-    assert validate(m) == [(0, 1, 2)]
+    o = {(0, 1): 0, (1, 2): 0, (0, 2): 1}
+    assert OscMatrix(3, o).violations() == [(0, 1, 2)]
+    with pytest.raises(SignatureError, match=r"\(0, 1, 2\)"):
+        Signature(3, o)
 
 
 def test_zero_to_end_consequence():
@@ -117,7 +121,7 @@ def test_exp():
 def test_exp_preserves_validity_enumerated():
     for s in enumerate_signatures(4, 2):
         for levels in (1, 2):
-            sig_exp(s, levels)  # raises if invalid
+            assert sig_exp(s, levels).violations() == []
 
 
 def test_star():
@@ -145,7 +149,8 @@ def test_rotate():
 
 def test_rotate_valid_and_smaller_enumerated():
     for s in enumerate_signatures(4, 3):
-        r = sig_rotate(s)  # raises if invalid
+        r = sig_rotate(s)
+        assert r.violations() == []
         if s.n:
             assert r.complexity < s.complexity
 
@@ -163,7 +168,7 @@ def test_inflate_examples():
 def test_inflate_valid_enumerated():
     for s in enumerate_signatures(4, 3):
         for m in range(s.n):
-            sig_inflate(s, m)  # raises if invalid
+            assert sig_inflate(s, m).violations() == []
 
 
 def test_inflate_out_of_range():
@@ -187,7 +192,7 @@ def test_restrict():
     for s in enumerate_signatures(4, 2):
         for r in range(s.n + 1):
             for subset in itertools.combinations(range(s.n), r):
-                sig_restrict(s, subset)  # raises if invalid
+                assert sig_restrict(s, subset).violations() == []
 
 
 def test_drop_top():
@@ -205,6 +210,69 @@ def test_decompose():
     assert decompose(s) == [one, pair(2)]
     assert is_indecomposable(FIG3)
     assert not is_indecomposable(s)
+
+
+# --- (!) closure: the operations build with the unchecked _trusted ------------------
+
+
+def enumerated():
+    """Every signature on a base of at most 4 with values <= 3."""
+    return [s for n in range(5) for s in enumerate_signatures(n, 3)]
+
+
+def test_sum_closed_enumerated():
+    sigs = enumerated()
+    for a in sigs:
+        for b in sigs:
+            if a.n + b.n <= 6:
+                assert sig_sum(a, b).violations() == []
+
+
+def test_star_closed_enumerated():
+    sigs = enumerated()
+    for a in sigs:
+        for b in sigs:
+            if b.n and is_all_positive(b) and a.n + b.n <= 6:
+                assert sig_star(a, b).violations() == []
+
+
+def test_restrict_decompose_closed_enumerated():
+    for s in enumerated():
+        parts = decompose(s)
+        assert all(p.violations() == [] for p in parts)
+        assert sig_sum(*parts) == s
+        for r in range(s.n + 1):
+            for subset in itertools.combinations(range(s.n), r):
+                assert sig_restrict(s, subset).violations() == []
+
+
+def test_shift_down_closed_enumerated():
+    for s in enumerated():
+        if is_all_positive(s):
+            assert sig_shift_down(s).violations() == []
+
+
+def test_derived_signatures_valid_on_rank_terms(monkeypatch):
+    # Terms on a base of 8 to 12, the sizes the benchmark ranks; every
+    # signature an operation builds on the way (rho's restrictions and
+    # decrements, normalize's and materialize's outputs, rotation and
+    # inflation) is recorded and must satisfy (!).
+    built = []
+    trusted = signature._trusted
+
+    def recording(*args):
+        built.append(trusted(*args))
+        return built[-1]
+
+    monkeypatch.setattr(signature, "_trusted", recording)
+    rng = random.Random(20171130)
+    for _ in range(24):
+        a = eval_term(random_term(rng, rng.randint(8, 12)))
+        outputs = [normalize(a), sig_rotate(a), sig_inflate(a, rng.randrange(a.n))]
+        outputs += [materialize(rho(a, mode)) for mode in ("ordered", "sorted")]
+        assert all(b in built for b in outputs if b.n > 1)
+    assert len(built) > 1000
+    assert all(s.violations() == [] for s in built)
 
 
 def test_decompose_sum_left_inverse():
