@@ -231,30 +231,30 @@ def tau(k: int) -> Ordinal:
 
 
 # --- text codec ------------------------------------------------------------
-#
-# Grammar (whitespace insignificant):
-#   expr   := term ('+' term)*
-#   term   := factor ('*' nat)?
-#   factor := '0' | nat | 'w' | 'w' '^' factor | '(' expr ')'
-#
-# The parser evaluates arbitrary expressions with ordered arithmetic and
-# canonicalizes; input need not be in normal form.
+
+# Deepest nesting of '(' and 'w^' in an ordinal, and of '(', 'exp(' and 'E('
+# in a signature term: parsing and evaluation stay within the recursion limit.
+MAX_NESTING = 100
 
 
-class _Parser:
-    def __init__(self, text: str):
+class Scanner:
+    """Position, whitespace, natural numbers and nesting depth of a text, for
+    the ordinal and signature-term parsers; errors raise error_class(message,
+    position)."""
+
+    def __init__(self, text: str, error_class):
         self.text = text
         self.pos = 0
+        self.depth = 0
+        self.error_class = error_class
 
     def error(self, message: str):
-        raise OrdinalParseError(message, self.pos)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+        raise self.error_class(message, self.pos)
 
     def peek(self) -> str:
-        self.skip_ws()
+        """The next character after whitespace, or "" at the end."""
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
     def eat(self, ch: str):
@@ -263,7 +263,7 @@ class _Parser:
         self.pos += 1
 
     def nat(self) -> int:
-        self.skip_ws()
+        self.peek()
         start = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
@@ -271,6 +271,38 @@ class _Parser:
             self.error("expected a natural number")
         return int(self.text[start : self.pos])
 
+    def nested(self, parse):
+        """parse() one level deeper, failing beyond MAX_NESTING."""
+        if self.depth == MAX_NESTING:
+            self.error(f"nested deeper than {MAX_NESTING} levels")
+        self.depth += 1
+        value = parse()
+        self.depth -= 1
+        return value
+
+    def group(self, parse):
+        """'(' parse() ')', one level deeper."""
+        self.eat("(")
+        value = self.nested(parse)
+        self.eat(")")
+        return value
+
+    def end(self):
+        if self.peek():
+            self.error("trailing input")
+
+
+# Grammar (whitespace insignificant):
+#   expr   := term ('+' term)*
+#   term   := factor ('*' nat)?
+#   factor := '0' | nat | 'w' | 'w' '^' factor | '(' expr ')'
+#
+# The parser evaluates arbitrary expressions with ordered arithmetic and
+# canonicalizes; input need not be in normal form.  'w^(' is one level of
+# nesting.
+
+
+class _Parser(Scanner):
     def expr(self) -> Ordinal:
         total = self.term()
         while self.peek() == "+":
@@ -288,27 +320,24 @@ class _Parser:
     def factor(self) -> Ordinal:
         ch = self.peek()
         if ch == "(":
-            self.eat("(")
-            value = self.expr()
-            self.eat(")")
-            return value
+            return self.group(self.expr)
         if ch == "w":
             self.pos += 1
-            if self.peek() == "^":
-                self.eat("^")
-                return ord_omega_pow(self.factor())
-            return OMEGA
+            if self.peek() != "^":
+                return OMEGA
+            self.eat("^")
+            if self.peek() == "(":
+                return ord_omega_pow(self.group(self.expr))
+            return ord_omega_pow(self.nested(self.factor))
         if ch.isdigit():
             return Ordinal.from_int(self.nat())
         self.error("expected '0', a number, 'w' or '('")
 
 
 def ord_parse(text: str) -> Ordinal:
-    p = _Parser(text)
+    p = _Parser(text, OrdinalParseError)
     value = p.expr()
-    p.skip_ws()
-    if p.pos != len(text):
-        p.error("trailing input")
+    p.end()
     return value
 
 

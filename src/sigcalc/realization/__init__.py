@@ -1,6 +1,6 @@
 """Exact piecewise-linear realization of oscillation signatures."""
 
-from .plmap import PLMap, PLError, Rat
+from .plmap import PLMap, PLError
 from .marked import (
     Bump,
     MarkedFn,
@@ -16,6 +16,7 @@ from .marked import (
 )
 from .genset import (
     GenSet,
+    NotFastError,
     NotSgenError,
     genset_from_json,
     genset_to_json,

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-from .genset import GenSet, _feet_of, is_fast, order_genset
-from .marked import MarkedFn, RealizationError
+from .genset import GenSet, _fast_ordered, _feet_of, order_genset
+from .marked import MarkedFn
 
 
 class DynDiagram:
@@ -50,9 +50,7 @@ class DynDiagram:
 
 def diagram(fns: Sequence[MarkedFn]) -> DynDiagram:
     """The dynamical diagram of a fast set."""
-    fns = order_genset(fns)
-    if not is_fast(fns):
-        raise RealizationError("dynamical diagram requires a fast set")
+    fns = _fast_ordered(fns, "dynamical diagram")
     feet = sorted(_feet_of(fns))  # (lo, hi, func index, bump index, side)
     # contract a right foot followed immediately by a left foot of the same function
     vertex_of = {}
@@ -133,10 +131,7 @@ def excise(fns: Sequence[MarkedFn]) -> GenSet:
     function with more positive than negative bumps, the rightmost isolated
     bump; with balanced counts, the leftmost.
     """
-    fns = order_genset(fns)
-    if not is_fast(fns):
-        raise RealizationError("excision requires a fast set")
-    fns = list(fns)
+    fns = _fast_ordered(fns, "excision")
     while True:
         isolated = _isolated_bumps(fns)
         removable = [(fi, bi) for fi, bi in isolated if len(fns[fi].bumps) >= 2]

@@ -8,12 +8,13 @@ f inside g (closure of extended support contained in extended support).
 
 from __future__ import annotations
 
+import itertools
 import json
 from fractions import Fraction
-from typing import List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 from ..signature import OscMatrix, Signature, SignatureError
-from .marked import MarkedFn, RealizationError, conjugate, fn_rotate, is_standard_fn, square
+from .marked import MarkedFn, RealizationError, conjugate, is_standard_fn, square
 from .plmap import PLMap
 
 GenSet = List[MarkedFn]
@@ -21,13 +22,20 @@ GenSet = List[MarkedFn]
 LL, INSIDE, CONTAINS, GG, INCOMPARABLE = "<<", "in", "contains", ">>", "incomparable"
 
 
+class NotSgenError(RealizationError):
+    """A set that is not a standard generating set."""
+
+
+class NotFastError(NotSgenError):
+    """A set that is not fast, or not ordered by its maximum transition points."""
+
+
 def order_genset(fns: Sequence[MarkedFn]) -> GenSet:
-    """Sort by maximum transition point; ties are impossible for fast sets."""
+    """Sort by maximum transition point; a tie means the set is not fast."""
     out = sorted(fns, key=lambda f: f.max_transition)
     for f, g in zip(out, out[1:]):
         if f.max_transition == g.max_transition:
-            raise RealizationError(
-                f"tied maximum transition point {f.max_transition}")
+            raise NotFastError(f"tied maximum transition point {f.max_transition}")
     return out
 
 
@@ -42,25 +50,19 @@ def _feet_of(fns: Sequence[MarkedFn]):
 
 
 def is_fast(fns: Sequence[MarkedFn]) -> bool:
-    """All feet pairwise disjoint across bumps, and no bump shared between
-    two functions."""
+    """All feet pairwise disjoint across bumps.  Two functions sharing a bump
+    share the start of its left foot, so this also rules out shared bumps."""
     feet = sorted(_feet_of(fns))
-    for (lo1, hi1, *_), (lo2, hi2, *_) in zip(feet, feet[1:]):
-        if max(lo1, lo2) < min(hi1, hi2):
-            return False
-    for i, f in enumerate(fns):
-        for g in fns[i + 1 :]:
-            for bf in f.bumps:
-                for bg in g.bumps:
-                    if (bf.u, bf.v) == (bg.u, bg.v) and _same_on(f.map, g.map, bf.u, bf.v):
-                        return False
-    return True
+    return all(max(lo1, lo2) >= min(hi1, hi2)
+               for (lo1, hi1, *_), (lo2, hi2, *_) in zip(feet, feet[1:]))
 
 
-def _same_on(a: PLMap, b: PLMap, u: Fraction, v: Fraction) -> bool:
-    xs = {x for x, _ in a.points if u <= x <= v}
-    xs |= {x for x, _ in b.points if u <= x <= v}
-    return all(a(x) == b(x) for x in xs)
+def _fast_ordered(fns: Sequence[MarkedFn], what: str) -> GenSet:
+    """fns in max-transition order, raising NotFastError unless fast."""
+    fns = order_genset(fns)
+    if not is_fast(fns):
+        raise NotFastError(f"{what} requires a fast set")
+    return fns
 
 
 def pair_order(f: MarkedFn, g: MarkedFn) -> str:
@@ -76,6 +78,12 @@ def pair_order(f: MarkedFn, g: MarkedFn) -> str:
     return INCOMPARABLE
 
 
+def _inside_oscillation(small: MarkedFn, big: MarkedFn) -> int:
+    """Orbitals of big containing a transition point of small."""
+    pts = small.transition_points()
+    return sum(1 for u, v, _ in big.orbitals if any(u < t < v for t in pts))
+
+
 def oscillation(f: MarkedFn, g: MarkedFn) -> int:
     """Orbitals of the larger function containing a transition point of the
     smaller; 0 for disjoint extended supports."""
@@ -83,95 +91,73 @@ def oscillation(f: MarkedFn, g: MarkedFn) -> int:
     if rel in (LL, GG):
         return 0
     if rel == INSIDE:
-        small, big = f, g
-    elif rel == CONTAINS:
-        small, big = g, f
-    else:
-        raise RealizationError("oscillation undefined for incomparable pair")
-    pts = small.transition_points()
-    count = 0
-    for u, v, _ in big.orbitals:
-        if any(u < t < v for t in pts):
-            count += 1
-    return count
+        return _inside_oscillation(f, g)
+    if rel == CONTAINS:
+        return _inside_oscillation(g, f)
+    raise RealizationError("oscillation undefined for incomparable pair")
 
 
 _STANDARD_FUEL = 200
 
 
-def is_standard_pair(f: MarkedFn, g: MarkedFn, _fuel: int = _STANDARD_FUEL) -> bool:
-    """The recursive test: {f,g} fast and either f << g, or f inside g with
-    (g rotated, f) again standard."""
-    if _fuel == 0:
-        raise RealizationError("standard-pair recursion did not terminate")
-    if not (is_standard_fn(f) and is_standard_fn(g)):
-        return False
-    if not is_fast([f, g]):
-        return False
-    rel = pair_order(f, g)
-    if rel == LL:
-        return True
-    if rel == INSIDE:
-        return is_standard_pair(fn_rotate(g), f, _fuel - 1)
-    return False
+def _standard_walk(fns: Sequence[MarkedFn]) -> Tuple[GenSet, Dict[Tuple[int, int], str]]:
+    """The ordered set and each pair's relation (LL or INSIDE) when fns is a
+    standard generating set: fast, every function standard, and each pair
+    f < g has f << g, or f inside g with (g rotated, f) again standard.
+    Raises NotSgenError otherwise.  Rotation keeps a function standard and
+    its feet inside the old ones, so neither is checked down the recursion."""
+    fns = _fast_ordered(fns, "signature")
+    for f in fns:
+        if not is_standard_fn(f):
+            raise NotSgenError(f"{f!r} is not standard")
+    rels = {}
+    for i, j in itertools.combinations(range(len(fns)), 2):
+        f, g = fns[i], fns[j]
+        rels[i, j] = rel = pair_order(f, g)
+        for _ in range(_STANDARD_FUEL):
+            if rel != INSIDE:
+                break
+            f, g = g.rotated, f
+            rel = pair_order(f, g)
+        else:
+            raise RealizationError("standard-pair recursion did not terminate")
+        if rel != LL:
+            raise NotSgenError(f"pair ({fns[i]!r}, {fns[j]!r}) is not standard")
+    return fns, rels
 
 
 def is_sgen(fns: Sequence[MarkedFn]) -> bool:
-    """Every pair standard (in the max-transition order) and the whole set fast."""
+    """Fast, and every function and every pair (in the max-transition order)
+    standard."""
     try:
-        fns = order_genset(fns)
-    except RealizationError:
+        _standard_walk(fns)
+    except NotSgenError:
         return False
-    if not is_fast(fns):
-        return False
-    for i, f in enumerate(fns):
-        if not is_standard_fn(f):
-            return False
-        for g in fns[i + 1 :]:
-            if not is_standard_pair(f, g):
-                return False
     return True
 
 
-class NotSgenError(RealizationError):
-    def __init__(self, f: MarkedFn, g: MarkedFn):
-        super().__init__(f"pair ({f!r}, {g!r}) is not standard")
-        self.pair = (f, g)
+def _matrix(fns: GenSet, rels: Dict[Tuple[int, int], str]) -> OscMatrix:
+    """Oscillations of an ordered set from each pair's relation, LL or INSIDE."""
+    o = {(i, j): 0 if rel == LL else _inside_oscillation(fns[i], fns[j])
+         for (i, j), rel in rels.items()}
+    return OscMatrix(len(fns), o, [f.name or str(i) for i, f in enumerate(fns)])
 
 
 def oscillation_matrix(fns: Sequence[MarkedFn]) -> OscMatrix:
     """Raw pairwise oscillations for any fast totally ordered set."""
-    fns = order_genset(fns)
-    if not is_fast(fns):
-        raise RealizationError("oscillation matrix requires a fast set")
-    return _oscillations(fns)
-
-
-def _oscillations(fns: GenSet) -> OscMatrix:
-    """oscillation_matrix of a set already ordered and known to be fast."""
-    n = len(fns)
-    o = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            rel = pair_order(fns[i], fns[j])
-            if rel not in (LL, INSIDE):
-                raise RealizationError(
-                    f"set not totally ordered: relation {rel} between elements {i},{j}")
-            o[(i, j)] = oscillation(fns[i], fns[j])
-    labels = [f.name or str(i) for i, f in enumerate(fns)]
-    return OscMatrix(n, o, labels)
+    fns = _fast_ordered(fns, "oscillation matrix")
+    rels = {}
+    for i, j in itertools.combinations(range(len(fns)), 2):
+        rels[i, j] = rel = pair_order(fns[i], fns[j])
+        if rel not in (LL, INSIDE):
+            raise RealizationError(
+                f"set not totally ordered: relation {rel} between elements {i},{j}")
+    return _matrix(fns, rels)
 
 
 def signature_of(fns: Sequence[MarkedFn]) -> Signature:
     """The signature of a standard generating set; always satisfies (!)."""
-    fns = order_genset(fns)
-    if not is_fast(fns):
-        raise RealizationError("signature requires a fast set")
-    for i, f in enumerate(fns):
-        for g in fns[i + 1 :]:
-            if not is_standard_pair(f, g):
-                raise NotSgenError(f, g)
-    m = _oscillations(fns)
+    m = _matrix(*_standard_walk(fns))
     try:
         return Signature(m.n, m.vals, m.labels)
     except SignatureError as e:
@@ -185,7 +171,7 @@ def set_rotate(fns: Sequence[MarkedFn]) -> GenSet:
         return []
     top, rest = fns[-1], fns[:-1]
     if any(oscillation(f, top) > 0 for f in rest):
-        return order_genset(list(rest) + [fn_rotate(top)])
+        return order_genset(list(rest) + [top.rotated])
     return list(rest)
 
 

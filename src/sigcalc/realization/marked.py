@@ -7,7 +7,8 @@ dynamical diagram.
 
 A MarkedFn computes its map's orbitals once, at construction, and stores
 them; bumps, extended support, transition points and the extreme transition
-points are derived from the stored orbitals.
+points are derived from the stored orbitals.  Its bumps and its rotation are
+derived once, on first use.
 """
 
 from __future__ import annotations
@@ -43,13 +44,13 @@ class Bump:
 class MarkedFn:
     """A nonidentity PL bijection with a chosen marker in each orbital."""
 
-    __slots__ = ("map", "markers", "name", "orbitals", "_bumps")
+    __slots__ = ("map", "markers", "name", "orbitals", "_bumps", "_rotated")
 
     def __init__(self, plmap: PLMap, markers: Sequence, name: Optional[str] = None):
         self.map = plmap
         self.markers = tuple(sorted(Fraction(s) for s in markers))
         self.name = name
-        self._bumps = None
+        self._bumps = self._rotated = None
         self.orbitals = orbs = tuple(plmap.orbitals())
         if not orbs:
             raise RealizationError("identity maps cannot be marked")
@@ -71,6 +72,13 @@ class MarkedFn:
                 out.append(Bump(u, v, sign, s, t))
             self._bumps = out
         return self._bumps
+
+    @property
+    def rotated(self) -> "MarkedFn":
+        """fn_rotate(self), derived once."""
+        if self._rotated is None:
+            self._rotated = fn_rotate(self)
+        return self._rotated
 
     def ext_components(self) -> List[Tuple[Fraction, Fraction]]:
         """Extended support: interior of the closure of the support."""

@@ -23,6 +23,8 @@ import itertools
 import json
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
+from .ordinal import Scanner
+
 
 class SignatureError(ValueError):
     pass
@@ -416,19 +418,7 @@ def eval_term(t: SigTerm) -> Signature:
     raise SignatureError(f"unknown term {t.op!r}")
 
 
-class _TermParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def error(self, message: str):
-        raise TermParseError(message, self.pos)
-
-    def peek(self) -> str:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
+class _TermParser(Scanner):
     def expr(self) -> SigTerm:
         parts = [self.term()]
         while self.peek() == "+":
@@ -452,36 +442,20 @@ class _TermParser:
             self.pos += 1
             return term_one()
         if ch == "(":
-            self.pos += 1
-            value = self.expr()
-            if self.peek() != ")":
-                self.error("expected ')'")
-            self.pos += 1
-            return value
+            return self.group(self.expr)
         if self.text.startswith("exp", self.pos):
             self.pos += 3
-            return term_exp(self._parenthesized())
+            return term_exp(self.group(self.expr))
         if ch == "E":
             self.pos += 1
-            return term_E(self._parenthesized())
+            return term_E(self.group(self.expr))
         self.error("expected '0', '1', 'exp(', 'E(' or '('")
-
-    def _parenthesized(self) -> SigTerm:
-        if self.peek() != "(":
-            self.error("expected '('")
-        self.pos += 1
-        value = self.expr()
-        if self.peek() != ")":
-            self.error("expected ')'")
-        self.pos += 1
-        return value
 
 
 def parse_term(text: str) -> SigTerm:
-    p = _TermParser(text)
+    p = _TermParser(text, TermParseError)
     value = p.expr()
-    if p.peek():
-        p.error("trailing input")
+    p.end()
     return value
 
 

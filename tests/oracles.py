@@ -2,14 +2,17 @@
 
 The equivalent forms of the (!) relation are checked against
 `signature.bang_rel`, and `classify_pair` bundles a pair's order, fastness,
-oscillation and standardness for the realization tests.
+oscillation and standardness for the realization tests.  `is_standard_pair`
+is the recursive definition of a standard pair, checked in full at every
+level, for comparison with the library's single walk.
 """
 
 from dataclasses import dataclass
 from typing import Optional
 
-from sigcalc.realization import MarkedFn, is_fast, oscillation, pair_order
-from sigcalc.realization.genset import CONTAINS, GG, INSIDE, LL, is_standard_pair
+from sigcalc.realization import (
+    MarkedFn, RealizationError, fn_rotate, is_fast, is_standard_fn, oscillation, pair_order)
+from sigcalc.realization.genset import CONTAINS, GG, INSIDE, LL
 
 
 def bang(p: int, q: int) -> Optional[int]:
@@ -38,6 +41,19 @@ def bang_rel_p(p: int, q: int, r: int) -> bool:
 def bang_rel_conj(p: int, q: int, r: int) -> bool:
     """Equivalent conjunction of the three inequalities."""
     return p >= min(q, r + 1) and q >= min(p, r) and r >= min(p - 1, q)
+
+
+def is_standard_pair(f: MarkedFn, g: MarkedFn, fuel: int = 200) -> bool:
+    """{f,g} fast, both standard, and either f << g, or f inside g with
+    (g rotated, f) again standard."""
+    if fuel == 0:
+        raise RealizationError("standard-pair recursion did not terminate")
+    if not (is_standard_fn(f) and is_standard_fn(g) and is_fast([f, g])):
+        return False
+    rel = pair_order(f, g)
+    if rel == LL:
+        return True
+    return rel == INSIDE and is_standard_pair(fn_rotate(g), f, fuel - 1)
 
 
 @dataclass

@@ -7,7 +7,9 @@ import json
 import pytest
 
 from sigcalc import cli
-from sigcalc.realization import fig_g_set, genset_to_json
+from sigcalc.ordinal import MAX_NESTING
+from sigcalc.realization import (
+    RealizationError, diagram, excise, fig_g_set, genset_from_json, genset_to_json)
 
 
 def _set_json(fns) -> str:
@@ -28,6 +30,12 @@ NOT_SGEN = genset_to_json(fig_g_set())
 NOT_FAST = _set_json([
     ([("0", "0"), ("1/8", "1/8"), ("5/32", "9/32"), ("3/8", "3/8"), ("1", "1")], ["5/32"], "f"),
     ([("0", "0"), ("1/8", "1/8"), ("5/32", "1/4"), ("5/16", "5/16"), ("1", "1")], ["5/32"], "h"),
+])
+
+# one function with two disjoint positive bumps: fast but not standard
+TWO_BUMPS = _set_json([
+    ([("0", "0"), ("1/8", "1/8"), ("3/16", "7/32"), ("1/4", "1/4"), ("1/2", "1/2"),
+      ("9/16", "19/32"), ("5/8", "5/8"), ("1", "1")], ["3/16", "9/16"], "0"),
 ])
 
 
@@ -103,6 +111,7 @@ def test_signature(capsys):
         0, '{"labels": ["0", "1"], "n": 2, "o": {"0,1": 1}}\n', "")
     expect_error(capsys, 1, "signature", NOT_SGEN)
     expect_error(capsys, 1, "signature", NOT_FAST)
+    expect_error(capsys, 1, "signature", TWO_BUMPS)
     expect_error(capsys, 2, "signature", "[1]")
     expect_error(capsys, 2, "signature", "[")
 
@@ -112,6 +121,14 @@ def test_diagram(capsys):
     assert code == 0 and out.startswith("digraph dynamical_diagram {")
     expect_error(capsys, 1, "diagram", NOT_FAST)
     expect_error(capsys, 2, "diagram", '[{"markers": []}]')
+
+
+def test_diagram_and_excise_require_a_fast_set():
+    fns = genset_from_json(NOT_FAST)
+    with pytest.raises(RealizationError):
+        diagram(fns)
+    with pytest.raises(RealizationError):
+        excise(fns)
 
 
 def test_inflate(capsys):
@@ -158,6 +175,7 @@ def test_verify(capsys):
         1, "fast: true\nsgen: false\n", "error: set is not a standard generating set\n")
     code, out, _ = run(capsys, "verify", NOT_FAST, "--format", "json")
     assert (code, out) == (1, '{"fast": false, "sgen": false}\n')
+    assert run(capsys, "verify", TWO_BUMPS)[:2] == (1, "fast: true\nsgen: false\n")
     expect_error(capsys, 2, "verify", "not json")
 
 
@@ -178,6 +196,48 @@ def test_predicates(capsys):
         0, "C: true\nD: false\n", "")
     expect_error(capsys, 2, "predicates", PAIR1, "--x", "a", "--y", "1")
     expect_error(capsys, 1, "predicates", PAIR1, "--x", "5", "--y", "1")
+
+
+def test_word_length_bound(capsys):
+    assert cli.MAX_WORD_LETTERS == 64
+    assert run(capsys, "predicates", PAIR1, "--x", "0^64", "--y", "1") == (
+        0, "C: false\nD: true\n", "")
+    for word in ("0^65", "0^-65", "0^-64 1", "0,32 1,-33"):
+        err = expect_error(capsys, 2, "predicates", PAIR1, "--x", "1", "--y", word)
+        assert err == "error: word longer than 64 letters\n"
+
+
+# --- input limits ---------------------------------------------------------------------
+
+
+def _nest(opening: str, core: str, depth: int) -> str:
+    return opening * depth + core + ")" * depth
+
+
+def test_nesting_bound(capsys):
+    assert MAX_NESTING == 100
+    deep = _nest("E(", "1+1", MAX_NESTING)
+    code, out, _ = run(capsys, "rho", deep)
+    assert code == 0 and out.startswith("w^(w^(")
+    assert run(capsys, "normalize", deep) == (0, '{"n": 2, "o": {"0,1": 200}}\n', "")
+    code, out, _ = run(capsys, "ord", _nest("w^(", "1", MAX_NESTING))
+    assert code == 0 and out.count("w^") == MAX_NESTING - 1
+    for argv in (["rho", _nest("E(", "1+1", MAX_NESTING + 1)],
+                 ["normalize", _nest("exp(", "1", MAX_NESTING + 1)],
+                 ["rho", _nest("(", "1", MAX_NESTING + 1)],
+                 ["ord", _nest("w^(", "1", MAX_NESTING + 1)],
+                 ["ord", "w^" * (MAX_NESTING + 1) + "1"]):
+        err = expect_error(capsys, 2, *argv)
+        assert "nested deeper than 100 levels (at position " in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["rho", '{"n": ' + "[" * 100_000],
+    ["verify", "[" * 100_000],
+])
+def test_deeply_nested_json_is_a_parse_error(capsys, argv):
+    err = expect_error(capsys, 2, *argv)
+    assert err.startswith("error: cannot parse ")
 
 
 # --- malformed signature documents ----------------------------------------------------

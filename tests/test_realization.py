@@ -36,14 +36,23 @@ from sigcalc.realization import (
     realize,
     signature_of,
 )
-from sigcalc.realization import build, genset
-from oracles import classify_pair
+from sigcalc import cli
+from sigcalc.realization import build, genset, marked
+from oracles import classify_pair, is_standard_pair
 
 one = ONE_SIG
 
 
 def pair(k):
     return Signature(2, (k,))
+
+
+# one function, two disjoint positive bumps: fast, but its extended support
+# is not connected, so it is not standard
+TWO_BUMPS = MarkedFn(PLMap([
+    (0, 0), (F(1, 8), F(1, 8)), (F(3, 16), F(7, 32)), (F(1, 4), F(1, 4)),
+    (F(1, 2), F(1, 2)), (F(9, 16), F(19, 32)), (F(5, 8), F(5, 8)), (1, 1)]),
+    [F(3, 16), F(9, 16)], "0")
 
 
 # --- marked functions -----------------------------------------------------------
@@ -145,6 +154,38 @@ def test_oscillation_matrix_g():
         signature_of(fig_g_set())
 
 
+def test_one_function_set_must_be_standard():
+    assert is_fast([TWO_BUMPS]) and not is_standard_fn(TWO_BUMPS)
+    assert not is_sgen([TWO_BUMPS])
+    with pytest.raises(NotSgenError):
+        signature_of([TWO_BUMPS])
+
+
+def _reads_back(fns) -> bool:
+    try:
+        signature_of(fns)
+    except NotSgenError:
+        return False
+    return True
+
+
+def test_is_sgen_exactly_when_signature_of_succeeds():
+    for fns in (fig_g_set(), fig_bz_set(), [TWO_BUMPS]):
+        assert is_sgen(fns) == _reads_back(fns)
+    for s in enumerate_signatures(5, 3):
+        fns = realize(s)  # raises unless signature_of reads s back
+        assert is_sgen(fns)
+
+
+def test_walk_agrees_with_recursive_definition():
+    # the walk checks fastness and each function once; the oracle checks the
+    # pair's fastness and both functions again at every level
+    sets = [fig_g_set(), fig_bz_set()] + [realize(s) for s in enumerate_signatures(3, 3)]
+    for fns in sets:
+        assert is_sgen(fns) == all(is_standard_pair(f, g)
+                                   for f, g in itertools.combinations(fns, 2))
+
+
 def test_incomparable_pair():
     pts = [(0, 0), (F(1, 8), F(1, 8)), (F(1, 4), F(3, 8)), (F(1, 2), F(1, 2)), (1, 1)]
     f = MarkedFn(PLMap(pts), [F(1, 4)])
@@ -215,7 +256,7 @@ def test_realize_computes_orbitals_once_per_function(monkeypatch):
     assert counts["orbitals"] == counts["fns"]
 
 
-def test_whole_set_ordered_and_fast_checked_once(monkeypatch):
+def test_whole_set_ordered_and_fast_checked_once(monkeypatch, capsys):
     fns = realize(SIG5)
     sorted_sizes, fast_sizes = [], []
     order_genset, is_fast = genset.order_genset, genset.is_fast
@@ -230,12 +271,31 @@ def test_whole_set_ordered_and_fast_checked_once(monkeypatch):
 
     monkeypatch.setattr(genset, "order_genset", counting_order)
     monkeypatch.setattr(genset, "is_fast", counting_fast)
-    for run in (lambda: signature_of(fns), lambda: realize(SIG5)):
+    # verify checks its input, then realize checks the set it builds
+    runs = [(lambda: signature_of(fns), 1), (lambda: realize(SIG5), 1),
+            (lambda: is_sgen(fns), 1),
+            (lambda: cli.main(["verify", genset_to_json(fns)]) == 0, 2)]
+    for run, sets in runs:
         sorted_sizes.clear()
         fast_sizes.clear()
         assert run()
-        assert sorted_sizes == [SIG5.n]
-        assert fast_sizes.count(SIG5.n) == 1
+        assert sorted_sizes == [SIG5.n] * sets
+        assert fast_sizes.count(SIG5.n) == sets
+
+
+def test_each_function_rotated_once(monkeypatch):
+    rotated = []
+    fn_rotate = marked.fn_rotate
+
+    def counting_rotate(f):
+        rotated.append(f)
+        return fn_rotate(f)
+
+    monkeypatch.setattr(marked, "fn_rotate", counting_rotate)
+    monkeypatch.setattr(build, "_build_cache", {})
+    assert signature_of(realize(SIG5)) == SIG5
+    assert rotated
+    assert len({id(f) for f in rotated}) == len(rotated)
 
 
 def test_realized_sets_are_sgen():
