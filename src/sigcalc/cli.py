@@ -6,9 +6,11 @@ deterministic for fixed input.  Signature arguments accept a JSON matrix
 
 Input limits, each exceeded with exit code 2 and a one-line message:
 ordinals and signature terms nest at most MAX_NESTING (100) levels of '(',
-'w^', 'exp(' and 'E('; JSON arguments nest no deeper than the decoder's
-recursion allows; a group word has at most MAX_WORD_LETTERS (64) letters,
-counted as the sum of the absolute exponents.
+'w^', 'exp(' and 'E('; a signature term has a base of at most
+signature.MAX_BASE (256) '1' leaves; a JSON signature holds pair values of
+at most signature.MAX_PAIR_VALUE (64); JSON arguments nest no deeper than
+the decoder's recursion allows; a group word has at most MAX_WORD_LETTERS
+(64) letters, counted as the sum of the absolute exponents.
 """
 
 from __future__ import annotations

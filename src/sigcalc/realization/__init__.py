@@ -35,7 +35,6 @@ from .diagram import DynDiagram, diagram, excise, to_dot
 from .words import (
     GroupWord,
     WreathSplitError,
-    commutator,
     conj_map,
     dom_witness,
     pl_eval,

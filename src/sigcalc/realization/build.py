@@ -14,8 +14,9 @@ positive orbital on the right of the rotated top's orbitals.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..signature import Signature, decompose, sig_rotate
 from .genset import GenSet, order_genset, pair_order, signature_of
@@ -30,7 +31,9 @@ from .plmap import PLMap
 
 F = Fraction
 
-_build_cache: Dict[Signature, GenSet] = {}
+# Signatures whose built sets are kept, least recently used dropped first;
+# realizing all 969 signatures with n = 5 and values <= 3 fills 1,125.
+BUILD_CACHE_SIZE = 4096
 
 
 def realize(sig: Signature) -> GenSet:
@@ -43,19 +46,12 @@ def realize(sig: Signature) -> GenSet:
     return fns
 
 
-def _build(sig: Signature) -> GenSet:
-    if sig in _build_cache:
-        return _build_cache[sig]
-    fns = _build_uncached(sig)
-    _build_cache[sig] = fns
-    return fns
-
-
 def _scaled(fns: Sequence[MarkedFn], lo: Fraction, hi: Fraction) -> GenSet:
     return [rescale_fn(f, lo, hi) for f in fns]
 
 
-def _build_uncached(sig: Signature) -> GenSet:
+@functools.lru_cache(maxsize=BUILD_CACHE_SIZE)
+def _build(sig: Signature) -> GenSet:
     n = sig.n
     if n == 0:
         return []

@@ -3,6 +3,12 @@
 Breakpoints are Fractions; maps are stored in minimal form (no collinear
 interior breakpoints), so equality of maps is equality of breakpoint tuples.
 No floating point anywhere.
+
+`PLMap(points)` is the one checked constructor: it sorts the points, checks
+that they run from (0,0) to (1,1) strictly increasing in both coordinates,
+and drops collinear ones.  Maps derived from valid maps (`inverse`, `then`,
+powers) are built sorted and minimal and go through `PLMap._trusted`, which
+only checks that both coordinates strictly increase.
 """
 
 from __future__ import annotations
@@ -38,6 +44,10 @@ def _canonical(points: Sequence[Point]) -> Tuple[Point, ...]:
     return tuple(out)
 
 
+def _slopes(points: Tuple[Point, ...]) -> List[Fraction]:
+    return [(y1 - y0) / (x1 - x0) for (x0, y0), (x1, y1) in zip(points, points[1:])]
+
+
 class PLMap:
     """An increasing PL bijection of [0,1], composed left to right."""
 
@@ -46,12 +56,24 @@ class PLMap:
     def __init__(self, points: Iterable[Point]):
         object.__setattr__(self, "points", _canonical(list(points)))
 
+    @classmethod
+    def _trusted(cls, points: Tuple[Point, ...]) -> "PLMap":
+        """A map on breakpoints derived from valid maps: already sorted,
+        running from (0,0) to (1,1) and minimal.  Only checks that both
+        coordinates strictly increase."""
+        for (x1, y1), (x2, y2) in zip(points, points[1:]):
+            if x2 <= x1 or y2 <= y1:
+                raise PLError("breakpoints must be strictly increasing in both coordinates")
+        m = object.__new__(cls)
+        object.__setattr__(m, "points", points)
+        return m
+
     def __setattr__(self, name, value):
         raise AttributeError("PLMap is immutable")
 
     @staticmethod
     def identity() -> "PLMap":
-        return PLMap([(Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))])
+        return PLMap._trusted(((Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))))
 
     @property
     def is_identity(self) -> bool:
@@ -75,14 +97,50 @@ class PLMap:
         return y1 + (y2 - y1) * (x - x1) / (x2 - x1)
 
     def inverse(self) -> "PLMap":
-        return PLMap([(y, x) for x, y in self.points])
+        return PLMap._trusted(tuple((y, x) for x, y in self.points))
 
     def then(self, other: "PLMap") -> "PLMap":
-        """The composition apply-self-then-other."""
-        inv = self.inverse()
-        xs = {x for x, _ in self.points}
-        xs.update(inv(x) for x, _ in other.points)
-        return PLMap([(x, other(self(x))) for x in sorted(xs)])
+        """The composition apply-self-then-other.
+
+        One merge of self's y-values with other's x-values: between two
+        consecutive merged values the composition is affine with slope
+        (self's slope) * (other's slope), so a merged value is a breakpoint
+        of the result exactly where that product changes, and only those
+        points are computed.
+        """
+        if self.is_identity:
+            return other
+        if other.is_identity:
+            return self
+        a, b = self.points, other.points
+        sa, sb = _slopes(a), _slopes(b)
+        # the current segments: a[i]..a[i+1] and b[j]..b[j+1]
+        i = j = 0
+        slope = sa[0] * sb[0]
+        out = [a[0]]
+        while i < len(sa) - 1 or j < len(sb) - 1:
+            # step past the next merged value on each map with a breakpoint
+            # there; it becomes the start of that map's current segment
+            y, u = a[i + 1][1], b[j + 1][0]
+            if y == u:
+                step_a = step_b = True
+            else:
+                step_a = y < u
+                step_b = not step_a
+            i += step_a
+            j += step_b
+            new_slope = sa[i] * sb[j]
+            if new_slope != slope:
+                (x0, y0), (u0, v0) = a[i], b[j]
+                if not step_b:
+                    out.append((x0, v0 + sb[j] * (y0 - u0)))
+                elif not step_a:
+                    out.append((x0 + (u0 - y0) / sa[i], v0))
+                else:
+                    out.append((x0, v0))
+                slope = new_slope
+        out.append(a[-1])
+        return PLMap._trusted(tuple(out))
 
     def __mul__(self, other):
         if not isinstance(other, PLMap):

@@ -29,17 +29,14 @@ def pl_eval(fns: Sequence[MarkedFn], word: GroupWord) -> PLMap:
     return out
 
 
-def commutator(x: PLMap, y: PLMap) -> PLMap:
-    return x.inverse().then(y.inverse()).then(x).then(y)
-
-
 def conj_map(x: PLMap, y: PLMap) -> PLMap:
     """x conjugated by y (apply y-inverse, x, then y)."""
     return y.inverse().then(x).then(y)
 
 
 def pred_C(x: PLMap, y: PLMap) -> bool:
-    return commutator(x, y).is_identity
+    """xy = yx, compared as breakpoint tuples: maps are stored minimal."""
+    return x.then(y) == y.then(x)
 
 
 def pred_D(x: PLMap, y: PLMap) -> bool:

@@ -355,6 +355,12 @@ def sig_inflate(a: Signature, m: int) -> Signature:
 # Grammar: t := '0' | '1' | t '+' t | t '*' t | 'exp(' t ')' | 'E(' t ')'
 # with * binding tighter than +; parentheses allowed for grouping.
 
+# Largest base a signature term may have, counted as its '1' leaves: every
+# operation costs O(n^3) per derived signature (rho on a chain 1*1*...*1 of
+# 256 takes about 1.5 s under CPython 3.11 on one x86-64 core), and
+# eval_term recurses once per '*' of a chain.
+MAX_BASE = 256
+
 
 class SigTerm:
     """Expression tree over {zero, one, sum, star, exp, E}."""
@@ -419,6 +425,10 @@ def eval_term(t: SigTerm) -> Signature:
 
 
 class _TermParser(Scanner):
+    def __init__(self, text: str):
+        super().__init__(text, TermParseError)
+        self.base = 0
+
     def expr(self) -> SigTerm:
         parts = [self.term()]
         while self.peek() == "+":
@@ -439,6 +449,9 @@ class _TermParser(Scanner):
             self.pos += 1
             return term_zero()
         if ch == "1":
+            if self.base == MAX_BASE:
+                self.error(f"base larger than {MAX_BASE}")
+            self.base += 1
             self.pos += 1
             return term_one()
         if ch == "(":
@@ -453,7 +466,7 @@ class _TermParser(Scanner):
 
 
 def parse_term(text: str) -> SigTerm:
-    p = _TermParser(text, TermParseError)
+    p = _TermParser(text)
     value = p.expr()
     p.end()
     return value
@@ -526,6 +539,12 @@ def sig_to_json(a: OscMatrix) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
+# Largest pair value a JSON signature may hold: rho recurses once per unit of
+# a value, and realize on {"n": 2, "o": {"0,1": 64}} takes about 1.5 s under
+# CPython 3.11 on one x86-64 core.
+MAX_PAIR_VALUE = 64
+
+
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
@@ -533,8 +552,9 @@ def _is_int(x) -> bool:
 def sig_from_json(text: str) -> Signature:
     """Parse {"n": int, "o": {"i,j": int, ...}, "labels": [str, ...]}.
 
-    A document of another shape raises SignatureParseError; a well-formed
-    matrix that is not a signature raises SignatureError.
+    A document of another shape, or a value above MAX_PAIR_VALUE, raises
+    SignatureParseError; a well-formed matrix that is not a signature raises
+    SignatureError.
     """
     doc = json.loads(text)
     if not (isinstance(doc, dict) and _is_int(doc.get("n")) and doc["n"] >= 0):
@@ -550,6 +570,8 @@ def sig_from_json(text: str) -> Signature:
             raise SignatureParseError(f'"o" key {key!r} is not "i,j"') from None
         if not _is_int(v):
             raise SignatureParseError(f'"o" value at {key!r} is not an integer')
+        if v > MAX_PAIR_VALUE:
+            raise SignatureParseError(f'"o" value at {key!r} is larger than {MAX_PAIR_VALUE}')
         o[(i, j)] = v
     labels = doc.get("labels")
     if labels is not None and not (

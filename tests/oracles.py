@@ -4,14 +4,19 @@ The equivalent forms of the (!) relation are checked against
 `signature.bang_rel`, and `classify_pair` bundles a pair's order, fastness,
 oscillation and standardness for the realization tests.  `is_standard_pair`
 is the recursive definition of a standard pair, checked in full at every
-level, for comparison with the library's single walk.
+level, for comparison with the library's single walk.  `compose_pointwise`
+is PL composition by the sorted union of breakpoints evaluated pointwise,
+the reference for `PLMap.then`, `inverse` and powers; `commutator` gives the
+reading of "x and y commute" as "their commutator is the identity", checked
+against `pred_C`.
 """
 
 from dataclasses import dataclass
 from typing import Optional
 
 from sigcalc.realization import (
-    MarkedFn, RealizationError, fn_rotate, is_fast, is_standard_fn, oscillation, pair_order)
+    MarkedFn, PLMap, RealizationError, fn_rotate, is_fast, is_standard_fn, oscillation,
+    pair_order)
 from sigcalc.realization.genset import CONTAINS, GG, INSIDE, LL
 
 
@@ -72,3 +77,30 @@ def classify_pair(f: MarkedFn, g: MarkedFn) -> PairInfo:
         osc = oscillation(f, g)
     standard = rel in (LL, INSIDE) and fast and is_standard_pair(f, g)
     return PairInfo(rel, fast, osc, standard)
+
+
+def swapped(f: PLMap) -> PLMap:
+    """The inverse of f, through the checked constructor."""
+    return PLMap([(y, x) for x, y in f.points])
+
+
+def compose_pointwise(f: PLMap, g: PLMap) -> PLMap:
+    """f then g: the sorted union of f's breakpoints and the preimages of g's,
+    each evaluated through f and g, through the checked constructor."""
+    f_inv = swapped(f)
+    xs = {x for x, _ in f.points}
+    xs.update(f_inv(x) for x, _ in g.points)
+    return PLMap([(x, g(f(x))) for x in sorted(xs)])
+
+
+def power_pointwise(f: PLMap, k: int) -> PLMap:
+    base = f if k > 0 else swapped(f)
+    out = PLMap.identity()
+    for _ in range(abs(k)):
+        out = compose_pointwise(out, base)
+    return out
+
+
+def commutator(x: PLMap, y: PLMap) -> PLMap:
+    """Apply x-inverse, y-inverse, x, then y: (yx)-inverse, then xy."""
+    return y.then(x).inverse().then(x.then(y))

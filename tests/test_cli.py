@@ -8,6 +8,7 @@ import pytest
 
 from sigcalc import cli
 from sigcalc.ordinal import MAX_NESTING
+from sigcalc.signature import MAX_BASE, MAX_PAIR_VALUE
 from sigcalc.realization import (
     RealizationError, diagram, excise, fig_g_set, genset_from_json, genset_to_json)
 
@@ -229,6 +230,24 @@ def test_nesting_bound(capsys):
                  ["ord", "w^" * (MAX_NESTING + 1) + "1"]):
         err = expect_error(capsys, 2, *argv)
         assert "nested deeper than 100 levels (at position " in err
+
+
+def test_pair_value_bound(capsys):
+    assert MAX_PAIR_VALUE == 64
+    code, out, _ = run(capsys, "rho", '{"n": 2, "o": {"0,1": 64}}')
+    assert code == 0 and out.count("w^") == 63
+    for value in (65, 1000):
+        err = expect_error(capsys, 2, "rho", '{"n": 2, "o": {"0,1": %d}}' % value)
+        assert err == "error: cannot parse signature: \"o\" value at '0,1' is larger than 64\n"
+
+
+def test_base_bound(capsys):
+    assert MAX_BASE == 256
+    assert run(capsys, "rho", "+".join(["1"] * MAX_BASE)) == (0, "256\n", "")
+    for term in ("+".join(["1"] * (MAX_BASE + 1)), "*".join(["1"] * 3000), "exp(1)+" * 300 + "0"):
+        err = expect_error(capsys, 2, "rho", term)
+        leaf = [i for i, ch in enumerate(term) if ch == "1"][MAX_BASE]
+        assert err == f"error: cannot parse signature: base larger than 256 (at position {leaf})\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,9 +1,27 @@
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from sigcalc.realization import PLMap, PLError
+from oracles import commutator, compose_pointwise, power_pointwise, swapped
+from sigcalc.realization import PLError, PLMap, pl_eval, pred_C, realize
+from sigcalc.signature import enumerate_signatures
+
+# Denominators of random breakpoints: dyadic ones, and the thirds, ninths and
+# 96ths that realize produces, and 97ths.
+DENOMINATORS = (2, 8, 64, 3, 9, 96, 97)
+
+
+def increasing(rng, n, den):
+    """n points from 0 to 1, strictly increasing, with denominator den."""
+    return [F(0)] + [F(k, den) for k in sorted(rng.sample(range(1, den), n - 2))] + [F(1)]
+
+
+def random_map(rng):
+    den = rng.choice(DENOMINATORS)
+    n = rng.randint(2, min(7, den + 1))
+    return PLMap(zip(increasing(rng, n, den), increasing(rng, n, den)))
 
 
 def bump_map(u, v, a, b, sign=1):
@@ -24,10 +42,24 @@ def test_canonical_removes_collinear():
 
 
 def test_rejects_bad_breakpoints():
+    for points in (
+        [(0, 0), (F(1, 2), F(1, 4)), (F(1, 4), F(1, 2)), (1, 1)],
+        [(0, 0), (F(1, 2), F(1, 4)), (F(1, 2), F(1, 3)), (1, 1)],
+        [(0, 0), (F(1, 2), F(1, 2)), (F(3, 4), F(1, 2)), (1, 1)],
+        [(F(1, 8), 0), (1, 1)],
+        [(0, 0), (F(1, 2), F(1, 2))],
+        [(0, 0), (1, 1), (2, 2)],
+        [],
+    ):
+        with pytest.raises(PLError):
+            PLMap(points)
+
+
+def test_trusted_checks_that_points_increase():
+    pts = ((F(0), F(0)), (F(1, 2), F(1, 4)), (F(1, 4), F(1, 2)), (F(1), F(1)))
     with pytest.raises(PLError):
-        PLMap([(0, 0), (F(1, 2), F(1, 4)), (F(1, 4), F(1, 2)), (1, 1)])
-    with pytest.raises(PLError):
-        PLMap([(F(1, 8), 0), (1, 1)])
+        PLMap._trusted(pts)
+    assert PLMap._trusted(pts[:1] + pts[2:]) == PLMap(pts[:1] + pts[2:])
 
 
 def test_eval_and_inverse():
@@ -48,6 +80,49 @@ def test_composition_exact_random():
     for _ in range(50):
         x = F(rng.randint(0, 997), 997)
         assert h(x) == g(f(x))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_then_matches_pointwise_reference(seed):
+    rng = random.Random(seed)
+    for _ in range(100):
+        f, h = random_map(rng), random_map(rng)
+        f_inv = swapped(f)
+        den = rng.choice((64, 96, 97))
+        shared = PLMap(zip([y for _, y in f.points], increasing(rng, len(f.points), den)))
+        for g in (h, f_inv, shared, compose_pointwise(f_inv, h)):
+            assert f.then(g) == compose_pointwise(f, g)
+        assert f.then(f_inv).is_identity
+        # f's breakpoints cancel against f-inverse's and merge away
+        assert f.then(compose_pointwise(f_inv, h)) == h
+
+
+def test_inverse_and_powers_match_pointwise_reference():
+    rng = random.Random(7)
+    for _ in range(100):
+        f = random_map(rng)
+        assert f.inverse() == swapped(f)
+        for k in (-3, -2, -1, 0, 1, 2, 3):
+            assert f ** k == power_pointwise(f, k)
+
+
+LETTERS = [(i, e) for i in range(3) for e in (1, -1)]
+
+
+def inverse_word(word):
+    return [(i, -e) for i, e in reversed(word)]
+
+
+@pytest.mark.parametrize("sig", enumerate_signatures(3, 3), ids=lambda s: str(s.vals))
+def test_pred_C_is_commutator_identity_on_two_letter_words(sig):
+    # x commutes with y exactly when x-inverse does, so each two-letter word
+    # is taken up to inversion; both sides are symmetric in x and y and true
+    # for x = y, so each unordered pair of distinct word maps is checked once
+    fns = realize(sig)
+    words = [[a, b] for a in LETTERS for b in LETTERS]
+    maps = {pl_eval(fns, w) for w in words if w <= inverse_word(w)}
+    for x, y in itertools.combinations(maps, 2):
+        assert pred_C(x, y) == commutator(x, y).is_identity
 
 
 def test_orbitals_signs():

@@ -1,3 +1,4 @@
+import functools
 import itertools
 from fractions import Fraction as F
 
@@ -236,6 +237,21 @@ def test_realize_round_trip_enumerated_small():
 SIG5 = eval_term(parse_term("E(1*1+1+1+1)"))
 
 
+def _fresh_build_cache(monkeypatch, size=build.BUILD_CACHE_SIZE):
+    """An empty build cache of the given bound for the rest of the test."""
+    fresh = functools.lru_cache(maxsize=size)(build._build.__wrapped__)
+    monkeypatch.setattr(build, "_build", fresh)
+
+
+def test_build_cache_is_bounded(monkeypatch):
+    assert build._build.cache_info().maxsize == build.BUILD_CACHE_SIZE
+    _fresh_build_cache(monkeypatch, size=8)
+    for s in enumerate_signatures(4, 2):
+        assert signature_of(realize(s)) == s
+        assert build._build.cache_info().currsize <= 8
+    assert build._build.cache_info().misses > 8  # entries were dropped and rebuilt
+
+
 def test_realize_computes_orbitals_once_per_function(monkeypatch):
     counts = {"orbitals": 0, "fns": 0}
     orbitals, init = PLMap.orbitals, MarkedFn.__init__
@@ -250,7 +266,7 @@ def test_realize_computes_orbitals_once_per_function(monkeypatch):
 
     monkeypatch.setattr(PLMap, "orbitals", counting_orbitals)
     monkeypatch.setattr(MarkedFn, "__init__", counting_init)
-    monkeypatch.setattr(build, "_build_cache", {})
+    _fresh_build_cache(monkeypatch)
     assert signature_of(realize(SIG5)) == SIG5
     assert counts["fns"] > SIG5.n
     assert counts["orbitals"] == counts["fns"]
@@ -292,7 +308,7 @@ def test_each_function_rotated_once(monkeypatch):
         return fn_rotate(f)
 
     monkeypatch.setattr(marked, "fn_rotate", counting_rotate)
-    monkeypatch.setattr(build, "_build_cache", {})
+    _fresh_build_cache(monkeypatch)
     assert signature_of(realize(SIG5)) == SIG5
     assert rotated
     assert len({id(f) for f in rotated}) == len(rotated)
