@@ -7,15 +7,17 @@ deterministic for fixed input.  Signature arguments accept a JSON matrix
 Input limits, each exceeded with exit code 2 and a one-line message:
 ordinals and signature terms nest at most MAX_NESTING (100) levels of '(',
 'w^', 'exp(' and 'E('; a signature term has a base of at most
-signature.MAX_BASE (256) '1' leaves; a JSON signature holds pair values of
-at most signature.MAX_PAIR_VALUE (64); JSON arguments nest no deeper than
-the decoder's recursion allows; a group word has at most MAX_WORD_LETTERS
-(64) letters, counted as the sum of the absolute exponents.
+signature.MAX_BASE (256) '1' leaves; a signature, given as JSON or as a
+term, holds pair values of at most signature.MAX_PAIR_VALUE (64), checked
+once on the evaluated signature; JSON arguments nest no deeper than the
+decoder's recursion allows; a group word has at most MAX_WORD_LETTERS (64)
+letters, counted as the sum of the absolute exponents.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -24,6 +26,7 @@ from .ordinal import Ordinal, OrdinalError, OrdinalParseError, ord_cmp, ord_pars
 from .ordinal import ord_add, ord_mul
 from .normalizer import OutsideComputedFamily, ea_class, ea_to_xi, leq, materialize, normalize, rho
 from .signature import (
+    MAX_PAIR_VALUE,
     Signature,
     SignatureError,
     SignatureParseError,
@@ -67,13 +70,16 @@ def _read_arg(arg: str) -> str:
 def load_signature(arg: str) -> Signature:
     text = _read_arg(arg).strip()
     try:
-        if text.startswith("{"):
-            return sig_from_json(text)
-        return eval_term(parse_term(text))
+        sig = sig_from_json(text) if text.startswith("{") else eval_term(parse_term(text))
     except (SignatureParseError, json.JSONDecodeError, RecursionError) as e:
         raise CliError(f"cannot parse signature: {e}", 2)
     except SignatureError as e:
         raise CliError(str(e), 1)
+    for (i, j), v in zip(itertools.combinations(range(sig.n), 2), sig.vals):
+        if v > MAX_PAIR_VALUE:
+            raise CliError(
+                f"cannot parse signature: \"o\" value at '{i},{j}' is larger than {MAX_PAIR_VALUE}", 2)
+    return sig
 
 
 def load_genset(arg: str):

@@ -34,15 +34,12 @@ from .build import fig_bz_set, fig_g_set, realize, retrofit_slopes
 from .diagram import DynDiagram, diagram, excise, to_dot
 from .words import (
     GroupWord,
-    WreathSplitError,
     conj_map,
-    dom_witness,
     pl_eval,
     pred_C,
     pred_D,
     pred_T,
     predicates,
-    wreath_witness,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -13,7 +13,7 @@ import json
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-from ..signature import OscMatrix, Signature, SignatureError
+from ..signature import MAX_PAIR_VALUE, OscMatrix, Signature, SignatureError
 from .marked import MarkedFn, RealizationError, conjugate, is_standard_fn, square
 from .plmap import PLMap
 
@@ -97,7 +97,8 @@ def oscillation(f: MarkedFn, g: MarkedFn) -> int:
     raise RealizationError("oscillation undefined for incomparable pair")
 
 
-_STANDARD_FUEL = 200
+# A realized pair of oscillation v takes v rotations; the CLI bounds v by MAX_PAIR_VALUE.
+_STANDARD_FUEL = MAX_PAIR_VALUE + 1
 
 
 def _standard_walk(fns: Sequence[MarkedFn]) -> Tuple[GenSet, Dict[Tuple[int, int], str]]:

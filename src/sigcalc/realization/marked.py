@@ -5,10 +5,15 @@ outer slivers of the orbital, where t is the image of s under the bump (or
 its inverse for a negative bump).  Feet drive the fastness check and the
 dynamical diagram.
 
-A MarkedFn computes its map's orbitals once, at construction, and stores
-them; bumps, extended support, transition points and the extreme transition
-points are derived from the stored orbitals.  Its bumps and its rotation are
-derived once, on first use.
+`MarkedFn(plmap, markers)` is the one checked constructor: it computes the
+map's orbitals once and checks one marker inside each.  Functions carried
+over from a valid one go through `MarkedFn._trusted`, which takes the map,
+markers and orbitals as given and checks nothing: a renamed copy (`rename`),
+an affine copy (`rescale_fn`), the restriction of a function with more than
+two orbitals to its inner ones (`fn_rotate`), and a two-piece bump whose
+parameters `make_bump_fn` has checked.  Bumps, extended support, transition
+points and the extreme transition points are derived from the stored
+orbitals; bumps and the rotation are derived once, on first use.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .plmap import PLMap, PLError, affine_image
+from .plmap import PLMap
 
 
 class RealizationError(ValueError):
@@ -60,6 +65,18 @@ class MarkedFn:
         for (u, v, _), s in zip(orbs, self.markers):
             if not (u < s < v):
                 raise RealizationError(f"marker {s} outside orbital ({u},{v})")
+
+    @classmethod
+    def _trusted(cls, plmap: PLMap, markers: Tuple[Fraction, ...],
+                 orbitals: Tuple[Tuple[Fraction, Fraction, int], ...],
+                 name: Optional[str] = None) -> "MarkedFn":
+        """A function transported from a valid one: `orbitals` are plmap's
+        and `markers` a sorted tuple with one inside each.  Nothing is
+        checked or recomputed."""
+        f = object.__new__(cls)
+        f.map, f.markers, f.orbitals, f.name = plmap, markers, orbitals, name
+        f._bumps = f._rotated = None
+        return f
 
     @property
     def bumps(self) -> List[Bump]:
@@ -107,7 +124,9 @@ class MarkedFn:
         return pts
 
     def rename(self, name: str) -> "MarkedFn":
-        return MarkedFn(self.map, self.markers, name)
+        f = MarkedFn._trusted(self.map, self.markers, self.orbitals, name)
+        f._bumps = self._bumps
+        return f
 
     def __repr__(self):
         tag = self.name or "fn"
@@ -140,9 +159,13 @@ def make_bump_fn(u, v, a, b, sign: int = 1, name: Optional[str] = None) -> Marke
     u, v, a, b = Fraction(u), Fraction(v), Fraction(a), Fraction(b)
     if not (0 <= u < a < b < v <= 1):
         raise RealizationError(f"bad bump parameters ({u},{v},{a},{b})")
-    interior = (a, b) if sign > 0 else (b, a)
-    pts = [(Fraction(0), Fraction(0)), (u, u), interior, (v, v), (Fraction(1), Fraction(1))]
-    return MarkedFn(PLMap(pts), [a], name)
+    sign = 1 if sign > 0 else -1
+    pts = [(u, u), (a, b) if sign > 0 else (b, a), (v, v)]
+    if u > 0:
+        pts.insert(0, (Fraction(0), Fraction(0)))
+    if v < 1:
+        pts.append((Fraction(1), Fraction(1)))
+    return MarkedFn._trusted(PLMap._trusted(tuple(pts)), (a,), ((u, v, sign),), name)
 
 
 def canonical_bump(u, v, name: Optional[str] = None) -> MarkedFn:
@@ -163,19 +186,19 @@ def fn_rotate(f: MarkedFn) -> MarkedFn:
     """Drop the extreme orbitals; for a one- or two-orbital function, the
     canonical positive bump on the left foot of the positive orbital."""
     orbs = f.orbitals
+    name = f"{f.name}^o" if f.name else None
     if len(orbs) > 2:
+        # the map moves points just inside keep_lo and keep_hi, so both are
+        # breakpoints of the restriction and no kept point becomes collinear
         keep_lo, keep_hi = orbs[1][0], orbs[-2][1]
         pts = [(Fraction(0), Fraction(0)), (keep_lo, keep_lo)]
-        pts += [(x, y) for x, y in f.map.points if keep_lo <= x <= keep_hi]
+        pts += [(x, y) for x, y in f.map.points if keep_lo < x < keep_hi]
         pts += [(keep_hi, keep_hi), (Fraction(1), Fraction(1))]
-        markers = [s for s in f.markers if keep_lo < s < keep_hi]
-        name = f"{f.name}^o" if f.name else None
-        return MarkedFn(PLMap(pts), markers, name)
+        return MarkedFn._trusted(PLMap._trusted(tuple(pts)), f.markers[1:-1], orbs[1:-1], name)
     pos = [b for b in f.bumps if b.sign > 0]
     if not pos:
         raise RealizationError("function has no positive orbital to rotate into")
     foot_lo, foot_hi = pos[-1].u, pos[-1].marker
-    name = f"{f.name}^o" if f.name else None
     return midpoint_bump(foot_lo, foot_hi, name)
 
 
@@ -194,9 +217,31 @@ def square(f: MarkedFn, name: Optional[str] = None) -> MarkedFn:
 
 
 def rescale_fn(f: MarkedFn, lo, hi) -> MarkedFn:
-    """Transport a marked function on (0,1) affinely into (lo,hi)."""
-    pts = affine_image(f.map.points, lo, hi)
-    pts += [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))]
+    """Transport a marked function on (0,1) affinely into (lo,hi), the
+    identity outside.  Each coordinate is mapped once, so points, orbitals
+    and markers share their Fractions.  (0,0) replaces the image of (0,0)
+    when lo = 0 or f's first piece is the identity, and goes before it
+    otherwise; likewise (1,1) at the other end."""
     lo = Fraction(lo)
     w = Fraction(hi) - lo
-    return MarkedFn(PLMap(pts), [lo + w * s for s in f.markers], f.name)
+    image = {}
+
+    def at(x: Fraction) -> Fraction:
+        y = image.get(x)
+        if y is None:
+            y = image[x] = lo + w * x
+        return y
+
+    pts = [(at(x), at(y)) for x, y in f.map.points]
+    zero, one = Fraction(0), Fraction(1)
+    if lo == 0 or pts[1][0] == pts[1][1]:
+        pts[0] = (zero, zero)
+    else:
+        pts.insert(0, (zero, zero))
+    if lo + w == 1 or pts[-2][0] == pts[-2][1]:
+        pts[-1] = (one, one)
+    else:
+        pts.append((one, one))
+    orbs = tuple((at(u), at(v), sign) for u, v, sign in f.orbitals)
+    markers = tuple(at(s) for s in f.markers)
+    return MarkedFn._trusted(PLMap._trusted(tuple(pts)), markers, orbs, f.name)

@@ -7,8 +7,9 @@ No floating point anywhere.
 `PLMap(points)` is the one checked constructor: it sorts the points, checks
 that they run from (0,0) to (1,1) strictly increasing in both coordinates,
 and drops collinear ones.  Maps derived from valid maps (`inverse`, `then`,
-powers) are built sorted and minimal and go through `PLMap._trusted`, which
-only checks that both coordinates strictly increase.
+powers, and the affine copies, restrictions and two-piece bumps of
+`marked`) are built sorted and minimal and go through `PLMap._trusted`,
+which only checks that both coordinates strictly increase.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple
 
-Rat = Fraction
 Point = Tuple[Fraction, Fraction]
 
 
@@ -203,9 +203,3 @@ class PLMap:
             raise PLError("identity map has empty support")
         return orbs[0][0], orbs[-1][1]
 
-
-def affine_image(points: Iterable[Point], lo, hi) -> List[Point]:
-    """Map breakpoint coordinates through x -> lo + (hi-lo)x on both axes."""
-    lo, hi = Fraction(lo), Fraction(hi)
-    w = hi - lo
-    return [(lo + w * x, lo + w * y) for x, y in points]

@@ -7,10 +7,8 @@ tower.  All evaluation is exact on PL maps.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .genset import GenSet, is_fast, order_genset, oscillation, pair_order
 from .marked import MarkedFn, RealizationError
 from .plmap import PLMap
 
@@ -58,53 +56,3 @@ def predicates(fns: Sequence[MarkedFn], x_word: GroupWord, y_word: GroupWord,
         z = pl_eval(fns, z_word)
         out["T"] = pred_T(x, y, z)
     return out
-
-
-def dom_witness(x: PLMap, y: PLMap) -> Optional[Tuple[Fraction, Fraction]]:
-    """When D(x,y) holds, an orbital J of x with Jy disjoint from J."""
-    for u, v, _ in x.orbitals():
-        iu, iv = y(u), y(v)
-        if iv <= u or v <= iu:
-            return (u, v)
-    return None
-
-
-class WreathSplitError(RealizationError):
-    pass
-
-
-def wreath_witness(fns: Sequence[MarkedFn], split: int) -> Tuple[Fraction, Fraction]:
-    """An interval certifying the wreath decomposition at a *-split.
-
-    The set splits as B * C at the index when every oscillation across is 1
-    (and all oscillations within the set are positive).  The witness J must
-    contain the supports of all elements of B, lie inside the rightmost
-    orbital of every element of C, and avoid the feet of C.
-    """
-    fns = order_genset(fns)
-    n = len(fns)
-    if not (0 < split < n):
-        raise WreathSplitError(f"split index {split} out of range")
-    for i in range(n):
-        for j in range(i + 1, n):
-            o = oscillation(fns[i], fns[j])
-            if o == 0:
-                raise WreathSplitError(
-                    f"oscillation 0 between elements {i},{j}: not all-positive")
-            if i < split <= j and o != 1:
-                raise WreathSplitError(
-                    f"cross oscillation {o} between elements {i},{j}: not a *-split")
-    b_part, c_part = fns[:split], fns[split:]
-    lo = min(f.min_transition for f in b_part)
-    hi = max(f.max_transition for f in b_part)
-    for c in c_part:
-        ru, rv, _ = c.orbitals[-1]
-        if not (ru < lo and hi < rv):
-            raise WreathSplitError(
-                f"witness ({lo},{hi}) not inside the rightmost orbital of {c!r}")
-        for b in c.bumps:
-            for flo, fhi in b.feet:
-                if max(flo, lo) < min(fhi, hi):
-                    raise WreathSplitError(
-                        f"witness ({lo},{hi}) meets a foot ({flo},{fhi}) of {c!r}")
-    return (lo, hi)

@@ -539,8 +539,9 @@ def sig_to_json(a: OscMatrix) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
-# Largest pair value a JSON signature may hold: rho recurses once per unit of
-# a value, and realize on {"n": 2, "o": {"0,1": 64}} takes about 1.5 s under
+# Largest pair value of a signature given on the command line, as JSON or as
+# a term (checked in cli.load_signature): rho recurses once per unit of a
+# value, and realize on {"n": 2, "o": {"0,1": 64}} takes about 1.5 s under
 # CPython 3.11 on one x86-64 core.
 MAX_PAIR_VALUE = 64
 
@@ -552,9 +553,8 @@ def _is_int(x) -> bool:
 def sig_from_json(text: str) -> Signature:
     """Parse {"n": int, "o": {"i,j": int, ...}, "labels": [str, ...]}.
 
-    A document of another shape, or a value above MAX_PAIR_VALUE, raises
-    SignatureParseError; a well-formed matrix that is not a signature raises
-    SignatureError.
+    A document of another shape raises SignatureParseError; a well-formed
+    matrix that is not a signature raises SignatureError.
     """
     doc = json.loads(text)
     if not (isinstance(doc, dict) and _is_int(doc.get("n")) and doc["n"] >= 0):
@@ -570,8 +570,6 @@ def sig_from_json(text: str) -> Signature:
             raise SignatureParseError(f'"o" key {key!r} is not "i,j"') from None
         if not _is_int(v):
             raise SignatureParseError(f'"o" value at {key!r} is not an integer')
-        if v > MAX_PAIR_VALUE:
-            raise SignatureParseError(f'"o" value at {key!r} is larger than {MAX_PAIR_VALUE}')
         o[(i, j)] = v
     labels = doc.get("labels")
     if labels is not None and not (

@@ -8,15 +8,20 @@ level, for comparison with the library's single walk.  `compose_pointwise`
 is PL composition by the sorted union of breakpoints evaluated pointwise,
 the reference for `PLMap.then`, `inverse` and powers; `commutator` gives the
 reading of "x and y commute" as "their commutator is the identity", checked
-against `pred_C`.
+against `pred_C`.  `checked_copy` and `rescale_checked` rebuild a marked
+function through the checked constructors, the reference for the trusted
+transport (`rename`, `rescale_fn`, `fn_rotate`, `make_bump_fn`).
+`dom_witness` and `wreath_witness` certify the domination predicate and a
+wreath decomposition at a *-split.
 """
 
 from dataclasses import dataclass
-from typing import Optional
+from fractions import Fraction
+from typing import Optional, Sequence, Tuple
 
 from sigcalc.realization import (
-    MarkedFn, PLMap, RealizationError, fn_rotate, is_fast, is_standard_fn, oscillation,
-    pair_order)
+    MarkedFn, PLMap, RealizationError, fn_rotate, is_fast, is_standard_fn, order_genset,
+    oscillation, pair_order)
 from sigcalc.realization.genset import CONTAINS, GG, INSIDE, LL
 
 
@@ -104,3 +109,72 @@ def power_pointwise(f: PLMap, k: int) -> PLMap:
 def commutator(x: PLMap, y: PLMap) -> PLMap:
     """Apply x-inverse, y-inverse, x, then y: (yx)-inverse, then xy."""
     return y.then(x).inverse().then(x.then(y))
+
+
+def checked_copy(f: MarkedFn) -> MarkedFn:
+    """f rebuilt from its breakpoints and markers by the checked constructors."""
+    return MarkedFn(PLMap(f.map.points), f.markers, f.name)
+
+
+def rescale_checked(f: MarkedFn, lo, hi) -> MarkedFn:
+    """f carried affinely into (lo,hi): every breakpoint mapped, (0,0) and
+    (1,1) added, and the result put through the checked constructors."""
+    lo, w = Fraction(lo), Fraction(hi) - Fraction(lo)
+    pts = [(lo + w * x, lo + w * y) for x, y in f.map.points] + [(0, 0), (1, 1)]
+    return MarkedFn(PLMap(pts), [lo + w * s for s in f.markers], f.name)
+
+
+def fn_shape(f: MarkedFn):
+    """Everything a marked function stores or derives, as comparable values."""
+    return (f.map.points, f.orbitals, f.markers, f.name,
+            [(b.u, b.v, b.sign, b.marker, b.tpoint) for b in f.bumps])
+
+
+def dom_witness(x: PLMap, y: PLMap) -> Optional[Tuple[Fraction, Fraction]]:
+    """When D(x,y) holds, an orbital J of x with Jy disjoint from J."""
+    for u, v, _ in x.orbitals():
+        iu, iv = y(u), y(v)
+        if iv <= u or v <= iu:
+            return (u, v)
+    return None
+
+
+class WreathSplitError(RealizationError):
+    pass
+
+
+def wreath_witness(fns: Sequence[MarkedFn], split: int) -> Tuple[Fraction, Fraction]:
+    """An interval certifying the wreath decomposition at a *-split.
+
+    The set splits as B * C at the index when every oscillation across is 1
+    (and all oscillations within the set are positive).  The witness J must
+    contain the supports of all elements of B, lie inside the rightmost
+    orbital of every element of C, and avoid the feet of C.
+    """
+    fns = order_genset(fns)
+    n = len(fns)
+    if not (0 < split < n):
+        raise WreathSplitError(f"split index {split} out of range")
+    for i in range(n):
+        for j in range(i + 1, n):
+            o = oscillation(fns[i], fns[j])
+            if o == 0:
+                raise WreathSplitError(
+                    f"oscillation 0 between elements {i},{j}: not all-positive")
+            if i < split <= j and o != 1:
+                raise WreathSplitError(
+                    f"cross oscillation {o} between elements {i},{j}: not a *-split")
+    b_part, c_part = fns[:split], fns[split:]
+    lo = min(f.min_transition for f in b_part)
+    hi = max(f.max_transition for f in b_part)
+    for c in c_part:
+        ru, rv, _ = c.orbitals[-1]
+        if not (ru < lo and hi < rv):
+            raise WreathSplitError(
+                f"witness ({lo},{hi}) not inside the rightmost orbital of {c!r}")
+        for b in c.bumps:
+            for flo, fhi in b.feet:
+                if max(flo, lo) < min(fhi, hi):
+                    raise WreathSplitError(
+                        f"witness ({lo},{hi}) meets a foot ({flo},{fhi}) of {c!r}")
+    return (lo, hi)

@@ -217,10 +217,11 @@ def _nest(opening: str, core: str, depth: int) -> str:
 
 def test_nesting_bound(capsys):
     assert MAX_NESTING == 100
-    deep = _nest("E(", "1+1", MAX_NESTING)
+    # E( adds 2 to the pair value, so 32 of the 100 levels reach the value bound
+    deep = _nest("(", _nest("E(", "1+1", 32), MAX_NESTING - 32)
     code, out, _ = run(capsys, "rho", deep)
     assert code == 0 and out.startswith("w^(w^(")
-    assert run(capsys, "normalize", deep) == (0, '{"n": 2, "o": {"0,1": 200}}\n', "")
+    assert run(capsys, "normalize", deep) == (0, '{"n": 2, "o": {"0,1": 64}}\n', "")
     code, out, _ = run(capsys, "ord", _nest("w^(", "1", MAX_NESTING))
     assert code == 0 and out.count("w^") == MAX_NESTING - 1
     for argv in (["rho", _nest("E(", "1+1", MAX_NESTING + 1)],
@@ -239,6 +240,19 @@ def test_pair_value_bound(capsys):
     for value in (65, 1000):
         err = expect_error(capsys, 2, "rho", '{"n": 2, "o": {"0,1": %d}}' % value)
         assert err == "error: cannot parse signature: \"o\" value at '0,1' is larger than 64\n"
+
+
+def test_pair_value_bound_covers_terms(capsys):
+    # E(...) adds 2 to the pair value of 1+1: 40 levels give 80
+    too_big = "E(" * 40 + "1+1" + ")" * 40
+    for verb in ("rho", "normalize", "realize"):
+        err = expect_error(capsys, 2, verb, too_big)
+        assert err == "error: cannot parse signature: \"o\" value at '0,1' is larger than 64\n"
+    at_bound = "E(" * 32 + "1+1" + ")" * 32
+    assert run(capsys, "normalize", at_bound) == (0, '{"n": 2, "o": {"0,1": 64}}\n', "")
+    code, out, err = run(capsys, "realize", '{"n":2,"o":{"0,1":64}}')
+    assert (code, err) == (0, "")
+    assert [len(f.orbitals) for f in genset_from_json(out)] == [63, 64]
 
 
 def test_base_bound(capsys):

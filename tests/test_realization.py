@@ -35,11 +35,13 @@ from sigcalc.realization import (
     oscillation,
     oscillation_matrix,
     realize,
+    rescale_fn,
     signature_of,
 )
 from sigcalc import cli
-from sigcalc.realization import build, genset, marked
-from oracles import classify_pair, is_standard_pair
+from sigcalc.realization import build, genset, marked, plmap
+from oracles import (
+    checked_copy, classify_pair, fn_shape, is_standard_pair, rescale_checked)
 
 one = ONE_SIG
 
@@ -112,6 +114,18 @@ def test_fn_rotate_degenerate():
     assert b.sign == 1
 
 
+def test_rescale_at_the_ends_of_the_unit_interval():
+    moves_at_0 = make_bump_fn(0, F(1, 2), F(1, 8), F(3, 8))
+    moves_at_1 = make_bump_fn(F(1, 2), 1, F(5, 8), F(7, 8), sign=-1)
+    fixes_both = make_bump_fn(F(1, 4), F(1, 2), F(5, 16), F(7, 16))
+    for f in (moves_at_0, moves_at_1, fixes_both, make_bump_fn(0, 1, F(1, 4), F(3, 4))):
+        assert fn_shape(f) == fn_shape(checked_copy(f))
+        for lo, hi in ((0, F(1, 2)), (F(1, 2), 1), (F(1, 4), F(3, 4)), (0, 1)):
+            assert fn_shape(rescale_fn(f, lo, hi)) == fn_shape(rescale_checked(f, lo, hi))
+    with pytest.raises(RealizationError):
+        make_bump_fn(0, F(1, 2), F(3, 8), F(1, 8))
+
+
 # --- fastness and classification ---------------------------------------------------
 
 
@@ -170,11 +184,17 @@ def _reads_back(fns) -> bool:
     return True
 
 
-def test_is_sgen_exactly_when_signature_of_succeeds():
+@pytest.fixture(scope="module")
+def realized_n5():
+    """The realized sets of all 969 signatures with n = 5 and values <= 3;
+    realize raises unless signature_of reads each signature back."""
+    return [realize(s) for s in enumerate_signatures(5, 3)]
+
+
+def test_is_sgen_exactly_when_signature_of_succeeds(realized_n5):
     for fns in (fig_g_set(), fig_bz_set(), [TWO_BUMPS]):
         assert is_sgen(fns) == _reads_back(fns)
-    for s in enumerate_signatures(5, 3):
-        fns = realize(s)  # raises unless signature_of reads s back
+    for fns in realized_n5:
         assert is_sgen(fns)
 
 
@@ -270,6 +290,66 @@ def test_realize_computes_orbitals_once_per_function(monkeypatch):
     assert signature_of(realize(SIG5)) == SIG5
     assert counts["fns"] > SIG5.n
     assert counts["orbitals"] == counts["fns"]
+
+
+INTERVALS = [(F(1, 7), F(5, 9)), (0, F(1, 2)), (F(1, 2), 1)]
+
+
+def _rotation_chain(f):
+    """f and its rotations down to one orbital, then one rotation more."""
+    chain = [f]
+    while len(chain[-1].orbitals) > 1:
+        chain.append(fn_rotate(chain[-1]))
+    return chain + [fn_rotate(chain[-1])]
+
+
+# three orbitals whose ends inside (0,1) are crossings of the diagonal, not
+# breakpoints: (0,1/3) negative, (1/3,4/5) positive, (4/5,1) negative
+CROSSING = MarkedFn(PLMap([(0, 0), (F(1, 4), F(1, 8)), (F(1, 2), F(3, 4)),
+                           (F(7, 8), F(13, 16)), (1, 1)]), [F(1, 4), F(1, 2), F(7, 8)])
+
+
+def _distinct(fns):
+    """One function of each shape; realized sets share many."""
+    return list({(f.map.points, f.markers): f for f in fns}.values())
+
+
+def test_trusted_transport_matches_checked_constructor():
+    assert [o[:2] for o in CROSSING.orbitals] == [(0, F(1, 3)), (F(1, 3), F(4, 5)), (F(4, 5), 1)]
+    fns = [CROSSING] + _distinct(f for s in enumerate_signatures(4, 3) for f in realize(s))
+    for f in fns:
+        for g in _rotation_chain(f) + [rescale_fn(f, lo, hi) for lo, hi in INTERVALS]:
+            assert fn_shape(g) == fn_shape(checked_copy(g))
+
+
+def test_realized_n5_matches_checked_constructor(realized_n5):
+    for f in _distinct(f for fns in realized_n5 for f in fns):
+        assert fn_shape(f) == fn_shape(checked_copy(f))
+
+
+def test_transport_computes_no_orbitals(monkeypatch):
+    fns = realize(SIG5)
+    calls = []
+    orbitals, canonical = PLMap.orbitals, plmap._canonical
+
+    def counting_orbitals(self):
+        calls.append("orbitals")
+        return orbitals(self)
+
+    def counting_canonical(points):
+        calls.append("canonical")
+        return canonical(points)
+
+    monkeypatch.setattr(PLMap, "orbitals", counting_orbitals)
+    monkeypatch.setattr(plmap, "_canonical", counting_canonical)
+    for f in fns:
+        f.rename("x")
+        for g in _rotation_chain(f):
+            for lo, hi in INTERVALS:
+                rescale_fn(g, lo, hi)
+    assert calls == []
+    checked_copy(fns[0])  # the checked path is still counted
+    assert calls == ["canonical", "orbitals"]
 
 
 def test_whole_set_ordered_and_fast_checked_once(monkeypatch, capsys):

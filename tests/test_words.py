@@ -7,10 +7,8 @@ from sigcalc.ordinal import ord_parse
 from sigcalc.normalizer import materialize
 from sigcalc.signature import ONE_SIG, Signature, sig_star, sig_sum
 from sigcalc.realization import (
-    WreathSplitError,
     canonical_bump,
     conj_map,
-    dom_witness,
     fig_bz_set,
     fig_g_set,
     pl_eval,
@@ -20,8 +18,8 @@ from sigcalc.realization import (
     predicates,
     realize,
     retrofit_slopes,
-    wreath_witness,
 )
+from oracles import WreathSplitError, dom_witness, wreath_witness
 
 one = ONE_SIG
 
