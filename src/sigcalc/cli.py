@@ -10,8 +10,15 @@ ordinals and signature terms nest at most MAX_NESTING (100) levels of '(',
 signature.MAX_BASE (256) '1' leaves; a signature, given as JSON or as a
 term, holds pair values of at most signature.MAX_PAIR_VALUE (64), checked
 once on the evaluated signature; JSON arguments nest no deeper than the
-decoder's recursion allows; a group word has at most MAX_WORD_LETTERS (64)
-letters, counted as the sum of the absolute exponents.
+decoder's recursion allows; integers in ordinals and JSON have at most the
+interpreter's limit of digits (4,300 by default); a group word has at most
+MAX_WORD_LETTERS (64) letters, counted as the sum of the absolute exponents.
+
+Output limits, each exceeded with exit code 1 and a one-line message before
+any work: `materialize` builds a signature on a base of at most
+signature.MAX_BASE (256), read from the ordinal's normal form; `ea --target`
+takes an ordinal omega*a + n with finite part n at most MAX_EA_FINITE (1024),
+since its answer carries a coefficient 2^n (2^(n+1) for finite input).
 """
 
 from __future__ import annotations
@@ -24,8 +31,10 @@ import sys
 
 from .ordinal import Ordinal, OrdinalError, OrdinalParseError, ord_cmp, ord_parse, ord_render
 from .ordinal import ord_add, ord_mul
-from .normalizer import OutsideComputedFamily, ea_class, ea_to_xi, leq, materialize, normalize, rho
+from .normalizer import (
+    OutsideComputedFamily, ea_class, ea_to_xi, leq, materialize, materialized_base, normalize, rho)
 from .signature import (
+    MAX_BASE,
     MAX_PAIR_VALUE,
     Signature,
     SignatureError,
@@ -71,7 +80,7 @@ def load_signature(arg: str) -> Signature:
     text = _read_arg(arg).strip()
     try:
         sig = sig_from_json(text) if text.startswith("{") else eval_term(parse_term(text))
-    except (SignatureParseError, json.JSONDecodeError, RecursionError) as e:
+    except (SignatureParseError, RecursionError) as e:
         raise CliError(f"cannot parse signature: {e}", 2)
     except SignatureError as e:
         raise CliError(str(e), 1)
@@ -172,10 +181,20 @@ def cmd_leq(args):
     _emit(args, "true" if v else "false", {"leq": v})
 
 
+# Largest finite part n of the ordinal omega*a + n that `ea --target` takes:
+# 2^1025 has 309 digits, while 2^20001 is past the 4,300 digits the
+# interpreter converts to text, and the power itself grows without bound.
+MAX_EA_FINITE = 1024
+
+
 def cmd_ea(args):
     try:
         if args.target:
-            xi = ea_to_xi(load_ordinal(args.expr))
+            alpha = load_ordinal(args.expr)
+            finite = alpha.terms[-1][1] if alpha.terms and alpha.terms[-1][0].is_zero else 0
+            if finite > MAX_EA_FINITE:
+                raise CliError(f"finite part of the EA-class target is larger than {MAX_EA_FINITE}", 1)
+            xi = ea_to_xi(alpha)
             _emit(args, ord_render(xi), {"xi": ord_render(xi)})
         else:
             c = ea_class(load_ordinal(args.expr))
@@ -186,6 +205,8 @@ def cmd_ea(args):
 
 def cmd_materialize(args):
     xi = load_ordinal(args.expr)
+    if materialized_base(xi) > MAX_BASE:
+        raise CliError(f"materialized signature has a base larger than {MAX_BASE}", 1)
     _out(args, sig_to_json(materialize(xi)) + "\n")
 
 

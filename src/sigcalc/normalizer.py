@@ -33,6 +33,7 @@ from .signature import (
     ZERO_SIG,
     Signature,
     SignatureError,
+    _rows,
     decompose,
     is_all_positive,
     sig_exp,
@@ -57,38 +58,43 @@ def _exp_inverse(mu: Ordinal) -> Ordinal:
 def rho(a: Signature, mode: str = "sorted") -> Ordinal:
     """The rank of a signature; total on valid signatures.
 
-    Recursion: rank 0 and 1 for the empty and singleton bases; a decomposable
-    signature combines its summands' ranks by ordered or natural sum per the
-    mode; an all-positive signature A has rank omega^(-1 + rank(A-1)) where
-    A-1 is the pointwise decrement; an indecomposable signature with an
-    interior zero splits below its top into the elements at oscillation 1
-    (the left factor B) and those above 1 (which, with the top, form an exp
-    image), and its rank is omega^(-1 + (xi_B + rank(C))) where C is the exp
-    part decremented and xi_B is the exp-preimage of the largest rank among
-    B's indecomposable summands.
+    The rank of a signature is the sum of the ranks of its indecomposable
+    summands (`decompose`), ordered or natural per the mode, and 0 for the
+    empty base; `_rho_block` ranks one indecomposable summand.
     """
     if mode not in MODES:
         raise SignatureError(f"unknown rho mode {mode!r}")
-    if a.n == 0:
-        return ZERO
+    ranks = [_rho_block(p) for p in decompose(a)]
+    if mode == "sorted":
+        ranks.sort(key=functools.cmp_to_key(ord_cmp), reverse=True)
+    total = ZERO
+    for r in ranks:
+        total = ord_add(total, r)
+    return total
+
+
+def _rho_block(a: Signature) -> Ordinal:
+    """The rank of an indecomposable signature.
+
+    One has rank 1; an all-positive signature A has rank
+    omega^(-1 + rank(A-1)) where A-1 is the pointwise decrement; an
+    indecomposable signature with an interior zero splits below its top into
+    the elements at oscillation 1 (the left factor B) and those above 1
+    (which, with the top, form an exp image), and its rank is
+    omega^(-1 + (xi_B + rank(C))) where C is the exp part decremented and
+    xi_B is the exp-preimage of the largest rank among B's indecomposable
+    summands.  Those summands are ranked here directly, not decomposed again.
+    """
     if a.n == 1:
         return ONE
-    parts = decompose(a)
-    if len(parts) > 1:
-        ranks = [rho(p, "ordered") for p in parts]
-        if mode == "sorted":
-            ranks.sort(key=functools.cmp_to_key(ord_cmp), reverse=True)
-        total = ZERO
-        for r in ranks:
-            total = ord_add(total, r)
-        return total
     if is_all_positive(a):
         inner = rho(sig_shift_down(a), "ordered")
         return ord_omega_pow(inner, shifted=True)
     # indecomposable with an interior zero: factor through the top
     top = a.n - 1
-    low = [i for i in range(top) if a.val(i, top) == 1]
-    high = [i for i in range(top) if a.val(i, top) > 1]
+    column = [row[-1] for row in _rows(a)[:-1]]  # o(i, top) for i < top
+    low = [i for i, v in enumerate(column) if v == 1]
+    high = [i for i, v in enumerate(column) if v > 1]
     if not low:
         raise SignatureError("mixed case without an oscillation-1 row")
     b_part = sig_restrict(a, low)
@@ -97,7 +103,7 @@ def rho(a: Signature, mode: str = "sorted") -> Ordinal:
         "rho recursion failed to descend"
     best = None
     for summand in decompose(b_part):
-        r = rho(summand, "ordered")
+        r = _rho_block(summand)
         if best is None or ord_cmp(r, best) == GT:
             best = r
     xi_b = _exp_inverse(best)
@@ -124,6 +130,15 @@ def materialize(xi: Ordinal) -> Signature:
     return sig_sum(*parts)
 
 
+def materialized_base(xi: Ordinal) -> int:
+    """The base size of materialize(xi), read from xi's normal form without
+    building the signature: 1 for xi = 1, otherwise the sum over the terms
+    omega^beta * c of c times the base size of materialize(1 + beta)."""
+    if xi == ONE:
+        return 1
+    return sum(coeff * materialized_base(ord_add(ONE, beta)) for beta, coeff in xi.terms)
+
+
 def normalize(a: Signature) -> Signature:
     """The reduced representative: materialize(rho(a, "sorted")).
 
@@ -148,7 +163,7 @@ def is_reduced(a: Signature) -> bool:
             return False
         elif not is_reduced(sig_shift_down(p)):
             return False
-        r = rho(p, "ordered")
+        r = _rho_block(p)
         if prev is not None and ord_cmp(prev, r) == LT:
             return False
         prev = r

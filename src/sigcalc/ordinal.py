@@ -4,10 +4,14 @@ An ordinal is stored as a tuple of (exponent, coefficient) pairs with
 exponents strictly decreasing and coefficients >= 1; the empty tuple is 0.
 Exponents are themselves ordinals, so the representation bottoms out at
 finite ordinals, which are the single term (0, n).
+
+`Ordinal(terms)` checks that form; the arithmetic builds its results, which
+are in normal form by construction, with the unchecked `_cnf`.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Tuple, Union
 
 LT, EQ, GT = -1, 0, 1
@@ -108,6 +112,13 @@ class Ordinal:
 OrdLike = Union[Ordinal, int]
 
 
+def _cnf(terms: Iterable[Tuple[Ordinal, int]]) -> Ordinal:
+    """An Ordinal from terms an operation built in normal form; unchecked."""
+    a = object.__new__(Ordinal)
+    object.__setattr__(a, "terms", tuple(terms))
+    return a
+
+
 def _coerce(x: OrdLike) -> Ordinal:
     return x if isinstance(x, Ordinal) else Ordinal.from_int(x)
 
@@ -159,8 +170,8 @@ def ord_add(a: Ordinal, b: Ordinal, mode: str = "ordered") -> Ordinal:
             break
     if merge_coeff:
         head = (e, merge_coeff + b.terms[0][1])
-        return Ordinal(tuple(keep) + (head,) + b.terms[1:])
-    return Ordinal(tuple(keep) + b.terms)
+        return _cnf(tuple(keep) + (head,) + b.terms[1:])
+    return _cnf(tuple(keep) + b.terms)
 
 
 def _natural_add(a: Ordinal, b: Ordinal) -> Ordinal:
@@ -172,10 +183,8 @@ def _natural_add(a: Ordinal, b: Ordinal) -> Ordinal:
         else:
             acc[exp] = coeff
             order.append(exp)
-    import functools
-
     order.sort(key=functools.cmp_to_key(ord_cmp), reverse=True)
-    return Ordinal((exp, acc[exp]) for exp in order)
+    return _cnf((exp, acc[exp]) for exp in order)
 
 
 def ord_mul(a: Ordinal, b: Ordinal) -> Ordinal:
@@ -186,9 +195,9 @@ def ord_mul(a: Ordinal, b: Ordinal) -> Ordinal:
     total = ZERO
     for f, d in b.terms:
         if f.is_zero:
-            piece = Ordinal(((e0, c0 * d),) + a.terms[1:])
+            piece = _cnf(((e0, c0 * d),) + a.terms[1:])
         else:
-            piece = Ordinal(((ord_add(e0, f), d),))
+            piece = _cnf(((ord_add(e0, f), d),))
         total = ord_add(total, piece)
     return total
 
@@ -202,13 +211,13 @@ def ord_omega_pow(a: Ordinal, shifted: bool = False) -> Ordinal:
     if not shifted:
         if a.is_zero:
             return ONE
-        return Ordinal(((a, 1),))
+        return _cnf(((a, 1),))
     if a.is_zero:
         return ZERO
     if a.is_finite:
         k = a.as_int() - 1
-        return ONE if k == 0 else Ordinal(((Ordinal.from_int(k), 1),))
-    return Ordinal(((a, 1),))
+        return ONE if k == 0 else _cnf(((Ordinal.from_int(k), 1),))
+    return _cnf(((a, 1),))
 
 
 def ord_log_omega(a: Ordinal) -> Ordinal:
@@ -269,7 +278,11 @@ class Scanner:
             self.pos += 1
         if start == self.pos:
             self.error("expected a natural number")
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # past the interpreter's limit on digits
+            self.pos = start
+            self.error("natural number too long")
 
     def nested(self, parse):
         """parse() one level deeper, failing beyond MAX_NESTING."""

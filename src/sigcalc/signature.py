@@ -15,6 +15,16 @@ it, for JSON and CLI input and in `realization.signature_of`.  The operations
 and `enumerate_signatures` keep (!) by construction and build with the
 unchecked `_trusted`; the closure tests in tests/test_signature.py assert
 `violations() == []` on everything they build.
+
+Pair values are stored row-major: `vals` is o(0,1), ..., o(0,n-1), o(1,2),
+..., o(n-2,n-1), so row i, holding o(i,i+1), ..., o(i,n-1), is one contiguous
+slice.  `_rows(a)` returns these n slices (the last one empty), and the
+operations that move whole blocks of a matrix (`sig_sum`, `sig_star`,
+`decompose`, `sig_restrict`, `sig_rotate`, `sig_to_json`) read and build
+their values row by row from it, not by one `val` lookup per pair; in a
+row, o(i,j) is at position j-i-1 and the top column o(i,n-1) is `row[-1]`.
+The per-pair forms they replaced are kept in tests/oracles.py, and
+tests/test_signature.py checks the row forms against them.
 """
 
 from __future__ import annotations
@@ -158,6 +168,16 @@ def _trusted(n: int, vals: Sequence[int], labels=None) -> Signature:
     return s
 
 
+def _rows(a: OscMatrix) -> List[Tuple[int, ...]]:
+    """The n rows of a's values: row i is (o(i,i+1), ..., o(i,n-1))."""
+    vals, rows, start = a.vals, [], 0
+    for width in range(a.n - 1, -1, -1):
+        end = start + width
+        rows.append(vals[start:end])
+        start = end
+    return rows
+
+
 ZERO_SIG = Signature(0, ())
 ONE_SIG = Signature(1, ())
 
@@ -167,22 +187,25 @@ def sig_sum(*parts: Signature) -> Signature:
     if not parts:
         return ZERO_SIG
     n = sum(p.n for p in parts)
-    vals = [0] * (n * (n - 1) // 2)
-    offset = 0
-    labels = []
+    vals: List[int] = []
+    later = n  # base elements in the summands after p
     for p in parts:
-        for i, j in _pairs(p.n):
-            vals[_pair_index(n, offset + i, offset + j)] = p.val(i, j)
-        labels.extend(p.default_labels())
-        offset += p.n
-    return _trusted(n, vals, tuple(labels) if any(p.labels for p in parts) else None)
+        later -= p.n
+        zeros = (0,) * later
+        for row in _rows(p):
+            vals += row
+            vals += zeros
+    labels = None
+    if any(p.labels for p in parts):
+        labels = tuple(x for p in parts for x in p.default_labels())
+    return _trusted(n, vals, labels)
 
 
 def sig_exp(a: Signature, levels: int = 1) -> Signature:
     """Pointwise +levels; exp is levels=1 and E is levels=2."""
     if levels < 1:
         raise SignatureError("levels must be >= 1")
-    return _trusted(a.n, tuple(v + levels for v in a.vals), a.labels)
+    return _trusted(a.n, [v + levels for v in a.vals], a.labels)
 
 
 def sig_E(a: Signature) -> Signature:
@@ -190,50 +213,63 @@ def sig_E(a: Signature) -> Signature:
 
 
 def is_all_positive(a: Signature) -> bool:
-    return all(v >= 1 for v in a.vals)
+    return 0 not in a.vals
 
 
 def sig_shift_down(a: Signature) -> Signature:
     """Pointwise -1; the inverse of exp on its range."""
     if not is_all_positive(a):
         raise SignatureError("pointwise decrement needs an all-positive signature")
-    return _trusted(a.n, tuple(v - 1 for v in a.vals), a.labels)
+    return _trusted(a.n, [v - 1 for v in a.vals], a.labels)
 
 
 def sig_star(a: Signature, b: Signature) -> Signature:
     """Concatenate with oscillation 1 across; b must be all-positive."""
     if not is_all_positive(b):
         raise SignatureError("right *-factor must be an exp image (all pair values >= 1)")
-    n = a.n + b.n
-    vals = [0] * (n * (n - 1) // 2)
-    for i, j in _pairs(a.n):
-        vals[_pair_index(n, i, j)] = a.val(i, j)
-    for i, j in _pairs(b.n):
-        vals[_pair_index(n, a.n + i, a.n + j)] = b.val(i, j)
-    for i in range(a.n):
-        for j in range(b.n):
-            vals[_pair_index(n, i, a.n + j)] = 1
-    return _trusted(n, vals)
+    ones = (1,) * b.n
+    vals: List[int] = []
+    for row in _rows(a):
+        vals += row
+        vals += ones
+    vals += b.vals  # b's rows, in order
+    return _trusted(a.n + b.n, vals)
 
 
 def decompose(a: Signature) -> List[Signature]:
     """The unique maximal splitting into indecomposable summands.
 
     A split point is a position where every oscillation across it is zero.
+    An indecomposable signature is returned itself, as [a].
     """
     if a.n == 0:
         return []
-    # p is a split point iff no positive oscillation crosses it
-    reach = [max((j for j in range(i + 1, a.n) if a.val(i, j) > 0), default=i)
-             for i in range(a.n)]
+    if a.n == 1 or a.vals[a.n - 2]:  # row 0 reaches the top: no split point
+        return [a]
+    rows = _rows(a)
+    # p is a split point iff no positive oscillation crosses it, that is iff
+    # every row i < p reaches (has its last positive entry at) some j < p
     cuts = [0]
     frontier = 0
-    for p in range(1, a.n):
-        frontier = max(frontier, reach[p - 1])
-        if frontier < p:
-            cuts.append(p)
+    for i, row in enumerate(rows[:-1]):
+        k = len(row)
+        while k and not row[k - 1]:
+            k -= 1
+        frontier = max(frontier, i + k)
+        if frontier == a.n - 1:
+            break  # no split point beyond this one
+        if frontier == i:
+            cuts.append(i + 1)
+    if len(cuts) == 1:
+        return [a]
     cuts.append(a.n)
-    return [sig_restrict(a, range(lo, hi)) for lo, hi in zip(cuts, cuts[1:])]
+    parts = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        vals: List[int] = []
+        for i in range(lo, hi):
+            vals += rows[i][:hi - i - 1]
+        parts.append(_trusted(hi - lo, vals, None if a.labels is None else a.labels[lo:hi]))
+    return parts
 
 
 def is_indecomposable(a: Signature) -> bool:
@@ -246,7 +282,11 @@ def sig_restrict(a: Signature, subset: Iterable[int]) -> Signature:
     for i in idx:
         if not (0 <= i < a.n):
             raise SignatureError(f"base element {i} out of range")
-    vals = [a.val(i, j) for i, j in itertools.combinations(idx, 2)]
+    rows = _rows(a)
+    vals: List[int] = []
+    for k, i in enumerate(idx):
+        row = rows[i]
+        vals += [row[j - i - 1] for j in idx[k + 1:]]
     labels = None
     if a.labels is not None:
         labels = tuple(a.labels[i] for i in idx)
@@ -273,16 +313,15 @@ def sig_rotate(a: Signature) -> Signature:
     if len(parts) > 1:
         return sig_sum(*parts[:-1], sig_rotate(parts[-1]))
     n = a.n - 1  # top element
-    new_n = a.n  # rotated base keeps cardinality: {n_rot, 0, .., n-1}
-    vals = [0] * (new_n * (new_n - 1) // 2)
-    for i in range(n):
-        vals[_pair_index(new_n, 0, i + 1)] = a.val(i, n) - 1
-    for i, j in _pairs(n):
-        vals[_pair_index(new_n, i + 1, j + 1)] = a.val(i, j)
+    # rotated base keeps cardinality: {n_rot, 0, .., n-1}
+    below = _rows(a)[:-1]
+    vals = [row[-1] - 1 for row in below]
+    for row in below:
+        vals += row[:-1]
     labels = None
     if a.labels is not None:
         labels = (f"{a.labels[n]}^o",) + tuple(a.labels[:n])
-    out = _trusted(new_n, vals, labels)
+    out = _trusted(a.n, vals, labels)
     if not (out.complexity < a.complexity):
         raise SignatureError("rotation failed to decrease complexity")
     return out
@@ -533,7 +572,8 @@ def enumerate_signatures(n: int, vmax: int) -> List[Signature]:
 
 
 def sig_to_json(a: OscMatrix) -> str:
-    doc = {"n": a.n, "o": {f"{i},{j}": a.val(i, j) for i, j in _pairs(a.n)}}
+    o = {f"{i},{j}": v for i, row in enumerate(_rows(a)) for j, v in enumerate(row, i + 1)}
+    doc = {"n": a.n, "o": o}
     if a.labels is not None:
         doc["labels"] = list(a.labels)
     return json.dumps(doc, sort_keys=True)
@@ -556,7 +596,12 @@ def sig_from_json(text: str) -> Signature:
     A document of another shape raises SignatureParseError; a well-formed
     matrix that is not a signature raises SignatureError.
     """
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise SignatureParseError(str(e)) from None
+    except ValueError:  # an integer literal past the interpreter's digit limit
+        raise SignatureParseError("integer literal too long") from None
     if not (isinstance(doc, dict) and _is_int(doc.get("n")) and doc["n"] >= 0):
         raise SignatureParseError('"n" must be an integer >= 0')
     raw = doc.get("o", {})

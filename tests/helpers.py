@@ -42,3 +42,14 @@ def random_term(rng: random.Random, n: int, depth: int = 0) -> SigTerm:
 def _random_wrap(rng: random.Random, n: int, depth: int) -> SigTerm:
     wrap = term_exp if rng.random() < 0.75 else term_E
     return wrap(random_term(rng, n, depth))
+
+
+def rank_terms():
+    """24 seeded terms on a base of 8 to 12, the sizes the benchmark ranks,
+    each with a base element to inflate at."""
+    rng = random.Random(20171130)
+    out = []
+    for _ in range(24):
+        n = rng.randint(8, 12)
+        out.append((random_term(rng, n), rng.randrange(n)))
+    return out

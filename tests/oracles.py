@@ -12,13 +12,23 @@ against `pred_C`.  `checked_copy` and `rescale_checked` rebuild a marked
 function through the checked constructors, the reference for the trusted
 transport (`rename`, `rescale_fn`, `fn_rotate`, `make_bump_fn`).
 `dom_witness` and `wreath_witness` certify the domination predicate and a
-wreath decomposition at a *-split.
+wreath decomposition at a *-split.  The `*_pairwise` functions are the
+signature operations and rho written one pair at a time through
+`OscMatrix.val` and the pair index, the reference for the row-wise forms in
+the library.
 """
 
+import functools
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
+from sigcalc.normalizer import MODES, _exp_inverse
+from sigcalc.ordinal import GT, ONE, ZERO, Ordinal, ord_add, ord_cmp, ord_omega_pow
+from sigcalc.signature import (
+    ONE_SIG, ZERO_SIG, SigTerm, Signature, SignatureError, _pair_index, _pairs, _trusted,
+    is_all_positive, sig_E, sig_exp, sig_shift_down)
 from sigcalc.realization import (
     MarkedFn, PLMap, RealizationError, fn_rotate, is_fast, is_standard_fn, order_genset,
     oscillation, pair_order)
@@ -178,3 +188,139 @@ def wreath_witness(fns: Sequence[MarkedFn], split: int) -> Tuple[Fraction, Fract
                     raise WreathSplitError(
                         f"witness ({lo},{hi}) meets a foot ({flo},{fhi}) of {c!r}")
     return (lo, hi)
+
+
+# --- signature operations one pair at a time -----------------------------------------
+
+
+def sig_sum_pairwise(*parts: Signature) -> Signature:
+    if not parts:
+        return ZERO_SIG
+    n = sum(p.n for p in parts)
+    vals = [0] * (n * (n - 1) // 2)
+    offset = 0
+    labels = []
+    for p in parts:
+        for i, j in _pairs(p.n):
+            vals[_pair_index(n, offset + i, offset + j)] = p.val(i, j)
+        labels.extend(p.default_labels())
+        offset += p.n
+    return _trusted(n, vals, tuple(labels) if any(p.labels for p in parts) else None)
+
+
+def sig_star_pairwise(a: Signature, b: Signature) -> Signature:
+    if not is_all_positive(b):
+        raise SignatureError("right *-factor must be an exp image (all pair values >= 1)")
+    n = a.n + b.n
+    vals = [0] * (n * (n - 1) // 2)
+    for i, j in _pairs(a.n):
+        vals[_pair_index(n, i, j)] = a.val(i, j)
+    for i, j in _pairs(b.n):
+        vals[_pair_index(n, a.n + i, a.n + j)] = b.val(i, j)
+    for i in range(a.n):
+        for j in range(b.n):
+            vals[_pair_index(n, i, a.n + j)] = 1
+    return _trusted(n, vals)
+
+
+def sig_restrict_pairwise(a: Signature, subset) -> Signature:
+    idx = sorted(set(subset))
+    for i in idx:
+        if not (0 <= i < a.n):
+            raise SignatureError(f"base element {i} out of range")
+    vals = [a.val(i, j) for i, j in itertools.combinations(idx, 2)]
+    labels = None
+    if a.labels is not None:
+        labels = tuple(a.labels[i] for i in idx)
+    return _trusted(len(idx), vals, labels)
+
+
+def decompose_pairwise(a: Signature) -> List[Signature]:
+    if a.n == 0:
+        return []
+    reach = [max((j for j in range(i + 1, a.n) if a.val(i, j) > 0), default=i)
+             for i in range(a.n)]
+    cuts = [0]
+    frontier = 0
+    for p in range(1, a.n):
+        frontier = max(frontier, reach[p - 1])
+        if frontier < p:
+            cuts.append(p)
+    cuts.append(a.n)
+    return [sig_restrict_pairwise(a, range(lo, hi)) for lo, hi in zip(cuts, cuts[1:])]
+
+
+def sig_rotate_pairwise(a: Signature) -> Signature:
+    if a.n <= 1:
+        return ZERO_SIG
+    parts = decompose_pairwise(a)
+    if len(parts) > 1:
+        return sig_sum_pairwise(*parts[:-1], sig_rotate_pairwise(parts[-1]))
+    n = a.n - 1
+    new_n = a.n
+    vals = [0] * (new_n * (new_n - 1) // 2)
+    for i in range(n):
+        vals[_pair_index(new_n, 0, i + 1)] = a.val(i, n) - 1
+    for i, j in _pairs(n):
+        vals[_pair_index(new_n, i + 1, j + 1)] = a.val(i, j)
+    labels = None
+    if a.labels is not None:
+        labels = (f"{a.labels[n]}^o",) + tuple(a.labels[:n])
+    return _trusted(new_n, vals, labels)
+
+
+def sig_to_doc_pairwise(a: Signature) -> dict:
+    doc = {"n": a.n, "o": {f"{i},{j}": a.val(i, j) for i, j in _pairs(a.n)}}
+    if a.labels is not None:
+        doc["labels"] = list(a.labels)
+    return doc
+
+
+def eval_term_pairwise(t: SigTerm) -> Signature:
+    """eval_term with the pairwise sum and star."""
+    args = [eval_term_pairwise(x) for x in t.args]
+    if t.op == "zero":
+        return ZERO_SIG
+    if t.op == "one":
+        return ONE_SIG
+    if t.op == "sum":
+        return sig_sum_pairwise(*args)
+    if t.op == "star":
+        return sig_star_pairwise(*args)
+    return sig_exp(args[0]) if t.op == "exp" else sig_E(args[0])
+
+
+def rho_pairwise(a: Signature, mode: str = "sorted") -> Ordinal:
+    """rho as one recursion that decomposes every signature it meets and
+    reads the top column pair by pair."""
+    if mode not in MODES:
+        raise SignatureError(f"unknown rho mode {mode!r}")
+    if a.n == 0:
+        return ZERO
+    if a.n == 1:
+        return ONE
+    parts = decompose_pairwise(a)
+    if len(parts) > 1:
+        ranks = [rho_pairwise(p, "ordered") for p in parts]
+        if mode == "sorted":
+            ranks.sort(key=functools.cmp_to_key(ord_cmp), reverse=True)
+        total = ZERO
+        for r in ranks:
+            total = ord_add(total, r)
+        return total
+    if is_all_positive(a):
+        return ord_omega_pow(rho_pairwise(sig_shift_down(a), "ordered"), shifted=True)
+    top = a.n - 1
+    low = [i for i in range(top) if a.val(i, top) == 1]
+    high = [i for i in range(top) if a.val(i, top) > 1]
+    if not low:
+        raise SignatureError("mixed case without an oscillation-1 row")
+    b_part = sig_restrict_pairwise(a, low)
+    exp_part = sig_restrict_pairwise(a, high + [top])
+    best = None
+    for summand in decompose_pairwise(b_part):
+        r = rho_pairwise(summand, "ordered")
+        if best is None or ord_cmp(r, best) == GT:
+            best = r
+    c = sig_shift_down(exp_part)
+    return ord_omega_pow(ord_add(_exp_inverse(best), rho_pairwise(c, "ordered")), shifted=True)

@@ -3,6 +3,7 @@ exit codes 0 (success), 1 (domain error) and 2 (parse error), and the exact
 bytes some verbs print."""
 
 import json
+import sys
 
 import pytest
 
@@ -93,9 +94,40 @@ def test_ea(capsys):
     expect_error(capsys, 2, "ea", "w^")
 
 
+def test_ea_target_finite_part_bound(capsys):
+    assert cli.MAX_EA_FINITE == 1024
+    code, out, _ = run(capsys, "ea", "1024", "--target")
+    assert code == 0 and out == f"w^{2 ** 1025}\n"
+    code, out, _ = run(capsys, "ea", "w*3+1024", "--target")
+    assert code == 0 and out.endswith(f"*{2 ** 1024})\n")
+    for alpha in ("1025", "20000", "w*3+1025", "w^w+" + "9" * 4000):
+        err = expect_error(capsys, 1, "ea", alpha, "--target")
+        assert err == "error: finite part of the EA-class target is larger than 1024\n"
+
+
 def test_materialize(capsys):
     assert run(capsys, "materialize", "w^w") == (0, '{"n": 2, "o": {"0,1": 2}}\n', "")
     expect_error(capsys, 2, "materialize", "w^")
+
+
+def test_materialize_base_bound(capsys):
+    code, out, _ = run(capsys, "materialize", "w^255")
+    assert code == 0 and json.loads(out)["n"] == MAX_BASE
+    for xi in ("257", "100000", "w^256", "w^200*2", "w^(w^(w^300))"):
+        err = expect_error(capsys, 1, "materialize", xi)
+        assert err == "error: materialized signature has a base larger than 256\n"
+
+
+@pytest.mark.skipif(getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
+                    reason="the interpreter converts integers of any length")
+def test_integers_past_the_digit_limit_are_parse_errors(capsys):
+    digits = "1" + "0" * 5000
+    err = expect_error(capsys, 2, "rho", '{"n": 2, "o": {"0,1": %s}}' % digits)
+    assert err == "error: cannot parse signature: integer literal too long\n"
+    err = expect_error(capsys, 2, "ord", digits)
+    assert err == "error: cannot parse ordinal: natural number too long (at position 0)\n"
+    err = expect_error(capsys, 2, "ord", "w+" + digits)
+    assert err == "error: cannot parse ordinal: natural number too long (at position 2)\n"
 
 
 def test_realize(capsys, tmp_path):

@@ -22,6 +22,7 @@ from sigcalc.normalizer import (
     is_reduced,
     leq,
     materialize,
+    materialized_base,
     normalize,
     rho,
 )
@@ -40,7 +41,8 @@ from sigcalc.signature import (
     sig_star,
     sig_sum,
 )
-from helpers import random_ordinal
+from helpers import random_ordinal, rank_terms
+from oracles import decompose_pairwise, rho_pairwise
 
 one = ONE_SIG
 
@@ -89,6 +91,19 @@ def test_rho_mixed_case():
     assert rho(s) == o("w^(w+1)")
 
 
+def test_rho_matches_pairwise_recursion():
+    # every signature on a base of at most 5 with values <= 3, and the 24
+    # seeded rank-size terms, in both modes
+    sigs = [s for n in range(6) for s in enumerate_signatures(n, 3)]
+    sigs += [eval_term(term) for term, _ in rank_terms()]
+    for s in sigs:
+        expected = rho_pairwise(s, "ordered")
+        assert rho(s, "ordered") == expected
+        if len(decompose_pairwise(s)) > 1:  # the oracle's modes differ only on sums
+            expected = rho_pairwise(s, "sorted")
+        assert rho(s, "sorted") == expected
+
+
 def test_rho_sorted_equals_ordered_on_descending():
     rng = random.Random(8)
     for _ in range(100):
@@ -115,6 +130,15 @@ def test_rho_materialize_round_trip():
         assert rho(materialize(xi)) == xi
 
 
+def test_materialized_base_is_the_base_of_materialize():
+    rng = random.Random(12)
+    for _ in range(200):
+        xi = random_ordinal(rng, 3)
+        assert materialized_base(xi) == materialize(xi).n
+    assert materialized_base(Ordinal.from_int(100_000)) == 100_000
+    assert materialized_base(o("w^255")) == 256
+
+
 def test_normalize_examples():
     bn = sig_E(sig_sum(one, one))
     assert normalize(bn) == bn
@@ -123,10 +147,16 @@ def test_normalize_examples():
 
 
 def test_normalize_idempotent_enumerated():
-    for s in enumerate_signatures(4, 3):
-        ns = normalize(s)
-        assert is_reduced(ns)
-        assert normalize(ns) == ns
+    # n = 5 exhaustively as well: equal sorted ranks exactly when equal normal forms
+    form_of_rank, rank_of_form = {}, {}
+    for s in enumerate_signatures(4, 3) + enumerate_signatures(5, 3):
+        r, ns = rho(s, "sorted"), normalize(s)
+        if ns not in rank_of_form:  # each normal form is checked once
+            assert is_reduced(ns)
+            assert normalize(ns) == ns
+            assert rho(ns, "sorted") == r
+        assert form_of_rank.setdefault(r, ns) == ns
+        assert rank_of_form.setdefault(ns, r) == r
 
 
 def test_is_reduced():

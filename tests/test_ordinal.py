@@ -123,6 +123,21 @@ def test_omega_power_law_random():
         assert lhs == ord_omega_pow(ord_add(a, b))
 
 
+def rechecked(a: Ordinal) -> Ordinal:
+    """a rebuilt through the checked constructor at every level of its exponents."""
+    return Ordinal((rechecked(e), c) for e, c in a.terms)
+
+
+def test_arithmetic_results_pass_the_checked_constructor():
+    # the operations build with the unchecked _cnf; their outputs must be CNF
+    rng = random.Random(13)
+    for _ in range(400):
+        a, b = random_ordinal(rng, 3), random_ordinal(rng, 3)
+        for r in (ord_add(a, b), ord_add(a, b, "natural"), ord_mul(a, b),
+                  ord_omega_pow(a), ord_omega_pow(a, shifted=True)):
+            assert rechecked(r) == r
+
+
 def test_shifted_power():
     assert ord_omega_pow(ZERO, shifted=True) == ZERO
     assert ord_omega_pow(ONE, shifted=True) == ONE

@@ -33,8 +33,11 @@ from sigcalc.signature import (
     sig_sum,
     sig_to_json,
 )
-from helpers import random_term
-from oracles import bang, bang_rel_conj, bang_rel_p, bang_rel_q
+from helpers import rank_terms
+from oracles import (
+    bang, bang_rel_conj, bang_rel_p, bang_rel_q, decompose_pairwise, eval_term_pairwise,
+    sig_restrict_pairwise, sig_rotate_pairwise, sig_star_pairwise, sig_sum_pairwise,
+    sig_to_doc_pairwise)
 
 one = ONE_SIG
 
@@ -265,14 +268,63 @@ def test_derived_signatures_valid_on_rank_terms(monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(signature, "_trusted", recording)
-    rng = random.Random(20171130)
-    for _ in range(24):
-        a = eval_term(random_term(rng, rng.randint(8, 12)))
-        outputs = [normalize(a), sig_rotate(a), sig_inflate(a, rng.randrange(a.n))]
+    for term, m in rank_terms():
+        a = eval_term(term)
+        outputs = [normalize(a), sig_rotate(a), sig_inflate(a, m)]
         outputs += [materialize(rho(a, mode)) for mode in ("ordered", "sorted")]
         assert all(b in built for b in outputs if b.n > 1)
     assert len(built) > 1000
     assert all(s.violations() == [] for s in built)
+
+
+# --- the row kernel against the per-pair oracles ------------------------------------
+
+
+def shape(a):
+    return (a.n, a.vals, a.labels)
+
+
+def same_ops(a, subsets):
+    """decompose, restriction to each subset, rotation and JSON of a agree
+    with their per-pair forms."""
+    assert [shape(p) for p in decompose(a)] == [shape(p) for p in decompose_pairwise(a)]
+    for subset in subsets:
+        assert shape(sig_restrict(a, subset)) == shape(sig_restrict_pairwise(a, subset))
+    assert shape(sig_rotate(a)) == shape(sig_rotate_pairwise(a))
+    assert sig_to_json(a) == json.dumps(sig_to_doc_pairwise(a), sort_keys=True)
+
+
+def test_row_kernel_matches_pairwise_enumerated():
+    sigs = [s for n in range(6) for s in enumerate_signatures(n, 3)]
+    sigs += [Signature(s.n, s.vals, "abcde"[:s.n]) for s in sigs]
+    t = Signature(2, (2,), ("x", "y"))
+    positive = eval_term(parse_term("exp(1*1+1)"))
+    for s in sigs:
+        if s.labels:  # star drops labels, and t already gives every sum labels
+            same_ops(s, [range(0, s.n, 2)])
+            continue
+        # every subset of a base of at most 4, every 4-element subset of 5
+        sizes = range(s.n + 1) if s.n < 5 else (4,)
+        same_ops(s, (c for r in sizes for c in itertools.combinations(range(s.n), r)))
+        for parts in ((s, t), (t, s, ZERO_SIG)):
+            assert shape(sig_sum(*parts)) == shape(sig_sum_pairwise(*parts))
+        assert shape(sig_star(s, positive)) == shape(sig_star_pairwise(s, positive))
+        if s.n and is_all_positive(s):
+            assert shape(sig_star(s, s)) == shape(sig_star_pairwise(s, s))
+    assert shape(sig_sum()) == shape(sig_sum_pairwise())
+
+
+def test_row_kernel_matches_pairwise_on_rank_terms():
+    rng = random.Random(7)
+    for term, _ in rank_terms():
+        a = eval_term(term)
+        assert shape(a) == shape(eval_term_pairwise(term))
+        same_ops(a, [[i for i in range(a.n) if rng.random() < 0.6] for _ in range(20)])
+
+
+def test_decompose_returns_an_indecomposable_signature_itself():
+    parts = decompose(FIG3)
+    assert len(parts) == 1 and parts[0] is FIG3
 
 
 def test_decompose_sum_left_inverse():
