@@ -19,6 +19,8 @@ any work: `materialize` builds a signature on a base of at most
 signature.MAX_BASE (256), read from the ordinal's normal form; `ea --target`
 takes an ordinal omega*a + n with finite part n at most MAX_EA_FINITE (1024),
 since its answer carries a coefficient 2^n (2^(n+1) for finite input).
+`ord` exits 1, after the arithmetic, when a sum or product has a
+coefficient past the interpreter's limit of digits.
 """
 
 from __future__ import annotations
@@ -146,21 +148,21 @@ def _out(args, content: str):
 
 
 def cmd_ord(args):
-    a = load_ordinal(args.expr)
-    if args.op is None:
-        _emit(args, ord_render(a), {"value": ord_render(a)})
-        return
-    b = load_ordinal(args.rhs)
-    if args.op == "cmp":
-        c = ord_cmp(a, b)
-        word = {-1: "LT", 0: "EQ", 1: "GT"}[c]
-        _emit(args, word, {"cmp": word})
-    elif args.op == "add":
-        r = ord_add(a, b, args.mode)
-        _emit(args, ord_render(r), {"value": ord_render(r)})
-    elif args.op == "mul":
-        r = ord_mul(a, b)
-        _emit(args, ord_render(r), {"value": ord_render(r)})
+    r = load_ordinal(args.expr)
+    if args.op is not None:
+        if args.rhs is None:
+            raise CliError(f"ord {args.op} needs a second ordinal", 2)
+        b = load_ordinal(args.rhs)
+        if args.op == "cmp":
+            word = {-1: "LT", 0: "EQ", 1: "GT"}[ord_cmp(r, b)]
+            _emit(args, word, {"cmp": word})
+            return
+        r = ord_add(r, b, args.mode) if args.op == "add" else ord_mul(r, b)
+    try:
+        text = ord_render(r)
+    except ValueError:  # a coefficient past the interpreter's limit on digits
+        raise CliError("result has an integer longer than the interpreter's digit limit", 1)
+    _emit(args, text, {"value": text})
 
 
 def cmd_rho(args):

@@ -10,12 +10,18 @@ and drops collinear ones.  Maps derived from valid maps (`inverse`, `then`,
 powers, and the affine copies, restrictions and two-piece bumps of
 `marked`) are built sorted and minimal and go through `PLMap._trusted`,
 which only checks that both coordinates strictly increase.
+
+A map's segment slopes are derived once per map: `slopes` starts as None
+and is filled from the points the first time the map is composed.  `then`
+records the slope of each segment it emits and `inverse` takes the
+reciprocals of known slopes, so derived maps (powers and `pl_eval`
+products too) carry theirs without deriving them again.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 Point = Tuple[Fraction, Fraction]
 
@@ -44,36 +50,49 @@ def _canonical(points: Sequence[Point]) -> Tuple[Point, ...]:
     return tuple(out)
 
 
-def _slopes(points: Tuple[Point, ...]) -> List[Fraction]:
-    return [(y1 - y0) / (x1 - x0) for (x0, y0), (x1, y1) in zip(points, points[1:])]
+def _slopes(points: Tuple[Point, ...]) -> Tuple[Fraction, ...]:
+    return tuple((y1 - y0) / (x1 - x0) for (x0, y0), (x1, y1) in zip(points, points[1:]))
 
 
 class PLMap:
-    """An increasing PL bijection of [0,1], composed left to right."""
+    """An increasing PL bijection of [0,1], composed left to right.
 
-    __slots__ = ("points",)
+    `slopes[k]` is the slope between `points[k]` and `points[k + 1]`, or
+    None until the map is first composed."""
+
+    __slots__ = ("points", "slopes")
 
     def __init__(self, points: Iterable[Point]):
         object.__setattr__(self, "points", _canonical(list(points)))
+        object.__setattr__(self, "slopes", None)
 
     @classmethod
-    def _trusted(cls, points: Tuple[Point, ...]) -> "PLMap":
+    def _trusted(cls, points: Tuple[Point, ...],
+                 slopes: Optional[Tuple[Fraction, ...]] = None) -> "PLMap":
         """A map on breakpoints derived from valid maps: already sorted,
-        running from (0,0) to (1,1) and minimal.  Only checks that both
+        running from (0,0) to (1,1) and minimal, with the slopes of its
+        segments if the caller derived them.  Only checks that both
         coordinates strictly increase."""
         for (x1, y1), (x2, y2) in zip(points, points[1:]):
             if x2 <= x1 or y2 <= y1:
                 raise PLError("breakpoints must be strictly increasing in both coordinates")
         m = object.__new__(cls)
         object.__setattr__(m, "points", points)
+        object.__setattr__(m, "slopes", slopes)
         return m
 
     def __setattr__(self, name, value):
         raise AttributeError("PLMap is immutable")
 
+    def _known_slopes(self) -> Tuple[Fraction, ...]:
+        if self.slopes is None:
+            object.__setattr__(self, "slopes", _slopes(self.points))
+        return self.slopes
+
     @staticmethod
     def identity() -> "PLMap":
-        return PLMap._trusted(((Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))))
+        return PLMap._trusted(((Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))),
+                              (Fraction(1),))
 
     @property
     def is_identity(self) -> bool:
@@ -97,7 +116,10 @@ class PLMap:
         return y1 + (y2 - y1) * (x - x1) / (x2 - x1)
 
     def inverse(self) -> "PLMap":
-        return PLMap._trusted(tuple((y, x) for x, y in self.points))
+        slopes = self.slopes
+        if slopes is not None:
+            slopes = tuple(1 / s for s in slopes)
+        return PLMap._trusted(tuple((y, x) for x, y in self.points), slopes)
 
     def then(self, other: "PLMap") -> "PLMap":
         """The composition apply-self-then-other.
@@ -106,41 +128,49 @@ class PLMap:
         consecutive merged values the composition is affine with slope
         (self's slope) * (other's slope), so a merged value is a breakpoint
         of the result exactly where that product changes, and only those
-        points are computed.
+        points are computed.  Both maps are minimal, so their slopes change
+        at each of their breakpoints: a merged value where only one map
+        breaks always starts a new segment, and products are compared only
+        where both break.
         """
         if self.is_identity:
             return other
         if other.is_identity:
             return self
         a, b = self.points, other.points
-        sa, sb = _slopes(a), _slopes(b)
+        sa, sb = self._known_slopes(), other._known_slopes()
+        last_a, last_b = len(sa) - 1, len(sb) - 1
         # the current segments: a[i]..a[i+1] and b[j]..b[j+1]
         i = j = 0
         slope = sa[0] * sb[0]
-        out = [a[0]]
-        while i < len(sa) - 1 or j < len(sb) - 1:
+        out, slopes = [a[0]], [slope]
+        while i < last_a or j < last_b:
             # step past the next merged value on each map with a breakpoint
             # there; it becomes the start of that map's current segment
             y, u = a[i + 1][1], b[j + 1][0]
-            if y == u:
-                step_a = step_b = True
+            if y < u:
+                i += 1
+                x0, y0 = a[i]
+                u0, v0 = b[j]
+                out.append((x0, v0 + sb[j] * (y0 - u0)))
+                slope = sa[i] * sb[j]
+            elif u < y:
+                j += 1
+                x0, y0 = a[i]
+                u0, v0 = b[j]
+                out.append((x0 + (u0 - y0) / sa[i], v0))
+                slope = sa[i] * sb[j]
             else:
-                step_a = y < u
-                step_b = not step_a
-            i += step_a
-            j += step_b
-            new_slope = sa[i] * sb[j]
-            if new_slope != slope:
-                (x0, y0), (u0, v0) = a[i], b[j]
-                if not step_b:
-                    out.append((x0, v0 + sb[j] * (y0 - u0)))
-                elif not step_a:
-                    out.append((x0 + (u0 - y0) / sa[i], v0))
-                else:
-                    out.append((x0, v0))
+                i += 1
+                j += 1
+                new_slope = sa[i] * sb[j]
+                if new_slope == slope:
+                    continue
+                out.append((a[i][0], b[j][1]))
                 slope = new_slope
+            slopes.append(slope)
         out.append(a[-1])
-        return PLMap._trusted(tuple(out))
+        return PLMap._trusted(tuple(out), tuple(slopes))
 
     def __mul__(self, other):
         if not isinstance(other, PLMap):

@@ -42,8 +42,12 @@ def pred_D(x: PLMap, y: PLMap) -> bool:
 
 
 def pred_T(x: PLMap, y: PLMap, z: PLMap) -> bool:
-    return (pred_D(x, y) and pred_D(x, z) and pred_D(y, z)
-            and pred_C(x, conj_map(y, z)))
+    """D(x,y), D(x,z), D(y,z) and C(x, y conjugated by z), in that order;
+    the conjugate is built once for D(y,z) and the last conjunct."""
+    if not (pred_D(x, y) and pred_D(x, z)) or pred_C(y, z):
+        return False
+    yz = conj_map(y, z)
+    return pred_C(y, yz) and pred_C(x, yz)
 
 
 def predicates(fns: Sequence[MarkedFn], x_word: GroupWord, y_word: GroupWord,

@@ -23,6 +23,7 @@ operations that move whole blocks of a matrix (`sig_sum`, `sig_star`,
 `decompose`, `sig_restrict`, `sig_rotate`, `sig_to_json`) read and build
 their values row by row from it, not by one `val` lookup per pair; in a
 row, o(i,j) is at position j-i-1 and the top column o(i,n-1) is `row[-1]`.
+The (!) check `violations` reads each pair value once, from the rows too.
 The per-pair forms they replaced are kept in tests/oracles.py, and
 tests/test_signature.py checks the row forms against them.
 """
@@ -115,11 +116,15 @@ class OscMatrix:
         return self.vals[_pair_index(self.n, i, j)]
 
     def violations(self) -> List[Tuple[int, int, int]]:
-        """All triples i < j < k that fail (!)."""
+        """All triples i < j < k that fail (!), in lexicographic order."""
         out = []
-        for i, j, k in itertools.combinations(range(self.n), 3):
-            if not bang_rel(self.val(j, k), self.val(i, k), self.val(i, j)):
-                out.append((i, j, k))
+        rows = _rows(self)
+        for i, row_i in enumerate(rows):
+            for j in range(i + 1, self.n):
+                # o(j,k) and o(i,k) for k = j+1, ..., n-1
+                for k, (jk, ik) in enumerate(zip(rows[j], row_i[j - i:]), j + 1):
+                    if not bang_rel(jk, ik, row_i[j - i - 1]):
+                        out.append((i, j, k))
         return out
 
 

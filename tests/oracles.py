@@ -27,8 +27,8 @@ from typing import List, Optional, Sequence, Tuple
 from sigcalc.normalizer import MODES, _exp_inverse
 from sigcalc.ordinal import GT, ONE, ZERO, Ordinal, ord_add, ord_cmp, ord_omega_pow
 from sigcalc.signature import (
-    ONE_SIG, ZERO_SIG, SigTerm, Signature, SignatureError, _pair_index, _pairs, _trusted,
-    is_all_positive, sig_E, sig_exp, sig_shift_down)
+    ONE_SIG, ZERO_SIG, OscMatrix, SigTerm, Signature, SignatureError, _pair_index, _pairs,
+    _trusted, bang_rel, is_all_positive, sig_E, sig_exp, sig_shift_down)
 from sigcalc.realization import (
     MarkedFn, PLMap, RealizationError, fn_rotate, is_fast, is_standard_fn, order_genset,
     oscillation, pair_order)
@@ -191,6 +191,14 @@ def wreath_witness(fns: Sequence[MarkedFn], split: int) -> Tuple[Fraction, Fract
 
 
 # --- signature operations one pair at a time -----------------------------------------
+
+
+def violations_pairwise(a: OscMatrix) -> List[Tuple[int, int, int]]:
+    out = []
+    for i, j, k in itertools.combinations(range(a.n), 3):
+        if not bang_rel(a.val(j, k), a.val(i, k), a.val(i, j)):
+            out.append((i, j, k))
+    return out
 
 
 def sig_sum_pairwise(*parts: Signature) -> Signature:

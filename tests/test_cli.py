@@ -63,6 +63,7 @@ def test_ord(capsys):
     assert run(capsys, "ord", "w", "cmp", "2") == (0, "GT\n", "")
     assert run(capsys, "ord", "2", "add", "w", "--format", "json") == (0, '{"value": "w"}\n', "")
     expect_error(capsys, 2, "ord", "w+")
+    assert expect_error(capsys, 2, "ord", "w", "mul") == "error: ord mul needs a second ordinal\n"
 
 
 def test_rho(capsys):
@@ -128,6 +129,17 @@ def test_integers_past_the_digit_limit_are_parse_errors(capsys):
     assert err == "error: cannot parse ordinal: natural number too long (at position 0)\n"
     err = expect_error(capsys, 2, "ord", "w+" + digits)
     assert err == "error: cannot parse ordinal: natural number too long (at position 2)\n"
+
+
+@pytest.mark.skipif(getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
+                    reason="the interpreter converts integers of any length")
+def test_ord_result_past_the_digit_limit_is_a_domain_error(capsys):
+    x, y = "9" * 2500, "9" * 4300
+    for argv in ((f"{x}*{x}",), (x, "mul", x), (y, "add", y)):
+        err = expect_error(capsys, 1, "ord", *argv)
+        assert err == "error: result has an integer longer than the interpreter's digit limit\n"
+    code, out, _ = run(capsys, "ord", "9" * 2000, "mul", "9" * 2000)
+    assert code == 0 and out == f"{int('9' * 2000) ** 2}\n"
 
 
 def test_realize(capsys, tmp_path):

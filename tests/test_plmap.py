@@ -6,6 +6,7 @@ import pytest
 
 from oracles import commutator, compose_pointwise, power_pointwise, swapped
 from sigcalc.realization import PLError, PLMap, pl_eval, pred_C, realize
+from sigcalc.realization.plmap import _canonical, _slopes
 from sigcalc.signature import enumerate_signatures
 
 # Denominators of random breakpoints: dyadic ones, and the thirds, ninths and
@@ -18,8 +19,8 @@ def increasing(rng, n, den):
     return [F(0)] + [F(k, den) for k in sorted(rng.sample(range(1, den), n - 2))] + [F(1)]
 
 
-def random_map(rng):
-    den = rng.choice(DENOMINATORS)
+def random_map(rng, den=None):
+    den = den or rng.choice(DENOMINATORS)
     n = rng.randint(2, min(7, den + 1))
     return PLMap(zip(increasing(rng, n, den), increasing(rng, n, den)))
 
@@ -104,6 +105,65 @@ def test_inverse_and_powers_match_pointwise_reference():
         assert f.inverse() == swapped(f)
         for k in (-3, -2, -1, 0, 1, 2, 3):
             assert f ** k == power_pointwise(f, k)
+
+
+def assert_slopes(m, carried=True):
+    """m is minimal, and its slopes, if known (and always when carried), are
+    the ones its points give."""
+    assert _canonical(m.points) == m.points
+    if carried or m.slopes is not None:
+        assert m.slopes == _slopes(m.points)
+
+
+def derived(op, m, other=None, k=None):
+    """op applied to m, checked.  A composition carries its slopes unless an
+    operand is the identity (it returns the other one), and an inverse
+    carries them when m's are known."""
+    known = m.slopes is not None
+    if op == "then":
+        out = m.then(other)
+        assert_slopes(out, not (m.is_identity or other.is_identity))
+    elif op == "inverse":
+        out = m.inverse()
+        assert_slopes(out, known)
+    else:
+        out = m ** k
+        assert_slopes(out, k == 0 or (not m.is_identity and k != 1 and (k != -1 or known)))
+    return out
+
+
+@pytest.mark.parametrize("den", DENOMINATORS)
+def test_carried_slopes_match_points(den):
+    rng = random.Random(den)
+    for _ in range(20):
+        f, g, h = (random_map(rng, den) for _ in range(3))
+        assert f.slopes is None and f.inverse().slopes is None
+        # composing derives each operand's slopes once, on the operand
+        fg = derived("then", f, g)
+        if not (f.is_identity or g.is_identity):
+            assert f.slopes == _slopes(f.points) and g.slopes == _slopes(g.points)
+        f_inv = derived("inverse", f)
+        # breakpoints that coincide and cancel: f against f-inverse, f
+        # against a map breaking at f's y-values, and the merge that undoes f
+        shared = PLMap(zip([y for _, y in f.points], increasing(rng, len(f.points), den)))
+        undo = compose_pointwise(f_inv, h)
+        assert derived("then", f, f_inv).is_identity
+        assert derived("then", f, undo) == h
+        pool = [f, g, h, fg, f_inv, undo, derived("then", f, shared),
+                derived("then", shared, f_inv)]
+        for _ in range(12):
+            m = rng.choice(pool)
+            op = rng.choice(("then", "inverse", "power"))
+            pool.append(derived(op, m, rng.choice(pool), rng.randint(-3, 3)))
+
+
+@pytest.mark.parametrize("sig", enumerate_signatures(3, 3), ids=lambda s: str(s.vals))
+def test_pl_eval_carries_slopes(sig):
+    fns = realize(sig)
+    letters = [(i, e) for i in range(3) for e in (1, -2)]
+    for a, b in itertools.product(letters, letters):
+        assert_slopes(pl_eval(fns, [a, b]))
+        assert_slopes(pl_eval(fns, [a, b, a]))
 
 
 LETTERS = [(i, e) for i in range(3) for e in (1, -1)]

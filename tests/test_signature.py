@@ -37,7 +37,7 @@ from helpers import rank_terms
 from oracles import (
     bang, bang_rel_conj, bang_rel_p, bang_rel_q, decompose_pairwise, eval_term_pairwise,
     sig_restrict_pairwise, sig_rotate_pairwise, sig_star_pairwise, sig_sum_pairwise,
-    sig_to_doc_pairwise)
+    sig_to_doc_pairwise, violations_pairwise)
 
 one = ONE_SIG
 
@@ -312,6 +312,23 @@ def test_row_kernel_matches_pairwise_enumerated():
         if s.n and is_all_positive(s):
             assert shape(sig_star(s, s)) == shape(sig_star_pairwise(s, s))
     assert shape(sig_sum()) == shape(sig_sum_pairwise())
+
+
+def test_row_violations_match_pairwise():
+    sigs = [s for n in range(6) for s in enumerate_signatures(n, 3)]
+    assert all(s.violations() == violations_pairwise(s) == [] for s in sigs)
+    # every matrix on a base of 4 with values <= 2, and random ones up to 7
+    matrices = [OscMatrix(4, vals) for vals in itertools.product(range(3), repeat=6)]
+    rng = random.Random(3)
+    for _ in range(500):
+        n = rng.randint(3, 7)
+        matrices.append(OscMatrix(n, [rng.randint(0, 4) for _ in range(n * (n - 1) // 2)]))
+    broken = 0
+    for m in matrices:
+        bad = m.violations()
+        assert bad == violations_pairwise(m)
+        broken += bool(bad)
+    assert broken > len(matrices) // 2
 
 
 def test_row_kernel_matches_pairwise_on_rank_terms():

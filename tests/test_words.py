@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -5,7 +6,7 @@ import pytest
 
 from sigcalc.ordinal import ord_parse
 from sigcalc.normalizer import materialize
-from sigcalc.signature import ONE_SIG, Signature, sig_star, sig_sum
+from sigcalc.signature import ONE_SIG, Signature, enumerate_signatures, sig_star, sig_sum
 from sigcalc.realization import (
     canonical_bump,
     conj_map,
@@ -78,6 +79,28 @@ def test_tower_predicate():
     s0, s1 = f0.support_hull(), f1.support_hull()
     assert s1[0] < s0[0] and s0[1] < s1[1]  # nested growth
     assert pred_T(f0, f1, g.map)
+
+
+LETTERS = [(i, e) for i in range(3) for e in (1, -1)]
+
+
+@pytest.mark.parametrize("sig", enumerate_signatures(3, 3), ids=lambda s: str(s.vals))
+def test_pred_T_is_the_written_out_conjunction(sig):
+    # x = (generator 0)^2 and pairs (y, z) that x dominates reach the later
+    # conjuncts (on the set for (1, 1, 1) some triples are towers); a few
+    # uniform triples cover the early exits
+    fns = realize(sig)
+    maps = list(dict.fromkeys(pl_eval(fns, [a, b]) for a in LETTERS for b in LETTERS))
+    rng = random.Random(str(sig.vals))
+    x = pl_eval(fns, [(0, 1), (0, 1)])
+    dominated = [m for m in maps if pred_D(x, m)]
+    pairs = list(itertools.product(dominated, dominated))
+    triples = [(x, y, z) for y, z in rng.sample(pairs, min(20, len(pairs)))]
+    triples += [tuple(rng.choice(maps) for _ in range(3)) for _ in range(5)]
+    for x, y, z in triples:
+        written_out = (pred_D(x, y) and pred_D(x, z) and pred_D(y, z)
+                       and pred_C(x, conj_map(y, z)))
+        assert pred_T(x, y, z) == written_out
 
 
 def test_dom_witness():
