@@ -97,7 +97,8 @@ def load_genset(arg: str):
     text = _read_arg(arg).strip()
     try:
         fns = genset_from_json(text)
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError, RecursionError) as e:
+    except (KeyError, TypeError, ValueError, ArithmeticError, RecursionError) as e:
+        # ArithmeticError: a coordinate like "1/0" or a JSON float past the float range
         raise CliError(f"cannot parse generating set: {e}", 2)
     return fns
 

@@ -190,20 +190,21 @@ def ea_class(xi: Ordinal) -> Ordinal:
 
     Finite xi: the group is Z^xi, class 1 for xi >= 1 and 0 for xi = 0.
     Otherwise xi must be omega^(omega^a * 2^n); the class is omega*a + n + 2
-    for a > 0 and n + 1 for a = 0.
+    for a > 0 and n + 1 for a = 0.  OutsideComputedFamily names the failed
+    condition, not xi, so its message stays short whatever xi's size.
     """
     if xi.is_finite:
         return ZERO if xi.is_zero else ONE
     try:
         zeta = ord_log_omega(xi)
     except OrdinalError:
-        raise OutsideComputedFamily(f"{xi} is not an omega power")
+        raise OutsideComputedFamily("the rank is not an omega power")
     if len(zeta.terms) != 1:
-        raise OutsideComputedFamily(f"log of {xi} is not a single normal-form term")
+        raise OutsideComputedFamily("the rank's log is not a single normal-form term")
     alpha, coeff = zeta.terms[0]
     n = _factor_pow2(coeff)
     if n < 0:
-        raise OutsideComputedFamily(f"coefficient {coeff} is not a power of two")
+        raise OutsideComputedFamily("the coefficient of the rank's log is not a power of two")
     if alpha.is_zero:
         return Ordinal.from_int(n + 1)
     return ord_add(ord_mul(OMEGA, alpha), Ordinal.from_int(n + 2))

@@ -12,7 +12,7 @@ are in normal form by construction, with the unchecked `_cnf`.
 from __future__ import annotations
 
 import functools
-from typing import Iterable, Tuple, Union
+from typing import Iterable, Tuple
 
 LT, EQ, GT = -1, 0, 1
 
@@ -84,24 +84,6 @@ class Ordinal:
     def __hash__(self):
         return hash(self.terms)
 
-    def __lt__(self, other):
-        return ord_cmp(self, _coerce(other)) == LT
-
-    def __le__(self, other):
-        return ord_cmp(self, _coerce(other)) != GT
-
-    def __gt__(self, other):
-        return ord_cmp(self, _coerce(other)) == GT
-
-    def __ge__(self, other):
-        return ord_cmp(self, _coerce(other)) != LT
-
-    def __add__(self, other):
-        return ord_add(self, _coerce(other))
-
-    def __mul__(self, other):
-        return ord_mul(self, _coerce(other))
-
     def __repr__(self):
         return f"Ordinal({ord_render(self)!r})"
 
@@ -109,18 +91,11 @@ class Ordinal:
         return ord_render(self)
 
 
-OrdLike = Union[Ordinal, int]
-
-
 def _cnf(terms: Iterable[Tuple[Ordinal, int]]) -> Ordinal:
     """An Ordinal from terms an operation built in normal form; unchecked."""
     a = object.__new__(Ordinal)
     object.__setattr__(a, "terms", tuple(terms))
     return a
-
-
-def _coerce(x: OrdLike) -> Ordinal:
-    return x if isinstance(x, Ordinal) else Ordinal.from_int(x)
 
 
 ZERO = Ordinal()
@@ -225,18 +200,6 @@ def ord_log_omega(a: Ordinal) -> Ordinal:
     if a.is_zero or len(a.terms) != 1 or a.terms[0][1] != 1:
         raise OrdinalError(f"{a} is not an omega power")
     return a.terms[0][0]
-
-
-def tau(k: int) -> Ordinal:
-    """The tower tau_0 = 2, tau_1 = omega, tau_(k+1) = omega^tau_k (k >= 1)."""
-    if k < 0:
-        raise OrdinalError("tau requires k >= 0")
-    if k == 0:
-        return Ordinal.from_int(2)
-    t = OMEGA
-    for _ in range(k - 1):
-        t = ord_omega_pow(t)
-    return t
 
 
 # --- text codec ------------------------------------------------------------

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 from ..signature import Signature, decompose, sig_rotate
-from .genset import GenSet, order_genset, pair_order, signature_of
+from .genset import GenSet, signature_of
 from .marked import (
     MarkedFn,
     RealizationError,
@@ -172,92 +172,3 @@ def _wrap_general(t: MarkedFn, others: Sequence[MarkedFn]) -> MarkedFn:
     pts += [(a_pos, b_pos), (R0, R0), (F(1), F(1))]
     markers = [a_neg] + list(t.markers) + [a_pos]
     return MarkedFn(PLMap(pts), markers)
-
-
-# --- slope retrofit -----------------------------------------------------------
-
-
-def retrofit_slopes(fns: Sequence[MarkedFn]) -> GenSet:
-    """Rebuild every bump with two affine pieces, keeping all transition
-    points and shrinking feet into the original feet; the nesting-maximum
-    element uses slopes from 3*2^k, everything else from 2^k.  The dynamical
-    diagram is unchanged."""
-    fns = order_genset(fns)
-    if not fns:
-        return []
-    top = fns[-1]
-    for f in fns[:-1]:
-        if pair_order(f, top) != "in":
-            raise RealizationError("slope retrofit needs a nesting-maximum element")
-    out = []
-    for f in fns:
-        scale = 3 if f is top else 1
-        pts = [(F(0), F(0)), (F(1), F(1))]
-        markers = []
-        for b in f.bumps:
-            x_star, y_star = _two_piece(b.u, b.v, b.marker, b.tpoint, b.sign, scale)
-            pts += [(b.u, b.u), (b.v, b.v)]
-            pts.append((x_star, y_star))
-            markers.append(x_star if b.sign > 0 else y_star)
-        out.append(MarkedFn(PLMap(pts), markers, f.name))
-    return out
-
-
-def _two_piece(u, v, foot_a, foot_b, sign, scale):
-    """Interior breakpoint for a two-piece bump on (u,v) with slopes in
-    scale*2^k, feet inside (u,foot_a] and [foot_b,v).
-
-    Returns (x*, y*) with y* = image of x*; for a positive bump the pieces
-    have slopes lam1 > 1 > lam2 and feet (u,x*) and [y*,v); for a negative
-    bump the feet are (u,y*) and [x*,v).
-    """
-    w = v - u
-    for k in range(2, 64):
-        lam1 = F(scale * 2 ** k)
-        lam2 = F(scale, 2 ** k)
-        if sign > 0:
-            x_star = u + w * (1 - lam2) / (lam1 - lam2)
-            y_star = u + lam1 * (x_star - u)
-            if x_star <= foot_a and y_star >= foot_b:
-                return x_star, y_star
-        else:
-            x_star = u + w * (lam1 - 1) / (lam1 - lam2)
-            y_star = u + lam2 * (x_star - u)
-            if y_star <= foot_a and x_star >= foot_b:
-                return x_star, y_star
-    raise RealizationError("could not fit two-piece slopes inside the feet")
-
-
-# --- reference sets -----------------------------------------------------------
-
-
-def _scaled_bumps(spec, denom, name):
-    """MarkedFn from (u, v, sign) orbital triples in integer coordinates,
-    with two-piece bumps and feet the outer sixteenths."""
-    pts = [(F(0), F(0)), (F(1), F(1))]
-    markers = []
-    for u, v, sign in spec:
-        u, v = F(u, denom), F(v, denom)
-        d = (v - u) / 16
-        a, b = u + d, v - d
-        pts += [(u, u), (v, v)]
-        pts.append((a, b) if sign > 0 else (b, a))
-        markers.append(a)
-    return MarkedFn(PLMap(pts), markers, name)
-
-
-def fig_bz_set() -> GenSet:
-    """The B + Z generating set: a two-orbital top a, an inner bump b
-    straddling its expansion point, and a disjoint bump c on the right."""
-    a = _scaled_bumps([(24, 48, -1), (48, 72, +1)], 120, "a")
-    b = _scaled_bumps([(36, 60, +1)], 120, "b")
-    c = _scaled_bumps([(84, 108, +1)], 120, "c")
-    return order_genset([b, a, c])
-
-
-def fig_g_set() -> GenSet:
-    """The three-generator set G: a four-orbital f containing g containing h."""
-    f = _scaled_bumps([(0, 24, -1), (24, 48, -1), (48, 72, +1), (72, 96, +1)], 96, "f")
-    g = _scaled_bumps([(12, 84, +1)], 96, "g")
-    h = _scaled_bumps([(36, 60, +1)], 96, "h")
-    return order_genset([h, g, f])

@@ -11,9 +11,9 @@ so isomorphism reduces to equality of a canonical form.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
-from .genset import GenSet, _fast_ordered, _feet_of, order_genset
+from .genset import _fast_ordered, _feet_of
 from .marked import MarkedFn
 
 
@@ -82,7 +82,8 @@ def diagram(fns: Sequence[MarkedFn]) -> DynDiagram:
 
 def to_dot(d: DynDiagram) -> str:
     """DOT with the vertex order pinned by a same-rank invisible chain;
-    positive bumps are forward edges and negative bumps back edges."""
+    positive bumps are forward edges and negative bumps back edges, labeled
+    by function name with '"' and '\\' escaped."""
     lines = ["digraph dynamical_diagram {", "  rankdir=LR;"]
     chain = "; ".join(f"v{i}" for i in range(d.num_vertices))
     lines.append("  { rank=same; " + chain + "; }")
@@ -90,59 +91,7 @@ def to_dot(d: DynDiagram) -> str:
         lines.append(f"  v{i} -> v{i + 1} [style=invis];")
     for src, dst, label in d.edges:
         name = d.names[label] if label < len(d.names) else str(label)
+        name = name.replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  v{src} -> v{dst} [label="{name}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-# --- excision ------------------------------------------------------------------
-
-
-def _isolated_bumps(fns: Sequence[MarkedFn]) -> List[Tuple[int, int]]:
-    """Bumps whose support contains no transition point of the set."""
-    pts = []
-    for f in fns:
-        pts.extend(f.transition_points())
-    pts.sort()
-    out = []
-    for fi, f in enumerate(fns):
-        for bi, b in enumerate(f.bumps):
-            if not any(b.u < t < b.v for t in pts):
-                out.append((fi, bi))
-    return out
-
-
-def _drop_bump(f: MarkedFn, bi: int) -> MarkedFn:
-    from .plmap import PLMap
-
-    bumps = f.bumps
-    target = bumps[bi]
-    pts = [(p, p) for p in (target.u, target.v)]
-    pts += [(x, y) for x, y in f.map.points if not (target.u < x < target.v)]
-    markers = [b.marker for j, b in enumerate(bumps) if j != bi]
-    return MarkedFn(PLMap(pts), markers, f.name)
-
-
-def excise(fns: Sequence[MarkedFn]) -> GenSet:
-    """Iteratively remove extraneous bumps until none remain.
-
-    An extraneous set consists of isolated bumps whose removal leaves every
-    function with at least one bump.  One bump is removed per round: from a
-    function with more positive than negative bumps, the rightmost isolated
-    bump; with balanced counts, the leftmost.
-    """
-    fns = _fast_ordered(fns, "excision")
-    while True:
-        isolated = _isolated_bumps(fns)
-        removable = [(fi, bi) for fi, bi in isolated if len(fns[fi].bumps) >= 2]
-        if not removable:
-            return order_genset(fns)
-        by_fn = {}
-        for fi, bi in removable:
-            by_fn.setdefault(fi, []).append(bi)
-        fi = min(by_fn)
-        f = fns[fi]
-        npos = sum(1 for b in f.bumps if b.sign > 0)
-        nneg = len(f.bumps) - npos
-        bi = max(by_fn[fi]) if npos > nneg else min(by_fn[fi])
-        fns[fi] = _drop_bump(f, bi)

@@ -13,7 +13,7 @@ import json
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-from ..signature import MAX_PAIR_VALUE, OscMatrix, Signature, SignatureError
+from ..signature import MAX_PAIR_VALUE, Signature, SignatureError
 from .marked import MarkedFn, RealizationError, conjugate, is_standard_fn, square
 from .plmap import PLMap
 
@@ -137,30 +137,14 @@ def is_sgen(fns: Sequence[MarkedFn]) -> bool:
     return True
 
 
-def _matrix(fns: GenSet, rels: Dict[Tuple[int, int], str]) -> OscMatrix:
-    """Oscillations of an ordered set from each pair's relation, LL or INSIDE."""
-    o = {(i, j): 0 if rel == LL else _inside_oscillation(fns[i], fns[j])
-         for (i, j), rel in rels.items()}
-    return OscMatrix(len(fns), o, [f.name or str(i) for i, f in enumerate(fns)])
-
-
-def oscillation_matrix(fns: Sequence[MarkedFn]) -> OscMatrix:
-    """Raw pairwise oscillations for any fast totally ordered set."""
-    fns = _fast_ordered(fns, "oscillation matrix")
-    rels = {}
-    for i, j in itertools.combinations(range(len(fns)), 2):
-        rels[i, j] = rel = pair_order(fns[i], fns[j])
-        if rel not in (LL, INSIDE):
-            raise RealizationError(
-                f"set not totally ordered: relation {rel} between elements {i},{j}")
-    return _matrix(fns, rels)
-
-
 def signature_of(fns: Sequence[MarkedFn]) -> Signature:
-    """The signature of a standard generating set; always satisfies (!)."""
-    m = _matrix(*_standard_walk(fns))
+    """The signature of a standard generating set; always satisfies (!).
+    Each oscillation is read from the relation the walk found, LL or INSIDE."""
+    fns, rels = _standard_walk(fns)
+    vals = [0 if rel == LL else _inside_oscillation(fns[i], fns[j])
+            for (i, j), rel in rels.items()]  # row-major, as the walk visits pairs
     try:
-        return Signature(m.n, m.vals, m.labels)
+        return Signature(len(fns), vals, [f.name or str(i) for i, f in enumerate(fns)])
     except SignatureError as e:
         raise RealizationError(f"oscillation matrix of a standard set: {e}") from None
 
@@ -223,5 +207,8 @@ def genset_from_json(text: str) -> GenSet:
     for i, entry in enumerate(doc):
         pts = [(Fraction(x), Fraction(y)) for x, y in entry["breakpoints"]]
         markers = [Fraction(s) for s in entry["markers"]]
-        out.append(MarkedFn(PLMap(pts), markers, entry.get("name", str(i))))
+        name = entry.get("name", str(i))
+        if not isinstance(name, str):
+            raise TypeError(f'"name" of function {i} is not a string')
+        out.append(MarkedFn(PLMap(pts), markers, name))
     return out

@@ -172,11 +172,6 @@ class PLMap:
         out.append(a[-1])
         return PLMap._trusted(tuple(out), tuple(slopes))
 
-    def __mul__(self, other):
-        if not isinstance(other, PLMap):
-            return NotImplemented
-        return self.then(other)
-
     def __pow__(self, k: int) -> "PLMap":
         if k == 0:
             return PLMap.identity()
@@ -226,10 +221,3 @@ class PLMap:
                     continue
             out.append((u, v, sign))
         return out
-
-    def support_hull(self) -> Tuple[Fraction, Fraction]:
-        orbs = self.orbitals()
-        if not orbs:
-            raise PLError("identity map has empty support")
-        return orbs[0][0], orbs[-1][1]
-

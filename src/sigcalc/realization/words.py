@@ -38,13 +38,23 @@ def pred_C(x: PLMap, y: PLMap) -> bool:
 
 
 def pred_D(x: PLMap, y: PLMap) -> bool:
-    return (not pred_C(x, y)) and pred_C(x, conj_map(x, y))
+    return _dominates(x, y, pred_C(x, y))
+
+
+def _dominates(x: PLMap, y: PLMap, commute: bool) -> bool:
+    """D(x,y), given whether C(x,y) holds."""
+    return not commute and pred_C(x, conj_map(x, y))
 
 
 def pred_T(x: PLMap, y: PLMap, z: PLMap) -> bool:
     """D(x,y), D(x,z), D(y,z) and C(x, y conjugated by z), in that order;
     the conjugate is built once for D(y,z) and the last conjunct."""
-    if not (pred_D(x, y) and pred_D(x, z)) or pred_C(y, z):
+    return _tower(x, y, z, pred_D(x, y))
+
+
+def _tower(x: PLMap, y: PLMap, z: PLMap, dominates: bool) -> bool:
+    """T(x,y,z), given whether D(x,y) holds."""
+    if not (dominates and pred_D(x, z)) or pred_C(y, z):
         return False
     yz = conj_map(y, z)
     return pred_C(y, yz) and pred_C(x, yz)
@@ -52,11 +62,14 @@ def pred_T(x: PLMap, y: PLMap, z: PLMap) -> bool:
 
 def predicates(fns: Sequence[MarkedFn], x_word: GroupWord, y_word: GroupWord,
                z_word: Optional[GroupWord] = None) -> dict:
-    """Evaluate C and D on (x,y), and T on (x,y,z) when z is given."""
+    """Evaluate C and D on (x,y), and T on (x,y,z) when z is given; C(x,y)
+    and D(x,y) are evaluated once each."""
     x = pl_eval(fns, x_word)
     y = pl_eval(fns, y_word)
-    out = {"C": pred_C(x, y), "D": pred_D(x, y)}
+    c = pred_C(x, y)
+    d = _dominates(x, y, c)
+    out = {"C": c, "D": d}
     if z_word is not None:
         z = pl_eval(fns, z_word)
-        out["T"] = pred_T(x, y, z)
+        out["T"] = _tower(x, y, z, d)
     return out

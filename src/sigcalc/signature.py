@@ -277,10 +277,6 @@ def decompose(a: Signature) -> List[Signature]:
     return parts
 
 
-def is_indecomposable(a: Signature) -> bool:
-    return a.n >= 1 and len(decompose(a)) == 1
-
-
 def sig_restrict(a: Signature, subset: Iterable[int]) -> Signature:
     """Induced submatrix on a subset of the base; (!) is hereditary."""
     idx = sorted(set(subset))
@@ -296,13 +292,6 @@ def sig_restrict(a: Signature, subset: Iterable[int]) -> Signature:
     if a.labels is not None:
         labels = tuple(a.labels[i] for i in idx)
     return _trusted(len(idx), vals, labels)
-
-
-def sig_drop_top(a: Signature) -> Signature:
-    """Remove the top base element."""
-    if a.n == 0:
-        raise SignatureError("cannot drop the top of the empty signature")
-    return sig_restrict(a, range(a.n - 1))
 
 
 def sig_rotate(a: Signature) -> Signature:
@@ -424,31 +413,7 @@ class SigTerm:
         return hash((self.op, self.args))
 
     def __repr__(self):
-        return f"SigTerm({render_term(self)!r})"
-
-
-def term_zero() -> SigTerm:
-    return SigTerm("zero")
-
-
-def term_one() -> SigTerm:
-    return SigTerm("one")
-
-
-def term_sum(*xs: SigTerm) -> SigTerm:
-    return SigTerm("sum", tuple(xs))
-
-
-def term_star(x: SigTerm, y: SigTerm) -> SigTerm:
-    return SigTerm("star", (x, y))
-
-
-def term_exp(x: SigTerm) -> SigTerm:
-    return SigTerm("exp", (x,))
-
-
-def term_E(x: SigTerm) -> SigTerm:
-    return SigTerm("E", (x,))
+        return f"SigTerm({self.op!r}, {self.args!r})"
 
 
 def eval_term(t: SigTerm) -> Signature:
@@ -478,34 +443,34 @@ class _TermParser(Scanner):
         while self.peek() == "+":
             self.pos += 1
             parts.append(self.term())
-        return parts[0] if len(parts) == 1 else term_sum(*parts)
+        return parts[0] if len(parts) == 1 else SigTerm("sum", tuple(parts))
 
     def term(self) -> SigTerm:
         value = self.atom()
         while self.peek() == "*":
             self.pos += 1
-            value = term_star(value, self.atom())
+            value = SigTerm("star", (value, self.atom()))
         return value
 
     def atom(self) -> SigTerm:
         ch = self.peek()
         if ch == "0":
             self.pos += 1
-            return term_zero()
+            return SigTerm("zero")
         if ch == "1":
             if self.base == MAX_BASE:
                 self.error(f"base larger than {MAX_BASE}")
             self.base += 1
             self.pos += 1
-            return term_one()
+            return SigTerm("one")
         if ch == "(":
             return self.group(self.expr)
         if self.text.startswith("exp", self.pos):
             self.pos += 3
-            return term_exp(self.group(self.expr))
+            return SigTerm("exp", (self.group(self.expr),))
         if ch == "E":
             self.pos += 1
-            return term_E(self.group(self.expr))
+            return SigTerm("E", (self.group(self.expr),))
         self.error("expected '0', '1', 'exp(', 'E(' or '('")
 
 
@@ -514,23 +479,6 @@ def parse_term(text: str) -> SigTerm:
     value = p.expr()
     p.end()
     return value
-
-
-def render_term(t: SigTerm) -> str:
-    if t.op == "zero":
-        return "0"
-    if t.op == "one":
-        return "1"
-    if t.op == "sum":
-        return "+".join(render_term(x) for x in t.args)
-    if t.op == "star":
-        def wrap(x):
-            s = render_term(x)
-            return f"({s})" if x.op == "sum" else s
-        return "*".join(wrap(x) for x in t.args)
-    if t.op == "exp":
-        return f"exp({render_term(t.args[0])})"
-    return f"E({render_term(t.args[0])})"
 
 
 # --- enumeration and JSON ----------------------------------------------------

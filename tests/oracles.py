@@ -16,6 +16,15 @@ wreath decomposition at a *-split.  The `*_pairwise` functions are the
 signature operations and rho written one pair at a time through
 `OscMatrix.val` and the pair index, the reference for the row-wise forms in
 the library.
+
+Fixtures and helpers that no command or benchmark operation uses live here
+too: `tau`, the tower of omega-powers the rank tests compare against;
+`render_term`, which prints a signature term back to text for the parser's
+round trip; the reference sets `fig_bz_set` and `fig_g_set`;
+`retrofit_slopes`, which rebuilds a set with two-piece bumps of power-of-2
+slopes (3 times a power of 2 on the nesting-maximum element) and keeps its
+dynamical diagram; and `excise`, which removes extraneous bumps from a fast
+set one at a time.
 """
 
 import functools
@@ -25,14 +34,18 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from sigcalc.normalizer import MODES, _exp_inverse
-from sigcalc.ordinal import GT, ONE, ZERO, Ordinal, ord_add, ord_cmp, ord_omega_pow
+from sigcalc.ordinal import (
+    GT, OMEGA, ONE, ZERO, Ordinal, OrdinalError, ord_add, ord_cmp, ord_omega_pow)
 from sigcalc.signature import (
     ONE_SIG, ZERO_SIG, OscMatrix, SigTerm, Signature, SignatureError, _pair_index, _pairs,
     _trusted, bang_rel, is_all_positive, sig_E, sig_exp, sig_shift_down)
-from sigcalc.realization import (
-    MarkedFn, PLMap, RealizationError, fn_rotate, is_fast, is_standard_fn, order_genset,
-    oscillation, pair_order)
-from sigcalc.realization.genset import CONTAINS, GG, INSIDE, LL
+from sigcalc.realization.genset import (
+    CONTAINS, GG, INSIDE, LL, GenSet, _fast_ordered, is_fast, order_genset, oscillation,
+    pair_order)
+from sigcalc.realization.marked import MarkedFn, RealizationError, fn_rotate, is_standard_fn
+from sigcalc.realization.plmap import PLMap
+
+F = Fraction
 
 
 def bang(p: int, q: int) -> Optional[int]:
@@ -332,3 +345,173 @@ def rho_pairwise(a: Signature, mode: str = "sorted") -> Ordinal:
             best = r
     c = sig_shift_down(exp_part)
     return ord_omega_pow(ord_add(_exp_inverse(best), rho_pairwise(c, "ordered")), shifted=True)
+
+
+def tau(k: int) -> Ordinal:
+    """The tower tau_0 = 2, tau_1 = omega, tau_(k+1) = omega^tau_k (k >= 1)."""
+    if k < 0:
+        raise OrdinalError("tau requires k >= 0")
+    if k == 0:
+        return Ordinal.from_int(2)
+    t = OMEGA
+    for _ in range(k - 1):
+        t = ord_omega_pow(t)
+    return t
+
+
+# --- reference sets -----------------------------------------------------------
+
+
+def _scaled_bumps(spec, denom, name):
+    """MarkedFn from (u, v, sign) orbital triples in integer coordinates,
+    with two-piece bumps and feet the outer sixteenths."""
+    pts = [(F(0), F(0)), (F(1), F(1))]
+    markers = []
+    for u, v, sign in spec:
+        u, v = F(u, denom), F(v, denom)
+        d = (v - u) / 16
+        a, b = u + d, v - d
+        pts += [(u, u), (v, v)]
+        pts.append((a, b) if sign > 0 else (b, a))
+        markers.append(a)
+    return MarkedFn(PLMap(pts), markers, name)
+
+
+def fig_bz_set() -> GenSet:
+    """The B + Z generating set: a two-orbital top a, an inner bump b
+    straddling its expansion point, and a disjoint bump c on the right."""
+    a = _scaled_bumps([(24, 48, -1), (48, 72, +1)], 120, "a")
+    b = _scaled_bumps([(36, 60, +1)], 120, "b")
+    c = _scaled_bumps([(84, 108, +1)], 120, "c")
+    return order_genset([b, a, c])
+
+
+def fig_g_set() -> GenSet:
+    """The three-generator set G: a four-orbital f containing g containing h."""
+    f = _scaled_bumps([(0, 24, -1), (24, 48, -1), (48, 72, +1), (72, 96, +1)], 96, "f")
+    g = _scaled_bumps([(12, 84, +1)], 96, "g")
+    h = _scaled_bumps([(36, 60, +1)], 96, "h")
+    return order_genset([h, g, f])
+
+
+# --- slope retrofit -----------------------------------------------------------
+
+
+def retrofit_slopes(fns: Sequence[MarkedFn]) -> GenSet:
+    """Rebuild every bump with two affine pieces, keeping all transition
+    points and shrinking feet into the original feet; the nesting-maximum
+    element uses slopes from 3*2^k, everything else from 2^k.  The dynamical
+    diagram is unchanged."""
+    fns = order_genset(fns)
+    if not fns:
+        return []
+    top = fns[-1]
+    for f in fns[:-1]:
+        if pair_order(f, top) != INSIDE:
+            raise RealizationError("slope retrofit needs a nesting-maximum element")
+    out = []
+    for f in fns:
+        scale = 3 if f is top else 1
+        pts = [(F(0), F(0)), (F(1), F(1))]
+        markers = []
+        for b in f.bumps:
+            x_star, y_star = _two_piece(b.u, b.v, b.marker, b.tpoint, b.sign, scale)
+            pts += [(b.u, b.u), (b.v, b.v)]
+            pts.append((x_star, y_star))
+            markers.append(x_star if b.sign > 0 else y_star)
+        out.append(MarkedFn(PLMap(pts), markers, f.name))
+    return out
+
+
+def _two_piece(u, v, foot_a, foot_b, sign, scale):
+    """Interior breakpoint for a two-piece bump on (u,v) with slopes in
+    scale*2^k, feet inside (u,foot_a] and [foot_b,v).
+
+    Returns (x*, y*) with y* = image of x*; for a positive bump the pieces
+    have slopes lam1 > 1 > lam2 and feet (u,x*) and [y*,v); for a negative
+    bump the feet are (u,y*) and [x*,v).
+    """
+    w = v - u
+    for k in range(2, 64):
+        lam1 = F(scale * 2 ** k)
+        lam2 = F(scale, 2 ** k)
+        if sign > 0:
+            x_star = u + w * (1 - lam2) / (lam1 - lam2)
+            y_star = u + lam1 * (x_star - u)
+            if x_star <= foot_a and y_star >= foot_b:
+                return x_star, y_star
+        else:
+            x_star = u + w * (lam1 - 1) / (lam1 - lam2)
+            y_star = u + lam2 * (x_star - u)
+            if y_star <= foot_a and x_star >= foot_b:
+                return x_star, y_star
+    raise RealizationError("could not fit two-piece slopes inside the feet")
+
+
+# --- excision -----------------------------------------------------------------
+
+
+def _isolated_bumps(fns: Sequence[MarkedFn]) -> List[Tuple[int, int]]:
+    """Bumps whose support contains no transition point of the set."""
+    pts = []
+    for f in fns:
+        pts.extend(f.transition_points())
+    pts.sort()
+    out = []
+    for fi, f in enumerate(fns):
+        for bi, b in enumerate(f.bumps):
+            if not any(b.u < t < b.v for t in pts):
+                out.append((fi, bi))
+    return out
+
+
+def _drop_bump(f: MarkedFn, bi: int) -> MarkedFn:
+    bumps = f.bumps
+    target = bumps[bi]
+    pts = [(p, p) for p in (target.u, target.v)]
+    pts += [(x, y) for x, y in f.map.points if not (target.u < x < target.v)]
+    markers = [b.marker for j, b in enumerate(bumps) if j != bi]
+    return MarkedFn(PLMap(pts), markers, f.name)
+
+
+def excise(fns: Sequence[MarkedFn]) -> GenSet:
+    """Iteratively remove extraneous bumps until none remain.
+
+    An extraneous set consists of isolated bumps whose removal leaves every
+    function with at least one bump.  One bump is removed per round: from a
+    function with more positive than negative bumps, the rightmost isolated
+    bump; with balanced counts, the leftmost.
+    """
+    fns = _fast_ordered(fns, "excision")
+    while True:
+        isolated = _isolated_bumps(fns)
+        removable = [(fi, bi) for fi, bi in isolated if len(fns[fi].bumps) >= 2]
+        if not removable:
+            return order_genset(fns)
+        by_fn = {}
+        for fi, bi in removable:
+            by_fn.setdefault(fi, []).append(bi)
+        fi = min(by_fn)
+        f = fns[fi]
+        npos = sum(1 for b in f.bumps if b.sign > 0)
+        nneg = len(f.bumps) - npos
+        bi = max(by_fn[fi]) if npos > nneg else min(by_fn[fi])
+        fns[fi] = _drop_bump(f, bi)
+
+
+def render_term(t: SigTerm) -> str:
+    """A signature term as text that `parse_term` reads back to t."""
+    if t.op == "zero":
+        return "0"
+    if t.op == "one":
+        return "1"
+    if t.op == "sum":
+        return "+".join(render_term(x) for x in t.args)
+    if t.op == "star":
+        def wrap(x):
+            s = render_term(x)
+            return f"({s})" if x.op == "sum" else s
+        return "*".join(wrap(x) for x in t.args)
+    if t.op == "exp":
+        return f"exp({render_term(t.args[0])})"
+    return f"E({render_term(t.args[0])})"

@@ -2,16 +2,21 @@
 exit codes 0 (success), 1 (domain error) and 2 (parse error), and the exact
 bytes some verbs print."""
 
+import ast
+import contextlib
+import io
 import json
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from sigcalc import cli
+from sigcalc import cli, realization
 from sigcalc.ordinal import MAX_NESTING
 from sigcalc.signature import MAX_BASE, MAX_PAIR_VALUE
-from sigcalc.realization import (
-    RealizationError, diagram, excise, fig_g_set, genset_from_json, genset_to_json)
+from sigcalc.realization import RealizationError, diagram, genset_from_json, genset_to_json
+from oracles import excise, fig_g_set
 
 
 def _set_json(fns) -> str:
@@ -166,6 +171,14 @@ def test_diagram(capsys):
     assert code == 0 and out.startswith("digraph dynamical_diagram {")
     expect_error(capsys, 1, "diagram", NOT_FAST)
     expect_error(capsys, 2, "diagram", '[{"markers": []}]')
+
+
+def test_diagram_escapes_names(capsys):
+    doc = json.loads(PAIR1)
+    doc[0]["name"], doc[1]["name"] = 'a"b', "c\\d"
+    code, out, _ = run(capsys, "diagram", json.dumps(doc))
+    assert code == 0
+    assert 'label="a\\"b"' in out and 'label="c\\\\d"' in out
 
 
 def test_diagram_and_excise_require_a_fast_set():
@@ -338,6 +351,30 @@ def test_malformed_signature_json_is_a_parse_error(capsys, doc):
     assert err.startswith("error: cannot parse signature: ")
 
 
+# --- malformed generating-set documents -----------------------------------------------
+
+
+def _one_function(breakpoints=(("0", "0"), ("1/4", "1/4"), ("1/2", "3/4"), ("1", "1")),
+                  markers=("1/2",), **name):
+    return json.dumps([dict(breakpoints=breakpoints, markers=markers, **name)])
+
+
+@pytest.mark.parametrize("doc", [
+    _one_function(breakpoints=[["0", "0"], ["1/0", "1"]], markers=[]),
+    _one_function(markers=["1/0"]),
+    _one_function(markers=[float("inf")]),
+    _one_function(markers=[float("nan")]),
+    '[{"breakpoints": [[0, 0], [1e400, 1]], "markers": []}]',
+    _one_function(name=5),
+    _one_function(name=None),
+    _one_function(name=["a"]),
+])
+def test_malformed_genset_json_is_a_parse_error(capsys, doc):
+    assert run(capsys, "signature", _one_function())[0] == 0
+    err = expect_error(capsys, 2, "signature", doc)
+    assert err.startswith("error: cannot parse generating set: ")
+
+
 def test_missing_pairs_message_is_bounded(capsys):
     err = expect_error(capsys, 1, "rho", '{"n": 40, "o": {"0,1": 0}}')
     assert "missing 779 of 780 pairs" in err
@@ -353,8 +390,126 @@ def test_bang_violation_message_is_bounded(capsys):
                    "first [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 6)]\n")
 
 
+def test_outside_family_message_is_bounded(capsys):
+    x = "9" * 4300
+    for expr, reason in ((f"w*{x}", "the rank is not an omega power"),
+                         (f"w^(w*{x})", "the coefficient of the rank's log is not a power of two"),
+                         ("w^(w^2+w)", "the rank's log is not a single normal-form term")):
+        err = expect_error(capsys, 1, "ea", expr)
+        assert err == f"error: outside computed family: {reason}\n"
+
+
 def test_labels_survive_the_json_checks(capsys):
     doc = '{"labels": ["a", "b"], "n": 2, "o": {"0,1": 1}}'
     assert run(capsys, "normalize", doc)[0] == 0
     assert run(capsys, "rotate", doc) == (
         0, '{"labels": ["b^o", "a"], "n": 2, "o": {"0,1": 0}}\n', "")
+
+
+# --- the package's exports -------------------------------------------------------------
+
+
+def test_realization_exports_what_cli_and_bench_import():
+    """`sigcalc.realization` exports exactly the names the command line and the
+    benchmark import from it; tests import everything else from its submodules."""
+    root = Path(__file__).resolve().parent.parent
+    imported = set()
+    for path in [root / "src" / "sigcalc" / "cli.py", *sorted((root / "bench").glob("*.py"))]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.module == "sigcalc.realization"
+                    or (node.level == 1 and node.module == "realization")):
+                imported.update(alias.name for alias in node.names)
+    assert len(realization.__all__) == len(set(realization.__all__))
+    assert set(realization.__all__) == imported
+    public = {name for name, value in vars(realization).items()
+              if not name.startswith("_") and type(value) is not type(realization)}
+    assert public == imported
+
+
+# --- fuzzing main ----------------------------------------------------------------------
+
+
+_TERM = st.recursive(
+    st.sampled_from(["0", "1"]),
+    lambda inner: st.one_of(
+        st.tuples(inner, inner).map("+".join),
+        st.tuples(inner, inner).map("*".join),
+        inner.map("exp({})".format),
+        inner.map("E({})".format),
+        inner.map("({})".format)),
+    max_leaves=6,
+) | st.text("01+*()expE ", max_size=12)
+
+_SIGNATURE_JSON = st.builds(
+    lambda doc: json.dumps(doc),
+    st.fixed_dictionaries(
+        {"n": st.integers(-1, 4) | st.sampled_from(["2", True, None])},
+        optional={
+            "o": st.dictionaries(
+                st.sampled_from(["0,1", "0,2", "1,2", "0,3", "1,3", "2,3", "1,0", "a,b", "0"]),
+                st.integers(-1, 4) | st.sampled_from([True, 1.5, None, "1"]), max_size=6)
+            | st.sampled_from([[1], None]),
+            "labels": st.lists(st.text(max_size=2), max_size=4) | st.just("ab"),
+        }))
+
+_SIGNATURE = _TERM | _SIGNATURE_JSON
+
+_ORDINAL = st.recursive(
+    st.sampled_from(["0", "1", "2", "w"]),
+    lambda inner: st.one_of(
+        st.tuples(inner, inner).map("+".join),
+        st.tuples(inner, inner).map("*".join),
+        inner.map("w^({})".format),
+        inner.map("({})".format)),
+    max_leaves=5,
+) | st.text("012w^+*() ", max_size=10)
+
+# Coordinates: fractions whose denominator may be 0, numbers, and JSON floats
+# that are not finite.
+_COORD = (st.tuples(st.integers(0, 4), st.integers(0, 4)).map(lambda pq: "%d/%d" % pq)
+          | st.sampled_from(["0", "1", "1/2", "x", 0, 1, 0.5, True, None,
+                             float("inf"), float("nan")]))
+
+_GENSET = st.sampled_from([PAIR1, NOT_SGEN, NOT_FAST, TWO_BUMPS]) | st.builds(
+    lambda doc: json.dumps(doc),
+    st.lists(st.fixed_dictionaries(
+        {"breakpoints": st.lists(st.tuples(_COORD, _COORD), max_size=5),
+         "markers": st.lists(_COORD, max_size=2)},
+        optional={"name": st.text(max_size=3) | st.integers() | st.none()}), max_size=3)
+    | st.sampled_from([[1], {"a": 1}, "x", None]))
+
+_WORD = st.lists(
+    st.tuples(st.integers(-1, 3), st.integers(-3, 3)).map(lambda ie: "%d,%d" % ie)
+    | st.sampled_from(["0", "1^2", "0^-1", "a", "1,x"]), max_size=4).map(" ".join)
+
+_ARGV = st.one_of(
+    st.tuples(st.just("ord"), _ORDINAL).map(list),
+    st.tuples(st.just("ord"), _ORDINAL, st.sampled_from(["cmp", "add", "mul"]), _ORDINAL)
+    .map(list),
+    st.tuples(st.sampled_from(["rho", "normalize", "realize", "rotate"]), _SIGNATURE).map(list),
+    st.tuples(st.just("leq"), _SIGNATURE, _SIGNATURE).map(list),
+    st.tuples(st.just("inflate"), _SIGNATURE | _GENSET, st.integers(-1, 4))
+    .map(lambda a: [a[0], a[1], "--at=%d" % a[2]]),
+    st.tuples(st.sampled_from(["ea", "materialize"]), _ORDINAL).map(list),
+    st.tuples(st.just("ea"), _ORDINAL).map(lambda a: [*a, "--target"]),
+    st.tuples(st.sampled_from(["signature", "diagram", "verify", "rotate"]), _GENSET).map(list),
+    st.tuples(st.just("predicates"), _GENSET, _WORD, _WORD, st.none() | _WORD).map(
+        lambda a: ["predicates", a[1], "--x=" + a[2], "--y=" + a[3]]
+        + ([] if a[4] is None else ["--z=" + a[4]])),
+    st.tuples(st.integers(-1, 6), st.integers(-1, 6)).map(
+        lambda nv: ["enumerate", "--n=%d" % nv[0], "--vmax=%d" % nv[1]]),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_ARGV)
+@example(["signature", '[{"breakpoints": [["0","0"],["1/0","1"]], "markers": []}]'])
+@example(["verify", _one_function(markers=["1/0"])])
+def test_main_survives_generated_input(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2)
+    assert err.getvalue().count("\n") <= 1
+    assert (code == 0) == (err.getvalue() == "")

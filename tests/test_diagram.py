@@ -4,22 +4,9 @@ import pytest
 
 from sigcalc.signature import ONE_SIG, Signature, sig_E, sig_exp, sig_sum
 from sigcalc.realization import (
-    MarkedFn,
-    PLMap,
-    RealizationError,
-    diagram,
-    excise,
-    fig_bz_set,
-    fig_g_set,
-    is_fast,
-    make_bump_fn,
-    realize,
-    retrofit_slopes,
-    signature_of,
-    square,
-    conjugate,
-    to_dot,
-)
+    PLMap, RealizationError, diagram, is_fast, realize, signature_of, to_dot)
+from sigcalc.realization.marked import MarkedFn, conjugate, make_bump_fn, square
+from oracles import excise, fig_bz_set, fig_g_set, retrofit_slopes
 
 one = ONE_SIG
 

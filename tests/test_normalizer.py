@@ -13,7 +13,6 @@ from sigcalc.ordinal import (
     ord_cmp,
     ord_mul,
     ord_parse,
-    tau,
 )
 from sigcalc.normalizer import (
     OutsideComputedFamily,
@@ -33,7 +32,6 @@ from sigcalc.signature import (
     enumerate_signatures,
     eval_term,
     parse_term,
-    sig_drop_top,
     sig_E,
     sig_exp,
     sig_inflate,
@@ -42,7 +40,7 @@ from sigcalc.signature import (
     sig_sum,
 )
 from helpers import random_ordinal, rank_terms
-from oracles import decompose_pairwise, rho_pairwise
+from oracles import decompose_pairwise, rho_pairwise, tau
 
 one = ONE_SIG
 
@@ -180,7 +178,7 @@ def test_leq():
 def test_decrease_rank_enumerated():
     for s in enumerate_signatures(4, 3):
         if s.n:
-            assert ord_cmp(rho(sig_drop_top(s)), rho(s)) == LT
+            assert ord_cmp(rho(sig_restrict(s, range(s.n - 1))), rho(s)) == LT
 
 
 def test_inflate_restrict_monotone():

@@ -18,9 +18,9 @@ from sigcalc.ordinal import (
     ord_omega_pow,
     ord_parse,
     ord_render,
-    tau,
 )
 from helpers import random_ordinal
+from oracles import tau
 
 w = OMEGA
 

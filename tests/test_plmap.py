@@ -5,8 +5,8 @@ from fractions import Fraction as F
 import pytest
 
 from oracles import commutator, compose_pointwise, power_pointwise, swapped
-from sigcalc.realization import PLError, PLMap, pl_eval, pred_C, realize
-from sigcalc.realization.plmap import _canonical, _slopes
+from sigcalc.realization import PLMap, pl_eval, pred_C, realize
+from sigcalc.realization.plmap import PLError, _canonical, _slopes
 from sigcalc.signature import enumerate_signatures
 
 # Denominators of random breakpoints: dyadic ones, and the thirds, ninths and
@@ -211,7 +211,6 @@ def test_abutting_bumps_stay_separate():
 
 
 def test_support_hull():
-    f = bump_map(F(1, 4), F(3, 4), F(3, 8), F(5, 8))
-    assert f.support_hull() == (F(1, 4), F(3, 4))
-    with pytest.raises(PLError):
-        PLMap.identity().support_hull()
+    orbs = bump_map(F(1, 4), F(3, 4), F(3, 8), F(5, 8)).orbitals()
+    assert (orbs[0][0], orbs[-1][1]) == (F(1, 4), F(3, 4))
+    assert PLMap.identity().orbitals() == []

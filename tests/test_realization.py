@@ -17,31 +17,25 @@ from sigcalc.signature import (
     sig_sum,
 )
 from sigcalc.realization import (
-    MarkedFn,
     NotSgenError,
     PLMap,
     RealizationError,
-    canonical_bump,
-    fig_bz_set,
-    fig_g_set,
-    fn_rotate,
     genset_from_json,
     genset_to_json,
     is_fast,
     is_sgen,
-    is_standard_fn,
-    make_bump_fn,
-    midpoint_bump,
-    oscillation,
-    oscillation_matrix,
     realize,
-    rescale_fn,
     signature_of,
 )
+from sigcalc.realization.genset import oscillation
+from sigcalc.realization.marked import (
+    MarkedFn, canonical_bump, fn_rotate, is_standard_fn, make_bump_fn, midpoint_bump,
+    rescale_fn)
 from sigcalc import cli
 from sigcalc.realization import build, genset, marked, plmap
 from oracles import (
-    checked_copy, classify_pair, fn_shape, is_standard_pair, rescale_checked)
+    checked_copy, classify_pair, fig_bz_set, fig_g_set, fn_shape, is_standard_pair,
+    rescale_checked)
 
 one = ONE_SIG
 
@@ -161,9 +155,9 @@ def test_classify_g_pair_not_standard():
 
 
 def test_oscillation_matrix_g():
-    m = oscillation_matrix(fig_g_set())
-    assert {(i, j): m.val(i, j) for i, j in itertools.combinations(range(3), 2)} == {
-        (0, 1): 1, (0, 2): 2, (1, 2): 2}
+    fns = fig_g_set()
+    assert {(i, j): oscillation(fns[i], fns[j])
+            for i, j in itertools.combinations(range(3), 2)} == {(0, 1): 1, (0, 2): 2, (1, 2): 2}
     assert not is_sgen(fig_g_set())
     with pytest.raises(NotSgenError):
         signature_of(fig_g_set())
@@ -414,7 +408,7 @@ def test_o_cut_one_on_realized():
 
 def test_o_conj_bound_on_realized():
     # o(f, g^h) <= min(o(f,h), o(g,h) - 1) for standard pairs (f,h), (g,h)
-    from sigcalc.realization import conjugate
+    from sigcalc.realization.marked import conjugate
 
     for s in enumerate_signatures(3, 3):
         fns = realize(s)

@@ -12,14 +12,8 @@ from sigcalc.signature import (
     sig_sum,
 )
 from sigcalc.realization import (
-    RealizationError,
-    is_sgen,
-    oscillation,
-    realize,
-    set_inflate,
-    set_rotate,
-    signature_of,
-)
+    RealizationError, is_sgen, realize, set_inflate, set_rotate, signature_of)
+from sigcalc.realization.genset import oscillation
 
 one = ONE_SIG
 

@@ -18,10 +18,7 @@ from sigcalc.signature import (
     enumerate_signatures,
     eval_term,
     is_all_positive,
-    is_indecomposable,
     parse_term,
-    render_term,
-    sig_drop_top,
     sig_E,
     sig_exp,
     sig_from_json,
@@ -36,8 +33,8 @@ from sigcalc.signature import (
 from helpers import rank_terms
 from oracles import (
     bang, bang_rel_conj, bang_rel_p, bang_rel_q, decompose_pairwise, eval_term_pairwise,
-    sig_restrict_pairwise, sig_rotate_pairwise, sig_star_pairwise, sig_sum_pairwise,
-    sig_to_doc_pairwise, violations_pairwise)
+    render_term, sig_restrict_pairwise, sig_rotate_pairwise, sig_star_pairwise,
+    sig_sum_pairwise, sig_to_doc_pairwise, violations_pairwise)
 
 one = ONE_SIG
 
@@ -199,10 +196,8 @@ def test_restrict():
 
 
 def test_drop_top():
-    assert sig_drop_top(pair(2)) == one
-    assert sig_drop_top(FIG3) == Signature(3, {(0, 1): 3, (0, 2): 2, (1, 2): 2})
-    with pytest.raises(SignatureError):
-        sig_drop_top(ZERO_SIG)
+    assert sig_restrict(pair(2), range(1)) == one
+    assert sig_restrict(FIG3, range(3)) == Signature(3, {(0, 1): 3, (0, 2): 2, (1, 2): 2})
 
 
 def test_decompose():
@@ -211,8 +206,6 @@ def test_decompose():
     assert decompose(FIG3) == [FIG3]
     s = sig_sum(one, pair(2))
     assert decompose(s) == [one, pair(2)]
-    assert is_indecomposable(FIG3)
-    assert not is_indecomposable(s)
 
 
 # --- (!) closure: the operations build with the unchecked _trusted ------------------

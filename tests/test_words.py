@@ -7,20 +7,18 @@ import pytest
 from sigcalc.ordinal import ord_parse
 from sigcalc.normalizer import materialize
 from sigcalc.signature import ONE_SIG, Signature, enumerate_signatures, sig_star, sig_sum
-from sigcalc.realization import (
-    canonical_bump,
-    conj_map,
-    fig_bz_set,
-    fig_g_set,
-    pl_eval,
-    pred_C,
-    pred_D,
-    pred_T,
-    predicates,
-    realize,
-    retrofit_slopes,
-)
-from oracles import WreathSplitError, dom_witness, wreath_witness
+from sigcalc.realization import pl_eval, pred_C, pred_D, pred_T, predicates, realize
+from sigcalc.realization.marked import canonical_bump
+from sigcalc.realization import words
+from sigcalc.realization.words import conj_map
+from oracles import (
+    WreathSplitError, dom_witness, fig_bz_set, fig_g_set, retrofit_slopes, wreath_witness)
+
+
+def hull(m):
+    """The least and greatest points a map moves: its first and last orbitals' ends."""
+    orbs = m.orbitals()
+    return orbs[0][0], orbs[-1][1]
 
 one = ONE_SIG
 
@@ -36,8 +34,8 @@ def test_support_transforms_under_conjugation():
     fns = realize(sig_star(one, one))
     g, h = fns[0].map, fns[1].map
     conj = conj_map(g, h)
-    u, v = g.support_hull()
-    assert conj.support_hull() == (h(u), h(v))
+    u, v = hull(g)
+    assert hull(conj) == (h(u), h(v))
 
 
 def test_disjoint_supports_commute():
@@ -53,6 +51,32 @@ def test_predicates_wrapper():
     assert set(out) == {"C", "D"}
     out = predicates(fns, [(0, 1)], [(1, 1)], [(2, 1)])
     assert "T" in out
+
+
+def test_predicates_evaluate_each_predicate_once(monkeypatch):
+    """`predicates` agrees with the separate predicates and computes C(x,y) and
+    D(x,y) once: no commutation test and no conjugate is made twice."""
+    fns = realize(Signature(3, (1, 1, 1)))
+    x = [(0, 1), (0, 1)]
+    cases = [(x, [(1, 1)], [(2, 1)]),  # a tower: T reaches its last conjunct
+             (x, [(1, 1)], [(1, -1)]),
+             (x, [(2, 1)], [(0, 1)]),
+             ([(0, 1)], [(0, -1)], [(1, 1)])]  # C(x,y) holds
+    want = []
+    for words_xyz in cases:
+        xm, ym, zm = (pl_eval(fns, w) for w in words_xyz)
+        want.append({"C": pred_C(xm, ym), "D": pred_D(xm, ym), "T": pred_T(xm, ym, zm)})
+    assert [w["T"] for w in want] == [True, False, False, False]
+    calls = []
+    for name in ("pred_C", "conj_map"):
+        def counted(a, b, name=name, real=getattr(words, name)):
+            calls.append((name, a, b))
+            return real(a, b)
+        monkeypatch.setattr(words, name, counted)
+    for (xw, yw, zw), w in zip(cases, want):
+        calls.clear()
+        assert predicates(fns, xw, yw, zw) == w
+        assert calls and len(calls) == len(set(calls))
 
 
 def test_section9_predicates():
@@ -76,7 +100,7 @@ def test_tower_predicate():
     h, g, f = retrofit_slopes(fig_g_set())
     f0 = h.map
     f1 = conj_map(h.map, f.map)
-    s0, s1 = f0.support_hull(), f1.support_hull()
+    s0, s1 = hull(f0), hull(f1)
     assert s1[0] < s0[0] and s0[1] < s1[1]  # nested growth
     assert pred_T(f0, f1, g.map)
 
