@@ -73,8 +73,11 @@ class CliError(Exception):
 
 def _read_arg(arg: str) -> str:
     if os.path.exists(arg):
-        with open(arg) as fh:
-            return fh.read()
+        try:
+            with open(arg, encoding="utf-8") as fh:
+                return fh.read()
+        except (OSError, UnicodeDecodeError) as e:
+            raise CliError(f"cannot read {arg!r}: {e}", 2)
     return arg
 
 
@@ -98,7 +101,7 @@ def load_genset(arg: str):
     try:
         fns = genset_from_json(text)
     except (KeyError, TypeError, ValueError, ArithmeticError, RecursionError) as e:
-        # ArithmeticError: a coordinate like "1/0" or a JSON float past the float range
+        # ArithmeticError: a JSON float past the float range
         raise CliError(f"cannot parse generating set: {e}", 2)
     return fns
 

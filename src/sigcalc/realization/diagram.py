@@ -19,7 +19,8 @@ from .marked import MarkedFn
 
 class DynDiagram:
     """Canonical form: vertex count plus edges (src, dst, label), with labels
-    renumbered by first appearance in sorted edge order."""
+    renumbered by first appearance in sorted edge order; `names`, if given,
+    are reordered with them.  Equality ignores names."""
 
     __slots__ = ("num_vertices", "edges", "names")
 
@@ -34,7 +35,7 @@ class DynDiagram:
             canon.append((src, dst, relabel[label]))
         self.num_vertices = num_vertices
         self.edges = tuple(canon)
-        self.names = tuple(names)
+        self.names = tuple(names[label] for label in relabel) if names else ()
 
     def __eq__(self, other):
         if not isinstance(other, DynDiagram):

@@ -15,7 +15,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from ..signature import MAX_PAIR_VALUE, Signature, SignatureError
 from .marked import MarkedFn, RealizationError, conjugate, is_standard_fn, square
-from .plmap import PLMap
+from .plmap import PLMap, ratio
 
 GenSet = List[MarkedFn]
 
@@ -205,10 +205,9 @@ def genset_from_json(text: str) -> GenSet:
     doc = json.loads(text)
     out = []
     for i, entry in enumerate(doc):
-        pts = [(Fraction(x), Fraction(y)) for x, y in entry["breakpoints"]]
-        markers = [Fraction(s) for s in entry["markers"]]
+        markers = [Fraction(*ratio(s)) for s in entry["markers"]]
         name = entry.get("name", str(i))
         if not isinstance(name, str):
             raise TypeError(f'"name" of function {i} is not a string')
-        out.append(MarkedFn(PLMap(pts), markers, name))
+        out.append(MarkedFn(PLMap(entry["breakpoints"]), markers, name))
     return out

@@ -1,102 +1,150 @@
 """Exact increasing piecewise-linear bijections of [0,1].
 
-Breakpoints are Fractions; maps are stored in minimal form (no collinear
-interior breakpoints), so equality of maps is equality of breakpoint tuples.
-No floating point anywhere.
+A map is stored in one canonical integer form: a flat tuple of four
+integers (xn, xd, yn, yd) per breakpoint (xn/xd, yn/yd), each coordinate
+reduced with a positive denominator, and no collinear interior breakpoints.
+Equality is equality of these tuples, and composition, inversion and powers
+work on integers alone.  `points` is a read-only view of the breakpoints as
+reduced Fraction pairs, built on first read or kept from the Fractions the
+map was made from.  No floating point anywhere.
 
-`PLMap(points)` is the one checked constructor: it sorts the points, checks
-that they run from (0,0) to (1,1) strictly increasing in both coordinates,
-and drops collinear ones.  Maps derived from valid maps (`inverse`, `then`,
-powers, and the affine copies, restrictions and two-piece bumps of
-`marked`) are built sorted and minimal and go through `PLMap._trusted`,
-which only checks that both coordinates strictly increase.
+`PLMap(points)` is the one checked constructor: it reads coordinates with
+`ratio`, sorts the points, drops collinear ones, and checks that they run
+from (0,0) to (1,1) strictly increasing in both coordinates.  Maps derived
+from valid maps (`inverse`, `then`, powers, and through `PLMap._trusted`
+the affine copies, restrictions and bumps of `marked`) are only checked
+for strictly increasing coordinates.
 
-A map's segment slopes are derived once per map: `slopes` starts as None
-and is filled from the points the first time the map is composed.  `then`
-records the slope of each segment it emits and `inverse` takes the
-reciprocals of known slopes, so derived maps (powers and `pl_eval`
-products too) carry theirs without deriving them again.
+Slopes are reduced (p, q) pairs, derived once per map: `slopes` is None
+until the map is first composed; `then` records the slope of each segment
+it emits and `inverse` swaps known ones, so derived maps carry theirs.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from functools import cmp_to_key
+from math import gcd
+from typing import Iterable, List, Optional, Tuple
 
 Point = Tuple[Fraction, Fraction]
+
+# An optionally signed integer, or a fraction n/d with d > 0.  Exponent
+# notation such as "1e10000000" is refused before any integer is built.
+_RATIO = re.compile(r"\s*([+-]?\d+)(?:/(0*[1-9]\d*))?\s*")
 
 
 class PLError(ValueError):
     pass
 
 
-def _canonical(points: Sequence[Point]) -> Tuple[Point, ...]:
-    pts = sorted(set((Fraction(x), Fraction(y)) for x, y in points))
-    if not pts or pts[0] != (0, 0) or pts[-1] != (1, 1):
-        raise PLError("breakpoints must run from (0,0) to (1,1)")
-    for (x1, y1), (x2, y2) in zip(pts, pts[1:]):
-        if x2 <= x1 or y2 <= y1:
-            raise PLError("breakpoints must be strictly increasing in both coordinates")
-    # drop interior points collinear with their neighbours
-    out: List[Point] = [pts[0]]
-    for i in range(1, len(pts) - 1):
-        x0, y0 = out[-1]
-        x1, y1 = pts[i]
-        x2, y2 = pts[i + 1]
-        if (y1 - y0) * (x2 - x1) == (y2 - y1) * (x1 - x0):
-            continue
-        out.append(pts[i])
-    out.append(pts[-1])
-    return tuple(out)
+def _reduced(n: int, d: int) -> Tuple[int, int]:
+    g = gcd(n, d)
+    return n // g, d // g
+
+
+def ratio(x) -> Tuple[int, int]:
+    """x as a reduced (numerator, denominator) pair: a string must match
+    _RATIO, and anything else is read by `Fraction`."""
+    if not isinstance(x, str):
+        return Fraction(x).as_integer_ratio()
+    m = _RATIO.fullmatch(x)
+    if m is None:
+        raise ValueError(f"not an integer or a fraction n/d with d > 0: {x[:40]!r}")
+    return _reduced(int(m[1]), int(m[2] or 1))
+
+
+def _quads(bp: Tuple[int, ...]) -> List[Tuple[int, int, int, int]]:
+    it = iter(bp)
+    return list(zip(it, it, it, it))
+
+
+def _slope(a, b) -> Tuple[int, int]:
+    """The reduced slope from breakpoint (xn, xd, yn, yd) a to b."""
+    return _reduced((b[2] * a[3] - a[2] * b[3]) * a[1] * b[1],
+                    (b[0] * a[1] - a[0] * b[1]) * a[3] * b[3])
 
 
 def _slopes(points: Tuple[Point, ...]) -> Tuple[Fraction, ...]:
     return tuple((y1 - y0) / (x1 - x0) for (x0, y0), (x1, y1) in zip(points, points[1:]))
 
 
+def _canonical(points: Iterable):
+    """The sorted minimal breakpoints as a flat tuple, and the given points
+    as their view if all are Fractions (else None).  The caller checks that
+    they increase: dropping a collinear point hides no pair that does not."""
+    given = {ratio(x) + ratio(y): (x, y) for x, y in points}
+    bp = sorted(given, key=cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1]))
+    if not bp or bp[0] != (0, 1, 0, 1) or bp[-1] != (1, 1, 1, 1):
+        raise PLError("breakpoints must run from (0,0) to (1,1)")
+    out = bp[:2]
+    for b in bp[2:]:
+        if _slope(out[-2], out[-1]) == _slope(out[-1], b):
+            out[-1] = b
+        else:
+            out.append(b)
+    view = tuple(given[b] for b in out)
+    if not all(type(x) is Fraction is type(y) for x, y in view):
+        view = None
+    return tuple(c for b in out for c in b), view
+
+
 class PLMap:
     """An increasing PL bijection of [0,1], composed left to right.
 
-    `slopes[k]` is the slope between `points[k]` and `points[k + 1]`, or
-    None until the map is first composed."""
+    `slopes[k]` is the slope between breakpoints k and k + 1, or None until
+    the map is first composed."""
 
-    __slots__ = ("points", "slopes")
+    __slots__ = ("_bp", "_points", "slopes")
 
-    def __init__(self, points: Iterable[Point]):
-        object.__setattr__(self, "points", _canonical(list(points)))
-        object.__setattr__(self, "slopes", None)
+    def __new__(cls, points: Iterable):
+        return cls._derived(*_canonical(points))
 
     @classmethod
-    def _trusted(cls, points: Tuple[Point, ...],
-                 slopes: Optional[Tuple[Fraction, ...]] = None) -> "PLMap":
-        """A map on breakpoints derived from valid maps: already sorted,
-        running from (0,0) to (1,1) and minimal, with the slopes of its
-        segments if the caller derived them.  Only checks that both
-        coordinates strictly increase."""
-        for (x1, y1), (x2, y2) in zip(points, points[1:]):
-            if x2 <= x1 or y2 <= y1:
+    def _trusted(cls, points: Tuple[Point, ...]) -> "PLMap":
+        """A map on Fraction breakpoints derived from valid maps, kept as its
+        view: already sorted, running from (0,0) to (1,1) and minimal."""
+        return cls._derived(tuple(c for x, y in points for c in (
+            x.numerator, x.denominator, y.numerator, y.denominator)), points)
+
+    @classmethod
+    def _derived(cls, bp: Tuple[int, ...], points: Optional[Tuple[Point, ...]] = None,
+                 slopes: Optional[Tuple[Tuple[int, int], ...]] = None) -> "PLMap":
+        """A map on canonical breakpoints, with its view and slopes if known.
+        Only checks that both coordinates strictly increase."""
+        quads = _quads(bp)
+        for (x1, xd1, y1, yd1), (x2, xd2, y2, yd2) in zip(quads, quads[1:]):
+            if x2 * xd1 <= x1 * xd2 or y2 * yd1 <= y1 * yd2:
                 raise PLError("breakpoints must be strictly increasing in both coordinates")
         m = object.__new__(cls)
-        object.__setattr__(m, "points", points)
-        object.__setattr__(m, "slopes", slopes)
+        for name, value in zip(cls.__slots__, (bp, points, slopes)):
+            object.__setattr__(m, name, value)
         return m
 
     def __setattr__(self, name, value):
         raise AttributeError("PLMap is immutable")
 
-    def _known_slopes(self) -> Tuple[Fraction, ...]:
+    @property
+    def points(self) -> Tuple[Point, ...]:
+        if self._points is None:
+            object.__setattr__(self, "_points", tuple(
+                (Fraction(xn, xd), Fraction(yn, yd)) for xn, xd, yn, yd in _quads(self._bp)))
+        return self._points
+
+    def _known_slopes(self) -> Tuple[Tuple[int, int], ...]:
         if self.slopes is None:
-            object.__setattr__(self, "slopes", _slopes(self.points))
+            quads = _quads(self._bp)
+            object.__setattr__(self, "slopes", tuple(map(_slope, quads, quads[1:])))
         return self.slopes
 
     @staticmethod
     def identity() -> "PLMap":
-        return PLMap._trusted(((Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))),
-                              (Fraction(1),))
+        return PLMap._derived((0, 1, 0, 1, 1, 1, 1, 1), None, ((1, 1),))
 
     @property
     def is_identity(self) -> bool:
-        return len(self.points) == 2
+        return len(self._bp) == 8
 
     def __call__(self, x) -> Fraction:
         x = Fraction(x)
@@ -116,10 +164,10 @@ class PLMap:
         return y1 + (y2 - y1) * (x - x1) / (x2 - x1)
 
     def inverse(self) -> "PLMap":
-        slopes = self.slopes
-        if slopes is not None:
-            slopes = tuple(1 / s for s in slopes)
-        return PLMap._trusted(tuple((y, x) for x, y in self.points), slopes)
+        slopes, points, bp = self.slopes, self._points, list(self._bp)
+        bp[0::4], bp[1::4], bp[2::4], bp[3::4] = bp[2::4], bp[3::4], bp[0::4], bp[1::4]
+        return PLMap._derived(tuple(bp), points and tuple((y, x) for x, y in points),
+                              slopes and tuple((q, p) for p, q in slopes))
 
     def then(self, other: "PLMap") -> "PLMap":
         """The composition apply-self-then-other.
@@ -130,47 +178,41 @@ class PLMap:
         of the result exactly where that product changes, and only those
         points are computed.  Both maps are minimal, so their slopes change
         at each of their breakpoints: a merged value where only one map
-        breaks always starts a new segment, and products are compared only
-        where both break.
+        breaks always starts a new segment, and products are compared, by
+        cross-multiplication, only where both break.
         """
         if self.is_identity:
             return other
         if other.is_identity:
             return self
-        a, b = self.points, other.points
+        a, b = self._bp, other._bp
         sa, sb = self._known_slopes(), other._known_slopes()
-        last_a, last_b = len(sa) - 1, len(sb) - 1
-        # the current segments: a[i]..a[i+1] and b[j]..b[j+1]
+        last_a, last_b = len(a) - 8, len(b) - 8
+        # the current segments start at a[i:i + 4] and b[j:j + 4]
         i = j = 0
-        slope = sa[0] * sb[0]
-        out, slopes = [a[0]], [slope]
+        out, slopes = list(a[:4]), [_reduced(sa[0][0] * sb[0][0], sa[0][1] * sb[0][1])]
         while i < last_a or j < last_b:
             # step past the next merged value on each map with a breakpoint
             # there; it becomes the start of that map's current segment
-            y, u = a[i + 1][1], b[j + 1][0]
-            if y < u:
-                i += 1
-                x0, y0 = a[i]
-                u0, v0 = b[j]
-                out.append((x0, v0 + sb[j] * (y0 - u0)))
-                slope = sa[i] * sb[j]
-            elif u < y:
-                j += 1
-                x0, y0 = a[i]
-                u0, v0 = b[j]
-                out.append((x0 + (u0 - y0) / sa[i], v0))
-                slope = sa[i] * sb[j]
+            c = a[i + 6] * b[j + 5] - b[j + 4] * a[i + 7]
+            i += 4 if c <= 0 else 0
+            j += 4 if c >= 0 else 0
+            xn, xd, yn, yd = a[i:i + 4]
+            un, ud, vn, vd = b[j:j + 4]
+            (ap, aq), (bp, bq) = sa[i >> 2], sb[j >> 2]
+            if c < 0:  # a breaks inside b's segment: y's image under b
+                d = bq * yd * ud
+                out += (xn, xd) + _reduced(vn * d + bp * (yn * ud - un * yd) * vd, vd * d)
+            elif c > 0:  # b breaks inside a's image: u's preimage under a
+                d = ap * ud * yd
+                out += _reduced(xn * d + aq * (un * yd - yn * ud) * xd, xd * d) + (vn, vd)
+            elif ap * bp * slopes[-1][1] == slopes[-1][0] * aq * bq:  # both break, same slope
+                continue
             else:
-                i += 1
-                j += 1
-                new_slope = sa[i] * sb[j]
-                if new_slope == slope:
-                    continue
-                out.append((a[i][0], b[j][1]))
-                slope = new_slope
-            slopes.append(slope)
-        out.append(a[-1])
-        return PLMap._trusted(tuple(out), tuple(slopes))
+                out += (xn, xd, vn, vd)
+            slopes.append(_reduced(ap * bp, aq * bq))
+        out += a[-4:]
+        return PLMap._derived(tuple(out), None, tuple(slopes))
 
     def __pow__(self, k: int) -> "PLMap":
         if k == 0:
@@ -182,10 +224,10 @@ class PLMap:
         return out
 
     def __eq__(self, other):
-        return isinstance(other, PLMap) and self.points == other.points
+        return isinstance(other, PLMap) and self._bp == other._bp
 
     def __hash__(self):
-        return hash(self.points)
+        return hash(self._bp)
 
     def __repr__(self):
         pts = ", ".join(f"({x},{y})" for x, y in self.points)

@@ -7,6 +7,7 @@ import contextlib
 import io
 import json
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -373,6 +374,53 @@ def test_malformed_genset_json_is_a_parse_error(capsys, doc):
     assert run(capsys, "signature", _one_function())[0] == 0
     err = expect_error(capsys, 2, "signature", doc)
     assert err.startswith("error: cannot parse generating set: ")
+
+
+@pytest.mark.parametrize("where", ["breakpoint", "marker"])
+def test_exponent_notation_is_refused_before_it_is_expanded(capsys, where):
+    # read as 10**10000000, this coordinate took seconds to build
+    doc = (_one_function(breakpoints=[["0", "0"], ["1e10000000", "1"], ["1", "1"]])
+           if where == "breakpoint" else _one_function(markers=["1e10000000"]))
+    start = time.perf_counter()
+    err = expect_error(capsys, 2, "signature", doc)
+    assert time.perf_counter() - start < 0.5
+    assert err.startswith("error: cannot parse generating set: ")
+
+
+def test_coordinates_read_as_before(capsys):
+    doc = _one_function(breakpoints=[[" 0", "-0"], ["+1/4", "2/8"], ["1/2", "3/4"], [1, True]],
+                        markers=[0.5])
+    assert run(capsys, "signature", doc) == run(capsys, "signature", _one_function())
+
+
+def _unreadable(path, monkeypatch):
+    """path without read permission; also for a superuser, whom the mode
+    does not stop."""
+    path.write_text("1+1")
+    path.chmod(0)
+    real_open = open
+
+    def denying_open(file, *args, **kwargs):
+        if str(file) == str(path):
+            raise PermissionError(13, "Permission denied", str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", denying_open)
+    return path
+
+
+@pytest.mark.parametrize("case", ["directory", "unreadable", "not utf-8"])
+def test_path_that_cannot_be_read_is_a_parse_error(capsys, monkeypatch, tmp_path, case):
+    path = tmp_path / "arg"
+    if case == "directory":
+        path.mkdir()
+    elif case == "unreadable":
+        _unreadable(path, monkeypatch)
+    else:
+        path.write_bytes(b"1+\xff")
+    for verb in ("rho", "signature", "ord"):
+        err = expect_error(capsys, 2, verb, str(path))
+        assert err.startswith(f"error: cannot read {str(path)!r}: ")
 
 
 def test_missing_pairs_message_is_bounded(capsys):

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -56,6 +57,23 @@ def test_to_dot_deterministic():
     assert text == to_dot(diagram(fig_bz_set()))
     assert text.startswith("digraph")
     assert 'label="a"' in text and "rank=same" in text
+
+
+def test_dot_labels_each_bump_with_its_own_function():
+    # in G, h's one bump lies inside g's, and f has negative bumps (back
+    # edges) as well as positive ones; the set order is not the edge order
+    fns = fig_g_set()
+    edges = {f.name: [] for f in fns}
+    for line in to_dot(diagram(fns)).splitlines():
+        m = re.fullmatch(r'  v(\d+) -> v(\d+) \[label="(\w+)"\];', line)
+        if m:
+            edges[m[3]].append((int(m[1]), int(m[2])))
+    for f in fns:
+        assert sorted(1 if src < dst else -1 for src, dst in edges[f.name]) == \
+            sorted(b.sign for b in f.bumps)
+    (g_lo, g_hi), = edges["g"]
+    (h_lo, h_hi), = edges["h"]
+    assert g_lo < h_lo < h_hi < g_hi
 
 
 # --- excision -----------------------------------------------------------------

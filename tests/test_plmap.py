@@ -6,7 +6,7 @@ import pytest
 
 from oracles import commutator, compose_pointwise, power_pointwise, swapped
 from sigcalc.realization import PLMap, pl_eval, pred_C, realize
-from sigcalc.realization.plmap import PLError, _canonical, _slopes
+from sigcalc.realization.plmap import PLError, _slopes
 from sigcalc.signature import enumerate_signatures
 
 # Denominators of random breakpoints: dyadic ones, and the thirds, ninths and
@@ -107,12 +107,19 @@ def test_inverse_and_powers_match_pointwise_reference():
             assert f ** k == power_pointwise(f, k)
 
 
+def int_slopes(m):
+    """The slopes m's points give, as reduced (p, q) pairs."""
+    return tuple((s.numerator, s.denominator) for s in _slopes(m.points))
+
+
 def assert_slopes(m, carried=True):
-    """m is minimal, and its slopes, if known (and always when carried), are
-    the ones its points give."""
-    assert _canonical(m.points) == m.points
+    """m is minimal and canonical, its points are the view of its integer
+    form, and its slopes, if known (and always when carried), are the ones
+    its points give."""
+    checked = PLMap(m.points)
+    assert checked == m and checked.points == m.points
     if carried or m.slopes is not None:
-        assert m.slopes == _slopes(m.points)
+        assert m.slopes == int_slopes(m)
 
 
 def derived(op, m, other=None, k=None):
@@ -141,7 +148,7 @@ def test_carried_slopes_match_points(den):
         # composing derives each operand's slopes once, on the operand
         fg = derived("then", f, g)
         if not (f.is_identity or g.is_identity):
-            assert f.slopes == _slopes(f.points) and g.slopes == _slopes(g.points)
+            assert f.slopes == int_slopes(f) and g.slopes == int_slopes(g)
         f_inv = derived("inverse", f)
         # breakpoints that coincide and cancel: f against f-inverse, f
         # against a map breaking at f's y-values, and the merge that undoes f
@@ -164,6 +171,30 @@ def test_pl_eval_carries_slopes(sig):
     for a, b in itertools.product(letters, letters):
         assert_slopes(pl_eval(fns, [a, b]))
         assert_slopes(pl_eval(fns, [a, b, a]))
+
+
+def test_equal_maps_by_any_route_are_one_canonical_form():
+    rng = random.Random(5)
+    for _ in range(60):
+        f, g = random_map(rng), random_map(rng)
+        fg = f.then(g)
+        routes = [
+            PLMap(fg.points),
+            PLMap([(str(x), str(y)) for x, y in reversed(fg.points)]),
+            PLMap([(0, 0), *fg.points[1:-1], (F(1, 2), fg(F(1, 2))), (1, 1)]),
+            PLMap._trusted(fg.points),
+            compose_pointwise(f, g),
+            g.inverse().then(f.inverse()).inverse(),
+            fg.inverse().inverse(),
+            (fg ** 3).then(fg ** -2),
+            (f ** -1).inverse().then(g),
+        ]
+        for m in routes:
+            assert m == fg and hash(m) == hash(fg)
+            assert m.points == fg.points
+            assert all(type(c) is F for p in m.points for c in p)
+        assert f ** 3 == f.then(f).then(f) == (f ** -3).inverse()
+        assert hash(f ** 3) == hash((f ** -3).inverse())
 
 
 LETTERS = [(i, e) for i in range(3) for e in (1, -1)]
