@@ -42,7 +42,6 @@ from .signature import (
     SignatureError,
     SignatureParseError,
     enumerate_signatures,
-    eval_term,
     parse_term,
     sig_from_json,
     sig_inflate,
@@ -84,7 +83,7 @@ def _read_arg(arg: str) -> str:
 def load_signature(arg: str) -> Signature:
     text = _read_arg(arg).strip()
     try:
-        sig = sig_from_json(text) if text.startswith("{") else eval_term(parse_term(text))
+        sig = sig_from_json(text) if text.startswith("{") else parse_term(text)
     except (SignatureParseError, RecursionError) as e:
         raise CliError(f"cannot parse signature: {e}", 2)
     except SignatureError as e:

@@ -205,9 +205,16 @@ def genset_from_json(text: str) -> GenSet:
     doc = json.loads(text)
     out = []
     for i, entry in enumerate(doc):
-        markers = [Fraction(*ratio(s)) for s in entry["markers"]]
+        markers = entry["markers"]
+        if not isinstance(markers, list):
+            raise TypeError(f'"markers" of function {i} is not an array')
+        markers = [Fraction(*ratio(s)) for s in markers]
         name = entry.get("name", str(i))
         if not isinstance(name, str):
             raise TypeError(f'"name" of function {i} is not a string')
-        out.append(MarkedFn(PLMap(entry["breakpoints"]), markers, name))
+        points = entry["breakpoints"]
+        if not (isinstance(points, list) and all(isinstance(p, list) and len(p) == 2
+                                                 for p in points)):
+            raise TypeError(f'"breakpoints" of function {i} is not an array of [x, y] arrays')
+        out.append(MarkedFn(PLMap(points), markers, name))
     return out

@@ -66,10 +66,6 @@ def _slope(a, b) -> Tuple[int, int]:
                     (b[0] * a[1] - a[0] * b[1]) * a[3] * b[3])
 
 
-def _slopes(points: Tuple[Point, ...]) -> Tuple[Fraction, ...]:
-    return tuple((y1 - y0) / (x1 - x0) for (x0, y0), (x1, y1) in zip(points, points[1:]))
-
-
 def _canonical(points: Iterable):
     """The sorted minimal breakpoints as a flat tuple, and the given points
     as their view if all are Fractions (else None).  The caller checks that

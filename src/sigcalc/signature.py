@@ -10,22 +10,23 @@ matrices are exactly the ones realizable as pairwise oscillations of a
 standard generating set; the symbolic operations here (+, *, exp, E,
 rotation, inflation, restriction) mirror the geometric ones.
 
-(!) is checked once, where a matrix enters: `Signature(n, o, labels)` checks
-it, for JSON and CLI input and in `realization.signature_of`.  The operations
-and `enumerate_signatures` keep (!) by construction and build with the
-unchecked `_trusted`; the closure tests in tests/test_signature.py assert
-`violations() == []` on everything they build.
+`Signature` is the one matrix class.  `Signature(n, o, labels)` checks shape,
+then (!), where a matrix enters: JSON and CLI input, and
+`realization.signature_of`.  The operations, `parse_term` (which evaluates a
+term as it reads it) and `enumerate_signatures` keep (!) by construction and
+build with the unchecked `_trusted`; tests read the violations of any matrix
+as `_trusted(n, vals).violations()`.
 
 Pair values are stored row-major: `vals` is o(0,1), ..., o(0,n-1), o(1,2),
 ..., o(n-2,n-1), so row i, holding o(i,i+1), ..., o(i,n-1), is one contiguous
 slice.  `_rows(a)` returns these n slices (the last one empty), and the
 operations that move whole blocks of a matrix (`sig_sum`, `sig_star`,
-`decompose`, `sig_restrict`, `sig_rotate`, `sig_to_json`) read and build
-their values row by row from it, not by one `val` lookup per pair; in a
-row, o(i,j) is at position j-i-1 and the top column o(i,n-1) is `row[-1]`.
-The (!) check `violations` reads each pair value once, from the rows too.
-The per-pair forms they replaced are kept in tests/oracles.py, and
-tests/test_signature.py checks the row forms against them.
+`decompose`, `sig_restrict`, `sig_rotate`, `sig_to_json`) and `violations`
+read and build their values row by row from it; in a row, o(i,j) is at
+position j-i-1 and the top column o(i,n-1) is `row[-1]`.  `sig_inflate`
+builds its values in one pass over the new base.  The per-pair forms these
+replaced are kept in tests/oracles.py, and tests/test_signature.py checks
+the library against them.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ def bang_rel(p: int, q: int, r: int) -> bool:
     return r == m
 
 
-# --- matrices and signatures -------------------------------------------------
+# --- signatures --------------------------------------------------------------
 
 
 def _pair_index(n: int, i: int, j: int) -> int:
@@ -74,8 +75,12 @@ def _pairs(n: int) -> Iterable[Tuple[int, int]]:
     return itertools.combinations(range(n), 2)
 
 
-class OscMatrix:
-    """A raw nonnegative matrix on pairs of 0..n-1, prior to validation."""
+class Signature:
+    """Nonnegative pair values on the base 0..n-1 that satisfy (!).
+
+    Equality and hashing ignore labels: every signature is identified with
+    its canonical relabeling to base 0..n-1.
+    """
 
     __slots__ = ("n", "vals", "labels")
 
@@ -109,6 +114,9 @@ class OscMatrix:
             if len(labels) != n:
                 raise SignatureError("label list length differs from base size")
         self.labels = labels
+        bad = self.violations()
+        if bad:
+            raise SignatureError(f"(!) fails at {len(bad)} triples, first {bad[:5]}")
 
     def val(self, i: int, j: int) -> int:
         if not (0 <= i < j < self.n):
@@ -126,20 +134,6 @@ class OscMatrix:
                     if not bang_rel(jk, ik, row_i[j - i - 1]):
                         out.append((i, j, k))
         return out
-
-
-class Signature(OscMatrix):
-    """An OscMatrix certified to satisfy (!).
-
-    Equality and hashing ignore labels: every signature is identified with
-    its canonical relabeling to base 0..n-1.
-    """
-
-    def __init__(self, n, o, labels=None):
-        super().__init__(n, o, labels)
-        bad = self.violations()
-        if bad:
-            raise SignatureError(f"(!) fails at {len(bad)} triples, first {bad[:5]}")
 
     def __eq__(self, other):
         if isinstance(other, Signature):
@@ -173,7 +167,7 @@ def _trusted(n: int, vals: Sequence[int], labels=None) -> Signature:
     return s
 
 
-def _rows(a: OscMatrix) -> List[Tuple[int, ...]]:
+def _rows(a: Signature) -> List[Tuple[int, ...]]:
     """The n rows of a's values: row i is (o(i,i+1), ..., o(i,n-1))."""
     vals, rows, start = a.vals, [], 0
     for width in range(a.n - 1, -1, -1):
@@ -326,48 +320,27 @@ def sig_inflate(a: Signature, m: int) -> Signature:
 
     Adjoins a conjugate i^m for each i < m with o(i,m) > 0.  The new base
     order is: originals below m, then conjugates in order, then m and above.
-    New values use the min-formulas with the convention o(m,m) = infinity;
-    the sentinel never appears in the output.
+    Pairs of two originals or two conjugates keep their value; across,
+
+        o(i, j^m) = min(o(j,m) - 1, o(i,m))    for an original i < m,
+        o(i^m, k) = min(o(i,m), o(m,k))        for k > m, and o(i^m, m) = o(i,m).
     """
     if not (0 <= m < a.n):
         raise SignatureError(f"base element {m} out of range")
-    conj = [i for i in range(m) if a.val(i, m) > 0]
-    INF = float("inf")
-
-    def old(i: int, j: int):
-        if i == j:
-            return INF
-        return a.val(min(i, j), max(i, j))
-
-    # new base: 0..m-1, then conjugates c^m (c in conj), then m..n-1
-    n_new = a.n + len(conj)
-    pos_orig = {i: i for i in range(m)}
-    pos_conj = {c: m + t for t, c in enumerate(conj)}
-    pos_high = {k: k + len(conj) for k in range(m, a.n)}
-    vals = [0] * (n_new * (n_new - 1) // 2)
-
-    def put(p: int, q: int, v):
-        if v == INF or not isinstance(v, int):
-            raise SignatureError("infinity sentinel escaped inflation")
-        vals[_pair_index(n_new, min(p, q), max(p, q))] = v
-
-    for i, j in _pairs(m):  # originals below m, unchanged
-        put(pos_orig[i], pos_orig[j], a.val(i, j))
-    for i in range(m):  # original below m vs m and above, unchanged
-        for k in range(m, a.n):
-            put(pos_orig[i], pos_high[k], a.val(i, k))
-    for k1, k2 in _pairs(a.n):  # m and above, unchanged
-        if k1 >= m:
-            put(pos_high[k1], pos_high[k2], a.val(k1, k2))
-    for ci, cj in itertools.combinations(conj, 2):  # conjugate vs conjugate
-        put(pos_conj[ci], pos_conj[cj], a.val(ci, cj))
-    for i in range(m):  # original below m vs conjugate
-        for j in conj:
-            put(pos_orig[i], pos_conj[j], min(a.val(j, m) - 1, a.val(i, m)))
-    for i in conj:  # conjugate vs m and above
-        for k in range(m, a.n):
-            v = min(old(i, m), old(m, k))
-            put(pos_conj[i], pos_high[k], int(v))
+    val = a.val
+    conj = [i for i in range(m) if val(i, m) > 0]
+    # the new base as (old element, is a conjugate) pairs
+    base = [(i, False) for i in range(m)] + [(c, True) for c in conj]
+    base += [(k, False) for k in range(m, a.n)]
+    vals: List[int] = []
+    for p, (x, x_conj) in enumerate(base):
+        for y, y_conj in base[p + 1:]:
+            if x_conj == y_conj:
+                vals.append(val(x, y))
+            elif y_conj:
+                vals.append(min(val(y, m) - 1, val(x, m)))
+            else:
+                vals.append(val(x, m) if y == m else min(val(x, m), val(m, y)))
 
     labels = None
     src = a.default_labels()
@@ -380,7 +353,7 @@ def sig_inflate(a: Signature, m: int) -> Signature:
         labels = tuple(new_labels)
     elif a.labels is not None:
         labels = a.labels
-    return _trusted(n_new, vals, labels)
+    return _trusted(len(base), vals, labels)
 
 
 # --- signature terms ---------------------------------------------------------
@@ -390,95 +363,73 @@ def sig_inflate(a: Signature, m: int) -> Signature:
 
 # Largest base a signature term may have, counted as its '1' leaves: every
 # operation costs O(n^3) per derived signature (rho on a chain 1*1*...*1 of
-# 256 takes about 1.5 s under CPython 3.11 on one x86-64 core), and
-# eval_term recurses once per '*' of a chain.
+# 256 takes about 1.5 s under CPython 3.11 on one x86-64 core).
 MAX_BASE = 256
 
 
-class SigTerm:
-    """Expression tree over {zero, one, sum, star, exp, E}."""
-
-    __slots__ = ("op", "args")
-
-    def __init__(self, op: str, args: Tuple["SigTerm", ...] = ()):
-        if op not in ("zero", "one", "sum", "star", "exp", "E"):
-            raise SignatureError(f"unknown term operation {op!r}")
-        self.op = op
-        self.args = args
-
-    def __eq__(self, other):
-        return isinstance(other, SigTerm) and (self.op, self.args) == (other.op, other.args)
-
-    def __hash__(self):
-        return hash((self.op, self.args))
-
-    def __repr__(self):
-        return f"SigTerm({self.op!r}, {self.args!r})"
-
-
-def eval_term(t: SigTerm) -> Signature:
-    if t.op == "zero":
-        return ZERO_SIG
-    if t.op == "one":
-        return ONE_SIG
-    if t.op == "sum":
-        return sig_sum(*(eval_term(x) for x in t.args))
-    if t.op == "star":
-        a, b = (eval_term(x) for x in t.args)
-        return sig_star(a, b)
-    if t.op == "exp":
-        return sig_exp(eval_term(t.args[0]))
-    if t.op == "E":
-        return sig_E(eval_term(t.args[0]))
-    raise SignatureError(f"unknown term {t.op!r}")
-
-
 class _TermParser(Scanner):
+    """Evaluates a term as it reads it.  A failed star is raised only after the
+    whole text parses, so malformed text is reported as such first."""
+
     def __init__(self, text: str):
         super().__init__(text, TermParseError)
         self.base = 0
+        self.star_error: Optional[SignatureError] = None
 
-    def expr(self) -> SigTerm:
+    def expr(self) -> Signature:
         parts = [self.term()]
         while self.peek() == "+":
             self.pos += 1
             parts.append(self.term())
-        return parts[0] if len(parts) == 1 else SigTerm("sum", tuple(parts))
+        return parts[0] if len(parts) == 1 else sig_sum(*parts)
 
-    def term(self) -> SigTerm:
+    def term(self) -> Signature:
         value = self.atom()
         while self.peek() == "*":
             self.pos += 1
-            value = SigTerm("star", (value, self.atom()))
+            right = self.atom()
+            try:
+                value = sig_star(value, right)
+            except SignatureError as e:
+                self.star_error = self.star_error or e
         return value
 
-    def atom(self) -> SigTerm:
+    def atom(self) -> Signature:
         ch = self.peek()
         if ch == "0":
             self.pos += 1
-            return SigTerm("zero")
+            return ZERO_SIG
         if ch == "1":
             if self.base == MAX_BASE:
                 self.error(f"base larger than {MAX_BASE}")
             self.base += 1
             self.pos += 1
-            return SigTerm("one")
+            return ONE_SIG
         if ch == "(":
             return self.group(self.expr)
         if self.text.startswith("exp", self.pos):
             self.pos += 3
-            return SigTerm("exp", (self.group(self.expr),))
+            return sig_exp(self.group(self.expr))
         if ch == "E":
             self.pos += 1
-            return SigTerm("E", (self.group(self.expr),))
+            return sig_E(self.group(self.expr))
         self.error("expected '0', '1', 'exp(', 'E(' or '('")
 
 
-def parse_term(text: str) -> SigTerm:
+def parse_term(text: str) -> Signature:
+    """The signature a term denotes.  Raises TermParseError for malformed
+    text, else SignatureError for a star with a right factor not all-positive."""
     p = _TermParser(text)
     value = p.expr()
     p.end()
+    if p.star_error:
+        raise p.star_error
     return value
+
+
+def eval_term(sig: Signature) -> Signature:
+    """sig itself; kept for bench/inputs.py, which calls it on parse_term's result."""
+    return sig
 
 
 # --- enumeration and JSON ----------------------------------------------------
@@ -524,7 +475,7 @@ def enumerate_signatures(n: int, vmax: int) -> List[Signature]:
     return out
 
 
-def sig_to_json(a: OscMatrix) -> str:
+def sig_to_json(a: Signature) -> str:
     o = {f"{i},{j}": v for i, row in enumerate(_rows(a)) for j, v in enumerate(row, i + 1)}
     doc = {"n": a.n, "o": o}
     if a.labels is not None:

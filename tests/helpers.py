@@ -4,7 +4,7 @@ import functools
 import random
 
 from sigcalc.ordinal import Ordinal, ord_cmp
-from sigcalc.signature import SigTerm
+from oracles import SigTerm
 
 
 def random_ordinal(rng: random.Random, depth: int = 3, max_terms: int = 2,

@@ -14,13 +14,17 @@ transport (`rename`, `rescale_fn`, `fn_rotate`, `make_bump_fn`).
 `dom_witness` and `wreath_witness` certify the domination predicate and a
 wreath decomposition at a *-split.  The `*_pairwise` functions are the
 signature operations and rho written one pair at a time through
-`OscMatrix.val` and the pair index, the reference for the row-wise forms in
-the library.
+`Signature.val` and the pair index, the reference for the row-wise forms in
+the library; `sig_inflate_pairwise` is inflation filled through position
+tables and an infinity sentinel for o(m,m), the reference for the one-pass
+`sig_inflate`.  `eval_term_pairwise` evaluates a `SigTerm` tree with them.
 
 Fixtures and helpers that no command or benchmark operation uses live here
 too: `tau`, the tower of omega-powers the rank tests compare against;
-`render_term`, which prints a signature term back to text for the parser's
-round trip; the reference sets `fig_bz_set` and `fig_g_set`;
+`SigTerm`, an expression tree over {zero, one, sum, star, exp, E} that the
+random term generator builds, and `render_term`, which prints it as text for
+`parse_term`; `_slopes`, the Fraction slopes of a list of breakpoints; the
+reference sets `fig_bz_set` and `fig_g_set`;
 `retrofit_slopes`, which rebuilds a set with two-piece bumps of power-of-2
 slopes (3 times a power of 2 on the nesting-maximum element) and keeps its
 dynamical diagram; and `excise`, which removes extraneous bumps from a fast
@@ -37,8 +41,8 @@ from sigcalc.normalizer import MODES, _exp_inverse
 from sigcalc.ordinal import (
     GT, OMEGA, ONE, ZERO, Ordinal, OrdinalError, ord_add, ord_cmp, ord_omega_pow)
 from sigcalc.signature import (
-    ONE_SIG, ZERO_SIG, OscMatrix, SigTerm, Signature, SignatureError, _pair_index, _pairs,
-    _trusted, bang_rel, is_all_positive, sig_E, sig_exp, sig_shift_down)
+    ONE_SIG, ZERO_SIG, Signature, SignatureError, _pair_index, _pairs, _trusted, bang_rel,
+    is_all_positive, sig_E, sig_exp, sig_shift_down)
 from sigcalc.realization.genset import (
     CONTAINS, GG, INSIDE, LL, GenSet, _fast_ordered, is_fast, order_genset, oscillation,
     pair_order)
@@ -105,6 +109,10 @@ def classify_pair(f: MarkedFn, g: MarkedFn) -> PairInfo:
         osc = oscillation(f, g)
     standard = rel in (LL, INSIDE) and fast and is_standard_pair(f, g)
     return PairInfo(rel, fast, osc, standard)
+
+
+def _slopes(points: Tuple[Tuple[Fraction, Fraction], ...]) -> Tuple[Fraction, ...]:
+    return tuple((y1 - y0) / (x1 - x0) for (x0, y0), (x1, y1) in zip(points, points[1:]))
 
 
 def swapped(f: PLMap) -> PLMap:
@@ -203,10 +211,31 @@ def wreath_witness(fns: Sequence[MarkedFn], split: int) -> Tuple[Fraction, Fract
     return (lo, hi)
 
 
+class SigTerm:
+    """Expression tree over {zero, one, sum, star, exp, E}."""
+
+    __slots__ = ("op", "args")
+
+    def __init__(self, op: str, args: Tuple["SigTerm", ...] = ()):
+        if op not in ("zero", "one", "sum", "star", "exp", "E"):
+            raise SignatureError(f"unknown term operation {op!r}")
+        self.op = op
+        self.args = args
+
+    def __eq__(self, other):
+        return isinstance(other, SigTerm) and (self.op, self.args) == (other.op, other.args)
+
+    def __hash__(self):
+        return hash((self.op, self.args))
+
+    def __repr__(self):
+        return f"SigTerm({self.op!r}, {self.args!r})"
+
+
 # --- signature operations one pair at a time -----------------------------------------
 
 
-def violations_pairwise(a: OscMatrix) -> List[Tuple[int, int, int]]:
+def violations_pairwise(a: Signature) -> List[Tuple[int, int, int]]:
     out = []
     for i, j, k in itertools.combinations(range(a.n), 3):
         if not bang_rel(a.val(j, k), a.val(i, k), a.val(i, j)):
@@ -298,7 +327,7 @@ def sig_to_doc_pairwise(a: Signature) -> dict:
 
 
 def eval_term_pairwise(t: SigTerm) -> Signature:
-    """eval_term with the pairwise sum and star."""
+    """The signature of a term tree, with the pairwise sum and star."""
     args = [eval_term_pairwise(x) for x in t.args]
     if t.op == "zero":
         return ZERO_SIG
@@ -309,6 +338,68 @@ def eval_term_pairwise(t: SigTerm) -> Signature:
     if t.op == "star":
         return sig_star_pairwise(*args)
     return sig_exp(args[0]) if t.op == "exp" else sig_E(args[0])
+
+
+def sig_inflate_pairwise(a: Signature, m: int) -> Signature:
+    """Symbolic inflation at base element m.
+
+    Adjoins a conjugate i^m for each i < m with o(i,m) > 0.  The new base
+    order is: originals below m, then conjugates in order, then m and above.
+    New values use the min-formulas with the convention o(m,m) = infinity;
+    the sentinel never appears in the output.
+    """
+    if not (0 <= m < a.n):
+        raise SignatureError(f"base element {m} out of range")
+    conj = [i for i in range(m) if a.val(i, m) > 0]
+    INF = float("inf")
+
+    def old(i: int, j: int):
+        if i == j:
+            return INF
+        return a.val(min(i, j), max(i, j))
+
+    # new base: 0..m-1, then conjugates c^m (c in conj), then m..n-1
+    n_new = a.n + len(conj)
+    pos_orig = {i: i for i in range(m)}
+    pos_conj = {c: m + t for t, c in enumerate(conj)}
+    pos_high = {k: k + len(conj) for k in range(m, a.n)}
+    vals = [0] * (n_new * (n_new - 1) // 2)
+
+    def put(p: int, q: int, v):
+        if v == INF or not isinstance(v, int):
+            raise SignatureError("infinity sentinel escaped inflation")
+        vals[_pair_index(n_new, min(p, q), max(p, q))] = v
+
+    for i, j in _pairs(m):  # originals below m, unchanged
+        put(pos_orig[i], pos_orig[j], a.val(i, j))
+    for i in range(m):  # original below m vs m and above, unchanged
+        for k in range(m, a.n):
+            put(pos_orig[i], pos_high[k], a.val(i, k))
+    for k1, k2 in _pairs(a.n):  # m and above, unchanged
+        if k1 >= m:
+            put(pos_high[k1], pos_high[k2], a.val(k1, k2))
+    for ci, cj in itertools.combinations(conj, 2):  # conjugate vs conjugate
+        put(pos_conj[ci], pos_conj[cj], a.val(ci, cj))
+    for i in range(m):  # original below m vs conjugate
+        for j in conj:
+            put(pos_orig[i], pos_conj[j], min(a.val(j, m) - 1, a.val(i, m)))
+    for i in conj:  # conjugate vs m and above
+        for k in range(m, a.n):
+            v = min(old(i, m), old(m, k))
+            put(pos_conj[i], pos_high[k], int(v))
+
+    labels = None
+    src = a.default_labels()
+    if conj:
+        lm = src[m]
+        lm = lm if len(lm) == 1 else f"({lm})"
+        new_labels = [src[i] for i in range(m)]
+        new_labels += [f"{src[c]}^{lm}" for c in conj]
+        new_labels += [src[k] for k in range(m, a.n)]
+        labels = tuple(new_labels)
+    elif a.labels is not None:
+        labels = a.labels
+    return _trusted(n_new, vals, labels)
 
 
 def rho_pairwise(a: Signature, mode: str = "sorted") -> Ordinal:

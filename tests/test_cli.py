@@ -77,6 +77,8 @@ def test_rho(capsys):
     assert run(capsys, "rho", "1+1", "--format", "json") == (
         0, '{"mode": "sorted", "rho": "2"}\n', "")
     expect_error(capsys, 2, "rho", "E(1")
+    expect_error(capsys, 1, "rho", "1*(1+1)")  # star needs an all-positive right factor
+    expect_error(capsys, 2, "rho", "1*(1+1)+")  # malformed text is reported first
     expect_error(capsys, 1, "rho", '{"n": 3, "o": {"0,1": 0, "0,2": 1, "1,2": 0}}')
 
 
@@ -374,6 +376,17 @@ def test_malformed_genset_json_is_a_parse_error(capsys, doc):
     assert run(capsys, "signature", _one_function())[0] == 0
     err = expect_error(capsys, 2, "signature", doc)
     assert err.startswith("error: cannot parse generating set: ")
+
+
+@pytest.mark.parametrize("doc, field", [
+    # a two-character string or object key would otherwise read as a point
+    (_one_function(breakpoints=["00", ["1/4", "1/4"], ["1/2", "3/4"], "11"]), "breakpoints"),
+    (_one_function(breakpoints={"00": ["1/4", "1/4"], "11": ["1/2", "3/4"]}), "breakpoints"),
+    (_one_function(markers="1/2"), "markers"),
+])
+def test_genset_fields_must_be_arrays(capsys, doc, field):
+    err = expect_error(capsys, 2, "signature", doc)
+    assert err.startswith(f'error: cannot parse generating set: "{field}" of function 0 ')
 
 
 @pytest.mark.parametrize("where", ["breakpoint", "marker"])

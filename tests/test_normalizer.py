@@ -30,7 +30,6 @@ from sigcalc.signature import (
     ZERO_SIG,
     Signature,
     enumerate_signatures,
-    eval_term,
     parse_term,
     sig_E,
     sig_exp,
@@ -40,7 +39,7 @@ from sigcalc.signature import (
     sig_sum,
 )
 from helpers import random_ordinal, rank_terms
-from oracles import decompose_pairwise, rho_pairwise, tau
+from oracles import decompose_pairwise, render_term, rho_pairwise, tau
 
 one = ONE_SIG
 
@@ -53,7 +52,7 @@ def o(text):
     return ord_parse(text)
 
 
-FIG3 = eval_term(parse_term("E(1*1+1+1)"))
+FIG3 = parse_term("E(1*1+1+1)")
 
 
 # --- rho -------------------------------------------------------------------------
@@ -93,7 +92,7 @@ def test_rho_matches_pairwise_recursion():
     # every signature on a base of at most 5 with values <= 3, and the 24
     # seeded rank-size terms, in both modes
     sigs = [s for n in range(6) for s in enumerate_signatures(n, 3)]
-    sigs += [eval_term(term) for term, _ in rank_terms()]
+    sigs += [parse_term(render_term(term)) for term, _ in rank_terms()]
     for s in sigs:
         expected = rho_pairwise(s, "ordered")
         assert rho(s, "ordered") == expected

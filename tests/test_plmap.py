@@ -4,9 +4,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from oracles import commutator, compose_pointwise, power_pointwise, swapped
+from oracles import _slopes, commutator, compose_pointwise, power_pointwise, swapped
 from sigcalc.realization import PLMap, pl_eval, pred_C, realize
-from sigcalc.realization.plmap import PLError, _slopes
+from sigcalc.realization.plmap import PLError
 from sigcalc.signature import enumerate_signatures
 
 # Denominators of random breakpoints: dyadic ones, and the thirds, ninths and

@@ -9,7 +9,6 @@ from sigcalc.signature import (
     ZERO_SIG,
     Signature,
     enumerate_signatures,
-    eval_term,
     parse_term,
     sig_E,
     sig_exp,
@@ -239,7 +238,7 @@ def test_realize_tower_pairs_match_figure():
 
 
 def test_realize_fig3():
-    sig = eval_term(parse_term("E(1*1+1+1)"))
+    sig = parse_term("E(1*1+1+1)")
     assert signature_of(realize(sig)) == sig
 
 
@@ -248,7 +247,7 @@ def test_realize_round_trip_enumerated_small():
         assert signature_of(realize(s)) == s
 
 
-SIG5 = eval_term(parse_term("E(1*1+1+1+1)"))
+SIG5 = parse_term("E(1*1+1+1+1)")
 
 
 def _fresh_build_cache(monkeypatch, size=build.BUILD_CACHE_SIZE):

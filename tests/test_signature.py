@@ -9,14 +9,13 @@ from sigcalc.normalizer import materialize, normalize, rho
 from sigcalc.signature import (
     ONE_SIG,
     ZERO_SIG,
-    OscMatrix,
     Signature,
     SignatureError,
     TermParseError,
+    _trusted,
     bang_rel,
     decompose,
     enumerate_signatures,
-    eval_term,
     is_all_positive,
     parse_term,
     sig_E,
@@ -32,9 +31,10 @@ from sigcalc.signature import (
 )
 from helpers import rank_terms
 from oracles import (
-    bang, bang_rel_conj, bang_rel_p, bang_rel_q, decompose_pairwise, eval_term_pairwise,
-    render_term, sig_restrict_pairwise, sig_rotate_pairwise, sig_star_pairwise,
-    sig_sum_pairwise, sig_to_doc_pairwise, violations_pairwise)
+    SigTerm, bang, bang_rel_conj, bang_rel_p, bang_rel_q, decompose_pairwise,
+    eval_term_pairwise, render_term, sig_inflate_pairwise, sig_restrict_pairwise,
+    sig_rotate_pairwise, sig_star_pairwise, sig_sum_pairwise, sig_to_doc_pairwise,
+    violations_pairwise)
 
 one = ONE_SIG
 
@@ -44,7 +44,7 @@ def pair(k):
     return Signature(2, (k,))
 
 
-FIG3 = eval_term(parse_term("E(1*1+1+1)"))
+FIG3 = parse_term("E(1*1+1+1)")
 
 
 # --- the (!) relation ----------------------------------------------------------
@@ -80,19 +80,19 @@ def test_bang_shift_corollary():
 
 def test_validate_no_triples():
     for k in range(5):
-        assert OscMatrix(2, (k,)).violations() == []
+        assert _trusted(2, (k,)).violations() == []
         assert Signature(2, (k,)).vals == (k,)
 
 
 def test_validate_fig3():
     o = {(0, 1): 3, (0, 2): 2, (0, 3): 2, (1, 2): 2, (1, 3): 2, (2, 3): 2}
-    assert OscMatrix(4, o).violations() == []
+    assert _trusted(4, (3, 2, 2, 2, 2, 2)).violations() == []
     assert Signature(4, o) == FIG3
 
 
 def test_validate_violation():
     o = {(0, 1): 0, (1, 2): 0, (0, 2): 1}
-    assert OscMatrix(3, o).violations() == [(0, 1, 2)]
+    assert _trusted(3, (0, 1, 0)).violations() == [(0, 1, 2)]
     with pytest.raises(SignatureError, match=r"\(0, 1, 2\)"):
         Signature(3, o)
 
@@ -262,7 +262,7 @@ def test_derived_signatures_valid_on_rank_terms(monkeypatch):
 
     monkeypatch.setattr(signature, "_trusted", recording)
     for term, m in rank_terms():
-        a = eval_term(term)
+        a = parse_term(render_term(term))
         outputs = [normalize(a), sig_rotate(a), sig_inflate(a, m)]
         outputs += [materialize(rho(a, mode)) for mode in ("ordered", "sorted")]
         assert all(b in built for b in outputs if b.n > 1)
@@ -291,7 +291,7 @@ def test_row_kernel_matches_pairwise_enumerated():
     sigs = [s for n in range(6) for s in enumerate_signatures(n, 3)]
     sigs += [Signature(s.n, s.vals, "abcde"[:s.n]) for s in sigs]
     t = Signature(2, (2,), ("x", "y"))
-    positive = eval_term(parse_term("exp(1*1+1)"))
+    positive = parse_term("exp(1*1+1)")
     for s in sigs:
         if s.labels:  # star drops labels, and t already gives every sum labels
             same_ops(s, [range(0, s.n, 2)])
@@ -311,11 +311,11 @@ def test_row_violations_match_pairwise():
     sigs = [s for n in range(6) for s in enumerate_signatures(n, 3)]
     assert all(s.violations() == violations_pairwise(s) == [] for s in sigs)
     # every matrix on a base of 4 with values <= 2, and random ones up to 7
-    matrices = [OscMatrix(4, vals) for vals in itertools.product(range(3), repeat=6)]
+    matrices = [_trusted(4, vals) for vals in itertools.product(range(3), repeat=6)]
     rng = random.Random(3)
     for _ in range(500):
         n = rng.randint(3, 7)
-        matrices.append(OscMatrix(n, [rng.randint(0, 4) for _ in range(n * (n - 1) // 2)]))
+        matrices.append(_trusted(n, [rng.randint(0, 4) for _ in range(n * (n - 1) // 2)]))
     broken = 0
     for m in matrices:
         bad = m.violations()
@@ -327,9 +327,20 @@ def test_row_violations_match_pairwise():
 def test_row_kernel_matches_pairwise_on_rank_terms():
     rng = random.Random(7)
     for term, _ in rank_terms():
-        a = eval_term(term)
+        a = parse_term(render_term(term))
         assert shape(a) == shape(eval_term_pairwise(term))
         same_ops(a, [[i for i in range(a.n) if rng.random() < 0.6] for _ in range(20)])
+
+
+def test_inflate_matches_pairwise():
+    # every m of every signature on a base of at most 5 with values <= 3,
+    # unlabeled and labeled, and of the rank terms
+    sigs = [s for n in range(6) for s in enumerate_signatures(n, 3)]
+    sigs += [Signature(s.n, s.vals, ("a", "b1", "c", "d2", "e")[:s.n]) for s in sigs]
+    sigs += [parse_term(render_term(term)) for term, _ in rank_terms()]
+    for s in sigs:
+        for m in range(s.n):
+            assert shape(sig_inflate(s, m)) == shape(sig_inflate_pairwise(s, m))
 
 
 def test_decompose_returns_an_indecomposable_signature_itself():
@@ -352,18 +363,27 @@ def test_eval_term_fig3():
 
 def test_exp_tower_terms():
     for k in range(5):
-        t = parse_term("exp(" * k + "1+1" + ")" * k)
-        assert eval_term(t) == pair(k)
+        assert parse_term("exp(" * k + "1+1" + ")" * k) == pair(k)
 
 
 def test_E_fixes_one():
-    assert eval_term(parse_term("E(1)")) == one
+    assert parse_term("E(1)") == one
 
 
 def test_term_parse_render():
-    for text in ("0", "1", "1+1", "1*1", "E(1*1+1+1)", "exp(1+1)*exp(1)"):
-        t = parse_term(text)
-        assert parse_term(render_term(t)) == t
+    zero, one_, two = SigTerm("zero"), SigTerm("one"), SigTerm("sum", (SigTerm("one"),) * 2)
+    literal = {
+        "0": zero,
+        "1": one_,
+        "1+1": two,
+        "1*1": SigTerm("star", (one_, one_)),
+        "E(1*1+1+1)": SigTerm("E", (SigTerm("sum", (SigTerm("star", (one_, one_)), one_, one_)),)),
+        "exp(1+1)*exp(1)": SigTerm("star", (SigTerm("exp", (two,)), SigTerm("exp", (one_,)))),
+    }
+    for text, t in literal.items():
+        assert render_term(t) == text
+    for t in [*literal.values(), *(term for term, _ in rank_terms())]:
+        assert shape(parse_term(render_term(t))) == shape(eval_term_pairwise(t))
 
 
 def test_term_parse_error():
@@ -372,7 +392,9 @@ def test_term_parse_error():
     with pytest.raises(TermParseError):
         parse_term("2")
     with pytest.raises(SignatureError):
-        eval_term(parse_term("1*(1+1)"))  # star needs all-positive right factor
+        parse_term("1*(1+1)")  # star needs all-positive right factor
+    with pytest.raises(TermParseError):
+        parse_term("1*(1+1)+")  # malformed text is reported before the star
 
 
 # --- enumeration and JSON -----------------------------------------------------------
@@ -400,7 +422,7 @@ def test_enumerate_matches_brute_force():
         npairs = n * (n - 1) // 2
         brute = []
         for vals in it.product(range(vmax + 1), repeat=npairs):
-            if not OscMatrix(n, vals).violations():
+            if not _trusted(n, vals).violations():
                 brute.append(vals)
         fast = [s.vals for s in enumerate_signatures(n, vmax)]
         assert sorted(brute) == sorted(fast)
