@@ -15,7 +15,6 @@ positive orbital on the right of the rotated top's orbitals.
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 from ..signature import Signature, decompose, sig_rotate
@@ -27,9 +26,7 @@ from .marked import (
     is_standard_fn,
     rescale_fn,
 )
-from .plmap import PLMap
-
-F = Fraction
+from .plmap import Pair, PLMap, _lt, _quads, _reduced, keys
 
 # Signatures whose built sets are kept, least recently used dropped first;
 # realizing all 969 signatures with n = 5 and values <= 3 fills 1,125.
@@ -46,7 +43,7 @@ def realize(sig: Signature) -> GenSet:
     return fns
 
 
-def _scaled(fns: Sequence[MarkedFn], lo: Fraction, hi: Fraction) -> GenSet:
+def _scaled(fns: Sequence[MarkedFn], lo: Pair, hi: Pair) -> GenSet:
     return [rescale_fn(f, lo, hi) for f in fns]
 
 
@@ -56,15 +53,15 @@ def _build(sig: Signature) -> GenSet:
     if n == 0:
         return []
     if n == 1:
-        return [canonical_bump(F(1, 4), F(3, 4))]
+        return [canonical_bump((1, 4), (3, 4))]
     parts = decompose(sig)
     if len(parts) > 1:
         out: GenSet = []
         k = len(parts)
         for i, part in enumerate(parts):
-            out += _scaled(_build(part), F(4 * i + 1, 4 * k), F(4 * i + 3, 4 * k))
+            out += _scaled(_build(part), (4 * i + 1, 4 * k), (4 * i + 3, 4 * k))
         return out
-    inner = _scaled(_build(sig_rotate(sig)), F(1, 3), F(2, 3))
+    inner = _scaled(_build(sig_rotate(sig)), M1, M2)
     t, others = inner[0], list(inner[1:])
     maxrow = max(sig.val(i, n - 1) for i in range(n - 1))
     if maxrow == 1:
@@ -76,24 +73,24 @@ def _build(sig: Signature) -> GenSet:
     return others + [top]
 
 
-def _obstacles(fns: Sequence[MarkedFn]) -> List[Tuple[Fraction, Fraction]]:
-    """Closures of all feet, merged and sorted; new feet must avoid these."""
-    spans = []
-    for f in fns:
-        for b in f.bumps:
-            for lo, hi in b.feet:
-                spans.append((lo, hi))
-    spans.sort()
-    merged: List[Tuple[Fraction, Fraction]] = []
-    for lo, hi in spans:
+def _obstacles(fns: Sequence[MarkedFn], *points: Pair) -> Tuple[int, List[int], List[List[int]]]:
+    """Closures of all feet of fns, merged and sorted, which new feet must
+    avoid, and the given points, as integer keys over one common
+    denominator: (denominator, point keys, [lo, hi] spans)."""
+    ends = [e for f in fns for b in f.bumps for foot in b.feet for e in foot]
+    den, k = keys(list(points) + ends)
+    merged: List[List[int]] = []
+    for lo, hi in sorted(zip(k[len(points)::2], k[len(points) + 1::2])):
         if merged and lo <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(hi, merged[-1][1]))
+            merged[-1][1] = max(hi, merged[-1][1])
         else:
-            merged.append((lo, hi))
-    return merged
+            merged.append([lo, hi])
+    return den, k[:len(points)], merged
 
 
-M1, M2, L0, R0 = F(1, 3), F(2, 3), F(1, 16), F(15, 16)
+ZERO, ONE = (0, 1), (1, 1)
+M1, M2, L0, R0 = (1, 3), (2, 3), (1, 16), (15, 16)
+A_NEG, B_POS = (19, 96), (77, 96)  # (L0 + M1) / 2 and (M2 + R0) / 2
 
 
 def _wrap_single(t: MarkedFn, others: Sequence[MarkedFn]) -> MarkedFn:
@@ -103,30 +100,23 @@ def _wrap_single(t: MarkedFn, others: Sequence[MarkedFn]) -> MarkedFn:
     if len(orbs) != 1 or orbs[0][2] < 0:
         raise RealizationError("single-bump wrap needs a one-bump rotated top")
     u, v, _ = orbs[0]
-    if others and min(f.min_transition for f in others) <= v:
+    if not all(_lt(v, f.min_transition) for f in others):
         raise RealizationError("single-bump wrap needs the rotated top on the far left")
-    b = (M2 + R0) / 2
-    pts = [(F(0), F(0)), (u, u), (v, b), (R0, R0), (F(1), F(1))]
+    pts = [(ZERO, ZERO), (u, u), (v, B_POS), (R0, R0), (ONE, ONE)]
     return MarkedFn(PLMap(pts), [v])
 
 
-def _free_gap(t: MarkedFn, others: Sequence[MarkedFn]) -> Tuple[Fraction, Fraction]:
+def _free_gap(t: MarkedFn, others: Sequence[MarkedFn]) -> Tuple[int, int, int]:
     """The widest subinterval of the rotated top's orbital avoiding the
-    retained functions' feet."""
+    retained functions' feet, as (den, x, y): it runs from x/den to y/den."""
     (u, v, _), = t.orbitals
-    walls = [(u, u)]
-    for lo, hi in _obstacles(others):
-        if hi > u and lo < v:
-            walls.append((max(lo, u), min(hi, v)))
-    walls.append((v, v))
-    walls.sort()
-    best = None
-    for (a_, b_), (c_, d_) in zip(walls, walls[1:]):
-        if best is None or c_ - b_ > best[1] - best[0]:
-            best = (b_, c_)
-    if best is None or best[0] >= best[1]:
+    den, (u, v), spans = _obstacles(others, u, v)
+    walls = sorted([(u, u), (v, v)]
+                   + [(max(lo, u), min(hi, v)) for lo, hi in spans if hi > u and lo < v])
+    x, y = max(((b, c) for (_, b), (c, _) in zip(walls, walls[1:])), key=lambda g: g[1] - g[0])
+    if x >= y:
         raise RealizationError("no room inside the rotated top's orbital")
-    return best
+    return den, x, y
 
 
 def _wrap_two(t: MarkedFn, others: Sequence[MarkedFn]) -> MarkedFn:
@@ -135,21 +125,13 @@ def _wrap_two(t: MarkedFn, others: Sequence[MarkedFn]) -> MarkedFn:
     orbs = t.orbitals
     if len(orbs) != 1:
         raise RealizationError("two-orbital wrap needs a one-bump rotated top")
-    x, y = _free_gap(t, others)
-    step = (y - x) / 6
-    b1, c, sa = x + step, x + 2 * step, x + 4 * step
-    a_neg = (L0 + M1) / 2
-    b2 = (M2 + R0) / 2
-    pts = [
-        (F(0), F(0)),
-        (L0, L0),
-        (b1, a_neg),  # negative piece through (b1, a_neg)
-        (c, c),
-        (sa, b2),  # positive piece through (sa, b2)
-        (R0, R0),
-        (F(1), F(1)),
-    ]
-    return MarkedFn(PLMap(pts), [a_neg, sa])
+    den, x, y = _free_gap(t, others)
+    # x + step, x + 2 step and x + 4 step for a step of (y - x) / 6
+    b1, c = _reduced(5 * x + y, 6 * den), _reduced(2 * x + y, 3 * den)
+    sa = _reduced(x + 2 * y, 3 * den)
+    # a negative piece through (b1, A_NEG), then a positive one through (sa, B_POS)
+    pts = [(ZERO, ZERO), (L0, L0), (b1, A_NEG), (c, c), (sa, B_POS), (R0, R0), (ONE, ONE)]
+    return MarkedFn(PLMap(pts), [A_NEG, sa])
 
 
 def _wrap_general(t: MarkedFn, others: Sequence[MarkedFn]) -> MarkedFn:
@@ -158,17 +140,14 @@ def _wrap_general(t: MarkedFn, others: Sequence[MarkedFn]) -> MarkedFn:
     if not is_standard_fn(t):
         raise RealizationError("general wrap needs a standard rotated top")
     u_t, v_t = t.min_transition, t.max_transition
-    obstacles = _obstacles(others)
-    left_wall = max([hi for lo, hi in obstacles if hi < u_t], default=M1)
-    right_wall = min([lo for lo, hi in obstacles if lo > v_t], default=M2)
-    if left_wall >= u_t or right_wall <= v_t:
+    den, (u, v, m1, m2), spans = _obstacles(others, u_t, v_t, M1, M2)
+    left_wall = max([hi for lo, hi in spans if hi < u], default=m1)
+    right_wall = min([lo for lo, hi in spans if lo > v], default=m2)
+    if left_wall >= u or right_wall <= v:
         raise RealizationError("no room next to the rotated top")
-    a_neg = (L0 + M1) / 2
-    b_neg = (left_wall + u_t) / 2
-    a_pos = (v_t + right_wall) / 2
-    b_pos = (M2 + R0) / 2
-    pts = [(F(0), F(0)), (L0, L0), (b_neg, a_neg)]
-    pts += [(x, y) for x, y in t.map.points if u_t <= x <= v_t]
-    pts += [(a_pos, b_pos), (R0, R0), (F(1), F(1))]
-    markers = [a_neg] + list(t.markers) + [a_pos]
-    return MarkedFn(PLMap(pts), markers)
+    b_neg, a_pos = _reduced(left_wall + u, 2 * den), _reduced(v + right_wall, 2 * den)
+    pts = [(ZERO, ZERO), (L0, L0), (b_neg, A_NEG)]
+    pts += [(q[:2], q[2:]) for q in _quads(t.map._bp)
+            if not (_lt(q[:2], u_t) or _lt(v_t, q[:2]))]
+    pts += [(a_pos, B_POS), (R0, R0), (ONE, ONE)]
+    return MarkedFn(PLMap(pts), [A_NEG, *t.markers, a_pos])

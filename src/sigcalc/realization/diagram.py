@@ -52,7 +52,7 @@ class DynDiagram:
 def diagram(fns: Sequence[MarkedFn]) -> DynDiagram:
     """The dynamical diagram of a fast set."""
     fns = _fast_ordered(fns, "dynamical diagram")
-    feet = sorted(_feet_of(fns))  # (lo, hi, func index, bump index, side)
+    feet = _feet_of(fns)  # sorted (lo, hi, func index, bump index, side)
     # contract a right foot followed immediately by a left foot of the same function
     vertex_of = {}
     nv = 0

@@ -4,18 +4,22 @@ A generating set is an ordered list of marked functions; the order is by
 maximum transition point, which for fast totally-nested-or-disjoint sets
 agrees with the relation f < g given by f << g (disjoint, f left) or
 f inside g (closure of extended support contained in extended support).
+
+Everything here works on the functions' reduced integer pairs (see
+`marked`): feet and maximum transition points sort on integer keys over one
+common denominator, other comparisons cross-multiply, and the JSON writer
+prints the pairs without building a Fraction.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from ..signature import MAX_PAIR_VALUE, Signature, SignatureError
 from .marked import MarkedFn, RealizationError, conjugate, is_standard_fn, square
-from .plmap import PLMap, ratio
+from .plmap import PLMap, _lt, _quads, fmt, keys
 
 GenSet = List[MarkedFn]
 
@@ -32,27 +36,30 @@ class NotFastError(NotSgenError):
 
 def order_genset(fns: Sequence[MarkedFn]) -> GenSet:
     """Sort by maximum transition point; a tie means the set is not fast."""
-    out = sorted(fns, key=lambda f: f.max_transition)
-    for f, g in zip(out, out[1:]):
-        if f.max_transition == g.max_transition:
-            raise NotFastError(f"tied maximum transition point {f.max_transition}")
-    return out
+    _, k = keys([f.max_transition for f in fns])
+    order = sorted(range(len(fns)), key=k.__getitem__)
+    for i, j in zip(order, order[1:]):
+        if k[i] == k[j]:
+            raise NotFastError(f"tied maximum transition point {fmt(fns[i].max_transition)}")
+    return [fns[i] for i in order]
 
 
 def _feet_of(fns: Sequence[MarkedFn]):
-    feet = []
+    """Every foot as (lo, hi, function index, bump index, side), lo and hi
+    integer keys over one common denominator, sorted."""
+    tags, ends = [], []
     for fi, f in enumerate(fns):
         for bi, b in enumerate(f.bumps):
-            left, right = b.feet
-            feet.append((left[0], left[1], fi, bi, "L"))
-            feet.append((right[0], right[1], fi, bi, "R"))
-    return feet
+            tags += ((fi, bi, "L"), (fi, bi, "R"))
+            ends += (b.u, b.marker, b.tpoint, b.v)
+    _, k = keys(ends)
+    return sorted((lo, hi, *tag) for tag, lo, hi in zip(tags, k[0::2], k[1::2]))
 
 
 def is_fast(fns: Sequence[MarkedFn]) -> bool:
     """All feet pairwise disjoint across bumps.  Two functions sharing a bump
     share the start of its left foot, so this also rules out shared bumps."""
-    feet = sorted(_feet_of(fns))
+    feet = _feet_of(fns)
     return all(max(lo1, lo2) >= min(hi1, hi2)
                for (lo1, hi1, *_), (lo2, hi2, *_) in zip(feet, feet[1:]))
 
@@ -67,13 +74,13 @@ def _fast_ordered(fns: Sequence[MarkedFn], what: str) -> GenSet:
 
 def pair_order(f: MarkedFn, g: MarkedFn) -> str:
     cf, cg = f.ext_components(), g.ext_components()
-    if cf[-1][1] <= cg[0][0]:
+    if not _lt(cg[0][0], cf[-1][1]):
         return LL
-    if cg[-1][1] <= cf[0][0]:
+    if not _lt(cf[0][0], cg[-1][1]):
         return GG
-    if all(any(a < u and v < b for a, b in cg) for u, v in cf):
+    if all(any(_lt(a, u) and _lt(v, b) for a, b in cg) for u, v in cf):
         return INSIDE
-    if all(any(a < u and v < b for a, b in cf) for u, v in cg):
+    if all(any(_lt(a, u) and _lt(v, b) for a, b in cf) for u, v in cg):
         return CONTAINS
     return INCOMPARABLE
 
@@ -81,7 +88,7 @@ def pair_order(f: MarkedFn, g: MarkedFn) -> str:
 def _inside_oscillation(small: MarkedFn, big: MarkedFn) -> int:
     """Orbitals of big containing a transition point of small."""
     pts = small.transition_points()
-    return sum(1 for u, v, _ in big.orbitals if any(u < t < v for t in pts))
+    return sum(1 for u, v, _ in big.orbitals if any(_lt(u, t) and _lt(t, v) for t in pts))
 
 
 def oscillation(f: MarkedFn, g: MarkedFn) -> int:
@@ -184,31 +191,47 @@ def set_inflate(fns: Sequence[MarkedFn], index: int) -> GenSet:
 # --- JSON codec ---------------------------------------------------------------
 
 
-def _rat_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+def _layout(items: List[str], indent: str, brackets: str = "[]") -> str:
+    """Rendered JSON items in brackets, laid out as json.dumps(indent=2) lays
+    out a container whose first line is at the given indent."""
+    if not items:
+        return brackets
+    inner = "\n" + indent + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + indent + brackets[1]
 
 
 def genset_to_json(fns: Sequence[MarkedFn]) -> str:
-    doc = []
+    """The set as `json.dumps(doc, indent=2)` prints it, doc a list of
+    {"breakpoints": [[x, y], ...], "markers": [...], "name": ...} with each
+    number a string "n" or "n/d", written from the integer pairs."""
+    entries = []
     for f in fns:
-        entry = {
-            "breakpoints": [[_rat_str(x), _rat_str(y)] for x, y in f.map.points],
-            "markers": [_rat_str(s) for s in f.markers],
-        }
+        points = [_layout([f'"{fmt(q[:2])}"', f'"{fmt(q[2:])}"'], "      ")
+                  for q in _quads(f.map._bp)]
+        fields = ['"breakpoints": ' + _layout(points, "    "),
+                  '"markers": ' + _layout([f'"{fmt(s)}"' for s in f.markers], "    ")]
         if f.name:
-            entry["name"] = f.name
-        doc.append(entry)
-    return json.dumps(doc, indent=2)
+            fields.append('"name": ' + json.dumps(f.name))
+        entries.append(_layout(fields, "  ", "{}"))
+    return _layout(entries, "")
 
 
 def genset_from_json(text: str) -> GenSet:
+    """An array of objects with "breakpoints" (an array of [x, y] arrays),
+    "markers" (an array) and optionally "name" (a string)."""
     doc = json.loads(text)
+    if not isinstance(doc, list):
+        raise TypeError("not an array of functions")
     out = []
     for i, entry in enumerate(doc):
+        if not isinstance(entry, dict):
+            raise TypeError(f"function {i} is not an object")
+        for key in ("breakpoints", "markers"):
+            if key not in entry:
+                raise TypeError(f'function {i} has no "{key}"')
         markers = entry["markers"]
         if not isinstance(markers, list):
             raise TypeError(f'"markers" of function {i} is not an array')
-        markers = [Fraction(*ratio(s)) for s in markers]
         name = entry.get("name", str(i))
         if not isinstance(name, str):
             raise TypeError(f'"name" of function {i} is not a string')

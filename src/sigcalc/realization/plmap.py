@@ -3,15 +3,19 @@
 A map is stored in one canonical integer form: a flat tuple of four
 integers (xn, xd, yn, yd) per breakpoint (xn/xd, yn/yd), each coordinate
 reduced with a positive denominator, and no collinear interior breakpoints.
-Equality is equality of these tuples, and composition, inversion and powers
-work on integers alone.  `points` is a read-only view of the breakpoints as
-reduced Fraction pairs, built on first read or kept from the Fractions the
-map was made from.  No floating point anywhere.
+Equality is equality of these tuples, and composition, inversion, powers,
+one-point images and preimages (`_at`) and orbitals (`_orbitals`) work on
+integers alone, with every number a reduced (n, d) pair; `ratio`, `fmt`,
+`keys`, `_lt` and `by_value` read, print and order such pairs for the whole
+package.  Fractions are built only where the public API hands them out:
+`points`, a read-only view of the breakpoints built on first read or kept
+from the Fractions the map was made from, `__call__` and `orbitals()`.  No
+floating point anywhere.
 
 `PLMap(points)` is the one checked constructor: it reads coordinates with
 `ratio`, sorts the points, drops collinear ones, and checks that they run
 from (0,0) to (1,1) strictly increasing in both coordinates.  Maps derived
-from valid maps (`inverse`, `then`, powers, and through `PLMap._trusted`
+from valid maps (`inverse`, `then`, powers, and through `PLMap._derived`
 the affine copies, restrictions and bumps of `marked`) are only checked
 for strictly increasing coordinates.
 
@@ -23,12 +27,14 @@ it emits and `inverse` swaps known ones, so derived maps carry theirs.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cmp_to_key
-from math import gcd
-from typing import Iterable, List, Optional, Tuple
+from math import gcd, lcm
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 Point = Tuple[Fraction, Fraction]
+Pair = Tuple[int, int]  # a reduced n/d, d > 0
 
 # An optionally signed integer, or a fraction n/d with d > 0.  Exponent
 # notation such as "1e10000000" is refused before any integer is built.
@@ -44,15 +50,40 @@ def _reduced(n: int, d: int) -> Tuple[int, int]:
     return n // g, d // g
 
 
-def ratio(x) -> Tuple[int, int]:
+def ratio(x) -> Pair:
     """x as a reduced (numerator, denominator) pair: a string must match
-    _RATIO, and anything else is read by `Fraction`."""
-    if not isinstance(x, str):
-        return Fraction(x).as_integer_ratio()
-    m = _RATIO.fullmatch(x)
-    if m is None:
-        raise ValueError(f"not an integer or a fraction n/d with d > 0: {x[:40]!r}")
-    return _reduced(int(m[1]), int(m[2] or 1))
+    _RATIO, a tuple is an (n, d) pair of ints with d > 0, a bool is refused,
+    and anything else is read by `Fraction`."""
+    if isinstance(x, str):
+        m = _RATIO.fullmatch(x)
+        if m is None:
+            raise ValueError(f"not an integer or a fraction n/d with d > 0: {x[:40]!r}")
+        return _reduced(int(m[1]), int(m[2] or 1))
+    if type(x) is tuple and x[1] > 0:
+        return _reduced(*x)
+    if isinstance(x, (bool, tuple)):
+        raise TypeError(f"not a number: {x!r}")
+    return Fraction(x).as_integer_ratio()
+
+
+def fmt(p: Pair) -> str:
+    """A reduced pair as `str` prints the Fraction: "n" or "n/d"."""
+    return str(p[0]) if p[1] == 1 else f"{p[0]}/{p[1]}"
+
+
+def keys(pairs: Sequence[Pair]) -> Tuple[int, List[int]]:
+    """(den, keys): den the lcm of the pairs' denominators, and each pair's
+    numerator over den, so that the keys order the pairs as numbers."""
+    den = lcm(*(d for _, d in pairs))
+    return den, [n * (den // d) for n, d in pairs]
+
+
+def _lt(a: Pair, b: Pair) -> bool:
+    return a[0] * b[1] < b[0] * a[1]
+
+
+# Sorts pairs, or breakpoint quads by x, by cross-multiplication.
+by_value = cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])
 
 
 def _quads(bp: Tuple[int, ...]) -> List[Tuple[int, int, int, int]]:
@@ -71,7 +102,7 @@ def _canonical(points: Iterable):
     as their view if all are Fractions (else None).  The caller checks that
     they increase: dropping a collinear point hides no pair that does not."""
     given = {ratio(x) + ratio(y): (x, y) for x, y in points}
-    bp = sorted(given, key=cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1]))
+    bp = sorted(given, key=by_value)
     if not bp or bp[0] != (0, 1, 0, 1) or bp[-1] != (1, 1, 1, 1):
         raise PLError("breakpoints must run from (0,0) to (1,1)")
     out = bp[:2]
@@ -86,6 +117,16 @@ def _canonical(points: Iterable):
     return tuple(c for b in out for c in b), view
 
 
+def _crossing(a, b) -> Pair:
+    """Where the segment from breakpoint a to b crosses the diagonal:
+    (D_a x_b - D_b x_a) / (D_a - D_b), with D = y - x at each end."""
+    (axn, axd, ayn, ayd), (bxn, bxd, byn, byd) = a, b
+    na, ma = ayn * axd - axn * ayd, axd * ayd  # D_a = na / ma
+    nb, mb = byn * bxd - bxn * byd, bxd * byd
+    n, d = na * mb * bxn * axd - nb * ma * axn * bxd, axd * bxd * (na * mb - nb * ma)
+    return _reduced(-n, -d) if d < 0 else _reduced(n, d)
+
+
 class PLMap:
     """An increasing PL bijection of [0,1], composed left to right.
 
@@ -96,13 +137,6 @@ class PLMap:
 
     def __new__(cls, points: Iterable):
         return cls._derived(*_canonical(points))
-
-    @classmethod
-    def _trusted(cls, points: Tuple[Point, ...]) -> "PLMap":
-        """A map on Fraction breakpoints derived from valid maps, kept as its
-        view: already sorted, running from (0,0) to (1,1) and minimal."""
-        return cls._derived(tuple(c for x, y in points for c in (
-            x.numerator, x.denominator, y.numerator, y.denominator)), points)
 
     @classmethod
     def _derived(cls, bp: Tuple[int, ...], points: Optional[Tuple[Point, ...]] = None,
@@ -144,20 +178,23 @@ class PLMap:
 
     def __call__(self, x) -> Fraction:
         x = Fraction(x)
-        pts = self.points
         if not (0 <= x <= 1):
             raise PLError(f"{x} outside [0,1]")
-        lo, hi = 0, len(pts) - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if pts[mid][0] <= x:
-                lo = mid
-            else:
-                hi = mid
-        (x1, y1), (x2, y2) = pts[lo], pts[hi]
-        if x == x1:
-            return y1
-        return y1 + (y2 - y1) * (x - x1) / (x2 - x1)
+        return Fraction(*self._at(x.numerator, x.denominator))
+
+    def _at(self, n: int, d: int, back: bool = False) -> Pair:
+        """The image of the reduced n/d in [0,1], or with `back` its
+        preimage, as a reduced pair; no view or inverse map is built."""
+        bp, i = self._bp, 2 if back else 0  # i: the searched coordinate's offset in a quad
+        # k: the last breakpoint at or left of n/d
+        k = 4 * bisect_left(range(4, len(bp), 4), True,
+                            key=lambda j: bp[j + i] * d > n * bp[j + i + 1])
+        xn, xd, yn, yd = bp[k + i], bp[k + i + 1], bp[k + 2 - i], bp[k + 3 - i]
+        if xn * d == n * xd:
+            return yn, yd
+        un, ud, vn, vd = bp[k + 4 + i], bp[k + 5 + i], bp[k + 6 - i], bp[k + 7 - i]
+        q = vd * d * (un * xd - xn * ud)  # y + (v - y)(n/d - x)/(u - x), over yd * q
+        return _reduced(yn * q + (vn * yd - yn * vd) * (n * xd - xn * d) * ud, yd * q)
 
     def inverse(self) -> "PLMap":
         slopes, points, bp = self.slopes, self._points, list(self._bp)
@@ -230,32 +267,29 @@ class PLMap:
         return f"PLMap([{pts}])"
 
     def orbitals(self) -> List[Tuple[Fraction, Fraction, int]]:
+        """`_orbitals` with Fraction ends."""
+        return [(Fraction(*u), Fraction(*v), s) for u, v, s in self._orbitals()]
+
+    def _orbitals(self) -> List[Tuple[Pair, Pair, int]]:
         """Maximal open intervals where the map moves points, with signs.
 
-        Returns (u, v, sign) triples with sign +1 where f(x) > x and -1
-        where f(x) < x; the map fixes u and v.  Interior crossings of the
-        diagonal are located exactly.
+        Returns (u, v, sign) triples of reduced pairs u and v, with sign +1
+        where f(x) > x and -1 where f(x) < x; the map fixes u and v.
+        Interior crossings of the diagonal are located exactly.
         """
-        pieces: List[Tuple[Fraction, Fraction, int]] = []
-        for (x1, y1), (x2, y2) in zip(self.points, self.points[1:]):
-            d1, d2 = y1 - x1, y2 - x2
-            if d1 == 0 and d2 == 0:
-                continue
-            if d1 >= 0 and d2 >= 0:
-                pieces.append((x1, x2, 1))
-            elif d1 <= 0 and d2 <= 0:
-                pieces.append((x1, x2, -1))
-            else:
-                s = (y2 - y1) / (x2 - x1)
-                xstar = (y1 - s * x1) / (1 - s)
-                pieces.append((x1, xstar, 1 if d1 > 0 else -1))
-                pieces.append((xstar, x2, 1 if d2 > 0 else -1))
-        out: List[Tuple[Fraction, Fraction, int]] = []
-        for u, v, sign in pieces:
-            if out:
-                pu, pv, psign = out[-1]
-                if pv == u and psign == sign and self(u) != u:
-                    out[-1] = (pu, v, sign)
-                    continue
-            out.append((u, v, sign))
+        quads = _quads(self._bp)
+        out, start, prev, ps = [], None, quads[0], 0  # the map fixes 0
+        for q in quads[1:]:
+            c = q[2] * q[1] - q[0] * q[3]
+            s = (c > 0) - (c < 0)  # the sign of f(x) - x at this breakpoint
+            if s * ps < 0:
+                x = _crossing(prev, q)
+                out.append((start, x, ps))
+                start = x
+            elif s and not ps:
+                start = prev[:2]
+            if not s and start is not None:
+                out.append((start, q[:2], ps))
+                start = None
+            prev, ps = q, s
         return out

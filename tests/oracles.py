@@ -8,9 +8,14 @@ level, for comparison with the library's single walk.  `compose_pointwise`
 is PL composition by the sorted union of breakpoints evaluated pointwise,
 the reference for `PLMap.then`, `inverse` and powers; `commutator` gives the
 reading of "x and y commute" as "their commutator is the identity", checked
-against `pred_C`.  `checked_copy` and `rescale_checked` rebuild a marked
-function through the checked constructors, the reference for the trusted
-transport (`rename`, `rescale_fn`, `fn_rotate`, `make_bump_fn`).
+against `pred_C`.  `eval_pointwise` is one-point evaluation by Fraction
+interpolation between the breakpoints, the reference for `PLMap._at`, and
+`genset_to_json_dumps` the generating-set writer through `json.dumps`, the
+reference for `genset_to_json`.  `checked_copy` and `rescale_checked`
+rebuild a marked function through the checked constructors, the reference
+for the trusted transport (`rename`, `rescale_fn`, `fn_rotate`,
+`make_bump_fn`).  `frac` reads a marked function's reduced integer pair as
+a Fraction.
 `dom_witness` and `wreath_witness` certify the domination predicate and a
 wreath decomposition at a *-split.  The `*_pairwise` functions are the
 signature operations and rho written one pair at a time through
@@ -33,6 +38,7 @@ set one at a time.
 
 import functools
 import itertools
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -129,6 +135,33 @@ def compose_pointwise(f: PLMap, g: PLMap) -> PLMap:
     return PLMap([(x, g(f(x))) for x in sorted(xs)])
 
 
+def eval_pointwise(f: PLMap, x: Fraction) -> Fraction:
+    """f(x) for x in [0,1], interpolated in Fractions between the two
+    breakpoints around x."""
+    pts = f.points
+    k = max(i for i, (px, _) in enumerate(pts) if px <= x)
+    (x1, y1), (x2, y2) = pts[k], pts[min(k + 1, len(pts) - 1)]
+    return y1 if x == x1 else y1 + (y2 - y1) * (x - x1) / (x2 - x1)
+
+
+def genset_to_json_dumps(fns: Sequence[MarkedFn]) -> str:
+    """A generating set as JSON through `json.dumps(doc, indent=2)`, each
+    number a string "n" or "n/d"."""
+    def text(x: Fraction) -> str:
+        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+    doc = []
+    for f in fns:
+        entry = {
+            "breakpoints": [[text(x), text(y)] for x, y in f.map.points],
+            "markers": [text(frac(s)) for s in f.markers],
+        }
+        if f.name:
+            entry["name"] = f.name
+        doc.append(entry)
+    return json.dumps(doc, indent=2)
+
+
 def power_pointwise(f: PLMap, k: int) -> PLMap:
     base = f if k > 0 else swapped(f)
     out = PLMap.identity()
@@ -152,7 +185,12 @@ def rescale_checked(f: MarkedFn, lo, hi) -> MarkedFn:
     (1,1) added, and the result put through the checked constructors."""
     lo, w = Fraction(lo), Fraction(hi) - Fraction(lo)
     pts = [(lo + w * x, lo + w * y) for x, y in f.map.points] + [(0, 0), (1, 1)]
-    return MarkedFn(PLMap(pts), [lo + w * s for s in f.markers], f.name)
+    return MarkedFn(PLMap(pts), [lo + w * frac(s) for s in f.markers], f.name)
+
+
+def frac(p: Tuple[int, int]) -> Fraction:
+    """A reduced (n, d) pair of a marked function as the Fraction n/d."""
+    return Fraction(*p)
 
 
 def fn_shape(f: MarkedFn):
@@ -196,15 +234,16 @@ def wreath_witness(fns: Sequence[MarkedFn], split: int) -> Tuple[Fraction, Fract
                 raise WreathSplitError(
                     f"cross oscillation {o} between elements {i},{j}: not a *-split")
     b_part, c_part = fns[:split], fns[split:]
-    lo = min(f.min_transition for f in b_part)
-    hi = max(f.max_transition for f in b_part)
+    lo = min(frac(f.min_transition) for f in b_part)
+    hi = max(frac(f.max_transition) for f in b_part)
     for c in c_part:
         ru, rv, _ = c.orbitals[-1]
-        if not (ru < lo and hi < rv):
+        if not (frac(ru) < lo and hi < frac(rv)):
             raise WreathSplitError(
                 f"witness ({lo},{hi}) not inside the rightmost orbital of {c!r}")
         for b in c.bumps:
             for flo, fhi in b.feet:
+                flo, fhi = frac(flo), frac(fhi)
                 if max(flo, lo) < min(fhi, hi):
                     raise WreathSplitError(
                         f"witness ({lo},{hi}) meets a foot ({flo},{fhi}) of {c!r}")
@@ -506,8 +545,9 @@ def retrofit_slopes(fns: Sequence[MarkedFn]) -> GenSet:
         pts = [(F(0), F(0)), (F(1), F(1))]
         markers = []
         for b in f.bumps:
-            x_star, y_star = _two_piece(b.u, b.v, b.marker, b.tpoint, b.sign, scale)
-            pts += [(b.u, b.u), (b.v, b.v)]
+            u, v = frac(b.u), frac(b.v)
+            x_star, y_star = _two_piece(u, v, frac(b.marker), frac(b.tpoint), b.sign, scale)
+            pts += [(u, u), (v, v)]
             pts.append((x_star, y_star))
             markers.append(x_star if b.sign > 0 else y_star)
         out.append(MarkedFn(PLMap(pts), markers, f.name))
@@ -546,21 +586,21 @@ def _isolated_bumps(fns: Sequence[MarkedFn]) -> List[Tuple[int, int]]:
     """Bumps whose support contains no transition point of the set."""
     pts = []
     for f in fns:
-        pts.extend(f.transition_points())
+        pts.extend(frac(t) for t in f.transition_points())
     pts.sort()
     out = []
     for fi, f in enumerate(fns):
         for bi, b in enumerate(f.bumps):
-            if not any(b.u < t < b.v for t in pts):
+            if not any(frac(b.u) < t < frac(b.v) for t in pts):
                 out.append((fi, bi))
     return out
 
 
 def _drop_bump(f: MarkedFn, bi: int) -> MarkedFn:
     bumps = f.bumps
-    target = bumps[bi]
-    pts = [(p, p) for p in (target.u, target.v)]
-    pts += [(x, y) for x, y in f.map.points if not (target.u < x < target.v)]
+    u, v = frac(bumps[bi].u), frac(bumps[bi].v)
+    pts = [(p, p) for p in (u, v)]
+    pts += [(x, y) for x, y in f.map.points if not (u < x < v)]
     markers = [b.marker for j, b in enumerate(bumps) if j != bi]
     return MarkedFn(PLMap(pts), markers, f.name)
 

@@ -389,6 +389,26 @@ def test_genset_fields_must_be_arrays(capsys, doc, field):
     assert err.startswith(f'error: cannot parse generating set: "{field}" of function 0 ')
 
 
+@pytest.mark.parametrize("doc, reason", [
+    # an object, not an array, once read as the empty set
+    ("{}", "not an array of functions"),
+    (json.dumps({"breakpoints": [], "markers": []}), "not an array of functions"),
+    ("[1]", "function 0 is not an object"),
+    ("[{}]", 'function 0 has no "breakpoints"'),
+    ('[{"breakpoints": []}]', 'function 0 has no "markers"'),
+    # JSON true once read as the coordinate 1
+    (_one_function(breakpoints=[["0", "0"], ["1/4", "1/4"], ["1/2", "3/4"], [True, "1"]]),
+     "not a number: True"),
+    (_one_function(breakpoints=[[False, "0"], ["1/4", "1/4"], ["1/2", "3/4"], ["1", "1"]]),
+     "not a number: False"),
+    (_one_function(markers=[True]), "not a number: True"),
+])
+def test_genset_document_shape(capsys, doc, reason):
+    for verb in ("verify", "signature"):
+        err = expect_error(capsys, 2, verb, doc)
+        assert err == f"error: cannot parse generating set: {reason}\n"
+
+
 @pytest.mark.parametrize("where", ["breakpoint", "marker"])
 def test_exponent_notation_is_refused_before_it_is_expanded(capsys, where):
     # read as 10**10000000, this coordinate took seconds to build
@@ -401,7 +421,7 @@ def test_exponent_notation_is_refused_before_it_is_expanded(capsys, where):
 
 
 def test_coordinates_read_as_before(capsys):
-    doc = _one_function(breakpoints=[[" 0", "-0"], ["+1/4", "2/8"], ["1/2", "3/4"], [1, True]],
+    doc = _one_function(breakpoints=[[" 0", "-0"], ["+1/4", "2/8"], ["1/2", "3/4"], [1, "1"]],
                         markers=[0.5])
     assert run(capsys, "signature", doc) == run(capsys, "signature", _one_function())
 

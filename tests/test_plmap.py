@@ -3,8 +3,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import _slopes, commutator, compose_pointwise, power_pointwise, swapped
+from oracles import (
+    _slopes, commutator, compose_pointwise, eval_pointwise, power_pointwise, swapped)
 from sigcalc.realization import PLMap, pl_eval, pred_C, realize
 from sigcalc.realization.plmap import PLError
 from sigcalc.signature import enumerate_signatures
@@ -57,10 +59,10 @@ def test_rejects_bad_breakpoints():
 
 
 def test_trusted_checks_that_points_increase():
-    pts = ((F(0), F(0)), (F(1, 2), F(1, 4)), (F(1, 4), F(1, 2)), (F(1), F(1)))
+    bp = (0, 1, 0, 1, 1, 2, 1, 4, 1, 4, 1, 2, 1, 1, 1, 1)
     with pytest.raises(PLError):
-        PLMap._trusted(pts)
-    assert PLMap._trusted(pts[:1] + pts[2:]) == PLMap(pts[:1] + pts[2:])
+        PLMap._derived(bp)
+    assert PLMap._derived(bp[:4] + bp[8:]) == PLMap([(0, 0), (F(1, 4), F(1, 2)), (1, 1)])
 
 
 def test_eval_and_inverse():
@@ -81,6 +83,35 @@ def test_composition_exact_random():
     for _ in range(50):
         x = F(rng.randint(0, 997), 997)
         assert h(x) == g(f(x))
+
+
+_INTERIOR = st.fractions(0, 1, max_denominator=97).filter(lambda q: 0 < q < 1)
+
+
+@st.composite
+def maps_and_points(draw):
+    """A map with up to 6 interior breakpoints, and points to evaluate: its
+    breakpoints' coordinates, the ends 0 and 1, and drawn points."""
+    k = draw(st.integers(0, 6))
+    xs, ys = (sorted(draw(st.sets(_INTERIOR, min_size=k, max_size=k))) for _ in "xy")
+    m = PLMap([(0, 0), *zip(xs, ys), (1, 1)])
+    points = [F(0), F(1), *xs, *ys, *draw(st.lists(_INTERIOR, max_size=6))]
+    return m, points
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(maps_and_points())
+def test_one_point_image_and_preimage(case):
+    m, points = case
+    inv = m.inverse()
+    for x in points:
+        image = m._at(x.numerator, x.denominator)
+        preimage = m._at(x.numerator, x.denominator, back=True)
+        assert F(*image) == m(x) == eval_pointwise(m, x)
+        assert F(*preimage) == inv(x) == eval_pointwise(swapped(m), x)
+        # reduced pairs, with positive denominators
+        assert image == F(*image).as_integer_ratio()
+        assert preimage == F(*preimage).as_integer_ratio()
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -182,7 +213,8 @@ def test_equal_maps_by_any_route_are_one_canonical_form():
             PLMap(fg.points),
             PLMap([(str(x), str(y)) for x, y in reversed(fg.points)]),
             PLMap([(0, 0), *fg.points[1:-1], (F(1, 2), fg(F(1, 2))), (1, 1)]),
-            PLMap._trusted(fg.points),
+            PLMap([((x.numerator, x.denominator), (y.numerator, y.denominator))
+                   for x, y in fg.points]),
             compose_pointwise(f, g),
             g.inverse().then(f.inverse()).inverse(),
             fg.inverse().inverse(),

@@ -1,5 +1,7 @@
 import functools
+import hashlib
 import itertools
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -19,6 +21,7 @@ from sigcalc.realization import (
     NotSgenError,
     PLMap,
     RealizationError,
+    diagram,
     genset_from_json,
     genset_to_json,
     is_fast,
@@ -33,8 +36,8 @@ from sigcalc.realization.marked import (
 from sigcalc import cli
 from sigcalc.realization import build, genset, marked, plmap
 from oracles import (
-    checked_copy, classify_pair, fig_bz_set, fig_g_set, fn_shape, is_standard_pair,
-    rescale_checked)
+    checked_copy, classify_pair, fig_bz_set, fig_g_set, fn_shape, frac, genset_to_json_dumps,
+    is_standard_pair, rescale_checked)
 
 one = ONE_SIG
 
@@ -57,11 +60,11 @@ TWO_BUMPS = MarkedFn(PLMap([
 def test_feet():
     f = make_bump_fn(F(1, 4), F(3, 4), F(5, 16), F(11, 16))
     (b,) = f.bumps
-    assert b.feet == ((F(1, 4), F(5, 16)), (F(11, 16), F(3, 4)))
+    assert b.feet == (((1, 4), (5, 16)), ((11, 16), (3, 4)))
     neg = make_bump_fn(F(1, 4), F(3, 4), F(5, 16), F(11, 16), sign=-1)
     (b,) = neg.bumps
     assert b.sign == -1
-    assert b.feet == ((F(1, 4), F(5, 16)), (F(11, 16), F(3, 4)))
+    assert b.feet == (((1, 4), (5, 16)), ((11, 16), (3, 4)))
 
 
 def test_marker_validation():
@@ -226,7 +229,7 @@ def test_realize_brin_navas_matches_figure():
     # inner bump straddles the top's expansion point
     (inner,) = fns[0].bumps
     expansion = fns[1].orbitals[0][1]
-    assert inner.u < expansion < inner.v
+    assert frac(inner.u) < frac(expansion) < frac(inner.v)
 
 
 def test_realize_tower_pairs_match_figure():
@@ -267,7 +270,7 @@ def test_build_cache_is_bounded(monkeypatch):
 
 def test_realize_computes_orbitals_once_per_function(monkeypatch):
     counts = {"orbitals": 0, "fns": 0}
-    orbitals, init = PLMap.orbitals, MarkedFn.__init__
+    orbitals, init = PLMap._orbitals, MarkedFn.__init__
 
     def counting_orbitals(self):
         counts["orbitals"] += 1
@@ -277,12 +280,28 @@ def test_realize_computes_orbitals_once_per_function(monkeypatch):
         counts["fns"] += 1
         init(self, *args)
 
-    monkeypatch.setattr(PLMap, "orbitals", counting_orbitals)
+    monkeypatch.setattr(PLMap, "_orbitals", counting_orbitals)
     monkeypatch.setattr(MarkedFn, "__init__", counting_init)
     _fresh_build_cache(monkeypatch)
     assert signature_of(realize(SIG5)) == SIG5
     assert counts["fns"] > SIG5.n
     assert counts["orbitals"] == counts["fns"]
+
+
+def test_realize_builds_no_inverse_map(monkeypatch):
+    # a negative bump's foot is one preimage, read without inverting the map
+    inverted = []
+    inverse = PLMap.inverse
+
+    def counting_inverse(self):
+        inverted.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(PLMap, "inverse", counting_inverse)
+    _fresh_build_cache(monkeypatch)
+    fns = realize(SIG5)
+    assert any(b.sign < 0 for f in fns for b in f.bumps)
+    assert inverted == []
 
 
 INTERVALS = [(F(1, 7), F(5, 9)), (0, F(1, 2)), (F(1, 2), 1)]
@@ -308,7 +327,8 @@ def _distinct(fns):
 
 
 def test_trusted_transport_matches_checked_constructor():
-    assert [o[:2] for o in CROSSING.orbitals] == [(0, F(1, 3)), (F(1, 3), F(4, 5)), (F(4, 5), 1)]
+    assert [o[:2] for o in CROSSING.orbitals] == [((0, 1), (1, 3)), ((1, 3), (4, 5)),
+                                                  ((4, 5), (1, 1))]
     fns = [CROSSING] + _distinct(f for s in enumerate_signatures(4, 3) for f in realize(s))
     for f in fns:
         for g in _rotation_chain(f) + [rescale_fn(f, lo, hi) for lo, hi in INTERVALS]:
@@ -320,10 +340,50 @@ def test_realized_n5_matches_checked_constructor(realized_n5):
         assert fn_shape(f) == fn_shape(checked_copy(f))
 
 
+# sha256 of the realized n = 5 sets' JSON, concatenated in enumeration order,
+# as the json.dumps writer printed them
+REALIZED_N5_SHA256 = "8ed2102bf15910830dfb15f1eba8cc8de160b3baf9356a9c151afea83ca48b35"
+
+
+def test_realized_n5_json_is_pinned(realized_n5):
+    text = "".join(genset_to_json(fns) for fns in realized_n5)
+    assert hashlib.sha256(text.encode()).hexdigest() == REALIZED_N5_SHA256
+
+
+def _one_function_json(breakpoints, markers):
+    return json.dumps([{"breakpoints": breakpoints, "markers": markers}])
+
+
+def test_writer_matches_json_dumps(realized_n5):
+    fns = realize(SIG5)
+    names = ['say "hi"', "back\\slash", "new\nline", "\x00\x01\x1f\x7f\t", "ünï ∞ \U0001f600",
+             ""]
+    loaded = [
+        genset_from_json(_one_function_json([[0, 0], ["1/3", "1/2"], [1, 1]], ["1/2"])),
+        genset_from_json(_one_function_json(
+            [["0", "0"], ["2/8", "1/4"], [0.5, "3/4"], ["1", 1]], ["1/2"])),
+        genset_from_json(genset_to_json(fns)),
+    ]
+    sets = [[], fns, [MarkedFn(fns[0].map, fns[0].markers)]] + loaded
+    sets += [[f.rename(name) for f in fns] for name in names]
+    for s in sets + realized_n5:
+        assert genset_to_json(s) == genset_to_json_dumps(s)
+
+
+def test_diagram_unchanged_by_transport_and_renaming(realized_n5):
+    for fns in realized_n5:
+        d = diagram(fns)
+        assert diagram([rescale_fn(f, F(1, 7), F(5, 9)) for f in fns]) == d
+        new = {f.name: f"r{f.name}r" for f in fns}
+        renamed = diagram([f.rename(new[f.name]) for f in fns])
+        assert (renamed.num_vertices, renamed.edges) == (d.num_vertices, d.edges)
+        assert renamed.names == tuple(new[name] for name in d.names)
+
+
 def test_transport_computes_no_orbitals(monkeypatch):
     fns = realize(SIG5)
     calls = []
-    orbitals, canonical = PLMap.orbitals, plmap._canonical
+    orbitals, canonical = PLMap._orbitals, plmap._canonical
 
     def counting_orbitals(self):
         calls.append("orbitals")
@@ -333,7 +393,7 @@ def test_transport_computes_no_orbitals(monkeypatch):
         calls.append("canonical")
         return canonical(points)
 
-    monkeypatch.setattr(PLMap, "orbitals", counting_orbitals)
+    monkeypatch.setattr(PLMap, "_orbitals", counting_orbitals)
     monkeypatch.setattr(plmap, "_canonical", counting_canonical)
     for f in fns:
         f.rename("x")
@@ -446,4 +506,4 @@ def test_genset_json_round_trip():
 def test_midpoint_bump_shape():
     f = midpoint_bump(0, F(1, 2))
     assert f.map(F(1, 4)) == F(3, 8)
-    assert f.markers == (F(1, 4),)
+    assert f.markers == ((1, 4),)
