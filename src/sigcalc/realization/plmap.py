@@ -15,13 +15,19 @@ floating point anywhere.
 `PLMap(points)` is the one checked constructor: it reads coordinates with
 `ratio`, sorts the points, drops collinear ones, and checks that they run
 from (0,0) to (1,1) strictly increasing in both coordinates.  Maps derived
-from valid maps (`inverse`, `then`, powers, and through `PLMap._derived`
-the affine copies, restrictions and bumps of `marked`) are only checked
-for strictly increasing coordinates.
+from valid maps are only checked for strictly increasing coordinates, and
+each is checked once: `inverse`, and through `PLMap._derived` the affine
+copies, restrictions and bumps of `marked`, check the built breakpoints;
+a composition is checked inside its merge kernel, `_merge`, each point
+against the one before it as the point is emitted, so `then` (and powers)
+drain `_merge` into a map made by the unchecked `PLMap._make`.  `_merge`
+is the one composition loop: `words.pred_C` runs two of them side by side
+and stops at the first breakpoint where they differ.
 
-Slopes are reduced (p, q) pairs, derived once per map: `slopes` is None
-until the map is first composed; `then` records the slope of each segment
-it emits and `inverse` swaps known ones, so derived maps carry theirs.
+Slopes are reduced (p, q) pairs, derived once per map: the checked
+constructor keeps the ones it computes to drop collinear points, `_merge`
+records the slope of each segment it emits, and `inverse` swaps known
+ones; a map made by `_derived` without them gets them when first composed.
 """
 
 from __future__ import annotations
@@ -30,8 +36,9 @@ import re
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cmp_to_key
+from itertools import chain
 from math import gcd, lcm
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 Point = Tuple[Fraction, Fraction]
 Pair = Tuple[int, int]  # a reduced n/d, d > 0
@@ -43,6 +50,9 @@ _RATIO = re.compile(r"\s*([+-]?\d+)(?:/(0*[1-9]\d*))?\s*")
 
 class PLError(ValueError):
     pass
+
+
+_NOT_INCREASING = "breakpoints must be strictly increasing in both coordinates"
 
 
 def _reduced(n: int, d: int) -> Tuple[int, int]:
@@ -98,23 +108,26 @@ def _slope(a, b) -> Tuple[int, int]:
 
 
 def _canonical(points: Iterable):
-    """The sorted minimal breakpoints as a flat tuple, and the given points
-    as their view if all are Fractions (else None).  The caller checks that
-    they increase: dropping a collinear point hides no pair that does not."""
+    """The sorted minimal breakpoints as a flat tuple, their slopes, and the
+    given points as their view if all are Fractions (else None).  The caller
+    checks that they increase: dropping a collinear point hides no pair that
+    does not."""
     given = {ratio(x) + ratio(y): (x, y) for x, y in points}
     bp = sorted(given, key=by_value)
     if not bp or bp[0] != (0, 1, 0, 1) or bp[-1] != (1, 1, 1, 1):
         raise PLError("breakpoints must run from (0,0) to (1,1)")
-    out = bp[:2]
+    out, slopes = bp[:2], [_slope(*bp[:2])]  # slopes[k]: from out[k] to out[k + 1]
     for b in bp[2:]:
-        if _slope(out[-2], out[-1]) == _slope(out[-1], b):
+        s = _slope(out[-1], b)
+        if s == slopes[-1]:  # collinear: out[-2] to b keeps the slope
             out[-1] = b
         else:
             out.append(b)
+            slopes.append(s)
     view = tuple(given[b] for b in out)
     if not all(type(x) is Fraction is type(y) for x, y in view):
         view = None
-    return tuple(c for b in out for c in b), view
+    return tuple(c for b in out for c in b), view, tuple(slopes)
 
 
 def _crossing(a, b) -> Pair:
@@ -131,7 +144,7 @@ class PLMap:
     """An increasing PL bijection of [0,1], composed left to right.
 
     `slopes[k]` is the slope between breakpoints k and k + 1, or None until
-    the map is first composed."""
+    a map made by `_derived` without them is first composed."""
 
     __slots__ = ("_bp", "_points", "slopes")
 
@@ -140,16 +153,23 @@ class PLMap:
 
     @classmethod
     def _derived(cls, bp: Tuple[int, ...], points: Optional[Tuple[Point, ...]] = None,
-                 slopes: Optional[Tuple[Tuple[int, int], ...]] = None) -> "PLMap":
-        """A map on canonical breakpoints, with its view and slopes if known.
-        Only checks that both coordinates strictly increase."""
+                 slopes: Optional[Tuple[Pair, ...]] = None) -> "PLMap":
+        """`_make`, after checking that both coordinates strictly increase."""
         quads = _quads(bp)
         for (x1, xd1, y1, yd1), (x2, xd2, y2, yd2) in zip(quads, quads[1:]):
             if x2 * xd1 <= x1 * xd2 or y2 * yd1 <= y1 * yd2:
-                raise PLError("breakpoints must be strictly increasing in both coordinates")
+                raise PLError(_NOT_INCREASING)
+        return cls._make(bp, points, slopes)
+
+    @classmethod
+    def _make(cls, bp: Tuple[int, ...], points: Optional[Tuple[Point, ...]] = None,
+              slopes: Optional[Tuple[Pair, ...]] = None) -> "PLMap":
+        """A map on canonical breakpoints, with its view and slopes if known,
+        unchecked."""
         m = object.__new__(cls)
-        for name, value in zip(cls.__slots__, (bp, points, slopes)):
-            object.__setattr__(m, name, value)
+        object.__setattr__(m, "_bp", bp)
+        object.__setattr__(m, "_points", points)
+        object.__setattr__(m, "slopes", slopes)
         return m
 
     def __setattr__(self, name, value):
@@ -170,7 +190,7 @@ class PLMap:
 
     @staticmethod
     def identity() -> "PLMap":
-        return PLMap._derived((0, 1, 0, 1, 1, 1, 1, 1), None, ((1, 1),))
+        return PLMap._make((0, 1, 0, 1, 1, 1, 1, 1), None, ((1, 1),))
 
     @property
     def is_identity(self) -> bool:
@@ -203,7 +223,20 @@ class PLMap:
                               slopes and tuple((q, p) for p, q in slopes))
 
     def then(self, other: "PLMap") -> "PLMap":
-        """The composition apply-self-then-other.
+        """The composition apply-self-then-other: (0,0), then `_merge`."""
+        if self.is_identity:
+            return other
+        if other.is_identity:
+            return self
+        slopes = []
+        bp = (0, 1, 0, 1, *chain.from_iterable(self._merge(other, slopes)))
+        return PLMap._make(bp, None, tuple(slopes))
+
+    def _merge(self, other: "PLMap", slopes: List[Pair]) -> Iterator[Tuple[int, int, int, int]]:
+        """The breakpoints of apply-self-then-other after (0,0), in order, as
+        (xn, xd, yn, yd); the slope of each segment is appended to `slopes`
+        once known.  Each point is checked to increase on the one before it,
+        and is final when yielded: no later step removes it.
 
         One merge of self's y-values with other's x-values: between two
         consecutive merged values the composition is affine with slope
@@ -214,16 +247,14 @@ class PLMap:
         breaks always starts a new segment, and products are compared, by
         cross-multiplication, only where both break.
         """
-        if self.is_identity:
-            return other
-        if other.is_identity:
-            return self
         a, b = self._bp, other._bp
         sa, sb = self._known_slopes(), other._known_slopes()
         last_a, last_b = len(a) - 8, len(b) - 8
         # the current segments start at a[i:i + 4] and b[j:j + 4]
         i = j = 0
-        out, slopes = list(a[:4]), [_reduced(sa[0][0] * sb[0][0], sa[0][1] * sb[0][1])]
+        p, q = _reduced(sa[0][0] * sb[0][0], sa[0][1] * sb[0][1])  # the result's current slope
+        slopes.append((p, q))
+        pxn, pxd, pyn, pyd = 0, 1, 0, 1  # the last point emitted
         while i < last_a or j < last_b:
             # step past the next merged value on each map with a breakpoint
             # there; it becomes the start of that map's current segment
@@ -235,17 +266,24 @@ class PLMap:
             (ap, aq), (bp, bq) = sa[i >> 2], sb[j >> 2]
             if c < 0:  # a breaks inside b's segment: y's image under b
                 d = bq * yd * ud
-                out += (xn, xd) + _reduced(vn * d + bp * (yn * ud - un * yd) * vd, vd * d)
+                yn, yd = _reduced(vn * d + bp * (yn * ud - un * yd) * vd, vd * d)
             elif c > 0:  # b breaks inside a's image: u's preimage under a
                 d = ap * ud * yd
-                out += _reduced(xn * d + aq * (un * yd - yn * ud) * xd, xd * d) + (vn, vd)
-            elif ap * bp * slopes[-1][1] == slopes[-1][0] * aq * bq:  # both break, same slope
+                xn, xd = _reduced(xn * d + aq * (un * yd - yn * ud) * xd, xd * d)
+                yn, yd = vn, vd
+            elif ap * bp * q == p * aq * bq:  # both break, same slope
                 continue
             else:
-                out += (xn, xd, vn, vd)
-            slopes.append(_reduced(ap * bp, aq * bq))
-        out += a[-4:]
-        return PLMap._derived(tuple(out), None, tuple(slopes))
+                yn, yd = vn, vd
+            if xn * pxd <= pxn * xd or yn * pyd <= pyn * yd:
+                raise PLError(_NOT_INCREASING)
+            yield xn, xd, yn, yd
+            pxn, pxd, pyn, pyd = xn, xd, yn, yd
+            p, q = _reduced(ap * bp, aq * bq)
+            slopes.append((p, q))
+        if pxn >= pxd or pyn >= pyd:  # (1,1) does not exceed the last point
+            raise PLError(_NOT_INCREASING)
+        yield 1, 1, 1, 1
 
     def __pow__(self, k: int) -> "PLMap":
         if k == 0:

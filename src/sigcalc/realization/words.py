@@ -7,6 +7,7 @@ tower.  All evaluation is exact on PL maps.
 
 from __future__ import annotations
 
+from operator import eq
 from typing import List, Optional, Sequence, Tuple
 
 from .marked import MarkedFn, RealizationError
@@ -33,8 +34,19 @@ def conj_map(x: PLMap, y: PLMap) -> PLMap:
 
 
 def pred_C(x: PLMap, y: PLMap) -> bool:
-    """xy = yx, compared as breakpoint tuples: maps are stored minimal."""
-    return x.then(y) == y.then(x)
+    """xy = yx, compared breakpoint by breakpoint as the two products are
+    merged (`PLMap._merge`), stopping at the first that differ.
+
+    Maps are stored minimal, so equal breakpoint streams mean equal maps;
+    both streams end at (1,1), which no earlier point can equal, so one that
+    stops early differs from the other there.  Every point compared is
+    checked to increase, but points past the first difference are not
+    computed: on a map whose coordinates do not increase (which only
+    `PLMap._make` can build; JSON and CLI input pass the checked
+    constructor) this can return False where `then` would raise."""
+    if x.is_identity or y.is_identity:
+        return True
+    return all(map(eq, x._merge(y, []), y._merge(x, [])))
 
 
 def pred_D(x: PLMap, y: PLMap) -> bool:

@@ -6,9 +6,10 @@ oscillation and standardness for the realization tests.  `is_standard_pair`
 is the recursive definition of a standard pair, checked in full at every
 level, for comparison with the library's single walk.  `compose_pointwise`
 is PL composition by the sorted union of breakpoints evaluated pointwise,
-the reference for `PLMap.then`, `inverse` and powers; `commutator` gives the
-reading of "x and y commute" as "their commutator is the identity", checked
-against `pred_C`.  `eval_pointwise` is one-point evaluation by Fraction
+the reference for `PLMap.then`, `inverse` and powers; `pred_C_products`
+is "x and y commute" with both products built in full, and `commutator`
+its reading as "their commutator is the identity", both checked against
+`pred_C`.  `eval_pointwise` is one-point evaluation by Fraction
 interpolation between the breakpoints, the reference for `PLMap._at`, and
 `genset_to_json_dumps` the generating-set writer through `json.dumps`, the
 reference for `genset_to_json`.  `checked_copy` and `rescale_checked`
@@ -168,6 +169,11 @@ def power_pointwise(f: PLMap, k: int) -> PLMap:
     for _ in range(abs(k)):
         out = compose_pointwise(out, base)
     return out
+
+
+def pred_C_products(x: PLMap, y: PLMap) -> bool:
+    """xy = yx, with both products built in full and compared."""
+    return x.then(y) == y.then(x)
 
 
 def commutator(x: PLMap, y: PLMap) -> PLMap:

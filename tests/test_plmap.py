@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
-    _slopes, commutator, compose_pointwise, eval_pointwise, power_pointwise, swapped)
+    _slopes, commutator, compose_pointwise, eval_pointwise, power_pointwise, pred_C_products,
+    swapped)
 from sigcalc.realization import PLMap, pl_eval, pred_C, realize
 from sigcalc.realization.plmap import PLError
 from sigcalc.signature import enumerate_signatures
@@ -99,6 +100,119 @@ def maps_and_points(draw):
     return m, points
 
 
+def _fractions(draw, k, den):
+    """k distinct fractions in (0,1) with denominator den, sorted."""
+    return [F(n, den) for n in sorted(draw(st.sets(st.integers(1, den - 1),
+                                                   min_size=k, max_size=k)))]
+
+
+@st.composite
+def pl_maps(draw):
+    """A map with up to 6 interior breakpoints, its x- and y-coordinates
+    each over one of DENOMINATORS."""
+    dx, dy = (draw(st.sampled_from(DENOMINATORS)) for _ in "xy")
+    k = draw(st.integers(0, min(6, dx - 1, dy - 1)))
+    return PLMap([(0, 0), *zip(_fractions(draw, k, dx), _fractions(draw, k, dy)), (1, 1)])
+
+
+@st.composite
+def bump_pairs(draw, overlapping, lo=0):
+    """Two one-bump maps, on (u1, v1) and (u2, v2) with lo < u1 < u2: their
+    supports overlap (u2 < v1 < v2), or are disjoint and may touch (v1 <= u2)."""
+    ends = [lo + (1 - lo) * e for e in _fractions(draw, 4, 97)]
+    if overlapping:
+        ends[1], ends[2] = ends[2], ends[1]
+    elif draw(st.booleans()):
+        ends[2] = ends[1]
+    maps = []
+    for u, v in (ends[:2], ends[2:]):
+        s, t = (u + (v - u) * r for r in draw(st.permutations(_fractions(draw, 2, 16))))
+        maps.append(bump_map(u, v, s, t, draw(st.sampled_from((1, -1)))))
+    return tuple(maps)
+
+
+@st.composite
+def commuting_cases(draw):
+    """(x, y, whether x and y are known to commute, or None if unknown)."""
+    kind = draw(st.sampled_from(("random", "identity", "equal", "powers", "disjoint",
+                                 "overlapping", "late")))
+    if kind == "random":
+        return draw(pl_maps()), draw(pl_maps()), None
+    if kind in ("disjoint", "overlapping"):
+        x, y = draw(bump_pairs(kind == "overlapping"))
+        return x, y, kind == "disjoint"
+    m = draw(pl_maps())
+    if kind == "late":
+        # powers of one map on [0, 1/2], each then a bump on (1/2, 1) with
+        # the two bumps overlapping: the products first differ past 1/2
+        half = PLMap([(x / 2, y / 2) for x, y in m.points] + [(1, 1)])
+        p, q = draw(bump_pairs(True, F(1, 2)))
+        j, k = (draw(st.integers(-3, 3)) for _ in "jk")
+        return (half ** j).then(p), (half ** k).then(q), False
+    if kind == "identity":
+        x, y = m, PLMap.identity()
+    elif kind == "equal":
+        x, y = m, PLMap(m.points)
+    else:
+        j, k = (draw(st.integers(-3, 3)) for _ in "jk")
+        x, y = m ** j, m ** k
+    return (x, y, True) if draw(st.booleans()) else (y, x, True)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(commuting_cases())
+def test_pred_C_matches_both_products(case):
+    x, y, known = case
+    assert pred_C(x, y) == pred_C_products(x, y) == pred_C(y, x)
+    if known is not None:
+        assert pred_C(x, y) == known
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(pl_maps(), pl_maps())
+def test_merge_yields_the_composition(f, g):
+    for x, y in ((f, g), (g, f), (f, f.inverse()), (f, PLMap.identity())):
+        slopes = []
+        points = list(x._merge(y, slopes))
+        xy = x.then(y)
+        assert (0, 1, 0, 1) + tuple(c for p in points for c in p) == xy._bp
+        assert tuple(slopes) == xy.slopes == int_slopes(xy)
+
+
+def test_composition_checks_every_point():
+    # made without the check: y falls from 3/4 to 1/2, and y reaches 1 at
+    # 1/2, so that only the last point, (1,1), fails to increase
+    b = PLMap._make((0, 1, 0, 1, 1, 2, 3, 4, 3, 4, 1, 2, 1, 1, 1, 1))
+    flat = PLMap._make((0, 1, 0, 1, 1, 2, 1, 1, 1, 1, 1, 1))
+    g = PLMap([(0, 0), (F(1, 4), F(1, 2)), (1, 1)])
+    for compute in (lambda: b.then(b), lambda: b.then(g), lambda: g.then(b),
+                    lambda: pred_C(b, b), lambda: g.then(flat)):
+        with pytest.raises(PLError):
+            compute()
+
+
+@st.composite
+def maps_with_collinear_points(draw):
+    """A map, and its breakpoints with points added on its segments, in
+    any order."""
+    m = draw(pl_maps())
+    points = list(m.points)
+    for (x1, y1), (x2, y2) in zip(m.points, m.points[1:]):
+        for t in _fractions(draw, draw(st.integers(0, 3)), 16):
+            points.append((x1 + (x2 - x1) * t, y1 + (y2 - y1) * t))
+    return m, draw(st.permutations(points))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(maps_with_collinear_points())
+def test_checked_constructor_carries_slopes(case):
+    m, points = case
+    checked = PLMap(points)
+    assert checked == m and checked.points == m.points
+    assert checked.slopes == int_slopes(checked)
+    assert all(s != t for s, t in zip(checked.slopes, checked.slopes[1:]))
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(maps_and_points())
 def test_one_point_image_and_preimage(case):
@@ -175,11 +289,15 @@ def test_carried_slopes_match_points(den):
     rng = random.Random(den)
     for _ in range(20):
         f, g, h = (random_map(rng, den) for _ in range(3))
-        assert f.slopes is None and f.inverse().slopes is None
-        # composing derives each operand's slopes once, on the operand
-        fg = derived("then", f, g)
-        if not (f.is_identity or g.is_identity):
-            assert f.slopes == int_slopes(f) and g.slopes == int_slopes(g)
+        # the checked constructor carries the slopes, and so does the inverse
+        assert f.slopes == int_slopes(f) and f.inverse().slopes == int_slopes(swapped(f))
+        # a map made by `_derived`, as the transports in `marked` make them,
+        # has none until first composed, which derives them once, on the map
+        t = PLMap._derived(f._bp)
+        assert t.slopes is None and t.inverse().slopes is None
+        fg = derived("then", t, g)
+        if not (t.is_identity or g.is_identity):
+            assert t.slopes == int_slopes(t)
         f_inv = derived("inverse", f)
         # breakpoints that coincide and cancel: f against f-inverse, f
         # against a map breaking at f's y-values, and the merge that undoes f
