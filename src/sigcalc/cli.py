@@ -81,7 +81,10 @@ def _read_arg(arg: str) -> str:
 
 
 def load_signature(arg: str) -> Signature:
-    text = _read_arg(arg).strip()
+    return _parse_signature(_read_arg(arg).strip())
+
+
+def _parse_signature(text: str) -> Signature:
     try:
         sig = sig_from_json(text) if text.startswith("{") else parse_term(text)
     except (SignatureParseError, RecursionError) as e:
@@ -96,13 +99,15 @@ def load_signature(arg: str) -> Signature:
 
 
 def load_genset(arg: str):
-    text = _read_arg(arg).strip()
+    return _parse_genset(_read_arg(arg).strip())
+
+
+def _parse_genset(text: str):
     try:
-        fns = genset_from_json(text)
+        return genset_from_json(text)
     except (KeyError, TypeError, ValueError, ArithmeticError, RecursionError) as e:
         # ArithmeticError: a JSON float past the float range
         raise CliError(f"cannot parse generating set: {e}", 2)
-    return fns
 
 
 def load_ordinal(arg: str) -> Ordinal:
@@ -120,13 +125,9 @@ def _parse_word(text: str):
     most MAX_WORD_LETTERS letters."""
     word = []
     for tok in text.replace(";", " ").split():
-        if "," in tok:
-            idx, exp = tok.split(",")
-        elif "^" in tok:
-            idx, exp = tok.split("^")
-        else:
-            idx, exp = tok, "1"
+        sep = "," if "," in tok else "^"
         try:
+            idx, exp = tok.split(sep) if sep in tok else (tok, "1")
             word.append((int(idx), int(exp)))
         except ValueError:
             raise CliError(f"bad word token {tok!r}", 2)
@@ -233,10 +234,11 @@ def cmd_diagram(args):
 
 def _by_argument_kind(args, set_op, signature_op):
     """Apply set_op to a generating set (a JSON list), else signature_op."""
-    if _read_arg(args.arg).strip().startswith("["):
-        _out(args, genset_to_json(set_op(load_genset(args.arg))) + "\n")
+    text = _read_arg(args.arg).strip()
+    if text.startswith("["):
+        _out(args, genset_to_json(set_op(_parse_genset(text))) + "\n")
     else:
-        _out(args, sig_to_json(signature_op(load_signature(args.arg))) + "\n")
+        _out(args, sig_to_json(signature_op(_parse_signature(text))) + "\n")
 
 
 def cmd_inflate(args):

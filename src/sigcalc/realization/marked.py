@@ -17,9 +17,12 @@ marker inside each.  Functions carried over from a valid one go through
 checks nothing: a renamed copy (`rename`), an affine copy (`rescale_fn`),
 the restriction of a function with more than two orbitals to its inner ones
 (`fn_rotate`), and a two-piece bump whose parameters `make_bump_fn` has
-checked.  Bumps, extended support, transition points and the extreme
-transition points are derived from the stored orbitals; bumps, extended
-support and the rotation are derived once, on first use.
+checked.  The last three build their maps with the unchecked `PLMap._make`,
+as transport and checked parameters keep breakpoints increasing; tests
+compare each with the checked constructors.  Bumps, extended support,
+transition points and the extreme transition points are derived from the
+stored orbitals; bumps, extended support and the rotation are derived once,
+on first use.
 """
 
 from __future__ import annotations
@@ -169,7 +172,7 @@ def make_bump_fn(u, v, a, b, sign: int = 1, name: Optional[str] = None) -> Marke
         bp = (0, 1, 0, 1) + bp
     if v[0] < v[1]:
         bp += (1, 1, 1, 1)
-    return MarkedFn._trusted(PLMap._derived(bp), (a,), ((u, v, sign),), name)
+    return MarkedFn._trusted(PLMap._make(bp), (a,), ((u, v, sign),), name)
 
 
 def canonical_bump(u, v, name: Optional[str] = None) -> MarkedFn:
@@ -201,7 +204,7 @@ def fn_rotate(f: MarkedFn) -> MarkedFn:
             if ln * q[1] < q[0] * ld and q[0] * hd < hn * q[1]:
                 bp += q
         bp += (hn, hd, hn, hd, 1, 1, 1, 1)
-        return MarkedFn._trusted(PLMap._derived(tuple(bp)), f.markers[1:-1], orbs[1:-1], name)
+        return MarkedFn._trusted(PLMap._make(tuple(bp)), f.markers[1:-1], orbs[1:-1], name)
     pos = [b for b in f.bumps if b.sign > 0]
     if not pos:
         raise RealizationError("function has no positive orbital to rotate into")
@@ -246,4 +249,4 @@ def rescale_fn(f: MarkedFn, lo, hi) -> MarkedFn:
         bp += (1, 1, 1, 1)
     orbs = tuple((at(*u), at(*v), sign) for u, v, sign in f.orbitals)
     markers = tuple(at(*s) for s in f.markers)
-    return MarkedFn._trusted(PLMap._derived(tuple(bp)), markers, orbs, f.name)
+    return MarkedFn._trusted(PLMap._make(tuple(bp)), markers, orbs, f.name)

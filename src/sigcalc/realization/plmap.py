@@ -8,26 +8,26 @@ one-point images and preimages (`_at`) and orbitals (`_orbitals`) work on
 integers alone, with every number a reduced (n, d) pair; `ratio`, `fmt`,
 `keys`, `_lt` and `by_value` read, print and order such pairs for the whole
 package.  Fractions are built only where the public API hands them out:
-`points`, a read-only view of the breakpoints built on first read or kept
-from the Fractions the map was made from, `__call__` and `orbitals()`.  No
-floating point anywhere.
+`points`, the breakpoints built anew on each read, `__call__` and
+`orbitals()`.  No floating point anywhere.
 
 `PLMap(points)` is the one checked constructor: it reads coordinates with
 `ratio`, sorts the points, drops collinear ones, and checks that they run
-from (0,0) to (1,1) strictly increasing in both coordinates.  Maps derived
-from valid maps are only checked for strictly increasing coordinates, and
-each is checked once: `inverse`, and through `PLMap._derived` the affine
-copies, restrictions and bumps of `marked`, check the built breakpoints;
-a composition is checked inside its merge kernel, `_merge`, each point
-against the one before it as the point is emitted, so `then` (and powers)
-drain `_merge` into a map made by the unchecked `PLMap._make`.  `_merge`
-is the one composition loop: `words.pred_C` runs two of them side by side
-and stops at the first breakpoint where they differ.
+from (0,0) to (1,1) and that every slope it keeps is p/q with p > 0 and
+q > 0, which holds exactly when both coordinates strictly increase.  Every
+other map is built by the unchecked `PLMap._make`: `identity`; `inverse`,
+since swapping the coordinates of an increasing map keeps it increasing;
+the affine copies, restrictions and bumps of `marked`; and compositions,
+whose points are checked inside the merge kernel, `_merge`, each against
+the one before it as the point is emitted, so `then` (and powers) drain
+`_merge` into `_make`.  `_merge` is the one composition loop:
+`words.pred_C` runs two of them side by side and stops at the first
+breakpoint where they differ.
 
 Slopes are reduced (p, q) pairs, derived once per map: the checked
 constructor keeps the ones it computes to drop collinear points, `_merge`
 records the slope of each segment it emits, and `inverse` swaps known
-ones; a map made by `_derived` without them gets them when first composed.
+ones; a map made by `_make` without them gets them when first composed.
 """
 
 from __future__ import annotations
@@ -108,12 +108,12 @@ def _slope(a, b) -> Tuple[int, int]:
 
 
 def _canonical(points: Iterable):
-    """The sorted minimal breakpoints as a flat tuple, their slopes, and the
-    given points as their view if all are Fractions (else None).  The caller
-    checks that they increase: dropping a collinear point hides no pair that
-    does not."""
-    given = {ratio(x) + ratio(y): (x, y) for x, y in points}
-    bp = sorted(given, key=by_value)
+    """The sorted minimal breakpoints as a flat tuple, and their slopes.
+    Both coordinates strictly increase exactly when every kept slope p/q
+    has p > 0 and q > 0 (a repeated x gives q = 0, a flat or falling y
+    p <= 0); dropping a collinear point replaces two pairs with one of the
+    same slope, so it hides no pair that fails."""
+    bp = sorted(dict.fromkeys(ratio(x) + ratio(y) for x, y in points), key=by_value)
     if not bp or bp[0] != (0, 1, 0, 1) or bp[-1] != (1, 1, 1, 1):
         raise PLError("breakpoints must run from (0,0) to (1,1)")
     out, slopes = bp[:2], [_slope(*bp[:2])]  # slopes[k]: from out[k] to out[k + 1]
@@ -124,10 +124,9 @@ def _canonical(points: Iterable):
         else:
             out.append(b)
             slopes.append(s)
-    view = tuple(given[b] for b in out)
-    if not all(type(x) is Fraction is type(y) for x, y in view):
-        view = None
-    return tuple(c for b in out for c in b), view, tuple(slopes)
+    if not all(p > 0 and q > 0 for p, q in slopes):
+        raise PLError(_NOT_INCREASING)
+    return tuple(c for b in out for c in b), tuple(slopes)
 
 
 def _crossing(a, b) -> Pair:
@@ -143,32 +142,21 @@ def _crossing(a, b) -> Pair:
 class PLMap:
     """An increasing PL bijection of [0,1], composed left to right.
 
+    `PLMap(points)` checks its points; `_make` trusts its caller.
     `slopes[k]` is the slope between breakpoints k and k + 1, or None until
-    a map made by `_derived` without them is first composed."""
+    a map made by `_make` without them is first composed."""
 
-    __slots__ = ("_bp", "_points", "slopes")
+    __slots__ = ("_bp", "slopes")
 
     def __new__(cls, points: Iterable):
-        return cls._derived(*_canonical(points))
+        return cls._make(*_canonical(points))
 
     @classmethod
-    def _derived(cls, bp: Tuple[int, ...], points: Optional[Tuple[Point, ...]] = None,
-                 slopes: Optional[Tuple[Pair, ...]] = None) -> "PLMap":
-        """`_make`, after checking that both coordinates strictly increase."""
-        quads = _quads(bp)
-        for (x1, xd1, y1, yd1), (x2, xd2, y2, yd2) in zip(quads, quads[1:]):
-            if x2 * xd1 <= x1 * xd2 or y2 * yd1 <= y1 * yd2:
-                raise PLError(_NOT_INCREASING)
-        return cls._make(bp, points, slopes)
-
-    @classmethod
-    def _make(cls, bp: Tuple[int, ...], points: Optional[Tuple[Point, ...]] = None,
-              slopes: Optional[Tuple[Pair, ...]] = None) -> "PLMap":
-        """A map on canonical breakpoints, with its view and slopes if known,
-        unchecked."""
+    def _make(cls, bp: Tuple[int, ...], slopes: Optional[Tuple[Pair, ...]] = None) -> "PLMap":
+        """A map on breakpoints already canonical and strictly increasing,
+        with its slopes if known, unchecked."""
         m = object.__new__(cls)
         object.__setattr__(m, "_bp", bp)
-        object.__setattr__(m, "_points", points)
         object.__setattr__(m, "slopes", slopes)
         return m
 
@@ -177,10 +165,8 @@ class PLMap:
 
     @property
     def points(self) -> Tuple[Point, ...]:
-        if self._points is None:
-            object.__setattr__(self, "_points", tuple(
-                (Fraction(xn, xd), Fraction(yn, yd)) for xn, xd, yn, yd in _quads(self._bp)))
-        return self._points
+        """The breakpoints as Fraction pairs, built on each read."""
+        return tuple((Fraction(xn, xd), Fraction(yn, yd)) for xn, xd, yn, yd in _quads(self._bp))
 
     def _known_slopes(self) -> Tuple[Tuple[int, int], ...]:
         if self.slopes is None:
@@ -190,7 +176,7 @@ class PLMap:
 
     @staticmethod
     def identity() -> "PLMap":
-        return PLMap._make((0, 1, 0, 1, 1, 1, 1, 1), None, ((1, 1),))
+        return PLMap._make((0, 1, 0, 1, 1, 1, 1, 1), ((1, 1),))
 
     @property
     def is_identity(self) -> bool:
@@ -217,10 +203,9 @@ class PLMap:
         return _reduced(yn * q + (vn * yd - yn * vd) * (n * xd - xn * d) * ud, yd * q)
 
     def inverse(self) -> "PLMap":
-        slopes, points, bp = self.slopes, self._points, list(self._bp)
+        slopes, bp = self.slopes, list(self._bp)
         bp[0::4], bp[1::4], bp[2::4], bp[3::4] = bp[2::4], bp[3::4], bp[0::4], bp[1::4]
-        return PLMap._derived(tuple(bp), points and tuple((y, x) for x, y in points),
-                              slopes and tuple((q, p) for p, q in slopes))
+        return PLMap._make(tuple(bp), slopes and tuple((q, p) for p, q in slopes))
 
     def then(self, other: "PLMap") -> "PLMap":
         """The composition apply-self-then-other: (0,0), then `_merge`."""
@@ -230,7 +215,7 @@ class PLMap:
             return self
         slopes = []
         bp = (0, 1, 0, 1, *chain.from_iterable(self._merge(other, slopes)))
-        return PLMap._make(bp, None, tuple(slopes))
+        return PLMap._make(bp, tuple(slopes))
 
     def _merge(self, other: "PLMap", slopes: List[Pair]) -> Iterator[Tuple[int, int, int, int]]:
         """The breakpoints of apply-self-then-other after (0,0), in order, as

@@ -12,7 +12,10 @@ its reading as "their commutator is the identity", both checked against
 `pred_C`.  `eval_pointwise` is one-point evaluation by Fraction
 interpolation between the breakpoints, the reference for `PLMap._at`, and
 `genset_to_json_dumps` the generating-set writer through `json.dumps`, the
-reference for `genset_to_json`.  `checked_copy` and `rescale_checked`
+reference for `genset_to_json`.  `increasing_points` is the check and
+the canonical form of `PLMap(points)` written on Fractions, point by point,
+the reference for the checked constructor's check read from its slopes.
+`checked_copy` and `rescale_checked`
 rebuild a marked function through the checked constructors, the reference
 for the trusted transport (`rename`, `rescale_fn`, `fn_rotate`,
 `make_bump_fn`).  `frac` reads a marked function's reduced integer pair as
@@ -54,7 +57,7 @@ from sigcalc.realization.genset import (
     CONTAINS, GG, INSIDE, LL, GenSet, _fast_ordered, is_fast, order_genset, oscillation,
     pair_order)
 from sigcalc.realization.marked import MarkedFn, RealizationError, fn_rotate, is_standard_fn
-from sigcalc.realization.plmap import PLMap
+from sigcalc.realization.plmap import PLError, PLMap
 
 F = Fraction
 
@@ -120,6 +123,21 @@ def classify_pair(f: MarkedFn, g: MarkedFn) -> PairInfo:
 
 def _slopes(points: Tuple[Tuple[Fraction, Fraction], ...]) -> Tuple[Fraction, ...]:
     return tuple((y1 - y0) / (x1 - x0) for (x0, y0), (x1, y1) in zip(points, points[1:]))
+
+
+def increasing_points(points) -> List[Tuple[Fraction, Fraction]]:
+    """The distinct points as Fractions, sorted stably by x, checked to run
+    from (0,0) to (1,1) with every consecutive pair increasing in both
+    coordinates, and without the interior points where the slope does not
+    change; PLError, with the checked constructor's message, otherwise."""
+    pts = sorted(dict.fromkeys((Fraction(x), Fraction(y)) for x, y in points),
+                 key=lambda p: p[0])
+    if not pts or pts[0] != (0, 0) or pts[-1] != (1, 1):
+        raise PLError("breakpoints must run from (0,0) to (1,1)")
+    if any(x2 <= x1 or y2 <= y1 for (x1, y1), (x2, y2) in zip(pts, pts[1:])):
+        raise PLError("breakpoints must be strictly increasing in both coordinates")
+    slopes = _slopes(pts)
+    return [pts[0], *(p for p, s, t in zip(pts[1:], slopes, slopes[1:]) if s != t), pts[-1]]
 
 
 def swapped(f: PLMap) -> PLMap:

@@ -222,6 +222,23 @@ def test_rotate(capsys):
     expect_error(capsys, 1, "rotate", NOT_FAST)
 
 
+def test_rotate_and_inflate_read_a_file_argument_once(capsys, monkeypatch, tmp_path):
+    opens = []
+
+    def counting_open(*args, **kwargs):
+        opens.append(args[0])
+        return open(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", counting_open, raising=False)
+    for name, text in (("sig", '{"n": 2, "o": {"0,1": 2}}'), ("set", PAIR1)):
+        path = tmp_path / name
+        path.write_text(text)
+        for verb in (["rotate"], ["inflate", "--at", "1"]):
+            opens.clear()
+            assert run(capsys, verb[0], str(path), *verb[1:])[0] == 0
+            assert opens == [str(path)]
+
+
 def test_verify(capsys):
     assert run(capsys, "verify", PAIR1) == (0, (
         "fast: true\n"
@@ -257,6 +274,10 @@ def test_predicates(capsys):
         0, "C: true\nD: false\n", "")
     expect_error(capsys, 2, "predicates", PAIR1, "--x", "a", "--y", "1")
     expect_error(capsys, 1, "predicates", PAIR1, "--x", "5", "--y", "1")
+    # a token with a second separator
+    for x, z in (("0,1,2", "0"), ("0", "1^-1^1")):
+        err = expect_error(capsys, 2, "predicates", PAIR1, "--x", x, "--y", "1", "--z", z)
+        assert err.startswith("error: bad word token")
 
 
 def test_word_length_bound(capsys):
@@ -562,7 +583,8 @@ _GENSET = st.sampled_from([PAIR1, NOT_SGEN, NOT_FAST, TWO_BUMPS]) | st.builds(
 
 _WORD = st.lists(
     st.tuples(st.integers(-1, 3), st.integers(-3, 3)).map(lambda ie: "%d,%d" % ie)
-    | st.sampled_from(["0", "1^2", "0^-1", "a", "1,x"]), max_size=4).map(" ".join)
+    | st.sampled_from(["0", "1^2", "0^-1", "a", "1,x", "0,1,2", "1^2^3"]),
+    max_size=4).map(" ".join)
 
 _ARGV = st.one_of(
     st.tuples(st.just("ord"), _ORDINAL).map(list),

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
-    _slopes, commutator, compose_pointwise, eval_pointwise, power_pointwise, pred_C_products,
-    swapped)
+    _slopes, commutator, compose_pointwise, eval_pointwise, increasing_points, power_pointwise,
+    pred_C_products, swapped)
 from sigcalc.realization import PLMap, pl_eval, pred_C, realize
 from sigcalc.realization.plmap import PLError
 from sigcalc.signature import enumerate_signatures
@@ -57,13 +57,6 @@ def test_rejects_bad_breakpoints():
     ):
         with pytest.raises(PLError):
             PLMap(points)
-
-
-def test_trusted_checks_that_points_increase():
-    bp = (0, 1, 0, 1, 1, 2, 1, 4, 1, 4, 1, 2, 1, 1, 1, 1)
-    with pytest.raises(PLError):
-        PLMap._derived(bp)
-    assert PLMap._derived(bp[:4] + bp[8:]) == PLMap([(0, 0), (F(1, 4), F(1, 2)), (1, 1)])
 
 
 def test_eval_and_inverse():
@@ -213,6 +206,43 @@ def test_checked_constructor_carries_slopes(case):
     assert all(s != t for s, t in zip(checked.slopes, checked.slopes[1:]))
 
 
+# Coordinates that make repeated points, shared x, flat or falling runs,
+# and ends outside [0,1]
+_POOL = [F(n, 12) for n in range(13)] + [F(-1, 4), F(5, 4)]
+
+
+@st.composite
+def point_lists(draw):
+    """A map's breakpoints with collinear points added, then points
+    repeated, points sharing an x with one of them, points from _POOL and
+    sometimes one point left out; shuffled, with coordinates as Fractions or
+    as strings."""
+    _, points = draw(maps_with_collinear_points())
+    xs = [x for x, _ in points]
+    points += draw(st.lists(
+        st.sampled_from(points) | st.tuples(st.sampled_from(xs), st.sampled_from(_POOL))
+        | st.tuples(st.sampled_from(_POOL), st.sampled_from(_POOL)), max_size=3))
+    if draw(st.integers(0, 9)) == 0:
+        points.pop(draw(st.integers(0, len(points) - 1)))
+    points = draw(st.permutations(points))
+    return [(str(x), str(y)) for x, y in points] if draw(st.booleans()) else points
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(point_lists())
+def test_checked_constructor_matches_reference(points):
+    try:
+        want = increasing_points(points)
+    except PLError as e:
+        with pytest.raises(PLError) as got:
+            PLMap(points)
+        assert str(got.value) == str(e)
+        return
+    m = PLMap(points)
+    assert m.points == tuple(want)
+    assert m.slopes == int_slopes(m)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(maps_and_points())
 def test_one_point_image_and_preimage(case):
@@ -291,9 +321,9 @@ def test_carried_slopes_match_points(den):
         f, g, h = (random_map(rng, den) for _ in range(3))
         # the checked constructor carries the slopes, and so does the inverse
         assert f.slopes == int_slopes(f) and f.inverse().slopes == int_slopes(swapped(f))
-        # a map made by `_derived`, as the transports in `marked` make them,
+        # a map made by `_make`, as the transports in `marked` make them,
         # has none until first composed, which derives them once, on the map
-        t = PLMap._derived(f._bp)
+        t = PLMap._make(f._bp)
         assert t.slopes is None and t.inverse().slopes is None
         fg = derived("then", t, g)
         if not (t.is_identity or g.is_identity):
