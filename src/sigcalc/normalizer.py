@@ -84,6 +84,10 @@ def _rho_block(a: Signature) -> Ordinal:
     omega^(-1 + (xi_B + rank(C))) where C is the exp part decremented and
     xi_B is the exp-preimage of the largest rank among B's indecomposable
     summands.  Those summands are ranked here directly, not decomposed again.
+
+    B is nonempty in the mixed case: were every o(i, top) >= 2, (!) would make
+    every pair >= 1.  The exp part is all-positive by (!), and both parts are
+    restrictions to proper subsets of the base, so the recursion descends.
     """
     if a.n == 1:
         return ONE
@@ -95,12 +99,8 @@ def _rho_block(a: Signature) -> Ordinal:
     column = [row[-1] for row in _rows(a)[:-1]]  # o(i, top) for i < top
     low = [i for i, v in enumerate(column) if v == 1]
     high = [i for i, v in enumerate(column) if v > 1]
-    if not low:
-        raise SignatureError("mixed case without an oscillation-1 row")
     b_part = sig_restrict(a, low)
     exp_part = sig_restrict(a, high + [top])
-    assert b_part.complexity < a.complexity and exp_part.complexity < a.complexity, \
-        "rho recursion failed to descend"
     best = None
     for summand in decompose(b_part):
         r = _rho_block(summand)

@@ -87,15 +87,13 @@ class MarkedFn:
 
     @property
     def bumps(self) -> List[Bump]:
+        """One Bump per orbital (u, v); its transition point t is the marker s
+        moved right by the map or by its inverse.  u < s < t < v needs no
+        check: s lies strictly inside (u, v), which the map keeps while moving
+        each of its points the orbital's way, so t lies strictly in (s, v)."""
         if self._bumps is None:
-            out = []
-            for (u, v, sign), s in zip(self.orbitals, self.markers):
-                t = self.map._at(*s, back=sign < 0)
-                if not (_lt(u, s) and _lt(s, t) and _lt(t, v)):
-                    raise RealizationError(
-                        f"degenerate foot for marker {fmt(s)} in ({fmt(u)},{fmt(v)})")
-                out.append(Bump(u, v, sign, s, t))
-            self._bumps = out
+            self._bumps = [Bump(u, v, sign, s, self.map._at(*s, back=sign < 0))
+                           for (u, v, sign), s in zip(self.orbitals, self.markers)]
         return self._bumps
 
     @property

@@ -10,8 +10,9 @@ matrices are exactly the ones realizable as pairwise oscillations of a
 standard generating set; the symbolic operations here (+, *, exp, E,
 rotation, inflation, restriction) mirror the geometric ones.
 
-`Signature` is the one matrix class.  `Signature(n, o, labels)` checks shape,
-then (!), where a matrix enters: JSON and CLI input, and
+`Signature` is the one matrix class.  `Signature(n, vals, labels)` takes the
+row-major values below and checks shape, then (!), where a matrix enters:
+JSON and CLI input (`sig_from_json` reads the "i,j" keys), and
 `realization.signature_of`.  The operations, `parse_term` (which evaluates a
 term as it reads it) and `enumerate_signatures` keep (!) by construction and
 build with the unchecked `_trusted`; tests read the violations of any matrix
@@ -24,16 +25,15 @@ operations that move whole blocks of a matrix (`sig_sum`, `sig_star`,
 `decompose`, `sig_restrict`, `sig_rotate`, `sig_to_json`) and `violations`
 read and build their values row by row from it; in a row, o(i,j) is at
 position j-i-1 and the top column o(i,n-1) is `row[-1]`.  `sig_inflate`
-builds its values in one pass over the new base.  The per-pair forms these
-replaced are kept in tests/oracles.py, and tests/test_signature.py checks
-the library against them.
+builds its values in one pass over the new base, and `enumerate_signatures`
+grows signatures kept as rows by one column at a time.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .ordinal import Scanner
 
@@ -84,31 +84,17 @@ class Signature:
 
     __slots__ = ("n", "vals", "labels")
 
-    def __init__(self, n: int, o: Union[Dict[Tuple[int, int], int], Sequence[int]],
-                 labels: Optional[Sequence[str]] = None):
+    def __init__(self, n: int, vals: Sequence[int], labels: Optional[Sequence[str]] = None):
         if n < 0:
             raise SignatureError("base cardinality must be >= 0")
         npairs = n * (n - 1) // 2
-        if isinstance(o, dict):
-            for i, j in o:
-                if not (0 <= i < j < n):
-                    raise SignatureError(f"pair ({i},{j}) outside base 0..{n-1}")
-            if len(o) != npairs:
-                first = list(itertools.islice((p for p in _pairs(n) if p not in o), 5))
-                raise SignatureError(
-                    f"missing {npairs - len(o)} of {npairs} pairs, first {first}")
-            vals = [0] * npairs
-            for (i, j), v in o.items():
-                vals[_pair_index(n, i, j)] = v
-        else:
-            vals = list(o)
-            if len(vals) != npairs:
-                raise SignatureError(f"expected {npairs} values, got {len(vals)}")
+        vals = tuple(vals)
+        if len(vals) != npairs:
+            raise SignatureError(f"expected {npairs} values, got {len(vals)}")
         for v in vals:
             if not isinstance(v, int) or v < 0:
                 raise SignatureError(f"pair value {v!r} is not a nonnegative integer")
-        self.n = n
-        self.vals = tuple(vals)
+        self.n, self.vals = n, vals
         if labels is not None:
             labels = tuple(str(x) for x in labels)
             if len(labels) != n:
@@ -150,11 +136,6 @@ class Signature:
             return "Signature(one)"
         cells = ", ".join(f"({i},{j})={self.val(i,j)}" for i, j in _pairs(self.n))
         return f"Signature(n={self.n}, {cells})"
-
-    @property
-    def complexity(self) -> Tuple[int, int]:
-        """(cardinality, total oscillation): the lexicographic termination measure."""
-        return (self.n, sum(self.vals))
 
     def default_labels(self) -> Tuple[str, ...]:
         return self.labels if self.labels is not None else tuple(str(i) for i in range(self.n))
@@ -293,7 +274,9 @@ def sig_rotate(a: Signature) -> Signature:
 
     zero and one rotate to zero; a sum B + C rotates to B + (C rotated); an
     indecomposable signature on {0..n} moves the top to a new least element
-    with o(new, i) = o(i, n) - 1 and inner pairs unchanged.
+    with o(new, i) = o(i, n) - 1 and inner pairs unchanged.  Each o(i, n) is
+    >= 1 there (for the largest j with o(j, n) = 0, (!) would make j+1 a split
+    point), so the values stay >= 0 and their sum falls by n.
     """
     if a.n <= 1:
         return ZERO_SIG
@@ -309,10 +292,7 @@ def sig_rotate(a: Signature) -> Signature:
     labels = None
     if a.labels is not None:
         labels = (f"{a.labels[n]}^o",) + tuple(a.labels[:n])
-    out = _trusted(a.n, vals, labels)
-    if not (out.complexity < a.complexity):
-        raise SignatureError("rotation failed to decrease complexity")
-    return out
+    return _trusted(a.n, vals, labels)
 
 
 def sig_inflate(a: Signature, m: int) -> Signature:
@@ -436,43 +416,30 @@ def eval_term(sig: Signature) -> Signature:
 
 
 def enumerate_signatures(n: int, vmax: int) -> List[Signature]:
-    """All signatures on base n with values <= vmax, in lexicographic order.
-
-    Backtracks column by column (all pairs ending at k before k+1), pruning
-    with (!) as soon as a triple is fully assigned.
-    """
+    """All signatures on base n with values <= vmax, in lexicographic order of
+    the column key o(0,1), o(0,2), o(1,2), o(0,3), ....  Each one on the base
+    0..k-1, kept as its rows, is extended by every column o(0,k), ...,
+    o(k-1,k) that keeps (!), built entry by entry with v ascending; the
+    triples (h, i, k) are checked as soon as o(i,k) is set."""
     if n > 5 or vmax > 5:
         raise SignatureError("enumeration bounds exceeded (n <= 5, vmax <= 5)")
     if n < 0 or vmax < 0:
         raise SignatureError("bounds must be nonnegative")
-    npairs = n * (n - 1) // 2
-    vals = [0] * npairs
-    out: List[Signature] = []
-
-    def column(k: int):
-        if k == n:
-            out.append(_trusted(n, vals))
-            return
-        def assign(i: int):
-            if i == k:
-                column(k + 1)
-                return
-            for v in range(vmax + 1):
-                vals[_pair_index(n, i, k)] = v
-                # triples (i2, i, k) become fully assigned at this step
-                ok = all(
-                    bang_rel(v, vals[_pair_index(n, i2, k)], vals[_pair_index(n, i2, i)])
-                    for i2 in range(i)
-                )
-                if ok:
-                    assign(i + 1)
-            vals[_pair_index(n, i, k)] = 0
-        assign(0)
-
     if n == 0:
         return [ZERO_SIG]
-    column(1)
-    return out
+    level = [((),)]  # the signature on base 1, as its rows
+    for k in range(1, n):
+        grown = []
+        for rows in level:
+            columns = [()]
+            for i in range(k):
+                inner = [rows[h][i - h - 1] for h in range(i)]  # o(h,i) for h < i
+                columns = [col + (v,) for col in columns for v in range(vmax + 1)
+                           if all(bang_rel(v, hk, hi) for hk, hi in zip(col, inner))]
+            grown += [tuple(row + (v,) for row, v in zip(rows, col)) + ((),)
+                      for col in columns]
+        level = grown
+    return [_trusted(n, [v for row in rows for v in row]) for rows in level]
 
 
 def sig_to_json(a: Signature) -> str:
@@ -497,8 +464,8 @@ def _is_int(x) -> bool:
 def sig_from_json(text: str) -> Signature:
     """Parse {"n": int, "o": {"i,j": int, ...}, "labels": [str, ...]}.
 
-    A document of another shape raises SignatureParseError; a well-formed
-    matrix that is not a signature raises SignatureError.
+    The "i,j" keys are checked here.  Another shape raises SignatureParseError;
+    an off-base or missing key, or a matrix not a signature, SignatureError.
     """
     try:
         doc = json.loads(text)
@@ -524,4 +491,12 @@ def sig_from_json(text: str) -> Signature:
     if labels is not None and not (
             isinstance(labels, list) and all(isinstance(x, str) for x in labels)):
         raise SignatureParseError('"labels" must be a list of strings')
-    return Signature(doc["n"], o, labels)
+    n = doc["n"]
+    for i, j in o:
+        if not (0 <= i < j < n):
+            raise SignatureError(f"pair ({i},{j}) outside base 0..{n-1}")
+    npairs = n * (n - 1) // 2
+    if len(o) != npairs:
+        first = list(itertools.islice((p for p in _pairs(n) if p not in o), 5))
+        raise SignatureError(f"missing {npairs - len(o)} of {npairs} pairs, first {first}")
+    return Signature(n, [o[p] for p in _pairs(n)], labels)

@@ -1,9 +1,11 @@
-"""Shared generators for randomized tests; everything is seeded."""
+"""Shared generators for tests; everything random is seeded."""
 
 import functools
+import itertools
 import random
 
-from sigcalc.ordinal import Ordinal, ord_cmp
+from sigcalc.ordinal import ZERO, Ordinal, ord_cmp
+from sigcalc.signature import enumerate_signatures
 from oracles import SigTerm
 
 
@@ -20,6 +22,21 @@ def random_ordinal(rng: random.Random, depth: int = 3, max_terms: int = 2,
             exps.append(e)
     exps.sort(key=functools.cmp_to_key(ord_cmp), reverse=True)
     return Ordinal((e, rng.randint(1, max_coeff)) for e in exps)
+
+
+def cnf_box(depth: int, cmax: int):
+    """Every CNF ordinal with at most 2 terms and coefficients <= cmax whose
+    exponents come from the box one level down; depth 0 is 0..cmax.  With
+    cmax = 2 depth 2 holds 723 ordinals; with cmax = 1 depth 3 holds 67."""
+    if depth == 0:
+        return [Ordinal.from_int(k) for k in range(cmax + 1)]
+    exps = sorted(cnf_box(depth - 1, cmax), key=functools.cmp_to_key(ord_cmp), reverse=True)
+    out = [ZERO]
+    for nterms in (1, 2):
+        for es in itertools.combinations(exps, nterms):  # descending, distinct
+            for cs in itertools.product(range(1, cmax + 1), repeat=nterms):
+                out.append(Ordinal(zip(es, cs)))
+    return out
 
 
 def random_term(rng: random.Random, n: int, depth: int = 0) -> SigTerm:
@@ -53,3 +70,12 @@ def rank_terms():
         n = rng.randint(8, 12)
         out.append((random_term(rng, n), rng.randrange(n)))
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def bounded_signatures():
+    """Every signature with n = 2..4 and values <= 5, and with n = 5 and
+    values <= 4: 3,093 signatures, 907 of them indecomposable and neither
+    one nor all-positive (rho's mixed case)."""
+    return tuple(s for n, vmax in ((2, 5), (3, 5), (4, 5), (5, 4))
+                 for s in enumerate_signatures(n, vmax))

@@ -4,6 +4,7 @@ bytes some verbs print."""
 
 import ast
 import contextlib
+import hashlib
 import io
 import json
 import sys
@@ -257,12 +258,25 @@ def test_verify(capsys):
     expect_error(capsys, 2, "verify", "not json")
 
 
+# sha256 of `sigcalc enumerate --n 5 --vmax v` stdout; the words bench and
+# anyone reading the list by index depend on its order
+ENUMERATE_N5_SHA256 = {
+    3: "0d19b4d2623d51daa97b17c158544f1830cb1f57af31f058fd7aec8cca03575d",
+    5: "aaf33c1cd8cebda16d124bd212730e0449236668978a1b30f3a38e4f3ec9392b",
+}
+
+
 def test_enumerate(capsys):
     assert run(capsys, "enumerate", "--n", "2", "--vmax", "1") == (
         0, '{"n": 2, "o": {"0,1": 0}}\n{"n": 2, "o": {"0,1": 1}}\ncount: 2\n', "")
     assert run(capsys, "enumerate", "--n", "2", "--vmax", "1", "--format", "json") == (
         0, '[{"n": 2, "o": {"0,1": 0}}, {"n": 2, "o": {"0,1": 1}}]\n', "")
     expect_error(capsys, 1, "enumerate", "--n", "6", "--vmax", "1")
+    for vmax, digest in ENUMERATE_N5_SHA256.items():
+        code, out, err = run(capsys, "enumerate", "--n", "5", "--vmax", str(vmax))
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert out.endswith("count: 5481\n")
 
 
 def test_predicates(capsys):
@@ -475,6 +489,14 @@ def test_path_that_cannot_be_read_is_a_parse_error(capsys, monkeypatch, tmp_path
     for verb in ("rho", "signature", "ord"):
         err = expect_error(capsys, 2, verb, str(path))
         assert err.startswith(f"error: cannot read {str(path)!r}: ")
+
+
+def test_pair_outside_the_base(capsys):
+    err = expect_error(capsys, 1, "rho", '{"n":2,"o":{"0,5":1}}')
+    assert err == "error: pair (0,5) outside base 0..1\n"
+    # every key is parsed before any is checked against the base
+    err = expect_error(capsys, 2, "rho", '{"n":2,"o":{"0,5":1,"a,b":1}}')
+    assert err.startswith("error: cannot parse signature: ")
 
 
 def test_missing_pairs_message_is_bounded(capsys):

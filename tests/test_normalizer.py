@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -30,6 +31,7 @@ from sigcalc.signature import (
     ZERO_SIG,
     Signature,
     enumerate_signatures,
+    is_all_positive,
     parse_term,
     sig_E,
     sig_exp,
@@ -38,7 +40,7 @@ from sigcalc.signature import (
     sig_star,
     sig_sum,
 )
-from helpers import random_ordinal, rank_terms
+from helpers import bounded_signatures, cnf_box, random_ordinal, rank_terms
 from oracles import decompose_pairwise, render_term, rho_pairwise, tau
 
 one = ONE_SIG
@@ -125,6 +127,13 @@ def test_rho_materialize_round_trip():
     for _ in range(500):
         xi = random_ordinal(rng, 4)
         assert rho(materialize(xi)) == xi
+    # every normal form with at most 2 terms, coefficients <= 2 and exponents
+    # from the same box, 2 levels deep; and 3 levels deep with coefficient 1
+    box = cnf_box(2, 2) + cnf_box(3, 1)
+    assert len(box) == 723 + 67
+    for xi in box:
+        s = materialize(xi)
+        assert rho(s, "sorted") == xi and rho(s, "ordered") == xi
 
 
 def test_materialized_base_is_the_base_of_materialize():
@@ -178,6 +187,44 @@ def test_decrease_rank_enumerated():
     for s in enumerate_signatures(4, 3):
         if s.n:
             assert ord_cmp(rho(sig_restrict(s, range(s.n - 1))), rho(s)) == LT
+
+
+def test_subgroups_never_rank_higher_enumerated():
+    # restricting to a subset of the generators gives a subgroup; every
+    # proper subset of every n = 5 signature with values <= 3, both modes
+    rank = {}
+
+    def rho_of(s, mode):
+        if (s, mode) not in rank:
+            rank[s, mode] = rho(s, mode)
+        return rank[s, mode]
+
+    checks = 0
+    for s in enumerate_signatures(5, 3):
+        for size in range(5):
+            for subset in itertools.combinations(range(5), size):
+                r = sig_restrict(s, subset)
+                for mode in ("ordered", "sorted"):
+                    assert ord_cmp(rho_of(r, mode), rho_of(s, mode)) != GT
+                    checks += 1
+    assert checks == 60_078
+
+
+def test_mixed_case_parts_enumerated():
+    """What _rho_block relies on without a check: an indecomposable signature
+    that is neither one nor all-positive has a row at oscillation 1 with its
+    top, and the rows above 1 with the top form an all-positive part."""
+    mixed = 0
+    for s in bounded_signatures():
+        if len(decompose_pairwise(s)) > 1 or is_all_positive(s):
+            continue
+        mixed += 1
+        top = s.n - 1
+        low = [i for i in range(top) if s.val(i, top) == 1]
+        high = [i for i in range(top) if s.val(i, top) > 1]
+        assert low and len(low) + len(high) == top
+        assert is_all_positive(sig_restrict(s, high + [top]))
+    assert mixed == 907
 
 
 def test_inflate_restrict_monotone():

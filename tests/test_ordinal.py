@@ -1,7 +1,7 @@
+import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from sigcalc.ordinal import (
     EQ,
@@ -88,11 +88,13 @@ def test_right_cancellation_fails():
     assert ONE != ZERO
 
 
-@given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5))
-def test_add_agrees_with_int_arithmetic(a, b, c):
-    oa, ob = Ordinal.from_int(a), Ordinal.from_int(b)
-    assert ord_add(oa, ob) == Ordinal.from_int(a + b)
-    assert ord_mul(oa, ob) == Ordinal.from_int(a * b)
+def test_add_agrees_with_int_arithmetic():
+    for a, b, c in itertools.product(range(6), repeat=3):
+        oa, ob, oc = (Ordinal.from_int(x) for x in (a, b, c))
+        assert ord_add(oa, ob) == Ordinal.from_int(a + b)
+        assert ord_mul(oa, ob) == Ordinal.from_int(a * b)
+        assert ord_add(ord_add(oa, ob), oc) == Ordinal.from_int(a + b + c)
+        assert ord_mul(oa, ord_add(ob, oc)) == Ordinal.from_int(a * (b + c))
 
 
 def test_associativity_random():

@@ -37,7 +37,7 @@ from sigcalc import cli
 from sigcalc.realization import build, genset, marked, plmap
 from oracles import (
     checked_copy, classify_pair, fig_bz_set, fig_g_set, fn_shape, frac, genset_to_json_dumps,
-    is_standard_pair, rescale_checked)
+    is_standard_pair, rescale_checked, retrofit_slopes)
 
 one = ONE_SIG
 
@@ -201,6 +201,25 @@ def test_walk_agrees_with_recursive_definition():
     for fns in sets:
         assert is_sgen(fns) == all(is_standard_pair(f, g)
                                    for f, g in itertools.combinations(fns, 2))
+
+
+def test_bump_feet_are_ordered(realized_n5):
+    """u < marker < tpoint < v for every bump: MarkedFn.bumps derives tpoint
+    without a check.  Over the n = 5 sets and the sets tests/test_words.py uses."""
+    r = sig_E(sig_sum(one, one))  # materialize(w^w)
+    sets = list(realized_n5) + [fig_g_set(), fig_bz_set(), [TWO_BUMPS]]
+    sets += [retrofit_slopes(fig_g_set())]
+    sets += [realize(s) for s in enumerate_signatures(3, 3)]
+    sets += [realize(s) for s in (sig_star(one, one), sig_star(r, r), sig_sum(one, one),
+                                  sig_star(pair(2), one), Signature(3, (1, 1, 1)))]
+    sets += [[canonical_bump(F(1, 8), F(3, 8)), canonical_bump(F(1, 2), F(7, 8))]]
+    signs = set()
+    for fns in sets:
+        for f in fns:
+            for b in f.bumps:
+                assert frac(b.u) < frac(b.marker) < frac(b.tpoint) < frac(b.v)
+                signs.add(b.sign)
+    assert signs == {1, -1}
 
 
 def test_incomparable_pair():

@@ -12,6 +12,7 @@ from sigcalc.signature import (
     Signature,
     SignatureError,
     TermParseError,
+    _pair_index,
     _trusted,
     bang_rel,
     decompose,
@@ -29,7 +30,7 @@ from sigcalc.signature import (
     sig_sum,
     sig_to_json,
 )
-from helpers import rank_terms
+from helpers import bounded_signatures, rank_terms
 from oracles import (
     SigTerm, bang, bang_rel_conj, bang_rel_p, bang_rel_q, decompose_pairwise,
     eval_term_pairwise, render_term, sig_inflate_pairwise, sig_restrict_pairwise,
@@ -85,16 +86,15 @@ def test_validate_no_triples():
 
 
 def test_validate_fig3():
-    o = {(0, 1): 3, (0, 2): 2, (0, 3): 2, (1, 2): 2, (1, 3): 2, (2, 3): 2}
     assert _trusted(4, (3, 2, 2, 2, 2, 2)).violations() == []
-    assert Signature(4, o) == FIG3
+    assert Signature(4, (3, 2, 2, 2, 2, 2)) == FIG3
 
 
 def test_validate_violation():
-    o = {(0, 1): 0, (1, 2): 0, (0, 2): 1}
+    # o(0,1) = 0, o(0,2) = 1, o(1,2) = 0
     assert _trusted(3, (0, 1, 0)).violations() == [(0, 1, 2)]
     with pytest.raises(SignatureError, match=r"\(0, 1, 2\)"):
-        Signature(3, o)
+        Signature(3, (0, 1, 0))
 
 
 def test_zero_to_end_consequence():
@@ -148,16 +148,25 @@ def test_rotate():
 
 
 def test_rotate_valid_and_smaller_enumerated():
-    for s in enumerate_signatures(4, 3):
+    # sig_rotate builds with _trusted and relies on these without a check
+    for s in bounded_signatures():
         r = sig_rotate(s)
-        assert r.violations() == []
-        if s.n:
-            assert r.complexity < s.complexity
+        assert r.violations() == [] and min(r.vals, default=0) >= 0
+        assert (r.n, sum(r.vals)) < (s.n, sum(s.vals))
+
+
+def test_indecomposable_top_column_positive_enumerated():
+    indecomposable = 0
+    for s in bounded_signatures():
+        if len(decompose_pairwise(s)) == 1:
+            indecomposable += 1
+            assert all(s.val(i, s.n - 1) >= 1 for i in range(s.n - 1))
+    assert indecomposable > len(bounded_signatures()) // 2
 
 
 def test_inflate_examples():
     got = sig_inflate(pair(2), 1)
-    assert got == Signature(3, {(0, 1): 1, (0, 2): 2, (1, 2): 2})
+    assert got == Signature(3, (1, 2, 2))
     assert got.labels == ("0", "0^1", "1")
     got = sig_inflate(pair(1), 1)
     assert got == sig_star(sig_sum(one, one), one)
@@ -197,7 +206,7 @@ def test_restrict():
 
 def test_drop_top():
     assert sig_restrict(pair(2), range(1)) == one
-    assert sig_restrict(FIG3, range(3)) == Signature(3, {(0, 1): 3, (0, 2): 2, (1, 2): 2})
+    assert sig_restrict(FIG3, range(3)) == Signature(3, (3, 2, 2))
 
 
 def test_decompose():
@@ -357,8 +366,8 @@ def test_decompose_sum_left_inverse():
 
 
 def test_eval_term_fig3():
-    assert FIG3 == Signature(4, {(0, 1): 3, (0, 2): 2, (0, 3): 2,
-                                 (1, 2): 2, (1, 3): 2, (2, 3): 2})
+    # o(0,1), o(0,2), o(0,3), o(1,2), o(1,3), o(2,3)
+    assert FIG3 == Signature(4, (3, 2, 2, 2, 2, 2))
 
 
 def test_exp_tower_terms():
@@ -415,17 +424,20 @@ def test_enumerate_guard():
         enumerate_signatures(6, 1)
 
 
-def test_enumerate_matches_brute_force():
-    import itertools as it
+def column_key(n, vals):
+    """vals, row-major, read column by column: o(0,1), o(0,2), o(1,2), o(0,3), ..."""
+    return tuple(vals[_pair_index(n, i, j)] for j in range(n) for i in range(j))
 
-    for n, vmax in ((3, 2), (4, 1)):
+
+def test_enumerate_matches_brute_force():
+    # the order matters: `sigcalc enumerate` prints it and the words bench
+    # indexes its sets by it
+    for n, vmax in ((3, 2), (4, 1), (4, 2)):
         npairs = n * (n - 1) // 2
-        brute = []
-        for vals in it.product(range(vmax + 1), repeat=npairs):
-            if not _trusted(n, vals).violations():
-                brute.append(vals)
-        fast = [s.vals for s in enumerate_signatures(n, vmax)]
-        assert sorted(brute) == sorted(fast)
+        brute = [vals for vals in itertools.product(range(vmax + 1), repeat=npairs)
+                 if not _trusted(n, vals).violations()]
+        brute.sort(key=lambda vals: column_key(n, vals))
+        assert [s.vals for s in enumerate_signatures(n, vmax)] == brute
 
 
 def test_json_round_trip():
