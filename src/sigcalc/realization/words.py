@@ -2,7 +2,12 @@
 
 C(x,y) says x and y commute; D(x,y) says y dominates x (they do not commute
 but x commutes with its conjugate by y); T(x,y,z) says (x,y,z) forms a
-tower.  All evaluation is exact on PL maps.
+tower.  All evaluation is exact on PL maps.  C merges the two products
+and stops at their first difference.  D and T's last two conjuncts ask
+whether a map commutes with a conjugate; the maps' orbitals mostly decide
+that (maps with disjoint supports commute, and commuting maps fix each
+other's orbital ends: Brin and Squier), so the conjugate is built only
+where they do not.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from operator import eq
 from typing import List, Optional, Sequence, Tuple
 
 from .marked import MarkedFn, RealizationError
-from .plmap import PLMap
+from .plmap import PLMap, _lt
 
 GroupWord = List[Tuple[int, int]]  # (generator index, nonzero exponent)
 
@@ -50,17 +55,55 @@ def pred_C(x: PLMap, y: PLMap) -> bool:
 
 
 def pred_D(x: PLMap, y: PLMap) -> bool:
+    """Not C(x,y), and C(x, x conjugated by y) by `_commutes_with_conjugate`,
+    which trusts, as `pred_C` does, that the maps increase."""
     return _dominates(x, y, pred_C(x, y))
 
 
 def _dominates(x: PLMap, y: PLMap, commute: bool) -> bool:
     """D(x,y), given whether C(x,y) holds."""
-    return not commute and pred_C(x, conj_map(x, y))
+    return not commute and _commutes_with_conjugate(x, x, y, [])
+
+
+def _commutes_with_conjugate(a: PLMap, b: PLMap, c: PLMap, built: List[PLMap]) -> bool:
+    """C(a, b conjugated by c), decided from orbitals where they suffice.
+
+    The conjugate moves exactly the c-images of b's orbitals.  So a and it
+    commute if either map is the identity or their supports are disjoint
+    (one merge of the two sorted orbital lists); and they do not if a moves
+    the c-image of an end of b's orbitals, or b moves the c-preimage of an
+    end of a's, since commuting increasing maps with finitely many orbitals
+    fix each other's orbital ends.  Only otherwise is the conjugate built,
+    once into `built` for later calls on the same b and c, and compared by
+    `pred_C`.  Like `pred_C`, this trusts that the maps increase: on one
+    made by `PLMap._make` whose coordinates do not, it can answer where
+    `conj_map` would raise."""
+    ao, bo = a._orbitals(), b._orbitals()
+    if not ao or not bo:
+        return True
+    co = [(c._at(*u), c._at(*v)) for u, v, _ in bo]
+    i = j = 0
+    while i < len(ao) and j < len(co):
+        if not _lt(co[j][0], ao[i][1]):  # a's orbital ends before the image starts
+            i += 1
+        elif not _lt(ao[i][0], co[j][1]):  # the image ends before a's orbital starts
+            j += 1
+        else:
+            break
+    else:
+        return True
+    if (any(a._at(*e) != e for uv in co for e in uv)
+            or any(b._at(*p) != p for u, v, _ in ao for p in (c._at(*u, True), c._at(*v, True)))):
+        return False
+    if not built:
+        built.append(conj_map(b, c))
+    return pred_C(a, built[0])
 
 
 def pred_T(x: PLMap, y: PLMap, z: PLMap) -> bool:
     """D(x,y), D(x,z), D(y,z) and C(x, y conjugated by z), in that order;
-    the conjugate is built once for D(y,z) and the last conjunct."""
+    the last two ask `_commutes_with_conjugate` about y conjugated by z,
+    and share the conjugate if both need it built."""
     return _tower(x, y, z, pred_D(x, y))
 
 
@@ -68,8 +111,8 @@ def _tower(x: PLMap, y: PLMap, z: PLMap, dominates: bool) -> bool:
     """T(x,y,z), given whether D(x,y) holds."""
     if not (dominates and pred_D(x, z)) or pred_C(y, z):
         return False
-    yz = conj_map(y, z)
-    return pred_C(y, yz) and pred_C(x, yz)
+    built: List[PLMap] = []
+    return _commutes_with_conjugate(y, y, z, built) and _commutes_with_conjugate(x, y, z, built)
 
 
 def predicates(fns: Sequence[MarkedFn], x_word: GroupWord, y_word: GroupWord,

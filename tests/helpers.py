@@ -3,8 +3,10 @@
 import functools
 import itertools
 import random
+from fractions import Fraction as F
 
 from sigcalc.ordinal import ZERO, Ordinal, ord_cmp
+from sigcalc.realization import PLMap
 from sigcalc.signature import enumerate_signatures
 from oracles import SigTerm
 
@@ -79,3 +81,45 @@ def bounded_signatures():
     one nor all-positive (rho's mixed case)."""
     return tuple(s for n, vmax in ((2, 5), (3, 5), (4, 5), (5, 4))
                  for s in enumerate_signatures(n, vmax))
+
+
+# Denominators of random breakpoints: dyadic ones, and the thirds, ninths and
+# 96ths that realize produces, and 97ths.
+DENOMINATORS = (2, 8, 64, 3, 9, 96, 97)
+
+
+def bump_map(u, v, a, b, sign=1):
+    """The map on (u, v) through (a, b), or through (b, a) for sign -1."""
+    interior = (F(a), F(b)) if sign > 0 else (F(b), F(a))
+    return PLMap([(0, 0), (F(u), F(u)), interior, (F(v), F(v)), (1, 1)])
+
+
+def random_fractions(rng: random.Random, k: int, den: int):
+    """k distinct fractions in (0,1) with denominator den, sorted."""
+    return [F(n, den) for n in sorted(rng.sample(range(1, den), k))]
+
+
+def random_pl_map(rng: random.Random) -> PLMap:
+    """A map with up to 6 interior breakpoints, its x- and y-coordinates
+    each over one of DENOMINATORS."""
+    dx, dy = rng.choice(DENOMINATORS), rng.choice(DENOMINATORS)
+    k = rng.randint(0, min(6, dx - 1, dy - 1))
+    return PLMap([(0, 0), *zip(random_fractions(rng, k, dx), random_fractions(rng, k, dy)),
+                  (1, 1)])
+
+
+def random_bump_pair(rng: random.Random, overlapping: bool, lo=0):
+    """Two one-bump maps, on (u1, v1) and (u2, v2) with lo < u1 < u2: their
+    supports overlap (u2 < v1 < v2), or are disjoint and may touch (v1 <= u2)."""
+    ends = [lo + (1 - lo) * e for e in random_fractions(rng, 4, 97)]
+    if overlapping:
+        ends[1], ends[2] = ends[2], ends[1]
+    elif rng.random() < 0.5:
+        ends[2] = ends[1]
+    maps = []
+    for u, v in (ends[:2], ends[2:]):
+        feet = random_fractions(rng, 2, 16)
+        rng.shuffle(feet)
+        s, t = (u + (v - u) * r for r in feet)
+        maps.append(bump_map(u, v, s, t, rng.choice((1, -1))))
+    return tuple(maps)

@@ -5,17 +5,13 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import DENOMINATORS, bump_map, random_bump_pair, random_pl_map
 from oracles import (
     _slopes, commutator, compose_pointwise, eval_pointwise, increasing_points, power_pointwise,
     pred_C_products, swapped)
 from sigcalc.realization import PLMap, pl_eval, pred_C, realize
 from sigcalc.realization.plmap import PLError
 from sigcalc.signature import enumerate_signatures
-
-# Denominators of random breakpoints: dyadic ones, and the thirds, ninths and
-# 96ths that realize produces, and 97ths.
-DENOMINATORS = (2, 8, 64, 3, 9, 96, 97)
-
 
 def increasing(rng, n, den):
     """n points from 0 to 1, strictly increasing, with denominator den."""
@@ -26,11 +22,6 @@ def random_map(rng, den=None):
     den = den or rng.choice(DENOMINATORS)
     n = rng.randint(2, min(7, den + 1))
     return PLMap(zip(increasing(rng, n, den), increasing(rng, n, den)))
-
-
-def bump_map(u, v, a, b, sign=1):
-    interior = (F(a), F(b)) if sign > 0 else (F(b), F(a))
-    return PLMap([(0, 0), (F(u), F(u)), interior, (F(v), F(v)), (1, 1)])
 
 
 def test_identity():
@@ -108,68 +99,56 @@ def pl_maps(draw):
     return PLMap([(0, 0), *zip(_fractions(draw, k, dx), _fractions(draw, k, dy)), (1, 1)])
 
 
-@st.composite
-def bump_pairs(draw, overlapping, lo=0):
-    """Two one-bump maps, on (u1, v1) and (u2, v2) with lo < u1 < u2: their
-    supports overlap (u2 < v1 < v2), or are disjoint and may touch (v1 <= u2)."""
-    ends = [lo + (1 - lo) * e for e in _fractions(draw, 4, 97)]
-    if overlapping:
-        ends[1], ends[2] = ends[2], ends[1]
-    elif draw(st.booleans()):
-        ends[2] = ends[1]
-    maps = []
-    for u, v in (ends[:2], ends[2:]):
-        s, t = (u + (v - u) * r for r in draw(st.permutations(_fractions(draw, 2, 16))))
-        maps.append(bump_map(u, v, s, t, draw(st.sampled_from((1, -1)))))
-    return tuple(maps)
+COMMUTING_KINDS = ("random", "identity", "equal", "powers", "disjoint", "overlapping", "late")
 
 
-@st.composite
-def commuting_cases(draw):
+def commuting_case(rng, kind):
     """(x, y, whether x and y are known to commute, or None if unknown)."""
-    kind = draw(st.sampled_from(("random", "identity", "equal", "powers", "disjoint",
-                                 "overlapping", "late")))
     if kind == "random":
-        return draw(pl_maps()), draw(pl_maps()), None
+        return random_pl_map(rng), random_pl_map(rng), None
     if kind in ("disjoint", "overlapping"):
-        x, y = draw(bump_pairs(kind == "overlapping"))
+        x, y = random_bump_pair(rng, kind == "overlapping")
         return x, y, kind == "disjoint"
-    m = draw(pl_maps())
+    m = random_pl_map(rng)
     if kind == "late":
         # powers of one map on [0, 1/2], each then a bump on (1/2, 1) with
         # the two bumps overlapping: the products first differ past 1/2
         half = PLMap([(x / 2, y / 2) for x, y in m.points] + [(1, 1)])
-        p, q = draw(bump_pairs(True, F(1, 2)))
-        j, k = (draw(st.integers(-3, 3)) for _ in "jk")
+        p, q = random_bump_pair(rng, True, F(1, 2))
+        j, k = rng.randint(-3, 3), rng.randint(-3, 3)
         return (half ** j).then(p), (half ** k).then(q), False
     if kind == "identity":
         x, y = m, PLMap.identity()
     elif kind == "equal":
         x, y = m, PLMap(m.points)
     else:
-        j, k = (draw(st.integers(-3, 3)) for _ in "jk")
-        x, y = m ** j, m ** k
-    return (x, y, True) if draw(st.booleans()) else (y, x, True)
+        x, y = m ** rng.randint(-3, 3), m ** rng.randint(-3, 3)
+    return (x, y, True) if rng.random() < 0.5 else (y, x, True)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(commuting_cases())
-def test_pred_C_matches_both_products(case):
-    x, y, known = case
-    assert pred_C(x, y) == pred_C_products(x, y) == pred_C(y, x)
-    if known is not None:
-        assert pred_C(x, y) == known
+def test_pred_C_matches_both_products():
+    seed = "pred_C"
+    rng = random.Random(seed)
+    for i in range(301):
+        x, y, known = commuting_case(rng, COMMUTING_KINDS[i % len(COMMUTING_KINDS)])
+        where = f"case {i} of seed {seed!r}"
+        assert pred_C(x, y) == pred_C_products(x, y) == pred_C(y, x), where
+        if known is not None:
+            assert pred_C(x, y) == known, where
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(pl_maps(), pl_maps())
-def test_merge_yields_the_composition(f, g):
-    for x, y in ((f, g), (g, f), (f, f.inverse()), (f, PLMap.identity())):
-        slopes = []
-        points = list(x._merge(y, slopes))
-        xy = x.then(y)
-        assert (0, 1, 0, 1) + tuple(c for p in points for c in p) == xy._bp
-        assert tuple(slopes) == xy.slopes == int_slopes(xy)
+def test_merge_yields_the_composition():
+    seed = "merge"
+    rng = random.Random(seed)
+    for i in range(200):
+        f, g = random_pl_map(rng), random_pl_map(rng)
+        for x, y in ((f, g), (g, f), (f, f.inverse()), (f, PLMap.identity())):
+            slopes = []
+            points = list(x._merge(y, slopes))
+            xy = x.then(y)
+            where = f"case {i} of seed {seed!r}"
+            assert (0, 1, 0, 1) + tuple(c for p in points for c in p) == xy._bp, where
+            assert tuple(slopes) == xy.slopes == int_slopes(xy), where
 
 
 def test_composition_checks_every_point():

@@ -7,13 +7,14 @@ import pytest
 from sigcalc.ordinal import ord_parse
 from sigcalc.normalizer import materialize
 from sigcalc.signature import ONE_SIG, Signature, enumerate_signatures, sig_star, sig_sum
-from sigcalc.realization import pl_eval, pred_C, pred_D, pred_T, predicates, realize
+from sigcalc.realization import PLMap, pl_eval, pred_C, pred_D, pred_T, predicates, realize
 from sigcalc.realization.marked import canonical_bump
 from sigcalc.realization import words
 from sigcalc.realization.words import conj_map
+from helpers import bump_map, random_bump_pair, random_pl_map
 from oracles import (
-    WreathSplitError, dom_witness, fig_bz_set, fig_g_set, frac, retrofit_slopes,
-    wreath_witness)
+    WreathSplitError, dom_witness, fig_bz_set, fig_g_set, frac, pred_C_products,
+    retrofit_slopes, wreath_witness)
 
 
 def hull(m):
@@ -56,28 +57,34 @@ def test_predicates_wrapper():
 
 def test_predicates_evaluate_each_predicate_once(monkeypatch):
     """`predicates` agrees with the separate predicates and computes C(x,y) and
-    D(x,y) once: no commutation test and no conjugate is made twice."""
+    D(x,y) once: no commutation test and no conjugate is made twice.  The
+    orbitals decide every conjugate's commutation in the tower, which builds
+    no conjugate; only the last case builds one."""
     fns = realize(Signature(3, (1, 1, 1)))
     x = [(0, 1), (0, 1)]
     cases = [(x, [(1, 1)], [(2, 1)]),  # a tower: T reaches its last conjunct
              (x, [(1, 1)], [(1, -1)]),
              (x, [(2, 1)], [(0, 1)]),
-             ([(0, 1)], [(0, -1)], [(1, 1)])]  # C(x,y) holds
+             ([(0, 1)], [(0, -1)], [(1, 1)]),  # C(x,y) holds
+             (x, [(2, 1)], [(1, 1)])]  # D(y,z) needs the built conjugate
     want = []
     for words_xyz in cases:
         xm, ym, zm = (pl_eval(fns, w) for w in words_xyz)
         want.append({"C": pred_C(xm, ym), "D": pred_D(xm, ym), "T": pred_T(xm, ym, zm)})
-    assert [w["T"] for w in want] == [True, False, False, False]
+    assert [w["T"] for w in want] == [True, False, False, False, False]
     calls = []
     for name in ("pred_C", "conj_map"):
         def counted(a, b, name=name, real=getattr(words, name)):
             calls.append((name, a, b))
             return real(a, b)
         monkeypatch.setattr(words, name, counted)
+    builds = []
     for (xw, yw, zw), w in zip(cases, want):
         calls.clear()
         assert predicates(fns, xw, yw, zw) == w
         assert calls and len(calls) == len(set(calls))
+        builds.append(sum(name == "conj_map" for name, _, _ in calls))
+    assert builds == [0, 0, 0, 0, 1]
 
 
 def test_section9_predicates():
@@ -106,26 +113,177 @@ def test_tower_predicate():
     assert pred_T(f0, f1, g.map)
 
 
-LETTERS = [(i, e) for i in range(3) for e in (1, -1)]
+def word_maps(fns):
+    """The distinct maps of the two-letter words over a set."""
+    letters = [(i, e) for i in range(len(fns)) for e in (1, -1)]
+    return list(dict.fromkeys(pl_eval(fns, [p, q]) for p in letters for q in letters))
 
 
-@pytest.mark.parametrize("sig", enumerate_signatures(3, 3), ids=lambda s: str(s.vals))
-def test_pred_T_is_the_written_out_conjunction(sig):
-    # x = (generator 0)^2 and pairs (y, z) that x dominates reach the later
-    # conjuncts (on the set for (1, 1, 1) some triples are towers); a few
-    # uniform triples cover the early exits
+def tower_triples(sig):
+    """x = (generator 0)^2 and pairs (y, z) that x dominates, which reach
+    T's later conjuncts (on the set for (1, 1, 1) some triples are towers),
+    and a few uniform triples for the early exits."""
     fns = realize(sig)
-    maps = list(dict.fromkeys(pl_eval(fns, [a, b]) for a in LETTERS for b in LETTERS))
+    maps = word_maps(fns)
     rng = random.Random(str(sig.vals))
     x = pl_eval(fns, [(0, 1), (0, 1)])
     dominated = [m for m in maps if pred_D(x, m)]
     pairs = list(itertools.product(dominated, dominated))
     triples = [(x, y, z) for y, z in rng.sample(pairs, min(20, len(pairs)))]
-    triples += [tuple(rng.choice(maps) for _ in range(3)) for _ in range(5)]
-    for x, y, z in triples:
+    return triples + [tuple(rng.choice(maps) for _ in range(3)) for _ in range(5)]
+
+
+@pytest.mark.parametrize("sig", enumerate_signatures(3, 3), ids=lambda s: str(s.vals))
+def test_pred_T_is_the_written_out_conjunction(sig):
+    for x, y, z in tower_triples(sig):
         written_out = (pred_D(x, y) and pred_D(x, z) and pred_D(y, z)
                        and pred_C(x, conj_map(y, z)))
         assert pred_T(x, y, z) == written_out
+
+
+def counted_builds(monkeypatch):
+    """A list that gains an entry for each conjugate `words` builds."""
+    builds = []
+    monkeypatch.setattr(words, "conj_map", lambda b, c: builds.append(1) or conj_map(b, c))
+    return builds
+
+
+def conjugate_step(a, b, c):
+    """Which step of `words._commutes_with_conjugate` decides C(a, b
+    conjugated by c), found from Fraction orbitals and values: 1 if either
+    map is the identity, 2 if a's support and the c-image of b's are
+    disjoint, 3 if one map moves an orbital end of the other's (its
+    conjugate's, for a), and 4 if only building the conjugate decides."""
+    ao, bo = a.orbitals(), b.orbitals()
+    if not ao or not bo:
+        return 1
+    co = [(c(u), c(v)) for u, v, _ in bo]
+    if all(max(u1, u2) >= min(v1, v2) for u1, v1, _ in ao for u2, v2 in co):
+        return 2
+    c_inv = c.inverse()
+    if (any(a(e) != e for uv in co for e in uv)
+            or any(b(c_inv(e)) != c_inv(e) for u, v, _ in ao for e in (u, v))):
+        return 3
+    return 4
+
+
+def check_conjugate_cases(triples, monkeypatch, seed):
+    """`_commutes_with_conjugate` on each (a, b, c) agrees with C(a, c^-1 b c)
+    on the built conjugate, by `pred_C` and by both products, and builds
+    the conjugate exactly when no orbital step decides; returns the steps
+    reached."""
+    builds = counted_builds(monkeypatch)
+    steps = set()
+    for i, (a, b, c) in enumerate(triples):
+        where = f"case {i} of seed {seed!r}"
+        conj = conj_map(b, c)
+        want = pred_C(a, conj)
+        assert want == pred_C_products(a, conj), where
+        step = conjugate_step(a, b, c)
+        assert step != 2 or want, where  # disjoint supports commute
+        assert step != 3 or not want, where  # commuting maps fix each other's orbital ends
+        builds.clear()
+        assert words._commutes_with_conjugate(a, b, c, []) == want, where
+        assert len(builds) == (step == 4), where
+        steps.add(step)
+    return steps
+
+
+def test_orbitals_decide_conjugate_commutation_on_n3_words(monkeypatch):
+    """Seeded triples (a, b, c) of two-letter word maps over the 22
+    realized n = 3 sets, each also as (a, a, c), as D asks, and as
+    (b conjugated by c, b, c), which commute."""
+    steps = set()
+    for sig in enumerate_signatures(3, 3):
+        maps = word_maps(realize(sig))
+        rng = random.Random(str(sig.vals))
+        triples = []
+        for _ in range(8):
+            a, b, c = (rng.choice(maps) for _ in range(3))
+            triples += [(a, b, c), (a, a, c), (conj_map(b, c), b, c)]
+        steps |= check_conjugate_cases(triples, monkeypatch, str(sig.vals))
+    assert steps == {1, 2, 3, 4}
+
+
+def test_orbitals_decide_conjugate_commutation_on_section9_sets(monkeypatch):
+    """Every triple of generators and seeded triples of two-letter word
+    maps over the Section 9 sets."""
+    bz = fig_bz_set()
+    sets = [retrofit_slopes(fig_g_set()),
+            retrofit_slopes([x for x in bz if x.name != "c"]) + [x for x in bz if x.name == "c"]]
+    steps = set()
+    for k, fns in enumerate(sets):
+        maps = word_maps(fns)
+        rng = random.Random(f"section9/{k}")
+        triples = list(itertools.product([f.map for f in fns], repeat=3))
+        triples += [tuple(rng.choice(maps) for _ in range(3)) for _ in range(40)]
+        steps |= check_conjugate_cases(triples, monkeypatch, f"section9/{k}")
+    assert steps == {1, 2, 3, 4}
+
+
+def test_orbitals_decide_conjugate_commutation_on_random_maps(monkeypatch):
+    """Random maps, the identity, powers of one map, bumps whose supports,
+    moved by c, overlap, touch or are disjoint, and powers of the conjugate
+    with it."""
+    seed = "conjugate"
+    rng = random.Random(seed)
+    triples = []
+    for i in range(250):
+        c = rng.choice((random_pl_map(rng), PLMap.identity(),
+                        bump_map(F(1, 8), F(7, 8), F(1, 4), F(1, 2))))
+        kind = i % 5
+        if kind == 0:
+            a, b = random_pl_map(rng), random_pl_map(rng)
+        elif kind == 1:
+            a, b = random_pl_map(rng), PLMap.identity()
+        elif kind == 2:
+            m = random_pl_map(rng)
+            a, b = m ** rng.randint(-2, 2), m ** rng.randint(-2, 2)
+        elif kind == 3:
+            a, b = random_bump_pair(rng, rng.random() < 0.5)
+        else:
+            b = random_pl_map(rng)
+            triples.append((conj_map(b, c) ** rng.choice((-2, -1, 2)), b, c))
+            continue
+        triples.append((a, b, c) if rng.random() < 0.5 else (b, a, c))
+    assert check_conjugate_cases(triples, monkeypatch, seed) == {1, 2, 3, 4}
+
+
+def test_conjugate_builds_are_pinned(monkeypatch):
+    """Over the 298 tower triples of the 22 realized n = 3 sets, D and T
+    ask 890 times whether a map commutes with a conjugate, and only 154 of
+    those build the conjugate; if the orbital steps stopped deciding, every
+    one would."""
+    triples = [t for sig in enumerate_signatures(3, 3) for t in tower_triples(sig)]
+    assert len(triples) == 298
+    asked = []
+    monkeypatch.setattr(words, "_commutes_with_conjugate",
+                        lambda *args, real=words._commutes_with_conjugate:
+                        asked.append(1) or real(*args))
+    builds = counted_builds(monkeypatch)
+    for x, y, z in triples:
+        pred_D(x, y)
+        pred_T(x, y, z)
+    assert (len(asked), len(builds)) == (890, 154)
+
+
+def test_tower_conjuncts_share_one_conjugate(monkeypatch):
+    """The two calls of T's last conjuncts, (y, y, z) then (x, y, z), build
+    y conjugated by z at most once between them."""
+    builds = counted_builds(monkeypatch)
+    maps = word_maps(realize(Signature(3, (1, 1, 1))))
+    shared = 0
+    for y, z in itertools.product(maps, maps):
+        if conjugate_step(y, y, z) == 4:
+            builds.clear()
+            built = []
+            assert words._commutes_with_conjugate(y, y, z, built) == pred_C(y, conj_map(y, z))
+            assert words._commutes_with_conjugate(y ** 2, y, z, built) == pred_C(y ** 2, conj_map(y, z))
+            assert builds == [1] and built == [conj_map(y, z)]
+            shared += 1
+            if shared == 5:
+                return
+    pytest.fail("fewer than 5 pairs need the built conjugate")
 
 
 def test_dom_witness():
