@@ -145,8 +145,11 @@ def _emit(args, text_value, json_value):
 
 def _out(args, content: str):
     if getattr(args, "output", None):
-        with open(args.output, "w") as fh:
-            fh.write(content)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(content)
+        except OSError as e:
+            raise CliError(f"cannot write {args.output!r}: {e}", 2)
     else:
         sys.stdout.write(content)
 
@@ -284,10 +287,12 @@ def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="sigcalc", description=__doc__)
     sub = top.add_subparsers(dest="verb", required=True)
 
-    def add(name, fn, **kw):
+    def add(name, fn, output=False, **kw):
         p = sub.add_parser(name, **kw)
         p.set_defaults(fn=fn)
         p.add_argument("--format", choices=("text", "json"), default="text")
+        if output:  # the verbs that print through _out
+            p.add_argument("-o", "--output")
         return p
 
     p = add("ord", cmd_ord, help="evaluate or compare ordinal expressions")
@@ -300,9 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("sig")
     p.add_argument("--mode", choices=("ordered", "sorted"), default="sorted")
 
-    p = add("normalize", cmd_normalize, help="reduced form of a signature")
+    p = add("normalize", cmd_normalize, True, help="reduced form of a signature")
     p.add_argument("sig")
-    p.add_argument("-o", "--output")
 
     p = add("leq", cmd_leq, help="compare two signatures by rank")
     p.add_argument("sig_a")
@@ -313,30 +317,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", action="store_true",
                    help="instead produce a rank whose EA-class is expr+2")
 
-    p = add("materialize", cmd_materialize, help="reduced signature of a given rank")
+    p = add("materialize", cmd_materialize, True, help="reduced signature of a given rank")
     p.add_argument("expr")
-    p.add_argument("-o", "--output")
 
-    p = add("realize", cmd_realize, help="fast generating set with a given signature")
+    p = add("realize", cmd_realize, True, help="fast generating set with a given signature")
     p.add_argument("sig")
-    p.add_argument("-o", "--output")
 
-    p = add("signature", cmd_signature, help="signature of a generating set")
+    p = add("signature", cmd_signature, True, help="signature of a generating set")
     p.add_argument("genset")
-    p.add_argument("-o", "--output")
 
-    p = add("diagram", cmd_diagram, help="dynamical diagram as DOT")
+    p = add("diagram", cmd_diagram, True, help="dynamical diagram as DOT")
     p.add_argument("genset")
-    p.add_argument("-o", "--output")
 
-    p = add("inflate", cmd_inflate, help="inflate a signature or generating set")
+    p = add("inflate", cmd_inflate, True, help="inflate a signature or generating set")
     p.add_argument("arg")
     p.add_argument("--at", type=int, required=True)
-    p.add_argument("-o", "--output")
 
-    p = add("rotate", cmd_rotate, help="rotate a signature or generating set")
+    p = add("rotate", cmd_rotate, True, help="rotate a signature or generating set")
     p.add_argument("arg")
-    p.add_argument("-o", "--output")
 
     p = add("verify", cmd_verify, help="check fastness, standardness and round trip")
     p.add_argument("genset")

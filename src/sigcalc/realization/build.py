@@ -43,10 +43,6 @@ def realize(sig: Signature) -> GenSet:
     return fns
 
 
-def _scaled(fns: Sequence[MarkedFn], lo: Pair, hi: Pair) -> GenSet:
-    return [rescale_fn(f, lo, hi) for f in fns]
-
-
 @functools.lru_cache(maxsize=BUILD_CACHE_SIZE)
 def _build(sig: Signature) -> GenSet:
     n = sig.n
@@ -59,9 +55,9 @@ def _build(sig: Signature) -> GenSet:
         out: GenSet = []
         k = len(parts)
         for i, part in enumerate(parts):
-            out += _scaled(_build(part), (4 * i + 1, 4 * k), (4 * i + 3, 4 * k))
+            out += [rescale_fn(f, (4 * i + 1, 4 * k), (4 * i + 3, 4 * k)) for f in _build(part)]
         return out
-    inner = _scaled(_build(sig_rotate(sig)), M1, M2)
+    inner = [rescale_fn(f, M1, M2) for f in _build(sig_rotate(sig))]
     t, others = inner[0], list(inner[1:])
     maxrow = max(sig.val(i, n - 1) for i in range(n - 1))
     if maxrow == 1:

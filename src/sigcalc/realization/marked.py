@@ -11,15 +11,16 @@ compute on those pairs; no Fraction is built.  Pairs compare by
 cross-multiplication, never as tuples.
 
 `MarkedFn(plmap, markers)` is the one checked constructor: it reads the
-markers with `ratio`, computes the map's orbitals once and checks one
-marker inside each.  Functions carried over from a valid one go through
-`MarkedFn._trusted`, which takes the map, markers and orbitals as given and
-checks nothing: a renamed copy (`rename`), an affine copy (`rescale_fn`),
-the restriction of a function with more than two orbitals to its inner ones
-(`fn_rotate`), and a two-piece bump whose parameters `make_bump_fn` has
-checked.  The last three build their maps with the unchecked `PLMap._make`,
-as transport and checked parameters keep breakpoints increasing; tests
-compare each with the checked constructors.  Bumps, extended support,
+markers with `ratio` and checks one inside each of the map's orbitals.
+Functions carried over from a valid one go through `MarkedFn._trusted`,
+which takes the map and markers as given and checks nothing: a renamed copy
+(`rename`), an affine copy (`rescale_fn`), the restriction of a function
+with more than two orbitals to its inner ones (`fn_rotate`), and a
+two-piece bump whose parameters `make_bump_fn` has checked.  The last three
+build their maps with the unchecked `PLMap._make`, handing it the orbitals
+they know, as transport and checked parameters keep breakpoints increasing;
+tests compare each with the checked constructors.  `orbitals` is the map's
+own tuple, computed at most once per map.  Bumps, extended support,
 transition points and the extreme transition points are derived from the
 stored orbitals; bumps, extended support and the rotation are derived once,
 on first use.
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from .plmap import Pair, PLMap, _lt, _quads, _reduced, by_value, fmt, ratio
+from .plmap import Pair, PLMap, _lt, _quads, _reduced, by_value, conj_map, fmt, ratio
 
 
 class RealizationError(ValueError):
@@ -63,7 +64,7 @@ class MarkedFn:
         self.map, self.name = plmap, name
         self.markers = tuple(sorted(map(ratio, markers), key=by_value))
         self._bumps = self._ext = self._rotated = None
-        self.orbitals = orbs = tuple(plmap._orbitals())
+        self.orbitals = orbs = plmap._orbitals()
         if not orbs:
             raise RealizationError("identity maps cannot be marked")
         if len(orbs) != len(self.markers):
@@ -75,13 +76,12 @@ class MarkedFn:
 
     @classmethod
     def _trusted(cls, plmap: PLMap, markers: Tuple[Pair, ...],
-                 orbitals: Tuple[Tuple[Pair, Pair, int], ...],
                  name: Optional[str] = None) -> "MarkedFn":
-        """A function transported from a valid one: `orbitals` are plmap's
-        and `markers` a sorted tuple with one inside each.  Nothing is
-        checked or recomputed."""
+        """A function transported from a valid one: `markers` is a sorted
+        tuple with one inside each of plmap's orbitals.  Nothing is
+        checked."""
         f = object.__new__(cls)
-        f.map, f.markers, f.orbitals, f.name = plmap, markers, orbitals, name
+        f.map, f.markers, f.orbitals, f.name = plmap, markers, plmap._orbitals(), name
         f._bumps = f._ext = f._rotated = None
         return f
 
@@ -133,7 +133,7 @@ class MarkedFn:
         return pts
 
     def rename(self, name: str) -> "MarkedFn":
-        f = MarkedFn._trusted(self.map, self.markers, self.orbitals, name)
+        f = MarkedFn._trusted(self.map, self.markers, name)
         f._bumps, f._ext = self._bumps, self._ext
         return f
 
@@ -170,7 +170,7 @@ def make_bump_fn(u, v, a, b, sign: int = 1, name: Optional[str] = None) -> Marke
         bp = (0, 1, 0, 1) + bp
     if v[0] < v[1]:
         bp += (1, 1, 1, 1)
-    return MarkedFn._trusted(PLMap._make(bp), (a,), ((u, v, sign),), name)
+    return MarkedFn._trusted(PLMap._make(bp, None, ((u, v, sign),)), (a,), name)
 
 
 def canonical_bump(u, v, name: Optional[str] = None) -> MarkedFn:
@@ -202,7 +202,7 @@ def fn_rotate(f: MarkedFn) -> MarkedFn:
             if ln * q[1] < q[0] * ld and q[0] * hd < hn * q[1]:
                 bp += q
         bp += (hn, hd, hn, hd, 1, 1, 1, 1)
-        return MarkedFn._trusted(PLMap._make(tuple(bp)), f.markers[1:-1], orbs[1:-1], name)
+        return MarkedFn._trusted(PLMap._make(tuple(bp), None, orbs[1:-1]), f.markers[1:-1], name)
     pos = [b for b in f.bumps if b.sign > 0]
     if not pos:
         raise RealizationError("function has no positive orbital to rotate into")
@@ -212,8 +212,7 @@ def fn_rotate(f: MarkedFn) -> MarkedFn:
 
 def conjugate(f: MarkedFn, w: PLMap, name: Optional[str] = None) -> MarkedFn:
     """f conjugated by w (apply w-inverse, f, then w); markers move by w."""
-    cmap = w.inverse().then(f.map).then(w)
-    return MarkedFn(cmap, [w._at(*s) for s in f.markers], name)
+    return MarkedFn(conj_map(f.map, w), [w._at(*s) for s in f.markers], name)
 
 
 def square(f: MarkedFn, name: Optional[str] = None) -> MarkedFn:
@@ -247,4 +246,4 @@ def rescale_fn(f: MarkedFn, lo, hi) -> MarkedFn:
         bp += (1, 1, 1, 1)
     orbs = tuple((at(*u), at(*v), sign) for u, v, sign in f.orbitals)
     markers = tuple(at(*s) for s in f.markers)
-    return MarkedFn._trusted(PLMap._make(tuple(bp)), markers, orbs, f.name)
+    return MarkedFn._trusted(PLMap._make(tuple(bp), None, orbs), markers, f.name)

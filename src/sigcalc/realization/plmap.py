@@ -28,6 +28,7 @@ Slopes are reduced (p, q) pairs, derived once per map: the checked
 constructor keeps the ones it computes to drop collinear points, `_merge`
 records the slope of each segment it emits, and `inverse` swaps known
 ones; a map made by `_make` without them gets them when first composed.
+Orbitals are computed once per map too, unless `_make` is handed them.
 """
 
 from __future__ import annotations
@@ -146,18 +147,20 @@ class PLMap:
     `slopes[k]` is the slope between breakpoints k and k + 1, or None until
     a map made by `_make` without them is first composed."""
 
-    __slots__ = ("_bp", "slopes")
+    __slots__ = ("_bp", "slopes", "_orbs")
 
     def __new__(cls, points: Iterable):
         return cls._make(*_canonical(points))
 
     @classmethod
-    def _make(cls, bp: Tuple[int, ...], slopes: Optional[Tuple[Pair, ...]] = None) -> "PLMap":
+    def _make(cls, bp: Tuple[int, ...], slopes: Optional[Tuple[Pair, ...]] = None,
+              orbitals: Optional[Tuple[Tuple[Pair, Pair, int], ...]] = None) -> "PLMap":
         """A map on breakpoints already canonical and strictly increasing,
-        with its slopes if known, unchecked."""
+        with its slopes and orbitals if known, unchecked."""
         m = object.__new__(cls)
         object.__setattr__(m, "_bp", bp)
         object.__setattr__(m, "slopes", slopes)
+        object.__setattr__(m, "_orbs", orbitals)
         return m
 
     def __setattr__(self, name, value):
@@ -176,7 +179,7 @@ class PLMap:
 
     @staticmethod
     def identity() -> "PLMap":
-        return PLMap._make((0, 1, 0, 1, 1, 1, 1, 1), ((1, 1),))
+        return PLMap._make((0, 1, 0, 1, 1, 1, 1, 1), ((1, 1),), ())
 
     @property
     def is_identity(self) -> bool:
@@ -293,13 +296,15 @@ class PLMap:
         """`_orbitals` with Fraction ends."""
         return [(Fraction(*u), Fraction(*v), s) for u, v, s in self._orbitals()]
 
-    def _orbitals(self) -> List[Tuple[Pair, Pair, int]]:
+    def _orbitals(self) -> Tuple[Tuple[Pair, Pair, int], ...]:
         """Maximal open intervals where the map moves points, with signs.
 
         Returns (u, v, sign) triples of reduced pairs u and v, with sign +1
         where f(x) > x and -1 where f(x) < x; the map fixes u and v.
         Interior crossings of the diagonal are located exactly.
         """
+        if self._orbs is not None:
+            return self._orbs
         quads = _quads(self._bp)
         out, start, prev, ps = [], None, quads[0], 0  # the map fixes 0
         for q in quads[1:]:
@@ -315,4 +320,10 @@ class PLMap:
                 out.append((start, q[:2], ps))
                 start = None
             prev, ps = q, s
-        return out
+        object.__setattr__(self, "_orbs", tuple(out))
+        return self._orbs
+
+
+def conj_map(x: PLMap, y: PLMap) -> PLMap:
+    """x conjugated by y (apply y-inverse, x, then y)."""
+    return y.inverse().then(x).then(y)

@@ -16,7 +16,7 @@ from operator import eq
 from typing import List, Optional, Sequence, Tuple
 
 from .marked import MarkedFn, RealizationError
-from .plmap import PLMap, _lt
+from .plmap import PLMap, _lt, conj_map
 
 GroupWord = List[Tuple[int, int]]  # (generator index, nonzero exponent)
 
@@ -31,11 +31,6 @@ def pl_eval(fns: Sequence[MarkedFn], word: GroupWord) -> PLMap:
             raise RealizationError("zero exponent in group word")
         out = out.then(fns[idx].map ** exp)
     return out
-
-
-def conj_map(x: PLMap, y: PLMap) -> PLMap:
-    """x conjugated by y (apply y-inverse, x, then y)."""
-    return y.inverse().then(x).then(y)
 
 
 def pred_C(x: PLMap, y: PLMap) -> bool:

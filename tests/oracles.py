@@ -219,7 +219,7 @@ def frac(p: Tuple[int, int]) -> Fraction:
 
 def fn_shape(f: MarkedFn):
     """Everything a marked function stores or derives, as comparable values."""
-    return (f.map.points, f.orbitals, f.markers, f.name,
+    return (f.map.points, f.map._orbitals(), f.orbitals, f.markers, f.name,
             [(b.u, b.v, b.sign, b.marker, b.tpoint) for b in f.bumps])
 
 

@@ -7,12 +7,12 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import sys
 import time
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
 
 from sigcalc import cli, realization
 from sigcalc.ordinal import MAX_NESTING
@@ -491,6 +491,15 @@ def test_path_that_cannot_be_read_is_a_parse_error(capsys, monkeypatch, tmp_path
         assert err.startswith(f"error: cannot read {str(path)!r}: ")
 
 
+@pytest.mark.parametrize("case", ["directory", "missing directory"])
+def test_output_path_that_cannot_be_written_is_a_parse_error(capsys, tmp_path, case):
+    path = tmp_path if case == "directory" else tmp_path / "missing" / "out.json"
+    for argv in (("normalize", "1"), ("realize", "exp(1+1)"), ("rotate", PAIR1)):
+        code, out, err = run(capsys, *argv, "-o", str(path))
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and err.startswith(f"error: cannot write {str(path)!r}: ")
+
+
 def test_pair_outside_the_base(capsys):
     err = expect_error(capsys, 1, "rho", '{"n":2,"o":{"0,5":1}}')
     assert err == "error: pair (0,5) outside base 0..1\n"
@@ -554,87 +563,156 @@ def test_realization_exports_what_cli_and_bench_import():
 # --- fuzzing main ----------------------------------------------------------------------
 
 
-_TERM = st.recursive(
-    st.sampled_from(["0", "1"]),
-    lambda inner: st.one_of(
-        st.tuples(inner, inner).map("+".join),
-        st.tuples(inner, inner).map("*".join),
-        inner.map("exp({})".format),
-        inner.map("E({})".format),
-        inner.map("({})".format)),
-    max_leaves=6,
-) | st.text("01+*()expE ", max_size=12)
+# Characters of free text: ASCII letters, digits and punctuation, JSON's
+# escapes, controls, a combining mark, joiners and separators, a
+# right-to-left override, a byte order mark and two characters outside the
+# Basic Multilingual Plane.
+_ODD = ("ab01,^ \"\\/{}[]\x00\x07\t\n\r\x7f\x85"
+        "\u00e9\u0301\u200d\u2028\u202e\ufeff\U0001f600\U00010348")
 
-_SIGNATURE_JSON = st.builds(
-    lambda doc: json.dumps(doc),
-    st.fixed_dictionaries(
-        {"n": st.integers(-1, 4) | st.sampled_from(["2", True, None])},
-        optional={
-            "o": st.dictionaries(
-                st.sampled_from(["0,1", "0,2", "1,2", "0,3", "1,3", "2,3", "1,0", "a,b", "0"]),
-                st.integers(-1, 4) | st.sampled_from([True, 1.5, None, "1"]), max_size=6)
-            | st.sampled_from([[1], None]),
-            "labels": st.lists(st.text(max_size=2), max_size=4) | st.just("ab"),
-        }))
 
-_SIGNATURE = _TERM | _SIGNATURE_JSON
+def _text(rng, max_size, alphabet=_ODD):
+    return "".join(rng.choice(alphabet) for _ in range(rng.randint(0, max_size)))
 
-_ORDINAL = st.recursive(
-    st.sampled_from(["0", "1", "2", "w"]),
-    lambda inner: st.one_of(
-        st.tuples(inner, inner).map("+".join),
-        st.tuples(inner, inner).map("*".join),
-        inner.map("w^({})".format),
-        inner.map("({})".format)),
-    max_leaves=5,
-) | st.text("012w^+*() ", max_size=10)
+
+def _expression(rng, leaves, wraps, budget):
+    """A sum, product or wrap of random leaves, with at most `budget` leaves
+    and wraps in all."""
+    r = rng.random()
+    if budget <= 1 or r < 0.3:
+        return rng.choice(leaves)
+    if r < 0.65:
+        left = rng.randint(1, budget - 1)
+        return (_expression(rng, leaves, wraps, left) + rng.choice("+*")
+                + _expression(rng, leaves, wraps, budget - left))
+    return rng.choice(wraps).format(_expression(rng, leaves, wraps, budget - 1))
+
+
+def _term(rng):
+    """A signature term, well formed or free text over its alphabet."""
+    if rng.random() < 0.5:
+        return _text(rng, 12, "01+*()expE ")
+    return _expression(rng, ["0", "1"], ["exp({})", "E({})", "({})"], 6)
+
+
+_PAIR_KEYS = ["0,1", "0,2", "1,2", "0,3", "1,3", "2,3", "1,0", "a,b", "0"]
+_PAIR_VALUES = [-1, 0, 1, 2, 3, 4, True, 1.5, None, "1"]
+
+
+def _signature_json(rng):
+    """A signature document: "n", and maybe "o" and "labels", each of the
+    right type or not."""
+    doc = {"n": rng.choice([-1, 0, 1, 2, 3, 4, "2", True, None])}
+    if rng.random() < 0.5:
+        doc["o"] = rng.choice([
+            {rng.choice(_PAIR_KEYS): rng.choice(_PAIR_VALUES) for _ in range(rng.randint(0, 6))},
+            [1], None])
+    if rng.random() < 0.5:
+        doc["labels"] = rng.choice([[_text(rng, 2) for _ in range(rng.randint(0, 4))], "ab"])
+    return json.dumps(doc)
+
+
+def _signature(rng):
+    return _term(rng) if rng.random() < 0.5 else _signature_json(rng)
+
+
+def _ordinal(rng):
+    """An ordinal expression, well formed or free text over its alphabet."""
+    if rng.random() < 0.5:
+        return _text(rng, 10, "012w^+*() ")
+    return _expression(rng, ["0", "1", "2", "w"], ["w^({})", "({})"], 5)
+
 
 # Coordinates: fractions whose denominator may be 0, numbers, and JSON floats
 # that are not finite.
-_COORD = (st.tuples(st.integers(0, 4), st.integers(0, 4)).map(lambda pq: "%d/%d" % pq)
-          | st.sampled_from(["0", "1", "1/2", "x", 0, 1, 0.5, True, None,
-                             float("inf"), float("nan")]))
-
-_GENSET = st.sampled_from([PAIR1, NOT_SGEN, NOT_FAST, TWO_BUMPS]) | st.builds(
-    lambda doc: json.dumps(doc),
-    st.lists(st.fixed_dictionaries(
-        {"breakpoints": st.lists(st.tuples(_COORD, _COORD), max_size=5),
-         "markers": st.lists(_COORD, max_size=2)},
-        optional={"name": st.text(max_size=3) | st.integers() | st.none()}), max_size=3)
-    | st.sampled_from([[1], {"a": 1}, "x", None]))
-
-_WORD = st.lists(
-    st.tuples(st.integers(-1, 3), st.integers(-3, 3)).map(lambda ie: "%d,%d" % ie)
-    | st.sampled_from(["0", "1^2", "0^-1", "a", "1,x", "0,1,2", "1^2^3"]),
-    max_size=4).map(" ".join)
-
-_ARGV = st.one_of(
-    st.tuples(st.just("ord"), _ORDINAL).map(list),
-    st.tuples(st.just("ord"), _ORDINAL, st.sampled_from(["cmp", "add", "mul"]), _ORDINAL)
-    .map(list),
-    st.tuples(st.sampled_from(["rho", "normalize", "realize", "rotate"]), _SIGNATURE).map(list),
-    st.tuples(st.just("leq"), _SIGNATURE, _SIGNATURE).map(list),
-    st.tuples(st.just("inflate"), _SIGNATURE | _GENSET, st.integers(-1, 4))
-    .map(lambda a: [a[0], a[1], "--at=%d" % a[2]]),
-    st.tuples(st.sampled_from(["ea", "materialize"]), _ORDINAL).map(list),
-    st.tuples(st.just("ea"), _ORDINAL).map(lambda a: [*a, "--target"]),
-    st.tuples(st.sampled_from(["signature", "diagram", "verify", "rotate"]), _GENSET).map(list),
-    st.tuples(st.just("predicates"), _GENSET, _WORD, _WORD, st.none() | _WORD).map(
-        lambda a: ["predicates", a[1], "--x=" + a[2], "--y=" + a[3]]
-        + ([] if a[4] is None else ["--z=" + a[4]])),
-    st.tuples(st.integers(-1, 6), st.integers(-1, 6)).map(
-        lambda nv: ["enumerate", "--n=%d" % nv[0], "--vmax=%d" % nv[1]]),
-)
+_COORDS = ["0", "1", "1/2", "x", 0, 1, 0.5, True, None, float("inf"), float("nan")]
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(_ARGV)
-@example(["signature", '[{"breakpoints": [["0","0"],["1/0","1"]], "markers": []}]'])
-@example(["verify", _one_function(markers=["1/0"])])
-def test_main_survives_generated_input(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
-    assert code in (0, 1, 2)
-    assert err.getvalue().count("\n") <= 1
-    assert (code == 0) == (err.getvalue() == "")
+def _coord(rng):
+    if rng.random() < 0.5:
+        return "%d/%d" % (rng.randint(0, 4), rng.randint(0, 4))
+    return rng.choice(_COORDS)
+
+
+_SETS = [PAIR1, NOT_SGEN, NOT_FAST, TWO_BUMPS]
+
+
+def _genset(rng):
+    """A generating-set document: a valid set, one with a coordinate replaced
+    where the loader reads it, an array of functions with random fields, or
+    a document of the wrong shape."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return rng.choice(_SETS)
+    if kind == 1:
+        doc = json.loads(rng.choice(_SETS))
+        f = rng.choice(doc)
+        if rng.random() < 0.5:
+            rng.choice(f["breakpoints"])[rng.randrange(2)] = _coord(rng)
+        else:
+            f["markers"][rng.randrange(len(f["markers"]))] = _coord(rng)
+        return json.dumps(doc)
+    if kind == 2:
+        doc = []
+        for _ in range(rng.randint(0, 3)):
+            f = {"breakpoints": [[_coord(rng), _coord(rng)] for _ in range(rng.randint(0, 5))],
+                 "markers": [_coord(rng) for _ in range(rng.randint(0, 2))]}
+            if rng.random() < 0.5:
+                f["name"] = rng.choice([_text(rng, 3), rng.randint(-10 ** 6, 10 ** 6), None])
+            doc.append(f)
+        return json.dumps(doc)
+    return json.dumps(rng.choice([[1], {"a": 1}, "x", None]))
+
+
+_BAD_TOKENS = ["0", "1^2", "0^-1", "a", "1,x", "0,1,2", "1^2^3"]
+
+
+def _word(rng):
+    """Up to four tokens: index,exponent pairs, with indices and exponents
+    out of range too, and tokens in the other forms, malformed ones among
+    them."""
+    return " ".join("%d,%d" % (rng.randint(-1, 3), rng.randint(-3, 3)) if rng.random() < 0.5
+                    else rng.choice(_BAD_TOKENS) for _ in range(rng.randint(0, 4)))
+
+
+_ARGV = [
+    lambda rng: ["ord", _ordinal(rng)],
+    lambda rng: ["ord", _ordinal(rng), rng.choice(["cmp", "add", "mul"]), _ordinal(rng)],
+    lambda rng: [rng.choice(["rho", "normalize", "realize", "rotate"]), _signature(rng)],
+    lambda rng: ["leq", _signature(rng), _signature(rng)],
+    lambda rng: ["inflate", rng.choice([_signature, _genset])(rng), "--at=%d" % rng.randint(-1, 4)],
+    lambda rng: [rng.choice(["ea", "materialize"]), _ordinal(rng)],
+    lambda rng: ["ea", _ordinal(rng), "--target"],
+    lambda rng: [rng.choice(["signature", "diagram", "verify", "rotate"]), _genset(rng)],
+    lambda rng: ["predicates", _genset(rng), "--x=" + _word(rng), "--y=" + _word(rng)]
+    + ([] if rng.random() < 0.5 else ["--z=" + _word(rng)]),
+    lambda rng: ["enumerate", "--n=%d" % rng.randint(-1, 6), "--vmax=%d" % rng.randint(-1, 6)],
+]
+
+# Each coordinate that is not a plain fraction, where the loader reads it: in
+# a breakpoint of a valid set, and as its marker
+_SPECIAL_COORDS = ["1/0", float("inf"), float("nan"), 0.5, True, None]
+_EXPLICIT_ARGV = [
+    ["signature", '[{"breakpoints": [["0","0"],["1/0","1"]], "markers": []}]'],
+    ["verify", _one_function(markers=["1/0"])],
+    *(["signature", _one_function(breakpoints=[["0", "0"], [c, "1/4"], ["1/2", "3/4"], [1, 1]])]
+      for c in _SPECIAL_COORDS),
+    *(["verify", _one_function(markers=[c])] for c in _SPECIAL_COORDS),
+]
+
+
+def test_main_survives_generated_input():
+    seed = "main"
+    rng = random.Random(seed)
+    cases = _EXPLICIT_ARGV + [rng.choice(_ARGV)(rng) for _ in range(100)]
+    for i, argv in enumerate(cases):
+        where = f"case {i} of seed {seed!r}: {argv!r}"
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+        except Exception as e:
+            raise AssertionError(f"{where} raised {e!r}") from e
+        assert code in (0, 1, 2), where
+        assert err.getvalue().count("\n") <= 1, where
+        assert (code == 0) == (err.getvalue() == ""), where

@@ -3,9 +3,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from helpers import DENOMINATORS, bump_map, random_bump_pair, random_pl_map
+from helpers import DENOMINATORS, bump_map, random_bump_pair, random_fractions, random_pl_map
 from oracles import (
     _slopes, commutator, compose_pointwise, eval_pointwise, increasing_points, power_pointwise,
     pred_C_products, swapped)
@@ -68,35 +67,6 @@ def test_composition_exact_random():
     for _ in range(50):
         x = F(rng.randint(0, 997), 997)
         assert h(x) == g(f(x))
-
-
-_INTERIOR = st.fractions(0, 1, max_denominator=97).filter(lambda q: 0 < q < 1)
-
-
-@st.composite
-def maps_and_points(draw):
-    """A map with up to 6 interior breakpoints, and points to evaluate: its
-    breakpoints' coordinates, the ends 0 and 1, and drawn points."""
-    k = draw(st.integers(0, 6))
-    xs, ys = (sorted(draw(st.sets(_INTERIOR, min_size=k, max_size=k))) for _ in "xy")
-    m = PLMap([(0, 0), *zip(xs, ys), (1, 1)])
-    points = [F(0), F(1), *xs, *ys, *draw(st.lists(_INTERIOR, max_size=6))]
-    return m, points
-
-
-def _fractions(draw, k, den):
-    """k distinct fractions in (0,1) with denominator den, sorted."""
-    return [F(n, den) for n in sorted(draw(st.sets(st.integers(1, den - 1),
-                                                   min_size=k, max_size=k)))]
-
-
-@st.composite
-def pl_maps(draw):
-    """A map with up to 6 interior breakpoints, its x- and y-coordinates
-    each over one of DENOMINATORS."""
-    dx, dy = (draw(st.sampled_from(DENOMINATORS)) for _ in "xy")
-    k = draw(st.integers(0, min(6, dx - 1, dy - 1)))
-    return PLMap([(0, 0), *zip(_fractions(draw, k, dx), _fractions(draw, k, dy)), (1, 1)])
 
 
 COMMUTING_KINDS = ("random", "identity", "equal", "powers", "disjoint", "overlapping", "late")
@@ -163,26 +133,28 @@ def test_composition_checks_every_point():
             compute()
 
 
-@st.composite
-def maps_with_collinear_points(draw):
+def with_collinear_points(rng):
     """A map, and its breakpoints with points added on its segments, in
     any order."""
-    m = draw(pl_maps())
+    m = random_pl_map(rng)
     points = list(m.points)
     for (x1, y1), (x2, y2) in zip(m.points, m.points[1:]):
-        for t in _fractions(draw, draw(st.integers(0, 3)), 16):
+        for t in random_fractions(rng, rng.randint(0, 3), 16):
             points.append((x1 + (x2 - x1) * t, y1 + (y2 - y1) * t))
-    return m, draw(st.permutations(points))
+    rng.shuffle(points)
+    return m, points
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(maps_with_collinear_points())
-def test_checked_constructor_carries_slopes(case):
-    m, points = case
-    checked = PLMap(points)
-    assert checked == m and checked.points == m.points
-    assert checked.slopes == int_slopes(checked)
-    assert all(s != t for s, t in zip(checked.slopes, checked.slopes[1:]))
+def test_checked_constructor_carries_slopes():
+    seed = "collinear"
+    rng = random.Random(seed)
+    for i in range(200):
+        m, points = with_collinear_points(rng)
+        checked = PLMap(points)
+        where = f"case {i} of seed {seed!r}"
+        assert checked == m and checked.points == m.points, where
+        assert checked.slopes == int_slopes(checked), where
+        assert all(s != t for s, t in zip(checked.slopes, checked.slopes[1:])), where
 
 
 # Coordinates that make repeated points, shared x, flat or falling runs,
@@ -190,51 +162,83 @@ def test_checked_constructor_carries_slopes(case):
 _POOL = [F(n, 12) for n in range(13)] + [F(-1, 4), F(5, 4)]
 
 
-@st.composite
-def point_lists(draw):
-    """A map's breakpoints with collinear points added, then points
-    repeated, points sharing an x with one of them, points from _POOL and
-    sometimes one point left out; shuffled, with coordinates as Fractions or
-    as strings."""
-    _, points = draw(maps_with_collinear_points())
+def point_list(rng):
+    """A map's breakpoints with collinear points added, then up to three
+    points that repeat one of them, share an x with one of them, or come
+    from _POOL, and one in ten times one point left out; shuffled, with
+    coordinates as Fractions or as strings."""
+    _, points = with_collinear_points(rng)
     xs = [x for x, _ in points]
-    points += draw(st.lists(
-        st.sampled_from(points) | st.tuples(st.sampled_from(xs), st.sampled_from(_POOL))
-        | st.tuples(st.sampled_from(_POOL), st.sampled_from(_POOL)), max_size=3))
-    if draw(st.integers(0, 9)) == 0:
-        points.pop(draw(st.integers(0, len(points) - 1)))
-    points = draw(st.permutations(points))
-    return [(str(x), str(y)) for x, y in points] if draw(st.booleans()) else points
+    points += [rng.choice([rng.choice(points), (rng.choice(xs), rng.choice(_POOL)),
+                           (rng.choice(_POOL), rng.choice(_POOL))])
+               for _ in range(rng.randint(0, 3))]
+    if rng.randrange(10) == 0:
+        points.pop(rng.randrange(len(points)))
+    rng.shuffle(points)
+    return [(str(x), str(y)) for x, y in points] if rng.random() < 0.5 else points
 
 
-@settings(max_examples=500, deadline=None, derandomize=True, database=None)
-@given(point_lists())
-def test_checked_constructor_matches_reference(points):
+def outcome(build, points):
+    """build(points), or the PLError it raises."""
     try:
-        want = increasing_points(points)
+        return build(points)
     except PLError as e:
-        with pytest.raises(PLError) as got:
-            PLMap(points)
-        assert str(got.value) == str(e)
-        return
-    m = PLMap(points)
-    assert m.points == tuple(want)
-    assert m.slopes == int_slopes(m)
+        return e
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(maps_and_points())
-def test_one_point_image_and_preimage(case):
-    m, points = case
-    inv = m.inverse()
-    for x in points:
-        image = m._at(x.numerator, x.denominator)
-        preimage = m._at(x.numerator, x.denominator, back=True)
-        assert F(*image) == m(x) == eval_pointwise(m, x)
-        assert F(*preimage) == inv(x) == eval_pointwise(swapped(m), x)
-        # reduced pairs, with positive denominators
-        assert image == F(*image).as_integer_ratio()
-        assert preimage == F(*preimage).as_integer_ratio()
+def test_checked_constructor_matches_reference():
+    seed = "checked constructor"
+    rng = random.Random(seed)
+    seen = set()
+    for i in range(500):
+        points = point_list(rng)
+        want, got = outcome(increasing_points, points), outcome(PLMap, points)
+        where = f"case {i} of seed {seed!r}"
+        if isinstance(want, PLError):
+            assert isinstance(got, PLError) and str(got) == str(want), where
+            seen.add(str(want))
+        else:
+            assert isinstance(got, PLMap) and got.points == tuple(want), where
+            assert got.slopes == int_slopes(got), where
+            seen.add("valid")
+    # both refusals, and maps, are reached
+    assert len(seen) == 3
+
+
+def interior(rng):
+    """A fraction in (0,1) with denominator at most 97."""
+    d = rng.randint(2, 97)
+    return F(rng.randint(1, d - 1), d)
+
+
+def map_and_points(rng):
+    """A map with up to 6 interior breakpoints, and points to evaluate: its
+    breakpoints' coordinates, the ends 0 and 1, and up to 6 more."""
+    k = rng.randint(0, 6)
+    xs, ys = set(), set()
+    for c in (xs, ys):
+        while len(c) < k:
+            c.add(interior(rng))
+    xs, ys = sorted(xs), sorted(ys)
+    m = PLMap([(0, 0), *zip(xs, ys), (1, 1)])
+    return m, [F(0), F(1), *xs, *ys, *(interior(rng) for _ in range(rng.randint(0, 6)))]
+
+
+def test_one_point_image_and_preimage():
+    seed = "one point"
+    rng = random.Random(seed)
+    for i in range(200):
+        m, points = map_and_points(rng)
+        inv = m.inverse()
+        for x in points:
+            image = m._at(x.numerator, x.denominator)
+            preimage = m._at(x.numerator, x.denominator, back=True)
+            where = f"case {i} of seed {seed!r}, at {x}"
+            assert F(*image) == m(x) == eval_pointwise(m, x), where
+            assert F(*preimage) == inv(x) == eval_pointwise(swapped(m), x), where
+            # reduced pairs, with positive denominators
+            assert image == F(*image).as_integer_ratio(), where
+            assert preimage == F(*preimage).as_integer_ratio(), where
 
 
 @pytest.mark.parametrize("seed", range(3))
