@@ -144,7 +144,7 @@ def _emit(args, text_value, json_value):
 
 
 def _out(args, content: str):
-    if getattr(args, "output", None):
+    if args.output:
         try:
             with open(args.output, "w") as fh:
                 fh.write(content)
@@ -290,9 +290,10 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, fn, output=False, **kw):
         p = sub.add_parser(name, **kw)
         p.set_defaults(fn=fn)
-        p.add_argument("--format", choices=("text", "json"), default="text")
         if output:  # the verbs that print through _out
             p.add_argument("-o", "--output")
+        else:  # the verbs that print through _emit
+            p.add_argument("--format", choices=("text", "json"), default="text")
         return p
 
     p = add("ord", cmd_ord, help="evaluate or compare ordinal expressions")

@@ -28,7 +28,7 @@ class OrdinalParseError(OrdinalError):
 
 
 class Ordinal:
-    """Immutable ordinal below epsilon_0 in Cantor normal form."""
+    """An ordinal below epsilon_0 in Cantor normal form, never changed once built."""
 
     __slots__ = ("terms",)
 
@@ -42,10 +42,7 @@ class Ordinal:
         for (e1, _), (e2, _) in zip(terms, terms[1:]):
             if ord_cmp(e1, e2) != GT:
                 raise OrdinalError("CNF exponents not strictly decreasing")
-        object.__setattr__(self, "terms", terms)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Ordinal is immutable")
+        self.terms = terms
 
     @staticmethod
     def from_int(n: int) -> "Ordinal":
@@ -94,7 +91,7 @@ class Ordinal:
 def _cnf(terms: Iterable[Tuple[Ordinal, int]]) -> Ordinal:
     """An Ordinal from terms an operation built in normal form; unchecked."""
     a = object.__new__(Ordinal)
-    object.__setattr__(a, "terms", tuple(terms))
+    a.terms = tuple(terms)
     return a
 
 

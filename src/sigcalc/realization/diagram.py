@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Sequence, Tuple
 
-from .genset import _fast_ordered, _feet_of
+from .genset import _fast_ordered
 from .marked import MarkedFn
 
 
@@ -51,32 +51,19 @@ class DynDiagram:
 
 def diagram(fns: Sequence[MarkedFn]) -> DynDiagram:
     """The dynamical diagram of a fast set."""
-    fns = _fast_ordered(fns, "dynamical diagram")
-    feet = _feet_of(fns)  # sorted (lo, hi, func index, bump index, side)
-    # contract a right foot followed immediately by a left foot of the same function
-    vertex_of = {}
-    nv = 0
-    i = 0
-    while i < len(feet):
-        cur = feet[i]
-        vertex_of[(cur[2], cur[3], cur[4])] = nv
-        if (i + 1 < len(feet) and cur[4] == "R" and feet[i + 1][4] == "L"
-                and feet[i + 1][2] == cur[2]):
-            nxt = feet[i + 1]
-            vertex_of[(nxt[2], nxt[3], nxt[4])] = nv
-            i += 2
-        else:
-            i += 1
-        nv += 1
+    fns, feet = _fast_ordered(fns, "dynamical diagram")  # feet: sorted (lo, hi, fi, bi, side)
+    # a left foot immediately after a right foot of the same function shares its vertex
+    vertex_of, nv, prev = {}, 0, None
+    for *_, fi, bi, side in feet:
+        if not (side == "L" and prev == (fi, "R")):
+            nv += 1
+        vertex_of[fi, bi, side] = nv - 1
+        prev = (fi, side)
     raw_edges = []
     for fi, f in enumerate(fns):
         for bi, b in enumerate(f.bumps):
-            lv = vertex_of[(fi, bi, "L")]
-            rv = vertex_of[(fi, bi, "R")]
-            if b.sign > 0:
-                raw_edges.append((lv, rv, fi))
-            else:
-                raw_edges.append((rv, lv, fi))
+            lv, rv = vertex_of[fi, bi, "L"], vertex_of[fi, bi, "R"]
+            raw_edges.append((lv, rv, fi) if b.sign > 0 else (rv, lv, fi))
     names = [f.name or str(i) for i, f in enumerate(fns)]
     return DynDiagram(nv, raw_edges, names)
 

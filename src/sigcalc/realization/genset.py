@@ -1,9 +1,13 @@
-"""Generating sets of marked functions: order, fastness, oscillation.
+"""Generating sets of marked functions: order, fastness, standardness.
 
 A generating set is an ordered list of marked functions; the order is by
 maximum transition point, which for fast totally-nested-or-disjoint sets
 agrees with the relation f < g given by f << g (disjoint, f left) or
 f inside g (closure of extended support contained in extended support).
+
+`_standard_walk` checks a set and computes its oscillations at once, each
+as a count of rotation steps; `signature_of`, `set_rotate` and
+`set_inflate` all start from it.
 
 Everything here works on the functions' reduced integer pairs (see
 `marked`): feet and maximum transition points sort on integer keys over one
@@ -15,15 +19,15 @@ from __future__ import annotations
 
 import itertools
 import json
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from ..signature import MAX_PAIR_VALUE, Signature, SignatureError
+from ..signature import MAX_PAIR_VALUE, Signature, SignatureError, _pair_index
 from .marked import MarkedFn, RealizationError, conjugate, is_standard_fn, square
 from .plmap import PLMap, _lt, _quads, fmt, keys
 
 GenSet = List[MarkedFn]
 
-LL, INSIDE, CONTAINS, GG, INCOMPARABLE = "<<", "in", "contains", ">>", "incomparable"
+LL, INSIDE = "<<", "in"
 
 
 class NotSgenError(RealizationError):
@@ -46,92 +50,78 @@ def order_genset(fns: Sequence[MarkedFn]) -> GenSet:
 
 def _feet_of(fns: Sequence[MarkedFn]):
     """Every foot as (lo, hi, function index, bump index, side), lo and hi
-    integer keys over one common denominator, sorted."""
+    integer keys over one common denominator, sorted; None when two feet
+    overlap."""
     tags, ends = [], []
     for fi, f in enumerate(fns):
         for bi, b in enumerate(f.bumps):
             tags += ((fi, bi, "L"), (fi, bi, "R"))
             ends += (b.u, b.marker, b.tpoint, b.v)
     _, k = keys(ends)
-    return sorted((lo, hi, *tag) for tag, lo, hi in zip(tags, k[0::2], k[1::2]))
+    feet = sorted((lo, hi, *tag) for tag, lo, hi in zip(tags, k[0::2], k[1::2]))
+    if all(max(lo1, lo2) >= min(hi1, hi2)
+           for (lo1, hi1, *_), (lo2, hi2, *_) in zip(feet, feet[1:])):
+        return feet
+    return None
 
 
 def is_fast(fns: Sequence[MarkedFn]) -> bool:
     """All feet pairwise disjoint across bumps.  Two functions sharing a bump
     share the start of its left foot, so this also rules out shared bumps."""
-    feet = _feet_of(fns)
-    return all(max(lo1, lo2) >= min(hi1, hi2)
-               for (lo1, hi1, *_), (lo2, hi2, *_) in zip(feet, feet[1:]))
+    return _feet_of(fns) is not None
 
 
-def _fast_ordered(fns: Sequence[MarkedFn], what: str) -> GenSet:
-    """fns in max-transition order, raising NotFastError unless fast."""
+def _fast_ordered(fns: Sequence[MarkedFn], what: str) -> Tuple[GenSet, list]:
+    """fns in max-transition order with their sorted feet; NotFastError unless fast."""
     fns = order_genset(fns)
-    if not is_fast(fns):
+    feet = _feet_of(fns)
+    if feet is None:
         raise NotFastError(f"{what} requires a fast set")
-    return fns
+    return fns, feet
 
 
-def pair_order(f: MarkedFn, g: MarkedFn) -> str:
+def pair_order(f: MarkedFn, g: MarkedFn) -> Optional[str]:
+    """LL when f << g, INSIDE when f is inside g, None otherwise."""
     cf, cg = f.ext_components(), g.ext_components()
     if not _lt(cg[0][0], cf[-1][1]):
         return LL
-    if not _lt(cf[0][0], cg[-1][1]):
-        return GG
     if all(any(_lt(a, u) and _lt(v, b) for a, b in cg) for u, v in cf):
         return INSIDE
-    if all(any(_lt(a, u) and _lt(v, b) for a, b in cf) for u, v in cg):
-        return CONTAINS
-    return INCOMPARABLE
+    return None
 
 
-def _inside_oscillation(small: MarkedFn, big: MarkedFn) -> int:
-    """Orbitals of big containing a transition point of small."""
-    pts = small.transition_points()
-    return sum(1 for u, v, _ in big.orbitals if any(_lt(u, t) and _lt(t, v) for t in pts))
-
-
-def oscillation(f: MarkedFn, g: MarkedFn) -> int:
-    """Orbitals of the larger function containing a transition point of the
-    smaller; 0 for disjoint extended supports."""
-    rel = pair_order(f, g)
-    if rel in (LL, GG):
-        return 0
-    if rel == INSIDE:
-        return _inside_oscillation(f, g)
-    if rel == CONTAINS:
-        return _inside_oscillation(g, f)
-    raise RealizationError("oscillation undefined for incomparable pair")
-
-
-# A realized pair of oscillation v takes v rotations; the CLI bounds v by MAX_PAIR_VALUE.
+# A standard pair of oscillation v takes exactly v rotations; the CLI bounds v by MAX_PAIR_VALUE.
 _STANDARD_FUEL = MAX_PAIR_VALUE + 1
 
 
-def _standard_walk(fns: Sequence[MarkedFn]) -> Tuple[GenSet, Dict[Tuple[int, int], str]]:
-    """The ordered set and each pair's relation (LL or INSIDE) when fns is a
+def _standard_walk(fns: Sequence[MarkedFn]) -> Tuple[GenSet, List[int]]:
+    """The ordered set and its oscillations, row-major, when fns is a
     standard generating set: fast, every function standard, and each pair
-    f < g has f << g, or f inside g with (g rotated, f) again standard.
-    Raises NotSgenError otherwise.  Rotation keeps a function standard and
-    its feet inside the old ones, so neither is checked down the recursion."""
-    fns = _fast_ordered(fns, "signature")
+    f < g has f << g, or f inside g with (g rotated, f) again standard;
+    NotSgenError otherwise.  Rotation lowers each oscillation against the
+    top by exactly one (`sig_rotate`: o(new, i) = o(i, n) - 1; arXiv:1711.10998,
+    on the fast sets of arXiv:1701.08321), so o(f, g) is the number of
+    INSIDE steps the walk takes before it reaches LL.  Rotation keeps a
+    function standard and its feet inside the old ones, so neither is
+    checked down the recursion."""
+    fns, _ = _fast_ordered(fns, "a standard generating set")
     for f in fns:
         if not is_standard_fn(f):
             raise NotSgenError(f"{f!r} is not standard")
-    rels = {}
-    for i, j in itertools.combinations(range(len(fns)), 2):
-        f, g = fns[i], fns[j]
-        rels[i, j] = rel = pair_order(f, g)
-        for _ in range(_STANDARD_FUEL):
+    vals = []
+    for low, high in itertools.combinations(fns, 2):
+        f, g = low, high
+        for steps in range(_STANDARD_FUEL):
+            rel = pair_order(f, g)
             if rel != INSIDE:
                 break
             f, g = g.rotated, f
-            rel = pair_order(f, g)
         else:
             raise RealizationError("standard-pair recursion did not terminate")
         if rel != LL:
-            raise NotSgenError(f"pair ({fns[i]!r}, {fns[j]!r}) is not standard")
-    return fns, rels
+            raise NotSgenError(f"pair ({low!r}, {high!r}) is not standard")
+        vals.append(steps)
+    return fns, vals
 
 
 def is_sgen(fns: Sequence[MarkedFn]) -> bool:
@@ -145,11 +135,8 @@ def is_sgen(fns: Sequence[MarkedFn]) -> bool:
 
 
 def signature_of(fns: Sequence[MarkedFn]) -> Signature:
-    """The signature of a standard generating set; always satisfies (!).
-    Each oscillation is read from the relation the walk found, LL or INSIDE."""
-    fns, rels = _standard_walk(fns)
-    vals = [0 if rel == LL else _inside_oscillation(fns[i], fns[j])
-            for (i, j), rel in rels.items()]  # row-major, as the walk visits pairs
+    """The signature of a standard generating set; always satisfies (!)."""
+    fns, vals = _standard_walk(fns)
     try:
         return Signature(len(fns), vals, [f.name or str(i) for i, f in enumerate(fns)])
     except SignatureError as e:
@@ -157,20 +144,21 @@ def signature_of(fns: Sequence[MarkedFn]) -> Signature:
 
 
 def set_rotate(fns: Sequence[MarkedFn]) -> GenSet:
-    """Rotate the top element, or drop it when it oscillates with nothing."""
-    fns = order_genset(fns)
-    if not fns:
-        return []
-    top, rest = fns[-1], fns[:-1]
-    if any(oscillation(f, top) > 0 for f in rest):
-        return order_genset(list(rest) + [top.rotated])
-    return list(rest)
+    """Rotate the top element of a standard generating set, or drop it when
+    it oscillates with nothing."""
+    fns, vals = _standard_walk(fns)
+    n = len(fns)
+    if any(vals[_pair_index(n, i, n - 1)] for i in range(n - 1)):
+        return order_genset(fns[:-1] + [fns[-1].rotated])
+    return fns[:-1]
 
 
 def set_inflate(fns: Sequence[MarkedFn], index: int) -> GenSet:
-    """Replace element a by a^2 and adjoin conjugates b^a for b below a."""
-    fns = order_genset(fns)
-    if not (0 <= index < len(fns)):
+    """Replace element a of a standard generating set by a^2 and adjoin b^a
+    for each b below a that oscillates with it (the others have b^a = b)."""
+    fns, vals = _standard_walk(fns)
+    n = len(fns)
+    if not (0 <= index < n):
         raise RealizationError(f"no element at index {index}")
     a = fns[index]
     aname = a.name or str(index)
@@ -180,11 +168,8 @@ def set_inflate(fns: Sequence[MarkedFn], index: int) -> GenSet:
             out.append(square(a, f"{aname}^2"))
         else:
             out.append(b)
-            if i < index:
-                bname = b.name or str(i)
-                conj = conjugate(b, a.map, f"{bname}^{aname}")
-                if conj.map != b.map:
-                    out.append(conj)
+            if i < index and vals[_pair_index(n, i, index)]:
+                out.append(conjugate(b, a.map, f"{b.name or str(i)}^{aname}"))
     return order_genset(out)
 
 

@@ -20,10 +20,9 @@ two-piece bump whose parameters `make_bump_fn` has checked.  The last three
 build their maps with the unchecked `PLMap._make`, handing it the orbitals
 they know, as transport and checked parameters keep breakpoints increasing;
 tests compare each with the checked constructors.  `orbitals` is the map's
-own tuple, computed at most once per map.  Bumps, extended support,
-transition points and the extreme transition points are derived from the
-stored orbitals; bumps, extended support and the rotation are derived once,
-on first use.
+own tuple, computed at most once per map.  Bumps, extended support and
+the extreme transition points are derived from the stored orbitals; bumps,
+extended support and the rotation are derived once, on first use.
 """
 
 from __future__ import annotations
@@ -123,14 +122,6 @@ class MarkedFn:
     @property
     def min_transition(self) -> Pair:
         return self.orbitals[0][0]
-
-    def transition_points(self) -> List[Pair]:
-        pts: List[Pair] = []
-        for u, v, _ in self.orbitals:
-            if not pts or pts[-1] != u:
-                pts.append(u)
-            pts.append(v)
-        return pts
 
     def rename(self, name: str) -> "MarkedFn":
         f = MarkedFn._trusted(self.map, self.markers, name)

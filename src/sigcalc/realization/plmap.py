@@ -158,13 +158,8 @@ class PLMap:
         """A map on breakpoints already canonical and strictly increasing,
         with its slopes and orbitals if known, unchecked."""
         m = object.__new__(cls)
-        object.__setattr__(m, "_bp", bp)
-        object.__setattr__(m, "slopes", slopes)
-        object.__setattr__(m, "_orbs", orbitals)
+        m._bp, m.slopes, m._orbs = bp, slopes, orbitals
         return m
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PLMap is immutable")
 
     @property
     def points(self) -> Tuple[Point, ...]:
@@ -174,7 +169,7 @@ class PLMap:
     def _known_slopes(self) -> Tuple[Tuple[int, int], ...]:
         if self.slopes is None:
             quads = _quads(self._bp)
-            object.__setattr__(self, "slopes", tuple(map(_slope, quads, quads[1:])))
+            self.slopes = tuple(map(_slope, quads, quads[1:]))
         return self.slopes
 
     @staticmethod
@@ -320,7 +315,7 @@ class PLMap:
                 out.append((start, q[:2], ps))
                 start = None
             prev, ps = q, s
-        object.__setattr__(self, "_orbs", tuple(out))
+        self._orbs = tuple(out)
         return self._orbs
 
 

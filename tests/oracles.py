@@ -2,11 +2,16 @@
 
 The equivalent forms of the (!) relation are checked against
 `signature.bang_rel`, and `classify_pair` bundles a pair's order, fastness,
-oscillation and standardness for the realization tests.  `is_standard_pair`
-is the recursive definition of a standard pair, checked in full at every
-level, for comparison with the library's single walk.  `compose_pointwise`
-is PL composition by the sorted union of breakpoints evaluated pointwise,
-the reference for `PLMap.then`, `inverse` and powers; `pred_C_products`
+oscillation and standardness for the realization tests.  `pair_relation` is
+the five-way order of a pair (<<, inside, contains, >>, incomparable), and
+`oscillation` the counting definition (orbitals of the larger function
+holding a transition point of the smaller, from `transition_points`), the
+reference for the values the library reads off its standardness walk.
+`is_standard_pair` is the recursive definition of a standard pair, checked
+in full at every level, for comparison with the library's single walk.
+`compose_pointwise` is PL composition by the sorted union of breakpoints
+evaluated pointwise, the reference for `PLMap.then`, `inverse` and powers;
+`pred_C_products`
 is "x and y commute" with both products built in full, and `commutator`
 its reading as "their commutator is the identity", both checked against
 `pred_C`.  `eval_pointwise` is one-point evaluation by Fraction
@@ -53,9 +58,7 @@ from sigcalc.ordinal import (
 from sigcalc.signature import (
     ONE_SIG, ZERO_SIG, Signature, SignatureError, _pair_index, _pairs, _trusted, bang_rel,
     is_all_positive, sig_E, sig_exp, sig_shift_down)
-from sigcalc.realization.genset import (
-    CONTAINS, GG, INSIDE, LL, GenSet, _fast_ordered, is_fast, order_genset, oscillation,
-    pair_order)
+from sigcalc.realization.genset import GenSet, _fast_ordered, is_fast, order_genset
 from sigcalc.realization.marked import MarkedFn, RealizationError, fn_rotate, is_standard_fn
 from sigcalc.realization.plmap import PLError, PLMap
 
@@ -90,6 +93,56 @@ def bang_rel_conj(p: int, q: int, r: int) -> bool:
     return p >= min(q, r + 1) and q >= min(p, r) and r >= min(p - 1, q)
 
 
+LL, INSIDE, CONTAINS, GG, INCOMPARABLE = "<<", "in", "contains", ">>", "incomparable"
+
+
+def pair_relation(f: MarkedFn, g: MarkedFn) -> str:
+    """The five-way order of a pair, read from the extended supports:
+    f << g (f left of g), f inside g (each component of f's inside one of
+    g's), f contains g, f >> g, or incomparable."""
+    cf = [(frac(u), frac(v)) for u, v in f.ext_components()]
+    cg = [(frac(u), frac(v)) for u, v in g.ext_components()]
+    if cf[-1][1] <= cg[0][0]:
+        return LL
+    if cg[-1][1] <= cf[0][0]:
+        return GG
+    if all(any(a < u and v < b for a, b in cg) for u, v in cf):
+        return INSIDE
+    if all(any(a < u and v < b for a, b in cf) for u, v in cg):
+        return CONTAINS
+    return INCOMPARABLE
+
+
+def transition_points(f: MarkedFn) -> list:
+    """The orbital ends of f, left to right, each once."""
+    pts = []
+    for u, v, _ in f.orbitals:
+        if not pts or pts[-1] != u:
+            pts.append(u)
+        pts.append(v)
+    return pts
+
+
+def _inside_oscillation(small: MarkedFn, big: MarkedFn) -> int:
+    """Orbitals of big containing a transition point of small."""
+    pts = [frac(t) for t in transition_points(small)]
+    return sum(1 for u, v, _ in big.orbitals if any(frac(u) < t < frac(v) for t in pts))
+
+
+def oscillation(f: MarkedFn, g: MarkedFn) -> int:
+    """The counting definition: orbitals of the larger function containing a
+    transition point of the smaller; 0 for disjoint extended supports.  The
+    reference for the step count of `genset._standard_walk`."""
+    rel = pair_relation(f, g)
+    if rel in (LL, GG):
+        return 0
+    if rel == INSIDE:
+        return _inside_oscillation(f, g)
+    if rel == CONTAINS:
+        return _inside_oscillation(g, f)
+    raise RealizationError("oscillation undefined for incomparable pair")
+
+
 def is_standard_pair(f: MarkedFn, g: MarkedFn, fuel: int = 200) -> bool:
     """{f,g} fast, both standard, and either f << g, or f inside g with
     (g rotated, f) again standard."""
@@ -97,7 +150,7 @@ def is_standard_pair(f: MarkedFn, g: MarkedFn, fuel: int = 200) -> bool:
         raise RealizationError("standard-pair recursion did not terminate")
     if not (is_standard_fn(f) and is_standard_fn(g) and is_fast([f, g])):
         return False
-    rel = pair_order(f, g)
+    rel = pair_relation(f, g)
     if rel == LL:
         return True
     return rel == INSIDE and is_standard_pair(fn_rotate(g), f, fuel - 1)
@@ -112,7 +165,7 @@ class PairInfo:
 
 
 def classify_pair(f: MarkedFn, g: MarkedFn) -> PairInfo:
-    rel = pair_order(f, g)
+    rel = pair_relation(f, g)
     fast = is_fast([f, g])
     osc = None
     if fast and rel in (LL, GG, INSIDE, CONTAINS):
@@ -561,7 +614,7 @@ def retrofit_slopes(fns: Sequence[MarkedFn]) -> GenSet:
         return []
     top = fns[-1]
     for f in fns[:-1]:
-        if pair_order(f, top) != INSIDE:
+        if pair_relation(f, top) != INSIDE:
             raise RealizationError("slope retrofit needs a nesting-maximum element")
     out = []
     for f in fns:
@@ -610,7 +663,7 @@ def _isolated_bumps(fns: Sequence[MarkedFn]) -> List[Tuple[int, int]]:
     """Bumps whose support contains no transition point of the set."""
     pts = []
     for f in fns:
-        pts.extend(frac(t) for t in f.transition_points())
+        pts.extend(frac(t) for t in transition_points(f))
     pts.sort()
     out = []
     for fi, f in enumerate(fns):
@@ -637,7 +690,7 @@ def excise(fns: Sequence[MarkedFn]) -> GenSet:
     function with more positive than negative bumps, the rightmost isolated
     bump; with balanced counts, the leftmost.
     """
-    fns = _fast_ordered(fns, "excision")
+    fns, _ = _fast_ordered(fns, "excision")
     while True:
         isolated = _isolated_bumps(fns)
         removable = [(fi, bi) for fi, bi in isolated if len(fns[fi].bumps) >= 2]

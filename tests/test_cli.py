@@ -208,6 +208,8 @@ def test_inflate(capsys):
     expect_error(capsys, 1, "inflate", "exp(1+1)", "--at", "2")
     expect_error(capsys, 1, "inflate", PAIR1, "--at", "2")
     expect_error(capsys, 2, "inflate", "[", "--at", "0")
+    for doc in (NOT_FAST, NOT_SGEN, TWO_BUMPS):  # refused as signature refuses them
+        expect_error(capsys, 1, "inflate", doc, "--at", "0")
 
 
 def test_rotate(capsys):
@@ -220,7 +222,20 @@ def test_rotate(capsys):
     ])
     assert run(capsys, "rotate", PAIR1) == (0, want + "\n", "")
     expect_error(capsys, 2, "rotate", "E(")
-    expect_error(capsys, 1, "rotate", NOT_FAST)
+    for doc in (NOT_FAST, NOT_SGEN, TWO_BUMPS):  # refused as signature refuses them
+        expect_error(capsys, 1, "rotate", doc)
+
+
+def test_format_only_on_the_verbs_that_read_it(capsys):
+    argvs = [["normalize", "1"], ["materialize", "w"], ["realize", "1+1"],
+             ["signature", PAIR1], ["diagram", PAIR1], ["inflate", PAIR1, "--at", "0"],
+             ["rotate", PAIR1]]
+    for argv in argvs:
+        assert run(capsys, *argv)[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--format", "json"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format json" in capsys.readouterr().err
 
 
 def test_rotate_and_inflate_read_a_file_argument_once(capsys, monkeypatch, tmp_path):

@@ -7,7 +7,7 @@ from sigcalc.signature import ONE_SIG, Signature, sig_E, sig_exp, sig_sum
 from sigcalc.realization import (
     PLMap, RealizationError, diagram, is_fast, realize, signature_of, to_dot)
 from sigcalc.realization.marked import MarkedFn, conjugate, make_bump_fn, square
-from oracles import excise, fig_bz_set, fig_g_set, frac, retrofit_slopes
+from oracles import excise, fig_bz_set, fig_g_set, frac, retrofit_slopes, transition_points
 
 one = ONE_SIG
 
@@ -35,6 +35,13 @@ def test_diagram_counts_contraction():
     d = diagram(fns)
     assert d.num_vertices == 5
     assert len(d.edges) == 3
+
+
+def test_diagram_contracts_only_feet_of_one_function():
+    # two disjoint bumps: the first one's right foot is followed at once by
+    # the second one's left foot, and they stay two vertices
+    d = diagram(realize(sig_sum(one, one)))
+    assert (d.num_vertices, d.edges) == (4, ((0, 1, 0), (2, 3, 1)))
 
 
 def test_tau4_diagram_matches_drawing():
@@ -151,7 +158,7 @@ def test_retrofit_transition_points_kept():
     fns = fig_g_set()
     fitted = retrofit_slopes(fns)
     for before, after in zip(fns, fitted):
-        assert before.transition_points() == after.transition_points()
+        assert transition_points(before) == transition_points(after)
         assert before.map != after.map  # only the diagram is promised
 
 

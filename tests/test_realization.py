@@ -27,9 +27,10 @@ from sigcalc.realization import (
     is_fast,
     is_sgen,
     realize,
+    set_inflate,
+    set_rotate,
     signature_of,
 )
-from sigcalc.realization.genset import oscillation
 from sigcalc.realization.marked import (
     MarkedFn, canonical_bump, fn_rotate, is_standard_fn, make_bump_fn, midpoint_bump,
     rescale_fn)
@@ -37,7 +38,7 @@ from sigcalc import cli
 from sigcalc.realization import build, genset, marked, plmap
 from oracles import (
     checked_copy, classify_pair, fig_bz_set, fig_g_set, fn_shape, frac, genset_to_json_dumps,
-    is_standard_pair, rescale_checked, retrofit_slopes)
+    is_standard_pair, oscillation, pair_relation, rescale_checked, retrofit_slopes)
 
 one = ONE_SIG
 
@@ -427,29 +428,30 @@ def test_transport_computes_no_orbitals(monkeypatch):
 
 def test_whole_set_ordered_and_fast_checked_once(monkeypatch, capsys):
     fns = realize(SIG5)
-    sorted_sizes, fast_sizes = [], []
-    order_genset, is_fast = genset.order_genset, genset.is_fast
+    sorted_sizes, feet_sizes = [], []
+    order_genset, feet_of = genset.order_genset, genset._feet_of
 
     def counting_order(fs):
         sorted_sizes.append(len(fs))
         return order_genset(fs)
 
-    def counting_fast(fs):
-        fast_sizes.append(len(fs))
-        return is_fast(fs)
+    def counting_feet(fs):
+        feet_sizes.append(len(fs))
+        return feet_of(fs)
 
     monkeypatch.setattr(genset, "order_genset", counting_order)
-    monkeypatch.setattr(genset, "is_fast", counting_fast)
-    # verify checks its input, then realize checks the set it builds
+    monkeypatch.setattr(genset, "_feet_of", counting_feet)
+    # verify checks its input, then realize checks the set it builds; the
+    # diagram reads the feet its fastness check derived
     runs = [(lambda: signature_of(fns), 1), (lambda: realize(SIG5), 1),
-            (lambda: is_sgen(fns), 1),
+            (lambda: is_sgen(fns), 1), (lambda: diagram(fns), 1),
             (lambda: cli.main(["verify", genset_to_json(fns)]) == 0, 2)]
     for run, sets in runs:
         sorted_sizes.clear()
-        fast_sizes.clear()
+        feet_sizes.clear()
         assert run()
         assert sorted_sizes == [SIG5.n] * sets
-        assert fast_sizes.count(SIG5.n) == sets
+        assert feet_sizes == [SIG5.n] * sets
 
 
 def test_each_function_rotated_once(monkeypatch):
@@ -475,14 +477,24 @@ def test_realized_sets_are_sgen():
 # --- realized-set invariants ----------------------------------------------------------
 
 
-def test_o_cut_one_on_realized():
-    # o(f,g) = o(g rotated, f) + 1 for nested standard pairs
-    for s in enumerate_signatures(3, 3):
-        fns = realize(s)
-        for i, j in itertools.combinations(range(len(fns)), 2):
-            f, g = fns[i], fns[j]
-            if classify_pair(f, g).order == "in":
+def test_o_cut_one_on_realized(realized_n5):
+    """o(f,g) = o(g rotated, f) + 1 for nested standard pairs, so the walk's
+    step counts are the counted oscillations: signature_of equals the
+    oracle's matrix on every realized set with n <= 5, values <= 3, and on
+    every rotation and inflation of those with n <= 4, each standard (the
+    one empty set is the rotation of the one-element set)."""
+    small = [realize(s) for n in range(1, 5) for s in enumerate_signatures(n, 3)]
+    for fns in small:
+        for f, g in itertools.combinations(fns, 2):
+            if pair_relation(f, g) == "in":
                 assert oscillation(f, g) == oscillation(fn_rotate(g), f) + 1
+    images = [set_rotate(fns) for fns in small]
+    images += [set_inflate(fns, m) for fns in small for m in range(len(fns))]
+    assert (len(small) + len(realized_n5), len(images)) == (1136, 802)
+    for fns in small + realized_n5 + images:
+        fns = genset.order_genset(fns)
+        counted = [oscillation(f, g) for f, g in itertools.combinations(fns, 2)]
+        assert list(signature_of(fns).vals) == counted
 
 
 def test_o_conj_bound_on_realized():

@@ -13,7 +13,6 @@ from sigcalc.signature import (
 )
 from sigcalc.realization import (
     RealizationError, is_sgen, realize, set_inflate, set_rotate, signature_of)
-from sigcalc.realization.genset import oscillation
 
 one = ONE_SIG
 
