@@ -19,8 +19,10 @@ any work: `materialize` builds a signature on a base of at most
 signature.MAX_BASE (256), read from the ordinal's normal form; `ea --target`
 takes an ordinal omega*a + n with finite part n at most MAX_EA_FINITE (1024),
 since its answer carries a coefficient 2^n (2^(n+1) for finite input).
-`ord` exits 1, after the arithmetic, when a sum or product has a
-coefficient past the interpreter's limit of digits.
+After the work, `materialize` exits 1 when the built signature has a pair
+value past signature.MAX_PAIR_VALUE (64), so what it prints is always a
+signature argument the other verbs take; and `ord` exits 1 when a sum or
+product has a coefficient past the interpreter's limit of digits.
 """
 
 from __future__ import annotations
@@ -216,7 +218,10 @@ def cmd_materialize(args):
     xi = load_ordinal(args.expr)
     if materialized_base(xi) > MAX_BASE:
         raise CliError(f"materialized signature has a base larger than {MAX_BASE}", 1)
-    _out(args, sig_to_json(materialize(xi)) + "\n")
+    sig = materialize(xi)
+    if max(sig.vals, default=0) > MAX_PAIR_VALUE:
+        raise CliError(f"materialized signature has a pair value larger than {MAX_PAIR_VALUE}", 1)
+    _out(args, sig_to_json(sig) + "\n")
 
 
 def cmd_realize(args):

@@ -7,6 +7,25 @@ block-form convention) while "sorted" sorts indecomposable summands by rank
 descending first, which is the convention under which rank decides
 embeddability of the generated groups.  Sums strictly below an exp are always
 ordered; this is forced by the block-form definition of rho.
+
+Both directions of the block bijection are memoized: `_rho_block` (an
+indecomposable signature to its rank omega^beta) and `_block` (omega^beta
+back to its reduced indecomposable block), each an `lru_cache` of
+RANK_CACHE_SIZE entries.  A rank is a sum over indecomposable blocks, and
+blocks recur: across the calls one process makes, and as repeated summands
+within one call.  One 10 s pass of the `ranks` benchmark (4,500 distinct
+terms) fills about 5,000 `_rho_block` and 770 `_block` entries, so the
+bound holds a whole run.  The keys are the block itself (a `Signature`,
+whose hash and equality ignore labels) and the exponent beta; neither value
+depends on labels.  `rho`, `decompose` and `sig_sum` stay uncached, so a
+repeated top-level input still does its own decomposing and summing.
+
+The gain shows only where blocks are shared.  On that benchmark (CPython
+3.11, x86-64) `ranks` went from about 3,900 to 6,000 ops/s, and `rho` on a
+sum of 128 equal `E(1+1)` blocks, in a fresh process, from about 6 to 3 ms.
+A one-shot CLI call whose blocks do not repeat gains nothing measurable
+(process start-up is about 100 ms), and the same pass with both memos
+cleared after every call is no faster than with no memo.
 """
 
 from __future__ import annotations
@@ -44,6 +63,11 @@ from .signature import (
 
 MODES = ("ordered", "sorted")
 
+# Entries in each block memo, least recently used dropped first.  An entry
+# holds one block and its rank, so what the memos hold also grows with the
+# blocks' bases, which the CLI bounds by signature.MAX_BASE.
+RANK_CACHE_SIZE = 8192
+
 
 class OutsideComputedFamily(ValueError):
     """The EA-class formula only covers ranks of the form omega^(omega^a * 2^n)."""
@@ -73,6 +97,7 @@ def rho(a: Signature, mode: str = "sorted") -> Ordinal:
     return total
 
 
+@functools.lru_cache(maxsize=RANK_CACHE_SIZE)
 def _rho_block(a: Signature) -> Ordinal:
     """The rank of an indecomposable signature.
 
@@ -116,18 +141,24 @@ def materialize(xi: Ordinal) -> Signature:
     """The unique reduced signature of rank xi.
 
     For xi with normal form sum of omega^beta_i * c_i (exponents descending)
-    emit c_i copies of exp(materialize(1 + beta_i)) per term, concatenated in
-    descending order.
+    emit c_i copies of the block exp(materialize(1 + beta_i)) (`_block`) per
+    term, concatenated in descending order.
     """
     if xi == ONE:
         return ONE_SIG  # exp fixes one, so the recursion must bottom out here
     parts: List[Signature] = []
     for beta, coeff in xi.terms:
-        block = sig_exp(materialize(ord_add(ONE, beta)))
-        parts.extend([block] * coeff)
+        parts.extend([_block(beta)] * coeff)
     if not parts:
         return ZERO_SIG
     return sig_sum(*parts)
+
+
+@functools.lru_cache(maxsize=RANK_CACHE_SIZE)
+def _block(beta: Ordinal) -> Signature:
+    """The reduced indecomposable signature of rank omega^beta; callers
+    copy it (`sig_sum`), so the memoized object is never handed out."""
+    return sig_exp(materialize(ord_add(ONE, beta)))
 
 
 def materialized_base(xi: Ordinal) -> int:

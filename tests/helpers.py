@@ -5,6 +5,7 @@ import itertools
 import random
 from fractions import Fraction as F
 
+from sigcalc import normalizer
 from sigcalc.ordinal import ZERO, Ordinal, ord_cmp
 from sigcalc.realization import PLMap
 from sigcalc.signature import enumerate_signatures
@@ -72,6 +73,14 @@ def rank_terms():
         n = rng.randint(8, 12)
         out.append((random_term(rng, n), rng.randrange(n)))
     return out
+
+
+def fresh_rank_caches(monkeypatch, size=normalizer.RANK_CACHE_SIZE):
+    """Empty block memos of rho and materialize, of the given bound, for the
+    rest of the test."""
+    for name in ("_rho_block", "_block"):
+        fresh = functools.lru_cache(maxsize=size)(getattr(normalizer, name).__wrapped__)
+        monkeypatch.setattr(normalizer, name, fresh)
 
 
 @functools.lru_cache(maxsize=None)

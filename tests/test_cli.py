@@ -128,6 +128,20 @@ def test_materialize_base_bound(capsys):
         assert err == "error: materialized signature has a base larger than 256\n"
 
 
+def test_materialize_pair_value_bound(capsys):
+    # what materialize prints is a signature argument the other verbs take
+    tower = "w"  # the rank of the pair with value k, tau_k
+    for k in range(1, MAX_PAIR_VALUE + 1):
+        code, out, _ = run(capsys, "materialize", tower)
+        assert code == 0 and out == '{"n": 2, "o": {"0,1": %d}}\n' % k
+        assert run(capsys, "rho", out) == (0, tower + "\n", "")
+        tower = f"w^({tower})" if k > 1 else "w^w"
+    over = f"w^({tower}+1)"  # a block on a base of 3 with the pair value 66
+    for xi in (tower, over, "w^(" * 99 + "w" + ")" * 99, f"{over}*2+w^w"):
+        err = expect_error(capsys, 1, "materialize", xi)
+        assert err == "error: materialized signature has a pair value larger than 64\n"
+
+
 @pytest.mark.skipif(getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
                     reason="the interpreter converts integers of any length")
 def test_integers_past_the_digit_limit_are_parse_errors(capsys):

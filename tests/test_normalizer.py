@@ -15,6 +15,7 @@ from sigcalc.ordinal import (
     ord_mul,
     ord_parse,
 )
+from sigcalc import normalizer
 from sigcalc.normalizer import (
     OutsideComputedFamily,
     ea_class,
@@ -39,8 +40,9 @@ from sigcalc.signature import (
     sig_restrict,
     sig_star,
     sig_sum,
+    sig_to_json,
 )
-from helpers import bounded_signatures, cnf_box, random_ordinal, rank_terms
+from helpers import bounded_signatures, cnf_box, fresh_rank_caches, random_ordinal, rank_terms
 from oracles import decompose_pairwise, render_term, rho_pairwise, tau
 
 one = ONE_SIG
@@ -90,17 +92,58 @@ def test_rho_mixed_case():
     assert rho(s) == o("w^(w+1)")
 
 
-def test_rho_matches_pairwise_recursion():
-    # every signature on a base of at most 5 with values <= 3, and the 24
-    # seeded rank-size terms, in both modes
+def _small_and_rank_sized():
+    """Every signature on a base of at most 5 with values <= 3, and the 24
+    seeded rank-size terms."""
     sigs = [s for n in range(6) for s in enumerate_signatures(n, 3)]
-    sigs += [parse_term(render_term(term)) for term, _ in rank_terms()]
-    for s in sigs:
-        expected = rho_pairwise(s, "ordered")
-        assert rho(s, "ordered") == expected
-        if len(decompose_pairwise(s)) > 1:  # the oracle's modes differ only on sums
-            expected = rho_pairwise(s, "sorted")
-        assert rho(s, "sorted") == expected
+    return sigs + [parse_term(render_term(term)) for term, _ in rank_terms()]
+
+
+def _pairwise_ranks(s):
+    """s's (ordered, sorted) ranks by the oracle."""
+    ordered = rho_pairwise(s, "ordered")
+    if len(decompose_pairwise(s)) > 1:  # the oracle's modes differ only on sums
+        return ordered, rho_pairwise(s, "sorted")
+    return ordered, ordered
+
+
+def test_rho_matches_pairwise_recursion():
+    for s in _small_and_rank_sized():
+        assert (rho(s, "ordered"), rho(s, "sorted")) == _pairwise_ranks(s)
+
+
+def test_rank_caches_are_bounded(monkeypatch):
+    memos = ("_rho_block", "_block")
+    for name in memos:
+        assert getattr(normalizer, name).cache_info().maxsize == normalizer.RANK_CACHE_SIZE
+    fresh_rank_caches(monkeypatch, size=8)
+    for s in _small_and_rank_sized():
+        assert (rho(s, "ordered"), rho(s, "sorted")) == _pairwise_ranks(s)
+        assert normalizer._rho_block.cache_info().currsize <= 8
+    for xi in cnf_box(2, 2):
+        assert rho(materialize(xi)) == xi
+        assert normalizer._block.cache_info().currsize <= 8
+    for name in memos:  # entries were dropped and computed again
+        assert getattr(normalizer, name).cache_info().misses > 8
+
+
+def test_rank_caches_ignore_fill_order_and_labels(monkeypatch):
+    # from cold memos, one labeling forward or in reverse, then the other
+    # labeling in the opposite order against the filled memos
+    sigs = _small_and_rank_sized()
+    labeled = [Signature(s.n, s.vals, [f"x{i}" for i in range(s.n)]) for s in sigs]
+    expected = [_pairwise_ranks(s) for s in sigs]
+    forms = [sig_to_json(materialize(sorted_rank)) for _, sorted_rank in expected]
+    forward = list(range(len(sigs)))
+    for first, second in ((sigs, labeled), (labeled, sigs)):
+        for order in (forward, forward[::-1]):
+            fresh_rank_caches(monkeypatch)
+            for batch, indices in ((first, order), (second, order[::-1])):
+                for i in indices:
+                    s = batch[i]
+                    assert (rho(s, "ordered"), rho(s, "sorted")) == expected[i]
+                    ns = normalize(s)
+                    assert ns.labels is None and sig_to_json(ns) == forms[i]
 
 
 def test_rho_sorted_equals_ordered_on_descending():

@@ -288,6 +288,26 @@ def test_build_cache_is_bounded(monkeypatch):
     assert build._build.cache_info().misses > 8  # entries were dropped and rebuilt
 
 
+def test_realize_checks_its_round_trip_against_the_input(monkeypatch):
+    # the built set's walk is compared with the checked input, so (!) is not
+    # checked again; a set of another signature is still refused
+    checked = []
+    violations = Signature.violations
+
+    def counting_violations(self):
+        checked.append(self)
+        return violations(self)
+
+    monkeypatch.setattr(Signature, "violations", counting_violations)
+    assert signature_of(realize(SIG5)) == SIG5 and len(checked) == 1  # signature_of's
+    cases = [(sig, realize(other)) for sig, other in (
+        (pair(1), sig_E(sig_sum(one, one))), (pair(1), one), (SIG5, pair(3)))]
+    for sig, built in cases:
+        monkeypatch.setattr(build, "_build", lambda s, built=built: built)
+        with pytest.raises(RealizationError, match="realization round trip failed: built "):
+            realize(sig)
+
+
 def test_realize_computes_orbitals_once_per_function(monkeypatch):
     counts = {"orbitals": 0, "fns": 0}
     orbitals, init = PLMap._orbitals, MarkedFn.__init__

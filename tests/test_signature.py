@@ -30,7 +30,7 @@ from sigcalc.signature import (
     sig_sum,
     sig_to_json,
 )
-from helpers import bounded_signatures, rank_terms
+from helpers import bounded_signatures, fresh_rank_caches, rank_terms
 from oracles import (
     SigTerm, bang, bang_rel_conj, bang_rel_p, bang_rel_q, decompose_pairwise,
     eval_term_pairwise, render_term, sig_inflate_pairwise, sig_restrict_pairwise,
@@ -261,7 +261,9 @@ def test_derived_signatures_valid_on_rank_terms(monkeypatch):
     # Terms on a base of 8 to 12, the sizes the benchmark ranks; every
     # signature an operation builds on the way (rho's restrictions and
     # decrements, normalize's and materialize's outputs, rotation and
-    # inflation) is recorded and must satisfy (!).
+    # inflation) is recorded and must satisfy (!).  The block memos are off,
+    # so every block is built each time an operation asks for it.
+    fresh_rank_caches(monkeypatch, size=0)
     built = []
     trusted = signature._trusted
 
