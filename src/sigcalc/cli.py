@@ -23,6 +23,13 @@ After the work, `materialize` exits 1 when the built signature has a pair
 value past signature.MAX_PAIR_VALUE (64), so what it prints is always a
 signature argument the other verbs take; and `ord` exits 1 when a sum or
 product has a coefficient past the interpreter's limit of digits.
+
+Limits met during the work, each with exit code 1 and a one-line message: a
+generating set has no pair oscillating more than signature.MAX_PAIR_VALUE
+(64) times, one rotation per oscillation in its standardness walk; `realize`
+(also reached by `verify`) nests one call per rotation or decomposition, about
+n times the largest pair value, no deeper than the interpreter's recursion
+limit allows (some 490 levels under CPython's default limit of 1,000).
 """
 
 from __future__ import annotations

@@ -34,8 +34,14 @@ BUILD_CACHE_SIZE = 4096
 
 
 def realize(sig: Signature) -> GenSet:
-    """A standard generating set with the given signature, self-verified."""
-    fns = [f.rename(lbl) for f, lbl in zip(_build(sig), sig.default_labels())]
+    """A standard generating set with the given signature, self-verified;
+    RealizationError when the build nests past the recursion limit."""
+    try:
+        built = _build(sig)
+    except RecursionError:
+        raise RealizationError(
+            "signature too deep to realize: its build nests past the recursion limit") from None
+    fns = [f.rename(lbl) for f, lbl in zip(built, sig.default_labels())]
     # the walk checks fastness and standardness; values equal to the checked
     # input's satisfy (!), so they need no Signature of their own
     built, vals = _standard_walk(fns)

@@ -19,15 +19,14 @@ from __future__ import annotations
 
 import itertools
 import json
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..signature import MAX_PAIR_VALUE, Signature, SignatureError, _pair_index
-from .marked import MarkedFn, RealizationError, conjugate, is_standard_fn, square
+from .marked import (
+    MarkedFn, RealizationError, _rotation, conjugate, fn_rotate, is_standard_fn, square)
 from .plmap import PLMap, _lt, _quads, fmt, keys
 
 GenSet = List[MarkedFn]
-
-LL, INSIDE = "<<", "in"
 
 
 class NotSgenError(RealizationError):
@@ -80,16 +79,6 @@ def _fast_ordered(fns: Sequence[MarkedFn], what: str) -> Tuple[GenSet, list]:
     return fns, feet
 
 
-def pair_order(f: MarkedFn, g: MarkedFn) -> Optional[str]:
-    """LL when f << g, INSIDE when f is inside g, None otherwise."""
-    cf, cg = f.ext_components(), g.ext_components()
-    if not _lt(cg[0][0], cf[-1][1]):
-        return LL
-    if all(any(_lt(a, u) and _lt(v, b) for a, b in cg) for u, v in cf):
-        return INSIDE
-    return None
-
-
 # A standard pair of oscillation v takes exactly v rotations; the CLI bounds v by MAX_PAIR_VALUE.
 _STANDARD_FUEL = MAX_PAIR_VALUE + 1
 
@@ -101,25 +90,26 @@ def _standard_walk(fns: Sequence[MarkedFn]) -> Tuple[GenSet, List[int]]:
     NotSgenError otherwise.  Rotation lowers each oscillation against the
     top by exactly one (`sig_rotate`: o(new, i) = o(i, n) - 1; arXiv:1711.10998,
     on the fast sets of arXiv:1701.08321), so o(f, g) is the number of
-    INSIDE steps the walk takes before it reaches LL.  Rotation keeps a
-    function standard and its feet inside the old ones, so neither is
-    checked down the recursion."""
+    inside steps before f << g.  Rotation keeps a function standard and its
+    feet inside the old ones, so neither is checked down the recursion; a
+    standard support is one interval, so each step compares orbital ends
+    and rotates (orbitals, markers) with `_rotation`, building no map."""
     fns, _ = _fast_ordered(fns, "a standard generating set")
     for f in fns:
         if not is_standard_fn(f):
             raise NotSgenError(f"{f!r} is not standard")
     vals = []
     for low, high in itertools.combinations(fns, 2):
-        f, g = low, high
+        (fo, fm), (go, gm) = (low.orbitals, low.markers), (high.orbitals, high.markers)
         for steps in range(_STANDARD_FUEL):
-            rel = pair_order(f, g)
-            if rel != INSIDE:
+            if not _lt(go[0][0], fo[-1][1]):  # f << g
                 break
-            f, g = g.rotated, f
+            if not (_lt(go[0][0], fo[0][0]) and _lt(fo[-1][1], go[-1][1])):  # nor f inside g
+                raise NotSgenError(f"pair ({low!r}, {high!r}) is not standard")
+            (fo, fm), (go, gm) = _rotation(go, gm), (fo, fm)
         else:
-            raise RealizationError("standard-pair recursion did not terminate")
-        if rel != LL:
-            raise NotSgenError(f"pair ({low!r}, {high!r}) is not standard")
+            raise RealizationError(
+                f"a pair oscillates more than signature.MAX_PAIR_VALUE ({MAX_PAIR_VALUE}) times")
         vals.append(steps)
     return fns, vals
 
@@ -149,7 +139,7 @@ def set_rotate(fns: Sequence[MarkedFn]) -> GenSet:
     fns, vals = _standard_walk(fns)
     n = len(fns)
     if any(vals[_pair_index(n, i, n - 1)] for i in range(n - 1)):
-        return order_genset(fns[:-1] + [fns[-1].rotated])
+        return order_genset(fns[:-1] + [fn_rotate(fns[-1])])
     return fns[:-1]
 
 

@@ -20,9 +20,9 @@ two-piece bump whose parameters `make_bump_fn` has checked.  The last three
 build their maps with the unchecked `PLMap._make`, handing it the orbitals
 they know, as transport and checked parameters keep breakpoints increasing;
 tests compare each with the checked constructors.  `orbitals` is the map's
-own tuple, computed at most once per map.  Bumps, extended support and
-the extreme transition points are derived from the stored orbitals; bumps,
-extended support and the rotation are derived once, on first use.
+own tuple, computed at most once per map.  Bumps (once, on first use) and
+the extreme transition points are derived from the stored orbitals, and
+`_rotation` derives a rotation's orbitals and markers, which `fn_rotate` maps.
 """
 
 from __future__ import annotations
@@ -57,12 +57,12 @@ class Bump:
 class MarkedFn:
     """A nonidentity PL bijection with a chosen marker in each orbital."""
 
-    __slots__ = ("map", "markers", "name", "orbitals", "_bumps", "_ext", "_rotated")
+    __slots__ = ("map", "markers", "name", "orbitals", "_bumps")
 
     def __init__(self, plmap: PLMap, markers: Sequence, name: Optional[str] = None):
         self.map, self.name = plmap, name
         self.markers = tuple(sorted(map(ratio, markers), key=by_value))
-        self._bumps = self._ext = self._rotated = None
+        self._bumps = None
         self.orbitals = orbs = plmap._orbitals()
         if not orbs:
             raise RealizationError("identity maps cannot be marked")
@@ -81,7 +81,7 @@ class MarkedFn:
         checked."""
         f = object.__new__(cls)
         f.map, f.markers, f.orbitals, f.name = plmap, markers, plmap._orbitals(), name
-        f._bumps = f._ext = f._rotated = None
+        f._bumps = None
         return f
 
     @property
@@ -96,26 +96,6 @@ class MarkedFn:
         return self._bumps
 
     @property
-    def rotated(self) -> "MarkedFn":
-        """fn_rotate(self), derived once."""
-        if self._rotated is None:
-            self._rotated = fn_rotate(self)
-        return self._rotated
-
-    def ext_components(self) -> Tuple[Tuple[Pair, Pair], ...]:
-        """Extended support: interior of the closure of the support; derived
-        once."""
-        if self._ext is None:
-            out: List[Tuple[Pair, Pair]] = []
-            for u, v, _ in self.orbitals:
-                if out and out[-1][1] == u:
-                    out[-1] = (out[-1][0], v)
-                else:
-                    out.append((u, v))
-            self._ext = tuple(out)
-        return self._ext
-
-    @property
     def max_transition(self) -> Pair:
         return self.orbitals[-1][1]
 
@@ -125,7 +105,7 @@ class MarkedFn:
 
     def rename(self, name: str) -> "MarkedFn":
         f = MarkedFn._trusted(self.map, self.markers, name)
-        f._bumps, f._ext = self._bumps, self._ext
+        f._bumps = self._bumps
         return f
 
     def __repr__(self):
@@ -179,26 +159,35 @@ def midpoint_bump(u, v, name: Optional[str] = None) -> MarkedFn:
     return make_bump_fn(u, v, _reduced(2 * un + 2 * vn, d), _reduced(un + 3 * vn, d), 1, name)
 
 
-def fn_rotate(f: MarkedFn) -> MarkedFn:
-    """Drop the extreme orbitals; for a one- or two-orbital function, the
-    canonical positive bump on the left foot of the positive orbital."""
-    orbs = f.orbitals
-    name = f"{f.name}^o" if f.name else None
-    if len(orbs) > 2:
-        # the map moves points just inside keep_lo and keep_hi, so both are
-        # breakpoints of the restriction and no kept point becomes collinear
-        (ln, ld), (hn, hd) = orbs[1][0], orbs[-2][1]
-        bp = [0, 1, 0, 1, ln, ld, ln, ld]
-        for q in _quads(f.map._bp):
-            if ln * q[1] < q[0] * ld and q[0] * hd < hn * q[1]:
-                bp += q
-        bp += (hn, hd, hn, hd, 1, 1, 1, 1)
-        return MarkedFn._trusted(PLMap._make(tuple(bp), None, orbs[1:-1]), f.markers[1:-1], name)
-    pos = [b for b in f.bumps if b.sign > 0]
-    if not pos:
+def _rotation(orbitals: tuple, markers: tuple) -> Tuple[tuple, tuple]:
+    """A rotation's orbitals and markers: the inner ones of more than two,
+    else one positive orbital on the left foot (u, s) of the last positive
+    orbital, marked at its midpoint as `midpoint_bump` marks it."""
+    if len(orbitals) > 2:
+        return orbitals[1:-1], markers[1:-1]
+    feet = [(u, s) for (u, _, sign), s in zip(orbitals, markers) if sign > 0]
+    if not feet:
         raise RealizationError("function has no positive orbital to rotate into")
-    foot_lo, foot_hi = pos[-1].u, pos[-1].marker
-    return midpoint_bump(foot_lo, foot_hi, name)
+    u, s = feet[-1]
+    return ((u, s, 1),), (_reduced(u[0] * s[1] + s[0] * u[1], 2 * u[1] * s[1]),)
+
+
+def fn_rotate(f: MarkedFn) -> MarkedFn:
+    """The function with `_rotation`'s orbitals and markers: f restricted to
+    its inner orbitals, or the midpoint bump on the rotated orbital."""
+    orbs, markers = _rotation(f.orbitals, f.markers)
+    name = f"{f.name}^o" if f.name else None
+    if len(f.orbitals) <= 2:
+        return midpoint_bump(*orbs[0][:2], name)
+    # the map moves points just inside the kept orbitals' ends, so both are
+    # breakpoints of the restriction and no kept point becomes collinear
+    (ln, ld), (hn, hd) = orbs[0][0], orbs[-1][1]
+    bp = [0, 1, 0, 1, ln, ld, ln, ld]
+    for q in _quads(f.map._bp):
+        if ln * q[1] < q[0] * ld and q[0] * hd < hn * q[1]:
+            bp += q
+    bp += (hn, hd, hn, hd, 1, 1, 1, 1)
+    return MarkedFn._trusted(PLMap._make(tuple(bp), None, orbs), markers, name)
 
 
 def conjugate(f: MarkedFn, w: PLMap, name: Optional[str] = None) -> MarkedFn:

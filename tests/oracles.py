@@ -3,7 +3,8 @@
 The equivalent forms of the (!) relation are checked against
 `signature.bang_rel`, and `classify_pair` bundles a pair's order, fastness,
 oscillation and standardness for the realization tests.  `pair_relation` is
-the five-way order of a pair (<<, inside, contains, >>, incomparable), and
+the five-way order of a pair (<<, inside, contains, >>, incomparable), read
+from `ext_components`, the components of a function's extended support, and
 `oscillation` the counting definition (orbitals of the larger function
 holding a transition point of the smaller, from `transition_points`), the
 reference for the values the library reads off its standardness walk.
@@ -96,12 +97,23 @@ def bang_rel_conj(p: int, q: int, r: int) -> bool:
 LL, INSIDE, CONTAINS, GG, INCOMPARABLE = "<<", "in", "contains", ">>", "incomparable"
 
 
+def ext_components(f: MarkedFn) -> List[Tuple[Fraction, Fraction]]:
+    """Extended support: the interior of the closure of the support, as its
+    components (u, v) left to right."""
+    out: List[Tuple[Fraction, Fraction]] = []
+    for u, v, _ in f.orbitals:
+        if out and out[-1][1] == frac(u):
+            out[-1] = (out[-1][0], frac(v))
+        else:
+            out.append((frac(u), frac(v)))
+    return out
+
+
 def pair_relation(f: MarkedFn, g: MarkedFn) -> str:
     """The five-way order of a pair, read from the extended supports:
     f << g (f left of g), f inside g (each component of f's inside one of
     g's), f contains g, f >> g, or incomparable."""
-    cf = [(frac(u), frac(v)) for u, v in f.ext_components()]
-    cg = [(frac(u), frac(v)) for u, v in g.ext_components()]
+    cf, cg = ext_components(f), ext_components(g)
     if cf[-1][1] <= cg[0][0]:
         return LL
     if cg[-1][1] <= cf[0][0]:

@@ -16,8 +16,8 @@ import pytest
 
 from sigcalc import cli, realization
 from sigcalc.ordinal import MAX_NESTING
-from sigcalc.signature import MAX_BASE, MAX_PAIR_VALUE
-from sigcalc.realization import RealizationError, diagram, genset_from_json, genset_to_json
+from sigcalc.signature import MAX_BASE, MAX_PAIR_VALUE, Signature
+from sigcalc.realization import RealizationError, build, diagram, genset_from_json, genset_to_json
 from oracles import excise, fig_g_set
 
 
@@ -377,6 +377,23 @@ def test_pair_value_bound_covers_terms(capsys):
     code, out, err = run(capsys, "realize", '{"n":2,"o":{"0,1":64}}')
     assert (code, err) == (0, "")
     assert [len(f.orbitals) for f in genset_from_json(out)] == [63, 64]
+
+
+def test_build_depth_is_a_domain_error(capsys):
+    # base 30, pair values 62: the build nests about 930 rotations deep
+    deep = "E(" * 31 + "+".join(["1"] * 30) + ")" * 31
+    err = expect_error(capsys, 1, "realize", deep)
+    assert err == ("error: signature too deep to realize: its build nests past the "
+                   "recursion limit\n")
+
+
+def test_walk_bound_names_the_pair_value_bound(capsys):
+    # a standard set whose pair oscillates 65 times, one past the bound
+    too_many = genset_to_json(build._build(Signature(2, [MAX_PAIR_VALUE + 1])))
+    for argv in (["signature", too_many], ["verify", too_many], ["rotate", too_many],
+                 ["inflate", too_many, "--at", "0"]):
+        err = expect_error(capsys, 1, *argv)
+        assert err == "error: a pair oscillates more than signature.MAX_PAIR_VALUE (64) times\n"
 
 
 def test_base_bound(capsys):

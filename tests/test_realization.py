@@ -32,8 +32,8 @@ from sigcalc.realization import (
     signature_of,
 )
 from sigcalc.realization.marked import (
-    MarkedFn, canonical_bump, fn_rotate, is_standard_fn, make_bump_fn, midpoint_bump,
-    rescale_fn)
+    MarkedFn, _rotation, canonical_bump, fn_rotate, is_standard_fn, make_bump_fn,
+    midpoint_bump, rescale_fn)
 from sigcalc import cli
 from sigcalc.realization import build, genset, marked, plmap
 from oracles import (
@@ -375,6 +375,18 @@ def test_trusted_transport_matches_checked_constructor():
             assert fn_shape(g) == fn_shape(checked_copy(g))
 
 
+def test_one_rotation(realized_n5):
+    """The walk's rotation of (orbitals, markers) is the rotated function's,
+    whose orbitals the checked constructor recomputes from its points."""
+    small = [realize(s) for n in range(1, 5) for s in enumerate_signatures(n, 3)]
+    fns = _distinct(f for fs in small + realized_n5 + [fig_bz_set(), fig_g_set()] for f in fs)
+    for f in fns:
+        for g in _rotation_chain(f):
+            r = fn_rotate(g)
+            assert _rotation(g.orbitals, g.markers) == (
+                PLMap(r.map.points)._orbitals(), r.markers)
+
+
 def test_realized_n5_matches_checked_constructor(realized_n5):
     for f in _distinct(f for fns in realized_n5 for f in fns):
         assert fn_shape(f) == fn_shape(checked_copy(f))
@@ -474,19 +486,29 @@ def test_whole_set_ordered_and_fast_checked_once(monkeypatch, capsys):
         assert feet_sizes == [SIG5.n] * sets
 
 
-def test_each_function_rotated_once(monkeypatch):
-    rotated = []
-    fn_rotate = marked.fn_rotate
+def test_standard_walk_builds_no_map(monkeypatch):
+    fns, fig_g = realize(SIG5), fig_g_set()
+    made, rotated = [], []
+    make, rotate = PLMap._make.__func__, marked.fn_rotate
+
+    def counting_make(cls, *args):
+        made.append(args)
+        return make(cls, *args)
 
     def counting_rotate(f):
         rotated.append(f)
-        return fn_rotate(f)
+        return rotate(f)
 
-    monkeypatch.setattr(marked, "fn_rotate", counting_rotate)
-    _fresh_build_cache(monkeypatch)
-    assert signature_of(realize(SIG5)) == SIG5
-    assert rotated
-    assert len({id(f) for f in rotated}) == len(rotated)
+    monkeypatch.setattr(PLMap, "_make", classmethod(counting_make))
+    for module in (marked, genset):
+        monkeypatch.setattr(module, "fn_rotate", counting_rotate)
+    _, vals = genset._standard_walk(fns)
+    assert max(vals) >= 2  # some pair takes two rotation steps
+    with pytest.raises(NotSgenError):  # h inside f, but not inside f rotated
+        genset._standard_walk(fig_g)
+    assert (made, rotated) == ([], [])
+    set_rotate(fns)  # rotating the top builds its map, and is counted
+    assert made and len(rotated) == 1
 
 
 def test_realized_sets_are_sgen():
