@@ -6,8 +6,8 @@ deterministic for fixed input.  Signature arguments accept a JSON matrix
 
 Input limits, each exceeded with exit code 2 and a one-line message:
 ordinals and signature terms nest at most MAX_NESTING (100) levels of '(',
-'w^', 'exp(' and 'E('; a signature term has a base of at most
-signature.MAX_BASE (256) '1' leaves; a signature, given as JSON or as a
+'w^', 'exp(' and 'E('; a signature has a base of at most signature.MAX_BASE
+(256), a term's '1' leaves or a JSON matrix's "n"; a signature, as JSON or a
 term, holds pair values of at most signature.MAX_PAIR_VALUE (64), checked
 once on the evaluated signature; JSON arguments nest no deeper than the
 decoder's recursion allows; integers in ordinals and JSON have at most the
@@ -100,10 +100,11 @@ def _parse_signature(text: str) -> Signature:
         raise CliError(f"cannot parse signature: {e}", 2)
     except SignatureError as e:
         raise CliError(str(e), 1)
-    for (i, j), v in zip(itertools.combinations(range(sig.n), 2), sig.vals):
-        if v > MAX_PAIR_VALUE:
-            raise CliError(
-                f"cannot parse signature: \"o\" value at '{i},{j}' is larger than {MAX_PAIR_VALUE}", 2)
+    if max(sig.vals, default=0) > MAX_PAIR_VALUE:  # then name the first such pair
+        for (i, j), v in zip(itertools.combinations(range(sig.n), 2), sig.vals):
+            if v > MAX_PAIR_VALUE:
+                raise CliError(f"cannot parse signature: \"o\" value at '{i},{j}' "
+                               f"is larger than {MAX_PAIR_VALUE}", 2)
     return sig
 
 

@@ -202,23 +202,29 @@ def ord_log_omega(a: Ordinal) -> Ordinal:
 # --- text codec ------------------------------------------------------------
 
 # Deepest nesting of '(' and 'w^' in an ordinal, and of '(', 'exp(' and 'E('
-# in a signature term: parsing and evaluation stay within the recursion limit.
+# in a signature term.  The ordinal parser recurses once per level; the term
+# reader keeps its own stack, but one limit for both grammars keeps its errors.
 MAX_NESTING = 100
 
 
-class Scanner:
-    """Position, whitespace, natural numbers and nesting depth of a text, for
-    the ordinal and signature-term parsers; errors raise error_class(message,
-    position)."""
+# Grammar (whitespace insignificant):
+#   expr   := term ('+' term)*
+#   term   := factor ('*' nat)?
+#   factor := '0' | nat | 'w' | 'w' '^' factor | '(' expr ')'
+#
+# The parser evaluates arbitrary expressions with ordered arithmetic and
+# canonicalizes; input need not be in normal form.  'w^(' is one level of
+# nesting.
 
-    def __init__(self, text: str, error_class):
+
+class _Parser:
+    def __init__(self, text: str):
         self.text = text
         self.pos = 0
         self.depth = 0
-        self.error_class = error_class
 
     def error(self, message: str):
-        raise self.error_class(message, self.pos)
+        raise OrdinalParseError(message, self.pos)
 
     def peek(self) -> str:
         """The next character after whitespace, or "" at the end."""
@@ -253,29 +259,6 @@ class Scanner:
         self.depth -= 1
         return value
 
-    def group(self, parse):
-        """'(' parse() ')', one level deeper."""
-        self.eat("(")
-        value = self.nested(parse)
-        self.eat(")")
-        return value
-
-    def end(self):
-        if self.peek():
-            self.error("trailing input")
-
-
-# Grammar (whitespace insignificant):
-#   expr   := term ('+' term)*
-#   term   := factor ('*' nat)?
-#   factor := '0' | nat | 'w' | 'w' '^' factor | '(' expr ')'
-#
-# The parser evaluates arbitrary expressions with ordered arithmetic and
-# canonicalizes; input need not be in normal form.  'w^(' is one level of
-# nesting.
-
-
-class _Parser(Scanner):
     def expr(self) -> Ordinal:
         total = self.term()
         while self.peek() == "+":
@@ -293,24 +276,26 @@ class _Parser(Scanner):
     def factor(self) -> Ordinal:
         ch = self.peek()
         if ch == "(":
-            return self.group(self.expr)
+            self.pos += 1
+            value = self.nested(self.expr)
+            self.eat(")")
+            return value
         if ch == "w":
             self.pos += 1
             if self.peek() != "^":
                 return OMEGA
             self.eat("^")
-            if self.peek() == "(":
-                return ord_omega_pow(self.group(self.expr))
-            return ord_omega_pow(self.nested(self.factor))
+            return ord_omega_pow(self.factor() if self.peek() == "(" else self.nested(self.factor))
         if ch.isdigit():
             return Ordinal.from_int(self.nat())
         self.error("expected '0', a number, 'w' or '('")
 
 
 def ord_parse(text: str) -> Ordinal:
-    p = _Parser(text, OrdinalParseError)
+    p = _Parser(text)
     value = p.expr()
-    p.end()
+    if p.peek():
+        p.error("trailing input")
     return value
 
 

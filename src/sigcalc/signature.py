@@ -13,10 +13,10 @@ rotation, inflation, restriction) mirror the geometric ones.
 `Signature` is the one matrix class.  `Signature(n, vals, labels)` takes the
 row-major values below and checks shape, then (!), where a matrix enters:
 JSON and CLI input (`sig_from_json` reads the "i,j" keys), and
-`realization.signature_of`.  The operations, `parse_term` (which evaluates a
-term as it reads it) and `enumerate_signatures` keep (!) by construction and
-build with the unchecked `_trusted`; tests read the violations of any matrix
-as `_trusted(n, vals).violations()`.
+`realization.signature_of`.  The operations, `parse_term` (which writes each
+leaf's column of pair values as it reads the term) and `enumerate_signatures`
+keep (!) by construction and build with the unchecked `_trusted`; tests read
+the violations of any matrix as `_trusted(n, vals).violations()`.
 
 Pair values are stored row-major: `vals` is o(0,1), ..., o(0,n-1), o(1,2),
 ..., o(n-2,n-1), so row i, holding o(i,i+1), ..., o(i,n-1), is one contiguous
@@ -33,9 +33,10 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .ordinal import Scanner
+from .ordinal import MAX_NESTING
 
 
 class SignatureError(ValueError):
@@ -206,7 +207,7 @@ def sig_shift_down(a: Signature) -> Signature:
 def sig_star(a: Signature, b: Signature) -> Signature:
     """Concatenate with oscillation 1 across; b must be all-positive."""
     if not is_all_positive(b):
-        raise SignatureError("right *-factor must be an exp image (all pair values >= 1)")
+        raise SignatureError(_BAD_STAR)
     ones = (1,) * b.n
     vals: List[int] = []
     for row in _rows(a):
@@ -339,73 +340,82 @@ def sig_inflate(a: Signature, m: int) -> Signature:
 # --- signature terms ---------------------------------------------------------
 #
 # Grammar: t := '0' | '1' | t '+' t | t '*' t | 'exp(' t ')' | 'E(' t ')'
-# with * binding tighter than +; parentheses allowed for grouping.
+# with * binding tighter than +; parentheses allowed for grouping.  In its
+# tree, o(i,j) is the sum of the levels (exp 1, E 2) of the groups above the
+# lowest common node of leaves i and j, plus 1 if that node is a '*'.
 
-# Largest base a signature term may have, counted as its '1' leaves: evaluating
-# a chain 1*1*...*1 builds every derived signature's values, n^3 work (0.04 s
-# at 256 leaves, 0.38 s at 512; the whole `rho` call on 256 takes 0.11 s under
-# CPython 3.11 on one x86-64 core).
+# Largest base, a term's '1' leaves or a JSON matrix's "n": the (!) check of a
+# JSON matrix is n^3 work (`rho` on the chain 1*1*...*1 as JSON: 1.1 s at 256,
+# 12.5 s at 512).  As a term the 256-leaf chain reads in 1 ms, and `rho` on it
+# takes 0.1 s in all, under CPython 3.11 on one x86-64 core.
 MAX_BASE = 256
 
-
-class _TermParser(Scanner):
-    """Evaluates a term as it reads it.  A failed star is raised only after the
-    whole text parses, so malformed text is reported as such first."""
-
-    def __init__(self, text: str):
-        super().__init__(text, TermParseError)
-        self.base = 0
-        self.star_error: Optional[SignatureError] = None
-
-    def expr(self) -> Signature:
-        parts = [self.term()]
-        while self.peek() == "+":
-            self.pos += 1
-            parts.append(self.term())
-        return parts[0] if len(parts) == 1 else sig_sum(*parts)
-
-    def term(self) -> Signature:
-        value = self.atom()
-        while self.peek() == "*":
-            self.pos += 1
-            right = self.atom()
-            try:
-                value = sig_star(value, right)
-            except SignatureError as e:
-                self.star_error = self.star_error or e
-        return value
-
-    def atom(self) -> Signature:
-        ch = self.peek()
-        if ch == "0":
-            self.pos += 1
-            return ZERO_SIG
-        if ch == "1":
-            if self.base == MAX_BASE:
-                self.error(f"base larger than {MAX_BASE}")
-            self.base += 1
-            self.pos += 1
-            return ONE_SIG
-        if ch == "(":
-            return self.group(self.expr)
-        if self.text.startswith("exp", self.pos):
-            self.pos += 3
-            return sig_exp(self.group(self.expr))
-        if ch == "E":
-            self.pos += 1
-            return sig_E(self.group(self.expr))
-        self.error("expected '0', '1', 'exp(', 'E(' or '('")
+_TOKEN = re.compile(r"\s*(exp|\S)")  # 'exp' or one character, after whitespace
+_GROUP_LEVEL = {"(": 0, "exp": 1, "E": 2}
+_BAD_STAR = "right *-factor must be an exp image (all pair values >= 1)"
 
 
 def parse_term(text: str) -> Signature:
     """The signature a term denotes.  Raises TermParseError for malformed
-    text, else SignatureError for a star with a right factor not all-positive."""
-    p = _TermParser(text)
-    value = p.expr()
-    p.end()
-    if p.star_error:
-        raise p.star_error
-    return value
+    text, else (once all of it reads) SignatureError for a star with a right
+    factor not all-positive.  One pass over the tokens keeps a frame per open
+    group: level, first leaf, first leaf of the current '+'-term, row (o(i,j)
+    of each earlier leaf i for a leaf j read next in it; never changed once
+    built), own_pair (two '+'-terms hold leaves) and right ('*' before it)."""
+    def fail(message: str, k: int, offset: int = 0):  # at token k, or the end
+        starts = [m.start(1) for m in _TOKEN.finditer(text)] + [len(text) - offset]
+        raise TermParseError(message, starts[k] + offset)
+    tokens = _TOKEN.findall(text) + [""]  # "" is the end
+    cols, stack, row = [], [], []  # cols[j] = [o(0,j), ..., o(j-1,j)]
+    level = first = tfirst = k = 0
+    own_pair = right = star = bad_star = False
+    while True:
+        tok, k = tokens[k], k + 1  # an atom
+        if tok == "1":
+            if len(cols) == MAX_BASE:
+                fail(f"base larger than {MAX_BASE}", k - 1)
+            cols.append(row)
+            row = row + [level + 1]
+        elif tok in _GROUP_LEVEL:
+            if tok != "(":
+                if tokens[k] != "(":
+                    fail("expected '('", k)
+                k += 1
+            if len(stack) == MAX_NESTING:
+                fail(f"nested deeper than {MAX_NESTING} levels", k - 1, 1)
+            stack.append((level, first, tfirst, row, own_pair, right))
+            level += _GROUP_LEVEL[tok]
+            first = tfirst = len(cols)
+            own_pair, right, star = False, star, False
+            continue
+        elif tok != "0":
+            fail("expected '0', '1', 'exp(', 'E(' or '('", k - 1)
+        tok, k = tokens[k], k + 1  # closing groups, then an operator or the end
+        while tok == ")" and stack:
+            count = len(cols)
+            own_pair = own_pair or first < tfirst < count
+            plain = stack[-1][0] == level
+            bad_star = bad_star or (plain and right and own_pair)
+            level, first, tfirst, row, outer_pair, right = stack.pop()
+            own_pair = outer_pair or (plain and own_pair)
+            if count > len(row):  # the group's leaves are earlier factors
+                row = row + [level + 1] * (count - len(row))
+            tok, k = tokens[k], k + 1
+        if tok == "+" and len(cols) > tfirst:
+            own_pair = own_pair or tfirst > first
+            row = row[:tfirst] + [level] * (len(cols) - tfirst)
+            tfirst = len(cols)
+        elif tok not in ("+", "*"):
+            if tok or stack:
+                fail("expected ')'" if stack else "trailing input", k - 1)
+            break
+        star = tok == "*"
+    if bad_star:
+        raise SignatureError(_BAD_STAR)
+    vals: List[int] = []
+    for i, col_row in enumerate(itertools.zip_longest(*cols[1:])):
+        vals += col_row[i:]  # row i, after i fill values
+    return _trusted(len(cols), vals)
 
 
 def eval_term(sig: Signature) -> Signature:
@@ -466,7 +476,8 @@ def _is_int(x) -> bool:
 def sig_from_json(text: str) -> Signature:
     """Parse {"n": int, "o": {"i,j": int, ...}, "labels": [str, ...]}.
 
-    The "i,j" keys are checked here.  Another shape raises SignatureParseError;
+    The "i,j" keys are checked here.  Another shape, or "n" past MAX_BASE,
+    raises SignatureParseError;
     an off-base or missing key, or a matrix not a signature, SignatureError.
     """
     try:
@@ -477,6 +488,8 @@ def sig_from_json(text: str) -> Signature:
         raise SignatureParseError("integer literal too long") from None
     if not (isinstance(doc, dict) and _is_int(doc.get("n")) and doc["n"] >= 0):
         raise SignatureParseError('"n" must be an integer >= 0')
+    if doc["n"] > MAX_BASE:
+        raise SignatureParseError(f"base larger than {MAX_BASE}")
     raw = doc.get("o", {})
     if not isinstance(raw, dict):
         raise SignatureParseError('"o" must be an object')

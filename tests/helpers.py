@@ -64,6 +64,11 @@ def _random_wrap(rng: random.Random, n: int, depth: int) -> SigTerm:
     return SigTerm(op, (random_term(rng, n, depth),))
 
 
+def nest(opening: str, core: str, depth: int) -> str:
+    """core inside depth groups, each opened by opening and closed by ')'."""
+    return opening * depth + core + ")" * depth
+
+
 def rank_terms():
     """24 seeded terms on a base of 8 to 12, the sizes the benchmark ranks,
     each with a base element to inflate at."""

@@ -33,6 +33,9 @@ signature operations and rho written one pair at a time through
 the library; `sig_inflate_pairwise` is inflation filled through position
 tables and an infinity sentinel for o(m,m), the reference for the one-pass
 `sig_inflate`.  `eval_term_pairwise` evaluates a `SigTerm` tree with them.
+`parse_term_recursive` reads a term by recursive descent over its characters,
+evaluating each node with the signature operations, the reference for the
+one-pass `parse_term`.
 
 Fixtures and helpers that no command or benchmark operation uses live here
 too: `tau`, the tower of omega-powers the rank tests compare against;
@@ -55,10 +58,10 @@ from typing import List, Optional, Sequence, Tuple
 
 from sigcalc.normalizer import MODES, _exp_inverse
 from sigcalc.ordinal import (
-    GT, OMEGA, ONE, ZERO, Ordinal, OrdinalError, ord_add, ord_cmp, ord_omega_pow)
+    GT, MAX_NESTING, OMEGA, ONE, ZERO, Ordinal, OrdinalError, ord_add, ord_cmp, ord_omega_pow)
 from sigcalc.signature import (
-    ONE_SIG, ZERO_SIG, Signature, SignatureError, _pair_index, _pairs, _trusted, bang_rel,
-    is_all_positive, sig_E, sig_exp, sig_shift_down)
+    MAX_BASE, ONE_SIG, ZERO_SIG, Signature, SignatureError, TermParseError, _pair_index, _pairs,
+    _trusted, bang_rel, is_all_positive, sig_E, sig_exp, sig_shift_down, sig_star, sig_sum)
 from sigcalc.realization.genset import GenSet, _fast_ordered, is_fast, order_genset
 from sigcalc.realization.marked import MarkedFn, RealizationError, fn_rotate, is_standard_fn
 from sigcalc.realization.plmap import PLError, PLMap
@@ -466,6 +469,93 @@ def eval_term_pairwise(t: SigTerm) -> Signature:
     if t.op == "star":
         return sig_star_pairwise(*args)
     return sig_exp(args[0]) if t.op == "exp" else sig_E(args[0])
+
+
+class _RecursiveTermReader:
+    """A recursive descent over the characters of a term that evaluates each
+    node with the signature operations as it reads it.  A failed star is
+    raised only after the whole text parses."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+        self.depth = 0
+        self.base = 0
+        self.star_error: Optional[SignatureError] = None
+
+    def error(self, message: str):
+        raise TermParseError(message, self.pos)
+
+    def peek(self) -> str:
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def eat(self, ch: str):
+        if self.peek() != ch:
+            self.error(f"expected {ch!r}")
+        self.pos += 1
+
+    def group(self) -> Signature:
+        self.eat("(")
+        if self.depth == MAX_NESTING:
+            self.error(f"nested deeper than {MAX_NESTING} levels")
+        self.depth += 1
+        value = self.expr()
+        self.depth -= 1
+        self.eat(")")
+        return value
+
+    def expr(self) -> Signature:
+        parts = [self.term()]
+        while self.peek() == "+":
+            self.pos += 1
+            parts.append(self.term())
+        return parts[0] if len(parts) == 1 else sig_sum(*parts)
+
+    def term(self) -> Signature:
+        value = self.atom()
+        while self.peek() == "*":
+            self.pos += 1
+            right = self.atom()
+            try:
+                value = sig_star(value, right)
+            except SignatureError as e:
+                self.star_error = self.star_error or e
+        return value
+
+    def atom(self) -> Signature:
+        ch = self.peek()
+        if ch == "0":
+            self.pos += 1
+            return ZERO_SIG
+        if ch == "1":
+            if self.base == MAX_BASE:
+                self.error(f"base larger than {MAX_BASE}")
+            self.base += 1
+            self.pos += 1
+            return ONE_SIG
+        if ch == "(":
+            return self.group()
+        if self.text.startswith("exp", self.pos):
+            self.pos += 3
+            return sig_exp(self.group())
+        if ch == "E":
+            self.pos += 1
+            return sig_E(self.group())
+        self.error("expected '0', '1', 'exp(', 'E(' or '('")
+
+
+def parse_term_recursive(text: str) -> Signature:
+    """`parse_term` as a recursive descent, the reference for its one-pass
+    reader: the same signature, or the same error and position."""
+    p = _RecursiveTermReader(text)
+    value = p.expr()
+    if p.peek():
+        p.error("trailing input")
+    if p.star_error:
+        raise p.star_error
+    return value
 
 
 def sig_inflate_pairwise(a: Signature, m: int) -> Signature:

@@ -16,8 +16,9 @@ import pytest
 
 from sigcalc import cli, realization
 from sigcalc.ordinal import MAX_NESTING
-from sigcalc.signature import MAX_BASE, MAX_PAIR_VALUE, Signature
+from sigcalc.signature import MAX_BASE, MAX_PAIR_VALUE, Signature, parse_term, sig_to_json
 from sigcalc.realization import RealizationError, build, diagram, genset_from_json, genset_to_json
+from helpers import nest
 from oracles import excise, fig_g_set
 
 
@@ -335,23 +336,19 @@ def test_word_length_bound(capsys):
 # --- input limits ---------------------------------------------------------------------
 
 
-def _nest(opening: str, core: str, depth: int) -> str:
-    return opening * depth + core + ")" * depth
-
-
 def test_nesting_bound(capsys):
     assert MAX_NESTING == 100
     # E( adds 2 to the pair value, so 32 of the 100 levels reach the value bound
-    deep = _nest("(", _nest("E(", "1+1", 32), MAX_NESTING - 32)
+    deep = nest("(", nest("E(", "1+1", 32), MAX_NESTING - 32)
     code, out, _ = run(capsys, "rho", deep)
     assert code == 0 and out.startswith("w^(w^(")
     assert run(capsys, "normalize", deep) == (0, '{"n": 2, "o": {"0,1": 64}}\n', "")
-    code, out, _ = run(capsys, "ord", _nest("w^(", "1", MAX_NESTING))
+    code, out, _ = run(capsys, "ord", nest("w^(", "1", MAX_NESTING))
     assert code == 0 and out.count("w^") == MAX_NESTING - 1
-    for argv in (["rho", _nest("E(", "1+1", MAX_NESTING + 1)],
-                 ["normalize", _nest("exp(", "1", MAX_NESTING + 1)],
-                 ["rho", _nest("(", "1", MAX_NESTING + 1)],
-                 ["ord", _nest("w^(", "1", MAX_NESTING + 1)],
+    for argv in (["rho", nest("E(", "1+1", MAX_NESTING + 1)],
+                 ["normalize", nest("exp(", "1", MAX_NESTING + 1)],
+                 ["rho", nest("(", "1", MAX_NESTING + 1)],
+                 ["ord", nest("w^(", "1", MAX_NESTING + 1)],
                  ["ord", "w^" * (MAX_NESTING + 1) + "1"]):
         err = expect_error(capsys, 2, *argv)
         assert "nested deeper than 100 levels (at position " in err
@@ -403,6 +400,17 @@ def test_base_bound(capsys):
         err = expect_error(capsys, 2, "rho", term)
         leaf = [i for i, ch in enumerate(term) if ch == "1"][MAX_BASE]
         assert err == f"error: cannot parse signature: base larger than 256 (at position {leaf})\n"
+
+
+def test_json_base_bound(capsys):
+    # the bound is read from "n" before any pair: no pair is named or checked
+    for doc in ('{"n": 257, "o": {}}', '{"n": 10000000000, "o": {"0,1": "x"}}'):
+        err = expect_error(capsys, 2, "rho", doc)
+        assert err == "error: cannot parse signature: base larger than 256\n"
+    err = expect_error(capsys, 1, "rho", '{"n": 256, "o": {}}')
+    assert err.startswith("error: missing 32640 of 32640 pairs")
+    chain = sig_to_json(parse_term("*".join(["1"] * MAX_BASE)))
+    assert run(capsys, "rho", chain) == (0, "w^255\n", "")
 
 
 @pytest.mark.parametrize("argv", [

@@ -5,8 +5,10 @@ import random
 import pytest
 
 from sigcalc import signature
+from sigcalc.ordinal import MAX_NESTING
 from sigcalc.normalizer import materialize, normalize, rho
 from sigcalc.signature import (
+    MAX_BASE,
     ONE_SIG,
     ZERO_SIG,
     Signature,
@@ -30,12 +32,12 @@ from sigcalc.signature import (
     sig_sum,
     sig_to_json,
 )
-from helpers import bounded_signatures, fresh_rank_caches, rank_terms
+from helpers import bounded_signatures, fresh_rank_caches, nest, rank_terms
 from oracles import (
     SigTerm, bang, bang_rel_conj, bang_rel_p, bang_rel_q, decompose_pairwise,
-    eval_term_pairwise, render_term, sig_inflate_pairwise, sig_restrict_pairwise,
-    sig_rotate_pairwise, sig_star_pairwise, sig_sum_pairwise, sig_to_doc_pairwise,
-    violations_pairwise)
+    eval_term_pairwise, parse_term_recursive, render_term, sig_inflate_pairwise,
+    sig_restrict_pairwise, sig_rotate_pairwise, sig_star_pairwise, sig_sum_pairwise,
+    sig_to_doc_pairwise, violations_pairwise)
 
 one = ONE_SIG
 
@@ -406,6 +408,70 @@ def test_term_parse_error():
         parse_term("1*(1+1)")  # star needs all-positive right factor
     with pytest.raises(TermParseError):
         parse_term("1*(1+1)+")  # malformed text is reported before the star
+
+
+def _read(parse, text):
+    """What a reader makes of text: its (n, vals), or its error type and message."""
+    try:
+        sig = parse(text)
+    except SignatureError as e:
+        return type(e).__name__, str(e)
+    return sig.n, sig.vals
+
+
+_TERM_PIECES = ["0", "1", "(", ")", "+", "*", "E", "exp", "e", "x", " ", "\t", "\n"]
+
+
+def _mutate(rng, text):
+    """text with one to three characters inserted, deleted or replaced."""
+    for _ in range(rng.randint(1, 3)):
+        i, op = rng.randrange(len(text) + 1), rng.choice(("insert", "delete", "replace"))
+        piece = "" if op == "delete" else rng.choice(_TERM_PIECES)
+        text = text[:i] + piece + text[i + (op != "insert"):]
+    return text
+
+
+_TERM_EDGES = [
+    "", " ", "1*(1+1)+", "1*(1+1", "1*((1+1))", "1*(exp(1+1)+1)", "1*((1)+(1))", "1*((1)*(1))",
+    "(1+1)*exp(1)", "1*(0+1)", "1*(1+0)*1", "1*(1+1+0)", "1*(1+E(1)+(0))", "exp(1) *(E(1)+E(1))",
+    "exp (1)", "E \n( 1 )",
+    "+".join(["1"] * MAX_BASE), "+".join(["1"] * (MAX_BASE + 1)),
+    "*".join(["1"] * MAX_BASE), "*".join(["1"] * (MAX_BASE + 1)),
+    "1+" * (MAX_BASE - 1) + "1" + "+(0)" * 50, "1+" * (MAX_BASE - 1) + "1" + "+exp(0)" * 50,
+    *(nest(opening, core, depth) for opening in ("(", "exp(", "E(", "exp (", "( ")
+      for core in ("1", "1+1", "1*(1+1)") for depth in (MAX_NESTING, MAX_NESTING + 1)),
+]
+
+
+def test_reader_matches_the_recursive_reader():
+    """The one-pass reader against a recursive descent that evaluates each
+    node with the signature operations: the same signature, or the same
+    error and message, position included."""
+    seed = "term reader"
+    rng = random.Random(seed)
+    terms = [render_term(term) for term, _ in rank_terms()]
+    texts = _TERM_EDGES + terms + [_mutate(rng, rng.choice(terms)) for _ in range(3000)]
+    texts += ["".join(rng.choice(_TERM_PIECES) for _ in range(rng.randint(1, 10)))
+              for _ in range(1000)]
+    kinds = set()
+    for i, text in enumerate(texts):
+        got = _read(parse_term, text)
+        assert got == _read(parse_term_recursive, text), f"case {i} of seed {seed!r}: {text!r}"
+        kinds.add(got[0] if isinstance(got[0], str) else "value")
+    assert kinds == {"value", "TermParseError", "SignatureError"}
+
+
+def test_reader_error_positions():
+    # nesting fails just after the '(' past the bound; the end is after any whitespace
+    assert MAX_NESTING == 100
+    for opening in ("(", "exp(", "E(", "exp \t("):
+        with pytest.raises(TermParseError) as exc:
+            parse_term(nest(opening, "1", MAX_NESTING + 1))
+        assert str(exc.value) == (
+            f"nested deeper than 100 levels (at position {len(opening) * (MAX_NESTING + 1)})")
+    with pytest.raises(TermParseError, match=r"^expected '0', '1', 'exp\(', 'E\(' or '\(' "
+                       r"\(at position 2\)$"):
+        parse_term(" \n")
 
 
 # --- enumeration and JSON -----------------------------------------------------------
