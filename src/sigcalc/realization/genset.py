@@ -12,7 +12,8 @@ as a count of rotation steps; `signature_of`, `set_rotate` and
 Everything here works on the functions' reduced integer pairs (see
 `marked`): feet and maximum transition points sort on integer keys over one
 common denominator, other comparisons cross-multiply, and the JSON writer
-prints the pairs without building a Fraction.
+prints the bytes of `json.dumps(doc, indent=2)` with one f-string per
+breakpoint, read straight from the map's integer pairs.
 """
 
 from __future__ import annotations
@@ -166,29 +167,20 @@ def set_inflate(fns: Sequence[MarkedFn], index: int) -> GenSet:
 # --- JSON codec ---------------------------------------------------------------
 
 
-def _layout(items: List[str], indent: str, brackets: str = "[]") -> str:
-    """Rendered JSON items in brackets, laid out as json.dumps(indent=2) lays
-    out a container whose first line is at the given indent."""
-    if not items:
-        return brackets
-    inner = "\n" + indent + "  "
-    return brackets[0] + inner + ("," + inner).join(items) + "\n" + indent + brackets[1]
-
-
 def genset_to_json(fns: Sequence[MarkedFn]) -> str:
     """The set as `json.dumps(doc, indent=2)` prints it, doc a list of
     {"breakpoints": [[x, y], ...], "markers": [...], "name": ...} with each
     number a string "n" or "n/d", written from the integer pairs."""
     entries = []
     for f in fns:
-        points = [_layout([f'"{fmt(q[:2])}"', f'"{fmt(q[2:])}"'], "      ")
-                  for q in _quads(f.map._bp)]
-        fields = ['"breakpoints": ' + _layout(points, "    "),
-                  '"markers": ' + _layout([f'"{fmt(s)}"' for s in f.markers], "    ")]
-        if f.name:
-            fields.append('"name": ' + json.dumps(f.name))
-        entries.append(_layout(fields, "  ", "{}"))
-    return _layout(entries, "")
+        points = ",\n      ".join([
+            f'[\n        "{fmt((xn, xd))}",\n        "{fmt((yn, yd))}"\n      ]'
+            for xn, xd, yn, yd in _quads(f.map._bp)])
+        markers = ",\n      ".join([f'"{fmt(s)}"' for s in f.markers])  # one per orbital
+        name = f',\n    "name": {json.dumps(f.name)}' if f.name else ""
+        entries.append(f'{{\n    "breakpoints": [\n      {points}\n    ],'
+                       f'\n    "markers": [\n      {markers}\n    ]{name}\n  }}')
+    return "[\n  " + ",\n  ".join(entries) + "\n]" if entries else "[]"
 
 
 def genset_from_json(text: str) -> GenSet:

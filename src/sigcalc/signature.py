@@ -22,15 +22,16 @@ Pair values are stored row-major: `vals` is o(0,1), ..., o(0,n-1), o(1,2),
 ..., o(n-2,n-1), so row i, holding o(i,i+1), ..., o(i,n-1), is one contiguous
 slice.  `_rows(a)` returns these n slices (the last one empty), and the
 operations that move whole blocks of a matrix (`sig_sum`, `sig_star`,
-`decompose`, `sig_restrict`, `sig_rotate`, `sig_to_json`) and `violations`
-read and build their values row by row from it; in a row, o(i,j) is at
-position j-i-1 and the top column o(i,n-1) is `row[-1]`.  `sig_inflate`
-builds its values in one pass over the new base, and `enumerate_signatures`
-grows signatures kept as rows by one column at a time.
+`decompose`, `sig_restrict`, `sig_rotate`) and `violations` read and build
+their values row by row from it; in a row, o(i,j) is at position j-i-1 and
+the top column o(i,n-1) is `row[-1]`.  `sig_inflate` builds its values in
+one pass over the new base, `enumerate_signatures` grows signatures kept as
+rows by one column at a time, and `sig_to_json` fills a text kept per base size.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import re
@@ -115,11 +116,12 @@ class Signature:
         out = []
         rows = _rows(self)
         for i, row_i in enumerate(rows):
-            for j in range(i + 1, self.n):
-                # o(j,k) and o(i,k) for k = j+1, ..., n-1
-                for k, (jk, ik) in enumerate(zip(rows[j], row_i[j - i:]), j + 1):
-                    if not bang_rel(jk, ik, row_i[j - i - 1]):
-                        out.append((i, j, k))
+            for j, r in enumerate(row_i, i + 1):
+                # r = o(i,j) against p = o(j,k), q = o(i,k) for k = j+1, ..., n-1:
+                # r = p ! q holds iff p = q <= r+1, q = r < p, or p = r+1 < q
+                r1, ps, qs = r + 1, rows[j], row_i[j - i:]
+                out += [(i, j, k) for k, p, q in zip(itertools.count(j + 1), ps, qs)
+                        if (p > r1 if p == q else not (q == r < p or r1 == p < q))]
         return out
 
     def __eq__(self, other):
@@ -453,12 +455,23 @@ def enumerate_signatures(n: int, vmax: int) -> List[Signature]:
     return [_trusted(n, [v for row in rows for v in row]) for rows in level]
 
 
+@functools.lru_cache(maxsize=16)
+def _json_body(n: int) -> Tuple[str, Tuple[int, ...]]:
+    """The JSON of a signature on base n after its '{', with a %d for each
+    pair value, and the pair index of each %d.  The "i,j" keys are in string
+    order, as sort_keys puts them: from n = 11 on, "0,10" comes before "0,2"."""
+    keyed = sorted((f"{i},{j}", k) for k, (i, j) in enumerate(_pairs(n)))
+    o = ", ".join(f'"{key}": %d' for key, _ in keyed)
+    return f'"n": {n}, "o": {{{o}}}}}', tuple(k for _, k in keyed)
+
+
 def sig_to_json(a: Signature) -> str:
-    o = {f"{i},{j}": v for i, row in enumerate(_rows(a)) for j, v in enumerate(row, i + 1)}
-    doc = {"n": a.n, "o": o}
-    if a.labels is not None:
-        doc["labels"] = list(a.labels)
-    return json.dumps(doc, sort_keys=True)
+    """json.dumps(doc, sort_keys=True), doc {"labels": [...] if any, "n": n, "o": {"i,j": v}}.
+    Keeps the text of the 16 base sizes written last: 1.6 MB at n = 256."""
+    body, order = _json_body(a.n)
+    vals = a.vals
+    head = "{" if a.labels is None else '{"labels": ' + json.dumps(list(a.labels)) + ", "
+    return head + body % tuple([vals[k] for k in order])
 
 
 # Largest pair value of a signature given on the command line, as JSON or as

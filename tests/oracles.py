@@ -30,9 +30,12 @@ a Fraction.
 wreath decomposition at a *-split.  The `*_pairwise` functions are the
 signature operations and rho written one pair at a time through
 `Signature.val` and the pair index, the reference for the row-wise forms in
-the library; `sig_inflate_pairwise` is inflation filled through position
-tables and an infinity sentinel for o(m,m), the reference for the one-pass
-`sig_inflate`.  `eval_term_pairwise` evaluates a `SigTerm` tree with them.
+the library; `violations_pairwise` tests `bang_rel` on every triple
+i < j < k, the reference for `Signature.violations`, and
+`sig_to_doc_pairwise` is the document that `json.dumps(doc, sort_keys=True)`
+prints as `sig_to_json`.  `sig_inflate_pairwise` is inflation filled through
+position tables and an infinity sentinel for o(m,m), the reference for the
+one-pass `sig_inflate`.  `eval_term_pairwise` evaluates a `SigTerm` tree with them.
 `parse_term_recursive` reads a term by recursive descent over its characters,
 evaluating each node with the signature operations, the reference for the
 one-pass `parse_term`.

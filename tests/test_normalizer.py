@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -28,6 +29,7 @@ from sigcalc.normalizer import (
     rho,
 )
 from sigcalc.signature import (
+    MAX_BASE,
     ONE_SIG,
     ZERO_SIG,
     Signature,
@@ -42,7 +44,8 @@ from sigcalc.signature import (
     sig_sum,
     sig_to_json,
 )
-from helpers import bounded_signatures, cnf_box, fresh_rank_caches, random_ordinal, rank_terms
+from helpers import (
+    bounded_signatures, cnf_box, fresh_rank_caches, random_ordinal, random_term, rank_terms)
 from oracles import decompose_pairwise, render_term, rho_pairwise, tau
 
 one = ONE_SIG
@@ -206,6 +209,26 @@ def test_normalize_idempotent_enumerated():
             assert rho(ns, "sorted") == r
         assert form_of_rank.setdefault(r, ns) == ns
         assert rank_of_form.setdefault(ns, r) == r
+
+
+def _pinned_terms():
+    """The rank terms, eight seeded terms on a base of 24, and three more;
+    their normal forms have bases 2 to 256, fifteen of them 11 or more."""
+    terms = [render_term(t) for t, _ in rank_terms()]
+    terms += [render_term(random_term(random.Random(k), 24)) for k in range(8)]
+    return terms + ["*".join(["1"] * MAX_BASE), "+".join(["1"] * 30), f"E({'*'.join(['1'] * 12)})"]
+
+
+# sha256 of sig_to_json(normalize(s)) + "\n" over _pinned_terms(), as the
+# json.dumps writer printed them
+NORMALIZED_SHA256 = "4a8d35de7777d2a449b898efdb5d3a3a41f6fd20918827dcb830e62293f0d610"
+
+
+def test_normalized_json_is_pinned():
+    forms = [normalize(parse_term(t)) for t in _pinned_terms()]
+    assert sum(s.n >= 11 for s in forms) == 15
+    text = "".join(sig_to_json(s) + "\n" for s in forms)
+    assert hashlib.sha256(text.encode()).hexdigest() == NORMALIZED_SHA256
 
 
 def test_is_reduced():

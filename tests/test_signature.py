@@ -32,7 +32,8 @@ from sigcalc.signature import (
     sig_sum,
     sig_to_json,
 )
-from helpers import bounded_signatures, fresh_rank_caches, nest, rank_terms
+from helpers import (
+    bounded_signatures, cnf_box, fresh_rank_caches, nest, random_term, rank_terms)
 from oracles import (
     SigTerm, bang, bang_rel_conj, bang_rel_p, bang_rel_q, decompose_pairwise,
     eval_term_pairwise, parse_term_recursive, render_term, sig_inflate_pairwise,
@@ -329,6 +330,19 @@ def test_row_violations_match_pairwise():
     for _ in range(500):
         n = rng.randint(3, 7)
         matrices.append(_trusted(n, [rng.randint(0, 4) for _ in range(n * (n - 1) // 2)]))
+    # and on bases up to 8: signatures, each with one value moved by 1, and
+    # random matrices with values up to 1, 3 or 9
+    for _ in range(300):
+        n = rng.randint(0, 8)
+        valid = parse_term(render_term(random_term(rng, n))) if n else ZERO_SIG
+        matrices.append(valid)
+        if valid.vals:
+            vals = list(valid.vals)
+            k = rng.randrange(len(vals))
+            vals[k] = max(0, vals[k] + rng.choice((-1, 1)))
+            matrices.append(_trusted(n, vals))
+        vmax = rng.choice((1, 3, 9))
+        matrices.append(_trusted(n, [rng.randint(0, vmax) for _ in range(n * (n - 1) // 2)]))
     broken = 0
     for m in matrices:
         bad = m.violations()
@@ -515,6 +529,20 @@ def test_json_round_trip():
     labeled = Signature(2, (2,), labels=("a", "b"))
     back = sig_from_json(sig_to_json(labeled))
     assert back == labeled and back.labels == ("a", "b")
+
+
+def test_json_writer_matches_json_dumps():
+    # from n = 11 on, json.dumps's key order is not pair order: "0,10" < "0,2"
+    forms = [s for s in map(materialize, cnf_box(2, 2)) if s.n >= 11]
+    assert max(s.n for s in forms) > 30
+    sigs = forms + [parse_term("*".join(["1"] * MAX_BASE)), ZERO_SIG, ONE_SIG]
+    names = ['say "hi"', "back\\slash", "new\nline", "\x00\x01\x1f\x7f\t", "ünï ∞ \U0001f600",
+             "", "%d", "{}"]
+    sigs += [Signature(0, (), [])] + [Signature(1, (), [name]) for name in names]
+    sigs += [Signature(s.n, s.vals, [names[i % len(names)] + str(i) for i in range(s.n)])
+             for s in forms[:20]]
+    for s in sigs:
+        assert sig_to_json(s) == json.dumps(sig_to_doc_pairwise(s), sort_keys=True)
 
 
 def test_json_rejects_invalid():
