@@ -12,9 +12,12 @@ package.  Fractions are built only where the public API hands them out:
 `orbitals()`.  No floating point anywhere.
 
 `PLMap(points)` is the one checked constructor: it reads coordinates with
-`ratio`, sorts the points, drops collinear ones, and checks that they run
-from (0,0) to (1,1) and that every slope it keeps is p/q with p > 0 and
-q > 0, which holds exactly when both coordinates strictly increase.  Every
+`ratio`, sorts the points only when they do not already strictly increase
+in x, checks that they run from (0,0) to (1,1), and in one pass drops
+collinear points and checks that every slope is p/q with p > 0 and q > 0,
+which holds exactly when both coordinates strictly increase.  `ratio`
+checks a string by hand against the grammar that the regular expression
+`_RATIO` in `tests/oracles.py` states, before it builds any integer.  Every
 other map is built by the unchecked `PLMap._make`: `identity`; `inverse`,
 since swapping the coordinates of an increasing map keeps it increasing;
 the affine copies, restrictions and bumps of `marked`; and compositions,
@@ -22,7 +25,7 @@ whose points are checked inside the merge kernel, `_merge`, each against
 the one before it as the point is emitted, so `then` (and powers) drain
 `_merge` into `_make`.  `_merge` is the one composition loop:
 `words.pred_C` runs two of them side by side and stops at the first
-breakpoint where they differ.
+breakpoint where they differ.  It reduces what it computes with `gcd` in line.
 
 Slopes are reduced (p, q) pairs, derived once per map: the checked
 constructor keeps the ones it computes to drop collinear points, `_merge`
@@ -33,7 +36,6 @@ Orbitals are computed once per map too, unless `_make` is handed them.
 
 from __future__ import annotations
 
-import re
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cmp_to_key
@@ -43,11 +45,6 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 Point = Tuple[Fraction, Fraction]
 Pair = Tuple[int, int]  # a reduced n/d, d > 0
-
-# An optionally signed integer, or a fraction n/d with d > 0.  Exponent
-# notation such as "1e10000000" is refused before any integer is built.
-_RATIO = re.compile(r"\s*([+-]?\d+)(?:/(0*[1-9]\d*))?\s*")
-
 
 class PLError(ValueError):
     pass
@@ -62,14 +59,22 @@ def _reduced(n: int, d: int) -> Tuple[int, int]:
 
 
 def ratio(x) -> Pair:
-    """x as a reduced (numerator, denominator) pair: a string must match
-    _RATIO, a tuple is an (n, d) pair of ints with d > 0, a bool is refused,
-    and anything else is read by `Fraction`."""
+    """x as a reduced (numerator, denominator) pair: a string is an
+    optionally signed integer or n/d with d > 0, in decimal digits with
+    blanks around it, checked before any integer is built (so "1e10000000"
+    is refused at once); a tuple is an (n, d) pair of ints with d > 0, a
+    bool is refused, and anything else is read by `Fraction`."""
     if isinstance(x, str):
-        m = _RATIO.fullmatch(x)
-        if m is None:
+        num, slash, den = x.partition("/")
+        num = num.lstrip() if slash else num.strip()
+        den = den.rstrip()  # a denominator's leading zeros are ASCII "0"s before a 1-9
+        if not ((num.isdecimal() or num[:1] in "+-" and num[1:].isdecimal())
+                and (not slash or den.isdecimal() and "1" <= den.lstrip("0")[:1] <= "9")):
             raise ValueError(f"not an integer or a fraction n/d with d > 0: {x[:40]!r}")
-        return _reduced(int(m[1]), int(m[2] or 1))
+        if not slash:
+            return int(num), 1
+        n, d = int(num), int(den)
+        return n // (g := gcd(n, d)), d // g
     if type(x) is tuple and x[1] > 0:
         return _reduced(*x)
     if isinstance(x, (bool, tuple)):
@@ -110,24 +115,29 @@ def _slope(a, b) -> Tuple[int, int]:
 
 def _canonical(points: Iterable):
     """The sorted minimal breakpoints as a flat tuple, and their slopes.
-    Both coordinates strictly increase exactly when every kept slope p/q
-    has p > 0 and q > 0 (a repeated x gives q = 0, a flat or falling y
-    p <= 0); dropping a collinear point replaces two pairs with one of the
-    same slope, so it hides no pair that fails."""
-    bp = sorted(dict.fromkeys(ratio(x) + ratio(y) for x, y in points), key=by_value)
+    Points that already strictly increase in x are taken in order; any
+    others are deduplicated and sorted.  Both coordinates strictly increase
+    exactly when every slope p/q between consecutive points has p > 0 and
+    q > 0 (a repeated x gives q = 0, a flat or falling y p <= 0); dropping a
+    collinear point replaces two such slopes with one equal to both."""
+    bp = [ratio(x) + ratio(y) for x, y in points]
+    if not all(a[0] * b[1] < b[0] * a[1] for a, b in zip(bp, bp[1:])):
+        bp = sorted(dict.fromkeys(bp), key=by_value)
     if not bp or bp[0] != (0, 1, 0, 1) or bp[-1] != (1, 1, 1, 1):
         raise PLError("breakpoints must run from (0,0) to (1,1)")
-    out, slopes = bp[:2], [_slope(*bp[:2])]  # slopes[k]: from out[k] to out[k + 1]
-    for b in bp[2:]:
-        s = _slope(out[-1], b)
-        if s == slopes[-1]:  # collinear: out[-2] to b keeps the slope
+    out, slopes = [bp[0]], []  # slopes[k]: from out[k] to out[k + 1]
+    for b in bp[1:]:
+        (axn, axd, ayn, ayd), (bxn, bxd, byn, byd) = out[-1], b
+        p, q = (byn * ayd - ayn * byd) * axd * bxd, (bxn * axd - axn * bxd) * ayd * byd
+        if p <= 0 or q <= 0:
+            raise PLError(_NOT_INCREASING)
+        s = p // (g := gcd(p, q)), q // g
+        if slopes and s == slopes[-1]:  # collinear: out[-2] to b keeps the slope
             out[-1] = b
         else:
             out.append(b)
             slopes.append(s)
-    if not all(p > 0 and q > 0 for p, q in slopes):
-        raise PLError(_NOT_INCREASING)
-    return tuple(c for b in out for c in b), tuple(slopes)
+    return tuple(chain.from_iterable(out)), tuple(slopes)
 
 
 def _crossing(a, b) -> Pair:
@@ -235,7 +245,8 @@ class PLMap:
         last_a, last_b = len(a) - 8, len(b) - 8
         # the current segments start at a[i:i + 4] and b[j:j + 4]
         i = j = 0
-        p, q = _reduced(sa[0][0] * sb[0][0], sa[0][1] * sb[0][1])  # the result's current slope
+        p, q = sa[0][0] * sb[0][0], sa[0][1] * sb[0][1]  # the result's current slope
+        p, q = p // (g := gcd(p, q)), q // g
         slopes.append((p, q))
         pxn, pxd, pyn, pyd = 0, 1, 0, 1  # the last point emitted
         while i < last_a or j < last_b:
@@ -249,10 +260,12 @@ class PLMap:
             (ap, aq), (bp, bq) = sa[i >> 2], sb[j >> 2]
             if c < 0:  # a breaks inside b's segment: y's image under b
                 d = bq * yd * ud
-                yn, yd = _reduced(vn * d + bp * (yn * ud - un * yd) * vd, vd * d)
+                yn, yd = vn * d + bp * (yn * ud - un * yd) * vd, vd * d
+                yn, yd = yn // (g := gcd(yn, yd)), yd // g
             elif c > 0:  # b breaks inside a's image: u's preimage under a
                 d = ap * ud * yd
-                xn, xd = _reduced(xn * d + aq * (un * yd - yn * ud) * xd, xd * d)
+                xn, xd = xn * d + aq * (un * yd - yn * ud) * xd, xd * d
+                xn, xd = xn // (g := gcd(xn, xd)), xd // g
                 yn, yd = vn, vd
             elif ap * bp * q == p * aq * bq:  # both break, same slope
                 continue
@@ -262,7 +275,8 @@ class PLMap:
                 raise PLError(_NOT_INCREASING)
             yield xn, xd, yn, yd
             pxn, pxd, pyn, pyd = xn, xd, yn, yd
-            p, q = _reduced(ap * bp, aq * bq)
+            p, q = ap * bp, aq * bq
+            p, q = p // (g := gcd(p, q)), q // g
             slopes.append((p, q))
         if pxn >= pxd or pyn >= pyd:  # (1,1) does not exceed the last point
             raise PLError(_NOT_INCREASING)

@@ -94,7 +94,7 @@ class Signature:
         if len(vals) != npairs:
             raise SignatureError(f"expected {npairs} values, got {len(vals)}")
         for v in vals:
-            if not isinstance(v, int) or v < 0:
+            if not _is_int(v) or v < 0:
                 raise SignatureError(f"pair value {v!r} is not a nonnegative integer")
         self.n, self.vals = n, vals
         if labels is not None:

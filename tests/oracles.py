@@ -20,7 +20,9 @@ interpolation between the breakpoints, the reference for `PLMap._at`, and
 `genset_to_json_dumps` the generating-set writer through `json.dumps`, the
 reference for `genset_to_json`.  `increasing_points` is the check and
 the canonical form of `PLMap(points)` written on Fractions, point by point,
-the reference for the checked constructor's check read from its slopes.
+the reference for the checked constructor's check read from its slopes,
+and `ratio_by_regex` reads a coordinate string with the regular expression
+`_RATIO`, the reference for the grammar `plmap.ratio` checks by hand.
 `checked_copy` and `rescale_checked`
 rebuild a marked function through the checked constructors, the reference
 for the trusted transport (`rename`, `rescale_fn`, `fn_rotate`,
@@ -55,6 +57,7 @@ set one at a time.
 import functools
 import itertools
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -209,6 +212,21 @@ def increasing_points(points) -> List[Tuple[Fraction, Fraction]]:
         raise PLError("breakpoints must be strictly increasing in both coordinates")
     slopes = _slopes(pts)
     return [pts[0], *(p for p, s, t in zip(pts[1:], slopes, slopes[1:]) if s != t), pts[-1]]
+
+
+# An optionally signed integer, or a fraction n/d with d > 0, blanks around
+# it; digits are any Unicode decimal digits, but a denominator's leading
+# zeros are ASCII "0"s before an ASCII 1-9.
+_RATIO = re.compile(r"\s*([+-]?\d+)(?:/(0*[1-9]\d*))?\s*")
+
+
+def ratio_by_regex(text: str) -> Tuple[int, int]:
+    """A coordinate string as a reduced (n, d) pair, read with `_RATIO`;
+    ValueError, with `plmap.ratio`'s message, for any other string."""
+    m = _RATIO.fullmatch(text)
+    if m is None:
+        raise ValueError(f"not an integer or a fraction n/d with d > 0: {text[:40]!r}")
+    return Fraction(int(m[1]), int(m[2] or 1)).as_integer_ratio()
 
 
 def swapped(f: PLMap) -> PLMap:

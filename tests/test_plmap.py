@@ -7,9 +7,9 @@ import pytest
 from helpers import DENOMINATORS, bump_map, random_bump_pair, random_fractions, random_pl_map
 from oracles import (
     _slopes, commutator, compose_pointwise, eval_pointwise, increasing_points, power_pointwise,
-    pred_C_products, swapped)
+    pred_C_products, ratio_by_regex, swapped)
 from sigcalc.realization import PLMap, pl_eval, pred_C, realize
-from sigcalc.realization.plmap import PLError
+from sigcalc.realization.plmap import PLError, ratio
 from sigcalc.signature import enumerate_signatures
 
 def increasing(rng, n, den):
@@ -178,31 +178,79 @@ def point_list(rng):
     return [(str(x), str(y)) for x, y in points] if rng.random() < 0.5 else points
 
 
-def outcome(build, points):
-    """build(points), or the PLError it raises."""
+def outcome(build, arg, error=PLError):
+    """build(arg), or the `error` it raises."""
     try:
-        return build(points)
-    except PLError as e:
+        return build(arg)
+    except error as e:
         return e
 
 
 def test_checked_constructor_matches_reference():
     seed = "checked constructor"
     rng = random.Random(seed)
-    seen = set()
+    seen, in_order = set(), 0
     for i in range(500):
-        points = point_list(rng)
-        want, got = outcome(increasing_points, points), outcome(PLMap, points)
-        where = f"case {i} of seed {seed!r}"
-        if isinstance(want, PLError):
-            assert isinstance(got, PLError) and str(got) == str(want), where
-            seen.add(str(want))
-        else:
-            assert isinstance(got, PLMap) and got.points == tuple(want), where
-            assert got.slopes == int_slopes(got), where
-            seen.add("valid")
+        shuffled = point_list(rng)
+        # sorted by x, the points reach the constructor's path that skips its
+        # sort whenever no two of them share an x
+        by_x = sorted(shuffled, key=lambda p: F(p[0]))
+        xs = [F(x) for x, _ in by_x]
+        in_order += all(a < b for a, b in zip(xs, xs[1:]))
+        for order, points in (("shuffled", shuffled), ("sorted by x", by_x)):
+            want, got = outcome(increasing_points, points), outcome(PLMap, points)
+            where = f"case {i} ({order}) of seed {seed!r}"
+            if isinstance(want, PLError):
+                assert isinstance(got, PLError) and str(got) == str(want), where
+                seen.add(str(want))
+            else:
+                assert isinstance(got, PLMap) and got.points == tuple(want), where
+                assert got.slopes == int_slopes(got), where
+                seen.add("valid")
     # both refusals, and maps, are reached
     assert len(seen) == 3
+    assert in_order >= 150, in_order
+
+
+# ASCII digits (more zeros), signs, the slash, blanks (a no-break space among
+# them), a non-ASCII decimal digit, and what int() or Fraction() would read
+_RATIO_ALPHABET = "0123456789000+-/ \t\xa0\u0663_e."
+
+
+def ratio_string(rng):
+    """Up to 8 characters of _RATIO_ALPHABET, or half the time a string of
+    the grammar's shape with one character of the alphabet put in or swapped."""
+    if rng.random() < 0.5:
+        return "".join(rng.choices(_RATIO_ALPHABET, k=rng.randint(0, 8)))
+
+    def digits():
+        return "".join(rng.choices("0123456789\u0663", k=rng.randint(1, 3)))
+
+    s = (rng.choice(["", " ", "\t", "\xa0 "]) + rng.choice(["", "+", "-"]) + digits()
+         + rng.choice(["", "/" + "0" * rng.randint(0, 2) + digits()])
+         + rng.choice(["", " ", "\xa0"]))
+    k = rng.randint(0, len(s))
+    c = rng.choice(_RATIO_ALPHABET)
+    return rng.choice([s, s[:k] + c + s[k:], s[:k] + c + s[k + 1:]])
+
+
+def test_ratio_matches_regex_reference():
+    seed = "ratio grammar"
+    rng = random.Random(seed)
+    seen = set()
+    for i in range(20000):
+        text = ratio_string(rng)
+        want, got = outcome(ratio_by_regex, text, ValueError), outcome(ratio, text, ValueError)
+        where = f"case {i} of seed {seed!r}: {text!r}"
+        if isinstance(want, ValueError):
+            assert type(got) is ValueError and str(got) == str(want), where
+            seen.add("refused")
+        else:
+            assert got == want, where
+            seen.add("fraction" if "/" in text else "integer")
+            if "\u0663" in text:
+                seen.add("non-ASCII digit")
+    assert seen == {"refused", "integer", "fraction", "non-ASCII digit"}
 
 
 def interior(rng):

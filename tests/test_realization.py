@@ -575,6 +575,16 @@ def test_genset_json_round_trip():
     assert [f.map for f in back] == [f.map for f in fns]
     assert [f.markers for f in back] == [f.markers for f in fns]
     assert signature_of(back) == sig_E(sig_sum(one, one))
+    # the sets the words benchmark reads back: the reader's maps carry the
+    # slopes its one pass computed, which must be the ones derived afresh
+    sigs = enumerate_signatures(3, 3)
+    assert len(sigs) == 22
+    for s in sigs:
+        fns = realize(s)
+        for f, g in zip(fns, genset_from_json(genset_to_json(fns)), strict=True):
+            assert g.map._bp == f.map._bp, s
+            assert g.map.slopes == PLMap._make(f.map._bp)._known_slopes(), s
+            assert (g.orbitals, g.markers, g.name) == (f.orbitals, f.markers, f.name), s
 
 
 def test_midpoint_bump_shape():

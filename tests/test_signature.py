@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 
 import pytest
 
@@ -98,6 +99,10 @@ def test_validate_violation():
     assert _trusted(3, (0, 1, 0)).violations() == [(0, 1, 2)]
     with pytest.raises(SignatureError, match=r"\(0, 1, 2\)"):
         Signature(3, (0, 1, 0))
+    # a bool is an int to isinstance, but not a pair value, as in sig_from_json
+    for v in (-1, 1.5, True, False):
+        with pytest.raises(SignatureError, match=re.escape(f"pair value {v!r} is not a ")):
+            Signature(2, (v,))
 
 
 def test_zero_to_end_consequence():
