@@ -41,7 +41,7 @@ import os
 import sys
 
 from .ordinal import Ordinal, OrdinalError, OrdinalParseError, ord_cmp, ord_parse, ord_render
-from .ordinal import ord_add, ord_mul
+from .ordinal import ord_add, ord_mul, ord_natural_add
 from .normalizer import (
     OutsideComputedFamily, ea_class, ea_to_xi, leq, materialize, materialized_base, normalize, rho)
 from .signature import (
@@ -174,7 +174,8 @@ def cmd_ord(args):
             word = {-1: "LT", 0: "EQ", 1: "GT"}[ord_cmp(r, b)]
             _emit(args, word, {"cmp": word})
             return
-        r = ord_add(r, b, args.mode) if args.op == "add" else ord_mul(r, b)
+        add = ord_natural_add if args.mode == "natural" else ord_add
+        r = add(r, b) if args.op == "add" else ord_mul(r, b)
     try:
         text = ord_render(r)
     except ValueError:  # a coefficient past the interpreter's limit on digits

@@ -74,8 +74,6 @@ class Ordinal:
     def __eq__(self, other):
         if isinstance(other, Ordinal):
             return self.terms == other.terms
-        if isinstance(other, int):
-            return self.is_finite and self.as_int() == other
         return NotImplemented
 
     def __hash__(self):
@@ -113,17 +111,9 @@ def ord_cmp(a: Ordinal, b: Ordinal) -> int:
     return LT if len(a.terms) < len(b.terms) else GT
 
 
-def ord_add(a: Ordinal, b: Ordinal, mode: str = "ordered") -> Ordinal:
-    """Ordinal sum.
-
-    mode="ordered" is the usual (noncommutative) sum: terms of `a` whose
-    exponent is below the leading exponent of `b` are absorbed.
-    mode="natural" is the Hessenberg sum: merge all terms and sort.
-    """
-    if mode == "natural":
-        return _natural_add(a, b)
-    if mode != "ordered":
-        raise OrdinalError(f"unknown addition mode {mode!r}")
+def ord_add(a: Ordinal, b: Ordinal) -> Ordinal:
+    """The usual (noncommutative) ordinal sum: terms of `a` whose exponent
+    is below the leading exponent of `b` are absorbed."""
     if b.is_zero:
         return a
     if a.is_zero:
@@ -146,7 +136,8 @@ def ord_add(a: Ordinal, b: Ordinal, mode: str = "ordered") -> Ordinal:
     return _cnf(tuple(keep) + b.terms)
 
 
-def _natural_add(a: Ordinal, b: Ordinal) -> Ordinal:
+def ord_natural_add(a: Ordinal, b: Ordinal) -> Ordinal:
+    """The natural (Hessenberg) sum: merge all terms and sort."""
     acc: dict = {}
     order = []
     for exp, coeff in a.terms + b.terms:
@@ -240,7 +231,7 @@ class _Parser:
     def nat(self) -> int:
         self.peek()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if start == self.pos:
             self.error("expected a natural number")
@@ -286,7 +277,7 @@ class _Parser:
                 return OMEGA
             self.eat("^")
             return ord_omega_pow(self.factor() if self.peek() == "(" else self.nested(self.factor))
-        if ch.isdigit():
+        if ch.isdecimal():
             return Ordinal.from_int(self.nat())
         self.error("expected '0', a number, 'w' or '('")
 

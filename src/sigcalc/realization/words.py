@@ -2,12 +2,14 @@
 
 C(x,y) says x and y commute; D(x,y) says y dominates x (they do not commute
 but x commutes with its conjugate by y); T(x,y,z) says (x,y,z) forms a
-tower.  All evaluation is exact on PL maps.  C merges the two products
-and stops at their first difference.  D and T's last two conjuncts ask
-whether a map commutes with a conjugate; the maps' orbitals mostly decide
-that (maps with disjoint supports commute, and commuting maps fix each
-other's orbital ends: Brin and Squier), so the conjugate is built only
-where they do not.
+tower.  Each is one function, written as the paper defines it:
+D(x,y) = not C(x,y) and C(x, y^-1 x y), and T(x,y,z) = D(x,y) and D(x,z)
+and D(y,z) and C(x, z^-1 y z).  All evaluation is exact on PL maps.  C
+merges the two products and stops at their first difference.  A
+commutation with a conjugate is mostly decided by the maps' orbitals
+(maps with disjoint supports commute, and commuting maps fix each other's
+orbital ends: Brin and Squier), so the conjugate is built only where
+they do not decide it.
 """
 
 from __future__ import annotations
@@ -52,30 +54,23 @@ def pred_C(x: PLMap, y: PLMap) -> bool:
 def pred_D(x: PLMap, y: PLMap) -> bool:
     """Not C(x,y), and C(x, x conjugated by y) by `_commutes_with_conjugate`,
     which trusts, as `pred_C` does, that the maps increase."""
-    return _dominates(x, y, pred_C(x, y))
+    return not pred_C(x, y) and _commutes_with_conjugate(x, x, y)
 
 
-def _dominates(x: PLMap, y: PLMap, commute: bool) -> bool:
-    """D(x,y), given whether C(x,y) holds."""
-    return not commute and _commutes_with_conjugate(x, x, y, [])
-
-
-def _commutes_with_conjugate(a: PLMap, b: PLMap, c: PLMap, built: List[PLMap]) -> bool:
+def _commutes_with_conjugate(a: PLMap, b: PLMap, c: PLMap) -> bool:
     """C(a, b conjugated by c), decided from orbitals where they suffice.
 
     The conjugate moves exactly the c-images of b's orbitals.  So a and it
     commute if either map is the identity or their supports are disjoint
-    (one merge of the two sorted orbital lists); and they do not if a moves
-    the c-image of an end of b's orbitals, or b moves the c-preimage of an
-    end of a's, since commuting increasing maps with finitely many orbitals
-    fix each other's orbital ends.  Only otherwise is the conjugate built,
-    once into `built` for later calls on the same b and c, and compared by
+    (one merge of the two sorted orbital lists, which ends at once if
+    either is empty); and they do not if a moves the c-image of an end of
+    b's orbitals, or b moves the c-preimage of an end of a's, since
+    commuting increasing maps with finitely many orbitals fix each other's
+    orbital ends.  Only otherwise is the conjugate built and compared by
     `pred_C`.  Like `pred_C`, this trusts that the maps increase: on one
     made by `PLMap._make` whose coordinates do not, it can answer where
     `conj_map` would raise."""
     ao, bo = a._orbitals(), b._orbitals()
-    if not ao or not bo:
-        return True
     co = [(c._at(*u), c._at(*v)) for u, v, _ in bo]
     i = j = 0
     while i < len(ao) and j < len(co):
@@ -90,36 +85,20 @@ def _commutes_with_conjugate(a: PLMap, b: PLMap, c: PLMap, built: List[PLMap]) -
     if (any(a._at(*e) != e for uv in co for e in uv)
             or any(b._at(*p) != p for u, v, _ in ao for p in (c._at(*u, True), c._at(*v, True)))):
         return False
-    if not built:
-        built.append(conj_map(b, c))
-    return pred_C(a, built[0])
+    return pred_C(a, conj_map(b, c))
 
 
 def pred_T(x: PLMap, y: PLMap, z: PLMap) -> bool:
-    """D(x,y), D(x,z), D(y,z) and C(x, y conjugated by z), in that order;
-    the last two ask `_commutes_with_conjugate` about y conjugated by z,
-    and share the conjugate if both need it built."""
-    return _tower(x, y, z, pred_D(x, y))
-
-
-def _tower(x: PLMap, y: PLMap, z: PLMap, dominates: bool) -> bool:
-    """T(x,y,z), given whether D(x,y) holds."""
-    if not (dominates and pred_D(x, z)) or pred_C(y, z):
-        return False
-    built: List[PLMap] = []
-    return _commutes_with_conjugate(y, y, z, built) and _commutes_with_conjugate(x, y, z, built)
+    """D(x,y), D(x,z), D(y,z) and C(x, y conjugated by z), in that order."""
+    return pred_D(x, y) and pred_D(x, z) and pred_D(y, z) and _commutes_with_conjugate(x, y, z)
 
 
 def predicates(fns: Sequence[MarkedFn], x_word: GroupWord, y_word: GroupWord,
                z_word: Optional[GroupWord] = None) -> dict:
-    """Evaluate C and D on (x,y), and T on (x,y,z) when z is given; C(x,y)
-    and D(x,y) are evaluated once each."""
+    """Evaluate C and D on (x,y), and T on (x,y,z) when z is given."""
     x = pl_eval(fns, x_word)
     y = pl_eval(fns, y_word)
-    c = pred_C(x, y)
-    d = _dominates(x, y, c)
-    out = {"C": c, "D": d}
+    out = {"C": pred_C(x, y), "D": pred_D(x, y)}
     if z_word is not None:
-        z = pl_eval(fns, z_word)
-        out["T"] = _tower(x, y, z, d)
+        out["T"] = pred_T(x, y, pl_eval(fns, z_word))
     return out

@@ -70,7 +70,14 @@ def test_ord(capsys):
     assert run(capsys, "ord", "w+1") == (0, "w+1\n", "")
     assert run(capsys, "ord", "w", "cmp", "2") == (0, "GT\n", "")
     assert run(capsys, "ord", "2", "add", "w", "--format", "json") == (0, '{"value": "w"}\n', "")
+    assert run(capsys, "ord", "2", "add", "w", "--mode", "natural") == (0, "w+2\n", "")
+    assert run(capsys, "ord", "w*\u0663+\u0663") == (0, "w*3+3\n", "")  # Arabic-Indic three
     expect_error(capsys, 2, "ord", "w+")
+    # a superscript two is a digit to str.isdigit but not a decimal digit to int
+    err = expect_error(capsys, 2, "ord", "\u00b2")
+    assert err == "error: cannot parse ordinal: expected '0', a number, 'w' or '(' (at position 0)\n"
+    err = expect_error(capsys, 2, "ord", "2*\u00b2")
+    assert err == "error: cannot parse ordinal: expected a natural number (at position 2)\n"
     assert expect_error(capsys, 2, "ord", "w", "mul") == "error: ord mul needs a second ordinal\n"
 
 

@@ -237,6 +237,17 @@ def test_is_reduced():
     assert is_reduced(FIG3)
 
 
+def test_is_reduced_refuses_each_failure():
+    # a summand not all-positive, a summand whose decrement is not reduced,
+    # and summand ranks that increase: each is refused, and normalize moves it
+    for text in ("(1+1)*exp(1)", "exp((1+1)*exp(1))", "1+exp(1+1)"):
+        s = parse_term(text)
+        assert not is_reduced(s), text
+        assert normalize(s) != s, text
+    assert is_reduced(parse_term("exp(1+1)+1"))
+    assert is_reduced(ZERO_SIG)
+
+
 # --- order ---------------------------------------------------------------------------
 
 

@@ -15,6 +15,7 @@ from sigcalc.ordinal import (
     ord_add,
     ord_cmp,
     ord_mul,
+    ord_natural_add,
     ord_omega_pow,
     ord_parse,
     ord_render,
@@ -36,6 +37,13 @@ def test_cmp_examples():
     assert ord_cmp(w, w) == EQ
     assert ord_cmp(w, ord_mul(w, Ordinal.from_int(2))) == LT
     assert ord_cmp(o("w^w + 1"), o("w^w")) == GT
+
+
+def test_ordinals_are_not_ints():
+    # equal objects must hash alike, and an Ordinal does not hash as its int
+    three = Ordinal.from_int(3)
+    assert three != 3 and 3 != three
+    assert 3 not in {three} and three not in {3}
 
 
 def test_cmp_total_order_random():
@@ -68,11 +76,11 @@ def test_two_times_omega_vs_omega_times_two():
 
 
 def test_natural_sum():
-    assert ord_add(ONE, w, "natural") == o("w + 1")
+    assert ord_natural_add(ONE, w) == o("w + 1")
     rng = random.Random(2)
     for _ in range(200):
         a, b = random_ordinal(rng), random_ordinal(rng)
-        assert ord_add(a, b, "natural") == ord_add(b, a, "natural")
+        assert ord_natural_add(a, b) == ord_natural_add(b, a)
 
 
 def test_left_cancellation_random():
@@ -135,7 +143,7 @@ def test_arithmetic_results_pass_the_checked_constructor():
     rng = random.Random(13)
     for _ in range(400):
         a, b = random_ordinal(rng, 3), random_ordinal(rng, 3)
-        for r in (ord_add(a, b), ord_add(a, b, "natural"), ord_mul(a, b),
+        for r in (ord_add(a, b), ord_natural_add(a, b), ord_mul(a, b),
                   ord_omega_pow(a), ord_omega_pow(a, shifted=True)):
             assert rechecked(r) == r
 
