@@ -165,6 +165,8 @@ def _out(args, content: str):
 
 
 def cmd_ord(args):
+    if args.mode == "natural" and args.op != "add":
+        raise CliError("--mode natural applies only to 'add'", 2)
     r = load_ordinal(args.expr)
     if args.op is not None:
         if args.rhs is None:

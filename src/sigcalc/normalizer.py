@@ -34,15 +34,12 @@ import functools
 from typing import List, Tuple
 
 from .ordinal import (
-    GT,
-    LT,
     ONE,
     OMEGA,
     ZERO,
     Ordinal,
     OrdinalError,
     ord_add,
-    ord_cmp,
     ord_log_omega,
     ord_mul,
     ord_omega_pow,
@@ -90,7 +87,7 @@ def rho(a: Signature, mode: str = "sorted") -> Ordinal:
         raise SignatureError(f"unknown rho mode {mode!r}")
     ranks = [_rho_block(p) for p in decompose(a)]
     if mode == "sorted":
-        ranks.sort(key=functools.cmp_to_key(ord_cmp), reverse=True)
+        ranks.sort(reverse=True)
     total = ZERO
     for r in ranks:
         total = ord_add(total, r)
@@ -126,12 +123,7 @@ def _rho_block(a: Signature) -> Ordinal:
     high = [i for i, v in enumerate(column) if v > 1]
     b_part = sig_restrict(a, low)
     exp_part = sig_restrict(a, high + [top])
-    best = None
-    for summand in decompose(b_part):
-        r = _rho_block(summand)
-        if best is None or ord_cmp(r, best) == GT:
-            best = r
-    xi_b = _exp_inverse(best)
+    xi_b = _exp_inverse(max(map(_rho_block, decompose(b_part))))
     c = sig_shift_down(exp_part)
     inner = ord_add(xi_b, rho(c, "ordered"))
     return ord_omega_pow(inner, shifted=True)
@@ -195,7 +187,7 @@ def is_reduced(a: Signature) -> bool:
         elif not is_reduced(sig_shift_down(p)):
             return False
         r = _rho_block(p)
-        if prev is not None and ord_cmp(prev, r) == LT:
+        if prev is not None and prev < r:
             return False
         prev = r
     return True
@@ -204,7 +196,7 @@ def is_reduced(a: Signature) -> bool:
 def leq(a: Signature, b: Signature) -> bool:
     """Order by sorted-mode rank; decides embeddability of the generated
     groups when representatives are taken in rank-sorted form."""
-    return ord_cmp(rho(a, "sorted"), rho(b, "sorted")) != GT
+    return rho(a, "sorted") <= rho(b, "sorted")
 
 
 def _factor_pow2(c: int) -> int:

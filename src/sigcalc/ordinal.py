@@ -1,9 +1,14 @@
 """Exact arithmetic for ordinals below epsilon_0 in Cantor normal form.
 
-An ordinal is stored as a tuple of (exponent, coefficient) pairs with
-exponents strictly decreasing and coefficients >= 1; the empty tuple is 0.
-Exponents are themselves ordinals, so the representation bottoms out at
-finite ordinals, which are the single term (0, n).
+An ordinal is the tuple of its (exponent, coefficient) terms, with exponents
+strictly decreasing and coefficients >= 1; the empty tuple is 0.  Exponents
+are themselves ordinals, so the representation bottoms out at finite
+ordinals, which are the single term (0, n).
+
+The order of ordinals is tuple order on these normal forms: the first term
+that differs decides, by exponent and then by coefficient, and a proper
+prefix is the smaller.  So `Ordinal` is a `tuple` subclass, and ==, <, hash
+and sorting are tuple's own.
 
 `Ordinal(terms)` checks that form; the arithmetic builds its results, which
 are in normal form by construction, with the unchecked `_cnf`.
@@ -11,7 +16,6 @@ are in normal form by construction, with the unchecked `_cnf`.
 
 from __future__ import annotations
 
-import functools
 from typing import Iterable, Tuple
 
 LT, EQ, GT = -1, 0, 1
@@ -27,25 +31,33 @@ class OrdinalParseError(OrdinalError):
         self.pos = pos
 
 
-class Ordinal:
-    """An ordinal below epsilon_0 in Cantor normal form, never changed once built."""
+class Ordinal(tuple):
+    """An ordinal below epsilon_0 in Cantor normal form: the tuple of its
+    (exponent, coefficient) terms, never changed once built.
 
-    __slots__ = ("terms",)
+    Comparison, equality and hash are tuple's, so an Ordinal equals, and
+    hashes as, a plain tuple of the same terms (but never an int), and an
+    Ordinal is true exactly when it is nonzero.
+    """
 
-    def __init__(self, terms: Iterable[Tuple["Ordinal", int]] = ()):
+    __slots__ = ()
+
+    def __new__(cls, terms: Iterable[Tuple["Ordinal", int]] = ()):
         terms = tuple(terms)
         for exp, coeff in terms:
-            if not isinstance(exp, Ordinal) or not isinstance(coeff, int):
+            if not isinstance(exp, Ordinal) or type(coeff) is bool or not isinstance(coeff, int):
                 raise OrdinalError(f"bad CNF term ({exp!r}, {coeff!r})")
             if coeff < 1:
                 raise OrdinalError(f"coefficient {coeff} < 1")
         for (e1, _), (e2, _) in zip(terms, terms[1:]):
-            if ord_cmp(e1, e2) != GT:
+            if e1 <= e2:
                 raise OrdinalError("CNF exponents not strictly decreasing")
-        self.terms = terms
+        return tuple.__new__(cls, terms)
 
     @staticmethod
     def from_int(n: int) -> "Ordinal":
+        if isinstance(n, bool):
+            raise OrdinalError(f"bad CNF coefficient {n!r}")
         if n < 0:
             raise OrdinalError("ordinals are nonnegative")
         if n == 0:
@@ -53,31 +65,27 @@ class Ordinal:
         return Ordinal(((ZERO, n),))
 
     @property
+    def terms(self) -> "Ordinal":
+        return self
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self
 
     @property
     def is_finite(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and self.terms[0][0].is_zero)
+        return not self or (len(self) == 1 and not self[0][0])
 
     def as_int(self) -> int:
         if not self.is_finite:
             raise OrdinalError(f"{self} is infinite")
-        return self.terms[0][1] if self.terms else 0
+        return self[0][1] if self else 0
 
     @property
     def leading_exp(self) -> "Ordinal":
-        if self.is_zero:
+        if not self:
             raise OrdinalError("0 has no leading exponent")
-        return self.terms[0][0]
-
-    def __eq__(self, other):
-        if isinstance(other, Ordinal):
-            return self.terms == other.terms
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.terms)
+        return self[0][0]
 
     def __repr__(self):
         return f"Ordinal({ord_render(self)!r})"
@@ -88,9 +96,7 @@ class Ordinal:
 
 def _cnf(terms: Iterable[Tuple[Ordinal, int]]) -> Ordinal:
     """An Ordinal from terms an operation built in normal form; unchecked."""
-    a = object.__new__(Ordinal)
-    a.terms = tuple(terms)
-    return a
+    return tuple.__new__(Ordinal, terms)
 
 
 ZERO = Ordinal()
@@ -100,65 +106,40 @@ OMEGA = Ordinal(((ONE, 1),))
 
 def ord_cmp(a: Ordinal, b: Ordinal) -> int:
     """Total order on CNF ordinals; returns LT, EQ or GT."""
-    for (e1, c1), (e2, c2) in zip(a.terms, b.terms):
-        c = ord_cmp(e1, e2)
-        if c != EQ:
-            return c
-        if c1 != c2:
-            return LT if c1 < c2 else GT
-    if len(a.terms) == len(b.terms):
-        return EQ
-    return LT if len(a.terms) < len(b.terms) else GT
+    return (a > b) - (a < b)
 
 
 def ord_add(a: Ordinal, b: Ordinal) -> Ordinal:
     """The usual (noncommutative) ordinal sum: terms of `a` whose exponent
     is below the leading exponent of `b` are absorbed."""
-    if b.is_zero:
+    if not b:
         return a
-    if a.is_zero:
-        return b
-    e = b.leading_exp
-    keep = []
-    merge_coeff = 0
-    for exp, coeff in a.terms:
-        c = ord_cmp(exp, e)
-        if c == GT:
-            keep.append((exp, coeff))
-        elif c == EQ:
-            merge_coeff = coeff
-            break
-        else:
-            break
-    if merge_coeff:
-        head = (e, merge_coeff + b.terms[0][1])
-        return _cnf(tuple(keep) + (head,) + b.terms[1:])
-    return _cnf(tuple(keep) + b.terms)
+    e, c = b[0]
+    keep = 0
+    while keep < len(a) and a[keep][0] > e:
+        keep += 1
+    if keep < len(a) and a[keep][0] == e:
+        return _cnf(a[:keep] + ((e, a[keep][1] + c),) + b[1:])
+    return _cnf(a[:keep] + b)
 
 
 def ord_natural_add(a: Ordinal, b: Ordinal) -> Ordinal:
     """The natural (Hessenberg) sum: merge all terms and sort."""
     acc: dict = {}
-    order = []
-    for exp, coeff in a.terms + b.terms:
-        if exp in acc:
-            acc[exp] += coeff
-        else:
-            acc[exp] = coeff
-            order.append(exp)
-    order.sort(key=functools.cmp_to_key(ord_cmp), reverse=True)
-    return _cnf((exp, acc[exp]) for exp in order)
+    for exp, coeff in a + b:
+        acc[exp] = acc.get(exp, 0) + coeff
+    return _cnf(sorted(acc.items(), reverse=True))
 
 
 def ord_mul(a: Ordinal, b: Ordinal) -> Ordinal:
     """Ordinal product, distributing over the CNF of the right factor."""
-    if a.is_zero or b.is_zero:
+    if not a or not b:
         return ZERO
-    e0, c0 = a.terms[0]
+    e0, c0 = a[0]
     total = ZERO
-    for f, d in b.terms:
-        if f.is_zero:
-            piece = _cnf(((e0, c0 * d),) + a.terms[1:])
+    for f, d in b:
+        if not f:
+            piece = _cnf(((e0, c0 * d),) + a[1:])
         else:
             piece = _cnf(((ord_add(e0, f), d),))
         total = ord_add(total, piece)
@@ -172,10 +153,10 @@ def ord_omega_pow(a: Ordinal, shifted: bool = False) -> Ordinal:
     shifted power of 0 is 0.
     """
     if not shifted:
-        if a.is_zero:
+        if not a:
             return ONE
         return _cnf(((a, 1),))
-    if a.is_zero:
+    if not a:
         return ZERO
     if a.is_finite:
         k = a.as_int() - 1
@@ -185,9 +166,9 @@ def ord_omega_pow(a: Ordinal, shifted: bool = False) -> Ordinal:
 
 def ord_log_omega(a: Ordinal) -> Ordinal:
     """The exponent delta with a = omega^delta, for an omega-power a."""
-    if a.is_zero or len(a.terms) != 1 or a.terms[0][1] != 1:
+    if len(a) != 1 or a[0][1] != 1:
         raise OrdinalError(f"{a} is not an omega power")
-    return a.terms[0][0]
+    return a[0][0]
 
 
 # --- text codec ------------------------------------------------------------
@@ -297,11 +278,11 @@ def _exp_is_atom(e: Ordinal) -> bool:
 
 def ord_render(a: Ordinal) -> str:
     """Canonical text form; ord_parse(ord_render(a)) == a."""
-    if a.is_zero:
+    if not a:
         return "0"
     parts = []
-    for exp, coeff in a.terms:
-        if exp.is_zero:
+    for exp, coeff in a:
+        if not exp:
             parts.append(str(coeff))
             continue
         if exp == ONE:

@@ -6,10 +6,10 @@ import random
 from fractions import Fraction as F
 
 from sigcalc import normalizer
-from sigcalc.ordinal import ZERO, Ordinal, ord_cmp
+from sigcalc.ordinal import ZERO, Ordinal
 from sigcalc.realization import PLMap
 from sigcalc.signature import enumerate_signatures
-from oracles import SigTerm
+from oracles import SigTerm, ord_cmp_by_terms
 
 
 def random_ordinal(rng: random.Random, depth: int = 3, max_terms: int = 2,
@@ -21,9 +21,9 @@ def random_ordinal(rng: random.Random, depth: int = 3, max_terms: int = 2,
     exps = []
     while len(exps) < nterms:
         e = random_ordinal(rng, depth - 1, max_terms, max_coeff)
-        if all(ord_cmp(e, x) != 0 for x in exps):
+        if all(ord_cmp_by_terms(e, x) != 0 for x in exps):
             exps.append(e)
-    exps.sort(key=functools.cmp_to_key(ord_cmp), reverse=True)
+    exps.sort(key=functools.cmp_to_key(ord_cmp_by_terms), reverse=True)
     return Ordinal((e, rng.randint(1, max_coeff)) for e in exps)
 
 
@@ -33,7 +33,8 @@ def cnf_box(depth: int, cmax: int):
     cmax = 2 depth 2 holds 723 ordinals; with cmax = 1 depth 3 holds 67."""
     if depth == 0:
         return [Ordinal.from_int(k) for k in range(cmax + 1)]
-    exps = sorted(cnf_box(depth - 1, cmax), key=functools.cmp_to_key(ord_cmp), reverse=True)
+    by_terms = functools.cmp_to_key(ord_cmp_by_terms)
+    exps = sorted(cnf_box(depth - 1, cmax), key=by_terms, reverse=True)
     out = [ZERO]
     for nterms in (1, 2):
         for es in itertools.combinations(exps, nterms):  # descending, distinct

@@ -41,6 +41,11 @@ one-pass `sig_inflate`.  `eval_term_pairwise` evaluates a `SigTerm` tree with th
 `parse_term_recursive` reads a term by recursive descent over its characters,
 evaluating each node with the signature operations, the reference for the
 one-pass `parse_term`.
+`ord_cmp_by_terms`, `ord_add_by_terms` and `ord_natural_add_by_terms` are
+the ordinal order, sum and natural sum written term by term with a recursive
+comparison, the reference for the tuple order that `Ordinal` inherits and
+for the arithmetic built on it; `rho_pairwise` and the test generators of
+ordinals sort with `ord_cmp_by_terms`.
 
 Fixtures and helpers that no command or benchmark operation uses live here
 too: `tau`, the tower of omega-powers the rank tests compare against;
@@ -64,7 +69,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from sigcalc.normalizer import MODES, _exp_inverse
 from sigcalc.ordinal import (
-    GT, MAX_NESTING, OMEGA, ONE, ZERO, Ordinal, OrdinalError, ord_add, ord_cmp, ord_omega_pow)
+    EQ, GT, LT, MAX_NESTING, OMEGA, ONE, ZERO, Ordinal, OrdinalError, _cnf, ord_add,
+    ord_omega_pow)
 from sigcalc.signature import (
     MAX_BASE, ONE_SIG, ZERO_SIG, Signature, SignatureError, TermParseError, _pair_index, _pairs,
     _trusted, bang_rel, is_all_positive, sig_E, sig_exp, sig_shift_down, sig_star, sig_sum)
@@ -654,7 +660,7 @@ def rho_pairwise(a: Signature, mode: str = "sorted") -> Ordinal:
     if len(parts) > 1:
         ranks = [rho_pairwise(p, "ordered") for p in parts]
         if mode == "sorted":
-            ranks.sort(key=functools.cmp_to_key(ord_cmp), reverse=True)
+            ranks.sort(key=functools.cmp_to_key(ord_cmp_by_terms), reverse=True)
         total = ZERO
         for r in ranks:
             total = ord_add(total, r)
@@ -671,10 +677,63 @@ def rho_pairwise(a: Signature, mode: str = "sorted") -> Ordinal:
     best = None
     for summand in decompose_pairwise(b_part):
         r = rho_pairwise(summand, "ordered")
-        if best is None or ord_cmp(r, best) == GT:
+        if best is None or ord_cmp_by_terms(r, best) == GT:
             best = r
     c = sig_shift_down(exp_part)
     return ord_omega_pow(ord_add(_exp_inverse(best), rho_pairwise(c, "ordered")), shifted=True)
+
+
+def ord_cmp_by_terms(a: Ordinal, b: Ordinal) -> int:
+    """The order of CNF ordinals compared term by term: exponent, then
+    coefficient, then length; returns LT, EQ or GT."""
+    ta, tb = a.terms, b.terms
+    for (e1, c1), (e2, c2) in zip(ta, tb):
+        c = ord_cmp_by_terms(e1, e2)
+        if c != EQ:
+            return c
+        if c1 != c2:
+            return LT if c1 < c2 else GT
+    if len(ta) == len(tb):
+        return EQ
+    return LT if len(ta) < len(tb) else GT
+
+
+def ord_add_by_terms(a: Ordinal, b: Ordinal) -> Ordinal:
+    """The ordinal sum with the absorbed terms of `a` found by
+    `ord_cmp_by_terms`."""
+    if b.is_zero:
+        return a
+    if a.is_zero:
+        return b
+    e = b.leading_exp
+    keep = []
+    merge_coeff = 0
+    for exp, coeff in a.terms:
+        c = ord_cmp_by_terms(exp, e)
+        if c == GT:
+            keep.append((exp, coeff))
+        elif c == EQ:
+            merge_coeff = coeff
+            break
+        else:
+            break
+    if merge_coeff:
+        head = (e, merge_coeff + b.terms[0][1])
+        return _cnf(tuple(keep) + (head,) + b.terms[1:])
+    return _cnf(tuple(keep) + b.terms)
+
+
+def ord_natural_add_by_terms(a: Ordinal, b: Ordinal) -> Ordinal:
+    """The natural sum: all terms sorted by exponent with `ord_cmp_by_terms`,
+    the coefficients of equal exponents added; no ordinal is hashed."""
+    by_exp = functools.cmp_to_key(lambda s, t: ord_cmp_by_terms(s[0], t[0]))
+    merged = []
+    for exp, coeff in sorted(a.terms + b.terms, key=by_exp, reverse=True):
+        if merged and ord_cmp_by_terms(merged[-1][0], exp) == EQ:
+            merged[-1] = (exp, merged[-1][1] + coeff)
+        else:
+            merged.append((exp, coeff))
+    return _cnf(merged)
 
 
 def tau(k: int) -> Ordinal:

@@ -71,6 +71,9 @@ def test_ord(capsys):
     assert run(capsys, "ord", "w", "cmp", "2") == (0, "GT\n", "")
     assert run(capsys, "ord", "2", "add", "w", "--format", "json") == (0, '{"value": "w"}\n', "")
     assert run(capsys, "ord", "2", "add", "w", "--mode", "natural") == (0, "w+2\n", "")
+    for argv in (["1+w"], ["w", "mul", "2"], ["1", "cmp", "w"]):
+        err = expect_error(capsys, 2, "ord", *argv, "--mode", "natural")
+        assert err == "error: --mode natural applies only to 'add'\n"
     assert run(capsys, "ord", "w*\u0663+\u0663") == (0, "w*3+3\n", "")  # Arabic-Indic three
     expect_error(capsys, 2, "ord", "w+")
     # a superscript two is a digit to str.isdigit but not a decimal digit to int
@@ -352,6 +355,16 @@ def test_nesting_bound(capsys):
     assert run(capsys, "normalize", deep) == (0, '{"n": 2, "o": {"0,1": 64}}\n', "")
     code, out, _ = run(capsys, "ord", nest("w^(", "1", MAX_NESTING))
     assert code == 0 and out.count("w^") == MAX_NESTING - 1
+    # comparisons recurse once per level on both sides
+    for rhs, word in (("1", "EQ"), ("2", "LT"), ("0", "GT")):
+        assert run(capsys, "ord", nest("w^(", "1", MAX_NESTING), "cmp",
+                   nest("w^(", rhs, MAX_NESTING)) == (0, word + "\n", "")
+    # ranks at the pair value bound (64) and one step below it, sorted
+    at_bound, below = nest("E(", "1+1", 32), nest("E(", "1+1", 31)
+    (_, top, _), (_, low, _) = run(capsys, "rho", at_bound), run(capsys, "rho", below)
+    assert top.count("w^") == 63
+    assert run(capsys, "rho", f"{below}+{at_bound}") == (0, f"{top.strip()}+{low}", "")
+    assert run(capsys, "leq", at_bound, below) == (0, "false\n", "")
     for argv in (["rho", nest("E(", "1+1", MAX_NESTING + 1)],
                  ["normalize", nest("exp(", "1", MAX_NESTING + 1)],
                  ["rho", nest("(", "1", MAX_NESTING + 1)],

@@ -1,4 +1,6 @@
+import functools
 import itertools
+import operator
 import random
 
 import pytest
@@ -11,6 +13,7 @@ from sigcalc.ordinal import (
     ONE,
     ZERO,
     Ordinal,
+    OrdinalError,
     OrdinalParseError,
     ord_add,
     ord_cmp,
@@ -20,8 +23,8 @@ from sigcalc.ordinal import (
     ord_parse,
     ord_render,
 )
-from helpers import random_ordinal
-from oracles import tau
+from helpers import cnf_box, random_ordinal
+from oracles import ord_add_by_terms, ord_cmp_by_terms, ord_natural_add_by_terms, tau
 
 w = OMEGA
 
@@ -44,6 +47,40 @@ def test_ordinals_are_not_ints():
     three = Ordinal.from_int(3)
     assert three != 3 and 3 != three
     assert 3 not in {three} and three not in {3}
+    # a bool is not a coefficient: True would equal and hash as 1
+    for build in (lambda: Ordinal(((ZERO, True),)), lambda: Ordinal.from_int(True),
+                  lambda: Ordinal.from_int(False)):
+        with pytest.raises(OrdinalError):
+            build()
+
+
+def test_ordinals_are_their_term_tuples():
+    a = o("w^w*2 + 3")
+    assert a == ((w, 2), (ZERO, 3)) and hash(a) == hash(((w, 2), (ZERO, 3)))
+    assert not ZERO and ONE and w  # true exactly when nonzero
+
+
+def test_tuple_order_agrees_with_the_term_by_term_reference():
+    # The reference sorts the 723 ordinals of cnf_box(2, 2) into a chain, each
+    # one below the next, so its answer on any pair is the order of their
+    # places in the chain.  Each ordinal meets copies rebuilt at every level,
+    # so no comparison is settled by meeting the same object.
+    chain = sorted(cnf_box(2, 2), key=functools.cmp_to_key(ord_cmp_by_terms))
+    assert all(ord_cmp_by_terms(a, b) == LT for a, b in zip(chain, chain[1:]))
+    copies = [rechecked(a) for a in chain]
+    n = len(chain)
+    left = [a for a in chain for _ in range(n)]
+    right = copies * n
+    want = [(i > j) - (i < j) for i in range(n) for j in range(n)]
+    assert list(map(ord_cmp, left, right)) == want
+    assert list(map(operator.lt, left, right)) == [c == LT for c in want]
+    assert list(map(operator.eq, left, right)) == [c == EQ for c in want]
+    assert [hash(a) for a in chain] == [hash(b) for b in copies]
+    rng = random.Random(25)
+    for _ in range(2000):
+        a, b = random_ordinal(rng), random_ordinal(rng)
+        assert ord_add(a, b) == ord_add_by_terms(a, b)
+        assert ord_natural_add(a, b) == ord_natural_add_by_terms(a, b)
 
 
 def test_cmp_total_order_random():
