@@ -20,9 +20,9 @@ signature.MAX_BASE (256), read from the ordinal's normal form; `ea --target`
 takes an ordinal omega*a + n with finite part n at most MAX_EA_FINITE (1024),
 since its answer carries a coefficient 2^n (2^(n+1) for finite input).
 After the work, `materialize` exits 1 when the built signature has a pair
-value past signature.MAX_PAIR_VALUE (64), so what it prints is always a
-signature argument the other verbs take; and `ord` exits 1 when a sum or
-product has a coefficient past the interpreter's limit of digits.
+value past signature.MAX_PAIR_VALUE (64) and `ea --target` when its rank
+nests deeper than MAX_NESTING (100), so each prints what other verbs read;
+`ord` exits 1 when a sum or product has a coefficient past the digit limit.
 
 Limits met during the work, each with exit code 1 and a one-line message: a
 generating set has no pair oscillating more than signature.MAX_PAIR_VALUE
@@ -41,7 +41,7 @@ import os
 import sys
 
 from .ordinal import Ordinal, OrdinalError, OrdinalParseError, ord_cmp, ord_parse, ord_render
-from .ordinal import ord_add, ord_mul, ord_natural_add
+from .ordinal import MAX_NESTING, ONE, ord_add, ord_mul, ord_natural_add
 from .normalizer import (
     OutsideComputedFamily, ea_class, ea_to_xi, leq, materialize, materialized_base, normalize, rho)
 from .signature import (
@@ -209,14 +209,20 @@ def cmd_leq(args):
 MAX_EA_FINITE = 1024
 
 
+def _nesting(a: Ordinal) -> int:  # the levels ord_parse counts in ord_render(a)
+    return max((1 + _nesting(e) for e, _ in a if e and e != ONE), default=0)
+
+
 def cmd_ea(args):
     try:
         if args.target:
             alpha = load_ordinal(args.expr)
-            finite = alpha.terms[-1][1] if alpha.terms and alpha.terms[-1][0].is_zero else 0
+            finite = alpha[-1][1] if alpha and alpha[-1][0].is_zero else 0
             if finite > MAX_EA_FINITE:
                 raise CliError(f"finite part of the EA-class target is larger than {MAX_EA_FINITE}", 1)
             xi = ea_to_xi(alpha)
+            if _nesting(xi) > MAX_NESTING:
+                raise CliError(f"the target rank nests deeper than {MAX_NESTING} levels", 1)
             _emit(args, ord_render(xi), {"xi": ord_render(xi)})
         else:
             c = ea_class(load_ordinal(args.expr))

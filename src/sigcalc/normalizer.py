@@ -31,7 +31,7 @@ cleared after every call is no faster than with no memo.
 from __future__ import annotations
 
 import functools
-from typing import List, Tuple
+from typing import List
 
 from .ordinal import (
     ONE,
@@ -139,7 +139,7 @@ def materialize(xi: Ordinal) -> Signature:
     if xi == ONE:
         return ONE_SIG  # exp fixes one, so the recursion must bottom out here
     parts: List[Signature] = []
-    for beta, coeff in xi.terms:
+    for beta, coeff in xi:
         parts.extend([_block(beta)] * coeff)
     if not parts:
         return ZERO_SIG
@@ -159,7 +159,7 @@ def materialized_base(xi: Ordinal) -> int:
     omega^beta * c of c times the base size of materialize(1 + beta)."""
     if xi == ONE:
         return 1
-    return sum(coeff * materialized_base(ord_add(ONE, beta)) for beta, coeff in xi.terms)
+    return sum(coeff * materialized_base(ord_add(ONE, beta)) for beta, coeff in xi)
 
 
 def normalize(a: Signature) -> Signature:
@@ -222,9 +222,9 @@ def ea_class(xi: Ordinal) -> Ordinal:
         zeta = ord_log_omega(xi)
     except OrdinalError:
         raise OutsideComputedFamily("the rank is not an omega power")
-    if len(zeta.terms) != 1:
+    if len(zeta) != 1:
         raise OutsideComputedFamily("the rank's log is not a single normal-form term")
-    alpha, coeff = zeta.terms[0]
+    alpha, coeff = zeta[0]
     n = _factor_pow2(coeff)
     if n < 0:
         raise OutsideComputedFamily("the coefficient of the rank's log is not a power of two")
@@ -243,7 +243,7 @@ def ea_to_xi(alpha: Ordinal) -> Ordinal:
         return ord_omega_pow(Ordinal.from_int(2 ** (alpha.as_int() + 1)))
     n = 0
     aprime = ZERO
-    for beta, coeff in alpha.terms:
+    for beta, coeff in alpha:
         if beta.is_zero:
             n = coeff
         else:

@@ -65,10 +65,6 @@ class Ordinal(tuple):
         return Ordinal(((ZERO, n),))
 
     @property
-    def terms(self) -> "Ordinal":
-        return self
-
-    @property
     def is_zero(self) -> bool:
         return not self
 
@@ -80,12 +76,6 @@ class Ordinal(tuple):
         if not self.is_finite:
             raise OrdinalError(f"{self} is infinite")
         return self[0][1] if self else 0
-
-    @property
-    def leading_exp(self) -> "Ordinal":
-        if not self:
-            raise OrdinalError("0 has no leading exponent")
-        return self[0][0]
 
     def __repr__(self):
         return f"Ordinal({ord_render(self)!r})"

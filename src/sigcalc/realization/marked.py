@@ -49,10 +49,6 @@ class Bump:
         """((u, marker) open, [tpoint, v) half-open)."""
         return ((self.u, self.marker), (self.tpoint, self.v))
 
-    def __repr__(self):
-        s = "+" if self.sign > 0 else "-"
-        return f"Bump({s}, ({fmt(self.u)},{fmt(self.v)}), s={fmt(self.marker)})"
-
 
 class MarkedFn:
     """A nonidentity PL bijection with a chosen marker in each orbital."""

@@ -7,8 +7,8 @@ base {0,...,n-1} subject to the triple law (!): for i < j < k,
 
 where r = p ! q means r >= min(p-1, q) with equality unless p = q.  These
 matrices are exactly the ones realizable as pairwise oscillations of a
-standard generating set; the symbolic operations here (+, *, exp, E,
-rotation, inflation, restriction) mirror the geometric ones.
+standard generating set; the operations here (+, exp, rotation, inflation,
+restriction) and the terms `parse_term` reads mirror the geometric ones.
 
 `Signature` is the one matrix class.  `Signature(n, vals, labels)` takes the
 row-major values below and checks shape, then (!), where a matrix enters:
@@ -21,9 +21,9 @@ the violations of any matrix as `_trusted(n, vals).violations()`.
 Pair values are stored row-major: `vals` is o(0,1), ..., o(0,n-1), o(1,2),
 ..., o(n-2,n-1), so row i, holding o(i,i+1), ..., o(i,n-1), is one contiguous
 slice.  `_rows(a)` returns these n slices (the last one empty), and the
-operations that move whole blocks of a matrix (`sig_sum`, `sig_star`,
-`decompose`, `sig_restrict`, `sig_rotate`) and `violations` read and build
-their values row by row from it; in a row, o(i,j) is at position j-i-1 and
+operations that move whole blocks of a matrix (`sig_sum`, `decompose`,
+`sig_restrict`, `sig_rotate`) and `violations` read and build their values
+row by row from it; in a row, o(i,j) is at position j-i-1 and
 the top column o(i,n-1) is `row[-1]`.  `sig_inflate` builds its values in
 one pass over the new base, `enumerate_signatures` grows signatures kept as
 rows by one column at a time, and `sig_to_json` fills a text kept per base size.
@@ -184,15 +184,9 @@ def sig_sum(*parts: Signature) -> Signature:
     return _trusted(n, vals, labels)
 
 
-def sig_exp(a: Signature, levels: int = 1) -> Signature:
-    """Pointwise +levels; exp is levels=1 and E is levels=2."""
-    if levels < 1:
-        raise SignatureError("levels must be >= 1")
-    return _trusted(a.n, [v + levels for v in a.vals], a.labels)
-
-
-def sig_E(a: Signature) -> Signature:
-    return sig_exp(a, 2)
+def sig_exp(a: Signature) -> Signature:
+    """Pointwise +1, the exp of a term; its E is exp applied twice."""
+    return _trusted(a.n, [v + 1 for v in a.vals], a.labels)
 
 
 def is_all_positive(a: Signature) -> bool:
@@ -204,19 +198,6 @@ def sig_shift_down(a: Signature) -> Signature:
     if not is_all_positive(a):
         raise SignatureError("pointwise decrement needs an all-positive signature")
     return _trusted(a.n, [v - 1 for v in a.vals], a.labels)
-
-
-def sig_star(a: Signature, b: Signature) -> Signature:
-    """Concatenate with oscillation 1 across; b must be all-positive."""
-    if not is_all_positive(b):
-        raise SignatureError(_BAD_STAR)
-    ones = (1,) * b.n
-    vals: List[int] = []
-    for row in _rows(a):
-        vals += row
-        vals += ones
-    vals += b.vals  # b's rows, in order
-    return _trusted(a.n + b.n, vals)
 
 
 def decompose(a: Signature) -> List[Signature]:
@@ -243,8 +224,6 @@ def decompose(a: Signature) -> List[Signature]:
             break  # no split point beyond this one
         if frontier == i:
             cuts.append(i + 1)
-    if len(cuts) == 1:
-        return [a]
     cuts.append(a.n)
     parts = []
     for lo, hi in zip(cuts, cuts[1:]):

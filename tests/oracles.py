@@ -73,7 +73,7 @@ from sigcalc.ordinal import (
     ord_omega_pow)
 from sigcalc.signature import (
     MAX_BASE, ONE_SIG, ZERO_SIG, Signature, SignatureError, TermParseError, _pair_index, _pairs,
-    _trusted, bang_rel, is_all_positive, sig_E, sig_exp, sig_shift_down, sig_star, sig_sum)
+    _trusted, bang_rel, is_all_positive, sig_exp, sig_shift_down, sig_sum)
 from sigcalc.realization.genset import GenSet, _fast_ordered, is_fast, order_genset
 from sigcalc.realization.marked import MarkedFn, RealizationError, fn_rotate, is_standard_fn
 from sigcalc.realization.plmap import PLError, PLMap
@@ -495,7 +495,7 @@ def eval_term_pairwise(t: SigTerm) -> Signature:
         return sig_sum_pairwise(*args)
     if t.op == "star":
         return sig_star_pairwise(*args)
-    return sig_exp(args[0]) if t.op == "exp" else sig_E(args[0])
+    return sig_exp(args[0]) if t.op == "exp" else sig_exp(sig_exp(args[0]))
 
 
 class _RecursiveTermReader:
@@ -546,7 +546,7 @@ class _RecursiveTermReader:
             self.pos += 1
             right = self.atom()
             try:
-                value = sig_star(value, right)
+                value = sig_star_pairwise(value, right)
             except SignatureError as e:
                 self.star_error = self.star_error or e
         return value
@@ -569,7 +569,7 @@ class _RecursiveTermReader:
             return sig_exp(self.group())
         if ch == "E":
             self.pos += 1
-            return sig_E(self.group())
+            return sig_exp(sig_exp(self.group()))
         self.error("expected '0', '1', 'exp(', 'E(' or '('")
 
 
@@ -686,16 +686,15 @@ def rho_pairwise(a: Signature, mode: str = "sorted") -> Ordinal:
 def ord_cmp_by_terms(a: Ordinal, b: Ordinal) -> int:
     """The order of CNF ordinals compared term by term: exponent, then
     coefficient, then length; returns LT, EQ or GT."""
-    ta, tb = a.terms, b.terms
-    for (e1, c1), (e2, c2) in zip(ta, tb):
+    for (e1, c1), (e2, c2) in zip(a, b):
         c = ord_cmp_by_terms(e1, e2)
         if c != EQ:
             return c
         if c1 != c2:
             return LT if c1 < c2 else GT
-    if len(ta) == len(tb):
+    if len(a) == len(b):
         return EQ
-    return LT if len(ta) < len(tb) else GT
+    return LT if len(a) < len(b) else GT
 
 
 def ord_add_by_terms(a: Ordinal, b: Ordinal) -> Ordinal:
@@ -705,10 +704,10 @@ def ord_add_by_terms(a: Ordinal, b: Ordinal) -> Ordinal:
         return a
     if a.is_zero:
         return b
-    e = b.leading_exp
+    e = b[0][0]
     keep = []
     merge_coeff = 0
-    for exp, coeff in a.terms:
+    for exp, coeff in a:
         c = ord_cmp_by_terms(exp, e)
         if c == GT:
             keep.append((exp, coeff))
@@ -718,9 +717,9 @@ def ord_add_by_terms(a: Ordinal, b: Ordinal) -> Ordinal:
         else:
             break
     if merge_coeff:
-        head = (e, merge_coeff + b.terms[0][1])
-        return _cnf(tuple(keep) + (head,) + b.terms[1:])
-    return _cnf(tuple(keep) + b.terms)
+        head = (e, merge_coeff + b[0][1])
+        return _cnf(tuple(keep) + (head,) + b[1:])
+    return _cnf(tuple(keep) + b)
 
 
 def ord_natural_add_by_terms(a: Ordinal, b: Ordinal) -> Ordinal:
@@ -728,7 +727,7 @@ def ord_natural_add_by_terms(a: Ordinal, b: Ordinal) -> Ordinal:
     the coefficients of equal exponents added; no ordinal is hashed."""
     by_exp = functools.cmp_to_key(lambda s, t: ord_cmp_by_terms(s[0], t[0]))
     merged = []
-    for exp, coeff in sorted(a.terms + b.terms, key=by_exp, reverse=True):
+    for exp, coeff in sorted(a + b, key=by_exp, reverse=True):
         if merged and ord_cmp_by_terms(merged[-1][0], exp) == EQ:
             merged[-1] = (exp, merged[-1][1] + coeff)
         else:

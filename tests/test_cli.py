@@ -16,7 +16,8 @@ import pytest
 
 from sigcalc import cli, realization
 from sigcalc.ordinal import MAX_NESTING
-from sigcalc.signature import MAX_BASE, MAX_PAIR_VALUE, Signature, parse_term, sig_to_json
+from sigcalc.signature import (
+    MAX_BASE, MAX_PAIR_VALUE, Signature, parse_term, sig_from_json, sig_rotate, sig_to_json)
 from sigcalc.realization import RealizationError, build, diagram, genset_from_json, genset_to_json
 from helpers import nest
 from oracles import excise, fig_g_set
@@ -124,6 +125,18 @@ def test_ea_target_finite_part_bound(capsys):
     for alpha in ("1025", "20000", "w*3+1025", "w^w+" + "9" * 4000):
         err = expect_error(capsys, 1, "ea", alpha, "--target")
         assert err == "error: finite part of the EA-class target is larger than 1024\n"
+
+
+def test_ea_target_prints_only_ordinals_that_read_back(capsys):
+    # the answer nests deeper than the input: from 99 levels it reaches the
+    # bound, and past it ea --target refuses rather than print what ord refuses
+    code, out, _ = run(capsys, "ea", nest("w^(", "1", MAX_NESTING - 1), "--target")
+    assert code == 0
+    assert run(capsys, "ord", out.strip()) == (0, out, "")
+    err = expect_error(capsys, 2, "ord", f"({out.strip()})")  # one level more
+    assert f"nested deeper than {MAX_NESTING} levels" in err
+    err = expect_error(capsys, 1, "ea", nest("w^(", "1", MAX_NESTING), "--target")
+    assert err == f"error: the target rank nests deeper than {MAX_NESTING} levels\n"
 
 
 def test_materialize(capsys):
@@ -249,6 +262,18 @@ def test_rotate(capsys):
     expect_error(capsys, 2, "rotate", "E(")
     for doc in (NOT_FAST, NOT_SGEN, TWO_BUMPS):  # refused as signature refuses them
         expect_error(capsys, 1, "rotate", doc)
+
+
+def test_rotate_restricts_a_top_of_three_orbitals(capsys):
+    # realize's top function for o(0,1) = 3 has three orbitals, so rotating
+    # the set restricts it to its inner one
+    doc = '{"n": 2, "o": {"0,1": 3}}'
+    code, fns, _ = run(capsys, "realize", doc)
+    assert code == 0 and [len(f.orbitals) for f in genset_from_json(fns)] == [2, 3]
+    code, rotated, _ = run(capsys, "rotate", fns)
+    assert code == 0 and [len(f.orbitals) for f in genset_from_json(rotated)] == [1, 2]
+    code, out, _ = run(capsys, "signature", rotated)
+    assert code == 0 and sig_from_json(out) == sig_rotate(sig_from_json(doc)) == Signature(2, (2,))
 
 
 def test_format_only_on_the_verbs_that_read_it(capsys):
@@ -563,6 +588,15 @@ def test_path_that_cannot_be_read_is_a_parse_error(capsys, monkeypatch, tmp_path
     for verb in ("rho", "signature", "ord"):
         err = expect_error(capsys, 2, verb, str(path))
         assert err.startswith(f"error: cannot read {str(path)!r}: ")
+
+
+def test_a_file_wins_over_the_term_it_is_named(capsys, monkeypatch, tmp_path):
+    # an argument naming an existing file is read from the file, even when
+    # the argument is itself a valid term
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, "rho", "1") == (0, "1\n", "")
+    (tmp_path / "1").write_text("exp(1+1)")
+    assert run(capsys, "rho", "1") == (0, "w\n", "")
 
 
 @pytest.mark.parametrize("case", ["directory", "missing directory"])

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from sigcalc.signature import ONE_SIG, Signature, sig_E, sig_exp, sig_sum
+from sigcalc.signature import ONE_SIG, Signature, parse_term, sig_sum
 from sigcalc.realization import (
     PLMap, RealizationError, diagram, is_fast, realize, signature_of, to_dot)
 from sigcalc.realization.marked import MarkedFn, conjugate, make_bump_fn, square
@@ -18,7 +18,7 @@ def test_diagram_reflexive():
 
 
 def test_diagram_marking_independent():
-    fns = realize(sig_E(sig_sum(one, one)))
+    fns = realize(parse_term("E(1+1)"))
     remarked = []
     for f in fns:
         # tiny marker nudges keep the marking fast but move every foot
@@ -31,7 +31,7 @@ def test_diagram_marking_independent():
 
 def test_diagram_counts_contraction():
     # Brin-Navas pair: 2-orbital top contracts its middle feet to one vertex
-    fns = realize(sig_E(sig_sum(one, one)))
+    fns = realize(parse_term("E(1+1)"))
     d = diagram(fns)
     assert d.num_vertices == 5
     assert len(d.edges) == 3
@@ -46,7 +46,7 @@ def test_diagram_contracts_only_feet_of_one_function():
 
 def test_tau4_diagram_matches_drawing():
     # interleaved 3- and 4-orbital functions: 5 + 4 contracted inner vertices
-    fns = realize(sig_exp(sig_sum(one, one), 4))
+    fns = realize(parse_term("E(E(1+1))"))
     d = diagram(fns)
     assert d.num_vertices == 9
     assert len(d.edges) == 7
@@ -105,13 +105,13 @@ def test_excise_single_function_rule():
 
 
 def test_excise_preserves_signature():
-    fns = realize(sig_exp(sig_sum(one, one), 2))
+    fns = realize(parse_term("E(1+1)"))
     kept = excise(fns)
-    assert signature_of(kept) == sig_exp(sig_sum(one, one), 2)
+    assert signature_of(kept) == parse_term("E(1+1)")
 
 
 def test_section9_remark_excision():
-    pair = realize(sig_exp(sig_sum(one, one), 4))
+    pair = realize(parse_term("E(E(1+1))"))
     b, a = pair
     a2 = square(a, "a2")
     bw1 = conjugate(b, a.map.inverse().then(b.map.inverse()), "b1")
@@ -139,7 +139,7 @@ def _in_pow2(q, scale=1):
 
 
 def test_retrofit_diagram_unchanged():
-    for sig in (sig_E(sig_sum(one, one)), sig_exp(sig_sum(one, one), 4)):
+    for sig in (parse_term("E(1+1)"), parse_term("E(E(1+1))")):
         fns = realize(sig)
         fitted = retrofit_slopes(fns)
         assert diagram(fns) == diagram(fitted)

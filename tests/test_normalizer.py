@@ -36,17 +36,15 @@ from sigcalc.signature import (
     enumerate_signatures,
     is_all_positive,
     parse_term,
-    sig_E,
     sig_exp,
     sig_inflate,
     sig_restrict,
-    sig_star,
     sig_sum,
     sig_to_json,
 )
 from helpers import (
     bounded_signatures, cnf_box, fresh_rank_caches, random_ordinal, random_term, rank_terms)
-from oracles import decompose_pairwise, render_term, rho_pairwise, tau
+from oracles import decompose_pairwise, render_term, rho_pairwise, sig_star_pairwise, tau
 
 one = ONE_SIG
 
@@ -82,16 +80,16 @@ def test_rho_fig3():
 
 
 def test_rho_modes_differ_on_unsorted_sums():
-    s = sig_sum(one, sig_E(sig_sum(one, one)))
+    s = parse_term("1+E(1+1)")
     assert rho(s, "sorted") == o("w^w + 1")
     assert rho(s, "ordered") == o("w^w")
 
 
 def test_rho_mixed_case():
     # (one+one)*one reduces to one*one
-    assert rho(sig_star(sig_sum(one, one), one)) == OMEGA
+    assert rho(parse_term("(1+1)*1")) == OMEGA
     # a larger summand inside the left factor must enter through the exponent
-    s = sig_star(sig_sum(one, sig_E(sig_sum(one, one))), one)
+    s = parse_term("(1+E(1+1))*1")
     assert rho(s) == o("w^(w+1)")
 
 
@@ -164,8 +162,8 @@ def test_materialize_anchors():
     assert materialize(ZERO) == ZERO_SIG
     assert materialize(ONE) == one
     assert materialize(Ordinal.from_int(2)) == sig_sum(one, one)
-    assert materialize(o("w^w")) == sig_E(sig_sum(one, one))
-    assert materialize(OMEGA) == sig_star(one, one)
+    assert materialize(o("w^w")) == parse_term("E(1+1)")
+    assert materialize(OMEGA) == parse_term("1*1")
 
 
 def test_rho_materialize_round_trip():
@@ -192,7 +190,7 @@ def test_materialized_base_is_the_base_of_materialize():
 
 
 def test_normalize_examples():
-    bn = sig_E(sig_sum(one, one))
+    bn = parse_term("E(1+1)")
     assert normalize(bn) == bn
     assert normalize(sig_exp(sig_sum(one, sig_exp(sig_sum(one, one))))) == bn
     assert normalize(sig_sum(one, bn)) == sig_sum(bn, one)
@@ -233,7 +231,7 @@ def test_normalized_json_is_pinned():
 
 def test_is_reduced():
     assert is_reduced(sig_sum(one, one))
-    assert not is_reduced(sig_sum(one, sig_E(sig_sum(one, one))))
+    assert not is_reduced(parse_term("1+E(1+1)"))
     assert is_reduced(FIG3)
 
 
@@ -255,7 +253,7 @@ def test_leq():
     assert leq(FIG3, FIG3)
     assert leq(pair(4), pair(5))
     assert not leq(pair(5), pair(4))
-    bn = sig_E(sig_sum(one, one))
+    bn = parse_term("E(1+1)")
     for n in range(1, 6):
         assert leq(sig_sum(*([one] * n)), bn)
 
@@ -328,7 +326,8 @@ def test_rho_monotone_under_operations():
             if _leq_ordered(a, b):
                 assert _leq_ordered(sig_exp(a), sig_exp(b))
                 assert _leq_ordered(sig_sum(a, a), sig_sum(b, b))
-                assert _leq_ordered(sig_star(a, sig_exp(a)), sig_star(b, sig_exp(b)))
+                assert _leq_ordered(
+                    sig_star_pairwise(a, sig_exp(a)), sig_star_pairwise(b, sig_exp(b)))
 
 
 def test_rho_monotone_sorted_on_descending_forms():
@@ -340,8 +339,8 @@ def test_rho_monotone_sorted_on_descending_forms():
             if leq(a, b):
                 assert leq(sig_exp(a), sig_exp(b))
                 assert leq(sig_sum(a, a), sig_sum(b, b))
-    lhs = sig_sum(sig_star(one, one), one)
-    rhs = sig_sum(one, sig_star(one, one))
+    lhs = parse_term("1*1+1")
+    rhs = parse_term("1+1*1")
     assert rho(lhs) == rho(rhs)  # equal sorted ranks...
     assert ord_cmp(rho(sig_exp(lhs)), rho(sig_exp(rhs))) == GT  # ...but exp is ordered inside
 
@@ -349,7 +348,7 @@ def test_rho_monotone_sorted_on_descending_forms():
 def test_absorption_law():
     # rho(exp(X + Y)) = rho(exp(Y)) when rho(X) is absorbed by rho(Y)'s lead
     x = sig_sum(one, one)
-    y = sig_E(sig_sum(one, one))  # rank w^w absorbs 2
+    y = parse_term("E(1+1)")  # rank w^w absorbs 2
     assert rho(sig_exp(sig_sum(x, y)), "ordered") == rho(sig_exp(y), "ordered")
 
 
@@ -413,6 +412,6 @@ def test_star_rank_versus_ordinal_product():
         for b in ranks:
             if ord_cmp(b, a) == GT:
                 continue
-            star_rank = rho(sig_star(materialize(a), materialize(b)))
+            star_rank = rho(sig_star_pairwise(materialize(a), materialize(b)))
             agree = star_rank == ord_mul(a, b)
             assert agree == expected[(str(a), str(b))]

@@ -172,7 +172,7 @@ def test_omega_power_law_random():
 
 def rechecked(a: Ordinal) -> Ordinal:
     """a rebuilt through the checked constructor at every level of its exponents."""
-    return Ordinal((rechecked(e), c) for e, c in a.terms)
+    return Ordinal((rechecked(e), c) for e, c in a)
 
 
 def test_arithmetic_results_pass_the_checked_constructor():
@@ -204,7 +204,7 @@ def test_tau():
 
 def test_parse_examples():
     a = o("w^w + w*2 + 1")
-    assert a.terms == ((w, 1), (ONE, 2), (ZERO, 1))
+    assert a == ((w, 1), (ONE, 2), (ZERO, 1))
     assert o("w^(w^(w+2))") == ord_omega_pow(ord_omega_pow(o("w+2")))
 
 

@@ -12,10 +12,6 @@ from sigcalc.signature import (
     Signature,
     enumerate_signatures,
     parse_term,
-    sig_E,
-    sig_exp,
-    sig_star,
-    sig_sum,
 )
 from sigcalc.realization import (
     NotSgenError,
@@ -146,7 +142,7 @@ def test_classify_disjoint():
 
 
 def test_classify_brin_navas_pair():
-    b, a = realize(sig_E(sig_sum(one, one)))
+    b, a = realize(parse_term("E(1+1)"))
     info = classify_pair(b, a)
     assert (info.order, info.fast, info.oscillation, info.standard) == ("in", True, 2, True)
 
@@ -207,12 +203,11 @@ def test_walk_agrees_with_recursive_definition():
 def test_bump_feet_are_ordered(realized_n5):
     """u < marker < tpoint < v for every bump: MarkedFn.bumps derives tpoint
     without a check.  Over the n = 5 sets and the sets tests/test_words.py uses."""
-    r = sig_E(sig_sum(one, one))  # materialize(w^w)
     sets = list(realized_n5) + [fig_g_set(), fig_bz_set(), [TWO_BUMPS]]
     sets += [retrofit_slopes(fig_g_set())]
     sets += [realize(s) for s in enumerate_signatures(3, 3)]
-    sets += [realize(s) for s in (sig_star(one, one), sig_star(r, r), sig_sum(one, one),
-                                  sig_star(pair(2), one), Signature(3, (1, 1, 1)))]
+    sets += [realize(parse_term(t)) for t in ("1*1", "E(1+1)*E(1+1)", "1+1", "E(1+1)*1")]
+    sets += [realize(Signature(3, (1, 1, 1)))]
     sets += [[canonical_bump(F(1, 8), F(3, 8)), canonical_bump(F(1, 2), F(7, 8))]]
     signs = set()
     for fns in sets:
@@ -243,7 +238,7 @@ def test_realize_trivial():
 
 
 def test_realize_brin_navas_matches_figure():
-    fns = realize(sig_E(sig_sum(one, one)))
+    fns = realize(parse_term("E(1+1)"))
     assert [len(f.orbitals) for f in fns] == [1, 2]
     assert [b.sign for b in fns[1].bumps] == [-1, 1]
     # inner bump straddles the top's expansion point
@@ -254,7 +249,7 @@ def test_realize_brin_navas_matches_figure():
 
 def test_realize_tower_pairs_match_figure():
     for k in (4, 5):
-        fns = realize(sig_exp(sig_sum(one, one), k))
+        fns = realize(pair(k))
         assert [len(f.orbitals) for f in fns] == [k - 1, k]
         signs = [b.sign for b in fns[1].bumps]
         assert signs == [-1] * (k // 2) + [1] * (k - k // 2)
@@ -301,7 +296,7 @@ def test_realize_checks_its_round_trip_against_the_input(monkeypatch):
     monkeypatch.setattr(Signature, "violations", counting_violations)
     assert signature_of(realize(SIG5)) == SIG5 and len(checked) == 1  # signature_of's
     cases = [(sig, realize(other)) for sig, other in (
-        (pair(1), sig_E(sig_sum(one, one))), (pair(1), one), (SIG5, pair(3)))]
+        (pair(1), parse_term("E(1+1)")), (pair(1), one), (SIG5, pair(3)))]
     for sig, built in cases:
         monkeypatch.setattr(build, "_build", lambda s, built=built: built)
         with pytest.raises(RealizationError, match="realization round trip failed: built "):
@@ -570,11 +565,11 @@ def test_dir_sum_char_at_pl_level():
 
 
 def test_genset_json_round_trip():
-    fns = realize(sig_E(sig_sum(one, one)))
+    fns = realize(parse_term("E(1+1)"))
     back = genset_from_json(genset_to_json(fns))
     assert [f.map for f in back] == [f.map for f in fns]
     assert [f.markers for f in back] == [f.markers for f in fns]
-    assert signature_of(back) == sig_E(sig_sum(one, one))
+    assert signature_of(back) == parse_term("E(1+1)")
     # the sets the words benchmark reads back: the reader's maps carry the
     # slopes its one pass computed, which must be the ones derived afresh
     sigs = enumerate_signatures(3, 3)

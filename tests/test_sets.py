@@ -6,7 +6,7 @@ from sigcalc.signature import (
     ONE_SIG,
     Signature,
     enumerate_signatures,
-    sig_E,
+    parse_term,
     sig_inflate,
     sig_rotate,
     sig_sum,
@@ -45,7 +45,7 @@ def test_inflation_commutes_with_signature():
 
 
 def test_inflation_cardinality():
-    s = sig_E(sig_sum(one, one))
+    s = parse_term("E(1+1)")
     fns = realize(s)
     for m in range(2):
         below = sum(1 for i in range(m) if s.val(i, m) > 0)

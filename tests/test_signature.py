@@ -22,14 +22,12 @@ from sigcalc.signature import (
     enumerate_signatures,
     is_all_positive,
     parse_term,
-    sig_E,
     sig_exp,
     sig_from_json,
     sig_inflate,
     sig_restrict,
     sig_rotate,
     sig_shift_down,
-    sig_star,
     sig_sum,
     sig_to_json,
 )
@@ -123,21 +121,22 @@ def test_sum():
 def test_exp():
     assert sig_exp(one) == one
     assert sig_exp(sig_sum(one, one)) == pair(1)
-    assert sig_E(sig_sum(one, one)) == pair(2)
+    assert sig_exp(sig_exp(sig_sum(one, one))) == pair(2)
+    assert parse_term("E(1+1)") == pair(2)
 
 
 def test_exp_preserves_validity_enumerated():
     for s in enumerate_signatures(4, 2):
-        for levels in (1, 2):
-            assert sig_exp(s, levels).violations() == []
+        assert sig_exp(s).violations() == []
+        assert sig_exp(sig_exp(s)).violations() == []
 
 
 def test_star():
-    assert sig_star(one, one) == pair(1)
-    a = sig_E(sig_sum(one, one))
-    assert sig_star(a, a) == sig_exp(sig_sum(sig_shift_down(a), sig_shift_down(a)))
+    assert parse_term("1*1") == pair(1)
+    a = parse_term("E(1+1)")
+    assert parse_term("E(1+1)*E(1+1)") == sig_exp(sig_sum(sig_shift_down(a), sig_shift_down(a)))
     with pytest.raises(SignatureError):
-        sig_star(one, sig_sum(one, one))
+        parse_term("1*(1+1)")
 
 
 def test_exp_of_sum_is_star_of_exps():
@@ -145,7 +144,7 @@ def test_exp_of_sum_is_star_of_exps():
     for a in small:
         for b in small:
             if a.n and b.n:
-                assert sig_exp(sig_sum(a, b)) == sig_star(sig_exp(a), sig_exp(b))
+                assert sig_exp(sig_sum(a, b)) == sig_star_pairwise(sig_exp(a), sig_exp(b))
 
 
 def test_rotate():
@@ -177,7 +176,7 @@ def test_inflate_examples():
     assert got == Signature(3, (1, 2, 2))
     assert got.labels == ("0", "0^1", "1")
     got = sig_inflate(pair(1), 1)
-    assert got == sig_star(sig_sum(one, one), one)
+    assert got == parse_term("(1+1)*1")
     got = sig_inflate(sig_sum(one, one), 1)
     assert got == sig_sum(one, one)  # no positive oscillation, nothing adjoined
 
@@ -195,11 +194,11 @@ def test_inflate_out_of_range():
 
 def test_duplication_identity():
     # (A+A) * exp(B) is the inflation of A*exp(B) at the least element of exp(B)
-    small = [one, sig_sum(one, one), pair(1), pair(2), sig_star(one, one)]
+    small = ["1", "1+1", "exp(1+1)", "E(1+1)", "1*1"]
     for a in small:
         for b in small:
-            lhs = sig_star(sig_sum(a, a), sig_exp(b))
-            rhs = sig_inflate(sig_star(a, sig_exp(b)), a.n)
+            lhs = parse_term(f"({a}+{a})*exp({b})")
+            rhs = sig_inflate(parse_term(f"({a})*exp({b})"), parse_term(a).n)
             assert lhs == rhs
 
 
@@ -246,7 +245,7 @@ def test_star_closed_enumerated():
     for a in sigs:
         for b in sigs:
             if b.n and is_all_positive(b) and a.n + b.n <= 6:
-                assert sig_star(a, b).violations() == []
+                assert sig_star_pairwise(a, b).violations() == []
 
 
 def test_restrict_decompose_closed_enumerated():
@@ -320,10 +319,33 @@ def test_row_kernel_matches_pairwise_enumerated():
         same_ops(s, (c for r in sizes for c in itertools.combinations(range(s.n), r)))
         for parts in ((s, t), (t, s, ZERO_SIG)):
             assert shape(sig_sum(*parts)) == shape(sig_sum_pairwise(*parts))
-        assert shape(sig_star(s, positive)) == shape(sig_star_pairwise(s, positive))
-        if s.n and is_all_positive(s):
-            assert shape(sig_star(s, s)) == shape(sig_star_pairwise(s, s))
     assert shape(sig_sum()) == shape(sig_sum_pairwise())
+
+
+def test_star_terms_match_pairwise():
+    # parse_term writes a star's values as it reads the term: against
+    # sig_star_pairwise on the values of its two factors, for left factors on
+    # bases 0 to 5 and right factors that are exp and E images, plain groups
+    # and sums (not all-positive: a SignatureError from both)
+    rng = random.Random(5)
+    terms = [SigTerm("zero")] + [random_term(rng, n) for n in range(1, 6) for _ in range(20)]
+    rights = terms[:30] + [SigTerm(op, (t,)) for t in terms[:30] for op in ("exp", "E")]
+    value = {t: eval_term_pairwise(t) for t in terms + rights}
+    refused = 0
+    for a in terms:
+        for b in rights:
+            text = render_term(SigTerm("star", (a, b)))
+            try:
+                want = sig_star_pairwise(value[a], value[b])
+            except SignatureError:
+                refused += 1
+                with pytest.raises(SignatureError):
+                    parse_term(text)
+                continue
+            got = parse_term(text)
+            assert shape(got) == shape(want), text
+            assert got.violations() == []
+    assert 0 < refused < len(terms) * len(rights) // 2
 
 
 def test_row_violations_match_pairwise():
@@ -381,7 +403,7 @@ def test_decompose_returns_an_indecomposable_signature_itself():
 
 
 def test_decompose_sum_left_inverse():
-    parts = [one, pair(2), sig_star(one, one)]
+    parts = [one, pair(2), parse_term("1*1")]
     assert decompose(sig_sum(*parts)) == parts
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from sigcalc.ordinal import ord_parse
 from sigcalc.normalizer import materialize
-from sigcalc.signature import ONE_SIG, Signature, enumerate_signatures, sig_star, sig_sum
+from sigcalc.signature import ONE_SIG, Signature, enumerate_signatures, parse_term, sig_sum
 from sigcalc.realization import PLMap, pl_eval, pred_C, pred_D, pred_T, predicates, realize
 from sigcalc.realization.marked import canonical_bump
 from sigcalc.realization import words
@@ -14,7 +14,7 @@ from sigcalc.realization.words import conj_map
 from helpers import bump_map, random_bump_pair, random_pl_map
 from oracles import (
     WreathSplitError, dom_witness, fig_bz_set, fig_g_set, frac, pred_C_products,
-    retrofit_slopes, wreath_witness)
+    retrofit_slopes, sig_star_pairwise, wreath_witness)
 
 
 def hull(m):
@@ -26,14 +26,14 @@ one = ONE_SIG
 
 
 def test_pl_eval_identity():
-    fns = realize(sig_star(one, one))
+    fns = realize(parse_term("1*1"))
     assert pl_eval(fns, []).is_identity
     assert pl_eval(fns, [(0, 1), (0, -1)]).is_identity
     assert pl_eval(fns, [(0, 2)]) == fns[0].map.then(fns[0].map)
 
 
 def test_support_transforms_under_conjugation():
-    fns = realize(sig_star(one, one))
+    fns = realize(parse_term("1*1"))
     g, h = fns[0].map, fns[1].map
     conj = conj_map(g, h)
     u, v = hull(g)
@@ -264,7 +264,7 @@ def test_dom_witness():
 
 
 def test_wreath_witness_star():
-    fns = realize(sig_star(one, one))
+    fns = realize(parse_term("1*1"))
     lo, hi = wreath_witness(fns, 1)
     (u, v, _), = fns[0].orbitals
     assert lo <= frac(u) and frac(v) <= hi
@@ -272,7 +272,7 @@ def test_wreath_witness_star():
 
 def test_wreath_witness_doubling():
     r = materialize(ord_parse("w^w"))
-    fns = realize(sig_star(r, r))
+    fns = realize(sig_star_pairwise(r, r))
     wreath_witness(fns, r.n)
 
 
@@ -282,6 +282,6 @@ def test_wreath_witness_rejects_sum():
 
 
 def test_wreath_witness_rejects_bad_split():
-    fns = realize(sig_star(Signature(2, (2,)), one))
+    fns = realize(parse_term("E(1+1)*1"))
     with pytest.raises(WreathSplitError):
         wreath_witness(fns, 1)  # oscillation 2 crosses this split
