@@ -199,15 +199,6 @@ def leq(a: Signature, b: Signature) -> bool:
     return rho(a, "sorted") <= rho(b, "sorted")
 
 
-def _factor_pow2(c: int) -> int:
-    """n with c = 2^n, or -1 if c is not a power of two."""
-    n = 0
-    while c % 2 == 0:
-        c //= 2
-        n += 1
-    return n if c == 1 else -1
-
-
 def ea_class(xi: Ordinal) -> Ordinal:
     """EA-class of the group of rank xi, on the computed family.
 
@@ -225,9 +216,9 @@ def ea_class(xi: Ordinal) -> Ordinal:
     if len(zeta) != 1:
         raise OutsideComputedFamily("the rank's log is not a single normal-form term")
     alpha, coeff = zeta[0]
-    n = _factor_pow2(coeff)
-    if n < 0:
+    if coeff & (coeff - 1):
         raise OutsideComputedFamily("the coefficient of the rank's log is not a power of two")
+    n = coeff.bit_length() - 1
     if alpha.is_zero:
         return Ordinal.from_int(n + 1)
     return ord_add(ord_mul(OMEGA, alpha), Ordinal.from_int(n + 2))

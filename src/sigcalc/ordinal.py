@@ -10,8 +10,9 @@ that differs decides, by exponent and then by coefficient, and a proper
 prefix is the smaller.  So `Ordinal` is a `tuple` subclass, and ==, <, hash
 and sorting are tuple's own.
 
-`Ordinal(terms)` checks that form; the arithmetic builds its results, which
-are in normal form by construction, with the unchecked `_cnf`.
+`Ordinal(terms)` checks that form and `Ordinal.from_int(n)` its integer;
+results in normal form by construction, those of the arithmetic and of
+`from_int`, are built with the unchecked `_cnf`.
 """
 
 from __future__ import annotations
@@ -56,13 +57,13 @@ class Ordinal(tuple):
 
     @staticmethod
     def from_int(n: int) -> "Ordinal":
-        if isinstance(n, bool):
+        if type(n) is bool or not isinstance(n, int):
             raise OrdinalError(f"bad CNF coefficient {n!r}")
         if n < 0:
             raise OrdinalError("ordinals are nonnegative")
         if n == 0:
             return ZERO
-        return Ordinal(((ZERO, n),))
+        return _cnf(((ZERO, n),))
 
     @property
     def is_zero(self) -> bool:

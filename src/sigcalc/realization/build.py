@@ -41,14 +41,14 @@ def realize(sig: Signature) -> GenSet:
     except RecursionError:
         raise RealizationError(
             "signature too deep to realize: its build nests past the recursion limit") from None
-    fns = [f.rename(lbl) for f, lbl in zip(built, sig.default_labels())]
     # the walk checks fastness and standardness; values equal to the checked
-    # input's satisfy (!), so they need no Signature of their own
-    built, vals = _standard_walk(fns)
+    # input's satisfy (!), so they need no Signature of their own.  It walks
+    # the cached set, so the renamed copies share the bumps it derives.
+    _, vals = _standard_walk(built)
     if (len(built), tuple(vals)) != (sig.n, sig.vals):
         raise RealizationError(
             f"realization round trip failed: built {_trusted(len(built), vals)!r} for {sig!r}")
-    return fns
+    return [f.rename(lbl) for f, lbl in zip(built, sig.default_labels())]
 
 
 @functools.lru_cache(maxsize=BUILD_CACHE_SIZE)

@@ -14,12 +14,13 @@ cross-multiplication, never as tuples.
 markers with `ratio` and checks one inside each of the map's orbitals.
 Functions carried over from a valid one go through `MarkedFn._trusted`,
 which takes the map and markers as given and checks nothing: a renamed copy
-(`rename`), an affine copy (`rescale_fn`), the restriction of a function
-with more than two orbitals to its inner ones (`fn_rotate`), and a
-two-piece bump whose parameters `make_bump_fn` has checked.  The last three
-build their maps with the unchecked `PLMap._make`, handing it the orbitals
-they know, as transport and checked parameters keep breakpoints increasing;
-tests compare each with the checked constructors.  `orbitals` is the map's
+(`rename`), a conjugate and a square, whose maps are compositions, an
+affine copy (`rescale_fn`), the restriction of a function with more than
+two orbitals to its inner ones (`fn_rotate`), and a two-piece bump whose
+parameters `make_bump_fn` has checked.  The last three build their maps
+with the unchecked `PLMap._make`, handing it the orbitals they know, as
+transport and checked parameters keep breakpoints increasing; tests
+compare each with the checked constructors.  `orbitals` is the map's
 own tuple, computed at most once per map.  Bumps (once, on first use) and
 the extreme transition points are derived from the stored orbitals, and
 `_rotation` derives a rotation's orbitals and markers, which `fn_rotate` maps.
@@ -187,16 +188,16 @@ def fn_rotate(f: MarkedFn) -> MarkedFn:
 
 
 def conjugate(f: MarkedFn, w: PLMap, name: Optional[str] = None) -> MarkedFn:
-    """f conjugated by w (apply w-inverse, f, then w); markers move by w."""
-    return MarkedFn(conj_map(f.map, w), [w._at(*s) for s in f.markers], name)
+    """f conjugated by w (apply w-inverse, f, then w); markers move by w,
+    which carries f's orbitals onto the conjugate's in order."""
+    return MarkedFn._trusted(conj_map(f.map, w), tuple(w._at(*s) for s in f.markers), name)
 
 
 def square(f: MarkedFn, name: Optional[str] = None) -> MarkedFn:
-    """f composed with itself; markers of positive bumps are retained and
-    markers of negative bumps move by f."""
-    smap = f.map.then(f.map)
-    markers = [b.marker if b.sign > 0 else f.map._at(*b.marker) for b in f.bumps]
-    return MarkedFn(smap, markers, name)
+    """f composed with itself, which has f's orbitals; markers of positive
+    bumps are retained and markers of negative bumps move by f within them."""
+    markers = tuple(b.marker if b.sign > 0 else f.map._at(*b.marker) for b in f.bumps)
+    return MarkedFn._trusted(f.map.then(f.map), markers, name)
 
 
 def rescale_fn(f: MarkedFn, lo, hi) -> MarkedFn:

@@ -21,11 +21,11 @@ checks a string by hand against the grammar that the regular expression
 other map is built by the unchecked `PLMap._make`: `identity`; `inverse`,
 since swapping the coordinates of an increasing map keeps it increasing;
 the affine copies, restrictions and bumps of `marked`; and compositions,
-whose points are checked inside the merge kernel, `_merge`, each against
-the one before it as the point is emitted, so `then` (and powers) drain
-`_merge` into `_make`.  `_merge` is the one composition loop:
-`words.pred_C` runs two of them side by side and stops at the first
-breakpoint where they differ.  It reduces what it computes with `gcd` in line.
+since a composition of increasing maps increases, so `then` (and powers)
+drain the merge kernel, `_merge`, into `_make`.  `_merge` is the one
+composition loop: `words.pred_C` runs two of them side by side and stops at
+the first breakpoint where they differ.  It reduces what it computes with
+`gcd` in line.
 
 Slopes are reduced (p, q) pairs, derived once per map: the checked
 constructor keeps the ones it computes to drop collinear points, `_merge`
@@ -48,9 +48,6 @@ Pair = Tuple[int, int]  # a reduced n/d, d > 0
 
 class PLError(ValueError):
     pass
-
-
-_NOT_INCREASING = "breakpoints must be strictly increasing in both coordinates"
 
 
 def _reduced(n: int, d: int) -> Tuple[int, int]:
@@ -130,7 +127,7 @@ def _canonical(points: Iterable):
         (axn, axd, ayn, ayd), (bxn, bxd, byn, byd) = out[-1], b
         p, q = (byn * ayd - ayn * byd) * axd * bxd, (bxn * axd - axn * bxd) * ayd * byd
         if p <= 0 or q <= 0:
-            raise PLError(_NOT_INCREASING)
+            raise PLError("breakpoints must be strictly increasing in both coordinates")
         s = p // (g := gcd(p, q)), q // g
         if slopes and s == slopes[-1]:  # collinear: out[-2] to b keeps the slope
             out[-1] = b
@@ -228,8 +225,8 @@ class PLMap:
     def _merge(self, other: "PLMap", slopes: List[Pair]) -> Iterator[Tuple[int, int, int, int]]:
         """The breakpoints of apply-self-then-other after (0,0), in order, as
         (xn, xd, yn, yd); the slope of each segment is appended to `slopes`
-        once known.  Each point is checked to increase on the one before it,
-        and is final when yielded: no later step removes it.
+        once known.  Each point is final when yielded: no later step removes
+        it.
 
         One merge of self's y-values with other's x-values: between two
         consecutive merged values the composition is affine with slope
@@ -248,7 +245,6 @@ class PLMap:
         p, q = sa[0][0] * sb[0][0], sa[0][1] * sb[0][1]  # the result's current slope
         p, q = p // (g := gcd(p, q)), q // g
         slopes.append((p, q))
-        pxn, pxd, pyn, pyd = 0, 1, 0, 1  # the last point emitted
         while i < last_a or j < last_b:
             # step past the next merged value on each map with a breakpoint
             # there; it becomes the start of that map's current segment
@@ -271,15 +267,10 @@ class PLMap:
                 continue
             else:
                 yn, yd = vn, vd
-            if xn * pxd <= pxn * xd or yn * pyd <= pyn * yd:
-                raise PLError(_NOT_INCREASING)
             yield xn, xd, yn, yd
-            pxn, pxd, pyn, pyd = xn, xd, yn, yd
             p, q = ap * bp, aq * bq
             p, q = p // (g := gcd(p, q)), q // g
             slopes.append((p, q))
-        if pxn >= pxd or pyn >= pyd:  # (1,1) does not exceed the last point
-            raise PLError(_NOT_INCREASING)
         yield 1, 1, 1, 1
 
     def __pow__(self, k: int) -> "PLMap":

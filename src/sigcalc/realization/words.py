@@ -41,19 +41,14 @@ def pred_C(x: PLMap, y: PLMap) -> bool:
 
     Maps are stored minimal, so equal breakpoint streams mean equal maps;
     both streams end at (1,1), which no earlier point can equal, so one that
-    stops early differs from the other there.  Every point compared is
-    checked to increase, but points past the first difference are not
-    computed: on a map whose coordinates do not increase (which only
-    `PLMap._make` can build; JSON and CLI input pass the checked
-    constructor) this can return False where `then` would raise."""
+    stops early differs from the other there."""
     if x.is_identity or y.is_identity:
         return True
     return all(map(eq, x._merge(y, []), y._merge(x, [])))
 
 
 def pred_D(x: PLMap, y: PLMap) -> bool:
-    """Not C(x,y), and C(x, x conjugated by y) by `_commutes_with_conjugate`,
-    which trusts, as `pred_C` does, that the maps increase."""
+    """Not C(x,y), and C(x, x conjugated by y) by `_commutes_with_conjugate`."""
     return not pred_C(x, y) and _commutes_with_conjugate(x, x, y)
 
 
@@ -67,9 +62,7 @@ def _commutes_with_conjugate(a: PLMap, b: PLMap, c: PLMap) -> bool:
     b's orbitals, or b moves the c-preimage of an end of a's, since
     commuting increasing maps with finitely many orbitals fix each other's
     orbital ends.  Only otherwise is the conjugate built and compared by
-    `pred_C`.  Like `pred_C`, this trusts that the maps increase: on one
-    made by `PLMap._make` whose coordinates do not, it can answer where
-    `conj_map` would raise."""
+    `pred_C`."""
     ao, bo = a._orbitals(), b._orbitals()
     co = [(c._at(*u), c._at(*v)) for u, v, _ in bo]
     i = j = 0

@@ -599,6 +599,22 @@ def test_a_file_wins_over_the_term_it_is_named(capsys, monkeypatch, tmp_path):
     assert run(capsys, "rho", "1") == (0, "w\n", "")
 
 
+def test_a_file_argument_is_read_up_to_the_bound(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(cli, "MAX_ARG_CHARS", 5)
+    at, past = tmp_path / "at", tmp_path / "past"
+    at.write_text("1+1+1")
+    past.write_text("1+1+1\n")
+    assert run(capsys, "rho", str(at)) == (0, "3\n", "")
+    err = expect_error(capsys, 2, "rho", str(past))
+    assert err == f"error: {str(past)!r} holds more than 5 characters\n"
+
+
+def test_an_endless_file_argument_is_a_parse_error(capsys):
+    # read up to the real bound, so the reader stops and exits at once
+    err = expect_error(capsys, 2, "rho", "/dev/zero")
+    assert err == f"error: '/dev/zero' holds more than {cli.MAX_ARG_CHARS} characters\n"
+
+
 @pytest.mark.parametrize("case", ["directory", "missing directory"])
 def test_output_path_that_cannot_be_written_is_a_parse_error(capsys, tmp_path, case):
     path = tmp_path if case == "directory" else tmp_path / "missing" / "out.json"

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -8,7 +9,7 @@ from helpers import DENOMINATORS, bump_map, random_bump_pair, random_fractions, 
 from oracles import (
     _slopes, commutator, compose_pointwise, eval_pointwise, increasing_points, power_pointwise,
     pred_C_products, ratio_by_regex, swapped)
-from sigcalc.realization import PLMap, pl_eval, pred_C, realize
+from sigcalc.realization import PLMap, genset_from_json, pl_eval, pred_C, realize
 from sigcalc.realization.plmap import PLError, ratio
 from sigcalc.signature import enumerate_signatures
 
@@ -119,18 +120,6 @@ def test_merge_yields_the_composition():
             where = f"case {i} of seed {seed!r}"
             assert (0, 1, 0, 1) + tuple(c for p in points for c in p) == xy._bp, where
             assert tuple(slopes) == xy.slopes == int_slopes(xy), where
-
-
-def test_composition_checks_every_point():
-    # made without the check: y falls from 3/4 to 1/2, and y reaches 1 at
-    # 1/2, so that only the last point, (1,1), fails to increase
-    b = PLMap._make((0, 1, 0, 1, 1, 2, 3, 4, 3, 4, 1, 2, 1, 1, 1, 1))
-    flat = PLMap._make((0, 1, 0, 1, 1, 2, 1, 1, 1, 1, 1, 1))
-    g = PLMap([(0, 0), (F(1, 4), F(1, 2)), (1, 1)])
-    for compute in (lambda: b.then(b), lambda: b.then(g), lambda: g.then(b),
-                    lambda: pred_C(b, b), lambda: g.then(flat)):
-        with pytest.raises(PLError):
-            compute()
 
 
 def with_collinear_points(rng):
@@ -302,6 +291,41 @@ def test_then_matches_pointwise_reference(seed):
         assert f.then(f_inv).is_identity
         # f's breakpoints cancel against f-inverse's and merge away
         assert f.then(compose_pointwise(f_inv, h)) == h
+
+
+def test_then_matches_pointwise_reference_on_realized_pairs():
+    """Composition checks no point, so every ordered pair of maps within a
+    realized set with n <= 4 and values <= 3, each rebuilt by `_make` from
+    its breakpoints alone, composes to the checked reference."""
+    pairs = 0
+    for s in (s for n in range(1, 5) for s in enumerate_signatures(n, 3)):
+        maps = [PLMap._make(f.map._bp) for f in realize(s)]
+        for f, g in itertools.product(maps, repeat=2):
+            fg = f.then(g)
+            assert fg == compose_pointwise(f, g), s
+            assert fg.slopes == int_slopes(fg), s
+            pairs += 1
+    assert pairs == 2455
+
+
+def test_then_matches_pointwise_reference_on_word_products(monkeypatch):
+    """The products the seed-1 `words` benchmark composes: each word letter
+    by letter, and x then y and y then x, as `pred_C` merges them."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    from inputs import words_ops
+
+    gensets, ops = words_ops(1, 400)
+    sets = [genset_from_json(text) for text in gensets]
+    for i, op in enumerate(ops):
+        fns = sets[op["genset"]]
+        x, y, z = (pl_eval(fns, op[w]) for w in "xyz")
+        for w, m in zip("xyz", (x, y, z)):
+            want = PLMap.identity()
+            for idx, exp in op[w]:
+                want = compose_pointwise(want, power_pointwise(fns[idx].map, exp))
+            assert m == want, f"op {i}, word {w}"
+        assert x.then(y) == compose_pointwise(x, y), f"op {i}"
+        assert y.then(x) == compose_pointwise(y, x), f"op {i}"
 
 
 def test_inverse_and_powers_match_pointwise_reference():

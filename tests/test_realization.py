@@ -284,8 +284,9 @@ def test_build_cache_is_bounded(monkeypatch):
 
 
 def test_realize_checks_its_round_trip_against_the_input(monkeypatch):
-    # the built set's walk is compared with the checked input, so (!) is not
-    # checked again; a set of another signature is still refused
+    # the built set's walk is compared with the checked input, and a
+    # standard set's oscillations satisfy (!), so neither realize nor
+    # signature_of checks (!) again; a set of another signature is still refused
     checked = []
     violations = Signature.violations
 
@@ -294,7 +295,7 @@ def test_realize_checks_its_round_trip_against_the_input(monkeypatch):
         return violations(self)
 
     monkeypatch.setattr(Signature, "violations", counting_violations)
-    assert signature_of(realize(SIG5)) == SIG5 and len(checked) == 1  # signature_of's
+    assert signature_of(realize(SIG5)) == SIG5 and checked == []
     cases = [(sig, realize(other)) for sig, other in (
         (pair(1), parse_term("E(1+1)")), (pair(1), one), (SIG5, pair(3)))]
     for sig, built in cases:
@@ -321,6 +322,19 @@ def test_realize_computes_orbitals_once_per_function(monkeypatch):
     assert signature_of(realize(SIG5)) == SIG5
     assert counts["fns"] > SIG5.n
     assert counts["orbitals"] == counts["fns"]
+
+
+def test_a_second_realize_derives_no_bump(monkeypatch):
+    # realize walks the cached set before renaming it, so every renamed copy
+    # shares the bumps the first walk derived
+    _fresh_build_cache(monkeypatch)
+    first = realize(SIG5)
+    made = []
+    init = marked.Bump.__init__
+    monkeypatch.setattr(marked.Bump, "__init__", lambda self, *a: made.append(a) or init(self, *a))
+    second = realize(SIG5)
+    assert made == []
+    assert all(f.bumps is g.bumps for f, g in zip(first, second))
 
 
 def test_realize_builds_no_inverse_map(monkeypatch):
@@ -531,7 +545,8 @@ def test_o_cut_one_on_realized(realized_n5):
     for fns in small + realized_n5 + images:
         fns = genset.order_genset(fns)
         counted = [oscillation(f, g) for f, g in itertools.combinations(fns, 2)]
-        assert list(signature_of(fns).vals) == counted
+        sig = signature_of(fns)  # built unchecked
+        assert list(sig.vals) == counted and sig.violations() == []
 
 
 def test_o_conj_bound_on_realized():

@@ -13,6 +13,7 @@ from sigcalc.signature import (
 )
 from sigcalc.realization import (
     RealizationError, is_sgen, realize, set_inflate, set_rotate, signature_of)
+from oracles import checked_copy
 
 one = ONE_SIG
 
@@ -61,10 +62,18 @@ def test_inflate_minimal_element():
 
 
 def test_inflated_set_stays_sgen():
-    for s in enumerate_signatures(2, 3):
+    """An inflated set is standard, and each of its functions, squares and
+    conjugates built unchecked among them, passes the checked constructors
+    with the same map, orbitals and markers."""
+    for s in (s for n in range(1, 5) for s in enumerate_signatures(n, 3)):
         fns = realize(s)
         for m in range(s.n):
-            assert is_sgen(set_inflate(fns, m))
+            out = set_inflate(fns, m)
+            assert is_sgen(out)
+            for f in out:
+                checked = checked_copy(f)
+                assert checked.map == f.map, (s, m, f)
+                assert (checked.orbitals, checked.markers) == (f.orbitals, f.markers), (s, m, f)
 
 
 def test_inflate_bad_index():
