@@ -20,9 +20,10 @@ whose hash and equality ignore labels) and the exponent beta; neither value
 depends on labels.  `rho`, `decompose` and `sig_sum` stay uncached, so a
 repeated top-level input still does its own decomposing and summing.
 
-The gain shows only where blocks are shared.  On that benchmark (CPython
-3.11, x86-64) `ranks` went from about 3,900 to 6,000 ops/s, and `rho` on a
-sum of 128 equal `E(1+1)` blocks, in a fresh process, from about 6 to 3 ms.
+The gain shows only where blocks are shared.  When the memos came in, `ranks`
+went from about 3,900 to 6,000 ops/s (BENCH_rank_memo.json; later BENCH_*.json
+files hold today's figures), and `rho` on a sum of 128 equal `E(1+1)` blocks,
+in a fresh process, from about 6 to 3 ms (CPython 3.11, x86-64).
 A one-shot CLI call whose blocks do not repeat gains nothing measurable
 (process start-up is about 100 ms), and the same pass with both memos
 cleared after every call is no faster than with no memo.

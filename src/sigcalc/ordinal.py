@@ -103,8 +103,8 @@ def ord_cmp(a: Ordinal, b: Ordinal) -> int:
 def ord_add(a: Ordinal, b: Ordinal) -> Ordinal:
     """The usual (noncommutative) ordinal sum: terms of `a` whose exponent
     is below the leading exponent of `b` are absorbed."""
-    if not b:
-        return a
+    if not a or not b:  # a zero summand: the other is the sum
+        return a or b
     e, c = b[0]
     keep = 0
     while keep < len(a) and a[keep][0] > e:

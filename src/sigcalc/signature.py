@@ -13,20 +13,22 @@ restriction) and the terms `parse_term` reads mirror the geometric ones.
 `Signature` is the one matrix class.  `Signature(n, vals, labels)` takes the
 row-major values below and checks shape, then (!), where a matrix enters:
 JSON and CLI input (`sig_from_json` reads the "i,j" keys), and
-`realization.signature_of`.  The operations, `parse_term` (which writes each
-leaf's column of pair values as it reads the term) and `enumerate_signatures`
-keep (!) by construction and build with the unchecked `_trusted`; tests read
-the violations of any matrix as `_trusted(n, vals).violations()`.
+`realization.signature_of`.  The operations, `parse_term` (which splits its
+tokens out with str methods and writes each leaf's column of pair values as
+it reads the term) and `enumerate_signatures` keep (!) by construction and
+build with the unchecked `_trusted`; tests read the violations of any matrix
+as `_trusted(n, vals).violations()`.
 
 Pair values are stored row-major: `vals` is o(0,1), ..., o(0,n-1), o(1,2),
 ..., o(n-2,n-1), so row i, holding o(i,i+1), ..., o(i,n-1), is one contiguous
 slice.  `_rows(a)` returns these n slices (the last one empty), and the
 operations that move whole blocks of a matrix (`sig_sum`, `decompose`,
 `sig_restrict`, `sig_rotate`) and `violations` read and build their values
-row by row from it; in a row, o(i,j) is at position j-i-1 and
-the top column o(i,n-1) is `row[-1]`.  `sig_inflate` builds its values in
-one pass over the new base, `enumerate_signatures` grows signatures kept as
-rows by one column at a time, and `sig_to_json` fills a text kept per base size.
+row by row from it; in a row, o(i,j) is at position j-i-1 and the top column
+o(i,n-1) is `row[-1]`.  By (!), a zero row is a zero block, so `decompose`
+splits after each all-zero row.  `sig_inflate` builds its values in one pass
+over the new base, `enumerate_signatures` grows signatures kept as rows by one
+column at a time, and `sig_to_json` fills a text kept per base size.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import operator
 import re
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -203,28 +206,18 @@ def sig_shift_down(a: Signature) -> Signature:
 def decompose(a: Signature) -> List[Signature]:
     """The unique maximal splitting into indecomposable summands.
 
-    A split point is a position where every oscillation across it is zero.
-    An indecomposable signature is returned itself, as [a].
+    A split point p has o(i,k) = 0 for all i < p <= k, and is one exactly
+    when row p-1 is all zero: then for i < p-1 < k, o(i,p-1) = 0 ! o(i,k)
+    forces o(i,k) = 0, as 0 ! q = -1 for q > 0.  This holds for any matrix
+    that satisfies (!), and every caller passes one: checked where input
+    enters, or built by an operation.  An indecomposable one is returned as [a].
     """
     if a.n == 0:
         return []
-    if a.n == 1 or a.vals[a.n - 2]:  # row 0 reaches the top: no split point
+    if a.n == 1 or a.vals[a.n - 2]:  # o(0,n-1) > 0 crosses every position
         return [a]
     rows = _rows(a)
-    # p is a split point iff no positive oscillation crosses it, that is iff
-    # every row i < p reaches (has its last positive entry at) some j < p
-    cuts = [0]
-    frontier = 0
-    for i, row in enumerate(rows[:-1]):
-        k = len(row)
-        while k and not row[k - 1]:
-            k -= 1
-        frontier = max(frontier, i + k)
-        if frontier == a.n - 1:
-            break  # no split point beyond this one
-        if frontier == i:
-            cuts.append(i + 1)
-    cuts.append(a.n)
+    cuts = [0, *itertools.compress(range(1, a.n + 1), map(operator.not_, map(any, rows)))]
     parts = []
     for lo, hi in zip(cuts, cuts[1:]):
         vals: List[int] = []
@@ -327,12 +320,13 @@ def sig_inflate(a: Signature, m: int) -> Signature:
 
 # Largest base, a term's '1' leaves or a JSON matrix's "n": the (!) check of a
 # JSON matrix is n^3 work (`rho` on the chain 1*1*...*1 as JSON: 1.1 s at 256,
-# 12.5 s at 512).  As a term the 256-leaf chain reads in 1 ms, and `rho` on it
-# takes 0.1 s in all, under CPython 3.11 on one x86-64 core.
+# 12.5 s at 512).  As a term the 256-leaf chain reads in 1.1 ms and `rho` ranks
+# it in 2 ms; the whole CLI call takes 0.12 s, most of it interpreter start-up,
+# under CPython 3.11 on one x86-64 core.
 MAX_BASE = 256
 
 _TOKEN = re.compile(r"\s*(exp|\S)")  # 'exp' or one character, after whitespace
-_GROUP_LEVEL = {"(": 0, "exp": 1, "E": 2}
+_GROUP_LEVEL = {"(": 0, "\x01": 1, "E": 2}  # "\x01" is an 'exp' token
 _BAD_STAR = "right *-factor must be an exp image (all pair values >= 1)"
 
 
@@ -346,7 +340,9 @@ def parse_term(text: str) -> Signature:
     def fail(message: str, k: int, offset: int = 0):  # at token k, or the end
         starts = [m.start(1) for m in _TOKEN.finditer(text)] + [len(text) - offset]
         raise TermParseError(message, starts[k] + offset)
-    tokens = _TOKEN.findall(text) + [""]  # "" is the end
+    # _TOKEN's tokens, each 'exp' as "\x01" (an input "\x01" becomes "\x02", as
+    # invalid), then "" for the end; str.split() and \s agree on every code point
+    tokens = [*"".join(text.replace("\x01", "\x02").replace("exp", "\x01").split()), ""]
     cols, stack, row = [], [], []  # cols[j] = [o(0,j), ..., o(j-1,j)]
     level = first = tfirst = k = 0
     own_pair = right = star = bad_star = False

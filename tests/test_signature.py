@@ -2,10 +2,12 @@ import itertools
 import json
 import random
 import re
+import sys
+from pathlib import Path
 
 import pytest
 
-from sigcalc import signature
+from sigcalc import normalizer, signature
 from sigcalc.ordinal import MAX_NESTING
 from sigcalc.normalizer import materialize, normalize, rho
 from sigcalc.signature import (
@@ -407,6 +409,51 @@ def test_decompose_sum_left_inverse():
     assert decompose(sig_sum(*parts)) == parts
 
 
+def test_zero_row_is_a_zero_block_enumerated():
+    # row i is all zero exactly when every pair across i+1 is: decompose
+    # reads its split points off single rows
+    for n in range(6):
+        for s in enumerate_signatures(n, 3):
+            for i in range(n):
+                row = [s.val(i, k) for k in range(i + 1, n)]
+                block = [s.val(j, k) for j in range(i + 1) for k in range(i + 1, n)]
+                assert any(row) == any(block), (s, i)
+
+
+def test_decompose_matches_pairwise_past_the_enumerated_bases(monkeypatch):
+    """decompose against the frontier scan of decompose_pairwise on bases up
+    to 12 and at 256: the first 1,000 `ranks` benchmark terms of seeds 1 and
+    8 (n = 8 to 12), their decrements, every signature rho decomposes and
+    every block it ranks from them, and the 256-leaf chain and sum."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    from inputs import ranks_ops
+
+    fresh_rank_caches(monkeypatch)
+    seen = set()
+
+    def recording(fn):
+        def record(a):
+            seen.add(a)
+            return fn(a)
+        return record
+
+    monkeypatch.setattr(normalizer, "decompose", recording(decompose))
+    monkeypatch.setattr(normalizer, "_rho_block", recording(normalizer._rho_block))
+    sigs = [parse_term(op["term"]) for seed in (1, 8) for op in ranks_ops(seed, 1000)]
+    sigs += [sig_shift_down(a) for a in sigs if is_all_positive(a)]
+    for a in sigs:
+        rho(a, "ordered")
+    sigs += seen
+    sigs += [parse_term(op.join(["1"] * MAX_BASE)) for op in "*+"]
+    split = 0
+    for a in sigs:
+        parts = decompose(a)
+        assert [shape(p) for p in parts] == [shape(p) for p in decompose_pairwise(a)]
+        split += len(parts) > 1
+    assert 8 <= min(a.n for a in sigs[:2000]) and max(a.n for a in sigs[:2000]) == 12
+    assert len(sigs) > 5000 and split > 1000
+
+
 # --- terms ------------------------------------------------------------------------
 
 
@@ -460,7 +507,8 @@ def _read(parse, text):
     return sig.n, sig.vals
 
 
-_TERM_PIECES = ["0", "1", "(", ")", "+", "*", "E", "exp", "e", "x", " ", "\t", "\n"]
+_TERM_PIECES = ["0", "1", "(", ")", "+", "*", "E", "exp", "e", "x", " ", "\t", "\n",
+                "\x01", "\x02", "\x0b", "\x1c", "\x85", "\u00a0", "\u3000"]
 
 
 def _mutate(rng, text):
@@ -475,7 +523,7 @@ def _mutate(rng, text):
 _TERM_EDGES = [
     "", " ", "1*(1+1)+", "1*(1+1", "1*((1+1))", "1*(exp(1+1)+1)", "1*((1)+(1))", "1*((1)*(1))",
     "(1+1)*exp(1)", "1*(0+1)", "1*(1+0)*1", "1*(1+1+0)", "1*(1+E(1)+(0))", "exp(1) *(E(1)+E(1))",
-    "exp (1)", "E \n( 1 )",
+    "exp (1)", "E \n( 1 )", "e xp(1)", "\x01(1)", "1\x01", "exp\x01(1)", "exp(1\u2003+\x1c1)",
     "+".join(["1"] * MAX_BASE), "+".join(["1"] * (MAX_BASE + 1)),
     "*".join(["1"] * MAX_BASE), "*".join(["1"] * (MAX_BASE + 1)),
     "1+" * (MAX_BASE - 1) + "1" + "+(0)" * 50, "1+" * (MAX_BASE - 1) + "1" + "+exp(0)" * 50,
@@ -500,6 +548,13 @@ def test_reader_matches_the_recursive_reader():
         assert got == _read(parse_term_recursive, text), f"case {i} of seed {seed!r}: {text!r}"
         kinds.add(got[0] if isinstance(got[0], str) else "value")
     assert kinds == {"value", "TermParseError", "SignatureError"}
+
+
+def test_split_and_regex_agree_on_whitespace():
+    # parse_term drops whitespace with str.split(), and places its errors
+    # with _TOKEN's \s: both must take the same code points as whitespace
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert "".join(every.split()) == re.sub(r"\s", "", every)
 
 
 def test_reader_error_positions():
