@@ -88,7 +88,11 @@ MAX_ARG_CHARS = 16 * 2 ** 20
 
 
 def _read_arg(arg: str) -> str:
-    if os.path.exists(arg):
+    try:
+        is_path = os.access(arg, os.F_OK)
+    except ValueError:  # a NUL or an unencodable surrogate, which no path holds
+        is_path = False
+    if is_path:
         try:
             with open(arg, encoding="utf-8") as fh:
                 text = fh.read(MAX_ARG_CHARS + 1)

@@ -417,18 +417,18 @@ def sig_sum_pairwise(*parts: Signature) -> Signature:
 
 
 def sig_star_pairwise(a: Signature, b: Signature) -> Signature:
-    if not is_all_positive(b):
+    """a * b written row by row: each of a's rows followed by b.n ones (a's
+    elements against b's), then b's values."""
+    if 0 in b.vals:
         raise SignatureError("right *-factor must be an exp image (all pair values >= 1)")
-    n = a.n + b.n
-    vals = [0] * (n * (n - 1) // 2)
-    for i, j in _pairs(a.n):
-        vals[_pair_index(n, i, j)] = a.val(i, j)
-    for i, j in _pairs(b.n):
-        vals[_pair_index(n, a.n + i, a.n + j)] = b.val(i, j)
+    vals, start = [], 0
     for i in range(a.n):
-        for j in range(b.n):
-            vals[_pair_index(n, i, a.n + j)] = 1
-    return _trusted(n, vals)
+        end = start + a.n - 1 - i
+        vals += a.vals[start:end]
+        vals += [1] * b.n
+        start = end
+    vals += b.vals
+    return _trusted(a.n + b.n, vals)
 
 
 def sig_restrict_pairwise(a: Signature, subset) -> Signature:

@@ -599,6 +599,14 @@ def test_a_file_wins_over_the_term_it_is_named(capsys, monkeypatch, tmp_path):
     assert run(capsys, "rho", "1") == (0, "w\n", "")
 
 
+@pytest.mark.parametrize("arg", ["1\x00", "1\ud800"])
+def test_a_term_no_path_can_hold_is_read_as_a_term(capsys, arg):
+    # a NUL or a lone surrogate makes no path, so the argument is a term,
+    # and the term reader refuses the character
+    err = expect_error(capsys, 2, "rho", arg)
+    assert err == "error: cannot parse signature: trailing input (at position 1)\n"
+
+
 def test_a_file_argument_is_read_up_to_the_bound(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(cli, "MAX_ARG_CHARS", 5)
     at, past = tmp_path / "at", tmp_path / "past"

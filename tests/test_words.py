@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -236,22 +237,109 @@ def test_orbitals_decide_conjugate_commutation_on_random_maps(monkeypatch):
     assert check_conjugate_cases(triples, monkeypatch, seed) == {1, 2, 3, 4}
 
 
-def test_conjugate_builds_are_pinned(monkeypatch):
-    """Over the 298 tower triples of the 22 realized n = 3 sets, D and T
-    ask 890 times whether a map commutes with a conjugate, and only 154 of
-    those build the conjugate; if the orbital steps stopped deciding, every
-    one would."""
+def bypass_memos(monkeypatch):
+    """C and D as written: `words` calls the unwrapped functions."""
+    monkeypatch.setattr(words, "pred_C", pred_C.__wrapped__)
+    monkeypatch.setattr(words, "pred_D", pred_D.__wrapped__)
+
+
+def all_tower_triples():
     triples = [t for sig in enumerate_signatures(3, 3) for t in tower_triples(sig)]
     assert len(triples) == 298
+    return triples
+
+
+def test_conjugate_builds_are_pinned(monkeypatch):
+    """Over the 298 tower triples of the 22 realized n = 3 sets, D and T as
+    written, their memos bypassed, ask 890 times whether a map commutes
+    with a conjugate, and only 154 of those build the conjugate; if the
+    orbital steps stopped deciding, every one would."""
+    triples = all_tower_triples()
+    bypass_memos(monkeypatch)
     asked = []
     monkeypatch.setattr(words, "_commutes_with_conjugate",
                         lambda *args, real=words._commutes_with_conjugate:
                         asked.append(1) or real(*args))
     builds = counted_builds(monkeypatch)
     for x, y, z in triples:
-        pred_D(x, y)
+        words.pred_D(x, y)
         pred_T(x, y, z)
     assert (len(asked), len(builds)) == (890, 154)
+
+
+def test_predicate_memos_are_bounded():
+    memos = (pred_C, pred_D)
+    for memo in memos:
+        assert memo.cache_info().maxsize == words.PREDICATE_CACHE_SIZE
+        memo.cache_clear()
+    for x, y, z in all_tower_triples():
+        pred_D(x, y)
+        pred_T(x, y, z)
+        assert all(memo.cache_info().currsize <= words.PREDICATE_CACHE_SIZE for memo in memos)
+    assert pred_C.cache_info().misses > words.PREDICATE_CACHE_SIZE  # entries were dropped
+
+
+def test_memoized_predicates_answer_as_unwrapped():
+    """On seeded pairs of two-letter word maps over the 22 realized n = 3
+    sets, and on pairs of equal maps that are distinct objects (the same
+    word composed twice), which share a memo entry."""
+    letters = [(i, e) for i in range(3) for e in (1, -1)]
+    for sig in enumerate_signatures(3, 3):
+        fns = realize(sig)
+        rng = random.Random(str(sig.vals))
+        maps = word_maps(fns)
+        for _ in range(8):
+            a, b, c = (rng.choice(maps) for _ in range(3))
+            for u, v in ((a, b), (b, a), (a, c), (a, conj_map(a, c)), (a, conj_map(b, c))):
+                assert pred_C(u, v) == pred_C.__wrapped__(u, v)
+                assert pred_D(u, v) == pred_D.__wrapped__(u, v)
+        x_word, y_word = ([rng.choice(letters) for _ in range(2)] for _ in range(2))
+        x, y = pl_eval(fns, x_word), pl_eval(fns, y_word)
+        pred_C.cache_clear()
+        pred_D.cache_clear()
+        want = pred_C(x, y), pred_D(x, y)
+        x2, y2 = pl_eval(fns, x_word), pl_eval(fns, y_word)
+        assert (x2, y2) == (x, y) and x2 is not x and y2 is not y
+        hits = pred_C.cache_info().hits, pred_D.cache_info().hits
+        assert (pred_C(x2, y2), pred_D(x2, y2)) == want
+        assert (pred_C.cache_info().hits, pred_D.cache_info().hits) == (hits[0] + 1, hits[1] + 1)
+        assert (pred_C.__wrapped__(x2, y2), pred_D.__wrapped__(x2, y2)) == want
+
+
+def computed_questions(fns, words_xyz):
+    """The (predicate, x, y) of each call of the unwrapped C and D bodies in
+    one `predicates` call, with the memos cleared first."""
+    names = {pred_C.__wrapped__.__code__: "C", pred_D.__wrapped__.__code__: "D"}
+    computed = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in names:
+            computed.append((names[frame.f_code], frame.f_locals["x"], frame.f_locals["y"]))
+
+    pred_C.cache_clear()
+    pred_D.cache_clear()
+    sys.setprofile(profile)
+    try:
+        out = predicates(fns, *words_xyz)
+    finally:
+        sys.setprofile(None)
+    assert out == {"C": False, "D": True, "T": True}
+    return computed
+
+
+def test_one_predicates_call_decides_each_question_once(monkeypatch):
+    """On a tower, the definitions ask C(x,y) three times (for C, for D and
+    for T's D) and D(x,y) twice; memoized, each is computed once, and no
+    question is computed twice."""
+    fns = realize(Signature(3, (1, 1, 1)))
+    words_xyz = [(0, 1), (0, 1)], [(1, 1)], [(2, 1)]
+    x, y, _ = (pl_eval(fns, w) for w in words_xyz)
+    computed = computed_questions(fns, words_xyz)
+    assert (computed.count(("C", x, y)), computed.count(("D", x, y))) == (1, 1)
+    assert len(set(computed)) == len(computed)
+    bypass_memos(monkeypatch)
+    computed = computed_questions(fns, words_xyz)
+    assert (computed.count(("C", x, y)), computed.count(("D", x, y))) == (3, 2)
 
 
 def test_dom_witness():
