@@ -31,8 +31,9 @@ generating set has no pair oscillating more than signature.MAX_PAIR_VALUE
 (64) times, one rotation per oscillation in its standardness walk; `realize`
 (also reached by `verify`) nests one call per rotation or decomposition, no
 deeper than the interpreter's recursion limit allows: the chain 1*1*...*1 of
-n leaves nests 2n - 1 levels, so under CPython's default limit of 1,000 the
-chain of 245 leaves realizes and the one of 250 exits 1.
+n leaves nests 2n - 1 levels, so under CPython 3.11's default limit of 1,000
+the chain of 245 leaves realizes and the one of 250 exits 1 (from 3.12 the
+limit counts only Python frames, so the boundary may lie further out).
 """
 
 from __future__ import annotations

@@ -10,6 +10,9 @@ top: a single positive bump when every value is 1, a two-orbital function
 with its expansion point inside the rotated top's support when the maximum
 is 2, and otherwise one new negative orbital on the left and one new
 positive orbital on the right of the rotated top's orbitals.
+
+A build is a tuple of placements (f, frame): sub-builds are placed by composing
+affine frames, not copied, so builds share the unit bump and the wrap tops.
 """
 
 from __future__ import annotations
@@ -19,17 +22,14 @@ from typing import List, Sequence, Tuple
 
 from ..signature import Signature, _trusted, decompose, sig_rotate
 from .genset import GenSet, _standard_walk
-from .marked import (
-    MarkedFn,
-    RealizationError,
-    canonical_bump,
-    is_standard_fn,
-    rescale_fn,
-)
+from .marked import (UNIT, Frame, MarkedFn, RealizationError, _then, canonical_bump,
+                     is_standard_fn, place, transport)
 from .plmap import Pair, PLMap, _lt, _quads, _reduced, keys
 
-# Signatures whose built sets are kept, least recently used dropped first;
-# realizing all 969 signatures with n = 5 and values <= 3 fills 1,125.
+Placement = Tuple[MarkedFn, Frame]
+
+# Signatures whose placements are kept, least recently used dropped first.
+# Entries share functions: all 969 with n = 5, values <= 3 fill 1,125, retaining 2.5 MiB.
 BUILD_CACHE_SIZE = 4096
 
 
@@ -41,32 +41,35 @@ def realize(sig: Signature) -> GenSet:
     except RecursionError:
         raise RealizationError(
             "signature too deep to realize: its build nests past the recursion limit") from None
+    fns = [transport(f, frame, lbl) for (f, frame), lbl in zip(built, sig.default_labels())]
     # the walk checks fastness and standardness; values equal to the checked
-    # input's satisfy (!), so they need no Signature of their own.  It walks
-    # the cached set, so the renamed copies share the bumps it derives.
-    _, vals = _standard_walk(built)
+    # input's satisfy (!), so need no Signature of their own.  It trusts the
+    # carried bumps: tests check them against bumps derived from the maps
+    _, vals = _standard_walk(fns)
     if (len(built), tuple(vals)) != (sig.n, sig.vals):
         raise RealizationError(
-            f"realization round trip failed: built {_trusted(len(built), vals)!r} for {sig!r}")
-    return [f.rename(lbl) for f, lbl in zip(built, sig.default_labels())]
+            f"realization round trip failed: built {_trusted(len(fns), vals)!r} for {sig!r}")
+    return fns
 
 
 @functools.lru_cache(maxsize=BUILD_CACHE_SIZE)
-def _build(sig: Signature) -> GenSet:
+def _build(sig: Signature) -> Tuple[Placement, ...]:
     n = sig.n
     if n == 0:
-        return []
+        return ()
     if n == 1:
-        return [canonical_bump((1, 4), (3, 4))]
+        return ((UNIT_BUMP, UNIT),)
     parts = decompose(sig)
     if len(parts) > 1:
-        out: GenSet = []
+        out: List[Placement] = []
         k = len(parts)
         for i, part in enumerate(parts):
-            out += [rescale_fn(f, (4 * i + 1, 4 * k), (4 * i + 3, 4 * k)) for f in _build(part)]
-        return out
-    inner = [rescale_fn(f, M1, M2) for f in _build(sig_rotate(sig))]
-    t, others = inner[0], list(inner[1:])
+            slot = (4 * i + 1, 2, 4 * k)  # onto ((4i + 1) / 4k, (4i + 3) / 4k)
+            out += [(f, _then(frame, slot)) for f, frame in _build(part)]
+        return tuple(out)
+    inner = _build(sig_rotate(sig))
+    t = transport(inner[0][0], _then(inner[0][1], MIDDLE))
+    others = [(f, _then(frame, MIDDLE)) for f, frame in inner[1:]]
     maxrow = max(sig.val(i, n - 1) for i in range(n - 1))
     if maxrow == 1:
         top = _wrap_single(t, others)
@@ -74,14 +77,14 @@ def _build(sig: Signature) -> GenSet:
         top = _wrap_two(t, others)
     else:
         top = _wrap_general(t, others)
-    return others + [top]
+    return (*others, (top, UNIT))
 
 
-def _obstacles(fns: Sequence[MarkedFn], *points: Pair) -> Tuple[int, List[int], List[List[int]]]:
-    """Closures of all feet of fns, merged and sorted, which new feet must
-    avoid, and the given points, as integer keys over one common
-    denominator: (denominator, point keys, [lo, hi] spans)."""
-    ends = [e for f in fns for b in f.bumps for foot in b.feet for e in foot]
+def _obstacles(fns: Sequence[Placement], *points: Pair) -> Tuple[int, List[int], List[List[int]]]:
+    """Closures of all feet of the placed functions, carried by their frames,
+    merged and sorted, which new feet must avoid, and the given points, as
+    integer keys over one denominator: (denominator, point keys, [lo, hi] spans)."""
+    ends = [place(fr, e) for f, fr in fns for b in f.bumps for foot in b.feet for e in foot]
     den, k = keys(list(points) + ends)
     merged: List[List[int]] = []
     for lo, hi in sorted(zip(k[len(points)::2], k[len(points) + 1::2])):
@@ -94,23 +97,25 @@ def _obstacles(fns: Sequence[MarkedFn], *points: Pair) -> Tuple[int, List[int], 
 
 ZERO, ONE = (0, 1), (1, 1)
 M1, M2, L0, R0 = (1, 3), (2, 3), (1, 16), (15, 16)
+MIDDLE = (1, 1, 3)  # onto (M1, M2)
+UNIT_BUMP = canonical_bump((1, 4), (3, 4))
 A_NEG, B_POS = (19, 96), (77, 96)  # (L0 + M1) / 2 and (M2 + R0) / 2
 
 
-def _wrap_single(t: MarkedFn, others: Sequence[MarkedFn]) -> MarkedFn:
+def _wrap_single(t: MarkedFn, others: Sequence[Placement]) -> MarkedFn:
     """Top with one positive bump whose left foot is exactly the support of
     the rotated top; used when every oscillation against the top is 1."""
     orbs = t.orbitals
     if len(orbs) != 1 or orbs[0][2] < 0:
         raise RealizationError("single-bump wrap needs a one-bump rotated top")
     u, v, _ = orbs[0]
-    if not all(_lt(v, f.min_transition) for f in others):
+    if not all(_lt(v, place(fr, f.min_transition)) for f, fr in others):
         raise RealizationError("single-bump wrap needs the rotated top on the far left")
     pts = [(ZERO, ZERO), (u, u), (v, B_POS), (R0, R0), (ONE, ONE)]
     return MarkedFn(PLMap(pts), [v])
 
 
-def _free_gap(t: MarkedFn, others: Sequence[MarkedFn]) -> Tuple[int, int, int]:
+def _free_gap(t: MarkedFn, others: Sequence[Placement]) -> Tuple[int, int, int]:
     """The widest subinterval of the rotated top's orbital avoiding the
     retained functions' feet, as (den, x, y): it runs from x/den to y/den."""
     (u, v, _), = t.orbitals
@@ -123,7 +128,7 @@ def _free_gap(t: MarkedFn, others: Sequence[MarkedFn]) -> Tuple[int, int, int]:
     return den, x, y
 
 
-def _wrap_two(t: MarkedFn, others: Sequence[MarkedFn]) -> MarkedFn:
+def _wrap_two(t: MarkedFn, others: Sequence[Placement]) -> MarkedFn:
     """Two-orbital top with expansion point inside the rotated top's orbital;
     used when the maximum oscillation against the top is 2."""
     orbs = t.orbitals
@@ -138,7 +143,7 @@ def _wrap_two(t: MarkedFn, others: Sequence[MarkedFn]) -> MarkedFn:
     return MarkedFn(PLMap(pts), [A_NEG, sa])
 
 
-def _wrap_general(t: MarkedFn, others: Sequence[MarkedFn]) -> MarkedFn:
+def _wrap_general(t: MarkedFn, others: Sequence[Placement]) -> MarkedFn:
     """New negative orbital left of, and positive orbital right of, the
     rotated top's orbitals; the middle reuses the rotated top verbatim."""
     if not is_standard_fn(t):

@@ -13,11 +13,11 @@ cross-multiplication, never as tuples.
 `MarkedFn(plmap, markers)` is the one checked constructor: it reads the
 markers with `ratio` and checks one inside each of the map's orbitals.
 Functions carried over from a valid one go through `MarkedFn._trusted`,
-which takes the map and markers as given and checks nothing: a renamed copy
-(`rename`), a conjugate and a square, whose maps are compositions, an
-affine copy (`rescale_fn`), the restriction of a function with more than
-two orbitals to its inner ones (`fn_rotate`), and a two-piece bump whose
-parameters `make_bump_fn` has checked.  The last three build their maps
+which takes the map and markers as given and checks nothing: a conjugate
+and a square, whose maps are compositions, an affine copy by a frame
+(`transport`, bumps included), the restriction of a function with more
+than two orbitals to its inner ones (`fn_rotate`), and a two-piece bump
+whose parameters `make_bump_fn` has checked.  The last three build their maps
 with the unchecked `PLMap._make`, handing it the orbitals they know, as
 transport and checked parameters keep breakpoints increasing; tests
 compare each with the checked constructors.  `orbitals` is the map's
@@ -28,9 +28,13 @@ the extreme transition points are derived from the stored orbitals, and
 
 from __future__ import annotations
 
+from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
 from .plmap import Pair, PLMap, _lt, _quads, _reduced, by_value, conj_map, fmt, ratio
+
+Frame = Tuple[int, int, int]  # (a, b, c): x -> (a + b x) / c, onto (a/c, (a+b)/c) in (0,1)
+UNIT: Frame = (0, 1, 1)
 
 
 class RealizationError(ValueError):
@@ -71,14 +75,14 @@ class MarkedFn:
                 raise RealizationError(f"marker {fmt(s)} outside orbital ({fmt(u)},{fmt(v)})")
 
     @classmethod
-    def _trusted(cls, plmap: PLMap, markers: Tuple[Pair, ...],
-                 name: Optional[str] = None) -> "MarkedFn":
+    def _trusted(cls, plmap: PLMap, markers: Tuple[Pair, ...], name: Optional[str] = None,
+                 bumps: Optional[List[Bump]] = None) -> "MarkedFn":
         """A function transported from a valid one: `markers` is a sorted
-        tuple with one inside each of plmap's orbitals.  Nothing is
-        checked."""
+        tuple with one inside each of plmap's orbitals, and `bumps`, when
+        given, its bumps.  Nothing is checked."""
         f = object.__new__(cls)
         f.map, f.markers, f.orbitals, f.name = plmap, markers, plmap._orbitals(), name
-        f._bumps = None
+        f._bumps = bumps
         return f
 
     @property
@@ -99,11 +103,6 @@ class MarkedFn:
     @property
     def min_transition(self) -> Pair:
         return self.orbitals[0][0]
-
-    def rename(self, name: str) -> "MarkedFn":
-        f = MarkedFn._trusted(self.map, self.markers, name)
-        f._bumps = self._bumps
-        return f
 
     def __repr__(self):
         tag = self.name or "fn"
@@ -200,27 +199,36 @@ def square(f: MarkedFn, name: Optional[str] = None) -> MarkedFn:
     return MarkedFn._trusted(f.map.then(f.map), markers, name)
 
 
-def rescale_fn(f: MarkedFn, lo, hi) -> MarkedFn:
-    """Transport a marked function on (0,1) affinely into (lo,hi), the
-    identity outside; lo and hi are values `ratio` reads.  (0,0) replaces
-    the image of (0,0) when lo = 0 or f's first piece is the identity, and
-    goes before it otherwise; likewise (1,1) at the other end."""
-    (ln, ld), (hn, hd) = ratio(lo), ratio(hi)
-    a, b, c = ln * hd, hn * ld - ln * hd, ld * hd  # n/d goes to (a d + b n) / (c d)
+def _then(inner: Frame, outer: Frame) -> Frame:
+    """The frame that applies inner, then outer, reduced by the gcd."""
+    a, b, c = outer[0] * inner[2] + outer[1] * inner[0], outer[1] * inner[1], outer[2] * inner[2]
+    g = gcd(a, b, c)
+    return a // g, b // g, c // g
 
-    def at(n: int, d: int) -> Pair:
-        return _reduced(a * d + b * n, c * d)
 
+def place(frame: Frame, p: Pair) -> Pair:
+    """The reduced pair p carried by the frame."""
+    a, b, c = frame
+    return _reduced(a * p[1] + b * p[0], c * p[1])
+
+
+def transport(f: MarkedFn, frame: Frame, name: Optional[str] = None) -> MarkedFn:
+    """f carried by the frame into (a/c, (a+b)/c), the identity outside, and
+    its bumps with it.  (0,0) replaces the image of (0,0) when a = 0 or f's
+    first piece is the identity, and goes before it otherwise; likewise
+    (1,1) when a + b = c or f's last piece is the identity."""
+    a, b, c = frame
     src = f.map._bp
-    bp = [x for i in range(0, len(src), 2) for x in at(src[i], src[i + 1])]
-    if ln == 0 or src[4:6] == src[6:8]:
+    bp = [x for p in zip(src[0::2], src[1::2]) for x in place(frame, p)]
+    if a == 0 or src[4:6] == src[6:8]:
         bp[:4] = (0, 1, 0, 1)
     else:
         bp[:0] = (0, 1, 0, 1)
-    if hn == hd or src[-8:-6] == src[-6:-4]:
+    if a + b == c or src[-8:-6] == src[-6:-4]:
         bp[-4:] = (1, 1, 1, 1)
     else:
         bp += (1, 1, 1, 1)
-    orbs = tuple((at(*u), at(*v), sign) for u, v, sign in f.orbitals)
-    markers = tuple(at(*s) for s in f.markers)
-    return MarkedFn._trusted(PLMap._make(tuple(bp), None, orbs), markers, f.name)
+    orbs = tuple((place(frame, u), place(frame, v), sign) for u, v, sign in f.orbitals)
+    markers = tuple(place(frame, s) for s in f.markers)
+    bumps = [Bump(*o, s, place(frame, x.tpoint)) for o, s, x in zip(orbs, markers, f.bumps)]
+    return MarkedFn._trusted(PLMap._make(tuple(bp), None, orbs), markers, name, bumps)

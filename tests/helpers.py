@@ -8,6 +8,7 @@ from fractions import Fraction as F
 from sigcalc import normalizer
 from sigcalc.ordinal import ZERO, Ordinal
 from sigcalc.realization import PLMap
+from sigcalc.realization.marked import transport
 from sigcalc.signature import enumerate_signatures
 from oracles import SigTerm, ord_cmp_by_terms
 
@@ -138,3 +139,15 @@ def random_bump_pair(rng: random.Random, overlapping: bool, lo=0):
         s, t = (u + (v - u) * r for r in feet)
         maps.append(bump_map(u, v, s, t, rng.choice((1, -1))))
     return tuple(maps)
+
+
+def frame_onto(lo, hi):
+    """The affine frame (a, b, c), x -> (a + b x) / c, carrying (0,1) onto (lo,hi)."""
+    lo, hi = F(lo), F(hi)
+    c = lo.denominator * hi.denominator
+    return int(lo * c), int((hi - lo) * c), c
+
+
+def placed(built):
+    """A build's placements as functions: each base function carried by its frame."""
+    return [transport(f, frame) for f, frame in built]

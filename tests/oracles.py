@@ -25,9 +25,11 @@ and `ratio_by_regex` reads a coordinate string with the regular expression
 `_RATIO`, the reference for the grammar `plmap.ratio` checks by hand.
 `checked_copy` and `rescale_checked`
 rebuild a marked function through the checked constructors, the reference
-for the trusted transport (`rename`, `rescale_fn`, `fn_rotate`,
-`make_bump_fn`).  `frac` reads a marked function's reduced integer pair as
-a Fraction.
+for the trusted transport (`transport`, `fn_rotate`, `make_bump_fn`).
+`frac` reads a marked function's reduced integer pair as a Fraction.
+`signatures_by_columns` enumerates signatures by a search over the pairs
+with no bound on the base, the reference for the order of
+`enumerate_signatures` and the enumeration of `tests/sweep_realize.py`.
 `dom_witness` and `wreath_witness` certify the domination predicate and a
 wreath decomposition at a *-split.  The `*_pairwise` functions are the
 signature operations and rho written one pair at a time through
@@ -733,6 +735,28 @@ def ord_natural_add_by_terms(a: Ordinal, b: Ordinal) -> Ordinal:
         else:
             merged.append((exp, coeff))
     return _cnf(merged)
+
+
+def signatures_by_columns(n: int, vmax: int) -> List[Signature]:
+    """Every signature on base n with values <= vmax, with no bound on n, in
+    the lexicographic order of the column key o(0,1), o(0,2), o(1,2),
+    o(0,3), ...: a depth-first search over the pairs in that order, which
+    checks each triple h < i < k with `bang_rel_conj` once o(i,k) is set."""
+    order = [(i, k) for k in range(n) for i in range(k)]
+    o, out = {}, []
+
+    def extend(at: int) -> None:
+        if at == len(order):
+            out.append(_trusted(n, [o[p] for p in _pairs(n)]))
+            return
+        i, k = order[at]
+        for v in range(vmax + 1):
+            if all(bang_rel_conj(v, o[h, k], o[h, i]) for h in range(i)):
+                o[i, k] = v
+                extend(at + 1)
+
+    extend(0)
+    return out
 
 
 def tau(k: int) -> Ordinal:

@@ -19,7 +19,7 @@ from sigcalc.ordinal import MAX_NESTING
 from sigcalc.signature import (
     MAX_BASE, MAX_PAIR_VALUE, Signature, parse_term, sig_from_json, sig_rotate, sig_to_json)
 from sigcalc.realization import RealizationError, build, diagram, genset_from_json, genset_to_json
-from helpers import nest
+from helpers import nest, placed
 from oracles import excise, fig_g_set
 
 
@@ -431,7 +431,7 @@ def test_build_depth_is_a_domain_error(capsys):
 
 def test_walk_bound_names_the_pair_value_bound(capsys):
     # a standard set whose pair oscillates 65 times, one past the bound
-    too_many = genset_to_json(build._build(Signature(2, [MAX_PAIR_VALUE + 1])))
+    too_many = genset_to_json(placed(build._build(Signature(2, [MAX_PAIR_VALUE + 1]))))
     for argv in (["signature", too_many], ["verify", too_many], ["rotate", too_many],
                  ["inflate", too_many, "--at", "0"]):
         err = expect_error(capsys, 1, *argv)

@@ -28,13 +28,14 @@ from sigcalc.realization import (
     signature_of,
 )
 from sigcalc.realization.marked import (
-    MarkedFn, _rotation, canonical_bump, fn_rotate, is_standard_fn, make_bump_fn,
-    midpoint_bump, rescale_fn)
+    UNIT, MarkedFn, _rotation, canonical_bump, fn_rotate, is_standard_fn, make_bump_fn,
+    midpoint_bump, transport)
 from sigcalc import cli
 from sigcalc.realization import build, genset, marked, plmap
 from oracles import (
     checked_copy, classify_pair, fig_bz_set, fig_g_set, fn_shape, frac, genset_to_json_dumps,
     is_standard_pair, oscillation, pair_relation, rescale_checked, retrofit_slopes)
+from helpers import frame_onto
 
 one = ONE_SIG
 
@@ -114,7 +115,8 @@ def test_rescale_at_the_ends_of_the_unit_interval():
     for f in (moves_at_0, moves_at_1, fixes_both, make_bump_fn(0, 1, F(1, 4), F(3, 4))):
         assert fn_shape(f) == fn_shape(checked_copy(f))
         for lo, hi in ((0, F(1, 2)), (F(1, 2), 1), (F(1, 4), F(3, 4)), (0, 1)):
-            assert fn_shape(rescale_fn(f, lo, hi)) == fn_shape(rescale_checked(f, lo, hi))
+            moved = transport(f, frame_onto(lo, hi), f.name)
+            assert fn_shape(moved) == fn_shape(rescale_checked(f, lo, hi))
     with pytest.raises(RealizationError):
         make_bump_fn(0, F(1, 2), F(3, 8), F(1, 8))
 
@@ -296,7 +298,7 @@ def test_realize_checks_its_round_trip_against_the_input(monkeypatch):
 
     monkeypatch.setattr(Signature, "violations", counting_violations)
     assert signature_of(realize(SIG5)) == SIG5 and checked == []
-    cases = [(sig, realize(other)) for sig, other in (
+    cases = [(sig, tuple((f, UNIT) for f in realize(other))) for sig, other in (
         (pair(1), parse_term("E(1+1)")), (pair(1), one), (SIG5, pair(3)))]
     for sig, built in cases:
         monkeypatch.setattr(build, "_build", lambda s, built=built: built)
@@ -325,16 +327,65 @@ def test_realize_computes_orbitals_once_per_function(monkeypatch):
 
 
 def test_a_second_realize_derives_no_bump(monkeypatch):
-    # realize walks the cached set before renaming it, so every renamed copy
-    # shares the bumps the first walk derived
+    # each placement carries its base function's bumps, which are derived
+    # once per base function, so a second realize of a cached signature
+    # reads no map and derives no orbital
     _fresh_build_cache(monkeypatch)
     first = realize(SIG5)
-    made = []
-    init = marked.Bump.__init__
-    monkeypatch.setattr(marked.Bump, "__init__", lambda self, *a: made.append(a) or init(self, *a))
+    bases = [(f, f.bumps) for f, _ in build._build(SIG5)]
+    calls = []
+    at, orbitals = PLMap._at, PLMap._orbitals
+
+    def counting_at(self, *args, **kwargs):
+        calls.append("at")
+        return at(self, *args, **kwargs)
+
+    def counting_orbitals(self):
+        if self._orbs is None:  # a computation, not a stored read
+            calls.append("orbitals")
+        return orbitals(self)
+
+    monkeypatch.setattr(PLMap, "_at", counting_at)
+    monkeypatch.setattr(PLMap, "_orbitals", counting_orbitals)
     second = realize(SIG5)
-    assert made == []
-    assert all(f.bumps is g.bumps for f, g in zip(first, second))
+    assert calls == []
+    assert all(f.bumps is bumps for f, bumps in bases)
+    assert [fn_shape(f) for f in second] == [fn_shape(f) for f in first]
+
+
+def test_placed_functions_match_checked_constructor():
+    # every output function of the 1,296 signatures with n <= 4 and values
+    # <= 4, or n = 5 and values <= 3: its map, orbitals and markers are the
+    # checked constructors', and its carried bumps the ones derived afresh
+    sigs = [s for n in range(5) for s in enumerate_signatures(n, 4)] + enumerate_signatures(5, 3)
+    assert len(sigs) == 1296
+    for s in sigs:
+        for f in realize(s):
+            checked = checked_copy(f)
+            assert (f.map._bp, f.map._orbitals(), f.orbitals, f.markers) == (
+                checked.map._bp, checked.map._orbitals(), checked.orbitals, checked.markers)
+            derived = MarkedFn._trusted(f.map, f.markers).bumps
+            assert [(b.u, b.v, b.sign, b.marker, b.tpoint) for b in f.bumps] == [
+                (b.u, b.v, b.sign, b.marker, b.tpoint) for b in derived]
+
+
+def test_build_cache_keeps_no_transported_copy(monkeypatch):
+    # sub-builds are placed by frames, not copied: the only functions the
+    # cache holds are the unit bump and the top each wrap makes
+    built, tops = [], []
+    unwrapped = build._build.__wrapped__
+    # the recorder is the cached function, so it sees each entry once
+    fresh = functools.lru_cache(maxsize=build.BUILD_CACHE_SIZE)(
+        lambda s: built.append(unwrapped(s)) or built[-1])
+    monkeypatch.setattr(build, "_build", fresh)
+    for name in ("_wrap_single", "_wrap_two", "_wrap_general"):
+        wrap = getattr(build, name)
+        monkeypatch.setattr(build, name, lambda *a, wrap=wrap: tops.append(wrap(*a)) or tops[-1])
+    assert signature_of(realize(SIG5)) == SIG5
+    assert len(built) == fresh.cache_info().currsize and len(tops) > 1
+    held = {id(f) for entry in built for f, _ in entry}
+    assert held == {id(build.UNIT_BUMP)} | {id(top) for top in tops}
+    assert len(held) == 1 + len(tops)
 
 
 def test_realize_builds_no_inverse_map(monkeypatch):
@@ -380,7 +431,7 @@ def test_trusted_transport_matches_checked_constructor():
                                                   ((4, 5), (1, 1))]
     fns = [CROSSING] + _distinct(f for s in enumerate_signatures(4, 3) for f in realize(s))
     for f in fns:
-        for g in _rotation_chain(f) + [rescale_fn(f, lo, hi) for lo, hi in INTERVALS]:
+        for g in _rotation_chain(f) + [transport(f, frame_onto(lo, hi)) for lo, hi in INTERVALS]:
             assert fn_shape(g) == fn_shape(checked_copy(g))
 
 
@@ -426,7 +477,7 @@ def test_writer_matches_json_dumps(realized_n5):
         genset_from_json(genset_to_json(fns)),
     ]
     sets = [[], fns, [MarkedFn(fns[0].map, fns[0].markers)]] + loaded
-    sets += [[f.rename(name) for f in fns] for name in names]
+    sets += [[transport(f, UNIT, name) for f in fns] for name in names]
     for s in sets + realized_n5:
         assert genset_to_json(s) == genset_to_json_dumps(s)
 
@@ -434,9 +485,9 @@ def test_writer_matches_json_dumps(realized_n5):
 def test_diagram_unchanged_by_transport_and_renaming(realized_n5):
     for fns in realized_n5:
         d = diagram(fns)
-        assert diagram([rescale_fn(f, F(1, 7), F(5, 9)) for f in fns]) == d
+        assert diagram([transport(f, frame_onto(F(1, 7), F(5, 9)), f.name) for f in fns]) == d
         new = {f.name: f"r{f.name}r" for f in fns}
-        renamed = diagram([f.rename(new[f.name]) for f in fns])
+        renamed = diagram([transport(f, UNIT, new[f.name]) for f in fns])
         assert (renamed.num_vertices, renamed.edges) == (d.num_vertices, d.edges)
         assert renamed.names == tuple(new[name] for name in d.names)
 
@@ -458,10 +509,10 @@ def test_transport_computes_no_orbitals(monkeypatch):
     monkeypatch.setattr(PLMap, "_orbitals", counting_orbitals)
     monkeypatch.setattr(plmap, "_canonical", counting_canonical)
     for f in fns:
-        f.rename("x")
+        transport(f, UNIT, "x")
         for g in _rotation_chain(f):
             for lo, hi in INTERVALS:
-                rescale_fn(g, lo, hi)
+                transport(g, frame_onto(lo, hi))
     assert calls == []
     checked_copy(fns[0])  # the checked path is still counted
     assert calls == ["canonical", "orbitals"]

@@ -39,7 +39,7 @@ from oracles import (
     SigTerm, bang, bang_rel_conj, bang_rel_p, bang_rel_q, decompose_pairwise,
     eval_term_pairwise, parse_term_recursive, render_term, sig_inflate_pairwise,
     sig_restrict_pairwise, sig_rotate_pairwise, sig_star_pairwise, sig_sum_pairwise,
-    sig_to_doc_pairwise, violations_pairwise)
+    sig_to_doc_pairwise, signatures_by_columns, violations_pairwise)
 
 one = ONE_SIG
 
@@ -602,6 +602,13 @@ def test_enumerate_matches_brute_force():
                  if not _trusted(n, vals).violations()]
         brute.sort(key=lambda vals: column_key(n, vals))
         assert [s.vals for s in enumerate_signatures(n, vmax)] == brute
+
+
+def test_enumerate_matches_the_column_search():
+    # the realize sweep enumerates past n = 5 with the oracle, in this order
+    for n, vmax in [(n, vmax) for n in range(6) for vmax in range(4)] + [(4, 5)]:
+        assert ([s.vals for s in signatures_by_columns(n, vmax)]
+                == [s.vals for s in enumerate_signatures(n, vmax)]), (n, vmax)
 
 
 def test_json_round_trip():
