@@ -304,7 +304,9 @@ def cmd_verify(args):
     except NotSgenError as e:
         _report(args, {"fast": not isinstance(e, NotFastError), "sgen": False})
         raise CliError("set is not a standard generating set", 1)
-    realize(sig)  # verifies its own round trip, raising if it fails
+    built = signature_of(realize(sig))  # realize itself walks nothing
+    if built != sig:
+        raise CliError(f"realization round trip failed: built {built!r} for {sig!r}", 1)
     _report(args, {"fast": True, "sgen": True, "round_trip": True,
                    "signature": json.loads(sig_to_json(sig))})
 

@@ -15,9 +15,9 @@ markers with `ratio` and checks one inside each of the map's orbitals.
 Functions carried over from a valid one go through `MarkedFn._trusted`,
 which takes the map and markers as given and checks nothing: a conjugate
 and a square, whose maps are compositions, an affine copy by a frame
-(`transport`, bumps included), the restriction of a function with more
-than two orbitals to its inner ones (`fn_rotate`), and a two-piece bump
-whose parameters `make_bump_fn` has checked.  The last three build their maps
+(`transport`), the restriction of a function with more than two orbitals
+to its inner ones (`fn_rotate`), and a two-piece bump whose parameters
+`make_bump_fn` has checked.  The last three build their maps
 with the unchecked `PLMap._make`, handing it the orbitals they know, as
 transport and checked parameters keep breakpoints increasing; tests
 compare each with the checked constructors.  `orbitals` is the map's
@@ -75,14 +75,13 @@ class MarkedFn:
                 raise RealizationError(f"marker {fmt(s)} outside orbital ({fmt(u)},{fmt(v)})")
 
     @classmethod
-    def _trusted(cls, plmap: PLMap, markers: Tuple[Pair, ...], name: Optional[str] = None,
-                 bumps: Optional[List[Bump]] = None) -> "MarkedFn":
+    def _trusted(cls, plmap: PLMap, markers: Tuple[Pair, ...],
+                 name: Optional[str] = None) -> "MarkedFn":
         """A function transported from a valid one: `markers` is a sorted
-        tuple with one inside each of plmap's orbitals, and `bumps`, when
-        given, its bumps.  Nothing is checked."""
+        tuple with one inside each of plmap's orbitals.  Nothing is checked."""
         f = object.__new__(cls)
         f.map, f.markers, f.orbitals, f.name = plmap, markers, plmap._orbitals(), name
-        f._bumps = bumps
+        f._bumps = None
         return f
 
     @property
@@ -213,10 +212,10 @@ def place(frame: Frame, p: Pair) -> Pair:
 
 
 def transport(f: MarkedFn, frame: Frame, name: Optional[str] = None) -> MarkedFn:
-    """f carried by the frame into (a/c, (a+b)/c), the identity outside, and
-    its bumps with it.  (0,0) replaces the image of (0,0) when a = 0 or f's
-    first piece is the identity, and goes before it otherwise; likewise
-    (1,1) when a + b = c or f's last piece is the identity."""
+    """f carried by the frame into (a/c, (a+b)/c), the identity outside.
+    (0,0) replaces the image of (0,0) when a = 0 or f's first piece is the
+    identity, and goes before it otherwise; likewise (1,1) when a + b = c
+    or f's last piece is the identity."""
     a, b, c = frame
     src = f.map._bp
     bp = [x for p in zip(src[0::2], src[1::2]) for x in place(frame, p)]
@@ -230,5 +229,4 @@ def transport(f: MarkedFn, frame: Frame, name: Optional[str] = None) -> MarkedFn
         bp += (1, 1, 1, 1)
     orbs = tuple((place(frame, u), place(frame, v), sign) for u, v, sign in f.orbitals)
     markers = tuple(place(frame, s) for s in f.markers)
-    bumps = [Bump(*o, s, place(frame, x.tpoint)) for o, s, x in zip(orbs, markers, f.bumps)]
-    return MarkedFn._trusted(PLMap._make(tuple(bp), None, orbs), markers, name, bumps)
+    return MarkedFn._trusted(PLMap._make(tuple(bp), None, orbs), markers, name)

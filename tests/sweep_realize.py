@@ -2,9 +2,13 @@
 
     PYTHONPATH=src:tests python tests/sweep_realize.py
 
-Every signature with n = 6 and values <= 3 (7,084) and with n = 7 and
+Every signature s with n = 6 and values <= 3 (7,084) and with n = 7 and
 values <= 2 (7,752), enumerated by `oracles.signatures_by_columns`, must
-read back from its realized set through `signature_of`, and the realized
+read back from its realized set through `signature_of`.  On the same set,
+`set_rotate` must give `sig_rotate(s)` and `set_inflate` at k must give
+`sig_inflate(s, k)`, with k the enumeration index mod n, so every index is
+inflated.  `normalize(s)` must be reduced, its own normal form and of the
+rank rho(s) = xi, and `materialize(xi)` must have the rank xi.  The realized
 sets' JSON, concatenated in enumeration order, must hash to the pinned
 sha256.  Exits 1 naming the first signature or sweep that fails.
 """
@@ -12,8 +16,12 @@ sha256.  Exits 1 naming the first signature or sweep that fails.
 import hashlib
 import sys
 import time
+from typing import Optional
 
-from sigcalc.realization import genset_to_json, realize, signature_of
+from sigcalc.normalizer import is_reduced, materialize, normalize, rho
+from sigcalc.realization import genset_to_json, realize, set_inflate, set_rotate, signature_of
+from sigcalc.realization.genset import GenSet
+from sigcalc.signature import Signature, sig_inflate, sig_rotate
 from oracles import signatures_by_columns
 
 # (n, vmax): (signature count, sha256 of the realized JSON)
@@ -23,23 +31,40 @@ SWEEPS = {
 }
 
 
+def failure(s: Signature, k: int, fns: GenSet) -> Optional[str]:
+    """What the realized set fns of s, or s's ranks, get wrong; None if nothing."""
+    if signature_of(fns) != s:
+        return "does not read back"
+    if signature_of(set_rotate(fns)) != sig_rotate(s):
+        return "rotates to a set of another signature than sig_rotate's"
+    if signature_of(set_inflate(fns, k)) != sig_inflate(s, k):
+        return f"inflates at {k} to a set of another signature than sig_inflate's"
+    xi, form = rho(s), normalize(s)
+    if not (is_reduced(form) and normalize(form) == form and rho(form) == xi):
+        return "normalizes to a form not reduced, not its own normal form or of another rank"
+    if rho(materialize(xi)) != xi:
+        return "has a rank xi with rho(materialize(xi)) != xi"
+    return None
+
+
 def main() -> int:
     for (n, vmax), (count, pinned) in SWEEPS.items():
         start = time.perf_counter()
         sigs = signatures_by_columns(n, vmax)
         digest = hashlib.sha256()
-        for s in sigs:
+        for index, s in enumerate(sigs):
             fns = realize(s)
-            if signature_of(fns) != s:
-                print(f"n = {n}, values <= {vmax}: {s!r} does not read back")
+            problem = failure(s, index % n, fns)
+            if problem:
+                print(f"n = {n}, values <= {vmax}: {s!r} {problem}")
                 return 1
             digest.update(genset_to_json(fns).encode())
         if (len(sigs), digest.hexdigest()) != (count, pinned):
             print(f"n = {n}, values <= {vmax}: {len(sigs)} signatures realize to "
                   f"sha256 {digest.hexdigest()}, pinned {count} and {pinned}")
             return 1
-        print(f"n = {n}, values <= {vmax}: {count} signatures round-trip, "
-              f"JSON as pinned, {time.perf_counter() - start:.1f} s")
+        print(f"n = {n}, values <= {vmax}: {count} signatures round-trip, rotate, inflate "
+              f"and rank, JSON as pinned, {time.perf_counter() - start:.1f} s")
     return 0
 
 

@@ -285,10 +285,11 @@ def test_build_cache_is_bounded(monkeypatch):
     assert build._build.cache_info().misses > 8  # entries were dropped and rebuilt
 
 
-def test_realize_checks_its_round_trip_against_the_input(monkeypatch):
-    # the built set's walk is compared with the checked input, and a
-    # standard set's oscillations satisfy (!), so neither realize nor
-    # signature_of checks (!) again; a set of another signature is still refused
+def test_verify_checks_the_round_trip_against_the_input(monkeypatch, capsys):
+    # realize walks nothing, and a standard set's oscillations satisfy (!),
+    # so neither realize nor signature_of checks (!) again; verify compares
+    # the signature of the set realize builds with its input, and exits 1
+    # when a set of another signature comes back
     checked = []
     violations = Signature.violations
 
@@ -298,12 +299,16 @@ def test_realize_checks_its_round_trip_against_the_input(monkeypatch):
 
     monkeypatch.setattr(Signature, "violations", counting_violations)
     assert signature_of(realize(SIG5)) == SIG5 and checked == []
-    cases = [(sig, tuple((f, UNIT) for f in realize(other))) for sig, other in (
-        (pair(1), parse_term("E(1+1)")), (pair(1), one), (SIG5, pair(3)))]
-    for sig, built in cases:
+    cases = [(sig, other, genset_to_json(realize(sig)), tuple((f, UNIT) for f in realize(other)))
+             for sig, other in ((pair(1), parse_term("E(1+1)")), (pair(1), one), (SIG5, pair(3)))]
+    checked.clear()  # pair() checks the signatures it makes
+    for sig, other, text, built in cases:
         monkeypatch.setattr(build, "_build", lambda s, built=built: built)
-        with pytest.raises(RealizationError, match="realization round trip failed: built "):
-            realize(sig)
+        capsys.readouterr()
+        assert cli.main(["verify", text]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: realization round trip failed: built {other!r} for {sig!r}\n")
+    assert checked == []
 
 
 def test_realize_computes_orbitals_once_per_function(monkeypatch):
@@ -327,11 +332,12 @@ def test_realize_computes_orbitals_once_per_function(monkeypatch):
 
 
 def test_a_second_realize_derives_no_bump(monkeypatch):
-    # each placement carries its base function's bumps, which are derived
-    # once per base function, so a second realize of a cached signature
-    # reads no map and derives no orbital
+    # a placement carries no bumps: an output function derives its own on
+    # first use, and a base function's are derived once, so a second realize
+    # of a cached signature reads no map and derives no orbital
     _fresh_build_cache(monkeypatch)
     first = realize(SIG5)
+    assert all(f._bumps is None for f in first)
     bases = [(f, f.bumps) for f, _ in build._build(SIG5)]
     calls = []
     at, orbitals = PLMap._at, PLMap._orbitals
@@ -349,14 +355,15 @@ def test_a_second_realize_derives_no_bump(monkeypatch):
     monkeypatch.setattr(PLMap, "_orbitals", counting_orbitals)
     second = realize(SIG5)
     assert calls == []
+    assert all(f._bumps is None for f in second)
     assert all(f.bumps is bumps for f, bumps in bases)
     assert [fn_shape(f) for f in second] == [fn_shape(f) for f in first]
 
 
 def test_placed_functions_match_checked_constructor():
     # every output function of the 1,296 signatures with n <= 4 and values
-    # <= 4, or n = 5 and values <= 3: its map, orbitals and markers are the
-    # checked constructors', and its carried bumps the ones derived afresh
+    # <= 4, or n = 5 and values <= 3: its map, orbitals, markers and the
+    # bumps it derives from them are the checked constructors'
     sigs = [s for n in range(5) for s in enumerate_signatures(n, 4)] + enumerate_signatures(5, 3)
     assert len(sigs) == 1296
     for s in sigs:
@@ -364,9 +371,8 @@ def test_placed_functions_match_checked_constructor():
             checked = checked_copy(f)
             assert (f.map._bp, f.map._orbitals(), f.orbitals, f.markers) == (
                 checked.map._bp, checked.map._orbitals(), checked.orbitals, checked.markers)
-            derived = MarkedFn._trusted(f.map, f.markers).bumps
             assert [(b.u, b.v, b.sign, b.marker, b.tpoint) for b in f.bumps] == [
-                (b.u, b.v, b.sign, b.marker, b.tpoint) for b in derived]
+                (b.u, b.v, b.sign, b.marker, b.tpoint) for b in checked.bumps]
 
 
 def test_build_cache_keeps_no_transported_copy(monkeypatch):
@@ -533,9 +539,10 @@ def test_whole_set_ordered_and_fast_checked_once(monkeypatch, capsys):
 
     monkeypatch.setattr(genset, "order_genset", counting_order)
     monkeypatch.setattr(genset, "_feet_of", counting_feet)
-    # verify checks its input, then realize checks the set it builds; the
-    # diagram reads the feet its fastness check derived
-    runs = [(lambda: signature_of(fns), 1), (lambda: realize(SIG5), 1),
+    # realize checks nothing; verify checks its input, then the set realize
+    # builds from its signature; the diagram reads the feet its fastness
+    # check derived
+    runs = [(lambda: signature_of(fns), 1), (lambda: realize(SIG5), 0),
             (lambda: is_sgen(fns), 1), (lambda: diagram(fns), 1),
             (lambda: cli.main(["verify", genset_to_json(fns)]) == 0, 2)]
     for run, sets in runs:
