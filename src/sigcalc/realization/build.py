@@ -14,6 +14,11 @@ positive orbital on the right of the rotated top's orbitals.
 
 A build is a tuple of placements (f, frame): sub-builds are placed by composing
 affine frames, not copied, so builds share the unit bump and the wrap tops.
+Only the general wrap copies the rotated top's breakpoints, so only it gets
+the rotated top transported.  The wraps build their tops unchecked
+(`PLMap._make`, `MarkedFn._trusted`) with the orbitals they construct;
+`test_placed_functions_match_checked_constructor` and the realize sweep
+compare every top that builds keep with the checked constructors' rebuild.
 """
 
 from __future__ import annotations
@@ -21,13 +26,14 @@ from __future__ import annotations
 import functools
 from typing import List, Sequence, Tuple
 
-from ..signature import Signature, decompose, sig_rotate
+from ..signature import Signature, _rows, decompose, sig_rotate
 from .genset import GenSet
 from .marked import (UNIT, Frame, MarkedFn, RealizationError, _then, canonical_bump,
                      is_standard_fn, place, transport)
-from .plmap import Pair, PLMap, _lt, _quads, _reduced, keys
+from .plmap import Pair, PLMap, _lt, _minimal, _quads, _reduced, keys
 
 Placement = Tuple[MarkedFn, Frame]
+Orbital = Tuple[Pair, Pair, int]
 
 # Signatures whose placements are kept, least recently used dropped first.
 # Entries share functions: all 969 with n = 5, values <= 3 fill 1,125, retaining 2.5 MiB.
@@ -61,16 +67,15 @@ def _build(sig: Signature) -> Tuple[Placement, ...]:
             slot = (4 * i + 1, 2, 4 * k)  # onto ((4i + 1) / 4k, (4i + 3) / 4k)
             out += [(f, _then(frame, slot)) for f, frame in _build(part)]
         return tuple(out)
-    inner = _build(sig_rotate(sig))
-    t = transport(inner[0][0], _then(inner[0][1], MIDDLE))
-    others = [(f, _then(frame, MIDDLE)) for f, frame in inner[1:]]
-    maxrow = max(sig.val(i, n - 1) for i in range(n - 1))
-    if maxrow == 1:
-        top = _wrap_single(t, others)
-    elif maxrow == 2:
-        top = _wrap_two(t, others)
+    (top, frame), *others = _build(sig_rotate(sig))
+    frame = _then(frame, MIDDLE)
+    others = [(f, _then(fr, MIDDLE)) for f, fr in others]
+    maxrow = max(row[-1] for row in _rows(sig)[:-1])
+    if maxrow > 2:
+        top = _wrap_general(transport(top, frame), others)
     else:
-        top = _wrap_general(t, others)
+        orbs = tuple((place(frame, u), place(frame, v), sign) for u, v, sign in top.orbitals)
+        top = _wrap_single(orbs, others) if maxrow == 1 else _wrap_two(orbs, others)
     return (*others, (top, UNIT))
 
 
@@ -89,30 +94,30 @@ def _obstacles(fns: Sequence[Placement], *points: Pair) -> Tuple[int, List[int],
     return den, k[:len(points)], merged
 
 
-ZERO, ONE = (0, 1), (1, 1)
 M1, M2, L0, R0 = (1, 3), (2, 3), (1, 16), (15, 16)
 MIDDLE = (1, 1, 3)  # onto (M1, M2)
 UNIT_BUMP = canonical_bump((1, 4), (3, 4))
 A_NEG, B_POS = (19, 96), (77, 96)  # (L0 + M1) / 2 and (M2 + R0) / 2
 
 
-def _wrap_single(t: MarkedFn, others: Sequence[Placement]) -> MarkedFn:
+def _wrap_single(orbs: Tuple[Orbital, ...], others: Sequence[Placement]) -> MarkedFn:
     """Top with one positive bump whose left foot is exactly the support of
-    the rotated top; used when every oscillation against the top is 1."""
-    orbs = t.orbitals
+    the rotated top, given its placed orbitals; used when every oscillation
+    against the top is 1.  Canonical as written: reduced pairs, and no
+    collinear point, as the one point off the diagonal lies between two on it."""
     if len(orbs) != 1 or orbs[0][2] < 0:
         raise RealizationError("single-bump wrap needs a one-bump rotated top")
-    u, v, _ = orbs[0]
+    (u, v, _), = orbs
     if not all(_lt(v, place(fr, f.min_transition)) for f, fr in others):
         raise RealizationError("single-bump wrap needs the rotated top on the far left")
-    pts = [(ZERO, ZERO), (u, u), (v, B_POS), (R0, R0), (ONE, ONE)]
-    return MarkedFn(PLMap(pts), [v])
+    bp = (0, 1, 0, 1, *u, *u, *v, *B_POS, *R0, *R0, 1, 1, 1, 1)
+    return MarkedFn._trusted(PLMap._make(bp, None, ((u, R0, 1),)), (v,))
 
 
-def _free_gap(t: MarkedFn, others: Sequence[Placement]) -> Tuple[int, int, int]:
+def _free_gap(orbs: Tuple[Orbital, ...], others: Sequence[Placement]) -> Tuple[int, int, int]:
     """The widest subinterval of the rotated top's orbital avoiding the
     retained functions' feet, as (den, x, y): it runs from x/den to y/den."""
-    (u, v, _), = t.orbitals
+    (u, v, _), = orbs
     den, (u, v), spans = _obstacles(others, u, v)
     walls = sorted([(u, u), (v, v)]
                    + [(max(lo, u), min(hi, v)) for lo, hi in spans if hi > u and lo < v])
@@ -122,24 +127,28 @@ def _free_gap(t: MarkedFn, others: Sequence[Placement]) -> Tuple[int, int, int]:
     return den, x, y
 
 
-def _wrap_two(t: MarkedFn, others: Sequence[Placement]) -> MarkedFn:
-    """Two-orbital top with expansion point inside the rotated top's orbital;
-    used when the maximum oscillation against the top is 2."""
-    orbs = t.orbitals
+def _wrap_two(orbs: Tuple[Orbital, ...], others: Sequence[Placement]) -> MarkedFn:
+    """Two-orbital top with expansion point inside the rotated top's orbital,
+    given its placed orbitals; used when the maximum oscillation against the
+    top is 2.  Canonical as written: reduced pairs, and no collinear point,
+    as each point off the diagonal lies between two on it."""
     if len(orbs) != 1:
         raise RealizationError("two-orbital wrap needs a one-bump rotated top")
-    den, x, y = _free_gap(t, others)
+    den, x, y = _free_gap(orbs, others)
     # x + step, x + 2 step and x + 4 step for a step of (y - x) / 6
     b1, c = _reduced(5 * x + y, 6 * den), _reduced(2 * x + y, 3 * den)
     sa = _reduced(x + 2 * y, 3 * den)
     # a negative piece through (b1, A_NEG), then a positive one through (sa, B_POS)
-    pts = [(ZERO, ZERO), (L0, L0), (b1, A_NEG), (c, c), (sa, B_POS), (R0, R0), (ONE, ONE)]
-    return MarkedFn(PLMap(pts), [A_NEG, sa])
+    bp = (0, 1, 0, 1, *L0, *L0, *b1, *A_NEG, *c, *c, *sa, *B_POS, *R0, *R0, 1, 1, 1, 1)
+    return MarkedFn._trusted(PLMap._make(bp, None, ((L0, c, -1), (c, R0, 1))), (A_NEG, sa))
 
 
 def _wrap_general(t: MarkedFn, others: Sequence[Placement]) -> MarkedFn:
     """New negative orbital left of, and positive orbital right of, the
-    rotated top's orbitals; the middle reuses the rotated top verbatim."""
+    rotated top's orbitals; the middle reuses the rotated top verbatim.
+    The rotated top fixes the ends of its support, which end the new
+    orbitals; `_minimal` drops a junction there that is collinear (none
+    seen from a realized signature, but a one-bump rotated top can give one)."""
     if not is_standard_fn(t):
         raise RealizationError("general wrap needs a standard rotated top")
     u_t, v_t = t.min_transition, t.max_transition
@@ -149,8 +158,8 @@ def _wrap_general(t: MarkedFn, others: Sequence[Placement]) -> MarkedFn:
     if left_wall >= u or right_wall <= v:
         raise RealizationError("no room next to the rotated top")
     b_neg, a_pos = _reduced(left_wall + u, 2 * den), _reduced(v + right_wall, 2 * den)
-    pts = [(ZERO, ZERO), (L0, L0), (b_neg, A_NEG)]
-    pts += [(q[:2], q[2:]) for q in _quads(t.map._bp)
-            if not (_lt(q[:2], u_t) or _lt(v_t, q[:2]))]
-    pts += [(a_pos, B_POS), (R0, R0), (ONE, ONE)]
-    return MarkedFn(PLMap(pts), [A_NEG, *t.markers, a_pos])
+    quads = [(0, 1, 0, 1), L0 + L0, b_neg + A_NEG]
+    quads += [q for q in _quads(t.map._bp) if not (_lt(q[:2], u_t) or _lt(v_t, q[:2]))]
+    quads += [a_pos + B_POS, R0 + R0, (1, 1, 1, 1)]
+    orbs = ((L0, u_t, -1), *t.orbitals, (v_t, R0, 1))
+    return MarkedFn._trusted(PLMap._make(*_minimal(quads), orbs), (A_NEG, *t.markers, a_pos))

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from json.encoder import encode_basestring_ascii
 from typing import List, Sequence, Tuple
 
 from ..signature import MAX_PAIR_VALUE, Signature, _pair_index, _trusted
@@ -172,10 +173,12 @@ def genset_to_json(fns: Sequence[MarkedFn]) -> str:
     entries = []
     for f in fns:
         points = ",\n      ".join([
-            f'[\n        "{fmt((xn, xd))}",\n        "{fmt((yn, yd))}"\n      ]'
+            f'[\n        "{xn if xd == 1 else f"{xn}/{xd}"}",'
+            f'\n        "{yn if yd == 1 else f"{yn}/{yd}"}"\n      ]'
             for xn, xd, yn, yd in _quads(f.map._bp)])
-        markers = ",\n      ".join([f'"{fmt(s)}"' for s in f.markers])  # one per orbital
-        name = f',\n    "name": {json.dumps(f.name)}' if f.name else ""
+        markers = ",\n      ".join([  # one per orbital
+            f'"{n if d == 1 else f"{n}/{d}"}"' for n, d in f.markers])
+        name = f',\n    "name": {encode_basestring_ascii(f.name)}' if f.name else ""
         entries.append(f'{{\n    "breakpoints": [\n      {points}\n    ],'
                        f'\n    "markers": [\n      {markers}\n    ]{name}\n  }}')
     return "[\n  " + ",\n  ".join(entries) + "\n]" if entries else "[]"

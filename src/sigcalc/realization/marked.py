@@ -15,15 +15,16 @@ markers with `ratio` and checks one inside each of the map's orbitals.
 Functions carried over from a valid one go through `MarkedFn._trusted`,
 which takes the map and markers as given and checks nothing: a conjugate
 and a square, whose maps are compositions, an affine copy by a frame
-(`transport`), the restriction of a function with more than two orbitals
-to its inner ones (`fn_rotate`), and a two-piece bump whose parameters
-`make_bump_fn` has checked.  The last three build their maps
-with the unchecked `PLMap._make`, handing it the orbitals they know, as
-transport and checked parameters keep breakpoints increasing; tests
-compare each with the checked constructors.  `orbitals` is the map's
+(`transport`), the restriction of a function with more than two orbitals to
+its inner ones (`fn_rotate`), a two-piece bump whose parameters
+`make_bump_fn` has checked, and the wrap tops of `build`.  The last four
+build their maps with the unchecked `PLMap._make`, handing it the orbitals
+they know, as transport and checked parameters keep breakpoints increasing;
+tests compare each with the checked constructors.  `orbitals` is the map's
 own tuple, computed at most once per map.  Bumps (once, on first use) and
 the extreme transition points are derived from the stored orbitals, and
-`_rotation` derives a rotation's orbitals and markers, which `fn_rotate` maps.
+`_rotation` derives a rotation's orbitals and markers, which `fn_rotate`
+maps.
 """
 
 from __future__ import annotations
@@ -213,12 +214,19 @@ def place(frame: Frame, p: Pair) -> Pair:
 
 def transport(f: MarkedFn, frame: Frame, name: Optional[str] = None) -> MarkedFn:
     """f carried by the frame into (a/c, (a+b)/c), the identity outside.
-    (0,0) replaces the image of (0,0) when a = 0 or f's first piece is the
-    identity, and goes before it otherwise; likewise (1,1) when a + b = c
-    or f's last piece is the identity."""
+    The unit frame shares f's map and markers under the new name.  Another
+    frame places each breakpoint, reduced by one gcd; (0,0) replaces the
+    image of (0,0) when a = 0 or f's first piece is the identity, and goes
+    before it otherwise; likewise (1,1) when a + b = c or f's last piece is
+    the identity."""
+    if frame == UNIT:
+        return MarkedFn._trusted(f.map, f.markers, name)
     a, b, c = frame
-    src = f.map._bp
-    bp = [x for p in zip(src[0::2], src[1::2]) for x in place(frame, p)]
+    src, bp = f.map._bp, []
+    for n, d in zip(src[0::2], src[1::2]):
+        n, d = a * d + b * n, c * d
+        g = gcd(n, d)
+        bp += n // g, d // g
     if a == 0 or src[4:6] == src[6:8]:
         bp[:4] = (0, 1, 0, 1)
     else:

@@ -15,17 +15,18 @@ package.  Fractions are built only where the public API hands them out:
 `ratio`, sorts the points only when they do not already strictly increase
 in x, checks that they run from (0,0) to (1,1), and in one pass drops
 collinear points and checks that every slope is p/q with p > 0 and q > 0,
-which holds exactly when both coordinates strictly increase.  `ratio`
-checks a string by hand against the grammar that the regular expression
-`_RATIO` in `tests/oracles.py` states, before it builds any integer.  Every
-other map is built by the unchecked `PLMap._make`: `identity`; `inverse`,
-since swapping the coordinates of an increasing map keeps it increasing;
-the affine copies, restrictions and bumps of `marked`; and compositions,
-since a composition of increasing maps increases, so `then` (and powers)
-drain the merge kernel, `_merge`, into `_make`.  `_merge` is the one
-composition loop: `words.pred_C` runs two of them side by side and stops at
-the first breakpoint where they differ.  It reduces what it computes with
-`gcd` in line.
+which holds exactly when both coordinates strictly increase; that pass,
+`_minimal`, also serves `build`'s general wrap.  `ratio` checks a string by
+hand against the grammar that the regular expression `_RATIO` in
+`tests/oracles.py` states, before it builds any integer.  Every other map
+is built by the unchecked `PLMap._make`: `identity`; `inverse`, since
+swapping the coordinates of an increasing map keeps it increasing; the
+affine copies, restrictions and bumps of `marked`; the wrap tops of
+`build`; and compositions, since a composition of increasing maps
+increases, so `then` (and powers) drain the merge kernel, `_merge`, into
+`_make`.  `_merge` is the one composition loop: `words.pred_C` runs two of
+them side by side and stops at the first breakpoint where they differ.  It
+reduces what it computes with `gcd` in line.
 
 Slopes are reduced (p, q) pairs, derived once per map: the checked
 constructor keeps the ones it computes to drop collinear points, `_merge`
@@ -122,8 +123,15 @@ def _canonical(points: Iterable):
         bp = sorted(dict.fromkeys(bp), key=by_value)
     if not bp or bp[0] != (0, 1, 0, 1) or bp[-1] != (1, 1, 1, 1):
         raise PLError("breakpoints must run from (0,0) to (1,1)")
-    out, slopes = [bp[0]], []  # slopes[k]: from out[k] to out[k + 1]
-    for b in bp[1:]:
+    return _minimal(bp)
+
+
+def _minimal(quads: Sequence[Tuple[int, int, int, int]]):
+    """Breakpoint quads sorted by x, without collinear interior points, as
+    a flat tuple, and their slopes; PLError unless both coordinates
+    strictly increase."""
+    out, slopes = [quads[0]], []  # slopes[k]: from out[k] to out[k + 1]
+    for b in quads[1:]:
         (axn, axd, ayn, ayd), (bxn, bxd, byn, byd) = out[-1], b
         p, q = (byn * ayd - ayn * byd) * axd * bxd, (bxn * axd - axn * bxd) * ayd * byd
         if p <= 0 or q <= 0:

@@ -33,6 +33,7 @@ column at a time, and `sig_to_json` fills a text kept per base size.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import json
@@ -462,15 +463,32 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _unique_keys(pairs: List[Tuple[str, object]]) -> dict:
+    """A JSON object's members as a dict; SignatureParseError when a key repeats."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        key, _ = collections.Counter(k for k, _ in pairs).most_common(1)[0]
+        raise SignatureParseError(f"key {key!r} given more than once")
+    return doc
+
+
+# json.loads given a hook would build a decoder on every call
+_JSON = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def sig_from_json(text: str) -> Signature:
     """Parse {"n": int, "o": {"i,j": int, ...}, "labels": [str, ...]}.
 
-    The "i,j" keys are checked here.  Another shape, or "n" past MAX_BASE,
-    raises SignatureParseError;
-    an off-base or missing key, or a matrix not a signature, SignatureError.
+    A key "i,j" reads as `int` of the text on each side of its first comma,
+    so " 0 , 1 " is (0, 1) and "0,1,2" is refused.  Another shape, a key
+    repeated in any object, a pair given twice (as "0,1" and "00,1"), or "n"
+    past MAX_BASE raises SignatureParseError; an off-base or missing pair,
+    or a matrix not a signature, SignatureError.
     """
     try:
-        doc = json.loads(text)
+        doc = _JSON.decode(text)
+    except SignatureParseError:
+        raise
     except json.JSONDecodeError as e:
         raise SignatureParseError(str(e)) from None
     except ValueError:  # an integer literal past the interpreter's digit limit
@@ -484,12 +502,15 @@ def sig_from_json(text: str) -> Signature:
         raise SignatureParseError('"o" must be an object')
     o = {}
     for key, v in raw.items():
+        i, _, j = key.partition(",")
         try:
-            i, j = (int(x) for x in key.split(","))
+            i, j = int(i), int(j)
         except ValueError:
             raise SignatureParseError(f'"o" key {key!r} is not "i,j"') from None
         if not _is_int(v):
             raise SignatureParseError(f'"o" value at {key!r} is not an integer')
+        if (i, j) in o:
+            raise SignatureParseError(f'"o" gives pair ({i},{j}) twice (again as {key!r})')
         o[(i, j)] = v
     labels = doc.get("labels")
     if labels is not None and not (

@@ -37,7 +37,9 @@ signature operations and rho written one pair at a time through
 the library; `violations_pairwise` tests `bang_rel` on every triple
 i < j < k, the reference for `Signature.violations`, and
 `sig_to_doc_pairwise` is the document that `json.dumps(doc, sort_keys=True)`
-prints as `sig_to_json`.  `sig_inflate_pairwise` is inflation filled through
+prints as `sig_to_json`; `pair_key_by_split` reads a document's "i,j" key
+by splitting it at every comma, the reference for the one `partition` of
+`sig_from_json`.  `sig_inflate_pairwise` is inflation filled through
 position tables and an infinity sentinel for o(m,m), the reference for the
 one-pass `sig_inflate`.  `eval_term_pairwise` evaluates a `SigTerm` tree with them.
 `parse_term_recursive` reads a term by recursive descent over its characters,
@@ -477,6 +479,16 @@ def sig_rotate_pairwise(a: Signature) -> Signature:
     if a.labels is not None:
         labels = (f"{a.labels[n]}^o",) + tuple(a.labels[:n])
     return _trusted(new_n, vals, labels)
+
+
+def pair_key_by_split(key: str) -> Optional[Tuple[int, int]]:
+    """A signature document's "i,j" key as `key.split(",")` and `int` on
+    each part read it: the pair, or None where that reading is refused."""
+    try:
+        i, j = (int(x) for x in key.split(","))
+    except ValueError:
+        return None
+    return i, j
 
 
 def sig_to_doc_pairwise(a: Signature) -> dict:

@@ -8,21 +8,26 @@ read back from its realized set through `signature_of`.  On the same set,
 `set_rotate` must give `sig_rotate(s)` and `set_inflate` at k must give
 `sig_inflate(s, k)`, with k the enumeration index mod n, so every index is
 inflated.  `normalize(s)` must be reduced, its own normal form and of the
-rank rho(s) = xi, and `materialize(xi)` must have the rank xi.  The realized
-sets' JSON, concatenated in enumeration order, must hash to the pinned
-sha256.  Exits 1 naming the first signature or sweep that fails.
+rank rho(s) = xi, and `materialize(xi)` must have the rank xi.  Every
+function that s's build keeps, the unit bump and the wrap tops, must equal
+its rebuild by the checked constructors (`oracles.checked_copy`): map,
+orbitals, markers, name and bumps.  The realized sets' JSON, concatenated
+in enumeration order, must hash to the pinned sha256.  Exits 1 naming the
+first signature or sweep that fails.
 """
 
 import hashlib
 import sys
 import time
-from typing import Optional
+from typing import Dict, Optional
 
 from sigcalc.normalizer import is_reduced, materialize, normalize, rho
-from sigcalc.realization import genset_to_json, realize, set_inflate, set_rotate, signature_of
+from sigcalc.realization import (
+    build, genset_to_json, realize, set_inflate, set_rotate, signature_of)
 from sigcalc.realization.genset import GenSet
+from sigcalc.realization.marked import MarkedFn
 from sigcalc.signature import Signature, sig_inflate, sig_rotate
-from oracles import signatures_by_columns
+from oracles import checked_copy, fn_shape, signatures_by_columns
 
 # (n, vmax): (signature count, sha256 of the realized JSON)
 SWEEPS = {
@@ -31,10 +36,16 @@ SWEEPS = {
 }
 
 
-def failure(s: Signature, k: int, fns: GenSet) -> Optional[str]:
-    """What the realized set fns of s, or s's ranks, get wrong; None if nothing."""
+def failure(s: Signature, k: int, fns: GenSet, seen: Dict[int, MarkedFn]) -> Optional[str]:
+    """What the realized set fns of s, its build, or s's ranks get wrong;
+    None if nothing.  `seen` holds the built functions already checked."""
     if signature_of(fns) != s:
         return "does not read back"
+    for f, _ in build._build(s):
+        if id(f) not in seen:
+            seen[id(f)] = f  # held, so that no other function takes its id
+            if fn_shape(f) != fn_shape(checked_copy(f)):
+                return f"builds {f!r}, which the checked constructors rebuild otherwise"
     if signature_of(set_rotate(fns)) != sig_rotate(s):
         return "rotates to a set of another signature than sig_rotate's"
     if signature_of(set_inflate(fns, k)) != sig_inflate(s, k):
@@ -48,13 +59,14 @@ def failure(s: Signature, k: int, fns: GenSet) -> Optional[str]:
 
 
 def main() -> int:
+    seen: Dict[int, MarkedFn] = {}
     for (n, vmax), (count, pinned) in SWEEPS.items():
         start = time.perf_counter()
         sigs = signatures_by_columns(n, vmax)
         digest = hashlib.sha256()
         for index, s in enumerate(sigs):
             fns = realize(s)
-            problem = failure(s, index % n, fns)
+            problem = failure(s, index % n, fns, seen)
             if problem:
                 print(f"n = {n}, values <= {vmax}: {s!r} {problem}")
                 return 1
@@ -64,7 +76,8 @@ def main() -> int:
                   f"sha256 {digest.hexdigest()}, pinned {count} and {pinned}")
             return 1
         print(f"n = {n}, values <= {vmax}: {count} signatures round-trip, rotate, inflate "
-              f"and rank, JSON as pinned, {time.perf_counter() - start:.1f} s")
+              f"and rank, JSON as pinned, {len(seen)} built functions checked so far, "
+              f"{time.perf_counter() - start:.1f} s")
     return 0
 
 

@@ -488,6 +488,17 @@ def test_malformed_signature_json_is_a_parse_error(capsys, doc):
     assert err.startswith("error: cannot parse signature: ")
 
 
+def test_a_pair_given_twice_is_a_parse_error(capsys):
+    # which of the two values counted used to depend on the order of the keys
+    for doc, why in (('{"n": 2, "o": {"0,1": 1, "00,1": 3}}', "gives pair (0,1) twice"),
+                     ('{"n": 2, "o": {"00,1": 3, "0,1": 1}}', "gives pair (0,1) twice"),
+                     ('{"n": 2, "o": {"0,1": 1, "0,1": 3}}', "key '0,1' given more than once")):
+        for verb in ("rho", "realize"):
+            err = expect_error(capsys, 2, verb, doc)
+            assert err.startswith("error: cannot parse signature: ") and why in err
+    assert run(capsys, "rho", '{"n": 2, "o": {" 0 , 1 ": 1}}') == (0, "w\n", "")
+
+
 # --- malformed generating-set documents -----------------------------------------------
 
 

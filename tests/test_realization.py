@@ -312,23 +312,31 @@ def test_verify_checks_the_round_trip_against_the_input(monkeypatch, capsys):
 
 
 def test_realize_computes_orbitals_once_per_function(monkeypatch):
-    counts = {"orbitals": 0, "fns": 0}
-    orbitals, init = PLMap._orbitals, MarkedFn.__init__
+    # every function the build makes, wrap top or transport, is handed its
+    # orbitals, so none is walked, and no checked constructor is called
+    made, walked, checked = [], [], []
+    trusted, orbitals, init = MarkedFn._trusted.__func__, PLMap._orbitals, MarkedFn.__init__
+
+    def counting_trusted(cls, plmap, *args):
+        made.append(plmap)
+        return trusted(cls, plmap, *args)
 
     def counting_orbitals(self):
-        counts["orbitals"] += self._orbs is None  # a computation, not a stored read
+        if self._orbs is None:  # a computation, not a stored read
+            walked.append(self)
         return orbitals(self)
 
     def counting_init(self, *args):
-        counts["fns"] += 1
+        checked.append(self)
         init(self, *args)
 
+    monkeypatch.setattr(MarkedFn, "_trusted", classmethod(counting_trusted))
     monkeypatch.setattr(PLMap, "_orbitals", counting_orbitals)
     monkeypatch.setattr(MarkedFn, "__init__", counting_init)
     _fresh_build_cache(monkeypatch)
     assert signature_of(realize(SIG5)) == SIG5
-    assert counts["fns"] > SIG5.n
-    assert counts["orbitals"] == counts["fns"]
+    assert len(made) > 2 * SIG5.n  # the wrap tops, the rotated tops moved, the outputs
+    assert walked == [] and checked == []
 
 
 def test_a_second_realize_derives_no_bump(monkeypatch):
@@ -360,12 +368,26 @@ def test_a_second_realize_derives_no_bump(monkeypatch):
     assert [fn_shape(f) for f in second] == [fn_shape(f) for f in first]
 
 
-def test_placed_functions_match_checked_constructor():
+def _recording_build_cache(monkeypatch):
+    """An empty build cache for the rest of the test, and the list of the
+    entries it makes: the recorder is the cached function, so it sees each
+    entry once."""
+    built = []
+    unwrapped = build._build.__wrapped__
+    fresh = functools.lru_cache(maxsize=build.BUILD_CACHE_SIZE)(
+        lambda s: built.append(unwrapped(s)) or built[-1])
+    monkeypatch.setattr(build, "_build", fresh)
+    return built
+
+
+def test_placed_functions_match_checked_constructor(monkeypatch):
     # every output function of the 1,296 signatures with n <= 4 and values
-    # <= 4, or n = 5 and values <= 3: its map, orbitals, markers and the
+    # <= 4, or n = 5 and values <= 3, and every function their builds keep
+    # (the unit bump and the wrap tops): its map, orbitals, markers and the
     # bumps it derives from them are the checked constructors'
     sigs = [s for n in range(5) for s in enumerate_signatures(n, 4)] + enumerate_signatures(5, 3)
     assert len(sigs) == 1296
+    built = _recording_build_cache(monkeypatch)
     for s in sigs:
         for f in realize(s):
             checked = checked_copy(f)
@@ -373,22 +395,55 @@ def test_placed_functions_match_checked_constructor():
                 checked.map._bp, checked.map._orbitals(), checked.orbitals, checked.markers)
             assert [(b.u, b.v, b.sign, b.marker, b.tpoint) for b in f.bumps] == [
                 (b.u, b.v, b.sign, b.marker, b.tpoint) for b in checked.bumps]
+    tops = {id(f): f for entry in built for f, _ in entry}
+    assert len(tops) > 800
+    for f in tops.values():
+        assert fn_shape(f) == fn_shape(checked_copy(f))
+
+
+def test_build_transports_only_the_general_wraps_rotated_top(monkeypatch):
+    # single and two-orbital wraps read the rotated top's placed orbitals
+    # only; the general wrap copies its breakpoints, so only it is handed the
+    # rotated top transported
+    _fresh_build_cache(monkeypatch)
+    moved, handed = [], {"_wrap_single": [], "_wrap_two": [], "_wrap_general": []}
+    monkeypatch.setattr(build, "transport", lambda *a: moved.append(transport(*a)) or moved[-1])
+    for name, log in handed.items():
+        wrap = getattr(build, name)
+        monkeypatch.setattr(build, name, lambda t, others, wrap=wrap, log=log:
+                            log.append(t) or wrap(t, others))
+    build._build(SIG5)
+    assert all(handed.values())
+    assert [id(t) for t in handed["_wrap_general"]] == [id(t) for t in moved]
+    assert all(type(orbs) is tuple for orbs in handed["_wrap_single"] + handed["_wrap_two"])
+    for f in realize(SIG5):
+        g = transport(f, UNIT, "x")
+        assert g.map is f.map and (g.markers, g.orbitals, g.name) == (f.markers, f.orbitals, "x")
+
+
+def test_general_wrap_drops_a_collinear_junction():
+    # a rotated top whose first piece continues the line from the new
+    # negative orbital's interior point (b, 19/96), b = (1/3 + 3/8) / 2:
+    # its left end (3/8, 3/8) is not a breakpoint of the top
+    t = MarkedFn(PLMap([(0, 0), (F(3, 8), F(3, 8)), (F(25, 64), F(65, 128)),
+                        (F(5, 8), F(5, 8)), (1, 1)]), [F(25, 64)])
+    top = build._wrap_general(t, [])
+    assert (F(3, 8), F(3, 8)) not in top.map.points
+    assert [o[:2] for o in top.orbitals] == [
+        ((1, 16), (3, 8)), ((3, 8), (5, 8)), ((5, 8), (15, 16))]
+    assert fn_shape(top) == fn_shape(checked_copy(top))
 
 
 def test_build_cache_keeps_no_transported_copy(monkeypatch):
     # sub-builds are placed by frames, not copied: the only functions the
     # cache holds are the unit bump and the top each wrap makes
-    built, tops = [], []
-    unwrapped = build._build.__wrapped__
-    # the recorder is the cached function, so it sees each entry once
-    fresh = functools.lru_cache(maxsize=build.BUILD_CACHE_SIZE)(
-        lambda s: built.append(unwrapped(s)) or built[-1])
-    monkeypatch.setattr(build, "_build", fresh)
+    tops = []
+    built = _recording_build_cache(monkeypatch)
     for name in ("_wrap_single", "_wrap_two", "_wrap_general"):
         wrap = getattr(build, name)
         monkeypatch.setattr(build, name, lambda *a, wrap=wrap: tops.append(wrap(*a)) or tops[-1])
     assert signature_of(realize(SIG5)) == SIG5
-    assert len(built) == fresh.cache_info().currsize and len(tops) > 1
+    assert len(built) == build._build.cache_info().currsize and len(tops) > 1
     held = {id(f) for entry in built for f, _ in entry}
     assert held == {id(build.UNIT_BUMP)} | {id(top) for top in tops}
     assert len(held) == 1 + len(tops)

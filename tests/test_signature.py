@@ -16,6 +16,7 @@ from sigcalc.signature import (
     ZERO_SIG,
     Signature,
     SignatureError,
+    SignatureParseError,
     TermParseError,
     _pair_index,
     _trusted,
@@ -37,7 +38,8 @@ from helpers import (
     bounded_signatures, cnf_box, fresh_rank_caches, nest, random_term, rank_terms)
 from oracles import (
     SigTerm, bang, bang_rel_conj, bang_rel_p, bang_rel_q, decompose_pairwise,
-    eval_term_pairwise, parse_term_recursive, render_term, sig_inflate_pairwise,
+    eval_term_pairwise, pair_key_by_split, parse_term_recursive, render_term,
+    sig_inflate_pairwise,
     sig_restrict_pairwise, sig_rotate_pairwise, sig_star_pairwise, sig_sum_pairwise,
     sig_to_doc_pairwise, signatures_by_columns, violations_pairwise)
 
@@ -637,6 +639,47 @@ def test_json_writer_matches_json_dumps():
 def test_json_rejects_invalid():
     with pytest.raises(SignatureError):
         sig_from_json('{"n": 3, "o": {"0,1": 0, "0,2": 1, "1,2": 0}}')
+
+
+def test_json_refuses_a_pair_given_twice():
+    # json.loads keeps the last value of a repeated key, and two spellings of
+    # one pair were both read: the value that counted depended on the order
+    cases = [('{"n": 2, "o": {"0,1": 1, "00,1": 3}}',
+              "\"o\" gives pair (0,1) twice (again as '00,1')"),
+             ('{"n": 2, "o": {"00,1": 3, "0,1": 1}}',
+              "\"o\" gives pair (0,1) twice (again as '0,1')"),
+             ('{"n": 2, "o": {"0,1": 1, "0,1": 3}}', "key '0,1' given more than once"),
+             ('{"n": 2, "o": {"0,1": 1}, "n": 2}', "key 'n' given more than once"),
+             ('{"n": 3, "o": {"0,1": 1, "0,2": 1, "1,2": 1, "2,0": 1, "1,2": 1}}',
+              "key '1,2' given more than once")]
+    for doc, message in cases:
+        with pytest.raises(SignatureParseError) as e:
+            sig_from_json(doc)
+        assert str(e.value) == message
+
+
+# keys that int() reads or refuses on either side of the comma
+PAIR_KEYS = ["0,1", " 0 , 1 ", "\t0,1\n", "+0,1", "-0,+1", "1_0,2", "0_1,1", "0,1,2", "0", ",1",
+             "0,", ",", "", "0,,1", "0 1,2", "1,0", "0,2", "-1,1", "\u0660,\u0661", "0x1,2",
+             "1e0,2", "0.0,1", "\u00bd,1", "0__1,1", "_0,1", "1" * 5000 + ",1"]
+
+
+def test_pair_keys_read_as_the_split_reader_read_them():
+    assert [pair_key_by_split(k) for k in (" 0 , 1 ", "+0,1", "1_0,2", "0,1,2", "0", ",1")] == [
+        (0, 1), (0, 1), (10, 2), None, None, None]
+    for key in PAIR_KEYS:
+        doc = json.dumps({"n": 2, "o": {key: 1}})
+        want = pair_key_by_split(key)
+        if want == (0, 1):
+            assert sig_from_json(doc) == pair(1), key
+            continue
+        with pytest.raises(SignatureError) as e:
+            sig_from_json(doc)
+        if want is None:
+            assert str(e.value) == f'"o" key {key!r} is not "i,j"'
+        else:
+            assert type(e.value) is SignatureError
+            assert str(e.value) == f"pair ({want[0]},{want[1]}) outside base 0..1"
 
 
 def test_equality_ignores_labels():
