@@ -31,9 +31,15 @@ generating set has no pair oscillating more than signature.MAX_PAIR_VALUE
 (64) times, one rotation per oscillation in its standardness walk; `realize`
 (also reached by `verify`) nests one call per rotation or decomposition, no
 deeper than the interpreter's recursion limit allows: the chain 1*1*...*1 of
-n leaves nests 2n - 1 levels, so under CPython 3.11's default limit of 1,000
-the chain of 245 leaves realizes and the one of 250 exits 1 (from 3.12 the
-limit counts only Python frames, so the boundary may lie further out).
+n leaves nests 2n - 1 levels, so under CPython 3.11.7's default limit of
+1,000 the chain of 248 leaves realizes and the one of 249 exits 1 (from 3.12
+the limit counts only Python frames, so the boundary may lie further out).
+
+A JSON signature with a wrong "labels" count or a negative value, and a word
+token with exponent 0, exit 2 as other malformed input does.  A set where two
+functions share a maximum transition point (one given twice) is not fast:
+`signature` exits 1 naming it, `verify` reports "fast: false" and exits 1.
+Messages quote at most 40 characters of a JSON key, word token or coordinate.
 """
 
 from __future__ import annotations
@@ -47,7 +53,8 @@ import sys
 from .ordinal import Ordinal, OrdinalError, OrdinalParseError, ord_cmp, ord_parse, ord_render
 from .ordinal import MAX_NESTING, ONE, ord_add, ord_mul, ord_natural_add
 from .normalizer import (
-    OutsideComputedFamily, ea_class, ea_to_xi, leq, materialize, materialized_base, normalize, rho)
+    MODES, OutsideComputedFamily, ea_class, ea_to_xi, leq, materialize, materialized_base,
+    normalize, rho)
 from .signature import (
     MAX_BASE,
     MAX_PAIR_VALUE,
@@ -56,6 +63,7 @@ from .signature import (
     SignatureParseError,
     enumerate_signatures,
     parse_term,
+    quoted,
     sig_from_json,
     sig_inflate,
     sig_rotate,
@@ -148,7 +156,7 @@ MAX_WORD_LETTERS = 64
 
 def _parse_word(text: str):
     """Group words like "0,1 1,-2" (index,exponent pairs) or "0 1 0^-1", of at
-    most MAX_WORD_LETTERS letters."""
+    most MAX_WORD_LETTERS letters, each exponent nonzero."""
     word = []
     for tok in text.replace(";", " ").split():
         sep = "," if "," in tok else "^"
@@ -156,7 +164,9 @@ def _parse_word(text: str):
             idx, exp = tok.split(sep) if sep in tok else (tok, "1")
             word.append((int(idx), int(exp)))
         except ValueError:
-            raise CliError(f"bad word token {tok!r}", 2)
+            raise CliError(f"bad word token {quoted(tok)}", 2)
+        if not word[-1][1]:
+            raise CliError(f"zero exponent in word token {quoted(tok)}", 2)
     if sum(abs(exp) for _, exp in word) > MAX_WORD_LETTERS:
         raise CliError(f"word longer than {MAX_WORD_LETTERS} letters", 2)
     return word
@@ -344,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("rho", cmd_rho, help="rank of a signature")
     p.add_argument("sig")
-    p.add_argument("--mode", choices=("ordered", "sorted"), default="sorted")
+    p.add_argument("--mode", choices=MODES, default="sorted")
 
     p = add("normalize", cmd_normalize, True, help="reduced form of a signature")
     p.add_argument("sig")

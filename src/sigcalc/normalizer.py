@@ -49,7 +49,6 @@ from .signature import (
     ONE_SIG,
     ZERO_SIG,
     Signature,
-    SignatureError,
     _rows,
     decompose,
     is_all_positive,
@@ -82,10 +81,9 @@ def rho(a: Signature, mode: str = "sorted") -> Ordinal:
 
     The rank of a signature is the sum of the ranks of its indecomposable
     summands (`decompose`), ordered or natural per the mode, and 0 for the
-    empty base; `_rho_block` ranks one indecomposable summand.
+    empty base; `_rho_block` ranks one indecomposable summand.  The mode is
+    one of MODES, unchecked: the CLI's `--mode` choices refuse any other.
     """
-    if mode not in MODES:
-        raise SignatureError(f"unknown rho mode {mode!r}")
     ranks = [_rho_block(p) for p in decompose(a)]
     if mode == "sorted":
         ranks.sort(reverse=True)

@@ -28,8 +28,8 @@ from typing import List, Sequence, Tuple
 
 from ..signature import Signature, _rows, decompose, sig_rotate
 from .genset import GenSet
-from .marked import (UNIT, Frame, MarkedFn, RealizationError, _then, canonical_bump,
-                     is_standard_fn, place, transport)
+from .marked import (UNIT, Frame, MarkedFn, RealizationError, _then, canonical_bump, place,
+                     transport)
 from .plmap import Pair, PLMap, _lt, _minimal, _quads, _reduced, keys
 
 Placement = Tuple[MarkedFn, Frame]
@@ -75,7 +75,7 @@ def _build(sig: Signature) -> Tuple[Placement, ...]:
         top = _wrap_general(transport(top, frame), others)
     else:
         orbs = tuple((place(frame, u), place(frame, v), sign) for u, v, sign in top.orbitals)
-        top = _wrap_single(orbs, others) if maxrow == 1 else _wrap_two(orbs, others)
+        top = _wrap_single(orbs) if maxrow == 1 else _wrap_two(orbs, others)
     return (*others, (top, UNIT))
 
 
@@ -100,41 +100,32 @@ UNIT_BUMP = canonical_bump((1, 4), (3, 4))
 A_NEG, B_POS = (19, 96), (77, 96)  # (L0 + M1) / 2 and (M2 + R0) / 2
 
 
-def _wrap_single(orbs: Tuple[Orbital, ...], others: Sequence[Placement]) -> MarkedFn:
+def _wrap_single(orbs: Tuple[Orbital, ...]) -> MarkedFn:
     """Top with one positive bump whose left foot is exactly the support of
     the rotated top, given its placed orbitals; used when every oscillation
     against the top is 1.  Canonical as written: reduced pairs, and no
-    collinear point, as the one point off the diagonal lies between two on it."""
-    if len(orbs) != 1 or orbs[0][2] < 0:
-        raise RealizationError("single-bump wrap needs a one-bump rotated top")
+    collinear point, as the one point off the diagonal lies between two on it.
+    The rotated top's row is all 0 then, so `decompose` puts it alone in
+    slot 0: it is the unit bump, left of every retained function."""
     (u, v, _), = orbs
-    if not all(_lt(v, place(fr, f.min_transition)) for f, fr in others):
-        raise RealizationError("single-bump wrap needs the rotated top on the far left")
     bp = (0, 1, 0, 1, *u, *u, *v, *B_POS, *R0, *R0, 1, 1, 1, 1)
     return MarkedFn._trusted(PLMap._make(bp, None, ((u, R0, 1),)), (v,))
 
 
-def _free_gap(orbs: Tuple[Orbital, ...], others: Sequence[Placement]) -> Tuple[int, int, int]:
-    """The widest subinterval of the rotated top's orbital avoiding the
-    retained functions' feet, as (den, x, y): it runs from x/den to y/den."""
+def _wrap_two(orbs: Tuple[Orbital, ...], others: Sequence[Placement]) -> MarkedFn:
+    """Two-orbital top with expansion point inside the widest gap between
+    the retained functions' feet in the rotated top's orbital, given its
+    placed orbitals; used when the maximum oscillation against the top is 2.
+    Canonical as written: reduced pairs, and no collinear point, as each
+    point off the diagonal lies between two on it.  The rotated top is a
+    unit bump: with values <= 1 after it and 0 before it at every level, it
+    leads its summand until that is it alone.  The gap is not empty: the
+    rotated build is fast, so no retained foot meets the left foot (u, s)."""
     (u, v, _), = orbs
     den, (u, v), spans = _obstacles(others, u, v)
     walls = sorted([(u, u), (v, v)]
                    + [(max(lo, u), min(hi, v)) for lo, hi in spans if hi > u and lo < v])
     x, y = max(((b, c) for (_, b), (c, _) in zip(walls, walls[1:])), key=lambda g: g[1] - g[0])
-    if x >= y:
-        raise RealizationError("no room inside the rotated top's orbital")
-    return den, x, y
-
-
-def _wrap_two(orbs: Tuple[Orbital, ...], others: Sequence[Placement]) -> MarkedFn:
-    """Two-orbital top with expansion point inside the rotated top's orbital,
-    given its placed orbitals; used when the maximum oscillation against the
-    top is 2.  Canonical as written: reduced pairs, and no collinear point,
-    as each point off the diagonal lies between two on it."""
-    if len(orbs) != 1:
-        raise RealizationError("two-orbital wrap needs a one-bump rotated top")
-    den, x, y = _free_gap(orbs, others)
     # x + step, x + 2 step and x + 4 step for a step of (y - x) / 6
     b1, c = _reduced(5 * x + y, 6 * den), _reduced(2 * x + y, 3 * den)
     sa = _reduced(x + 2 * y, 3 * den)
@@ -148,15 +139,14 @@ def _wrap_general(t: MarkedFn, others: Sequence[Placement]) -> MarkedFn:
     rotated top's orbitals; the middle reuses the rotated top verbatim.
     The rotated top fixes the ends of its support, which end the new
     orbitals; `_minimal` drops a junction there that is collinear (none
-    seen from a realized signature, but a one-bump rotated top can give one)."""
-    if not is_standard_fn(t):
-        raise RealizationError("general wrap needs a standard rotated top")
+    seen from a realized signature, but a one-bump rotated top can give one).
+    The rotated top is standard, as realized functions are, and each wall
+    lies outside its support (u, v): a foot's end, or M1 or M2, as every
+    build's supports lie in [L0, R0], so in (M1, M2) after MIDDLE."""
     u_t, v_t = t.min_transition, t.max_transition
     den, (u, v, m1, m2), spans = _obstacles(others, u_t, v_t, M1, M2)
     left_wall = max([hi for lo, hi in spans if hi < u], default=m1)
     right_wall = min([lo for lo, hi in spans if lo > v], default=m2)
-    if left_wall >= u or right_wall <= v:
-        raise RealizationError("no room next to the rotated top")
     b_neg, a_pos = _reduced(left_wall + u, 2 * den), _reduced(v + right_wall, 2 * den)
     quads = [(0, 1, 0, 1), L0 + L0, b_neg + A_NEG]
     quads += [q for q in _quads(t.map._bp) if not (_lt(q[:2], u_t) or _lt(v_t, q[:2]))]

@@ -158,13 +158,12 @@ def midpoint_bump(u, v, name: Optional[str] = None) -> MarkedFn:
 def _rotation(orbitals: tuple, markers: tuple) -> Tuple[tuple, tuple]:
     """A rotation's orbitals and markers: the inner ones of more than two,
     else one positive orbital on the left foot (u, s) of the last positive
-    orbital, marked at its midpoint as `midpoint_bump` marks it."""
+    orbital, marked at its midpoint as `midpoint_bump` marks it.  There is
+    one: `_standard_walk` and `set_rotate` rotate only standard functions,
+    which have no fewer positive orbitals than negative ones."""
     if len(orbitals) > 2:
         return orbitals[1:-1], markers[1:-1]
-    feet = [(u, s) for (u, _, sign), s in zip(orbitals, markers) if sign > 0]
-    if not feet:
-        raise RealizationError("function has no positive orbital to rotate into")
-    u, s = feet[-1]
+    u, s = [(u, s) for (u, _, sign), s in zip(orbitals, markers) if sign > 0][-1]
     return ((u, s, 1),), (_reduced(u[0] * s[1] + s[0] * u[1], 2 * u[1] * s[1]),)
 
 

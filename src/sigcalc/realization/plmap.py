@@ -44,6 +44,8 @@ from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from ..signature import quoted
+
 Point = Tuple[Fraction, Fraction]
 Pair = Tuple[int, int]  # a reduced n/d, d > 0
 
@@ -68,7 +70,7 @@ def ratio(x) -> Pair:
         den = den.rstrip()  # a denominator's leading zeros are ASCII "0"s before a 1-9
         if not ((num.isdecimal() or num[:1] in "+-" and num[1:].isdecimal())
                 and (not slash or den.isdecimal() and "1" <= den.lstrip("0")[:1] <= "9")):
-            raise ValueError(f"not an integer or a fraction n/d with d > 0: {x[:40]!r}")
+            raise ValueError(f"not an integer or a fraction n/d with d > 0: {quoted(x)}")
         if not slash:
             return int(num), 1
         n, d = int(num), int(den)

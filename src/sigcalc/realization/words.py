@@ -40,13 +40,12 @@ PREDICATE_CACHE_SIZE = 32
 
 
 def pl_eval(fns: Sequence[MarkedFn], word: GroupWord) -> PLMap:
-    """Exact left-to-right product of generator powers; identity for []."""
+    """Exact left-to-right product of generator powers; identity for [].
+    A zero exponent, which `cli._parse_word` refuses, gives the identity."""
     out = PLMap.identity()
     for idx, exp in word:
         if not (0 <= idx < len(fns)):
             raise RealizationError(f"generator index {idx} out of range")
-        if exp == 0:
-            raise RealizationError("zero exponent in group word")
         out = out.then(fns[idx].map ** exp)
     return out
 

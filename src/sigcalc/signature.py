@@ -10,14 +10,14 @@ matrices are exactly the ones realizable as pairwise oscillations of a
 standard generating set; the operations here (+, exp, rotation, inflation,
 restriction) and the terms `parse_term` reads mirror the geometric ones.
 
-`Signature` is the one matrix class.  `Signature(n, vals, labels)` takes the
-row-major values below and checks shape, then (!), where a matrix enters:
-JSON and CLI input (`sig_from_json` reads the "i,j" keys), and
-`realization.signature_of`.  The operations, `parse_term` (which splits its
-tokens out with str methods and writes each leaf's column of pair values as
-it reads the term) and `enumerate_signatures` keep (!) by construction and
-build with the unchecked `_trusted`; tests read the violations of any matrix
-as `_trusted(n, vals).violations()`.
+`Signature` is the one matrix class; the reader a matrix enters through
+checks its shape.  `sig_from_json` reads the "i,j" keys, each pair once, n
+labels and values >= 0, then `Signature(n, vals, labels)` checks values and
+(!).  The operations, `parse_term` (which splits its tokens out with str
+methods and writes each leaf's column of pair values as it reads the term)
+and `enumerate_signatures` keep (!) by construction and build with the
+unchecked `_trusted`; tests read the violations of any matrix as
+`_trusted(n, vals).violations()`.
 
 Pair values are stored row-major: `vals` is o(0,1), ..., o(0,n-1), o(1,2),
 ..., o(n-2,n-1), so row i, holding o(i,i+1), ..., o(i,n-1), is one contiguous
@@ -91,28 +91,20 @@ class Signature:
     __slots__ = ("n", "vals", "labels")
 
     def __init__(self, n: int, vals: Sequence[int], labels: Optional[Sequence[str]] = None):
-        if n < 0:
-            raise SignatureError("base cardinality must be >= 0")
-        npairs = n * (n - 1) // 2
+        """Checks values and (!), not the shape: n >= 0, n(n-1)/2 values, n
+        labels if any, as `sig_from_json` and the module constants give."""
         vals = tuple(vals)
-        if len(vals) != npairs:
-            raise SignatureError(f"expected {npairs} values, got {len(vals)}")
         for v in vals:
             if not _is_int(v) or v < 0:
                 raise SignatureError(f"pair value {v!r} is not a nonnegative integer")
         self.n, self.vals = n, vals
-        if labels is not None:
-            labels = tuple(str(x) for x in labels)
-            if len(labels) != n:
-                raise SignatureError("label list length differs from base size")
-        self.labels = labels
+        self.labels = None if labels is None else tuple(str(x) for x in labels)
         bad = self.violations()
         if bad:
             raise SignatureError(f"(!) fails at {len(bad)} triples, first {bad[:5]}")
 
     def val(self, i: int, j: int) -> int:
-        if not (0 <= i < j < self.n):
-            raise SignatureError(f"pair ({i},{j}) outside base")
+        """o(i,j), unchecked: `__repr__` and `sig_inflate` ask for i < j < n."""
         return self.vals[_pair_index(self.n, i, j)]
 
     def violations(self) -> List[Tuple[int, int, int]]:
@@ -229,11 +221,9 @@ def decompose(a: Signature) -> List[Signature]:
 
 
 def sig_restrict(a: Signature, subset: Iterable[int]) -> Signature:
-    """Induced submatrix on a subset of the base; (!) is hereditary."""
+    """Induced submatrix on a subset of the base, which `_rho_block`, the
+    one caller, splits unchecked; (!) is hereditary."""
     idx = sorted(set(subset))
-    for i in idx:
-        if not (0 <= i < a.n):
-            raise SignatureError(f"base element {i} out of range")
     rows = _rows(a)
     vals: List[int] = []
     for k, i in enumerate(idx):
@@ -463,12 +453,18 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def quoted(text: str) -> str:
+    """The repr of text's first 40 characters, which names a piece of input
+    in a one-line message whatever its length."""
+    return repr(text[:40])
+
+
 def _unique_keys(pairs: List[Tuple[str, object]]) -> dict:
     """A JSON object's members as a dict; SignatureParseError when a key repeats."""
     doc = dict(pairs)
     if len(doc) < len(pairs):
         key, _ = collections.Counter(k for k, _ in pairs).most_common(1)[0]
-        raise SignatureParseError(f"key {key!r} given more than once")
+        raise SignatureParseError(f"key {quoted(key)} given more than once")
     return doc
 
 
@@ -481,9 +477,10 @@ def sig_from_json(text: str) -> Signature:
 
     A key "i,j" reads as `int` of the text on each side of its first comma,
     so " 0 , 1 " is (0, 1) and "0,1,2" is refused.  Another shape, a key
-    repeated in any object, a pair given twice (as "0,1" and "00,1"), or "n"
-    past MAX_BASE raises SignatureParseError; an off-base or missing pair,
-    or a matrix not a signature, SignatureError.
+    repeated in any object, a pair given twice (as "0,1" and "00,1"), "n"
+    past MAX_BASE, "labels" not n strings, or a value not an int >= 0 raises
+    SignatureParseError (naming a key by `quoted`); an off-base or missing
+    pair, or a matrix not a signature, SignatureError.
     """
     try:
         doc = _JSON.decode(text)
@@ -506,17 +503,21 @@ def sig_from_json(text: str) -> Signature:
         try:
             i, j = int(i), int(j)
         except ValueError:
-            raise SignatureParseError(f'"o" key {key!r} is not "i,j"') from None
+            raise SignatureParseError(f'"o" key {quoted(key)} is not "i,j"') from None
         if not _is_int(v):
-            raise SignatureParseError(f'"o" value at {key!r} is not an integer')
+            raise SignatureParseError(f'"o" value at {quoted(key)} is not an integer')
+        if v < 0:
+            raise SignatureParseError(f'"o" value at {quoted(key)} is negative')
         if (i, j) in o:
-            raise SignatureParseError(f'"o" gives pair ({i},{j}) twice (again as {key!r})')
+            raise SignatureParseError(f'"o" gives pair ({i},{j}) twice (again as {quoted(key)})')
         o[(i, j)] = v
+    n = doc["n"]
     labels = doc.get("labels")
     if labels is not None and not (
             isinstance(labels, list) and all(isinstance(x, str) for x in labels)):
         raise SignatureParseError('"labels" must be a list of strings')
-    n = doc["n"]
+    if labels is not None and len(labels) != n:
+        raise SignatureParseError(f'"labels" must list {n} strings, not {len(labels)}')
     for i, j in o:
         if not (0 <= i < j < n):
             raise SignatureError(f"pair ({i},{j}) outside base 0..{n-1}")

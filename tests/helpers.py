@@ -10,14 +10,14 @@ from sigcalc.ordinal import ZERO, Ordinal
 from sigcalc.realization import PLMap
 from sigcalc.realization.marked import transport
 from sigcalc.signature import enumerate_signatures
-from oracles import SigTerm, ord_cmp_by_terms
+from oracles import SigTerm, checked_ordinal, ord_cmp_by_terms
 
 
 def random_ordinal(rng: random.Random, depth: int = 3, max_terms: int = 2,
                    max_coeff: int = 2) -> Ordinal:
     """A random CNF ordinal of nesting depth <= depth."""
     if depth == 0 or rng.random() < 0.35:
-        return Ordinal.from_int(rng.randint(0, 2))
+        return checked_ordinal(rng.randint(0, 2))
     nterms = rng.randint(1, max_terms)
     exps = []
     while len(exps) < nterms:
@@ -25,7 +25,7 @@ def random_ordinal(rng: random.Random, depth: int = 3, max_terms: int = 2,
         if all(ord_cmp_by_terms(e, x) != 0 for x in exps):
             exps.append(e)
     exps.sort(key=functools.cmp_to_key(ord_cmp_by_terms), reverse=True)
-    return Ordinal((e, rng.randint(1, max_coeff)) for e in exps)
+    return checked_ordinal((e, rng.randint(1, max_coeff)) for e in exps)
 
 
 def cnf_box(depth: int, cmax: int):
@@ -33,14 +33,14 @@ def cnf_box(depth: int, cmax: int):
     exponents come from the box one level down; depth 0 is 0..cmax.  With
     cmax = 2 depth 2 holds 723 ordinals; with cmax = 1 depth 3 holds 67."""
     if depth == 0:
-        return [Ordinal.from_int(k) for k in range(cmax + 1)]
+        return [checked_ordinal(k) for k in range(cmax + 1)]
     by_terms = functools.cmp_to_key(ord_cmp_by_terms)
     exps = sorted(cnf_box(depth - 1, cmax), key=by_terms, reverse=True)
     out = [ZERO]
     for nterms in (1, 2):
         for es in itertools.combinations(exps, nterms):  # descending, distinct
             for cs in itertools.product(range(1, cmax + 1), repeat=nterms):
-                out.append(Ordinal(zip(es, cs)))
+                out.append(checked_ordinal(zip(es, cs)))
     return out
 
 

@@ -45,6 +45,8 @@ one-pass `sig_inflate`.  `eval_term_pairwise` evaluates a `SigTerm` tree with th
 `parse_term_recursive` reads a term by recursive descent over its characters,
 evaluating each node with the signature operations, the reference for the
 one-pass `parse_term`.
+`checked_ordinal` is `Ordinal`'s checked constructor, which the tests
+rebuild the arithmetic's results and their random ordinals through.
 `ord_cmp_by_terms`, `ord_add_by_terms` and `ord_natural_add_by_terms` are
 the ordinal order, sum and natural sum written term by term with a recursive
 comparison, the reference for the tuple order that `Ordinal` inherits and
@@ -73,7 +75,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from sigcalc.normalizer import MODES, _exp_inverse
 from sigcalc.ordinal import (
-    EQ, GT, LT, MAX_NESTING, OMEGA, ONE, ZERO, Ordinal, OrdinalError, _cnf, ord_add,
+    EQ, GT, LT, MAX_NESTING, OMEGA, ONE, ZERO, Ordinal, OrdinalError, ord_add,
     ord_omega_pow)
 from sigcalc.signature import (
     MAX_BASE, ONE_SIG, ZERO_SIG, Signature, SignatureError, TermParseError, _pair_index, _pairs,
@@ -697,6 +699,29 @@ def rho_pairwise(a: Signature, mode: str = "sorted") -> Ordinal:
     return ord_omega_pow(ord_add(_exp_inverse(best), rho_pairwise(c, "ordered")), shifted=True)
 
 
+def checked_ordinal(terms) -> Ordinal:
+    """The checked constructor of `Ordinal`: the ordinal of CNF terms, each
+    an (Ordinal exponent, int coefficient >= 1) pair with exponents strictly
+    decreasing, or of an int n >= 0; OrdinalError otherwise.  A bool is no
+    int here, as True would equal and hash as 1."""
+    if isinstance(terms, int):
+        if type(terms) is bool:
+            raise OrdinalError(f"bad CNF coefficient {terms!r}")
+        if terms < 0:
+            raise OrdinalError("ordinals are nonnegative")
+        return Ordinal.from_int(terms)
+    terms = tuple(terms)
+    for exp, coeff in terms:
+        if not isinstance(exp, Ordinal) or type(coeff) is bool or not isinstance(coeff, int):
+            raise OrdinalError(f"bad CNF term ({exp!r}, {coeff!r})")
+        if coeff < 1:
+            raise OrdinalError(f"coefficient {coeff} < 1")
+    for (e1, _), (e2, _) in zip(terms, terms[1:]):
+        if e1 <= e2:
+            raise OrdinalError("CNF exponents not strictly decreasing")
+    return Ordinal(terms)
+
+
 def ord_cmp_by_terms(a: Ordinal, b: Ordinal) -> int:
     """The order of CNF ordinals compared term by term: exponent, then
     coefficient, then length; returns LT, EQ or GT."""
@@ -732,8 +757,8 @@ def ord_add_by_terms(a: Ordinal, b: Ordinal) -> Ordinal:
             break
     if merge_coeff:
         head = (e, merge_coeff + b[0][1])
-        return _cnf(tuple(keep) + (head,) + b[1:])
-    return _cnf(tuple(keep) + b)
+        return Ordinal(tuple(keep) + (head,) + b[1:])
+    return Ordinal(tuple(keep) + b)
 
 
 def ord_natural_add_by_terms(a: Ordinal, b: Ordinal) -> Ordinal:
@@ -746,7 +771,7 @@ def ord_natural_add_by_terms(a: Ordinal, b: Ordinal) -> Ordinal:
             merged[-1] = (exp, merged[-1][1] + coeff)
         else:
             merged.append((exp, coeff))
-    return _cnf(merged)
+    return Ordinal(merged)
 
 
 def signatures_by_columns(n: int, vmax: int) -> List[Signature]:

@@ -499,6 +499,41 @@ def test_a_pair_given_twice_is_a_parse_error(capsys):
     assert run(capsys, "rho", '{"n": 2, "o": {" 0 , 1 ": 1}}') == (0, "w\n", "")
 
 
+def test_refusals_with_decided_exit_codes(capsys):
+    # a set holding one function twice ties two maximum transition points
+    f = json.loads(PAIR1)[0]
+    twice = json.dumps([f, f])
+    assert run(capsys, "signature", twice) == (
+        1, "", "error: tied maximum transition point 29/48\n")
+    assert run(capsys, "verify", twice) == (
+        1, "fast: false\nsgen: false\n", "error: set is not a standard generating set\n")
+    # the JSON reader refuses a wrong label count and a negative value as it
+    # refuses a non-integer value or one past MAX_PAIR_VALUE
+    for doc, why in (('{"n": 2, "o": {"0,1": 1}, "labels": ["a"]}',
+                      '"labels" must list 2 strings, not 1'),
+                     ('{"n": 2, "o": {"0,1": -1}}', '"o" value at \'0,1\' is negative')):
+        assert run(capsys, "rho", doc) == (2, "", f"error: cannot parse signature: {why}\n")
+    # a zero exponent is a malformed word token
+    for token in ("0^0", "1,0"):
+        assert run(capsys, "predicates", PAIR1, "--x", token, "--y", "0") == (
+            2, "", f"error: zero exponent in word token {token!r}\n")
+
+
+def test_long_keys_and_tokens_give_short_messages(capsys):
+    # each message quotes at most 40 characters of a key or a word token
+    long = "x" * 10 ** 5
+    docs = [json.dumps({"n": 2, "o": {long: 1}}),  # a bad key
+            '{"n": 2, "o": {"%s": 1, "%s": 1}}' % (long, long),  # a repeated key
+            json.dumps({"n": 2, "o": {"0,1": 1, "1" * (10 ** 5 + 1) + ",1": 1}}),  # many digits
+            json.dumps({"n": 2, "o": {"0,1": 1, " " * 10 ** 5 + "0,1": 1}}),  # a pair twice
+            json.dumps({"n": 2, "o": {"0,1" + " " * 10 ** 5: "1"}})]  # a bad value
+    for doc in docs:
+        err = expect_error(capsys, 2, "rho", doc)
+        assert len(err.encode()) < 200, err[:200]
+    err = expect_error(capsys, 2, "predicates", PAIR1, "--x", long, "--y", "0")
+    assert err == f"error: bad word token {long[:40]!r}\n"
+
+
 # --- malformed generating-set documents -----------------------------------------------
 
 

@@ -24,7 +24,8 @@ from sigcalc.ordinal import (
     ord_render,
 )
 from helpers import cnf_box, random_ordinal
-from oracles import ord_add_by_terms, ord_cmp_by_terms, ord_natural_add_by_terms, tau
+from oracles import (
+    checked_ordinal, ord_add_by_terms, ord_cmp_by_terms, ord_natural_add_by_terms, tau)
 
 w = OMEGA
 
@@ -48,8 +49,8 @@ def test_ordinals_are_not_ints():
     assert three != 3 and 3 != three
     assert 3 not in {three} and three not in {3}
     # a bool is not a coefficient: True would equal and hash as 1
-    for build in (lambda: Ordinal(((ZERO, True),)), lambda: Ordinal.from_int(True),
-                  lambda: Ordinal.from_int(False)):
+    for build in (lambda: checked_ordinal(((ZERO, True),)), lambda: checked_ordinal(True),
+                  lambda: checked_ordinal(False)):
         with pytest.raises(OrdinalError):
             build()
 
@@ -172,11 +173,11 @@ def test_omega_power_law_random():
 
 def rechecked(a: Ordinal) -> Ordinal:
     """a rebuilt through the checked constructor at every level of its exponents."""
-    return Ordinal((rechecked(e), c) for e, c in a)
+    return checked_ordinal((rechecked(e), c) for e, c in a)
 
 
 def test_arithmetic_results_pass_the_checked_constructor():
-    # the operations build with the unchecked _cnf; their outputs must be CNF
+    # the operations build with tuple's unchecked constructor; their outputs must be CNF
     rng = random.Random(13)
     for _ in range(400):
         a, b = random_ordinal(rng, 3), random_ordinal(rng, 3)

@@ -58,6 +58,10 @@ def test_eval_and_inverse():
     assert g(F(5, 8)) == F(3, 8)
     assert f.then(g).is_identity
     assert (f ** 3).then(f ** -3).is_identity
+    for x in (F(-1, 2), F(3, 2)):
+        with pytest.raises(PLError) as e:
+            f(x)
+        assert str(e.value) == f"{x} outside [0,1]"
 
 
 def test_composition_exact_random():

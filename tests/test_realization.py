@@ -410,8 +410,8 @@ def test_build_transports_only_the_general_wraps_rotated_top(monkeypatch):
     monkeypatch.setattr(build, "transport", lambda *a: moved.append(transport(*a)) or moved[-1])
     for name, log in handed.items():
         wrap = getattr(build, name)
-        monkeypatch.setattr(build, name, lambda t, others, wrap=wrap, log=log:
-                            log.append(t) or wrap(t, others))
+        monkeypatch.setattr(build, name, lambda t, *others, wrap=wrap, log=log:
+                            log.append(t) or wrap(t, *others))
     build._build(SIG5)
     assert all(handed.values())
     assert [id(t) for t in handed["_wrap_general"]] == [id(t) for t in moved]
