@@ -15,8 +15,9 @@ positive orbital on the right of the rotated top's orbitals.
 A build is a tuple of placements (f, frame): sub-builds are placed by composing
 affine frames, not copied, so builds share the unit bump and the wrap tops.
 Only the general wrap copies the rotated top's breakpoints, so only it gets
-the rotated top transported.  The wraps build their tops unchecked
-(`PLMap._make`, `MarkedFn._trusted`) with the orbitals they construct;
+the rotated top transported.  The unit bump and the single-bump top are
+built by `marked._bump`, the other tops unchecked (`PLMap._make`,
+`MarkedFn._trusted`) with the orbitals they construct;
 `test_placed_functions_match_checked_constructor` and the realize sweep
 compare every top that builds keep with the checked constructors' rebuild.
 """
@@ -28,8 +29,7 @@ from typing import List, Sequence, Tuple
 
 from ..signature import Signature, _rows, decompose, sig_rotate
 from .genset import GenSet
-from .marked import (UNIT, Frame, MarkedFn, RealizationError, _then, canonical_bump, place,
-                     transport)
+from .marked import UNIT, Frame, MarkedFn, RealizationError, _bump, _then, place, transport
 from .plmap import Pair, PLMap, _lt, _minimal, _quads, _reduced, keys
 
 Placement = Tuple[MarkedFn, Frame]
@@ -73,9 +73,15 @@ def _build(sig: Signature) -> Tuple[Placement, ...]:
     maxrow = max(row[-1] for row in _rows(sig)[:-1])
     if maxrow > 2:
         top = _wrap_general(transport(top, frame), others)
-    else:
+    elif maxrow == 2:
         orbs = tuple((place(frame, u), place(frame, v), sign) for u, v, sign in top.orbitals)
-        top = _wrap_single(orbs) if maxrow == 1 else _wrap_two(orbs, others)
+        top = _wrap_two(orbs, others)
+    else:
+        # every value against the top is 1, so the rotated top's row is all
+        # 0 and `decompose` put it alone in slot 0: it is the unit bump, left
+        # of every retained function, and its support is the new bump's left foot
+        (u, v, _), = top.orbitals
+        top = _bump(place(frame, u), R0, place(frame, v), B_POS)
     return (*others, (top, UNIT))
 
 
@@ -96,20 +102,8 @@ def _obstacles(fns: Sequence[Placement], *points: Pair) -> Tuple[int, List[int],
 
 M1, M2, L0, R0 = (1, 3), (2, 3), (1, 16), (15, 16)
 MIDDLE = (1, 1, 3)  # onto (M1, M2)
-UNIT_BUMP = canonical_bump((1, 4), (3, 4))
+UNIT_BUMP = _bump((1, 4), (3, 4), (9, 32), (23, 32))  # feet the orbital's outer sixteenths
 A_NEG, B_POS = (19, 96), (77, 96)  # (L0 + M1) / 2 and (M2 + R0) / 2
-
-
-def _wrap_single(orbs: Tuple[Orbital, ...]) -> MarkedFn:
-    """Top with one positive bump whose left foot is exactly the support of
-    the rotated top, given its placed orbitals; used when every oscillation
-    against the top is 1.  Canonical as written: reduced pairs, and no
-    collinear point, as the one point off the diagonal lies between two on it.
-    The rotated top's row is all 0 then, so `decompose` puts it alone in
-    slot 0: it is the unit bump, left of every retained function."""
-    (u, v, _), = orbs
-    bp = (0, 1, 0, 1, *u, *u, *v, *B_POS, *R0, *R0, 1, 1, 1, 1)
-    return MarkedFn._trusted(PLMap._make(bp, None, ((u, R0, 1),)), (v,))
 
 
 def _wrap_two(orbs: Tuple[Orbital, ...], others: Sequence[Placement]) -> MarkedFn:

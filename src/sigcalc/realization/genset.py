@@ -23,7 +23,7 @@ import json
 from json.encoder import encode_basestring_ascii
 from typing import List, Sequence, Tuple
 
-from ..signature import MAX_PAIR_VALUE, Signature, _pair_index, _trusted
+from ..signature import MAX_PAIR_VALUE, Signature, _pair_index, _trusted, short_int
 from .marked import (
     MarkedFn, RealizationError, _rotation, conjugate, fn_rotate, is_standard_fn, square)
 from .plmap import PLMap, _lt, _quads, fmt, keys
@@ -149,7 +149,7 @@ def set_inflate(fns: Sequence[MarkedFn], index: int) -> GenSet:
     fns, vals = _standard_walk(fns)
     n = len(fns)
     if not (0 <= index < n):
-        raise RealizationError(f"no element at index {index}")
+        raise RealizationError(f"no element at index {short_int(index)}")
     a = fns[index]
     aname = a.name or str(index)
     out: List[MarkedFn] = []

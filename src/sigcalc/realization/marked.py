@@ -16,15 +16,15 @@ Functions carried over from a valid one go through `MarkedFn._trusted`,
 which takes the map and markers as given and checks nothing: a conjugate
 and a square, whose maps are compositions, an affine copy by a frame
 (`transport`), the restriction of a function with more than two orbitals to
-its inner ones (`fn_rotate`), a two-piece bump whose parameters
-`make_bump_fn` has checked, and the wrap tops of `build`.  The last four
+its inner ones (`fn_rotate`), the wrap tops of `build`, and every one-bump
+function, which `_bump` builds from ordered reduced pairs.  The last four
 build their maps with the unchecked `PLMap._make`, handing it the orbitals
-they know, as transport and checked parameters keep breakpoints increasing;
-tests compare each with the checked constructors.  `orbitals` is the map's
-own tuple, computed at most once per map.  Bumps (once, on first use) and
-the extreme transition points are derived from the stored orbitals, and
-`_rotation` derives a rotation's orbitals and markers, which `fn_rotate`
-maps.
+they know, as transport and ordered pairs keep breakpoints increasing;
+tests compare each with the checked constructors, and `_bump` also with the
+checked bumps of `tests/oracles.py`.  `orbitals` is the map's own tuple,
+computed at most once per map.  Bumps (once, on first use) and the extreme
+transition points are derived from the stored orbitals, and `_rotation`
+derives a rotation's orbitals and markers, which `fn_rotate` maps.
 """
 
 from __future__ import annotations
@@ -121,46 +121,22 @@ def is_standard_fn(f: MarkedFn) -> bool:
             and signs == sorted(signs) and nneg <= len(signs) - nneg <= nneg + 1)
 
 
-def make_bump_fn(u, v, a, b, sign: int = 1, name: Optional[str] = None) -> MarkedFn:
-    """A two-piece bump on (u,v) with feet (u,a) and [b,v); the ends are
-    values `ratio` reads.
-
-    The interior breakpoint is (a,b) for a positive bump and (b,a) for a
-    negative one; in both cases the marker is a.
-    """
-    u, v, a, b = ratio(u), ratio(v), ratio(a), ratio(b)
-    if not (0 <= u[0] and _lt(u, a) and _lt(a, b) and _lt(b, v) and v[0] <= v[1]):
-        raise RealizationError(f"bad bump parameters ({fmt(u)},{fmt(v)},{fmt(a)},{fmt(b)})")
-    sign = 1 if sign > 0 else -1
-    bp = u + u + (a + b if sign > 0 else b + a) + v + v
+def _bump(u: Pair, v: Pair, s: Pair, t: Pair, name: Optional[str] = None) -> MarkedFn:
+    """The positive bump on (u,v) through (s,t), marked at s, from reduced
+    pairs 0 <= u < s < t < v < 1.  Canonical as written: the one point off
+    the diagonal lies between two on it, so no point is collinear."""
+    bp = (*u, *u, *s, *t, *v, *v, 1, 1, 1, 1)
     if u[0]:
         bp = (0, 1, 0, 1) + bp
-    if v[0] < v[1]:
-        bp += (1, 1, 1, 1)
-    return MarkedFn._trusted(PLMap._make(bp, None, ((u, v, sign),)), (a,), name)
-
-
-def canonical_bump(u, v, name: Optional[str] = None) -> MarkedFn:
-    """Positive bump on (u,v) with feet the outer sixteenths of the orbital."""
-    u, v = ratio(u), ratio(v)
-    un, vn, d = u[0] * v[1], v[0] * u[1], 16 * u[1] * v[1]  # u and v over d / 16
-    return make_bump_fn(u, v, _reduced(15 * un + vn, d), _reduced(un + 15 * vn, d), 1, name)
-
-
-def midpoint_bump(u, v, name: Optional[str] = None) -> MarkedFn:
-    """Positive bump on (u,v): interior breakpoint at the midpoint mapping to
-    the 3/4 point, marker at the midpoint."""
-    u, v = ratio(u), ratio(v)
-    un, vn, d = u[0] * v[1], v[0] * u[1], 4 * u[1] * v[1]  # u and v over d / 4
-    return make_bump_fn(u, v, _reduced(2 * un + 2 * vn, d), _reduced(un + 3 * vn, d), 1, name)
+    return MarkedFn._trusted(PLMap._make(bp, None, ((u, v, 1),)), (s,), name)
 
 
 def _rotation(orbitals: tuple, markers: tuple) -> Tuple[tuple, tuple]:
     """A rotation's orbitals and markers: the inner ones of more than two,
     else one positive orbital on the left foot (u, s) of the last positive
-    orbital, marked at its midpoint as `midpoint_bump` marks it.  There is
-    one: `_standard_walk` and `set_rotate` rotate only standard functions,
-    which have no fewer positive orbitals than negative ones."""
+    orbital, marked at its midpoint.  There is one: `_standard_walk` and
+    `set_rotate` rotate only standard functions, which have no fewer
+    positive orbitals than negative ones."""
     if len(orbitals) > 2:
         return orbitals[1:-1], markers[1:-1]
     u, s = [(u, s) for (u, _, sign), s in zip(orbitals, markers) if sign > 0][-1]
@@ -169,11 +145,14 @@ def _rotation(orbitals: tuple, markers: tuple) -> Tuple[tuple, tuple]:
 
 def fn_rotate(f: MarkedFn) -> MarkedFn:
     """The function with `_rotation`'s orbitals and markers: f restricted to
-    its inner orbitals, or the midpoint bump on the rotated orbital."""
+    its inner orbitals, or the bump on the rotated orbital (u,v) that maps
+    its midpoint marker to (u + 3v)/4."""
     orbs, markers = _rotation(f.orbitals, f.markers)
     name = f"{f.name}^o" if f.name else None
     if len(f.orbitals) <= 2:
-        return midpoint_bump(*orbs[0][:2], name)
+        (u, v, _), = orbs
+        t = _reduced(u[0] * v[1] + 3 * v[0] * u[1], 4 * u[1] * v[1])  # (u + 3v) / 4
+        return _bump(u, v, markers[0], t, name)
     # the map moves points just inside the kept orbitals' ends, so both are
     # breakpoints of the restriction and no kept point becomes collinear
     (ln, ld), (hn, hd) = orbs[0][0], orbs[-1][1]

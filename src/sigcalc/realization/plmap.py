@@ -7,8 +7,9 @@ Equality is equality of these tuples, and composition, inversion, powers,
 one-point images and preimages (`_at`) and orbitals (`_orbitals`) work on
 integers alone, with every number a reduced (n, d) pair; `ratio`, `fmt`,
 `keys`, `_lt` and `by_value` read, print and order such pairs for the whole
-package.  Fractions are built only where the public API hands them out:
-`points`, the breakpoints built anew on each read, `__call__` and
+package, and `ratio` reads an int, float or Fraction by its own
+`as_integer_ratio`.  Fractions are built only in the three views the public
+API hands out: `points` (built anew on each read), `__call__` and
 `orbitals()`.  No floating point anywhere.
 
 `PLMap(points)` is the one checked constructor: it reads coordinates with
@@ -21,12 +22,13 @@ hand against the grammar that the regular expression `_RATIO` in
 `tests/oracles.py` states, before it builds any integer.  Every other map
 is built by the unchecked `PLMap._make`: `identity`; `inverse`, since
 swapping the coordinates of an increasing map keeps it increasing; the
-affine copies, restrictions and bumps of `marked`; the wrap tops of
-`build`; and compositions, since a composition of increasing maps
-increases, so `then` (and powers) drain the merge kernel, `_merge`, into
-`_make`.  `_merge` is the one composition loop: `words.pred_C` runs two of
-them side by side and stops at the first breakpoint where they differ.  It
-reduces what it computes with `gcd` in line.
+affine copies and restrictions of `marked` and its one-bump builder
+`_bump`; the wrap tops of `build`; and compositions, since a composition
+of increasing maps increases, so `then` (and powers) drain the merge
+kernel, `_merge`, into `_make`.  `_merge` is the one composition loop:
+`words.pred_C` runs two of them side by side and stops at the first
+breakpoint where they differ.  It reduces what it computes with `gcd` in
+line.
 
 Slopes are reduced (p, q) pairs, derived once per map: the checked
 constructor keeps the ones it computes to drop collinear points, `_merge`
@@ -46,7 +48,6 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..signature import quoted
 
-Point = Tuple[Fraction, Fraction]
 Pair = Tuple[int, int]  # a reduced n/d, d > 0
 
 class PLError(ValueError):
@@ -63,7 +64,8 @@ def ratio(x) -> Pair:
     optionally signed integer or n/d with d > 0, in decimal digits with
     blanks around it, checked before any integer is built (so "1e10000000"
     is refused at once); a tuple is an (n, d) pair of ints with d > 0, a
-    bool is refused, and anything else is read by `Fraction`."""
+    bool is refused, and an int, float or Fraction is read by its own
+    `as_integer_ratio`; anything else is refused by its type's name."""
     if isinstance(x, str):
         num, slash, den = x.partition("/")
         num = num.lstrip() if slash else num.strip()
@@ -77,9 +79,11 @@ def ratio(x) -> Pair:
         return n // (g := gcd(n, d)), d // g
     if type(x) is tuple and x[1] > 0:
         return _reduced(*x)
-    if isinstance(x, (bool, tuple)):
-        raise TypeError(f"not a number: {x!r}")
-    return Fraction(x).as_integer_ratio()
+    if isinstance(x, bool):
+        raise TypeError(f"not a number: {x}")
+    if not hasattr(x, "as_integer_ratio"):
+        raise TypeError(f"not a number: {type(x).__name__}")
+    return x.as_integer_ratio()
 
 
 def fmt(p: Pair) -> str:
@@ -179,7 +183,7 @@ class PLMap:
         return m
 
     @property
-    def points(self) -> Tuple[Point, ...]:
+    def points(self) -> Tuple[Tuple[Fraction, Fraction], ...]:
         """The breakpoints as Fraction pairs, built on each read."""
         return tuple((Fraction(xn, xd), Fraction(yn, yd)) for xn, xd, yn, yd in _quads(self._bp))
 
@@ -299,7 +303,7 @@ class PLMap:
         return hash(self._bp)
 
     def __repr__(self):
-        pts = ", ".join(f"({x},{y})" for x, y in self.points)
+        pts = ", ".join(f"({fmt(q[:2])},{fmt(q[2:])})" for q in _quads(self._bp))
         return f"PLMap([{pts}])"
 
     def orbitals(self) -> List[Tuple[Fraction, Fraction, int]]:

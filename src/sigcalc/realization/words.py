@@ -27,6 +27,7 @@ import functools
 from operator import eq
 from typing import List, Optional, Sequence, Tuple
 
+from ..signature import short_int
 from .marked import MarkedFn, RealizationError
 from .plmap import PLMap, _lt, conj_map
 
@@ -45,7 +46,7 @@ def pl_eval(fns: Sequence[MarkedFn], word: GroupWord) -> PLMap:
     out = PLMap.identity()
     for idx, exp in word:
         if not (0 <= idx < len(fns)):
-            raise RealizationError(f"generator index {idx} out of range")
+            raise RealizationError(f"generator index {short_int(idx)} out of range")
         out = out.then(fns[idx].map ** exp)
     return out
 

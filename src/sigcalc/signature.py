@@ -272,7 +272,7 @@ def sig_inflate(a: Signature, m: int) -> Signature:
         o(i^m, k) = min(o(i,m), o(m,k))        for k > m, and o(i^m, m) = o(i,m).
     """
     if not (0 <= m < a.n):
-        raise SignatureError(f"base element {m} out of range")
+        raise SignatureError(f"base element {short_int(m)} out of range")
     val = a.val
     conj = [i for i in range(m) if val(i, m) > 0]
     # the new base as (old element, is a conjugate) pairs
@@ -459,6 +459,12 @@ def quoted(text: str) -> str:
     return repr(text[:40])
 
 
+def short_int(k: int) -> str:
+    """k in decimal, cut after 40 digits with "...", as `quoted` cuts text."""
+    text, cut = str(k), 40 + (k < 0)
+    return text if len(text) <= cut else text[:cut] + "..."
+
+
 def _unique_keys(pairs: List[Tuple[str, object]]) -> dict:
     """A JSON object's members as a dict; SignatureParseError when a key repeats."""
     doc = dict(pairs)
@@ -509,7 +515,8 @@ def sig_from_json(text: str) -> Signature:
         if v < 0:
             raise SignatureParseError(f'"o" value at {quoted(key)} is negative')
         if (i, j) in o:
-            raise SignatureParseError(f'"o" gives pair ({i},{j}) twice (again as {quoted(key)})')
+            raise SignatureParseError(
+                f'"o" gives pair ({short_int(i)},{short_int(j)}) twice (again as {quoted(key)})')
         o[(i, j)] = v
     n = doc["n"]
     labels = doc.get("labels")
@@ -520,7 +527,7 @@ def sig_from_json(text: str) -> Signature:
         raise SignatureParseError(f'"labels" must list {n} strings, not {len(labels)}')
     for i, j in o:
         if not (0 <= i < j < n):
-            raise SignatureError(f"pair ({i},{j}) outside base 0..{n-1}")
+            raise SignatureError(f"pair ({short_int(i)},{short_int(j)}) outside base 0..{n-1}")
     npairs = n * (n - 1) // 2
     if len(o) != npairs:
         first = list(itertools.islice((p for p in _pairs(n) if p not in o), 5))

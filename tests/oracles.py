@@ -25,7 +25,12 @@ and `ratio_by_regex` reads a coordinate string with the regular expression
 `_RATIO`, the reference for the grammar `plmap.ratio` checks by hand.
 `checked_copy` and `rescale_checked`
 rebuild a marked function through the checked constructors, the reference
-for the trusted transport (`transport`, `fn_rotate`, `make_bump_fn`).
+for the trusted transport (`transport`, `fn_rotate`, `marked._bump`).
+`make_bump_fn` builds a two-piece bump through the checked constructors
+from checked parameters, and `canonical_bump` (feet the outer sixteenths)
+and `midpoint_bump` (the midpoint mapped to the 3/4 point) through it: the
+tests' one-bump fixtures, and the references for `marked._bump`'s unit
+bump, single-bump wrap top and one-bump rotation.
 `frac` reads a marked function's reduced integer pair as a Fraction.
 `signatures_by_columns` enumerates signatures by a search over the pairs
 with no bound on the base, the reference for the order of
@@ -303,6 +308,31 @@ def commutator(x: PLMap, y: PLMap) -> PLMap:
 def checked_copy(f: MarkedFn) -> MarkedFn:
     """f rebuilt from its breakpoints and markers by the checked constructors."""
     return MarkedFn(PLMap(f.map.points), f.markers, f.name)
+
+
+def make_bump_fn(u, v, a, b, sign: int = 1, name: Optional[str] = None) -> MarkedFn:
+    """A two-piece bump on (u,v) with feet (u,a) and [b,v), built by the
+    checked constructors; RealizationError unless 0 <= u < a < b < v <= 1.
+    The interior breakpoint is (a,b) for a positive bump and (b,a) for a
+    negative one; in both cases the marker is a."""
+    u, v, a, b = F(u), F(v), F(a), F(b)
+    if not 0 <= u < a < b < v <= 1:
+        raise RealizationError(f"bad bump parameters ({u},{v},{a},{b})")
+    inner = (a, b) if sign > 0 else (b, a)
+    return MarkedFn(PLMap([(0, 0), (u, u), inner, (v, v), (1, 1)]), [a], name)
+
+
+def canonical_bump(u, v, name: Optional[str] = None) -> MarkedFn:
+    """Positive bump on (u,v) with feet the outer sixteenths of the orbital."""
+    u, v = F(u), F(v)
+    return make_bump_fn(u, v, (15 * u + v) / 16, (u + 15 * v) / 16, 1, name)
+
+
+def midpoint_bump(u, v, name: Optional[str] = None) -> MarkedFn:
+    """Positive bump on (u,v): interior breakpoint at the midpoint mapping to
+    the 3/4 point, marker at the midpoint."""
+    u, v = F(u), F(v)
+    return make_bump_fn(u, v, (u + v) / 2, (u + 3 * v) / 4, 1, name)
 
 
 def rescale_checked(f: MarkedFn, lo, hi) -> MarkedFn:

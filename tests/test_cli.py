@@ -534,6 +534,31 @@ def test_long_keys_and_tokens_give_short_messages(capsys):
     assert err == f"error: bad word token {long[:40]!r}\n"
 
 
+ONES, KEY = "1" * 4001, "1" + "0" * 4299  # past 40 digits, and at the interpreter's digit limit
+CUT = "1" * 40 + "..."
+
+
+@pytest.mark.parametrize("code, argv, err", [
+    (1, ["rho", '{"n": 2, "o": {"0,1": 1, "%s,1": 1}}' % KEY],
+     f"pair ({KEY[:40]}...,1) outside base 0..1"),
+    (2, ["rho", '{"n": 2, "o": {"%s,1": 1, " %s,1": 1}}' % (KEY, KEY)],
+     f"cannot parse signature: \"o\" gives pair ({KEY[:40]}...,1) twice"
+     f" (again as ' {KEY[:39]}')"),
+    (1, ["predicates", PAIR1, "--x", ONES, "--y", "0"], f"generator index {CUT} out of range"),
+    (1, ["inflate", PAIR1, "--at", ONES], f"no element at index {CUT}"),
+    (1, ["inflate", "exp(1+1)", "--at", "-" + ONES], f"base element -{CUT} out of range"),
+    # an integer of 40 digits is named whole
+    (1, ["inflate", "exp(1+1)", "--at", "-" + ONES[:40]],
+     f"base element -{ONES[:40]} out of range"),
+    (1, ["inflate", PAIR1, "--at", ONES[:40]], f"no element at index {ONES[:40]}"),
+], ids=["pair outside base", "pair twice", "generator index", "set index", "base element",
+        "base element of 40 digits", "set index of 40 digits"])
+def test_long_integers_give_short_messages(capsys, code, argv, err):
+    # each message names at most 40 digits of an integer it read
+    assert run(capsys, *argv) == (code, "", f"error: {err}\n")
+    assert len(err) < 200
+
+
 # --- malformed generating-set documents -----------------------------------------------
 
 
@@ -604,6 +629,33 @@ def test_coordinates_read_as_before(capsys):
     doc = _one_function(breakpoints=[[" 0", "-0"], ["+1/4", "2/8"], ["1/2", "3/4"], [1, "1"]],
                         markers=[0.5])
     assert run(capsys, "signature", doc) == run(capsys, "signature", _one_function())
+
+
+@pytest.mark.parametrize("number, exact", [
+    (0.1, "3602879701896397/36028797018963968"), (1e-3, "1152921504606847/1152921504606846976")])
+def test_a_json_number_reads_as_its_exact_binary_value(capsys, number, exact):
+    # the square that inflation prints carries the breakpoint (number, 1/2)
+    def doc(x):
+        return _one_function(breakpoints=[["0", "0"], [x, "1/2"], ["1", "1"]], markers=["1/2"])
+    code, out, err = run(capsys, "inflate", doc(number), "--at", "0")
+    assert (code, err) == (0, "") and f'"{exact}"' in out
+    assert run(capsys, "inflate", doc(exact), "--at", "0") == (code, out, err)
+
+
+@pytest.mark.parametrize("value, reason", [
+    (float("nan"), "cannot convert NaN to integer ratio"),
+    (float("inf"), "cannot convert Infinity to integer ratio"),
+    (None, "not a number: NoneType"),
+    ([], "not a number: list"),
+    (["1/2"] * 10 ** 4, "not a number: list"),
+    ({}, "not a number: dict"),
+], ids=["NaN", "Infinity", "null", "[]", "long array", "{}"])
+@pytest.mark.parametrize("where", ["breakpoint", "marker"])
+def test_a_coordinate_that_is_no_number_is_named_by_its_type(capsys, value, reason, where):
+    doc = (_one_function(breakpoints=[["0", "0"], ["1/4", "1/4"], ["1/2", value], ["1", "1"]])
+           if where == "breakpoint" else _one_function(markers=[value]))
+    err = expect_error(capsys, 2, "signature", doc)
+    assert err == f"error: cannot parse generating set: {reason}\n"
 
 
 def _unreadable(path, monkeypatch):

@@ -28,13 +28,13 @@ from sigcalc.realization import (
     signature_of,
 )
 from sigcalc.realization.marked import (
-    UNIT, MarkedFn, _rotation, canonical_bump, fn_rotate, is_standard_fn, make_bump_fn,
-    midpoint_bump, transport)
+    UNIT, MarkedFn, _rotation, fn_rotate, is_standard_fn, transport)
 from sigcalc import cli
 from sigcalc.realization import build, genset, marked, plmap
 from oracles import (
-    checked_copy, classify_pair, fig_bz_set, fig_g_set, fn_shape, frac, genset_to_json_dumps,
-    is_standard_pair, oscillation, pair_relation, rescale_checked, retrofit_slopes)
+    canonical_bump, checked_copy, classify_pair, fig_bz_set, fig_g_set, fn_shape, frac,
+    genset_to_json_dumps, is_standard_pair, make_bump_fn, midpoint_bump, oscillation,
+    pair_relation, rescale_checked, retrofit_slopes)
 from helpers import frame_onto
 
 one = ONE_SIG
@@ -406,7 +406,7 @@ def test_build_transports_only_the_general_wraps_rotated_top(monkeypatch):
     # only; the general wrap copies its breakpoints, so only it is handed the
     # rotated top transported
     _fresh_build_cache(monkeypatch)
-    moved, handed = [], {"_wrap_single": [], "_wrap_two": [], "_wrap_general": []}
+    moved, handed = [], {"_bump": [], "_wrap_two": [], "_wrap_general": []}
     monkeypatch.setattr(build, "transport", lambda *a: moved.append(transport(*a)) or moved[-1])
     for name, log in handed.items():
         wrap = getattr(build, name)
@@ -415,7 +415,7 @@ def test_build_transports_only_the_general_wraps_rotated_top(monkeypatch):
     build._build(SIG5)
     assert all(handed.values())
     assert [id(t) for t in handed["_wrap_general"]] == [id(t) for t in moved]
-    assert all(type(orbs) is tuple for orbs in handed["_wrap_single"] + handed["_wrap_two"])
+    assert all(type(orbs) is tuple for orbs in handed["_bump"] + handed["_wrap_two"])
     for f in realize(SIG5):
         g = transport(f, UNIT, "x")
         assert g.map is f.map and (g.markers, g.orbitals, g.name) == (f.markers, f.orbitals, "x")
@@ -439,7 +439,7 @@ def test_build_cache_keeps_no_transported_copy(monkeypatch):
     # cache holds are the unit bump and the top each wrap makes
     tops = []
     built = _recording_build_cache(monkeypatch)
-    for name in ("_wrap_single", "_wrap_two", "_wrap_general"):
+    for name in ("_bump", "_wrap_two", "_wrap_general"):
         wrap = getattr(build, name)
         monkeypatch.setattr(build, name, lambda *a, wrap=wrap: tops.append(wrap(*a)) or tops[-1])
     assert signature_of(realize(SIG5)) == SIG5
@@ -496,16 +496,59 @@ def test_trusted_transport_matches_checked_constructor():
             assert fn_shape(g) == fn_shape(checked_copy(g))
 
 
+def _last_positive_foot(f):
+    """(u, s): the last positive orbital's left end and marker, as Fractions."""
+    return [(frac(u), frac(s)) for (u, _, sign), s in zip(f.orbitals, f.markers) if sign > 0][-1]
+
+
 def test_one_rotation(realized_n5):
     """The walk's rotation of (orbitals, markers) is the rotated function's,
-    whose orbitals the checked constructor recomputes from its points."""
+    whose orbitals the checked constructor recomputes from its points; of a
+    function with at most two orbitals, it is the checked midpoint bump on
+    the left foot (u, s) of its last positive orbital."""
     small = [realize(s) for n in range(1, 5) for s in enumerate_signatures(n, 3)]
     fns = _distinct(f for fs in small + realized_n5 + [fig_bz_set(), fig_g_set()] for f in fs)
+    one_bump = 0
     for f in fns:
         for g in _rotation_chain(f):
             r = fn_rotate(g)
             assert _rotation(g.orbitals, g.markers) == (
                 PLMap(r.map.points)._orbitals(), r.markers)
+            if len(g.orbitals) <= 2:
+                assert fn_shape(r) == fn_shape(midpoint_bump(*_last_positive_foot(g), r.name))
+                one_bump += 1
+    assert one_bump > len(fns)
+
+
+def test_one_bump_rotation_of_a_bump_moving_points_near_0():
+    # a top whose orbital starts at 0, which a JSON set can give and a build
+    # cannot: its rotated bump starts at 0 too, with no (0,0) put before (u,u)
+    g = {"breakpoints": [["0", "0"], ["1/4", "7/16"], ["1/2", "1/2"], ["1", "1"]],
+         "markers": ["1/4"], "name": "g"}
+    f = {"breakpoints": [["0", "0"], ["5/16", "5/16"], ["21/64", "23/64"], ["3/8", "3/8"],
+                         ["1", "1"]], "markers": ["21/64"], "name": "f"}
+    fns = genset_from_json(json.dumps([f, g]))
+    assert signature_of(fns) == pair(1)
+    rotated, inner = set_rotate(fns)  # g^o on (0,1/4) now lies left of f
+    assert inner is fns[0]
+    want = midpoint_bump(0, F(1, 4), "g^o")
+    assert fn_shape(rotated) == fn_shape(want) == fn_shape(checked_copy(rotated))
+    assert rotated.map._bp[:8] == (0, 1, 0, 1, 1, 8, 3, 16)
+
+
+def test_bump_builds_match_the_checked_references(monkeypatch):
+    # the unit bump, and every single-bump wrap top of the signatures with
+    # n <= 4 and values <= 4, are the checked bumps through the same points
+    assert fn_shape(build.UNIT_BUMP) == fn_shape(canonical_bump(F(1, 4), F(3, 4)))
+    _fresh_build_cache(monkeypatch)
+    made = []
+    monkeypatch.setattr(build, "_bump",
+                        lambda *a: made.append((a, marked._bump(*a))) or made[-1][1])
+    for s in (s for n in range(5) for s in enumerate_signatures(n, 4)):
+        build._build(s)
+    assert len(made) > 30
+    for args, top in made:
+        assert fn_shape(top) == fn_shape(make_bump_fn(*map(frac, args)))
 
 
 def test_realized_n5_matches_checked_constructor(realized_n5):
@@ -711,6 +754,9 @@ def test_genset_json_round_trip():
 
 
 def test_midpoint_bump_shape():
-    f = midpoint_bump(0, F(1, 2))
+    # the bump on (0,3/4) marked at 1/2 rotates to the one on (0,1/2) that
+    # maps its midpoint 1/4 to the 3/4 point 3/8
+    f = fn_rotate(make_bump_fn(0, F(3, 4), F(1, 2), F(5, 8)))
+    assert f.orbitals == (((0, 1), (1, 2), 1),)
     assert f.map(F(1, 4)) == F(3, 8)
     assert f.markers == ((1, 4),)

@@ -9,12 +9,11 @@ from sigcalc.ordinal import ord_parse
 from sigcalc.normalizer import materialize
 from sigcalc.signature import ONE_SIG, Signature, enumerate_signatures, parse_term, sig_sum
 from sigcalc.realization import PLMap, pl_eval, pred_C, pred_D, pred_T, predicates, realize
-from sigcalc.realization.marked import canonical_bump
 from sigcalc.realization import words
 from sigcalc.realization.words import conj_map
 from helpers import bump_map, random_bump_pair, random_pl_map
 from oracles import (
-    WreathSplitError, dom_witness, fig_bz_set, fig_g_set, frac, pred_C_products,
+    WreathSplitError, canonical_bump, dom_witness, fig_bz_set, fig_g_set, frac, pred_C_products,
     retrofit_slopes, sig_star_pairwise, wreath_witness)
 
 
