@@ -37,8 +37,10 @@ the limit counts only Python frames, so the boundary may lie further out).
 
 A JSON signature with a wrong "labels" count or a negative value, and a word
 token with exponent 0, exit 2 as other malformed input does.  A set where two
-functions share a maximum transition point (one given twice) is not fast:
-`signature` exits 1 naming it, `verify` reports "fast: false" and exits 1.
+functions share a maximum transition point (one given twice) is not fast,
+as their right feet overlap: `signature`, `diagram`, `rotate` and `inflate`
+exit 1 saying they require a fast set, `verify` reports "fast: false" and
+exits 1.
 Messages quote at most 40 characters of a JSON key, word token or coordinate,
 and at most 40 digits of an integer read from input (a pair's, generator's,
 set element's or base element's index), cut with "...".

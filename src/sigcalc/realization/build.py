@@ -20,6 +20,8 @@ built by `marked._bump`, the other tops unchecked (`PLMap._make`,
 `MarkedFn._trusted`) with the orbitals they construct;
 `test_placed_functions_match_checked_constructor` and the realize sweep
 compare every top that builds keep with the checked constructors' rebuild.
+New feet avoid the placed functions' feet, which `_obstacles` reads from
+each function's stored `feet`, shared by all its placements.
 """
 
 from __future__ import annotations
@@ -89,7 +91,7 @@ def _obstacles(fns: Sequence[Placement], *points: Pair) -> Tuple[int, List[int],
     """Closures of all feet of the placed functions, carried by their frames,
     merged and sorted, which new feet must avoid, and the given points, as
     integer keys over one denominator: (denominator, point keys, [lo, hi] spans)."""
-    ends = [place(fr, e) for f, fr in fns for b in f.bumps for foot in b.feet for e in foot]
+    ends = [place(fr, e) for f, fr in fns for foot in f.feet for e in foot]
     den, k = keys(list(points) + ends)
     merged: List[List[int]] = []
     for lo, hi in sorted(zip(k[len(points)::2], k[len(points) + 1::2])):
@@ -137,7 +139,7 @@ def _wrap_general(t: MarkedFn, others: Sequence[Placement]) -> MarkedFn:
     The rotated top is standard, as realized functions are, and each wall
     lies outside its support (u, v): a foot's end, or M1 or M2, as every
     build's supports lie in [L0, R0], so in (M1, M2) after MIDDLE."""
-    u_t, v_t = t.min_transition, t.max_transition
+    u_t, v_t = t.orbitals[0][0], t.orbitals[-1][1]
     den, (u, v, m1, m2), spans = _obstacles(others, u_t, v_t, M1, M2)
     left_wall = max([hi for lo, hi in spans if hi < u], default=m1)
     right_wall = min([lo for lo, hi in spans if lo > v], default=m2)

@@ -4,7 +4,9 @@ Vertices are the feet of a fast set in left-to-right order, with a right
 foot of a function contracted with an immediately following left foot of
 the same function.  Each bump is one edge between its feet, directed right
 for positive bumps and left for negative ones, labeled by the owning
-function.  The diagram determines the marked isomorphism type of the
+function: the feet are those `genset._feet_of` sorts, read from each
+function's stored `feet`, and the directions are the signs of its stored
+orbitals.  The diagram determines the marked isomorphism type of the
 generated group, and there is at most one isomorphism between two diagrams,
 so isomorphism reduces to equality of a canonical form.
 """
@@ -61,9 +63,9 @@ def diagram(fns: Sequence[MarkedFn]) -> DynDiagram:
         prev = (fi, side)
     raw_edges = []
     for fi, f in enumerate(fns):
-        for bi, b in enumerate(f.bumps):
+        for bi, (_, _, sign) in enumerate(f.orbitals):
             lv, rv = vertex_of[fi, bi, "L"], vertex_of[fi, bi, "R"]
-            raw_edges.append((lv, rv, fi) if b.sign > 0 else (rv, lv, fi))
+            raw_edges.append((lv, rv, fi) if sign > 0 else (rv, lv, fi))
     names = [f.name or str(i) for i, f in enumerate(fns)]
     return DynDiagram(nv, raw_edges, names)
 

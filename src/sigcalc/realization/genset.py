@@ -1,9 +1,11 @@
 """Generating sets of marked functions: order, fastness, standardness.
 
 A generating set is an ordered list of marked functions; the order is by
-maximum transition point, which for fast totally-nested-or-disjoint sets
-agrees with the relation f < g given by f << g (disjoint, f left) or
-f inside g (closure of extended support contained in extended support).
+maximum transition point, the right end of the last orbital, which for fast
+totally-nested-or-disjoint sets agrees with the relation f < g given by
+f << g (disjoint, f left) or f inside g (closure of extended support
+contained in extended support).  Fastness is checked once, by `_feet_of` on
+the functions' stored feet, which also refuses a tie in that order.
 
 `_standard_walk` checks a set and computes its oscillations at once, each
 as a count of rotation steps; `signature_of`, `set_rotate` and
@@ -26,7 +28,7 @@ from typing import List, Sequence, Tuple
 from ..signature import MAX_PAIR_VALUE, Signature, _pair_index, _trusted, short_int
 from .marked import (
     MarkedFn, RealizationError, _rotation, conjugate, fn_rotate, is_standard_fn, square)
-from .plmap import PLMap, _lt, _quads, fmt, keys
+from .plmap import PLMap, _lt, _quads, keys
 
 GenSet = List[MarkedFn]
 
@@ -36,17 +38,14 @@ class NotSgenError(RealizationError):
 
 
 class NotFastError(NotSgenError):
-    """A set that is not fast, or not ordered by its maximum transition points."""
+    """A set that is not fast."""
 
 
 def order_genset(fns: Sequence[MarkedFn]) -> GenSet:
-    """Sort by maximum transition point; a tie means the set is not fast."""
-    _, k = keys([f.max_transition for f in fns])
-    order = sorted(range(len(fns)), key=k.__getitem__)
-    for i, j in zip(order, order[1:]):
-        if k[i] == k[j]:
-            raise NotFastError(f"tied maximum transition point {fmt(fns[i].max_transition)}")
-    return [fns[i] for i in order]
+    """Sort by maximum transition point, the right end of the last orbital;
+    functions that tie are not fast, as their right feet [t, v) overlap."""
+    _, k = keys([f.orbitals[-1][1] for f in fns])
+    return [fns[i] for i in sorted(range(len(fns)), key=k.__getitem__)]
 
 
 def _feet_of(fns: Sequence[MarkedFn]):
@@ -55,9 +54,9 @@ def _feet_of(fns: Sequence[MarkedFn]):
     overlap."""
     tags, ends = [], []
     for fi, f in enumerate(fns):
-        for bi, b in enumerate(f.bumps):
+        for bi, foot in enumerate(f.feet):
             tags += ((fi, bi, "L"), (fi, bi, "R"))
-            ends += (b.u, b.marker, b.tpoint, b.v)
+            ends += foot
     _, k = keys(ends)
     feet = sorted((lo, hi, *tag) for tag, lo, hi in zip(tags, k[0::2], k[1::2]))
     if all(max(lo1, lo2) >= min(hi1, hi2)
@@ -135,7 +134,8 @@ def signature_of(fns: Sequence[MarkedFn]) -> Signature:
 
 def set_rotate(fns: Sequence[MarkedFn]) -> GenSet:
     """Rotate the top element of a standard generating set, or drop it when
-    it oscillates with nothing."""
+    it oscillates with nothing; the result is fast by the paper's theorem,
+    so its order has no tie."""
     fns, vals = _standard_walk(fns)
     n = len(fns)
     if any(vals[_pair_index(n, i, n - 1)] for i in range(n - 1)):
@@ -145,7 +145,8 @@ def set_rotate(fns: Sequence[MarkedFn]) -> GenSet:
 
 def set_inflate(fns: Sequence[MarkedFn], index: int) -> GenSet:
     """Replace element a of a standard generating set by a^2 and adjoin b^a
-    for each b below a that oscillates with it (the others have b^a = b)."""
+    for each b below a that oscillates with it (the others have b^a = b);
+    the result is fast by the paper's theorem, so its order has no tie."""
     fns, vals = _standard_walk(fns)
     n = len(fns)
     if not (0 <= index < n):

@@ -2,10 +2,10 @@
 
 A marker s in a bump's support determines the feet (u,s) and [t,v), the
 outer slivers of the orbital, where t is the image of s under the bump (or
-its preimage for a negative bump).  Feet drive the fastness check and the
-dynamical diagram.
+its preimage for a negative bump).  Feet drive the fastness check, the
+dynamical diagram and the obstacles of `build`'s wraps.
 
-Orbitals, markers and bumps hold every number as a reduced integer pair
+Orbitals, markers and feet hold every number as a reduced integer pair
 (n, d) read from the map's breakpoints (see `plmap`), and the builders here
 compute on those pairs; no Fraction is built.  Pairs compare by
 cross-multiplication, never as tuples.
@@ -22,15 +22,16 @@ build their maps with the unchecked `PLMap._make`, handing it the orbitals
 they know, as transport and ordered pairs keep breakpoints increasing;
 tests compare each with the checked constructors, and `_bump` also with the
 checked bumps of `tests/oracles.py`.  `orbitals` is the map's own tuple,
-computed at most once per map.  Bumps (once, on first use) and the extreme
-transition points are derived from the stored orbitals, and `_rotation`
-derives a rotation's orbitals and markers, which `fn_rotate` maps.
+computed at most once per map.  `feet`, one (u, s, t, v) per orbital, is
+derived from the stored orbitals and markers once, on first read: the one
+place a transition point is read off a map.  `_rotation` derives a
+rotation's orbitals and markers, which `fn_rotate` maps.
 """
 
 from __future__ import annotations
 
 from math import gcd
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .plmap import Pair, PLMap, _lt, _quads, _reduced, by_value, conj_map, fmt, ratio
 
@@ -42,29 +43,15 @@ class RealizationError(ValueError):
     pass
 
 
-class Bump:
-    """One orbital of a marked function, with its marker and feet."""
-
-    __slots__ = ("u", "v", "sign", "marker", "tpoint")
-
-    def __init__(self, u: Pair, v: Pair, sign: int, marker: Pair, tpoint: Pair):
-        self.u, self.v, self.sign, self.marker, self.tpoint = u, v, sign, marker, tpoint
-
-    @property
-    def feet(self) -> Tuple[Tuple[Pair, Pair], Tuple[Pair, Pair]]:
-        """((u, marker) open, [tpoint, v) half-open)."""
-        return ((self.u, self.marker), (self.tpoint, self.v))
-
-
 class MarkedFn:
     """A nonidentity PL bijection with a chosen marker in each orbital."""
 
-    __slots__ = ("map", "markers", "name", "orbitals", "_bumps")
+    __slots__ = ("map", "markers", "name", "orbitals", "_feet")
 
     def __init__(self, plmap: PLMap, markers: Sequence, name: Optional[str] = None):
         self.map, self.name = plmap, name
         self.markers = tuple(sorted(map(ratio, markers), key=by_value))
-        self._bumps = None
+        self._feet = None
         self.orbitals = orbs = plmap._orbitals()
         if not orbs:
             raise RealizationError("identity maps cannot be marked")
@@ -82,27 +69,20 @@ class MarkedFn:
         tuple with one inside each of plmap's orbitals.  Nothing is checked."""
         f = object.__new__(cls)
         f.map, f.markers, f.orbitals, f.name = plmap, markers, plmap._orbitals(), name
-        f._bumps = None
+        f._feet = None
         return f
 
     @property
-    def bumps(self) -> List[Bump]:
-        """One Bump per orbital (u, v); its transition point t is the marker s
+    def feet(self) -> Tuple[Tuple[Pair, Pair, Pair, Pair], ...]:
+        """One (u, s, t, v) per orbital (u, v) marked at s: the left foot
+        (u, s) and the right foot [t, v), where the transition point t is s
         moved right by the map or by its inverse.  u < s < t < v needs no
         check: s lies strictly inside (u, v), which the map keeps while moving
         each of its points the orbital's way, so t lies strictly in (s, v)."""
-        if self._bumps is None:
-            self._bumps = [Bump(u, v, sign, s, self.map._at(*s, back=sign < 0))
-                           for (u, v, sign), s in zip(self.orbitals, self.markers)]
-        return self._bumps
-
-    @property
-    def max_transition(self) -> Pair:
-        return self.orbitals[-1][1]
-
-    @property
-    def min_transition(self) -> Pair:
-        return self.orbitals[0][0]
+        if self._feet is None:
+            self._feet = tuple((u, s, self.map._at(*s, back=sign < 0), v)
+                               for (u, v, sign), s in zip(self.orbitals, self.markers))
+        return self._feet
 
     def __repr__(self):
         tag = self.name or "fn"
@@ -173,7 +153,8 @@ def conjugate(f: MarkedFn, w: PLMap, name: Optional[str] = None) -> MarkedFn:
 def square(f: MarkedFn, name: Optional[str] = None) -> MarkedFn:
     """f composed with itself, which has f's orbitals; markers of positive
     bumps are retained and markers of negative bumps move by f within them."""
-    markers = tuple(b.marker if b.sign > 0 else f.map._at(*b.marker) for b in f.bumps)
+    markers = tuple(s if sign > 0 else f.map._at(*s)
+                    for (_, _, sign), s in zip(f.orbitals, f.markers))
     return MarkedFn._trusted(f.map.then(f.map), markers, name)
 
 

@@ -63,9 +63,9 @@ def ratio(x) -> Pair:
     """x as a reduced (numerator, denominator) pair: a string is an
     optionally signed integer or n/d with d > 0, in decimal digits with
     blanks around it, checked before any integer is built (so "1e10000000"
-    is refused at once); a tuple is an (n, d) pair of ints with d > 0, a
-    bool is refused, and an int, float or Fraction is read by its own
-    `as_integer_ratio`; anything else is refused by its type's name."""
+    is refused at once); a bool is refused, and an int, float or Fraction
+    is read by its own `as_integer_ratio`; anything else, a tuple too, is
+    refused by its type's name."""
     if isinstance(x, str):
         num, slash, den = x.partition("/")
         num = num.lstrip() if slash else num.strip()
@@ -77,8 +77,6 @@ def ratio(x) -> Pair:
             return int(num), 1
         n, d = int(num), int(den)
         return n // (g := gcd(n, d)), d // g
-    if type(x) is tuple and x[1] > 0:
-        return _reduced(*x)
     if isinstance(x, bool):
         raise TypeError(f"not a number: {x}")
     if not hasattr(x, "as_integer_ratio"):

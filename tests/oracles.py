@@ -307,7 +307,7 @@ def commutator(x: PLMap, y: PLMap) -> PLMap:
 
 def checked_copy(f: MarkedFn) -> MarkedFn:
     """f rebuilt from its breakpoints and markers by the checked constructors."""
-    return MarkedFn(PLMap(f.map.points), f.markers, f.name)
+    return MarkedFn(PLMap(f.map.points), [frac(s) for s in f.markers], f.name)
 
 
 def make_bump_fn(u, v, a, b, sign: int = 1, name: Optional[str] = None) -> MarkedFn:
@@ -350,8 +350,7 @@ def frac(p: Tuple[int, int]) -> Fraction:
 
 def fn_shape(f: MarkedFn):
     """Everything a marked function stores or derives, as comparable values."""
-    return (f.map.points, f.map._orbitals(), f.orbitals, f.markers, f.name,
-            [(b.u, b.v, b.sign, b.marker, b.tpoint) for b in f.bumps])
+    return (f.map.points, f.map._orbitals(), f.orbitals, f.markers, f.name, f.feet)
 
 
 def dom_witness(x: PLMap, y: PLMap) -> Optional[Tuple[Fraction, Fraction]]:
@@ -389,15 +388,15 @@ def wreath_witness(fns: Sequence[MarkedFn], split: int) -> Tuple[Fraction, Fract
                 raise WreathSplitError(
                     f"cross oscillation {o} between elements {i},{j}: not a *-split")
     b_part, c_part = fns[:split], fns[split:]
-    lo = min(frac(f.min_transition) for f in b_part)
-    hi = max(frac(f.max_transition) for f in b_part)
+    lo = min(frac(f.orbitals[0][0]) for f in b_part)
+    hi = max(frac(f.orbitals[-1][1]) for f in b_part)
     for c in c_part:
         ru, rv, _ = c.orbitals[-1]
         if not (frac(ru) < lo and hi < frac(rv)):
             raise WreathSplitError(
                 f"witness ({lo},{hi}) not inside the rightmost orbital of {c!r}")
-        for b in c.bumps:
-            for flo, fhi in b.feet:
+        for u, s, t, v in c.feet:
+            for flo, fhi in ((u, s), (t, v)):
                 flo, fhi = frac(flo), frac(fhi)
                 if max(flo, lo) < min(fhi, hi):
                     raise WreathSplitError(
@@ -893,12 +892,12 @@ def retrofit_slopes(fns: Sequence[MarkedFn]) -> GenSet:
         scale = 3 if f is top else 1
         pts = [(F(0), F(0)), (F(1), F(1))]
         markers = []
-        for b in f.bumps:
-            u, v = frac(b.u), frac(b.v)
-            x_star, y_star = _two_piece(u, v, frac(b.marker), frac(b.tpoint), b.sign, scale)
+        for (u, s, t, v), (_, _, sign) in zip(f.feet, f.orbitals):
+            u, v = frac(u), frac(v)
+            x_star, y_star = _two_piece(u, v, frac(s), frac(t), sign, scale)
             pts += [(u, u), (v, v)]
             pts.append((x_star, y_star))
-            markers.append(x_star if b.sign > 0 else y_star)
+            markers.append(x_star if sign > 0 else y_star)
         out.append(MarkedFn(PLMap(pts), markers, f.name))
     return out
 
@@ -939,18 +938,18 @@ def _isolated_bumps(fns: Sequence[MarkedFn]) -> List[Tuple[int, int]]:
     pts.sort()
     out = []
     for fi, f in enumerate(fns):
-        for bi, b in enumerate(f.bumps):
-            if not any(frac(b.u) < t < frac(b.v) for t in pts):
+        for bi, (u, v, _) in enumerate(f.orbitals):
+            if not any(frac(u) < t < frac(v) for t in pts):
                 out.append((fi, bi))
     return out
 
 
 def _drop_bump(f: MarkedFn, bi: int) -> MarkedFn:
-    bumps = f.bumps
-    u, v = frac(bumps[bi].u), frac(bumps[bi].v)
+    u, v, _ = f.orbitals[bi]
+    u, v = frac(u), frac(v)
     pts = [(p, p) for p in (u, v)]
     pts += [(x, y) for x, y in f.map.points if not (u < x < v)]
-    markers = [b.marker for j, b in enumerate(bumps) if j != bi]
+    markers = [frac(s) for j, s in enumerate(f.markers) if j != bi]
     return MarkedFn(PLMap(pts), markers, f.name)
 
 
@@ -965,7 +964,7 @@ def excise(fns: Sequence[MarkedFn]) -> GenSet:
     fns, _ = _fast_ordered(fns, "excision")
     while True:
         isolated = _isolated_bumps(fns)
-        removable = [(fi, bi) for fi, bi in isolated if len(fns[fi].bumps) >= 2]
+        removable = [(fi, bi) for fi, bi in isolated if len(fns[fi].orbitals) >= 2]
         if not removable:
             return order_genset(fns)
         by_fn = {}
@@ -973,8 +972,8 @@ def excise(fns: Sequence[MarkedFn]) -> GenSet:
             by_fn.setdefault(fi, []).append(bi)
         fi = min(by_fn)
         f = fns[fi]
-        npos = sum(1 for b in f.bumps if b.sign > 0)
-        nneg = len(f.bumps) - npos
+        npos = sum(1 for _, _, sign in f.orbitals if sign > 0)
+        nneg = len(f.orbitals) - npos
         bi = max(by_fn[fi]) if npos > nneg else min(by_fn[fi])
         fns[fi] = _drop_bump(f, bi)
 

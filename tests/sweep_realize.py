@@ -11,7 +11,7 @@ inflated.  `normalize(s)` must be reduced, its own normal form and of the
 rank rho(s) = xi, and `materialize(xi)` must have the rank xi.  Every
 function that s's build keeps, the unit bump and the wrap tops, must equal
 its rebuild by the checked constructors (`oracles.checked_copy`): map,
-orbitals, markers, name and bumps.  The realized sets' JSON, concatenated
+orbitals, markers, name and feet.  The realized sets' JSON, concatenated
 in enumeration order, must hash to the pinned sha256.  Exits 1 naming the
 first signature or sweep that fails.
 """

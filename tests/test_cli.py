@@ -500,11 +500,15 @@ def test_a_pair_given_twice_is_a_parse_error(capsys):
 
 
 def test_refusals_with_decided_exit_codes(capsys):
-    # a set holding one function twice ties two maximum transition points
+    # a set holding one function twice ties two maximum transition points,
+    # so two right feet overlap and every verb that reads it refuses it as not fast
     f = json.loads(PAIR1)[0]
     twice = json.dumps([f, f])
-    assert run(capsys, "signature", twice) == (
-        1, "", "error: tied maximum transition point 29/48\n")
+    for argv in (("signature", twice), ("rotate", twice), ("inflate", twice, "--at", "0")):
+        assert run(capsys, *argv) == (
+            1, "", "error: a standard generating set requires a fast set\n")
+    assert run(capsys, "diagram", twice) == (
+        1, "", "error: dynamical diagram requires a fast set\n")
     assert run(capsys, "verify", twice) == (
         1, "fast: false\nsgen: false\n", "error: set is not a standard generating set\n")
     # the JSON reader refuses a wrong label count and a negative value as it

@@ -22,7 +22,8 @@ def test_diagram_marking_independent():
     remarked = []
     for f in fns:
         # tiny marker nudges keep the marking fast but move every foot
-        new = [frac(b.marker) - (frac(b.marker) - frac(b.u)) / 2 ** 12 for b in f.bumps]
+        new = [frac(s) - (frac(s) - frac(u)) / 2 ** 12
+               for (u, _, _), s in zip(f.orbitals, f.markers)]
         remarked.append(MarkedFn(f.map, new, f.name))
     assert all(f.markers != g.markers for f, g in zip(fns, remarked))
     assert is_fast(remarked)
@@ -77,7 +78,7 @@ def test_dot_labels_each_bump_with_its_own_function():
             edges[m[3]].append((int(m[1]), int(m[2])))
     for f in fns:
         assert sorted(1 if src < dst else -1 for src, dst in edges[f.name]) == \
-            sorted(b.sign for b in f.bumps)
+            sorted(sign for _, _, sign in f.orbitals)
     (g_lo, g_hi), = edges["g"]
     (h_lo, h_hi), = edges["h"]
     assert g_lo < h_lo < h_hi < g_hi
@@ -100,8 +101,7 @@ def test_excise_single_function_rule():
                         (F(7, 8), F(7, 8)), (1, 1)]),
                  [F(3, 16), F(7, 16), F(11, 16)], "f")
     (out,) = excise([f])
-    assert len(out.bumps) == 1
-    assert (out.bumps[0].u, out.bumps[0].v) == ((3, 8), (5, 8))
+    assert [(u, v) for u, v, _ in out.orbitals] == [((3, 8), (5, 8))]
 
 
 def test_excise_preserves_signature():

@@ -246,6 +246,15 @@ def test_ratio_matches_regex_reference():
     assert seen == {"refused", "integer", "fraction", "non-ASCII digit"}
 
 
+def test_ratio_refuses_an_integer_pair():
+    # readers take strings and numbers; the library's own (n, d) pairs never
+    # pass through one, so a pair is refused like any other non-number
+    with pytest.raises(TypeError, match="^not a number: tuple$"):
+        ratio((1, 2))
+    with pytest.raises(TypeError, match="^not a number: tuple$"):
+        PLMap([(0, 0), ((1, 2), F(1, 3)), (1, 1)])
+
+
 def interior(rng):
     """A fraction in (0,1) with denominator at most 97."""
     d = rng.randint(2, 97)
@@ -420,8 +429,8 @@ def test_equal_maps_by_any_route_are_one_canonical_form():
             PLMap(fg.points),
             PLMap([(str(x), str(y)) for x, y in reversed(fg.points)]),
             PLMap([(0, 0), *fg.points[1:-1], (F(1, 2), fg(F(1, 2))), (1, 1)]),
-            PLMap([((x.numerator, x.denominator), (y.numerator, y.denominator))
-                   for x, y in fg.points]),
+            PLMap([(f"{3 * x.numerator}/{3 * x.denominator}",
+                    f"{5 * y.numerator}/{5 * y.denominator}") for x, y in fg.points]),
             compose_pointwise(f, g),
             g.inverse().then(f.inverse()).inverse(),
             fg.inverse().inverse(),

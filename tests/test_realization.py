@@ -14,6 +14,7 @@ from sigcalc.signature import (
     parse_term,
 )
 from sigcalc.realization import (
+    NotFastError,
     NotSgenError,
     PLMap,
     RealizationError,
@@ -56,13 +57,13 @@ TWO_BUMPS = MarkedFn(PLMap([
 
 
 def test_feet():
+    # (u, s, t, v): the left foot (u, s) and the right foot [t, v)
     f = make_bump_fn(F(1, 4), F(3, 4), F(5, 16), F(11, 16))
-    (b,) = f.bumps
-    assert b.feet == (((1, 4), (5, 16)), ((11, 16), (3, 4)))
+    assert f.feet == (((1, 4), (5, 16), (11, 16), (3, 4)),)
+    assert f.feet is f.feet  # derived once
     neg = make_bump_fn(F(1, 4), F(3, 4), F(5, 16), F(11, 16), sign=-1)
-    (b,) = neg.bumps
-    assert b.sign == -1
-    assert b.feet == (((1, 4), (5, 16)), ((11, 16), (3, 4)))
+    assert neg.orbitals[0][2] == -1
+    assert neg.feet == (((1, 4), (5, 16), (11, 16), (3, 4)),)
 
 
 def test_marker_validation():
@@ -73,6 +74,9 @@ def test_marker_validation():
         MarkedFn(f.map, [F(5, 16), F(6, 16)])
     with pytest.raises(RealizationError):
         MarkedFn(PLMap.identity(), [])
+    # a marker is read as a coordinate is: an (n, d) pair is no number
+    with pytest.raises(TypeError, match="^not a number: tuple$"):
+        MarkedFn(f.map, [(1, 2)])
 
 
 def test_is_standard_fn():
@@ -102,10 +106,10 @@ def test_fn_rotate_drops_extremes():
 def test_fn_rotate_degenerate():
     f = canonical_bump(F(1, 4), F(3, 4))
     r = fn_rotate(f)
-    (b,) = r.bumps
+    ((u, v, sign),) = r.orbitals
     # supported exactly on the left foot of the original
-    assert (b.u, b.v) == f.bumps[0].feet[0]
-    assert b.sign == 1
+    assert (u, v) == f.feet[0][:2]
+    assert sign == 1
 
 
 def test_rescale_at_the_ends_of_the_unit_interval():
@@ -202,9 +206,30 @@ def test_walk_agrees_with_recursive_definition():
                                    for f, g in itertools.combinations(fns, 2))
 
 
+def test_a_function_given_twice_is_refused_as_not_fast():
+    # a set with one function twice ties two maximum transition points, and
+    # the fastness check alone refuses it: the two right feet [t, v) overlap.
+    # Over every function of the realized sets with n <= 5 and values <= 3,
+    # given twice in place, once as itself and once as a renamed copy
+    sigs = [s for n in range(1, 6) for s in enumerate_signatures(n, 3)]
+    assert len(sigs) == 1136
+    doubled = 0
+    for s in sigs:
+        fns = realize(s)
+        for i, f in enumerate(fns):
+            for twin in (f, transport(f, UNIT, "twin")):
+                twice = fns[:i + 1] + [twin] + fns[i + 1:]
+                assert not is_fast(twice) and not is_sgen(twice), (s, i)
+                with pytest.raises(NotFastError, match="^a standard generating set requires"):
+                    signature_of(twice)
+                doubled += 1
+    assert doubled == 2 * sum(s.n for s in sigs)
+
+
 def test_bump_feet_are_ordered(realized_n5):
-    """u < marker < tpoint < v for every bump: MarkedFn.bumps derives tpoint
-    without a check.  Over the n = 5 sets and the sets tests/test_words.py uses."""
+    """u < s < t < v for every orbital (u, v) marked at s: MarkedFn.feet
+    derives the transition point t without a check.  Over the n = 5 sets and
+    the sets tests/test_words.py uses."""
     sets = list(realized_n5) + [fig_g_set(), fig_bz_set(), [TWO_BUMPS]]
     sets += [retrofit_slopes(fig_g_set())]
     sets += [realize(s) for s in enumerate_signatures(3, 3)]
@@ -214,9 +239,11 @@ def test_bump_feet_are_ordered(realized_n5):
     signs = set()
     for fns in sets:
         for f in fns:
-            for b in f.bumps:
-                assert frac(b.u) < frac(b.marker) < frac(b.tpoint) < frac(b.v)
-                signs.add(b.sign)
+            assert [(u, s, v) for u, s, _, v in f.feet] == [
+                (u, s, v) for (u, v, _), s in zip(f.orbitals, f.markers)]
+            for (u, s, t, v), (_, _, sign) in zip(f.feet, f.orbitals):
+                assert frac(u) < frac(s) < frac(t) < frac(v)
+                signs.add(sign)
     assert signs == {1, -1}
 
 
@@ -242,18 +269,18 @@ def test_realize_trivial():
 def test_realize_brin_navas_matches_figure():
     fns = realize(parse_term("E(1+1)"))
     assert [len(f.orbitals) for f in fns] == [1, 2]
-    assert [b.sign for b in fns[1].bumps] == [-1, 1]
+    assert [sign for _, _, sign in fns[1].orbitals] == [-1, 1]
     # inner bump straddles the top's expansion point
-    (inner,) = fns[0].bumps
+    ((u, v, _),) = fns[0].orbitals
     expansion = fns[1].orbitals[0][1]
-    assert frac(inner.u) < frac(expansion) < frac(inner.v)
+    assert frac(u) < frac(expansion) < frac(v)
 
 
 def test_realize_tower_pairs_match_figure():
     for k in (4, 5):
         fns = realize(pair(k))
         assert [len(f.orbitals) for f in fns] == [k - 1, k]
-        signs = [b.sign for b in fns[1].bumps]
+        signs = [sign for _, _, sign in fns[1].orbitals]
         assert signs == [-1] * (k // 2) + [1] * (k - k // 2)
 
 
@@ -340,13 +367,13 @@ def test_realize_computes_orbitals_once_per_function(monkeypatch):
 
 
 def test_a_second_realize_derives_no_bump(monkeypatch):
-    # a placement carries no bumps: an output function derives its own on
-    # first use, and a base function's are derived once, so a second realize
+    # a placement carries no feet: an output function derives its own on
+    # first read, and a base function's are derived once, so a second realize
     # of a cached signature reads no map and derives no orbital
     _fresh_build_cache(monkeypatch)
     first = realize(SIG5)
-    assert all(f._bumps is None for f in first)
-    bases = [(f, f.bumps) for f, _ in build._build(SIG5)]
+    assert all(f._feet is None for f in first)
+    bases = [(f, f.feet) for f, _ in build._build(SIG5)]
     calls = []
     at, orbitals = PLMap._at, PLMap._orbitals
 
@@ -363,8 +390,8 @@ def test_a_second_realize_derives_no_bump(monkeypatch):
     monkeypatch.setattr(PLMap, "_orbitals", counting_orbitals)
     second = realize(SIG5)
     assert calls == []
-    assert all(f._bumps is None for f in second)
-    assert all(f.bumps is bumps for f, bumps in bases)
+    assert all(f._feet is None for f in second)
+    assert all(f.feet is feet for f, feet in bases)
     assert [fn_shape(f) for f in second] == [fn_shape(f) for f in first]
 
 
@@ -384,7 +411,7 @@ def test_placed_functions_match_checked_constructor(monkeypatch):
     # every output function of the 1,296 signatures with n <= 4 and values
     # <= 4, or n = 5 and values <= 3, and every function their builds keep
     # (the unit bump and the wrap tops): its map, orbitals, markers and the
-    # bumps it derives from them are the checked constructors'
+    # feet it derives from them are the checked constructors'
     sigs = [s for n in range(5) for s in enumerate_signatures(n, 4)] + enumerate_signatures(5, 3)
     assert len(sigs) == 1296
     built = _recording_build_cache(monkeypatch)
@@ -393,8 +420,7 @@ def test_placed_functions_match_checked_constructor(monkeypatch):
             checked = checked_copy(f)
             assert (f.map._bp, f.map._orbitals(), f.orbitals, f.markers) == (
                 checked.map._bp, checked.map._orbitals(), checked.orbitals, checked.markers)
-            assert [(b.u, b.v, b.sign, b.marker, b.tpoint) for b in f.bumps] == [
-                (b.u, b.v, b.sign, b.marker, b.tpoint) for b in checked.bumps]
+            assert f.feet == checked.feet
     tops = {id(f): f for entry in built for f, _ in entry}
     assert len(tops) > 800
     for f in tops.values():
@@ -461,7 +487,7 @@ def test_realize_builds_no_inverse_map(monkeypatch):
     monkeypatch.setattr(PLMap, "inverse", counting_inverse)
     _fresh_build_cache(monkeypatch)
     fns = realize(SIG5)
-    assert any(b.sign < 0 for f in fns for b in f.bumps)
+    assert any(sign < 0 for f in fns for _, _, sign in f.orbitals)
     assert inverted == []
 
 
@@ -580,7 +606,7 @@ def test_writer_matches_json_dumps(realized_n5):
             [["0", "0"], ["2/8", "1/4"], [0.5, "3/4"], ["1", 1]], ["1/2"])),
         genset_from_json(genset_to_json(fns)),
     ]
-    sets = [[], fns, [MarkedFn(fns[0].map, fns[0].markers)]] + loaded
+    sets = [[], fns, [MarkedFn(fns[0].map, [frac(s) for s in fns[0].markers])]] + loaded
     sets += [[transport(f, UNIT, name) for f in fns] for name in names]
     for s in sets + realized_n5:
         assert genset_to_json(s) == genset_to_json_dumps(s)
