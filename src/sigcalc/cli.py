@@ -8,9 +8,10 @@ Input limits, each exceeded with exit code 2 and a one-line message:
 ordinals and signature terms nest at most MAX_NESTING (100) levels of '(',
 'w^', 'exp(' and 'E('; a signature has a base of at most signature.MAX_BASE
 (256), a term's '1' leaves or a JSON matrix's "n"; a signature, as JSON or a
-term, holds pair values of at most signature.MAX_PAIR_VALUE (64), checked
-once on the evaluated signature; JSON arguments nest no deeper than the
-decoder's recursion allows; integers in ordinals and JSON have at most the
+term, holds pair values of at most signature.MAX_PAIR_VALUE (64), checked by
+the JSON reader before (!), so a matrix past it that also fails (!) exits 2
+on the value, not 1, and on a term once it is read; JSON arguments nest no
+deeper than the decoder's recursion allows; integers in ordinals and JSON have at most the
 interpreter's limit of digits (4,300 by default); a group word has at most
 MAX_WORD_LETTERS (64) letters, counted as the sum of the absolute exponents;
 a file argument holds at most MAX_ARG_CHARS (16 MiB) characters, above the
@@ -49,7 +50,6 @@ set element's or base element's index), cut with "...".
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -65,6 +65,7 @@ from .signature import (
     Signature,
     SignatureError,
     SignatureParseError,
+    _refuse_past_bound,
     enumerate_signatures,
     parse_term,
     quoted,
@@ -123,16 +124,14 @@ def load_signature(arg: str) -> Signature:
 
 def _parse_signature(text: str) -> Signature:
     try:
-        sig = sig_from_json(text) if text.startswith("{") else parse_term(text)
+        if text.startswith("{"):
+            return sig_from_json(text)  # which refuses a value past MAX_PAIR_VALUE
+        sig = parse_term(text)
+        _refuse_past_bound(sig.n, sig.vals)
     except (SignatureParseError, RecursionError) as e:
         raise CliError(f"cannot parse signature: {e}", 2)
     except SignatureError as e:
         raise CliError(str(e), 1)
-    if max(sig.vals, default=0) > MAX_PAIR_VALUE:  # then name the first such pair
-        for (i, j), v in zip(itertools.combinations(range(sig.n), 2), sig.vals):
-            if v > MAX_PAIR_VALUE:
-                raise CliError(f"cannot parse signature: \"o\" value at '{i},{j}' "
-                               f"is larger than {MAX_PAIR_VALUE}", 2)
     return sig
 
 

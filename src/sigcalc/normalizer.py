@@ -17,8 +17,11 @@ within one call.  One 10 s pass of the `ranks` benchmark (4,500 distinct
 terms) fills about 5,000 `_rho_block` and 770 `_block` entries, so the
 bound holds a whole run.  The keys are the block itself (a `Signature`,
 whose hash and equality ignore labels) and the exponent beta; neither value
-depends on labels.  `rho`, `decompose` and `sig_sum` stay uncached, so a
-repeated top-level input still does its own decomposing and summing.
+depends on labels.  A block keeps its n(n-1)/2 pair values as one `bytes`
+object, a byte each: 32.6 KB for a block on 256 elements, where a tuple of
+ints took about 261 KB in pointers.  `rho`, `decompose` and `sig_sum` stay
+uncached, so a repeated top-level input still does its own decomposing and
+summing.
 
 The gain shows only where blocks are shared.  When the memos came in, `ranks`
 went from about 3,900 to 6,000 ops/s (BENCH_rank_memo.json; later BENCH_*.json
@@ -62,7 +65,8 @@ MODES = ("ordered", "sorted")
 
 # Entries in each block memo, least recently used dropped first.  An entry
 # holds one block and its rank, so what the memos hold also grows with the
-# blocks' bases, which the CLI bounds by signature.MAX_BASE.
+# blocks' bases, which the CLI bounds by signature.MAX_BASE: at most 32.6 KB
+# of pair values per block.
 RANK_CACHE_SIZE = 8192
 
 
@@ -133,7 +137,11 @@ def materialize(xi: Ordinal) -> Signature:
 
     For xi with normal form sum of omega^beta_i * c_i (exponents descending)
     emit c_i copies of the block exp(materialize(1 + beta_i)) (`_block`) per
-    term, concatenated in descending order.
+    term, concatenated in descending order.  Its values are at most xi's
+    nesting + 1, one byte each: past 255, which only an ordinal nested 255
+    levels or more can reach, `sig_exp` raises SignatureError; no ordinal
+    the CLI reads or `rho` returns nests so deep (see the `signature` module
+    docstring).
     """
     if xi == ONE:
         return ONE_SIG  # exp fixes one, so the recursion must bottom out here

@@ -90,8 +90,11 @@ def _build(sig: Signature) -> Tuple[Placement, ...]:
 def _obstacles(fns: Sequence[Placement], *points: Pair) -> Tuple[int, List[int], List[List[int]]]:
     """Closures of all feet of the placed functions, carried by their frames,
     merged and sorted, which new feet must avoid, and the given points, as
-    integer keys over one denominator: (denominator, point keys, [lo, hi] spans)."""
-    ends = [place(fr, e) for f, fr in fns for foot in f.feet for e in foot]
+    integer keys over one denominator: (denominator, point keys, [lo, hi] spans).
+    A foot's end is carried unreduced, (a d + b n, c d), as `keys` needs no
+    reduced pair; the denominator may then hold a spare factor, which the
+    wraps drop, as they reduce every point they make."""
+    ends = [(a * d + b * n, c * d) for f, (a, b, c) in fns for foot in f.feet for n, d in foot]
     den, k = keys(list(points) + ends)
     merged: List[List[int]] = []
     for lo, hi in sorted(zip(k[len(points)::2], k[len(points) + 1::2])):

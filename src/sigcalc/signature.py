@@ -12,23 +12,46 @@ restriction) and the terms `parse_term` reads mirror the geometric ones.
 
 `Signature` is the one matrix class; the reader a matrix enters through
 checks its shape.  `sig_from_json` reads the "i,j" keys, each pair once, n
-labels and values >= 0, then `Signature(n, vals, labels)` checks values and
-(!).  The operations, `parse_term` (which splits its tokens out with str
-methods and writes each leaf's column of pair values as it reads the term)
-and `enumerate_signatures` keep (!) by construction and build with the
-unchecked `_trusted`; tests read the violations of any matrix as
-`_trusted(n, vals).violations()`.
+labels and values in 0..MAX_PAIR_VALUE, then `Signature(n, vals, labels)`
+checks values and (!).  The operations, `parse_term` (which splits its
+tokens out with str methods and writes each leaf's column of pair values as
+it reads the term) and `enumerate_signatures` keep (!) by construction and
+build with the unchecked `_trusted`; tests read the violations of any
+matrix as `_trusted(n, vals).violations()`.
 
-Pair values are stored row-major: `vals` is o(0,1), ..., o(0,n-1), o(1,2),
-..., o(n-2,n-1), so row i, holding o(i,i+1), ..., o(i,n-1), is one contiguous
-slice.  `_rows(a)` returns these n slices (the last one empty), and the
-operations that move whole blocks of a matrix (`sig_sum`, `decompose`,
-`sig_restrict`, `sig_rotate`) and `violations` read and build their values
-row by row from it; in a row, o(i,j) is at position j-i-1 and the top column
-o(i,n-1) is `row[-1]`.  By (!), a zero row is a zero block, so `decompose`
-splits after each all-zero row.  `sig_inflate` builds its values in one pass
-over the new base, `enumerate_signatures` grows signatures kept as rows by one
-column at a time, and `sig_to_json` fills a text kept per base size.
+Pair values are stored row-major in one `bytes` object, a byte per pair:
+`vals` is o(0,1), ..., o(0,n-1), o(1,2), ..., o(n-2,n-1), so row i, holding
+o(i,i+1), ..., o(i,n-1), is one contiguous slice.  `_rows(a)` returns these
+n slices (the last one empty), and the operations that move whole blocks of
+a matrix (`sig_sum`, `decompose`, `sig_restrict`, `sig_rotate`) and
+`violations` read and build their values row by row from it; in a row,
+o(i,j) is at position j-i-1 and the top column o(i,n-1) is `row[-1]`.  By
+(!), a zero row is a zero block, so `decompose` splits after each all-zero
+row.  `sig_inflate` builds its values in one pass over the new base,
+`enumerate_signatures` grows signatures kept as rows by one column at a
+time, `sig_to_json` fills a text kept per base size, and `sig_exp` and
+`sig_shift_down` are one `bytes.translate` each.
+
+So every value lies in 0..255.  `Signature(...)` refuses one outside, and
+`_trusted` builds with `bytes(vals)`, which refuses one too; only a
+translation could wrap, and each refuses the value that would (`sig_exp` a
+255, `sig_shift_down` a 0).  No producer the CLI reaches comes near:
+`sig_from_json` refuses a value past MAX_PAIR_VALUE (64); a term's values are
+at most 2 MAX_NESTING + 1 = 201, since o(i,j) sums the levels (at most 2 each)
+of at most MAX_NESTING groups, plus 1; `enumerate_signatures` keeps its
+values <= 5; `signature_of` counts at most MAX_PAIR_VALUE rotations, its
+fuel; `sig_sum`, `decompose`, `sig_restrict` and `sig_shift_down` raise no
+value, nor do `sig_rotate` (copies, or o(i,n) - 1) and `sig_inflate` (copies,
+or minima of them, less 1 for a conjugate).  `sig_exp` adds 1, and its one
+caller, `normalizer._block`, builds the blocks of `materialize(xi)`, whose
+values are at most xi's nesting + 1 (a term omega^beta's block is
+exp(materialize(1 + beta)), by induction on the normal form): 101 for an
+ordinal `ord_parse` reads, while an omega tower 256 levels high, built in
+Python, reaches the refusal.  For `normalize(a)` they are at most a's largest
+value m, by induction over `_rho_block`'s cases: each ranks a block
+omega^(-1 + x) with x a sum of ranks whose own blocks materialize below m
+(a decrement's, or those of the left factor B, whose ranks are omega-powers
+of blocks with values <= m); tests/test_signature.py checks this bound.
 """
 
 from __future__ import annotations
@@ -91,13 +114,14 @@ class Signature:
     __slots__ = ("n", "vals", "labels")
 
     def __init__(self, n: int, vals: Sequence[int], labels: Optional[Sequence[str]] = None):
-        """Checks values and (!), not the shape: n >= 0, n(n-1)/2 values, n
-        labels if any, as `sig_from_json` and the module constants give."""
+        """Checks values (each an int in 0..255) and (!), not the shape:
+        n >= 0, n(n-1)/2 values, n labels if any, as `sig_from_json` and the
+        module constants give."""
         vals = tuple(vals)
         for v in vals:
-            if not _is_int(v) or v < 0:
-                raise SignatureError(f"pair value {v!r} is not a nonnegative integer")
-        self.n, self.vals = n, vals
+            if not _is_int(v) or not 0 <= v <= 255:
+                raise SignatureError(f"pair value {v!r} is not a byte, an integer in 0..255")
+        self.n, self.vals = n, bytes(vals)
         self.labels = None if labels is None else tuple(str(x) for x in labels)
         bad = self.violations()
         if bad:
@@ -141,13 +165,14 @@ class Signature:
 
 
 def _trusted(n: int, vals: Sequence[int], labels=None) -> Signature:
-    """A Signature from values an operation built to satisfy (!); unchecked."""
+    """A Signature from values an operation built to satisfy (!); unchecked,
+    but `bytes` refuses a value outside 0..255 (and shares a bytes object)."""
     s = object.__new__(Signature)
-    s.n, s.vals, s.labels = n, tuple(vals), labels
+    s.n, s.vals, s.labels = n, bytes(vals), labels
     return s
 
 
-def _rows(a: Signature) -> List[Tuple[int, ...]]:
+def _rows(a: Signature) -> List[bytes]:
     """The n rows of a's values: row i is (o(i,i+1), ..., o(i,n-1))."""
     vals, rows, start = a.vals, [], 0
     for width in range(a.n - 1, -1, -1):
@@ -160,17 +185,22 @@ def _rows(a: Signature) -> List[Tuple[int, ...]]:
 ZERO_SIG = Signature(0, ())
 ONE_SIG = Signature(1, ())
 
+# bytes.translate tables for sig_exp and sig_shift_down; each refuses first
+# the one value that would wrap (255 and 0)
+_PLUS_ONE = bytes(range(1, 256)) + b"\0"
+_MINUS_ONE = b"\xff" + bytes(range(255))
+
 
 def sig_sum(*parts: Signature) -> Signature:
     """Concatenate bases with zero oscillation across summands."""
     if not parts:
         return ZERO_SIG
     n = sum(p.n for p in parts)
-    vals: List[int] = []
+    vals = bytearray()
     later = n  # base elements in the summands after p
     for p in parts:
         later -= p.n
-        zeros = (0,) * later
+        zeros = bytes(later)
         for row in _rows(p):
             vals += row
             vals += zeros
@@ -181,8 +211,12 @@ def sig_sum(*parts: Signature) -> Signature:
 
 
 def sig_exp(a: Signature) -> Signature:
-    """Pointwise +1, the exp of a term; its E is exp applied twice."""
-    return _trusted(a.n, [v + 1 for v in a.vals], a.labels)
+    """Pointwise +1, the exp of a term; its E is exp applied twice.  A value
+    of 255 would wrap, so it raises SignatureError: `materialize` reaches it
+    only on an ordinal nested 255 levels or more (see the module docstring)."""
+    if 255 in a.vals:
+        raise SignatureError("exp of a pair value 255, past the largest byte")
+    return _trusted(a.n, a.vals.translate(_PLUS_ONE), a.labels)
 
 
 def is_all_positive(a: Signature) -> bool:
@@ -193,7 +227,7 @@ def sig_shift_down(a: Signature) -> Signature:
     """Pointwise -1; the inverse of exp on its range."""
     if not is_all_positive(a):
         raise SignatureError("pointwise decrement needs an all-positive signature")
-    return _trusted(a.n, [v - 1 for v in a.vals], a.labels)
+    return _trusted(a.n, a.vals.translate(_MINUS_ONE), a.labels)
 
 
 def decompose(a: Signature) -> List[Signature]:
@@ -211,13 +245,9 @@ def decompose(a: Signature) -> List[Signature]:
         return [a]
     rows = _rows(a)
     cuts = [0, *itertools.compress(range(1, a.n + 1), map(operator.not_, map(any, rows)))]
-    parts = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        vals: List[int] = []
-        for i in range(lo, hi):
-            vals += rows[i][:hi - i - 1]
-        parts.append(_trusted(hi - lo, vals, None if a.labels is None else a.labels[lo:hi]))
-    return parts
+    return [_trusted(hi - lo, b"".join([rows[i][:hi - i - 1] for i in range(lo, hi)]),
+                     None if a.labels is None else a.labels[lo:hi])
+            for lo, hi in zip(cuts, cuts[1:])]
 
 
 def sig_restrict(a: Signature, subset: Iterable[int]) -> Signature:
@@ -225,10 +255,10 @@ def sig_restrict(a: Signature, subset: Iterable[int]) -> Signature:
     one caller, splits unchecked; (!) is hereditary."""
     idx = sorted(set(subset))
     rows = _rows(a)
-    vals: List[int] = []
+    vals = bytearray()
     for k, i in enumerate(idx):
         row = rows[i]
-        vals += [row[j - i - 1] for j in idx[k + 1:]]
+        vals.extend([row[j - i - 1] for j in idx[k + 1:]])
     labels = None
     if a.labels is not None:
         labels = tuple(a.labels[i] for i in idx)
@@ -252,7 +282,7 @@ def sig_rotate(a: Signature) -> Signature:
     n = a.n - 1  # top element
     # rotated base keeps cardinality: {n_rot, 0, .., n-1}
     below = _rows(a)[:-1]
-    vals = [row[-1] - 1 for row in below]
+    vals = bytearray([row[-1] - 1 for row in below])
     for row in below:
         vals += row[:-1]
     labels = None
@@ -278,7 +308,7 @@ def sig_inflate(a: Signature, m: int) -> Signature:
     # the new base as (old element, is a conjugate) pairs
     base = [(i, False) for i in range(m)] + [(c, True) for c in conj]
     base += [(k, False) for k in range(m, a.n)]
-    vals: List[int] = []
+    vals = bytearray()
     for p, (x, x_conj) in enumerate(base):
         for y, y_conj in base[p + 1:]:
             if x_conj == y_conj:
@@ -319,6 +349,7 @@ MAX_BASE = 256
 _TOKEN = re.compile(r"\s*(exp|\S)")  # 'exp' or one character, after whitespace
 _GROUP_LEVEL = {"(": 0, "\x01": 1, "E": 2}  # "\x01" is an 'exp' token
 _BAD_STAR = "right *-factor must be an exp image (all pair values >= 1)"
+_BYTE = [bytes((v,)) for v in range(2 * MAX_NESTING + 2)]  # levels 0..2 MAX_NESTING, plus 1
 
 
 def parse_term(text: str) -> Signature:
@@ -334,7 +365,7 @@ def parse_term(text: str) -> Signature:
     # _TOKEN's tokens, each 'exp' as "\x01" (an input "\x01" becomes "\x02", as
     # invalid), then "" for the end; str.split() and \s agree on every code point
     tokens = [*"".join(text.replace("\x01", "\x02").replace("exp", "\x01").split()), ""]
-    cols, stack, row = [], [], []  # cols[j] = [o(0,j), ..., o(j-1,j)]
+    cols, stack, row = [], [], b""  # cols[j] = bytes o(0,j), ..., o(j-1,j)
     level = first = tfirst = k = 0
     own_pair = right = star = bad_star = False
     while True:
@@ -343,7 +374,7 @@ def parse_term(text: str) -> Signature:
             if len(cols) == MAX_BASE:
                 fail(f"base larger than {MAX_BASE}", k - 1)
             cols.append(row)
-            row = row + [level + 1]
+            row = row + _BYTE[level + 1]
         elif tok in _GROUP_LEVEL:
             if tok != "(":
                 if tokens[k] != "(":
@@ -367,11 +398,11 @@ def parse_term(text: str) -> Signature:
             level, first, tfirst, row, outer_pair, right = stack.pop()
             own_pair = outer_pair or (plain and own_pair)
             if count > len(row):  # the group's leaves are earlier factors
-                row = row + [level + 1] * (count - len(row))
+                row = row + _BYTE[level + 1] * (count - len(row))
             tok, k = tokens[k], k + 1
         if tok == "+" and len(cols) > tfirst:
             own_pair = own_pair or tfirst > first
-            row = row[:tfirst] + [level] * (len(cols) - tfirst)
+            row = row[:tfirst] + _BYTE[level] * (len(cols) - tfirst)
             tfirst = len(cols)
         elif tok not in ("+", "*"):
             if tok or stack:
@@ -380,9 +411,9 @@ def parse_term(text: str) -> Signature:
         star = tok == "*"
     if bad_star:
         raise SignatureError(_BAD_STAR)
-    vals: List[int] = []
+    vals = bytearray()
     for i, col_row in enumerate(itertools.zip_longest(*cols[1:])):
-        vals += col_row[i:]  # row i, after i fill values
+        vals.extend(col_row[i:])  # row i, after i fill values
     return _trusted(len(cols), vals)
 
 
@@ -406,7 +437,7 @@ def enumerate_signatures(n: int, vmax: int) -> List[Signature]:
         raise SignatureError("bounds must be nonnegative")
     if n == 0:
         return [ZERO_SIG]
-    level = [((),)]  # the signature on base 1, as its rows
+    level = [(b"",)]  # the signature on base 1, as its rows
     for k in range(1, n):
         grown = []
         for rows in level:
@@ -415,10 +446,10 @@ def enumerate_signatures(n: int, vmax: int) -> List[Signature]:
                 inner = [rows[h][i - h - 1] for h in range(i)]  # o(h,i) for h < i
                 columns = [col + (v,) for col in columns for v in range(vmax + 1)
                            if all(bang_rel(v, hk, hi) for hk, hi in zip(col, inner))]
-            grown += [tuple(row + (v,) for row, v in zip(rows, col)) + ((),)
+            grown += [tuple(row + _BYTE[v] for row, v in zip(rows, col)) + (b"",)
                       for col in columns]
         level = grown
-    return [_trusted(n, [v for row in rows for v in row]) for rows in level]
+    return [_trusted(n, b"".join(rows)) for rows in level]
 
 
 @functools.lru_cache(maxsize=16)
@@ -440,13 +471,22 @@ def sig_to_json(a: Signature) -> str:
     return head + body % tuple([vals[k] for k in order])
 
 
-# Largest pair value of a signature given on the command line, as JSON or as
-# a term (checked in cli.load_signature): rho recurses once per unit (from 249
-# on, a RecursionError), realize's functions get about one orbital per unit,
-# and the standardness walk of `signature_of` and `verify` takes one rotation
-# per unit.  On {"n": 2, "o": {"0,1": 64}}, realize takes 0.04 s and the whole
+# Largest pair value of a signature given on the command line, as JSON
+# (checked by `sig_from_json`) or as a term (by cli.load_signature, after
+# `parse_term`, which builds values up to 201): rho recurses once per unit
+# (from 249 on, a RecursionError), realize's functions get about one orbital
+# per unit, and the standardness walk of `signature_of` and `verify` takes
+# one rotation per unit.  On {"n": 2, "o": {"0,1": 64}}, realize takes 0.04 s and the whole
 # `realize` process 0.09 s, under CPython 3.11 on one x86-64 core.
 MAX_PAIR_VALUE = 64
+
+
+def _refuse_past_bound(n: int, vals: Sequence[int]) -> None:
+    """SignatureParseError naming the first pair, in pair order, whose value
+    passes MAX_PAIR_VALUE."""
+    if max(vals, default=0) > MAX_PAIR_VALUE:
+        (i, j), _ = next(p for p in zip(_pairs(n), vals) if p[1] > MAX_PAIR_VALUE)
+        raise SignatureParseError(f"\"o\" value at '{i},{j}' is larger than {MAX_PAIR_VALUE}")
 
 
 def _is_int(x) -> bool:
@@ -486,7 +526,8 @@ def sig_from_json(text: str) -> Signature:
     repeated in any object, a pair given twice (as "0,1" and "00,1"), "n"
     past MAX_BASE, "labels" not n strings, or a value not an int >= 0 raises
     SignatureParseError (naming a key by `quoted`); an off-base or missing
-    pair, or a matrix not a signature, SignatureError.
+    pair SignatureError; then a value past MAX_PAIR_VALUE SignatureParseError
+    (naming the first such pair), and a matrix not a signature SignatureError.
     """
     try:
         doc = _JSON.decode(text)
@@ -532,4 +573,6 @@ def sig_from_json(text: str) -> Signature:
     if len(o) != npairs:
         first = list(itertools.islice((p for p in _pairs(n) if p not in o), 5))
         raise SignatureError(f"missing {npairs - len(o)} of {npairs} pairs, first {first}")
-    return Signature(n, [o[p] for p in _pairs(n)], labels)
+    vals = [o[p] for p in _pairs(n)]
+    _refuse_past_bound(n, vals)
+    return Signature(n, vals, labels)

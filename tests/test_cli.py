@@ -15,7 +15,8 @@ from pathlib import Path
 import pytest
 
 from sigcalc import cli, realization
-from sigcalc.ordinal import MAX_NESTING
+from sigcalc.normalizer import materialize
+from sigcalc.ordinal import MAX_NESTING, ord_parse
 from sigcalc.signature import (
     MAX_BASE, MAX_PAIR_VALUE, Signature, parse_term, sig_from_json, sig_rotate, sig_to_json)
 from sigcalc.realization import RealizationError, build, diagram, genset_from_json, genset_to_json
@@ -421,6 +422,19 @@ def test_pair_value_bound_covers_terms(capsys):
     assert [len(f.orbitals) for f in genset_from_json(out)] == [63, 64]
 
 
+def test_values_at_the_edge_of_the_byte_range(capsys):
+    # a pair value is one byte: a term builds at most 2 MAX_NESTING + 1 = 201,
+    # and materialize at most the ordinal's nesting + 1; each is refused whole
+    deep_term = nest("E(", "1*1", MAX_NESTING)
+    assert tuple(parse_term(deep_term).vals) == (201,)
+    err = expect_error(capsys, 2, "rho", deep_term)
+    assert err == "error: cannot parse signature: \"o\" value at '0,1' is larger than 64\n"
+    tower = nest("w^(", "1", MAX_NESTING)
+    assert max(materialize(ord_parse(tower)).vals) == 100
+    err = expect_error(capsys, 1, "materialize", tower)
+    assert err == "error: materialized signature has a pair value larger than 64\n"
+
+
 def test_build_depth_is_a_domain_error(capsys):
     # base 30, pair values 62: the build nests about 930 rotations deep
     deep = "E(" * 31 + "+".join(["1"] * 30) + ")" * 31
@@ -517,6 +531,10 @@ def test_refusals_with_decided_exit_codes(capsys):
                       '"labels" must list 2 strings, not 1'),
                      ('{"n": 2, "o": {"0,1": -1}}', '"o" value at \'0,1\' is negative')):
         assert run(capsys, "rho", doc) == (2, "", f"error: cannot parse signature: {why}\n")
+    # the reader refuses a value past MAX_PAIR_VALUE before it checks (!), so
+    # a matrix that also fails (!) exits 2 on the value, not 1 on the triple
+    assert run(capsys, "rho", '{"n": 3, "o": {"0,1": 0, "0,2": 100, "1,2": 0}}') == (
+        2, "", "error: cannot parse signature: \"o\" value at '0,2' is larger than 64\n")
     # a zero exponent is a malformed word token
     for token in ("0^0", "1,0"):
         assert run(capsys, "predicates", PAIR1, "--x", token, "--y", "0") == (

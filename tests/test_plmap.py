@@ -411,7 +411,7 @@ def test_carried_slopes_match_points(den):
             pool.append(derived(op, m, rng.choice(pool), rng.randint(-3, 3)))
 
 
-@pytest.mark.parametrize("sig", enumerate_signatures(3, 3), ids=lambda s: str(s.vals))
+@pytest.mark.parametrize("sig", enumerate_signatures(3, 3), ids=lambda s: str(tuple(s.vals)))
 def test_pl_eval_carries_slopes(sig):
     fns = realize(sig)
     letters = [(i, e) for i in range(3) for e in (1, -2)]
@@ -452,7 +452,7 @@ def inverse_word(word):
     return [(i, -e) for i, e in reversed(word)]
 
 
-@pytest.mark.parametrize("sig", enumerate_signatures(3, 3), ids=lambda s: str(s.vals))
+@pytest.mark.parametrize("sig", enumerate_signatures(3, 3), ids=lambda s: str(tuple(s.vals)))
 def test_pred_C_is_commutator_identity_on_two_letter_words(sig):
     # x commutes with y exactly when x-inverse does, so each two-letter word
     # is taken up to inversion; both sides are symmetric in x and y and true

@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 from sigcalc import normalizer, signature
-from sigcalc.ordinal import MAX_NESTING
+from sigcalc.ordinal import MAX_NESTING, Ordinal, ord_omega_pow
 from sigcalc.normalizer import materialize, normalize, rho
+from sigcalc.realization import realize, signature_of
 from sigcalc.signature import (
     MAX_BASE,
     ONE_SIG,
@@ -88,7 +89,7 @@ def test_bang_shift_corollary():
 def test_validate_no_triples():
     for k in range(5):
         assert _trusted(2, (k,)).violations() == []
-        assert Signature(2, (k,)).vals == (k,)
+        assert tuple(Signature(2, (k,)).vals) == (k,)
 
 
 def test_validate_fig3():
@@ -101,8 +102,9 @@ def test_validate_violation():
     assert _trusted(3, (0, 1, 0)).violations() == [(0, 1, 2)]
     with pytest.raises(SignatureError, match=r"\(0, 1, 2\)"):
         Signature(3, (0, 1, 0))
-    # a bool is an int to isinstance, but not a pair value, as in sig_from_json
-    for v in (-1, 1.5, True, False):
+    # a bool is an int to isinstance, but not a pair value, as in sig_from_json;
+    # a value is stored as one byte, so 256 is refused rather than wrapped
+    for v in (-1, 1.5, True, False, 256):
         with pytest.raises(SignatureError, match=re.escape(f"pair value {v!r} is not a ")):
             Signature(2, (v,))
 
@@ -127,6 +129,22 @@ def test_exp():
     assert sig_exp(sig_sum(one, one)) == pair(1)
     assert sig_exp(sig_exp(sig_sum(one, one))) == pair(2)
     assert parse_term("E(1+1)") == pair(2)
+
+
+def test_exp_refuses_to_wrap_a_byte():
+    # a value is one byte: exp takes 254 to 255 and refuses 255, which
+    # materialize meets on an omega tower 256 levels high (built level by
+    # level, so that each call finds the lower blocks in the memo and
+    # recurses one level, not 256)
+    assert tuple(sig_exp(pair(254)).vals) == (255,)
+    with pytest.raises(SignatureError, match="exp of a pair value 255"):
+        sig_exp(pair(255))
+    tower = Ordinal.from_int(2)
+    for height in range(1, 256):
+        tower = ord_omega_pow(tower)
+        assert max(materialize(tower).vals) == height
+    with pytest.raises(SignatureError, match="exp of a pair value 255"):
+        materialize(ord_omega_pow(tower))
 
 
 def test_exp_preserves_validity_enumerated():
@@ -603,7 +621,7 @@ def test_enumerate_matches_brute_force():
         brute = [vals for vals in itertools.product(range(vmax + 1), repeat=npairs)
                  if not _trusted(n, vals).violations()]
         brute.sort(key=lambda vals: column_key(n, vals))
-        assert [s.vals for s in enumerate_signatures(n, vmax)] == brute
+        assert [tuple(s.vals) for s in enumerate_signatures(n, vmax)] == brute
 
 
 def test_enumerate_matches_the_column_search():
@@ -693,3 +711,24 @@ def test_all_positive():
     assert sig_shift_down(pair(3)) == pair(2)
     with pytest.raises(SignatureError):
         sig_shift_down(sig_sum(one, one))
+
+
+# --- values as bytes ------------------------------------------------------------------
+
+
+def test_every_built_signature_keeps_its_values_as_bytes():
+    # the readers and every operation, over the enumerated signatures with
+    # n <= 5 (values <= 3); normalize never raises the largest value, which
+    # keeps sig_exp's input below 255 (the module docstring's proof)
+    built = [parse_term(render_term(term)) for term, _ in rank_terms()]
+    for s in (s for n in range(6) for s in enumerate_signatures(n, 3)):
+        built += [s, Signature(s.n, s.vals), sig_from_json(sig_to_json(s)), sig_sum(s, s),
+                  sig_exp(s), sig_restrict(s, range(0, s.n, 2)), sig_rotate(s),
+                  materialize(rho(s, "ordered")), normalize(s), *decompose(s)]
+        built += [sig_inflate(s, m) for m in range(s.n)]
+        if is_all_positive(s):
+            built.append(sig_shift_down(s))
+        built.append(signature_of(realize(s)))
+        assert max(normalize(s).vals, default=0) <= max(s.vals, default=0)
+    assert len(built) > 15000
+    assert all(type(b.vals) is bytes for b in built)

@@ -111,7 +111,7 @@ def tower_triples(sig):
     and a few uniform triples for the early exits."""
     fns = realize(sig)
     maps = word_maps(fns)
-    rng = random.Random(str(sig.vals))
+    rng = random.Random(str(tuple(sig.vals)))
     x = pl_eval(fns, [(0, 1), (0, 1)])
     dominated = [m for m in maps if pred_D(x, m)]
     pairs = list(itertools.product(dominated, dominated))
@@ -119,7 +119,7 @@ def tower_triples(sig):
     return triples + [tuple(rng.choice(maps) for _ in range(3)) for _ in range(5)]
 
 
-@pytest.mark.parametrize("sig", enumerate_signatures(3, 3), ids=lambda s: str(s.vals))
+@pytest.mark.parametrize("sig", enumerate_signatures(3, 3), ids=lambda s: str(tuple(s.vals)))
 def test_pred_T_is_the_written_out_conjunction(sig):
     for x, y, z in tower_triples(sig):
         written_out = (pred_D(x, y) and pred_D(x, z) and pred_D(y, z)
@@ -183,12 +183,12 @@ def test_orbitals_decide_conjugate_commutation_on_n3_words(monkeypatch):
     steps = set()
     for sig in enumerate_signatures(3, 3):
         maps = word_maps(realize(sig))
-        rng = random.Random(str(sig.vals))
+        rng = random.Random(str(tuple(sig.vals)))
         triples = []
         for _ in range(8):
             a, b, c = (rng.choice(maps) for _ in range(3))
             triples += [(a, b, c), (a, a, c), (conj_map(b, c), b, c)]
-        steps |= check_conjugate_cases(triples, monkeypatch, str(sig.vals))
+        steps |= check_conjugate_cases(triples, monkeypatch, str(tuple(sig.vals)))
     assert steps == {1, 2, 3, 4}
 
 
@@ -285,7 +285,7 @@ def test_memoized_predicates_answer_as_unwrapped():
     letters = [(i, e) for i in range(3) for e in (1, -1)]
     for sig in enumerate_signatures(3, 3):
         fns = realize(sig)
-        rng = random.Random(str(sig.vals))
+        rng = random.Random(str(tuple(sig.vals)))
         maps = word_maps(fns)
         for _ in range(8):
             a, b, c = (rng.choice(maps) for _ in range(3))
