@@ -1,8 +1,12 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 domain error, 2 parse error.  All output is
-deterministic for fixed input.  Signature arguments accept a JSON matrix
-(leading '{'), a signature-term string, or a path to a file holding either.
+Exit codes: 0 success, 1 domain error, 2 parse error: a reader turns its
+input's parse errors into exit 2 (the signature, set and ordinal readers with
+a "cannot parse ..." prefix), and every domain error of the library
+(SignatureError, RealizationError, OutsideComputedFamily) reaches `main`
+unwrapped and exits 1.  All output is deterministic for fixed input.
+Signature arguments accept a JSON matrix (leading '{'), a signature-term
+string, or a path to a file holding either.
 
 Input limits, each exceeded with exit code 2 and a one-line message:
 ordinals and signature terms nest at most MAX_NESTING (100) levels of '(',
@@ -42,9 +46,11 @@ functions share a maximum transition point (one given twice) is not fast,
 as their right feet overlap: `signature`, `diagram`, `rotate` and `inflate`
 exit 1 saying they require a fast set, `verify` reports "fast: false" and
 exits 1.
-Messages quote at most 40 characters of a JSON key, word token or coordinate,
-and at most 40 digits of an integer read from input (a pair's, generator's,
-set element's or base element's index), cut with "...".
+Messages quote at most 40 characters of a JSON key, word token, coordinate
+or function name, and at most 40 digits of an integer read from input (a
+pair's, generator's, set element's or base element's index, or either part of
+a marker or orbital end), cut with "...".  A function that is not standard is
+named by its name, or else by its index in max-transition order.
 """
 
 from __future__ import annotations
@@ -54,7 +60,7 @@ import json
 import os
 import sys
 
-from .ordinal import Ordinal, OrdinalError, OrdinalParseError, ord_cmp, ord_parse, ord_render
+from .ordinal import Ordinal, OrdinalParseError, ord_cmp, ord_parse, ord_render
 from .ordinal import MAX_NESTING, ONE, ord_add, ord_mul, ord_natural_add
 from .normalizer import (
     MODES, OutsideComputedFamily, ea_class, ea_to_xi, leq, materialize, materialized_base,
@@ -130,8 +136,6 @@ def _parse_signature(text: str) -> Signature:
         _refuse_past_bound(sig.n, sig.vals)
     except (SignatureParseError, RecursionError) as e:
         raise CliError(f"cannot parse signature: {e}", 2)
-    except SignatureError as e:
-        raise CliError(str(e), 1)
     return sig
 
 
@@ -216,8 +220,8 @@ def cmd_ord(args):
 
 def cmd_rho(args):
     s = load_signature(args.sig)
-    r = rho(s, args.mode)
-    _emit(args, ord_render(r), {"rho": ord_render(r), "mode": args.mode})
+    text = ord_render(rho(s, args.mode))
+    _emit(args, text, {"rho": text, "mode": args.mode})
 
 
 def cmd_normalize(args):
@@ -243,21 +247,19 @@ def _nesting(a: Ordinal) -> int:  # the levels ord_parse counts in ord_render(a)
 
 
 def cmd_ea(args):
-    try:
-        if args.target:
-            alpha = load_ordinal(args.expr)
-            finite = alpha[-1][1] if alpha and alpha[-1][0].is_zero else 0
-            if finite > MAX_EA_FINITE:
-                raise CliError(f"finite part of the EA-class target is larger than {MAX_EA_FINITE}", 1)
-            xi = ea_to_xi(alpha)
-            if _nesting(xi) > MAX_NESTING:
-                raise CliError(f"the target rank nests deeper than {MAX_NESTING} levels", 1)
-            _emit(args, ord_render(xi), {"xi": ord_render(xi)})
-        else:
-            c = ea_class(load_ordinal(args.expr))
-            _emit(args, ord_render(c), {"ea_class": ord_render(c)})
-    except OutsideComputedFamily as e:
-        raise CliError(f"outside computed family: {e}", 1)
+    if args.target:
+        alpha = load_ordinal(args.expr)
+        finite = alpha[-1][1] if alpha and alpha[-1][0].is_zero else 0
+        if finite > MAX_EA_FINITE:
+            raise CliError(f"finite part of the EA-class target is larger than {MAX_EA_FINITE}", 1)
+        xi = ea_to_xi(alpha)
+        if _nesting(xi) > MAX_NESTING:
+            raise CliError(f"the target rank nests deeper than {MAX_NESTING} levels", 1)
+        text = ord_render(xi)
+        _emit(args, text, {"xi": text})
+    else:
+        text = ord_render(ea_class(load_ordinal(args.expr)))
+        _emit(args, text, {"ea_class": text})
 
 
 def cmd_materialize(args):
@@ -326,8 +328,9 @@ def cmd_verify(args):
 
 def cmd_enumerate(args):
     sigs = enumerate_signatures(args.n, args.vmax)
-    lines = [sig_to_json(s) for s in sigs] + [f"count: {len(sigs)}"]
-    _emit(args, "\n".join(lines), [json.loads(sig_to_json(s)) for s in sigs])
+    texts = [sig_to_json(s) for s in sigs]  # each is json.dumps(doc, sort_keys=True),
+    print("[" + ", ".join(texts) + "]" if args.format == "json"  # so this is json.dumps(docs)
+          else "\n".join(texts + [f"count: {len(sigs)}"]))
 
 
 def cmd_predicates(args):
@@ -414,7 +417,7 @@ def main(argv=None) -> int:
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
-    except (OrdinalError, SignatureError, RealizationError, OutsideComputedFamily) as e:
+    except (SignatureError, RealizationError, OutsideComputedFamily) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -42,9 +42,7 @@ from .ordinal import (
     OMEGA,
     ZERO,
     Ordinal,
-    OrdinalError,
     ord_add,
-    ord_log_omega,
     ord_mul,
     ord_omega_pow,
 )
@@ -73,11 +71,14 @@ RANK_CACHE_SIZE = 8192
 class OutsideComputedFamily(ValueError):
     """The EA-class formula only covers ranks of the form omega^(omega^a * 2^n)."""
 
+    def __init__(self, reason: str):
+        super().__init__(f"outside computed family: {reason}")
+
 
 def _exp_inverse(mu: Ordinal) -> Ordinal:
-    """The unique xi with omega^(-1+xi) = mu, for an omega-power mu."""
-    delta = ord_log_omega(mu)  # mu = omega^delta
-    return ord_add(ONE, delta)
+    """The unique xi with omega^(-1+xi) = mu, for an omega-power mu =
+    omega^delta, the single term (delta, 1): xi = 1 + delta."""
+    return ord_add(ONE, mu[0][0])
 
 
 def rho(a: Signature, mode: str = "sorted") -> Ordinal:
@@ -210,16 +211,17 @@ def ea_class(xi: Ordinal) -> Ordinal:
     """EA-class of the group of rank xi, on the computed family.
 
     Finite xi: the group is Z^xi, class 1 for xi >= 1 and 0 for xi = 0.
-    Otherwise xi must be omega^(omega^a * 2^n); the class is omega*a + n + 2
-    for a > 0 and n + 1 for a = 0.  OutsideComputedFamily names the failed
-    condition, not xi, so its message stays short whatever xi's size.
+    Otherwise xi must be omega^(omega^a * 2^n): one term of coefficient 1
+    (an omega power omega^zeta) whose exponent zeta is one term of
+    coefficient 2^n.  The class is omega*a + n + 2 for a > 0 and n + 1 for
+    a = 0.  OutsideComputedFamily names the failed condition, not xi, so its
+    message stays short whatever xi's size.
     """
     if xi.is_finite:
         return ZERO if xi.is_zero else ONE
-    try:
-        zeta = ord_log_omega(xi)
-    except OrdinalError:
+    if len(xi) != 1 or xi[0][1] != 1:
         raise OutsideComputedFamily("the rank is not an omega power")
+    zeta = xi[0][0]
     if len(zeta) != 1:
         raise OutsideComputedFamily("the rank's log is not a single normal-form term")
     alpha, coeff = zeta[0]

@@ -28,7 +28,6 @@ class OrdinalError(ValueError):
 class OrdinalParseError(OrdinalError):
     def __init__(self, message: str, pos: int):
         super().__init__(f"{message} (at position {pos})")
-        self.pos = pos
 
 
 class Ordinal(tuple):
@@ -129,13 +128,6 @@ def ord_omega_pow(a: Ordinal, shifted: bool = False) -> Ordinal:
         k = a.as_int() - 1
         return ONE if k == 0 else Ordinal(((Ordinal.from_int(k), 1),))
     return Ordinal(((a, 1),))
-
-
-def ord_log_omega(a: Ordinal) -> Ordinal:
-    """The exponent delta with a = omega^delta, for an omega-power a."""
-    if len(a) != 1 or a[0][1] != 1:
-        raise OrdinalError(f"{a} is not an omega power")
-    return a[0][0]
 
 
 # --- text codec ------------------------------------------------------------

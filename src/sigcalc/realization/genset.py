@@ -25,7 +25,7 @@ import json
 from json.encoder import encode_basestring_ascii
 from typing import List, Sequence, Tuple
 
-from ..signature import MAX_PAIR_VALUE, Signature, _pair_index, _trusted, short_int
+from ..signature import MAX_PAIR_VALUE, Signature, _pair_index, _trusted, quoted, short_int
 from .marked import (
     MarkedFn, RealizationError, _rotation, conjugate, fn_rotate, is_standard_fn, square)
 from .plmap import PLMap, _lt, _quads, keys
@@ -98,7 +98,7 @@ def _standard_walk(fns: Sequence[MarkedFn]) -> Tuple[GenSet, List[int]]:
     fns, _ = _fast_ordered(fns, "a standard generating set")
     for f in fns:
         if not is_standard_fn(f):
-            raise NotSgenError(f"{f!r} is not standard")
+            raise NotSgenError(f"function {_named(fns, f)} is not standard")
     vals = []
     for low, high in itertools.combinations(fns, 2):
         (fo, fm), (go, gm) = (low.orbitals, low.markers), (high.orbitals, high.markers)
@@ -106,13 +106,17 @@ def _standard_walk(fns: Sequence[MarkedFn]) -> Tuple[GenSet, List[int]]:
             if not _lt(go[0][0], fo[-1][1]):  # f << g
                 break
             if not (_lt(go[0][0], fo[0][0]) and _lt(fo[-1][1], go[-1][1])):  # nor f inside g
-                raise NotSgenError(f"pair ({low!r}, {high!r}) is not standard")
+                raise NotSgenError(f"pair ({_named(fns, low)}, {_named(fns, high)}) is not standard")
             (fo, fm), (go, gm) = _rotation(go, gm), (fo, fm)
         else:
             raise RealizationError(
                 f"a pair oscillates more than signature.MAX_PAIR_VALUE ({MAX_PAIR_VALUE}) times")
         vals.append(steps)
     return fns, vals
+
+
+def _named(fns: GenSet, f: MarkedFn) -> str:  # its name cut by `quoted`, else its index
+    return quoted(f.name) if f.name else str(fns.index(f))
 
 
 def is_sgen(fns: Sequence[MarkedFn]) -> bool:

@@ -46,7 +46,7 @@ from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from ..signature import quoted
+from ..signature import quoted, short_int
 
 Pair = Tuple[int, int]  # a reduced n/d, d > 0
 
@@ -85,8 +85,9 @@ def ratio(x) -> Pair:
 
 
 def fmt(p: Pair) -> str:
-    """A reduced pair as `str` prints the Fraction: "n" or "n/d"."""
-    return str(p[0]) if p[1] == 1 else f"{p[0]}/{p[1]}"
+    """A reduced pair as `str` prints the Fraction, "n" or "n/d", with each
+    integer cut after 40 digits by `short_int`, for one-line messages."""
+    return short_int(p[0]) if p[1] == 1 else f"{short_int(p[0])}/{short_int(p[1])}"
 
 
 def keys(pairs: Sequence[Pair]) -> Tuple[int, List[int]]:
@@ -107,12 +108,6 @@ by_value = cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])
 def _quads(bp: Tuple[int, ...]) -> List[Tuple[int, int, int, int]]:
     it = iter(bp)
     return list(zip(it, it, it, it))
-
-
-def _slope(a, b) -> Tuple[int, int]:
-    """The reduced slope from breakpoint (xn, xd, yn, yd) a to b."""
-    return _reduced((b[2] * a[3] - a[2] * b[3]) * a[1] * b[1],
-                    (b[0] * a[1] - a[0] * b[1]) * a[3] * b[3])
 
 
 def _canonical(points: Iterable):
@@ -186,9 +181,8 @@ class PLMap:
         return tuple((Fraction(xn, xd), Fraction(yn, yd)) for xn, xd, yn, yd in _quads(self._bp))
 
     def _known_slopes(self) -> Tuple[Tuple[int, int], ...]:
-        if self.slopes is None:
-            quads = _quads(self._bp)
-            self.slopes = tuple(map(_slope, quads, quads[1:]))
+        if self.slopes is None:  # the breakpoints are minimal, so _minimal keeps them all
+            self.slopes = _minimal(_quads(self._bp))[1]
         return self.slopes
 
     @staticmethod

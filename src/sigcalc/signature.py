@@ -78,7 +78,6 @@ class SignatureParseError(SignatureError):
 class TermParseError(SignatureParseError):
     def __init__(self, message: str, pos: int):
         super().__init__(f"{message} (at position {pos})")
-        self.pos = pos
 
 
 # --- the (!) relation -------------------------------------------------------

@@ -330,6 +330,16 @@ ENUMERATE_N5_SHA256 = {
     3: "0d19b4d2623d51daa97b17c158544f1830cb1f57af31f058fd7aec8cca03575d",
     5: "aaf33c1cd8cebda16d124bd212730e0449236668978a1b30f3a38e4f3ec9392b",
 }
+# and of `sigcalc enumerate --n 5 --vmax v --format json`, which joins the
+# texts the text format prints into the list json.dumps would print
+ENUMERATE_N5_JSON_SHA256 = {
+    0: "eb157c94bc210e128dc476d7cb67b7caa983f79faa077a76b6b2018e9b7d48e6",
+    1: "99174d8a5860ca825c02777f0fb129b9069e8b8756aac410a38df63e1228d150",
+    2: "25b4dd2808e41f785f48afd071f01eb5f8765e5691371d8d1a040a61dac1a6c0",
+    3: "d9b0a72f70933691faaeff022c13f687a4b1c3da2f488fe1a929470238f32942",
+    4: "4e03f302606e46dcd865e9f3f89f4fbc5ad40e7f62b15e171a071156a02d462b",
+    5: "08e3495df73a700f6c77facd7cb78031b7098200ee6b7a43b7500a879c61fa15",
+}
 
 
 def test_enumerate(capsys):
@@ -343,6 +353,11 @@ def test_enumerate(capsys):
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == digest
     assert out.endswith("count: 5481\n")
+    for vmax, digest in ENUMERATE_N5_JSON_SHA256.items():
+        code, out, err = run(capsys, "enumerate", "--n", "5", "--vmax", str(vmax), "--format", "json")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert len(json.loads(out)) == 5481
 
 
 def test_predicates(capsys):
@@ -556,6 +571,20 @@ def test_long_keys_and_tokens_give_short_messages(capsys):
     assert err == f"error: bad word token {long[:40]!r}\n"
 
 
+def _bumps(count: int, name: str) -> str:
+    """One function with `count` disjoint positive bumps: fast, not standard."""
+    d, points, markers = 5 * count + 1, [("0", "0")], []
+    for a in range(0, 5 * count, 5):
+        points += [(f"{a + 1}/{d}",) * 2, (f"{a + 2}/{d}", f"{a + 3}/{d}"), (f"{a + 4}/{d}",) * 2]
+        markers.append(f"{a + 2}/{d}")
+    return _set_json([(points + [("1", "1")], markers, name)])
+
+
+BUMPS, LONG_NAME = _bumps(2000, "0"), "x" * 10 ** 5
+# a marker of -1/10^4000, outside the function's one orbital (1/4, 1)
+LONG_MARKER = _set_json([([("0", "0"), ("1/4", "1/4"), ("1/2", "3/4"), ("1", "1")],
+                          ["-1/1" + "0" * 4000], "0")])
+
 ONES, KEY = "1" * 4001, "1" + "0" * 4299  # past 40 digits, and at the interpreter's digit limit
 CUT = "1" * 40 + "..."
 
@@ -573,10 +602,20 @@ CUT = "1" * 40 + "..."
     (1, ["inflate", "exp(1+1)", "--at", "-" + ONES[:40]],
      f"base element -{ONES[:40]} out of range"),
     (1, ["inflate", PAIR1, "--at", ONES[:40]], f"no element at index {ONES[:40]}"),
+    # a set too long to print: a function is named by its name, cut to 40
+    # characters, and a pair by at most 40 digits of each integer
+    (1, ["signature", BUMPS], "function '0' is not standard"),
+    (1, ["rotate", BUMPS], "function '0' is not standard"),
+    (1, ["inflate", BUMPS, "--at", "0"], "function '0' is not standard"),
+    (1, ["signature", _bumps(2, LONG_NAME)], f"function {LONG_NAME[:40]!r} is not standard"),
+    (2, ["signature", LONG_MARKER],
+     f"cannot parse generating set: marker -1/1{'0' * 39}... outside orbital (1/4,1)"),
 ], ids=["pair outside base", "pair twice", "generator index", "set index", "base element",
-        "base element of 40 digits", "set index of 40 digits"])
+        "base element of 40 digits", "set index of 40 digits", "2,000 bumps",
+        "2,000 bumps rotated", "2,000 bumps inflated", "long name", "long marker"])
 def test_long_integers_give_short_messages(capsys, code, argv, err):
-    # each message names at most 40 digits of an integer it read
+    # each message names at most 40 digits of an integer it read, and a
+    # function by at most 40 characters of its name
     assert run(capsys, *argv) == (code, "", f"error: {err}\n")
     assert len(err) < 200
 
