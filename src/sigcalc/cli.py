@@ -4,7 +4,9 @@ Exit codes: 0 success, 1 domain error, 2 parse error: a reader turns its
 input's parse errors into exit 2 (the signature, set and ordinal readers with
 a "cannot parse ..." prefix), and every domain error of the library
 (SignatureError, RealizationError, OutsideComputedFamily) reaches `main`
-unwrapped and exits 1.  All output is deterministic for fixed input.
+unwrapped and exits 1.  Output that cannot be written exits 2, to stdout as
+to `-o`'s file, with one line, or with none when stdout is a closed pipe.
+All output is deterministic for fixed input.
 Signature arguments accept a JSON matrix (leading '{'), a signature-term
 string, or a path to a file holding either.
 
@@ -34,11 +36,9 @@ nests deeper than MAX_NESTING (100), so each prints what other verbs read;
 Limits met during the work, each with exit code 1 and a one-line message: a
 generating set has no pair oscillating more than signature.MAX_PAIR_VALUE
 (64) times, one rotation per oscillation in its standardness walk; `realize`
-(also reached by `verify`) nests one call per rotation or decomposition, no
-deeper than the interpreter's recursion limit allows: the chain 1*1*...*1 of
-n leaves nests 2n - 1 levels, so under CPython 3.11.7's default limit of
-1,000 the chain of 248 leaves realizes and the one of 249 exits 1 (from 3.12
-the limit counts only Python frames, so the boundary may lie further out).
+(also reached by `verify`) builds at most build.MAX_BUILD_LEVELS (511)
+levels deep, one per rotation or decomposition; the chain 1*1*...*1 of 256
+leaves needs 510.
 
 A JSON signature with a wrong "labels" count or a negative value, and a word
 token with exponent 0, exit 2 as other malformed input does.  A set where two
@@ -412,14 +412,22 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args.fn(args)
-        return 0
+        try:
+            args.fn(args)
+            return 0
+        finally:  # also what a verb printed before it failed: a failed write exits 2
+            sys.stdout.flush()
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
     except (SignatureError, RealizationError, OutsideComputedFamily) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except OSError as e:  # stdout cannot take the output; its exit flush would fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(e, BrokenPipeError):  # no reader is left to tell
+            print(f"error: cannot write the output: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

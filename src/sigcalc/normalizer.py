@@ -203,7 +203,10 @@ def is_reduced(a: Signature) -> bool:
 
 def leq(a: Signature, b: Signature) -> bool:
     """Order by sorted-mode rank; decides embeddability of the generated
-    groups when representatives are taken in rank-sorted form."""
+    groups when representatives are taken in rank-sorted form.  So leq agrees
+    with rank order by definition; the paper's order is checked by the tests
+    `test_subgroups_never_rank_higher_enumerated`, `test_decrease_rank_enumerated`
+    and, on realized sets, `test_dropping_a_generator_restricts_the_signature`."""
     return rho(a, "sorted") <= rho(b, "sorted")
 
 

@@ -191,7 +191,7 @@ def genset_to_json(fns: Sequence[MarkedFn]) -> str:
 
 def genset_from_json(text: str) -> GenSet:
     """An array of objects with "breakpoints" (an array of [x, y] arrays),
-    "markers" (an array) and optionally "name" (a string)."""
+    "markers" (an array) and optionally "name" (a string), and no other member."""
     doc = json.loads(text)
     if not isinstance(doc, list):
         raise TypeError("not an array of functions")
@@ -202,6 +202,9 @@ def genset_from_json(text: str) -> GenSet:
         for key in ("breakpoints", "markers"):
             if key not in entry:
                 raise TypeError(f'function {i} has no "{key}"')
+        extra = [key for key in entry if key not in ("breakpoints", "markers", "name")]
+        if extra:
+            raise TypeError(f"function {i} has an unknown member {quoted(extra[0])}")
         markers = entry["markers"]
         if not isinstance(markers, list):
             raise TypeError(f'"markers" of function {i} is not an array')

@@ -340,8 +340,9 @@ def sig_inflate(a: Signature, m: int) -> Signature:
 
 # Largest base, a term's '1' leaves or a JSON matrix's "n": the (!) check of a
 # JSON matrix is n^3 work (`rho` on the chain 1*1*...*1 as JSON: 1.1 s at 256,
-# 12.5 s at 512).  As a term the 256-leaf chain reads in 1.1 ms and `rho` ranks
-# it in 2 ms; the whole CLI call takes 0.12 s, most of it interpreter start-up,
+# 12.5 s at 512).  As a term the 256-leaf chain reads in 1.1 ms, `rho` ranks
+# it in 2 ms (the whole CLI call 0.12 s, most of it interpreter start-up) and
+# `realize` builds its set, 510 levels deep, in 0.17 s (the CLI call 0.4 s),
 # under CPython 3.11 on one x86-64 core.
 MAX_BASE = 256
 
@@ -523,10 +524,11 @@ def sig_from_json(text: str) -> Signature:
     A key "i,j" reads as `int` of the text on each side of its first comma,
     so " 0 , 1 " is (0, 1) and "0,1,2" is refused.  Another shape, a key
     repeated in any object, a pair given twice (as "0,1" and "00,1"), "n"
-    past MAX_BASE, "labels" not n strings, or a value not an int >= 0 raises
-    SignatureParseError (naming a key by `quoted`); an off-base or missing
-    pair SignatureError; then a value past MAX_PAIR_VALUE SignatureParseError
-    (naming the first such pair), and a matrix not a signature SignatureError.
+    past MAX_BASE, a member other than these three, "labels" not n strings,
+    or a value not an int >= 0 raises SignatureParseError (naming a key by
+    `quoted`); an off-base or missing pair SignatureError; then a value past
+    MAX_PAIR_VALUE SignatureParseError (naming the first such pair), and a
+    matrix not a signature SignatureError.
     """
     try:
         doc = _JSON.decode(text)
@@ -540,6 +542,9 @@ def sig_from_json(text: str) -> Signature:
         raise SignatureParseError('"n" must be an integer >= 0')
     if doc["n"] > MAX_BASE:
         raise SignatureParseError(f"base larger than {MAX_BASE}")
+    extra = [key for key in doc if key not in ("n", "o", "labels")]
+    if extra:
+        raise SignatureParseError(f"unknown member {quoted(extra[0])}")
     raw = doc.get("o", {})
     if not isinstance(raw, dict):
         raise SignatureParseError('"o" must be an object')

@@ -41,7 +41,7 @@ def failure(s: Signature, k: int, fns: GenSet, seen: Dict[int, MarkedFn]) -> Opt
     None if nothing.  `seen` holds the built functions already checked."""
     if signature_of(fns) != s:
         return "does not read back"
-    for f, _ in build._build(s):
+    for f, _ in build._build(s)[0]:
         if id(f) not in seen:
             seen[id(f)] = f  # held, so that no other function takes its id
             if fn_shape(f) != fn_shape(checked_copy(f)):

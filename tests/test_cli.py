@@ -7,7 +7,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -20,7 +22,7 @@ from sigcalc.ordinal import MAX_NESTING, ord_parse
 from sigcalc.signature import (
     MAX_BASE, MAX_PAIR_VALUE, Signature, parse_term, sig_from_json, sig_rotate, sig_to_json)
 from sigcalc.realization import RealizationError, build, diagram, genset_from_json, genset_to_json
-from helpers import nest, placed
+from helpers import fresh_rank_caches, nest, placed
 from oracles import excise, fig_g_set
 
 
@@ -450,17 +452,60 @@ def test_values_at_the_edge_of_the_byte_range(capsys):
     assert err == "error: materialized signature has a pair value larger than 64\n"
 
 
-def test_build_depth_is_a_domain_error(capsys):
-    # base 30, pair values 62: the build nests about 930 rotations deep
-    deep = "E(" * 31 + "+".join(["1"] * 30) + ")" * 31
-    err = expect_error(capsys, 1, "realize", deep)
-    assert err == ("error: signature too deep to realize: its build nests past the "
-                   "recursion limit\n")
+def test_build_depth_is_a_domain_error(capsys, monkeypatch):
+    # a build deeper than MAX_BUILD_LEVELS (511) is refused whatever the memo
+    # holds: E(1*1)*1*...*1 on MAX_BASE leaves is one level past, its rotation
+    # at the bound, and the 31-E( term (base 30, pair values 62) is 931 deep
+    assert build.MAX_BUILD_LEVELS == 2 * MAX_BASE - 1
+    want = ("error: signature too deep to realize: its build is more than 511 "
+            "levels deep\n")
+    past = "E(1*1)*" + "*".join(["1"] * (MAX_BASE - 2))
+    monkeypatch.setattr(build, "_memo", {})
+    for term in (past, nest("E(", "+".join(["1"] * 30), 31)):
+        assert expect_error(capsys, 1, "realize", term) == want
+    assert build._build(sig_rotate(parse_term(past)))[1] == build.MAX_BUILD_LEVELS
+    assert expect_error(capsys, 1, "realize", past) == want  # its rotation now memoized
+
+
+# sha256 of `realize` of the chain 1*1*...*1 of MAX_BASE leaves, 574,453 bytes
+CHAIN_SHA256 = "337d19157809879d2914a083414fb07ad4750387ec6fc015bd6054e8121fc62b"
+
+
+def _called_from(frames: int, fn):
+    """fn() called from `frames` frames further down the stack."""
+    return fn() if frames == 0 else _called_from(frames - 1, fn)
+
+
+@pytest.mark.parametrize("frames", [0, 600])
+def test_the_edge_of_every_limit(capsys, monkeypatch, frames):
+    # the chain of MAX_BASE leaves, 510 levels deep, through every verb that
+    # reads a signature or its set, from a cold memo and from a deep caller:
+    # a refusal depends on the input alone
+    chain = "*".join(["1"] * MAX_BASE)
+    monkeypatch.setattr(build, "_memo", {})
+    fresh_rank_caches(monkeypatch)
+
+    def verb(*argv):
+        code, out, err = _called_from(frames, lambda: run(capsys, *argv))
+        assert (code, err) == (0, "")
+        return out
+
+    def sha(text):  # a failed comparison of two 0.5 MB texts would diff them
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    fns = verb("realize", chain)
+    assert sha(fns) == CHAIN_SHA256
+    sig = parse_term(chain)
+    sig.labels = sig.default_labels()  # the set's functions are named so
+    assert sha(verb("signature", fns)) == sha(sig_to_json(sig) + "\n")
+    for argv in (["rotate", fns], ["inflate", fns, "--at", "0"], ["diagram", fns]):
+        assert verb(*argv)
+    assert verb("rho", chain) == "w^255\n" and verb("normalize", chain)
 
 
 def test_walk_bound_names_the_pair_value_bound(capsys):
     # a standard set whose pair oscillates 65 times, one past the bound
-    too_many = genset_to_json(placed(build._build(Signature(2, [MAX_PAIR_VALUE + 1]))))
+    too_many = genset_to_json(placed(build._build(Signature(2, [MAX_PAIR_VALUE + 1]))[0]))
     for argv in (["signature", too_many], ["verify", too_many], ["rotate", too_many],
                  ["inflate", too_many, "--at", "0"]):
         err = expect_error(capsys, 1, *argv)
@@ -540,11 +585,15 @@ def test_refusals_with_decided_exit_codes(capsys):
         1, "", "error: dynamical diagram requires a fast set\n")
     assert run(capsys, "verify", twice) == (
         1, "fast: false\nsgen: false\n", "error: set is not a standard generating set\n")
-    # the JSON reader refuses a wrong label count and a negative value as it
+    # the JSON reader refuses a wrong label count, a negative value and a
+    # member other than "n", "o" and "labels" (named as a key is) as it
     # refuses a non-integer value or one past MAX_PAIR_VALUE
     for doc, why in (('{"n": 2, "o": {"0,1": 1}, "labels": ["a"]}',
                       '"labels" must list 2 strings, not 1'),
-                     ('{"n": 2, "o": {"0,1": -1}}', '"o" value at \'0,1\' is negative')):
+                     ('{"n": 2, "o": {"0,1": -1}}', '"o" value at \'0,1\' is negative'),
+                     ('{"n": 1, "o": {}, "extra": [1, 2]}', "unknown member 'extra'"),
+                     ('{"n": 2, "o": {"0,1": 1}, "label": ["a", "b"]}', "unknown member 'label'"),
+                     ('{"n": 1, "%s": 0}' % ("x" * 50), f"unknown member {'x' * 40!r}")):
         assert run(capsys, "rho", doc) == (2, "", f"error: cannot parse signature: {why}\n")
     # the reader refuses a value past MAX_PAIR_VALUE before it checks (!), so
     # a matrix that also fails (!) exits 2 on the value, not 1 on the triple
@@ -668,6 +717,9 @@ def test_genset_fields_must_be_arrays(capsys, doc, field):
     (_one_function(breakpoints=[[False, "0"], ["1/4", "1/4"], ["1/2", "3/4"], ["1", "1"]]),
      "not a number: False"),
     (_one_function(markers=[True]), "not a number: True"),
+    # a member other than "breakpoints", "markers" and "name", once ignored
+    (_one_function(colour="red"), "function 0 has an unknown member 'colour'"),
+    (_one_function(nmae="f"), "function 0 has an unknown member 'nmae'"),
 ])
 def test_genset_document_shape(capsys, doc, reason):
     for verb in ("verify", "signature"):
@@ -789,6 +841,32 @@ def test_output_path_that_cannot_be_written_is_a_parse_error(capsys, tmp_path, c
         code, out, err = run(capsys, *argv, "-o", str(path))
         assert (code, out) == (2, "")
         assert err.count("\n") == 1 and err.startswith(f"error: cannot write {str(path)!r}: ")
+
+
+@pytest.mark.parametrize("verb", ["enumerate", "verify"])
+@pytest.mark.parametrize("stdout", ["closed pipe", "full device"])
+def test_output_that_cannot_be_written_exits_2(stdout, verb):
+    # as a process, since the interpreter flushes stdout once more at exit,
+    # block-buffered as by default: a reader that closed the pipe is told
+    # nothing, a full device gets one line, also after a verb printed its
+    # report and then failed (verify, exit 1 when stdout takes its report)
+    args = ["enumerate", "--n", "5", "--vmax", "3"] if verb == "enumerate" else ["verify", NOT_SGEN]
+    argv = [sys.executable, "-m", "sigcalc.cli", *args]
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    if stdout == "closed pipe":
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()
+        got = proc.wait(timeout=60), proc.stderr.read()
+        proc.stderr.close()
+        assert got == (2, b"")
+    else:
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this platform")
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, env=env, timeout=60)
+        assert (proc.returncode, proc.stderr) == (
+            2, b"error: cannot write the output: [Errno 28] No space left on device\n")
 
 
 def test_pair_outside_the_base(capsys):

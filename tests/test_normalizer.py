@@ -250,6 +250,10 @@ def test_is_reduced_refuses_each_failure():
 
 
 def test_leq():
+    # leq is rank order by definition; the paper's order on subgroups is
+    # checked by test_subgroups_never_rank_higher_enumerated,
+    # test_decrease_rank_enumerated and, on realized sets,
+    # test_realization.py::test_dropping_a_generator_restricts_the_signature
     assert leq(FIG3, FIG3)
     assert leq(pair(4), pair(5))
     assert not leq(pair(5), pair(4))

@@ -1,4 +1,3 @@
-import functools
 import hashlib
 import itertools
 import json
@@ -12,6 +11,7 @@ from sigcalc.signature import (
     Signature,
     enumerate_signatures,
     parse_term,
+    sig_restrict,
 )
 from sigcalc.realization import (
     NotFastError,
@@ -294,22 +294,60 @@ def test_realize_round_trip_enumerated_small():
         assert signature_of(realize(s)) == s
 
 
+def test_dropping_a_generator_restricts_the_signature():
+    # the paper's order on the geometry: the functions of a realized set left
+    # when one generator is dropped have the restricted matrix as signature,
+    # for every signature with n = 2..5 and values <= 3
+    checks = 0
+    for n in range(2, 6):
+        for s in enumerate_signatures(n, 3):
+            fns = realize(s)
+            for drop in range(n):
+                kept = [k for k in range(n) if k != drop]
+                assert signature_of([fns[k] for k in kept]) == sig_restrict(s, kept)
+                checks += 1
+    assert checks == 5479
+
+
 SIG5 = parse_term("E(1*1+1+1+1)")
 
 
-def _fresh_build_cache(monkeypatch, size=build.BUILD_CACHE_SIZE):
-    """An empty build cache of the given bound for the rest of the test."""
-    fresh = functools.lru_cache(maxsize=size)(build._build.__wrapped__)
-    monkeypatch.setattr(build, "_build", fresh)
+def _fresh_build_cache(monkeypatch, size=build.BUILD_CACHE_SIZE, memo=dict):
+    """An empty build memo, a `memo()`, of the given bound for the rest of the test."""
+    monkeypatch.setattr(build, "_memo", memo())
+    monkeypatch.setattr(build, "BUILD_CACHE_SIZE", size)
+
+
+def _recording_build_cache(monkeypatch, size=build.BUILD_CACHE_SIZE):
+    """An empty build memo for the rest of the test, and the list of the
+    (signature, placements) entries it takes, each once: a hit re-enters the
+    memo with the placements it holds."""
+    built, held = [], set()
+
+    class Recording(dict):
+        def __setitem__(self, sig, entry):
+            if id(entry[0]) not in held:  # built kept, so no id is reused
+                held.add(id(entry[0]))
+                built.append((sig, entry[0]))
+            super().__setitem__(sig, entry)
+
+    _fresh_build_cache(monkeypatch, size, Recording)
+    return built
 
 
 def test_build_cache_is_bounded(monkeypatch):
-    assert build._build.cache_info().maxsize == build.BUILD_CACHE_SIZE
-    _fresh_build_cache(monkeypatch, size=8)
+    built = _recording_build_cache(monkeypatch, size=8)
     for s in enumerate_signatures(4, 2):
         assert signature_of(realize(s)) == s
-        assert build._build.cache_info().currsize <= 8
-    assert build._build.cache_info().misses > 8  # entries were dropped and rebuilt
+        assert len(build._memo) <= 8
+    sigs = [sig for sig, _ in built]
+    assert len(sigs) > len(set(sigs))  # entries were dropped and rebuilt
+    # least recently used first: a hit moves its entry last, building nothing
+    a, b = pair(1), pair(2)
+    realize(a), realize(b)
+    count = len(built)
+    realize(a)
+    assert list(build._memo)[-1] == a and len(built) == count
 
 
 def test_verify_checks_the_round_trip_against_the_input(monkeypatch, capsys):
@@ -330,7 +368,7 @@ def test_verify_checks_the_round_trip_against_the_input(monkeypatch, capsys):
              for sig, other in ((pair(1), parse_term("E(1+1)")), (pair(1), one), (SIG5, pair(3)))]
     checked.clear()  # pair() checks the signatures it makes
     for sig, other, text, built in cases:
-        monkeypatch.setattr(build, "_build", lambda s, built=built: built)
+        monkeypatch.setattr(build, "_build", lambda s, built=built: (built, 0))
         capsys.readouterr()
         assert cli.main(["verify", text]) == 1
         assert capsys.readouterr() == (
@@ -373,7 +411,7 @@ def test_a_second_realize_derives_no_bump(monkeypatch):
     _fresh_build_cache(monkeypatch)
     first = realize(SIG5)
     assert all(f._feet is None for f in first)
-    bases = [(f, f.feet) for f, _ in build._build(SIG5)]
+    bases = [(f, f.feet) for f, _ in build._build(SIG5)[0]]
     calls = []
     at, orbitals = PLMap._at, PLMap._orbitals
 
@@ -395,18 +433,6 @@ def test_a_second_realize_derives_no_bump(monkeypatch):
     assert [fn_shape(f) for f in second] == [fn_shape(f) for f in first]
 
 
-def _recording_build_cache(monkeypatch):
-    """An empty build cache for the rest of the test, and the list of the
-    entries it makes: the recorder is the cached function, so it sees each
-    entry once."""
-    built = []
-    unwrapped = build._build.__wrapped__
-    fresh = functools.lru_cache(maxsize=build.BUILD_CACHE_SIZE)(
-        lambda s: built.append(unwrapped(s)) or built[-1])
-    monkeypatch.setattr(build, "_build", fresh)
-    return built
-
-
 def test_placed_functions_match_checked_constructor(monkeypatch):
     # every output function of the 1,296 signatures with n <= 4 and values
     # <= 4, or n = 5 and values <= 3, and every function their builds keep
@@ -421,7 +447,7 @@ def test_placed_functions_match_checked_constructor(monkeypatch):
             assert (f.map._bp, f.map._orbitals(), f.orbitals, f.markers) == (
                 checked.map._bp, checked.map._orbitals(), checked.orbitals, checked.markers)
             assert f.feet == checked.feet
-    tops = {id(f): f for entry in built for f, _ in entry}
+    tops = {id(f): f for _, entry in built for f, _ in entry}
     assert len(tops) > 800
     for f in tops.values():
         assert fn_shape(f) == fn_shape(checked_copy(f))
@@ -469,8 +495,8 @@ def test_build_cache_keeps_no_transported_copy(monkeypatch):
         wrap = getattr(build, name)
         monkeypatch.setattr(build, name, lambda *a, wrap=wrap: tops.append(wrap(*a)) or tops[-1])
     assert signature_of(realize(SIG5)) == SIG5
-    assert len(built) == build._build.cache_info().currsize and len(tops) > 1
-    held = {id(f) for entry in built for f, _ in entry}
+    assert len(built) == len(build._memo) and len(tops) > 1
+    held = {id(f) for _, entry in built for f, _ in entry}
     assert held == {id(build.UNIT_BUMP)} | {id(top) for top in tops}
     assert len(held) == 1 + len(tops)
 

@@ -3,12 +3,9 @@
     PYTHONPATH=src:tests python tests/unreached_raises.py
 
 Runs the Tier-1 suite in this process under a `sys.settrace` line tracer
-that records every line run in src/sigcalc, installed again before each
-test (a test that reaches the recursion limit switches tracing off), then
-lists each `raise` statement (found with `ast`) whose first line never ran.
-`build.realize`'s `RecursionError` branch is allowed: tracing stops at the
-recursion limit, though `test_build_depth_is_a_domain_error` reaches it.
-Exits 1 when a test fails or a `raise` outside ALLOWED is unreached.
+that records every line run in src/sigcalc, then lists each `raise`
+statement (found with `ast`) whose first line never ran.  Exits 1 when a
+test fails or a `raise` is unreached.
 """
 
 import ast
@@ -19,9 +16,6 @@ import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src", "sigcalc")
-
-# (path under src/sigcalc, enclosing function) of each raise tracing cannot see
-ALLOWED = {("realization/build.py", "realize")}
 
 
 def raises(path: str):
@@ -41,7 +35,7 @@ def raises(path: str):
 
 
 class LineTracer:
-    """A pytest plugin that records (file, line) for every line run under SRC."""
+    """Records (file, line) for every line run under SRC."""
 
     def __init__(self):
         self.hits = set()
@@ -57,18 +51,12 @@ class LineTracer:
             return self._local
         return None
 
-    @pytest.hookimpl(hookwrapper=True)
-    def pytest_runtest_protocol(self, item, nextitem):
-        sys.settrace(self._global)
-        yield
-        sys.settrace(None)
-
 
 def main() -> int:
     tracer = LineTracer()
-    sys.settrace(tracer._global)  # the imports at collection
+    sys.settrace(tracer._global)
     code = pytest.main(["-q", "-p", "no:cacheprovider", "--rootdir", ROOT,
-                        os.path.join(ROOT, "tests")], plugins=[tracer])
+                        os.path.join(ROOT, "tests")])
     sys.settrace(None)
     unreached = []
     for dirpath, _, files in os.walk(SRC):
@@ -77,10 +65,10 @@ def main() -> int:
                 path = os.path.join(dirpath, name)
                 rel = os.path.relpath(path, SRC)
                 unreached += [(rel, line, func) for line, func in raises(path)
-                              if (path, line) not in tracer.hits and (rel, func) not in ALLOWED]
+                              if (path, line) not in tracer.hits]
     for rel, line, func in sorted(unreached):
         print(f"src/sigcalc/{rel}:{line}: raise in {func} never runs")
-    print(f"{len(unreached)} unreached raise statements outside the allowed {sorted(ALLOWED)}")
+    print(f"{len(unreached)} unreached raise statements")
     return 1 if code or unreached else 0
 
 
