@@ -4,9 +4,11 @@ Exit codes: 0 success, 1 domain error, 2 parse error: a reader turns its
 input's parse errors into exit 2 (the signature, set and ordinal readers with
 a "cannot parse ..." prefix), and every domain error of the library
 (SignatureError, RealizationError, OutsideComputedFamily) reaches `main`
-unwrapped and exits 1.  Output that cannot be written exits 2, to stdout as
-to `-o`'s file, with one line, or with none when stdout is a closed pipe.
-All output is deterministic for fixed input.
+unwrapped and exits 1.  Output is one UTF-8 write, to stdout or to `-o`'s
+file, once the verb is done; a code point UTF-8 cannot encode prints as its
+backslash escape (\\ud800).  A write that fails or would block exits 2 the
+same way in both buffering modes, with one line, or with none when stdout is
+a closed pipe.  All output is deterministic for fixed input.
 Signature arguments accept a JSON matrix (leading '{'), a signature-term
 string, or a path to a file holding either.
 
@@ -56,6 +58,7 @@ named by its name, or else by its index in max-transition order.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -97,9 +100,9 @@ from .realization import (
 
 
 class CliError(Exception):
-    def __init__(self, message, code):
+    def __init__(self, message, code, output=""):
         super().__init__(message)
-        self.code = code
+        self.code, self.output = code, output  # output: printed first, as verify's report
 
 
 # Largest file argument read, in characters: the longest output measured, a
@@ -179,22 +182,26 @@ def _parse_word(text: str):
     return word
 
 
-def _emit(args, text_value, json_value):
-    if args.format == "json":
-        print(json.dumps(json_value, sort_keys=True))
-    else:
-        print(text_value)
+def _emit(args, text_value, json_value) -> str:
+    return (json.dumps(json_value, sort_keys=True) if args.format == "json" else text_value) + "\n"
 
 
-def _out(args, content: str):
+def _write(args, text: str):
+    data = text.encode("utf-8", "backslashreplace")
     if args.output:
         try:
-            with open(args.output, "w") as fh:
-                fh.write(content)
+            with open(args.output, "wb") as fh:
+                fh.write(data)
         except OSError as e:
             raise CliError(f"cannot write {args.output!r}: {e}", 2)
-    else:
-        sys.stdout.write(content)
+        return
+    out, view = sys.stdout.buffer, memoryview(data)
+    while view:  # an unbuffered stdout may take part of a write
+        written = out.write(view)
+        if not written:  # a non-blocking stdout that would block
+            raise BlockingIOError(errno.EAGAIN, "write could not complete without blocking")
+        view = view[written:]
+    out.flush()
 
 
 def cmd_ord(args):
@@ -207,33 +214,32 @@ def cmd_ord(args):
         b = load_ordinal(args.rhs)
         if args.op == "cmp":
             word = {-1: "LT", 0: "EQ", 1: "GT"}[ord_cmp(r, b)]
-            _emit(args, word, {"cmp": word})
-            return
+            return _emit(args, word, {"cmp": word})
         add = ord_natural_add if args.mode == "natural" else ord_add
         r = add(r, b) if args.op == "add" else ord_mul(r, b)
     try:
         text = ord_render(r)
     except ValueError:  # a coefficient past the interpreter's limit on digits
         raise CliError("result has an integer longer than the interpreter's digit limit", 1)
-    _emit(args, text, {"value": text})
+    return _emit(args, text, {"value": text})
 
 
 def cmd_rho(args):
     s = load_signature(args.sig)
     text = ord_render(rho(s, args.mode))
-    _emit(args, text, {"rho": text, "mode": args.mode})
+    return _emit(args, text, {"rho": text, "mode": args.mode})
 
 
 def cmd_normalize(args):
     s = load_signature(args.sig)
-    _out(args, sig_to_json(normalize(s)) + "\n")
+    return sig_to_json(normalize(s)) + "\n"
 
 
 def cmd_leq(args):
     a = load_signature(args.sig_a)
     b = load_signature(args.sig_b)
     v = leq(a, b)
-    _emit(args, "true" if v else "false", {"leq": v})
+    return _emit(args, "true" if v else "false", {"leq": v})
 
 
 # Largest finite part n of the ordinal omega*a + n that `ea --target` takes:
@@ -256,10 +262,9 @@ def cmd_ea(args):
         if _nesting(xi) > MAX_NESTING:
             raise CliError(f"the target rank nests deeper than {MAX_NESTING} levels", 1)
         text = ord_render(xi)
-        _emit(args, text, {"xi": text})
-    else:
-        text = ord_render(ea_class(load_ordinal(args.expr)))
-        _emit(args, text, {"ea_class": text})
+        return _emit(args, text, {"xi": text})
+    text = ord_render(ea_class(load_ordinal(args.expr)))
+    return _emit(args, text, {"ea_class": text})
 
 
 def cmd_materialize(args):
@@ -269,47 +274,46 @@ def cmd_materialize(args):
     sig = materialize(xi)
     if max(sig.vals, default=0) > MAX_PAIR_VALUE:
         raise CliError(f"materialized signature has a pair value larger than {MAX_PAIR_VALUE}", 1)
-    _out(args, sig_to_json(sig) + "\n")
+    return sig_to_json(sig) + "\n"
 
 
 def cmd_realize(args):
     s = load_signature(args.sig)
     fns = realize(s)
-    _out(args, genset_to_json(fns) + "\n")
+    return genset_to_json(fns) + "\n"
 
 
 def cmd_signature(args):
     fns = load_genset(args.genset)
-    _out(args, sig_to_json(signature_of(fns)) + "\n")
+    return sig_to_json(signature_of(fns)) + "\n"
 
 
 def cmd_diagram(args):
     fns = load_genset(args.genset)
-    _out(args, to_dot(diagram(fns)))
+    return to_dot(diagram(fns))
 
 
 def _by_argument_kind(args, set_op, signature_op):
     """Apply set_op to a generating set (a JSON list), else signature_op."""
     text = _read_arg(args.arg).strip()
     if text.startswith("["):
-        _out(args, genset_to_json(set_op(_parse_genset(text))) + "\n")
-    else:
-        _out(args, sig_to_json(signature_op(_parse_signature(text))) + "\n")
+        return genset_to_json(set_op(_parse_genset(text))) + "\n"
+    return sig_to_json(signature_op(_parse_signature(text))) + "\n"
 
 
 def cmd_inflate(args):
-    _by_argument_kind(args, lambda fns: set_inflate(fns, args.at),
-                      lambda s: sig_inflate(s, args.at))
+    return _by_argument_kind(args, lambda fns: set_inflate(fns, args.at),
+                             lambda s: sig_inflate(s, args.at))
 
 
 def cmd_rotate(args):
-    _by_argument_kind(args, set_rotate, sig_rotate)
+    return _by_argument_kind(args, set_rotate, sig_rotate)
 
 
-def _report(args, report: dict):
+def _report(args, report: dict) -> str:
     lines = (f"{key}: {json.dumps(value, sort_keys=True)}"
              for key, value in sorted(report.items()))
-    _emit(args, "\n".join(lines), report)
+    return _emit(args, "\n".join(lines), report)
 
 
 def cmd_verify(args):
@@ -317,26 +321,26 @@ def cmd_verify(args):
     try:
         sig = signature_of(fns)  # checks fastness, then standardness
     except NotSgenError as e:
-        _report(args, {"fast": not isinstance(e, NotFastError), "sgen": False})
-        raise CliError("set is not a standard generating set", 1)
+        report = _report(args, {"fast": not isinstance(e, NotFastError), "sgen": False})
+        raise CliError("set is not a standard generating set", 1, output=report)
     built = signature_of(realize(sig))  # realize itself walks nothing
     if built != sig:
         raise CliError(f"realization round trip failed: built {built!r} for {sig!r}", 1)
-    _report(args, {"fast": True, "sgen": True, "round_trip": True,
-                   "signature": json.loads(sig_to_json(sig))})
+    return _report(args, {"fast": True, "sgen": True, "round_trip": True,
+                          "signature": json.loads(sig_to_json(sig))})
 
 
 def cmd_enumerate(args):
     sigs = enumerate_signatures(args.n, args.vmax)
     texts = [sig_to_json(s) for s in sigs]  # each is json.dumps(doc, sort_keys=True),
-    print("[" + ", ".join(texts) + "]" if args.format == "json"  # so this is json.dumps(docs)
-          else "\n".join(texts + [f"count: {len(sigs)}"]))
+    return ("[" + ", ".join(texts) + "]" if args.format == "json"  # so this is json.dumps(docs)
+            else "\n".join(texts + [f"count: {len(sigs)}"])) + "\n"
 
 
 def cmd_predicates(args):
     fns = load_genset(args.genset)
     z = None if args.z is None else _parse_word(args.z)
-    _report(args, predicates(fns, _parse_word(args.x), _parse_word(args.y), z))
+    return _report(args, predicates(fns, _parse_word(args.x), _parse_word(args.y), z))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -345,8 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name, fn, output=False, **kw):
         p = sub.add_parser(name, **kw)
-        p.set_defaults(fn=fn)
-        if output:  # the verbs that print through _out
+        p.set_defaults(fn=fn, output=None)
+        if output:  # the verbs that print a document, which -o puts in a file
             p.add_argument("-o", "--output")
         else:  # the verbs that print through _emit
             p.add_argument("--format", choices=("text", "json"), default="text")
@@ -413,10 +417,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         try:
-            args.fn(args)
+            _write(args, args.fn(args))
             return 0
-        finally:  # also what a verb printed before it failed: a failed write exits 2
-            sys.stdout.flush()
+        except CliError as e:
+            if e.output:  # verify's report, before its error line; a failed write exits 2
+                _write(args, e.output)
+            raise
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code

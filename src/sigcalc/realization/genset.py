@@ -21,11 +21,10 @@ breakpoint, read straight from the map's integer pairs.
 from __future__ import annotations
 
 import itertools
-import json
 from json.encoder import encode_basestring_ascii
 from typing import List, Sequence, Tuple
 
-from ..signature import MAX_PAIR_VALUE, Signature, _pair_index, _trusted, quoted, short_int
+from ..signature import MAX_PAIR_VALUE, Signature, _JSON, _pair_index, _trusted, quoted, short_int
 from .marked import (
     MarkedFn, RealizationError, _rotation, conjugate, fn_rotate, is_standard_fn, square)
 from .plmap import PLMap, _lt, _quads, keys
@@ -191,8 +190,9 @@ def genset_to_json(fns: Sequence[MarkedFn]) -> str:
 
 def genset_from_json(text: str) -> GenSet:
     """An array of objects with "breakpoints" (an array of [x, y] arrays),
-    "markers" (an array) and optionally "name" (a string), and no other member."""
-    doc = json.loads(text)
+    "markers" (an array) and optionally "name" (a string), and no other member;
+    a key repeated in any object raises SignatureParseError, as in a signature."""
+    doc = _JSON.decode(text)
     if not isinstance(doc, list):
         raise TypeError("not an array of functions")
     out = []

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import json
 import random
 from fractions import Fraction as F
 
@@ -151,3 +152,25 @@ def frame_onto(lo, hi):
 def placed(built):
     """A build's placements as functions: each base function carried by its frame."""
     return [transport(f, frame) for f, frame in built]
+
+
+def set_json(fns) -> str:
+    """A generating set as the CLI prints it: (breakpoints, markers, name)."""
+    return json.dumps([
+        {"breakpoints": [list(p) for p in pts], "markers": markers, "name": name}
+        for pts, markers, name in fns], indent=2)
+
+
+def one_function(breakpoints=(("0", "0"), ("1/4", "1/4"), ("1/2", "3/4"), ("1", "1")),
+                 markers=("1/2",), **name) -> str:
+    """A set of one function, as JSON with the fields given."""
+    return json.dumps([dict(breakpoints=breakpoints, markers=markers, **name)])
+
+
+def bumps_set(count: int, name: str) -> str:
+    """One function with `count` disjoint positive bumps: fast, not standard."""
+    d, points, markers = 5 * count + 1, [("0", "0")], []
+    for a in range(0, 5 * count, 5):
+        points += [(f"{a + 1}/{d}",) * 2, (f"{a + 2}/{d}", f"{a + 3}/{d}"), (f"{a + 4}/{d}",) * 2]
+        markers.append(f"{a + 2}/{d}")
+    return set_json([(points + [("1", "1")], markers, name)])

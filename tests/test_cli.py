@@ -4,6 +4,7 @@ bytes some verbs print."""
 
 import ast
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -22,32 +23,25 @@ from sigcalc.ordinal import MAX_NESTING, ord_parse
 from sigcalc.signature import (
     MAX_BASE, MAX_PAIR_VALUE, Signature, parse_term, sig_from_json, sig_rotate, sig_to_json)
 from sigcalc.realization import RealizationError, build, diagram, genset_from_json, genset_to_json
-from helpers import fresh_rank_caches, nest, placed
+from helpers import bumps_set, fresh_rank_caches, nest, one_function, placed, set_json
 from oracles import excise, fig_g_set
 
 
-def _set_json(fns) -> str:
-    """A generating set as the CLI prints it: (breakpoints, markers, name)."""
-    return json.dumps([
-        {"breakpoints": [list(p) for p in pts], "markers": markers, "name": name}
-        for pts, markers, name in fns], indent=2)
-
-
 # realize 'exp(1+1)': the pair with oscillation 1
-PAIR1 = _set_json([
+PAIR1 = set_json([
     ([("0", "0"), ("9/16", "9/16"), ("217/384", "77/128"), ("29/48", "29/48"), ("1", "1")],
      ["217/384"], "0"),
     ([("0", "0"), ("19/48", "19/48"), ("7/16", "77/96"), ("15/16", "15/16"), ("1", "1")],
      ["7/16"], "1"),
 ])
 NOT_SGEN = genset_to_json(fig_g_set())
-NOT_FAST = _set_json([
+NOT_FAST = set_json([
     ([("0", "0"), ("1/8", "1/8"), ("5/32", "9/32"), ("3/8", "3/8"), ("1", "1")], ["5/32"], "f"),
     ([("0", "0"), ("1/8", "1/8"), ("5/32", "1/4"), ("5/16", "5/16"), ("1", "1")], ["5/32"], "h"),
 ])
 
 # one function with two disjoint positive bumps: fast but not standard
-TWO_BUMPS = _set_json([
+TWO_BUMPS = set_json([
     ([("0", "0"), ("1/8", "1/8"), ("3/16", "7/32"), ("1/4", "1/4"), ("1/2", "1/2"),
       ("9/16", "19/32"), ("5/8", "5/8"), ("1", "1")], ["3/16", "9/16"], "0"),
 ])
@@ -226,6 +220,18 @@ def test_diagram_escapes_names(capsys):
     assert 'label="a\\"b"' in out and 'label="c\\\\d"' in out
 
 
+def test_a_name_utf8_cannot_encode_prints_as_its_escape(capsysbinary, tmp_path):
+    # a lone surrogate, which json.dumps writes as \ud800 and the set reader reads back
+    doc = one_function(name="\ud800")
+    want = (b'digraph dynamical_diagram {\n  rankdir=LR;\n  { rank=same; v0; v1; }\n'
+            b'  v0 -> v1 [style=invis];\n  v0 -> v1 [label="\\ud800"];\n}\n')
+    assert (cli.main(["diagram", doc]), *capsysbinary.readouterr()) == (0, want, b"")
+    path = tmp_path / "diagram.dot"
+    assert (cli.main(["diagram", doc, "-o", str(path)]), *capsysbinary.readouterr()) == (
+        0, b"", b"")
+    assert path.read_bytes() == want
+
+
 def test_diagram_and_excise_require_a_fast_set():
     fns = genset_from_json(NOT_FAST)
     with pytest.raises(RealizationError):
@@ -237,7 +243,7 @@ def test_diagram_and_excise_require_a_fast_set():
 def test_inflate(capsys):
     assert run(capsys, "inflate", "exp(1+1)", "--at", "1") == (
         0, '{"labels": ["0", "0^1", "1"], "n": 3, "o": {"0,1": 0, "0,2": 1, "1,2": 1}}\n', "")
-    want = _set_json([
+    want = set_json([
         ([("0", "0"), ("9/16", "9/16"), ("217/384", "77/128"), ("29/48", "29/48"), ("1", "1")],
          ["217/384"], "0"),
         ([("0", "0"), ("107/128", "107/128"), ("15421/18432", "5201/6144"), ("61/72", "61/72"),
@@ -255,7 +261,7 @@ def test_inflate(capsys):
 
 def test_rotate(capsys):
     assert run(capsys, "rotate", "E(1+1)") == (0, '{"n": 2, "o": {"0,1": 1}}\n', "")
-    want = _set_json([
+    want = set_json([
         ([("0", "0"), ("19/48", "19/48"), ("5/12", "41/96"), ("7/16", "7/16"), ("1", "1")],
          ["5/12"], "1^o"),
         ([("0", "0"), ("9/16", "9/16"), ("217/384", "77/128"), ("29/48", "29/48"), ("1", "1")],
@@ -599,6 +605,11 @@ def test_refusals_with_decided_exit_codes(capsys):
     # a matrix that also fails (!) exits 2 on the value, not 1 on the triple
     assert run(capsys, "rho", '{"n": 3, "o": {"0,1": 0, "0,2": 100, "1,2": 0}}') == (
         2, "", "error: cannot parse signature: \"o\" value at '0,2' is larger than 64\n")
+    # a set that repeats a key is refused as a signature that does, where
+    # the last "name" once won
+    named = one_function(name="a")[:-2] + ', "name": "b"}]'
+    assert run(capsys, "signature", named) == (
+        2, "", "error: cannot parse generating set: key 'name' given more than once\n")
     # a zero exponent is a malformed word token
     for token in ("0^0", "1,0"):
         assert run(capsys, "predicates", PAIR1, "--x", token, "--y", "0") == (
@@ -620,18 +631,9 @@ def test_long_keys_and_tokens_give_short_messages(capsys):
     assert err == f"error: bad word token {long[:40]!r}\n"
 
 
-def _bumps(count: int, name: str) -> str:
-    """One function with `count` disjoint positive bumps: fast, not standard."""
-    d, points, markers = 5 * count + 1, [("0", "0")], []
-    for a in range(0, 5 * count, 5):
-        points += [(f"{a + 1}/{d}",) * 2, (f"{a + 2}/{d}", f"{a + 3}/{d}"), (f"{a + 4}/{d}",) * 2]
-        markers.append(f"{a + 2}/{d}")
-    return _set_json([(points + [("1", "1")], markers, name)])
-
-
-BUMPS, LONG_NAME = _bumps(2000, "0"), "x" * 10 ** 5
+BUMPS, LONG_NAME = bumps_set(2000, "0"), "x" * 10 ** 5
 # a marker of -1/10^4000, outside the function's one orbital (1/4, 1)
-LONG_MARKER = _set_json([([("0", "0"), ("1/4", "1/4"), ("1/2", "3/4"), ("1", "1")],
+LONG_MARKER = set_json([([("0", "0"), ("1/4", "1/4"), ("1/2", "3/4"), ("1", "1")],
                           ["-1/1" + "0" * 4000], "0")])
 
 ONES, KEY = "1" * 4001, "1" + "0" * 4299  # past 40 digits, and at the interpreter's digit limit
@@ -656,7 +658,7 @@ CUT = "1" * 40 + "..."
     (1, ["signature", BUMPS], "function '0' is not standard"),
     (1, ["rotate", BUMPS], "function '0' is not standard"),
     (1, ["inflate", BUMPS, "--at", "0"], "function '0' is not standard"),
-    (1, ["signature", _bumps(2, LONG_NAME)], f"function {LONG_NAME[:40]!r} is not standard"),
+    (1, ["signature", bumps_set(2, LONG_NAME)], f"function {LONG_NAME[:40]!r} is not standard"),
     (2, ["signature", LONG_MARKER],
      f"cannot parse generating set: marker -1/1{'0' * 39}... outside orbital (1/4,1)"),
 ], ids=["pair outside base", "pair twice", "generator index", "set index", "base element",
@@ -672,32 +674,27 @@ def test_long_integers_give_short_messages(capsys, code, argv, err):
 # --- malformed generating-set documents -----------------------------------------------
 
 
-def _one_function(breakpoints=(("0", "0"), ("1/4", "1/4"), ("1/2", "3/4"), ("1", "1")),
-                  markers=("1/2",), **name):
-    return json.dumps([dict(breakpoints=breakpoints, markers=markers, **name)])
-
-
 @pytest.mark.parametrize("doc", [
-    _one_function(breakpoints=[["0", "0"], ["1/0", "1"]], markers=[]),
-    _one_function(markers=["1/0"]),
-    _one_function(markers=[float("inf")]),
-    _one_function(markers=[float("nan")]),
+    one_function(breakpoints=[["0", "0"], ["1/0", "1"]], markers=[]),
+    one_function(markers=["1/0"]),
+    one_function(markers=[float("inf")]),
+    one_function(markers=[float("nan")]),
     '[{"breakpoints": [[0, 0], [1e400, 1]], "markers": []}]',
-    _one_function(name=5),
-    _one_function(name=None),
-    _one_function(name=["a"]),
+    one_function(name=5),
+    one_function(name=None),
+    one_function(name=["a"]),
 ])
 def test_malformed_genset_json_is_a_parse_error(capsys, doc):
-    assert run(capsys, "signature", _one_function())[0] == 0
+    assert run(capsys, "signature", one_function())[0] == 0
     err = expect_error(capsys, 2, "signature", doc)
     assert err.startswith("error: cannot parse generating set: ")
 
 
 @pytest.mark.parametrize("doc, field", [
     # a two-character string or object key would otherwise read as a point
-    (_one_function(breakpoints=["00", ["1/4", "1/4"], ["1/2", "3/4"], "11"]), "breakpoints"),
-    (_one_function(breakpoints={"00": ["1/4", "1/4"], "11": ["1/2", "3/4"]}), "breakpoints"),
-    (_one_function(markers="1/2"), "markers"),
+    (one_function(breakpoints=["00", ["1/4", "1/4"], ["1/2", "3/4"], "11"]), "breakpoints"),
+    (one_function(breakpoints={"00": ["1/4", "1/4"], "11": ["1/2", "3/4"]}), "breakpoints"),
+    (one_function(markers="1/2"), "markers"),
 ])
 def test_genset_fields_must_be_arrays(capsys, doc, field):
     err = expect_error(capsys, 2, "signature", doc)
@@ -712,14 +709,16 @@ def test_genset_fields_must_be_arrays(capsys, doc, field):
     ("[{}]", 'function 0 has no "breakpoints"'),
     ('[{"breakpoints": []}]', 'function 0 has no "markers"'),
     # JSON true once read as the coordinate 1
-    (_one_function(breakpoints=[["0", "0"], ["1/4", "1/4"], ["1/2", "3/4"], [True, "1"]]),
+    (one_function(breakpoints=[["0", "0"], ["1/4", "1/4"], ["1/2", "3/4"], [True, "1"]]),
      "not a number: True"),
-    (_one_function(breakpoints=[[False, "0"], ["1/4", "1/4"], ["1/2", "3/4"], ["1", "1"]]),
+    (one_function(breakpoints=[[False, "0"], ["1/4", "1/4"], ["1/2", "3/4"], ["1", "1"]]),
      "not a number: False"),
-    (_one_function(markers=[True]), "not a number: True"),
+    (one_function(markers=[True]), "not a number: True"),
     # a member other than "breakpoints", "markers" and "name", once ignored
-    (_one_function(colour="red"), "function 0 has an unknown member 'colour'"),
-    (_one_function(nmae="f"), "function 0 has an unknown member 'nmae'"),
+    (one_function(colour="red"), "function 0 has an unknown member 'colour'"),
+    (one_function(nmae="f"), "function 0 has an unknown member 'nmae'"),
+    # a repeated key, once read as its last value, is refused as in a signature
+    (one_function()[:-2] + ', "markers": []}]', "key 'markers' given more than once"),
 ])
 def test_genset_document_shape(capsys, doc, reason):
     for verb in ("verify", "signature"):
@@ -730,8 +729,8 @@ def test_genset_document_shape(capsys, doc, reason):
 @pytest.mark.parametrize("where", ["breakpoint", "marker"])
 def test_exponent_notation_is_refused_before_it_is_expanded(capsys, where):
     # read as 10**10000000, this coordinate took seconds to build
-    doc = (_one_function(breakpoints=[["0", "0"], ["1e10000000", "1"], ["1", "1"]])
-           if where == "breakpoint" else _one_function(markers=["1e10000000"]))
+    doc = (one_function(breakpoints=[["0", "0"], ["1e10000000", "1"], ["1", "1"]])
+           if where == "breakpoint" else one_function(markers=["1e10000000"]))
     start = time.perf_counter()
     err = expect_error(capsys, 2, "signature", doc)
     assert time.perf_counter() - start < 0.5
@@ -739,9 +738,9 @@ def test_exponent_notation_is_refused_before_it_is_expanded(capsys, where):
 
 
 def test_coordinates_read_as_before(capsys):
-    doc = _one_function(breakpoints=[[" 0", "-0"], ["+1/4", "2/8"], ["1/2", "3/4"], [1, "1"]],
+    doc = one_function(breakpoints=[[" 0", "-0"], ["+1/4", "2/8"], ["1/2", "3/4"], [1, "1"]],
                         markers=[0.5])
-    assert run(capsys, "signature", doc) == run(capsys, "signature", _one_function())
+    assert run(capsys, "signature", doc) == run(capsys, "signature", one_function())
 
 
 @pytest.mark.parametrize("number, exact", [
@@ -749,7 +748,7 @@ def test_coordinates_read_as_before(capsys):
 def test_a_json_number_reads_as_its_exact_binary_value(capsys, number, exact):
     # the square that inflation prints carries the breakpoint (number, 1/2)
     def doc(x):
-        return _one_function(breakpoints=[["0", "0"], [x, "1/2"], ["1", "1"]], markers=["1/2"])
+        return one_function(breakpoints=[["0", "0"], [x, "1/2"], ["1", "1"]], markers=["1/2"])
     code, out, err = run(capsys, "inflate", doc(number), "--at", "0")
     assert (code, err) == (0, "") and f'"{exact}"' in out
     assert run(capsys, "inflate", doc(exact), "--at", "0") == (code, out, err)
@@ -765,8 +764,8 @@ def test_a_json_number_reads_as_its_exact_binary_value(capsys, number, exact):
 ], ids=["NaN", "Infinity", "null", "[]", "long array", "{}"])
 @pytest.mark.parametrize("where", ["breakpoint", "marker"])
 def test_a_coordinate_that_is_no_number_is_named_by_its_type(capsys, value, reason, where):
-    doc = (_one_function(breakpoints=[["0", "0"], ["1/4", "1/4"], ["1/2", value], ["1", "1"]])
-           if where == "breakpoint" else _one_function(markers=[value]))
+    doc = (one_function(breakpoints=[["0", "0"], ["1/4", "1/4"], ["1/2", value], ["1", "1"]])
+           if where == "breakpoint" else one_function(markers=[value]))
     err = expect_error(capsys, 2, "signature", doc)
     assert err == f"error: cannot parse generating set: {reason}\n"
 
@@ -843,30 +842,89 @@ def test_output_path_that_cannot_be_written_is_a_parse_error(capsys, tmp_path, c
         assert err.count("\n") == 1 and err.startswith(f"error: cannot write {str(path)!r}: ")
 
 
-@pytest.mark.parametrize("verb", ["enumerate", "verify"])
-@pytest.mark.parametrize("stdout", ["closed pipe", "full device"])
-def test_output_that_cannot_be_written_exits_2(stdout, verb):
+ENUMERATE_N5 = ["enumerate", "--n", "5", "--vmax", "3"]  # 112,415 bytes, more than a pipe holds
+CHAIN_256 = ["realize", "*".join("1" * 256)]  # 574,453 bytes
+# a child whose stdout would block, as a full pipe does that its reader reads only later
+NON_BLOCKING = ["-c", "import os, sys; os.set_blocking(1, False); from sigcalc import cli; "
+                "sys.exit(cli.main(sys.argv[1:]))"]
+
+
+@pytest.mark.parametrize("stdout, args", [
+    ("closed pipe", ENUMERATE_N5), ("closed pipe", ["verify", NOT_SGEN]),
+    ("full device", ENUMERATE_N5), ("full device", ["verify", NOT_SGEN]),
+    ("partial read", CHAIN_256), ("non-blocking pipe", ENUMERATE_N5),
+], ids=["closed pipe-enumerate", "closed pipe-verify", "full device-enumerate",
+        "full device-verify", "partial read-realize", "non-blocking pipe-enumerate"])
+def test_output_that_cannot_be_written_exits_2(stdout, args):
     # as a process, since the interpreter flushes stdout once more at exit,
-    # block-buffered as by default: a reader that closed the pipe is told
-    # nothing, a full device gets one line, also after a verb printed its
-    # report and then failed (verify, exit 1 when stdout takes its report)
-    args = ["enumerate", "--n", "5", "--vmax", "3"] if verb == "enumerate" else ["verify", NOT_SGEN]
-    argv = [sys.executable, "-m", "sigcalc.cli", *args]
-    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
-    if stdout == "closed pipe":
-        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-        proc.stdout.close()
-        got = proc.wait(timeout=60), proc.stderr.read()
-        proc.stderr.close()
-        assert got == (2, b"")
-    else:
-        if not os.path.exists("/dev/full"):
-            pytest.skip("no /dev/full on this platform")
-        with open("/dev/full", "w") as full:
-            proc = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, env=env, timeout=60)
-        assert (proc.returncode, proc.stderr) == (
-            2, b"error: cannot write the output: [Errno 28] No space left on device\n")
+    # with stdout block-buffered as by default and unbuffered: a reader that
+    # closed the pipe, also after reading part of it, is told nothing, a full
+    # device or a stdout that would block gets one line, also after a verb
+    # printed its report and then failed (verify, exit 1 when stdout takes its report)
+    argv = [sys.executable, *(NON_BLOCKING if stdout == "non-blocking pipe" else ["-m", "sigcalc.cli"]),
+            *args]
+    for unbuffered in ("", "1"):
+        where = f"{stdout}, PYTHONUNBUFFERED={unbuffered!r}"
+        env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
+                   PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        if stdout == "full device":
+            if not os.path.exists("/dev/full"):
+                pytest.skip("no /dev/full on this platform")
+            with open("/dev/full", "w") as full:
+                proc = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, env=env, timeout=60)
+            assert (proc.returncode, proc.stderr) == (
+                2, b"error: cannot write the output: [Errno 28] No space left on device\n"), where
+            continue
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+                                bufsize=0)
+        try:
+            if stdout == "partial read":
+                assert len(proc.stdout.read(10)) == 10, where
+            if stdout != "non-blocking pipe":  # whose stdout is read only after it exits
+                proc.stdout.close()
+            got = proc.wait(timeout=60), proc.stderr.read()
+        finally:
+            proc.kill()
+            proc.stdout.close()
+            proc.stderr.close()
+        if stdout == "non-blocking pipe":
+            assert got == (2, b"error: cannot write the output: [Errno %d] write could not "
+                              b"complete without blocking\n" % errno.EAGAIN), where
+        else:
+            assert got == (2, b""), where
+
+
+class _FillingPipe(io.FileIO):
+    """A raw stdout that takes at most 7 bytes a write and, past `room`
+    bytes, would block: it takes none and returns None, as a full
+    non-blocking pipe does."""
+
+    def __init__(self, path, room):
+        super().__init__(path, "w")
+        self.room = room
+
+    def write(self, data):
+        if not self.room:
+            return None
+        taken = super().write(data[:min(7, self.room)])
+        self.room -= taken
+        return taken
+
+
+@pytest.mark.parametrize("room", [10 ** 6, 100])
+def test_an_unbuffered_stdout_takes_the_output_in_parts(capsys, monkeypatch, tmp_path, room):
+    # as PYTHONUNBUFFERED leaves it: the text layer writes through to the raw file
+    path = tmp_path / "stdout"
+    with _FillingPipe(path, room) as raw:
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, write_through=True))
+        code = cli.main(["realize", "exp(1+1)"])
+    want = (PAIR1 + "\n").encode()
+    if room > len(want):
+        assert (code, path.read_bytes(), capsys.readouterr().err) == (0, want, "")
+    else:  # no spin on a write that takes nothing
+        assert (code, path.read_bytes(), capsys.readouterr().err) == (2, want[:room], (
+            f"error: cannot write the output: [Errno {errno.EAGAIN}] "
+            "write could not complete without blocking\n"))
 
 
 def test_pair_outside_the_base(capsys):
@@ -1063,10 +1121,11 @@ _ARGV = [
 _SPECIAL_COORDS = ["1/0", float("inf"), float("nan"), 0.5, True, None]
 _EXPLICIT_ARGV = [
     ["signature", '[{"breakpoints": [["0","0"],["1/0","1"]], "markers": []}]'],
-    ["verify", _one_function(markers=["1/0"])],
-    *(["signature", _one_function(breakpoints=[["0", "0"], [c, "1/4"], ["1/2", "3/4"], [1, 1]])]
+    ["verify", one_function(markers=["1/0"])],
+    *(["signature", one_function(breakpoints=[["0", "0"], [c, "1/4"], ["1/2", "3/4"], [1, 1]])]
       for c in _SPECIAL_COORDS),
-    *(["verify", _one_function(markers=[c])] for c in _SPECIAL_COORDS),
+    *(["verify", one_function(markers=[c])] for c in _SPECIAL_COORDS),
+    ["diagram", one_function(name="\ud800")],  # a name no encoding takes
 ]
 
 
@@ -1076,7 +1135,7 @@ def test_main_survives_generated_input():
     cases = _EXPLICIT_ARGV + [rng.choice(_ARGV)(rng) for _ in range(100)]
     for i, argv in enumerate(cases):
         where = f"case {i} of seed {seed!r}: {argv!r}"
-        out, err = io.StringIO(), io.StringIO()
+        out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
         try:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = cli.main(argv)
