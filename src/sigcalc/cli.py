@@ -8,7 +8,8 @@ unwrapped and exits 1.  Output is one UTF-8 write, to stdout or to `-o`'s
 file, once the verb is done; a code point UTF-8 cannot encode prints as its
 backslash escape (\\ud800).  A write that fails or would block exits 2 the
 same way in both buffering modes, with one line, or with none when stdout is
-a closed pipe.  All output is deterministic for fixed input.
+a closed pipe.  An error line that stderr cannot take is dropped, and the
+exit code stays the verb's.  All output is deterministic for fixed input.
 Signature arguments accept a JSON matrix (leading '{'), a signature-term
 string, or a path to a file holding either.
 
@@ -424,16 +425,30 @@ def main(argv=None) -> int:
                 _write(args, e.output)
             raise
     except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return e.code
+        return _error(e, e.code)
     except (SignatureError, RealizationError, OutsideComputedFamily) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:  # stdout cannot take the output; its exit flush would fail again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        if not isinstance(e, BrokenPipeError):  # no reader is left to tell
-            print(f"error: cannot write the output: {e}", file=sys.stderr)
-        return 2
+        return _error(e, 1)
+    except OSError as e:  # stdout cannot take the output
+        _to_devnull(sys.stdout)
+        if isinstance(e, BrokenPipeError):  # no reader is left to tell
+            return 2
+        return _error(f"cannot write the output: {e}", 2)
+
+
+def _error(message, code: int) -> int:
+    """code, after the line "error: message" on stderr; a stderr that cannot
+    take the line changes no exit code."""
+    try:
+        print(f"error: {message}", file=sys.stderr, flush=True)
+    except OSError:
+        _to_devnull(sys.stderr)
+    return code
+
+
+def _to_devnull(stream) -> None:
+    """Points the stream's file at os.devnull: the stream keeps what it
+    could not write, and its flush at exit would fail again, exiting 120."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
 
 
 if __name__ == "__main__":

@@ -12,12 +12,16 @@ top's support when the maximum is 2, and otherwise one new negative orbital
 on the left and one new positive orbital on the right of the rotated top's
 orbitals.
 
-A build is a tuple of placements (f, frame): sub-builds are placed by composing
-affine frames, not copied, so builds share the unit bump and the wrap tops.
-Only the general wrap copies the rotated top's breakpoints, so only it gets
-the rotated top transported.  The unit bump and the single-bump top are
-built by `marked._bump`, the other tops unchecked (`PLMap._make`,
-`MarkedFn._trusted`) with the orbitals they construct;
+A build is two tuples: its functions, and one flat tuple of integers holding
+each function's frame (a, b, c) in turn, as `PLMap` keeps its breakpoints.
+Sub-builds are placed by composing affine frames, not copied, so builds share
+the unit bump and the wrap tops, and a function is carried by its frame only
+when `realize` hands it out.  Only the general wrap copies the rotated top's
+breakpoints, so only it gets the rotated top transported.  The unit bump and
+the single-bump top are built by `marked._bump`, the other tops unchecked
+(`PLMap._make`, `MarkedFn._trusted`) with the orbitals they construct, and
+no slopes: the general top's, which `_minimal` computes to drop collinear
+points, are derived again only if the top is ever composed;
 `test_placed_functions_match_checked_constructor` and the realize sweep
 compare every top that builds keep with the checked constructors' rebuild.
 New feet avoid the placed functions' feet, which `_obstacles` reads from
@@ -26,20 +30,23 @@ each function's stored `feet`, shared by all its placements.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 from ..signature import MAX_BASE, Signature, _rows, decompose, sig_rotate
 from .genset import GenSet
 from .marked import UNIT, Frame, MarkedFn, RealizationError, _bump, _then, place, transport
 from .plmap import Pair, PLMap, _lt, _minimal, _quads, _reduced, keys
 
-Placement = Tuple[MarkedFn, Frame]
+Build = Tuple[Tuple[MarkedFn, ...], Tuple[int, ...]]  # functions, and their frames flat
+Placed = Iterable[Tuple[MarkedFn, Frame]]  # functions zipped with their frames, read once
 Orbital = Tuple[Pair, Pair, int]
 
-# Signatures whose placements are kept, least recently used dropped first.
-# Entries share functions: all 969 with n = 5, values <= 3 fill 1,125, retaining 2.5 MiB.
+# Signatures with n > 1 whose builds are kept, under their pair values (the
+# bytes name the signature: their length gives n), least recently used dropped
+# first.  Entries share functions: all 969 with n = 5, values <= 3 fill 1,124,
+# retaining 1.3 MiB (tracemalloc).
 BUILD_CACHE_SIZE = 4096
-_memo: Dict[Signature, Tuple[Tuple[Placement, ...], int]] = {}  # sig -> (placements, depth)
+_memo: Dict[bytes, Tuple[Build, int]] = {}  # sig.vals -> (build, depth)
 
 # Deepest build, in levels, one per rotation or decomposition down its longest
 # path: the 2n - 1 builds that the chain 1*1*...*1 of n = MAX_BASE leaves nests
@@ -49,47 +56,66 @@ MAX_BUILD_LEVELS = 2 * MAX_BASE - 1
 
 
 def realize(sig: Signature) -> GenSet:
-    """A standard generating set with the given signature, each placement
-    of its build carried by its frame and named by its label;
+    """A standard generating set with the given signature, each function of
+    its build carried by its frame and named by its label;
     RealizationError when the build is deeper than MAX_BUILD_LEVELS."""
-    placed = zip(_build(sig)[0], sig.default_labels())
-    return [transport(f, frame, lbl) for (f, frame), lbl in placed]
+    (fns, frames), _ = _build(sig)
+    return [transport(f, frame, lbl)
+            for f, frame, lbl in zip(fns, _triples(frames), sig.default_labels())]
 
 
-def _build(sig: Signature, level: int = 0) -> Tuple[Tuple[Placement, ...], int]:
-    """sig's placements and depth, sig lying `level` levels below the signature
+def _triples(frames: Tuple[int, ...]) -> Iterator[Frame]:
+    it = iter(frames)
+    return zip(it, it, it)
+
+
+def _then_all(frames: Tuple[int, ...], outer: Frame) -> List[int]:
+    """Each frame followed by outer, flat."""
+    out: List[int] = []
+    for frame in _triples(frames):
+        out += _then(frame, outer)
+    return out
+
+
+def _build(sig: Signature, level: int = 0) -> Tuple[Build, int]:
+    """sig's build and depth, sig lying `level` levels below the signature
     realized.  An indecomposable signature's rotations descend in a loop and
     are wrapped on the way back up, so calls nest only at decompositions, whose
     parts are smaller: at most MAX_BASE deep.  Each level met, and each memo
-    hit with its depth, is checked against MAX_BUILD_LEVELS on the way down."""
-    chain = []  # the indecomposable signatures rotated, top first
+    hit with its depth, is checked against MAX_BUILD_LEVELS on the way down.
+    The bases of 0 and 1, whose pair values are both empty, are not kept."""
+    rotated = []  # the indecomposable signatures rotated, top first
     while True:
-        built, depth = _memo.pop(sig, (None, 0))  # put back below as the most recent
-        if level + depth > MAX_BUILD_LEVELS:  # (a hit refused stays out of the memo)
+        # a hit is put back below as the most recent; a hit refused stays out
+        built, depth = _memo.pop(sig.vals, (None, 0)) if sig.n > 1 else (BASES[sig.n], 0)
+        if level + depth > MAX_BUILD_LEVELS:
             raise RealizationError(
                 f"signature too deep to realize: its build is more than {MAX_BUILD_LEVELS} levels deep")
-        if built is not None or sig.n <= 1 or len(parts := decompose(sig)) > 1:
+        if built is not None or len(parts := decompose(sig)) > 1:
             break
-        chain.append(sig)
+        rotated.append(sig)
         sig, level = sig_rotate(sig), level + 1
-    if built is None:  # a base of 0 or 1, or a sum of parts each placed in its slot
-        out = [(UNIT_BUMP, UNIT)] if sig.n == 1 else []
-        for i, part in enumerate(parts if sig.n > 1 else ()):
-            placed, below = _build(part, level + 1)
+    if built is None:  # a sum of parts, each placed in its slot
+        fns, frames = [], []
+        for i, part in enumerate(parts):
+            (part_fns, part_frames), below = _build(part, level + 1)
             depth = max(depth, below + 1)
             slot = (4 * i + 1, 2, 4 * len(parts))  # onto ((4i + 1) / 4k, (4i + 3) / 4k)
-            out += [(f, _then(frame, slot)) for f, frame in placed]
-        built = tuple(out)
+            fns += part_fns
+            frames += _then_all(part_frames, slot)
+        built = tuple(fns), tuple(frames)
     while True:
-        _memo[sig] = built, depth
-        if len(_memo) > BUILD_CACHE_SIZE:
-            del _memo[next(iter(_memo))]
-        if not chain:
+        if sig.n > 1:
+            _memo[sig.vals] = built, depth
+            if len(_memo) > BUILD_CACHE_SIZE:
+                del _memo[next(iter(_memo))]
+        if not rotated:
             return built, depth
-        sig = chain.pop()  # wrap a new top around the build of its rotation
-        (top, frame), *others = built
-        frame = _then(frame, MIDDLE)
-        others = [(f, _then(fr, MIDDLE)) for f, fr in others]
+        sig = rotated.pop()  # wrap a new top around the build of its rotation
+        fns, frames = built
+        top, frame = fns[0], _then(frames[:3], MIDDLE)
+        frames = tuple(_then_all(frames[3:], MIDDLE))
+        others = zip(fns[1:], _triples(frames))
         maxrow = max(row[-1] for row in _rows(sig)[:-1])
         if maxrow > 2:
             top = _wrap_general(transport(top, frame), others)
@@ -102,17 +128,17 @@ def _build(sig: Signature, level: int = 0) -> Tuple[Tuple[Placement, ...], int]:
             # of every retained function, and its support is the new bump's left foot
             (u, v, _), = top.orbitals
             top = _bump(place(frame, u), R0, place(frame, v), B_POS)
-        built, depth = (*others, (top, UNIT)), depth + 1
+        built, depth = (fns[1:] + (top,), frames + UNIT), depth + 1
 
 
-def _obstacles(fns: Sequence[Placement], *points: Pair) -> Tuple[int, List[int], List[List[int]]]:
+def _obstacles(placed: Placed, *points: Pair) -> Tuple[int, List[int], List[List[int]]]:
     """Closures of all feet of the placed functions, carried by their frames,
     merged and sorted, which new feet must avoid, and the given points, as
     integer keys over one denominator: (denominator, point keys, [lo, hi] spans).
     A foot's end is carried unreduced, (a d + b n, c d), as `keys` needs no
     reduced pair; the denominator may then hold a spare factor, which the
     wraps drop, as they reduce every point they make."""
-    ends = [(a * d + b * n, c * d) for f, (a, b, c) in fns for foot in f.feet for n, d in foot]
+    ends = [(a * d + b * n, c * d) for f, (a, b, c) in placed for foot in f.feet for n, d in foot]
     den, k = keys(list(points) + ends)
     merged: List[List[int]] = []
     for lo, hi in sorted(zip(k[len(points)::2], k[len(points) + 1::2])):
@@ -126,10 +152,11 @@ def _obstacles(fns: Sequence[Placement], *points: Pair) -> Tuple[int, List[int],
 M1, M2, L0, R0 = (1, 3), (2, 3), (1, 16), (15, 16)
 MIDDLE = (1, 1, 3)  # onto (M1, M2)
 UNIT_BUMP = _bump((1, 4), (3, 4), (9, 32), (23, 32))  # feet the orbital's outer sixteenths
+BASES: Tuple[Build, Build] = (((), ()), ((UNIT_BUMP,), UNIT))  # the builds of n = 0 and 1
 A_NEG, B_POS = (19, 96), (77, 96)  # (L0 + M1) / 2 and (M2 + R0) / 2
 
 
-def _wrap_two(orbs: Tuple[Orbital, ...], others: Sequence[Placement]) -> MarkedFn:
+def _wrap_two(orbs: Tuple[Orbital, ...], others: Placed) -> MarkedFn:
     """Two-orbital top with expansion point inside the widest gap between
     the retained functions' feet in the rotated top's orbital, given its
     placed orbitals; used when the maximum oscillation against the top is 2.
@@ -151,7 +178,7 @@ def _wrap_two(orbs: Tuple[Orbital, ...], others: Sequence[Placement]) -> MarkedF
     return MarkedFn._trusted(PLMap._make(bp, None, ((L0, c, -1), (c, R0, 1))), (A_NEG, sa))
 
 
-def _wrap_general(t: MarkedFn, others: Sequence[Placement]) -> MarkedFn:
+def _wrap_general(t: MarkedFn, others: Placed) -> MarkedFn:
     """New negative orbital left of, and positive orbital right of, the
     rotated top's orbitals; the middle reuses the rotated top verbatim.
     The rotated top fixes the ends of its support, which end the new
@@ -169,4 +196,5 @@ def _wrap_general(t: MarkedFn, others: Sequence[Placement]) -> MarkedFn:
     quads += [q for q in _quads(t.map._bp) if not (_lt(q[:2], u_t) or _lt(v_t, q[:2]))]
     quads += [a_pos + B_POS, R0 + R0, (1, 1, 1, 1)]
     orbs = ((L0, u_t, -1), *t.orbitals, (v_t, R0, 1))
-    return MarkedFn._trusted(PLMap._make(*_minimal(quads), orbs), (A_NEG, *t.markers, a_pos))
+    bp, _ = _minimal(quads)  # slopes are derived again if the top is ever composed
+    return MarkedFn._trusted(PLMap._make(bp, None, orbs), (A_NEG, *t.markers, a_pos))

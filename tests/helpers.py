@@ -150,8 +150,9 @@ def frame_onto(lo, hi):
 
 
 def placed(built):
-    """A build's placements as functions: each base function carried by its frame."""
-    return [transport(f, frame) for f, frame in built]
+    """A build's functions, each carried by its frame, three flat integers."""
+    fns, frames = built
+    return [transport(f, frames[3 * k:3 * k + 3]) for k, f in enumerate(fns)]
 
 
 def set_json(fns) -> str:

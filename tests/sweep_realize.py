@@ -5,13 +5,15 @@
 Every signature s with n = 6 and values <= 3 (7,084) and with n = 7 and
 values <= 2 (7,752), enumerated by `oracles.signatures_by_columns`, must
 read back from its realized set through `signature_of`.  On the same set,
-`set_rotate` must give `sig_rotate(s)` and `set_inflate` at k must give
-`sig_inflate(s, k)`, with k the enumeration index mod n, so every index is
-inflated.  `normalize(s)` must be reduced, its own normal form and of the
-rank rho(s) = xi, and `materialize(xi)` must have the rank xi.  Every
-function that s's build keeps, the unit bump and the wrap tops, must equal
-its rebuild by the checked constructors (`oracles.checked_copy`): map,
-orbitals, markers, name and feet.  The realized sets' JSON, concatenated
+`set_rotate` must give `sig_rotate(s)`, `set_inflate` at k must give
+`sig_inflate(s, k)`, and the functions left when generator k is dropped
+must read back as `sig_restrict(s, the others)`, with k the enumeration
+index mod n, so every index is inflated and dropped.  `normalize(s)` must
+be reduced, its own normal form and of the rank rho(s) = xi, and
+`materialize(xi)` must have the rank xi.  Every function that s's build
+keeps, the unit bump and the wrap tops, must equal its rebuild by the
+checked constructors (`oracles.checked_copy`): map, orbitals, markers, name
+and feet.  The realized sets' JSON, concatenated
 in enumeration order, must hash to the pinned sha256.  Exits 1 naming the
 first signature or sweep that fails.
 """
@@ -26,7 +28,7 @@ from sigcalc.realization import (
     build, genset_to_json, realize, set_inflate, set_rotate, signature_of)
 from sigcalc.realization.genset import GenSet
 from sigcalc.realization.marked import MarkedFn
-from sigcalc.signature import Signature, sig_inflate, sig_rotate
+from sigcalc.signature import Signature, sig_inflate, sig_restrict, sig_rotate
 from oracles import checked_copy, fn_shape, signatures_by_columns
 
 # (n, vmax): (signature count, sha256 of the realized JSON)
@@ -41,7 +43,7 @@ def failure(s: Signature, k: int, fns: GenSet, seen: Dict[int, MarkedFn]) -> Opt
     None if nothing.  `seen` holds the built functions already checked."""
     if signature_of(fns) != s:
         return "does not read back"
-    for f, _ in build._build(s)[0]:
+    for f in build._build(s)[0][0]:
         if id(f) not in seen:
             seen[id(f)] = f  # held, so that no other function takes its id
             if fn_shape(f) != fn_shape(checked_copy(f)):
@@ -50,6 +52,9 @@ def failure(s: Signature, k: int, fns: GenSet, seen: Dict[int, MarkedFn]) -> Opt
         return "rotates to a set of another signature than sig_rotate's"
     if signature_of(set_inflate(fns, k)) != sig_inflate(s, k):
         return f"inflates at {k} to a set of another signature than sig_inflate's"
+    kept = [i for i in range(s.n) if i != k]
+    if signature_of([fns[i] for i in kept]) != sig_restrict(s, kept):
+        return f"without generator {k} reads back otherwise than sig_restrict"
     xi, form = rho(s), normalize(s)
     if not (is_reduced(form) and normalize(form) == form and rho(form) == xi):
         return "normalizes to a form not reduced, not its own normal form or of another rank"
@@ -75,8 +80,8 @@ def main() -> int:
             print(f"n = {n}, values <= {vmax}: {len(sigs)} signatures realize to "
                   f"sha256 {digest.hexdigest()}, pinned {count} and {pinned}")
             return 1
-        print(f"n = {n}, values <= {vmax}: {count} signatures round-trip, rotate, inflate "
-              f"and rank, JSON as pinned, {len(seen)} built functions checked so far, "
+        print(f"n = {n}, values <= {vmax}: {count} signatures round-trip, rotate, inflate, "
+              f"restrict and rank, JSON as pinned, {len(seen)} built functions checked so far, "
               f"{time.perf_counter() - start:.1f} s")
     return 0
 

@@ -853,27 +853,35 @@ NON_BLOCKING = ["-c", "import os, sys; os.set_blocking(1, False); from sigcalc i
     ("closed pipe", ENUMERATE_N5), ("closed pipe", ["verify", NOT_SGEN]),
     ("full device", ENUMERATE_N5), ("full device", ["verify", NOT_SGEN]),
     ("partial read", CHAIN_256), ("non-blocking pipe", ENUMERATE_N5),
+    ("full stderr", ["rho", "x("]), ("full device and stderr", ENUMERATE_N5),
 ], ids=["closed pipe-enumerate", "closed pipe-verify", "full device-enumerate",
-        "full device-verify", "partial read-realize", "non-blocking pipe-enumerate"])
+        "full device-verify", "partial read-realize", "non-blocking pipe-enumerate",
+        "full stderr-rho", "full device and stderr-enumerate"])
 def test_output_that_cannot_be_written_exits_2(stdout, args):
     # as a process, since the interpreter flushes stdout once more at exit,
     # with stdout block-buffered as by default and unbuffered: a reader that
     # closed the pipe, also after reading part of it, is told nothing, a full
     # device or a stdout that would block gets one line, also after a verb
-    # printed its report and then failed (verify, exit 1 when stdout takes its report)
+    # printed its report and then failed (verify, exit 1 when stdout takes its report);
+    # an error line that stderr cannot take leaves the exit code as it is
     argv = [sys.executable, *(NON_BLOCKING if stdout == "non-blocking pipe" else ["-m", "sigcalc.cli"]),
             *args]
     for unbuffered in ("", "1"):
         where = f"{stdout}, PYTHONUNBUFFERED={unbuffered!r}"
         env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
                    PYTHONPATH=str(Path(cli.__file__).parents[1]))
-        if stdout == "full device":
+        if "full" in stdout:
             if not os.path.exists("/dev/full"):
                 pytest.skip("no /dev/full on this platform")
             with open("/dev/full", "w") as full:
-                proc = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, env=env, timeout=60)
-            assert (proc.returncode, proc.stderr) == (
-                2, b"error: cannot write the output: [Errno 28] No space left on device\n"), where
+                if stdout == "full device":
+                    proc = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, env=env, timeout=60)
+                    assert (proc.returncode, proc.stderr) == (
+                        2, b"error: cannot write the output: [Errno 28] No space left on device\n"), where
+                    continue
+                out = full if stdout == "full device and stderr" else subprocess.PIPE
+                proc = subprocess.run(argv, stdout=out, stderr=full, env=env, timeout=60)
+            assert (proc.returncode, proc.stdout or b"") == (2, b""), where
             continue
         proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
                                 bufsize=0)

@@ -320,8 +320,8 @@ def _fresh_build_cache(monkeypatch, size=build.BUILD_CACHE_SIZE, memo=dict):
 
 def _recording_build_cache(monkeypatch, size=build.BUILD_CACHE_SIZE):
     """An empty build memo for the rest of the test, and the list of the
-    (signature, placements) entries it takes, each once: a hit re-enters the
-    memo with the placements it holds."""
+    (pair values, build) entries it takes, each once: a hit re-enters the
+    memo with the build it holds."""
     built, held = [], set()
 
     class Recording(dict):
@@ -347,7 +347,7 @@ def test_build_cache_is_bounded(monkeypatch):
     realize(a), realize(b)
     count = len(built)
     realize(a)
-    assert list(build._memo)[-1] == a and len(built) == count
+    assert list(build._memo)[-1] == a.vals and len(built) == count
 
 
 def test_verify_checks_the_round_trip_against_the_input(monkeypatch, capsys):
@@ -364,7 +364,7 @@ def test_verify_checks_the_round_trip_against_the_input(monkeypatch, capsys):
 
     monkeypatch.setattr(Signature, "violations", counting_violations)
     assert signature_of(realize(SIG5)) == SIG5 and checked == []
-    cases = [(sig, other, genset_to_json(realize(sig)), tuple((f, UNIT) for f in realize(other)))
+    cases = [(sig, other, genset_to_json(realize(sig)), (tuple(realize(other)), UNIT * other.n))
              for sig, other in ((pair(1), parse_term("E(1+1)")), (pair(1), one), (SIG5, pair(3)))]
     checked.clear()  # pair() checks the signatures it makes
     for sig, other, text, built in cases:
@@ -411,7 +411,7 @@ def test_a_second_realize_derives_no_bump(monkeypatch):
     _fresh_build_cache(monkeypatch)
     first = realize(SIG5)
     assert all(f._feet is None for f in first)
-    bases = [(f, f.feet) for f, _ in build._build(SIG5)[0]]
+    bases = [(f, f.feet) for f in build._build(SIG5)[0][0]]
     calls = []
     at, orbitals = PLMap._at, PLMap._orbitals
 
@@ -447,7 +447,7 @@ def test_placed_functions_match_checked_constructor(monkeypatch):
             assert (f.map._bp, f.map._orbitals(), f.orbitals, f.markers) == (
                 checked.map._bp, checked.map._orbitals(), checked.orbitals, checked.markers)
             assert f.feet == checked.feet
-    tops = {id(f): f for _, entry in built for f, _ in entry}
+    tops = {id(f): f for _, (fns, _) in built for f in fns}
     assert len(tops) > 800
     for f in tops.values():
         assert fn_shape(f) == fn_shape(checked_copy(f))
@@ -496,9 +496,39 @@ def test_build_cache_keeps_no_transported_copy(monkeypatch):
         monkeypatch.setattr(build, name, lambda *a, wrap=wrap: tops.append(wrap(*a)) or tops[-1])
     assert signature_of(realize(SIG5)) == SIG5
     assert len(built) == len(build._memo) and len(tops) > 1
-    held = {id(f) for _, entry in built for f, _ in entry}
+    held = {id(f) for _, (fns, _) in built for f in fns}
     assert held == {id(build.UNIT_BUMP)} | {id(top) for top in tops}
     assert len(held) == 1 + len(tops)
+
+
+def test_build_memo_keeps_two_flat_tuples(monkeypatch):
+    # from a cold memo, after the 64-leaf chain and every signature with n <= 4
+    # and values <= 4: each entry, under its signature's pair values, is
+    # ((functions, frames), depth) with one integer triple of frame per
+    # function, and neither base of n <= 1 (both b"") is kept; a general
+    # wrap's top has no slopes until it is composed, then `_minimal`'s
+    _fresh_build_cache(monkeypatch)
+    tops, slopes = [], {}  # slopes: breakpoints -> the slopes `_minimal` gave with them
+    wrap, minimal = build._wrap_general, build._minimal
+
+    def recording_minimal(quads):
+        bp, slopes[bp] = minimal(quads)
+        return bp, slopes[bp]
+
+    monkeypatch.setattr(build, "_wrap_general", lambda *a: tops.append(wrap(*a)) or tops[-1])
+    monkeypatch.setattr(build, "_minimal", recording_minimal)
+    sigs = [parse_term("*".join(["1"] * 64))] + [s for n in range(5) for s in enumerate_signatures(n, 4)]
+    for s in sigs:
+        assert signature_of(realize(s)) == s
+    assert b"" not in build._memo and len(build._memo) > 200
+    for vals, ((fns, frames), depth) in build._memo.items():
+        assert type(vals) is bytes and type(fns) is tuple and type(frames) is tuple
+        assert all(type(f) is MarkedFn for f in fns) and type(depth) is int
+        assert len(frames) == 3 * len(fns) and all(type(x) is int for x in frames)
+    assert len(tops) > 100 and all(top.map.slopes is None for top in tops)
+    for top in tops:
+        top.map.then(top.map)
+        assert top.map._known_slopes() == slopes[top.map._bp]
 
 
 def test_realize_builds_no_inverse_map(monkeypatch):
