@@ -21,13 +21,13 @@ from .marked import MarkedFn
 
 class DynDiagram:
     """Canonical form: vertex count plus edges (src, dst, label), with labels
-    renumbered by first appearance in sorted edge order; `names`, if given,
-    are reordered with them.  Equality ignores names."""
+    renumbered by first appearance in sorted edge order; `names`, one per
+    function, are reordered with them.  Equality ignores names."""
 
     __slots__ = ("num_vertices", "edges", "names")
 
     def __init__(self, num_vertices: int, raw_edges: Sequence[Tuple[int, int, int]],
-                 names: Sequence[str] = ()):
+                 names: Sequence[str]):
         edges = sorted(raw_edges)
         relabel = {}
         canon = []
@@ -37,7 +37,7 @@ class DynDiagram:
             canon.append((src, dst, relabel[label]))
         self.num_vertices = num_vertices
         self.edges = tuple(canon)
-        self.names = tuple(names[label] for label in relabel) if names else ()
+        self.names = tuple(names[label] for label in relabel)
 
     def __eq__(self, other):
         if not isinstance(other, DynDiagram):
@@ -80,8 +80,7 @@ def to_dot(d: DynDiagram) -> str:
     for i in range(d.num_vertices - 1):
         lines.append(f"  v{i} -> v{i + 1} [style=invis];")
     for src, dst, label in d.edges:
-        name = d.names[label] if label < len(d.names) else str(label)
-        name = name.replace("\\", "\\\\").replace('"', '\\"')
+        name = d.names[label].replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  v{src} -> v{dst} [label="{name}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -1,6 +1,8 @@
 """The command-line front end: every verb's success and error paths, the
 exit codes 0 (success), 1 (domain error) and 2 (parse error), and the exact
-bytes some verbs print."""
+bytes some verbs print.  A CLI behaviour is checked once, in Tier-1 (in-process
+unless the process itself is the point), and `tests/cli_transcript.py` pins its
+bytes when they matter; CI runs no shell copy of these checks."""
 
 import ast
 import contextlib
@@ -90,6 +92,11 @@ def test_rho(capsys):
     expect_error(capsys, 1, "rho", "1*(1+1)")  # star needs an all-positive right factor
     expect_error(capsys, 2, "rho", "1*(1+1)+")  # malformed text is reported first
     expect_error(capsys, 1, "rho", '{"n": 3, "o": {"0,1": 0, "0,2": 1, "1,2": 0}}')
+    # a term reads the same whatever its whitespace, and a control character is a parse error
+    assert run(capsys, "rho", "exp(1 +\t1)\n") == (0, "w\n", "")
+    err = expect_error(capsys, 2, "rho", "1+\x01")
+    assert err == ("error: cannot parse signature: expected '0', '1', 'exp(', 'E(' or '(' "
+                   "(at position 2)\n")
 
 
 def test_normalize(capsys):
@@ -198,6 +205,8 @@ def test_realize(capsys, tmp_path):
 def test_signature(capsys):
     assert run(capsys, "signature", PAIR1) == (
         0, '{"labels": ["0", "1"], "n": 2, "o": {"0,1": 1}}\n', "")
+    assert run(capsys, "signature", run(capsys, "realize", "E(1+1)")[1]) == (
+        0, '{"labels": ["0", "1"], "n": 2, "o": {"0,1": 2}}\n', "")
     expect_error(capsys, 1, "signature", NOT_SGEN)
     expect_error(capsys, 1, "signature", NOT_FAST)
     expect_error(capsys, 1, "signature", TWO_BUMPS)
@@ -375,6 +384,14 @@ def test_predicates(capsys):
                "--format", "json") == (0, '{"C": false, "D": true, "T": false}\n', "")
     assert run(capsys, "predicates", PAIR1, "--x", "0^2", "--y", "0,-1") == (
         0, "C: true\nD: false\n", "")
+    # on realized sets of three generators
+    fns = run(capsys, "realize", "1*1*1")[1]
+    xyz = ["--x", "0", "--y", "1", "--z", "2"]
+    assert run(capsys, "predicates", fns, *xyz) == (0, "C: false\nD: true\nT: true\n", "")
+    assert run(capsys, "predicates", fns, *xyz, "--format", "json") == (
+        0, '{"C": false, "D": true, "T": true}\n', "")
+    fns = run(capsys, "realize", "E(1+1)+1")[1]
+    assert run(capsys, "predicates", fns, "--x", "2", "--y", "0") == (0, "C: true\nD: false\n", "")
     expect_error(capsys, 2, "predicates", PAIR1, "--x", "a", "--y", "1")
     expect_error(capsys, 1, "predicates", PAIR1, "--x", "5", "--y", "1")
     # a token with a second separator
@@ -831,6 +848,27 @@ def test_an_endless_file_argument_is_a_parse_error(capsys):
     # read up to the real bound, so the reader stops and exits at once
     err = expect_error(capsys, 2, "rho", "/dev/zero")
     assert err == f"error: '/dev/zero' holds more than {cli.MAX_ARG_CHARS} characters\n"
+
+
+@pytest.mark.parametrize("term, argv", [
+    ("E(1+1)", ["signature"]),
+    ('{"n": 2, "o": {"0,1": 3}}', ["verify", "--format", "json"]),
+    ("1*1*1", ["predicates", "--x", "0", "--y", "1", "--z", "2"]),
+    ("E(1+1)", ["rotate"]),
+    ("E(1+1)", ["inflate", "--at", "0"]),
+], ids=["signature", "verify", "predicates", "rotate", "inflate"])
+def test_a_pipe_is_read_as_a_file_argument(capsys, term, argv):
+    # as a process, since /dev/stdin then names the pipe that realize's set
+    # comes through: the verb prints what it prints for the set's text
+    if not os.path.exists("/dev/stdin"):
+        pytest.skip("no /dev/stdin on this platform")
+    fns = run(capsys, "realize", term)[1]
+    code, want, _ = run(capsys, argv[0], fns, *argv[1:])
+    assert code == 0
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "sigcalc.cli", argv[0], "/dev/stdin", *argv[1:]],
+                          input=fns.encode(), capture_output=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout.decode(), proc.stderr) == (0, want, b"")
 
 
 @pytest.mark.parametrize("case", ["directory", "missing directory"])
