@@ -150,7 +150,7 @@ def load_genset(arg: str):
 def _parse_genset(text: str):
     try:
         return genset_from_json(text)
-    except (KeyError, TypeError, ValueError, ArithmeticError, RecursionError) as e:
+    except (TypeError, ValueError, ArithmeticError, RecursionError) as e:
         # ArithmeticError: a JSON float past the float range
         raise CliError(f"cannot parse generating set: {e}", 2)
 

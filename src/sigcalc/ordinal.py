@@ -18,14 +18,8 @@ tests rebuild results through `tests/oracles.py::checked_ordinal`.
 
 from __future__ import annotations
 
-LT, EQ, GT = -1, 0, 1
 
-
-class OrdinalError(ValueError):
-    pass
-
-
-class OrdinalParseError(OrdinalError):
+class OrdinalParseError(ValueError):
     def __init__(self, message: str, pos: int):
         super().__init__(f"{message} (at position {pos})")
 
@@ -71,7 +65,7 @@ OMEGA = Ordinal(((ONE, 1),))
 
 
 def ord_cmp(a: Ordinal, b: Ordinal) -> int:
-    """Total order on CNF ordinals; returns LT, EQ or GT."""
+    """Total order on CNF ordinals; returns -1, 0 or 1."""
     return (a > b) - (a < b)
 
 

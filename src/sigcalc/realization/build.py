@@ -13,12 +13,12 @@ on the left and one new positive orbital on the right of the rotated top's
 orbitals.
 
 A build is two tuples: its functions, and one flat tuple of integers holding
-each function's frame (a, b, c) in turn, as `PLMap` keeps its breakpoints.
-Sub-builds are placed by composing affine frames, not copied, so builds share
-the unit bump and the wrap tops, and a function is carried by its frame only
-when `realize` hands it out.  Only the general wrap copies the rotated top's
-breakpoints, so only it gets the rotated top transported.  The unit bump and
-the single-bump top are built by `marked._bump`, the other tops unchecked
+each function's frame (a, b, c), the affine map x -> (a + b x) / c, in turn.
+Sub-builds are placed by composing frames, not copied, so builds share the
+unit bump and the wrap tops.  `transport` carries a function by its frame
+only when `realize` hands it out, or when the general wrap copies the
+rotated top's breakpoints.  The unit bump and the single-bump top are built
+by `marked._bump`, the other tops and the carried copies unchecked
 (`PLMap._make`, `MarkedFn._trusted`) with the orbitals they construct, and
 no slopes: the general top's, which `_minimal` computes to drop collinear
 points, are derived again only if the top is ever composed;
@@ -30,16 +30,18 @@ each function's stored `feet`, shared by all its placements.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Tuple
+from math import gcd
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from ..signature import MAX_BASE, Signature, _rows, decompose, sig_rotate
+from ..signature import MAX_BASE, Signature, decompose, sig_rotate
 from .genset import GenSet
-from .marked import UNIT, Frame, MarkedFn, RealizationError, _bump, _then, place, transport
+from .marked import MarkedFn, RealizationError, _bump
 from .plmap import Pair, PLMap, _lt, _minimal, _quads, _reduced, keys
 
+Frame = Tuple[int, int, int]  # (a, b, c): x -> (a + b x) / c, onto (a/c, (a+b)/c) in (0,1)
+UNIT: Frame = (0, 1, 1)
 Build = Tuple[Tuple[MarkedFn, ...], Tuple[int, ...]]  # functions, and their frames flat
 Placed = Iterable[Tuple[MarkedFn, Frame]]  # functions zipped with their frames, read once
-Orbital = Tuple[Pair, Pair, int]
 
 # Signatures with n > 1 whose builds are kept, under their pair values (the
 # bytes name the signature: their length gives n), least recently used dropped
@@ -64,6 +66,47 @@ def realize(sig: Signature) -> GenSet:
             for f, frame, lbl in zip(fns, _triples(frames), sig.default_labels())]
 
 
+def _then(inner: Frame, outer: Frame) -> Frame:
+    """The frame that applies inner, then outer, reduced by the gcd."""
+    a, b, c = outer[0] * inner[2] + outer[1] * inner[0], outer[1] * inner[1], outer[2] * inner[2]
+    g = gcd(a, b, c)
+    return a // g, b // g, c // g
+
+
+def place(frame: Frame, p: Pair) -> Pair:
+    """The reduced pair p carried by the frame."""
+    a, b, c = frame
+    return _reduced(a * p[1] + b * p[0], c * p[1])
+
+
+def transport(f: MarkedFn, frame: Frame, name: Optional[str] = None) -> MarkedFn:
+    """f carried by the frame into (a/c, (a+b)/c), the identity outside.
+    The unit frame shares f's map and markers under the new name.  Another
+    frame places each breakpoint, reduced by one gcd; (0,0) replaces the
+    image of (0,0) when a = 0 or f's first piece is the identity, and goes
+    before it otherwise; likewise (1,1) when a + b = c or f's last piece is
+    the identity."""
+    if frame == UNIT:
+        return MarkedFn._trusted(f.map, f.markers, name)
+    a, b, c = frame
+    src, bp = f.map._bp, []
+    for n, d in zip(src[0::2], src[1::2]):
+        n, d = a * d + b * n, c * d
+        g = gcd(n, d)
+        bp += n // g, d // g
+    if a == 0 or src[4:6] == src[6:8]:
+        bp[:4] = (0, 1, 0, 1)
+    else:
+        bp[:0] = (0, 1, 0, 1)
+    if a + b == c or src[-8:-6] == src[-6:-4]:
+        bp[-4:] = (1, 1, 1, 1)
+    else:
+        bp += (1, 1, 1, 1)
+    orbs = tuple((place(frame, u), place(frame, v), sign) for u, v, sign in f.orbitals)
+    markers = tuple(place(frame, s) for s in f.markers)
+    return MarkedFn._trusted(PLMap._make(tuple(bp), None, orbs), markers, name)
+
+
 def _triples(frames: Tuple[int, ...]) -> Iterator[Frame]:
     it = iter(frames)
     return zip(it, it, it)
@@ -82,9 +125,10 @@ def _build(sig: Signature, level: int = 0) -> Tuple[Build, int]:
     realized.  An indecomposable signature's rotations descend in a loop and
     are wrapped on the way back up, so calls nest only at decompositions, whose
     parts are smaller: at most MAX_BASE deep.  Each level met, and each memo
-    hit with its depth, is checked against MAX_BUILD_LEVELS on the way down.
+    hit with its depth, is checked against MAX_BUILD_LEVELS on the way down,
+    and each rotated level is kept with its largest value against the top.
     The bases of 0 and 1, whose pair values are both empty, are not kept."""
-    rotated = []  # the indecomposable signatures rotated, top first
+    rotated = []  # (signature, largest value against its top), top level first
     while True:
         # a hit is put back below as the most recent; a hit refused stays out
         built, depth = _memo.pop(sig.vals, (None, 0)) if sig.n > 1 else (BASES[sig.n], 0)
@@ -93,8 +137,9 @@ def _build(sig: Signature, level: int = 0) -> Tuple[Build, int]:
                 f"signature too deep to realize: its build is more than {MAX_BUILD_LEVELS} levels deep")
         if built is not None or len(parts := decompose(sig)) > 1:
             break
-        rotated.append(sig)
-        sig, level = sig_rotate(sig), level + 1
+        rotation = sig_rotate(sig)  # its first row is o(i, top) - 1 for each i < top
+        rotated.append((sig, max(rotation.vals[:sig.n - 1]) + 1))
+        sig, level = rotation, level + 1
     if built is None:  # a sum of parts, each placed in its slot
         fns, frames = [], []
         for i, part in enumerate(parts):
@@ -111,23 +156,23 @@ def _build(sig: Signature, level: int = 0) -> Tuple[Build, int]:
                 del _memo[next(iter(_memo))]
         if not rotated:
             return built, depth
-        sig = rotated.pop()  # wrap a new top around the build of its rotation
+        sig, maxrow = rotated.pop()  # wrap a new top around the build of its rotation
         fns, frames = built
-        top, frame = fns[0], _then(frames[:3], MIDDLE)
+        frame = _then(frames[:3], MIDDLE)
         frames = tuple(_then_all(frames[3:], MIDDLE))
         others = zip(fns[1:], _triples(frames))
-        maxrow = max(row[-1] for row in _rows(sig)[:-1])
         if maxrow > 2:
-            top = _wrap_general(transport(top, frame), others)
-        elif maxrow == 2:
-            orbs = tuple((place(frame, u), place(frame, v), sign) for u, v, sign in top.orbitals)
-            top = _wrap_two(orbs, others)
+            top = _wrap_general(transport(fns[0], frame), others)
         else:
-            # every value against the top is 1, so the rotated top's row is all
-            # 0 and `decompose` put it alone in slot 0: it is the unit bump, left
-            # of every retained function, and its support is the new bump's left foot
-            (u, v, _), = top.orbitals
-            top = _bump(place(frame, u), R0, place(frame, v), B_POS)
+            # The rotated top is UNIT_BUMP.  Its values are o(i, top) - 1 <= 1, and
+            # an element with 0 against each earlier one and at most 1 against each
+            # later one is built as the unit bump: a part of a sum keeps both, and
+            # a rotation, as o(0, top) >= 1 makes it not the top, moves it up one
+            # place with 0 against the new least element.  When every value is 1,
+            # `decompose` put it alone in slot 0, left of every retained function,
+            # and its support is the new bump's left foot.
+            u, v = place(frame, UNIT_U), place(frame, UNIT_V)
+            top = _wrap_two(u, v, others) if maxrow == 2 else _bump(u, R0, v, B_POS)
         built, depth = (fns[1:] + (top,), frames + UNIT), depth + 1
 
 
@@ -151,21 +196,20 @@ def _obstacles(placed: Placed, *points: Pair) -> Tuple[int, List[int], List[List
 
 M1, M2, L0, R0 = (1, 3), (2, 3), (1, 16), (15, 16)
 MIDDLE = (1, 1, 3)  # onto (M1, M2)
-UNIT_BUMP = _bump((1, 4), (3, 4), (9, 32), (23, 32))  # feet the orbital's outer sixteenths
+UNIT_U, UNIT_V = (1, 4), (3, 4)
+UNIT_BUMP = _bump(UNIT_U, UNIT_V, (9, 32), (23, 32))  # feet the orbital's outer sixteenths
 BASES: Tuple[Build, Build] = (((), ()), ((UNIT_BUMP,), UNIT))  # the builds of n = 0 and 1
 A_NEG, B_POS = (19, 96), (77, 96)  # (L0 + M1) / 2 and (M2 + R0) / 2
 
 
-def _wrap_two(orbs: Tuple[Orbital, ...], others: Placed) -> MarkedFn:
+def _wrap_two(u: Pair, v: Pair, others: Placed) -> MarkedFn:
     """Two-orbital top with expansion point inside the widest gap between
-    the retained functions' feet in the rotated top's orbital, given its
-    placed orbitals; used when the maximum oscillation against the top is 2.
-    Canonical as written: reduced pairs, and no collinear point, as each
-    point off the diagonal lies between two on it.  The rotated top is a
-    unit bump: with values <= 1 after it and 0 before it at every level, it
-    leads its summand until that is it alone.  The gap is not empty: the
-    rotated build is fast, so no retained foot meets the left foot (u, s)."""
-    (u, v, _), = orbs
+    the retained functions' feet in (u, v), the placed support of the
+    rotated top, the unit bump; used when the maximum oscillation against
+    the top is 2.  Canonical as written: reduced pairs, and no collinear
+    point, as each point off the diagonal lies between two on it.  The gap
+    is not empty: the rotated build is fast, so no retained foot meets the
+    rotated top's left foot."""
     den, (u, v), spans = _obstacles(others, u, v)
     walls = sorted([(u, u), (v, v)]
                    + [(max(lo, u), min(hi, v)) for lo, hi in spans if hi > u and lo < v])
@@ -181,12 +225,19 @@ def _wrap_two(orbs: Tuple[Orbital, ...], others: Placed) -> MarkedFn:
 def _wrap_general(t: MarkedFn, others: Placed) -> MarkedFn:
     """New negative orbital left of, and positive orbital right of, the
     rotated top's orbitals; the middle reuses the rotated top verbatim.
-    The rotated top fixes the ends of its support, which end the new
-    orbitals; `_minimal` drops a junction there that is collinear (none
-    seen from a realized signature, but a one-bump rotated top can give one).
     The rotated top is standard, as realized functions are, and each wall
-    lies outside its support (u, v): a foot's end, or M1 or M2, as every
-    build's supports lie in [L0, R0], so in (M1, M2) after MIDDLE."""
+    lies outside its support (u_t, v_t): a foot's end, or M1 or M2, as every
+    build's supports lie in [L0, R0], so in (M1, M2) after MIDDLE.
+
+    Only the junction at u_t can be collinear, which `_minimal` drops.
+    (0,0) -> L0 has slope 1 and L0 -> (b_neg, A_NEG) below 1/2, as b_neg >
+    M1; likewise at R0.  (b_neg, A_NEG) -> (u_t, u_t) has slope above 1, and
+    the top leaves u_t with slope below 1 unless its first orbital is
+    positive.  The top reaches v_t with slope below 1, as its last orbital is
+    positive, and leaves for (a_pos, B_POS) with slope above 1, as a_pos <
+    M2.  A standard top with a positive first orbital has no negative one,
+    so it is one positive bump; no realized one has been seen collinear, and
+    `test_general_wrap_drops_a_collinear_junction` builds two that are."""
     u_t, v_t = t.orbitals[0][0], t.orbitals[-1][1]
     den, (u, v, m1, m2), spans = _obstacles(others, u_t, v_t, M1, M2)
     left_wall = max([hi for lo, hi in spans if hi < u], default=m1)

@@ -75,8 +75,7 @@ def to_dot(d: DynDiagram) -> str:
     positive bumps are forward edges and negative bumps back edges, labeled
     by function name with '"' and '\\' escaped."""
     lines = ["digraph dynamical_diagram {", "  rankdir=LR;"]
-    chain = "; ".join(f"v{i}" for i in range(d.num_vertices))
-    lines.append("  { rank=same; " + chain + "; }")
+    lines.append("  { rank=same; " + "".join(f"v{i}; " for i in range(d.num_vertices)) + "}")
     for i in range(d.num_vertices - 1):
         lines.append(f"  v{i} -> v{i + 1} [style=invis];")
     for src, dst, label in d.edges:

@@ -14,14 +14,14 @@ cross-multiplication, never as tuples.
 markers with `ratio` and checks one inside each of the map's orbitals.
 Functions carried over from a valid one go through `MarkedFn._trusted`,
 which takes the map and markers as given and checks nothing: a conjugate
-and a square, whose maps are compositions, an affine copy by a frame
-(`transport`), the restriction of a function with more than two orbitals to
-its inner ones (`fn_rotate`), the wrap tops of `build`, and every one-bump
-function, which `_bump` builds from ordered reduced pairs.  The last four
-build their maps with the unchecked `PLMap._make`, handing it the orbitals
-they know, as transport and ordered pairs keep breakpoints increasing;
-tests compare each with the checked constructors, and `_bump` also with the
-checked bumps of `tests/oracles.py`.  `orbitals` is the map's own tuple,
+and a square, whose maps are compositions, the restriction of a function
+with more than two orbitals to its inner ones (`fn_rotate`), every one-bump
+function, which `_bump` builds from ordered reduced pairs, and the placed
+copies and wrap tops of `build`.  `fn_rotate` and `_bump` build their maps
+with the unchecked `PLMap._make`, handing it the orbitals they know, as
+restriction and ordered pairs keep breakpoints increasing; tests compare
+each with the checked constructors, and `_bump` also with the checked
+bumps of `tests/oracles.py`.  `orbitals` is the map's own tuple,
 computed at most once per map.  `feet`, one (u, s, t, v) per orbital, is
 derived from the stored orbitals and markers once, on first read: the one
 place a transition point is read off a map.  `_rotation` derives a
@@ -30,13 +30,9 @@ rotation's orbitals and markers, which `fn_rotate` maps.
 
 from __future__ import annotations
 
-from math import gcd
 from typing import Optional, Sequence, Tuple
 
 from .plmap import Pair, PLMap, _lt, _quads, _reduced, by_value, conj_map, fmt, ratio
-
-Frame = Tuple[int, int, int]  # (a, b, c): x -> (a + b x) / c, onto (a/c, (a+b)/c) in (0,1)
-UNIT: Frame = (0, 1, 1)
 
 
 class RealizationError(ValueError):
@@ -156,44 +152,3 @@ def square(f: MarkedFn, name: Optional[str] = None) -> MarkedFn:
     markers = tuple(s if sign > 0 else f.map._at(*s)
                     for (_, _, sign), s in zip(f.orbitals, f.markers))
     return MarkedFn._trusted(f.map.then(f.map), markers, name)
-
-
-def _then(inner: Frame, outer: Frame) -> Frame:
-    """The frame that applies inner, then outer, reduced by the gcd."""
-    a, b, c = outer[0] * inner[2] + outer[1] * inner[0], outer[1] * inner[1], outer[2] * inner[2]
-    g = gcd(a, b, c)
-    return a // g, b // g, c // g
-
-
-def place(frame: Frame, p: Pair) -> Pair:
-    """The reduced pair p carried by the frame."""
-    a, b, c = frame
-    return _reduced(a * p[1] + b * p[0], c * p[1])
-
-
-def transport(f: MarkedFn, frame: Frame, name: Optional[str] = None) -> MarkedFn:
-    """f carried by the frame into (a/c, (a+b)/c), the identity outside.
-    The unit frame shares f's map and markers under the new name.  Another
-    frame places each breakpoint, reduced by one gcd; (0,0) replaces the
-    image of (0,0) when a = 0 or f's first piece is the identity, and goes
-    before it otherwise; likewise (1,1) when a + b = c or f's last piece is
-    the identity."""
-    if frame == UNIT:
-        return MarkedFn._trusted(f.map, f.markers, name)
-    a, b, c = frame
-    src, bp = f.map._bp, []
-    for n, d in zip(src[0::2], src[1::2]):
-        n, d = a * d + b * n, c * d
-        g = gcd(n, d)
-        bp += n // g, d // g
-    if a == 0 or src[4:6] == src[6:8]:
-        bp[:4] = (0, 1, 0, 1)
-    else:
-        bp[:0] = (0, 1, 0, 1)
-    if a + b == c or src[-8:-6] == src[-6:-4]:
-        bp[-4:] = (1, 1, 1, 1)
-    else:
-        bp += (1, 1, 1, 1)
-    orbs = tuple((place(frame, u), place(frame, v), sign) for u, v, sign in f.orbitals)
-    markers = tuple(place(frame, s) for s in f.markers)
-    return MarkedFn._trusted(PLMap._make(tuple(bp), None, orbs), markers, name)

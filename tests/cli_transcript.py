@@ -7,7 +7,8 @@ stdout and stderr each captured as a UTF-8 `TextIOWrapper` over `BytesIO`,
 and records each outcome as (exit code, stdout bytes, stderr bytes); an
 uncaught exception, `SystemExit` included (as `--help` ends), is an outcome
 of its own, named by its type.  The argv cover every verb in each format and
-its `--help`, the refusals of `test_refusals_with_decided_exit_codes` and
+its `--help`, the zero signature and the empty set, the refusals of
+`test_refusals_with_decided_exit_codes` and
 `test_long_integers_give_short_messages`, the paper's figure sets, and the
 sets realized from a seeded sample of the n = 5 signatures.  Prints one
 sha256 per verb and one of the whole transcript, argv included, and exits 1
@@ -30,7 +31,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-PINNED = "02d9b8414b5d31d0b10837fd181dd3c4d654b327ab073e3d33043076cf0311d1"
+PINNED = "d8fb705b0a113d3fcb9667263f0b387ab374de6e772811eb86b6d7d25112fd63"
 TESTS = Path(__file__).resolve().parent
 
 
@@ -74,6 +75,9 @@ def transcript_argv():
     for genset in (pair, trio, *figures):
         argv += [["signature", genset], ["diagram", genset], ["rotate", genset],
                  ["inflate", genset, "--at", "0"]]
+    # the zero signature and the empty set
+    argv += [["realize", "0"], ["inflate", "[]", "--at", "0"]]
+    argv += [[verb, "[]"] for verb in ("signature", "diagram", "verify", "rotate")]
     # a name no encoding takes, and keys given twice
     surrogate = one_function(name="\ud800")
     argv += [[verb, surrogate] for verb in ("signature", "diagram", "verify", "rotate")]

@@ -9,7 +9,7 @@ from fractions import Fraction as F
 from sigcalc import normalizer
 from sigcalc.ordinal import ZERO, Ordinal
 from sigcalc.realization import PLMap
-from sigcalc.realization.marked import transport
+from sigcalc.realization.build import transport
 from sigcalc.signature import enumerate_signatures
 from oracles import SigTerm, checked_ordinal, ord_cmp_by_terms
 

@@ -51,7 +51,9 @@ one-pass `sig_inflate`.  `eval_term_pairwise` evaluates a `SigTerm` tree with th
 evaluating each node with the signature operations, the reference for the
 one-pass `parse_term`.
 `checked_ordinal` is `Ordinal`'s checked constructor, which the tests
-rebuild the arithmetic's results and their random ordinals through.
+rebuild the arithmetic's results and their random ordinals through, and
+which alone raises `OrdinalError`.  `LT`, `EQ` and `GT` name the values of
+`ord_cmp`.
 `ord_cmp_by_terms`, `ord_add_by_terms` and `ord_natural_add_by_terms` are
 the ordinal order, sum and natural sum written term by term with a recursive
 comparison, the reference for the tuple order that `Ordinal` inherits and
@@ -79,9 +81,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from sigcalc.normalizer import MODES, _exp_inverse
-from sigcalc.ordinal import (
-    EQ, GT, LT, MAX_NESTING, OMEGA, ONE, ZERO, Ordinal, OrdinalError, ord_add,
-    ord_omega_pow)
+from sigcalc.ordinal import MAX_NESTING, OMEGA, ONE, ZERO, Ordinal, ord_add, ord_omega_pow
 from sigcalc.signature import (
     MAX_BASE, ONE_SIG, ZERO_SIG, Signature, SignatureError, TermParseError, _pair_index, _pairs,
     _trusted, bang_rel, is_all_positive, sig_exp, sig_shift_down, sig_sum)
@@ -90,6 +90,11 @@ from sigcalc.realization.marked import MarkedFn, RealizationError, fn_rotate, is
 from sigcalc.realization.plmap import PLError, PLMap
 
 F = Fraction
+LT, EQ, GT = -1, 0, 1
+
+
+class OrdinalError(ValueError):
+    pass
 
 
 def bang(p: int, q: int) -> Optional[int]:

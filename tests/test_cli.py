@@ -217,6 +217,9 @@ def test_signature(capsys):
 def test_diagram(capsys):
     code, out, _ = run(capsys, "diagram", PAIR1)
     assert code == 0 and out.startswith("digraph dynamical_diagram {")
+    # the empty set's, as `realize 0` prints it: DOT has no empty statement
+    assert run(capsys, "diagram", "[]") == (
+        0, "digraph dynamical_diagram {\n  rankdir=LR;\n  { rank=same; }\n}\n", "")
     expect_error(capsys, 1, "diagram", NOT_FAST)
     expect_error(capsys, 2, "diagram", '[{"markers": []}]')
 

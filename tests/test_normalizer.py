@@ -5,8 +5,6 @@ import random
 import pytest
 
 from sigcalc.ordinal import (
-    GT,
-    LT,
     OMEGA,
     ONE,
     ZERO,
@@ -44,7 +42,7 @@ from sigcalc.signature import (
 )
 from helpers import (
     bounded_signatures, cnf_box, fresh_rank_caches, random_ordinal, random_term, rank_terms)
-from oracles import decompose_pairwise, render_term, rho_pairwise, sig_star_pairwise, tau
+from oracles import GT, LT, decompose_pairwise, render_term, rho_pairwise, sig_star_pairwise, tau
 
 one = ONE_SIG
 

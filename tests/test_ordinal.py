@@ -6,14 +6,10 @@ import random
 import pytest
 
 from sigcalc.ordinal import (
-    EQ,
-    GT,
-    LT,
     OMEGA,
     ONE,
     ZERO,
     Ordinal,
-    OrdinalError,
     OrdinalParseError,
     ord_add,
     ord_cmp,
@@ -25,7 +21,8 @@ from sigcalc.ordinal import (
 )
 from helpers import cnf_box, random_ordinal
 from oracles import (
-    checked_ordinal, ord_add_by_terms, ord_cmp_by_terms, ord_natural_add_by_terms, tau)
+    EQ, GT, LT, OrdinalError, checked_ordinal, ord_add_by_terms, ord_cmp_by_terms,
+    ord_natural_add_by_terms, tau)
 
 w = OMEGA
 

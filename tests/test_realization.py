@@ -28,12 +28,12 @@ from sigcalc.realization import (
     set_rotate,
     signature_of,
 )
-from sigcalc.realization.marked import (
-    UNIT, MarkedFn, _rotation, fn_rotate, is_standard_fn, transport)
+from sigcalc.realization.build import UNIT, transport
+from sigcalc.realization.marked import MarkedFn, _rotation, fn_rotate, is_standard_fn
 from sigcalc import cli
 from sigcalc.realization import build, genset, marked, plmap
 from oracles import (
-    canonical_bump, checked_copy, classify_pair, fig_bz_set, fig_g_set, fn_shape, frac,
+    _slopes, canonical_bump, checked_copy, classify_pair, fig_bz_set, fig_g_set, fn_shape, frac,
     genset_to_json_dumps, is_standard_pair, make_bump_fn, midpoint_bump, oscillation,
     pair_relation, rescale_checked, retrofit_slopes)
 from helpers import frame_onto
@@ -456,9 +456,9 @@ def test_placed_functions_match_checked_constructor(monkeypatch):
 
 
 def test_build_transports_only_the_general_wraps_rotated_top(monkeypatch):
-    # single and two-orbital wraps read the rotated top's placed orbitals
-    # only; the general wrap copies its breakpoints, so only it is handed the
-    # rotated top transported
+    # single and two-orbital wraps read the unit bump's placed support only;
+    # the general wrap copies the rotated top's breakpoints, so only it is
+    # handed the rotated top transported
     _fresh_build_cache(monkeypatch)
     moved, handed = [], {"_bump": [], "_wrap_two": [], "_wrap_general": []}
     monkeypatch.setattr(build, "transport", lambda *a: moved.append(transport(*a)) or moved[-1])
@@ -486,6 +486,47 @@ def test_general_wrap_drops_a_collinear_junction():
     assert [o[:2] for o in top.orbitals] == [
         ((1, 16), (3, 8)), ((3, 8), (5, 8)), ((5, 8), (15, 16))]
     assert fn_shape(top) == fn_shape(checked_copy(top))
+    # the same junction from a one-bump top as `marked._bump` builds it: the
+    # bump on (1/2, 13/20) through (27/50, 129/200) leaves 1/2 with slope
+    # 29/8, as (b, 19/96) reaches it for b = (1/3 + 1/2) / 2
+    top = build._wrap_general(marked._bump((1, 2), (13, 20), (27, 50), (129, 200)), [])
+    assert (F(1, 2), F(1, 2)) not in top.map.points
+    assert [o[:2] for o in top.orbitals] == [
+        ((1, 16), (1, 2)), ((1, 2), (13, 20)), ((13, 20), (15, 16))]
+    assert fn_shape(top) == fn_shape(checked_copy(top))
+
+
+def test_a_general_wrap_can_be_collinear_only_at_a_one_bump_tops_left_end(monkeypatch):
+    # every general wrap built from a cold memo for n <= 4 and values <= 4,
+    # then n = 5 and values <= 3, against the slopes `_wrap_general`'s
+    # docstring bounds: only the junction at u_t can be collinear, and only
+    # when the top is one positive bump
+    wraps, wrap = [], build._wrap_general
+    monkeypatch.setattr(build, "_wrap_general",
+                        lambda t, others: wraps.append((t, wrap(t, others))) or wraps[-1][1])
+    _fresh_build_cache(monkeypatch)
+    for s in [s for n in range(5) for s in enumerate_signatures(n, 4)] + enumerate_signatures(5, 3):
+        build._build(s)
+    one_bump = collinear = 0
+    for t, top in wraps:
+        inner, pts = t.map.points, top.map.points
+        u, v = (frac(t.orbitals[0][0]),) * 2, (frac(t.orbitals[-1][1]),) * 2
+        i, j = inner.index(u), inner.index(v)
+        (first,), (last,) = _slopes(inner[i:i + 2]), _slopes(inner[j - 1:j + 1])
+        l0, neg, pos, r0 = pts[1], pts[2], pts[-3], pts[-2]
+        assert (l0, neg[1], pos[1], r0) == (
+            (F(1, 16),) * 2, F(19, 96), F(77, 96), (F(15, 16),) * 2)
+        (off_l0, into_u), (off_v, into_r0) = _slopes([l0, neg, u]), _slopes([v, pos, r0])
+        assert off_l0 < F(1, 2) and into_r0 < F(1, 2)
+        assert into_u > 1 and off_v > 1 and last < 1
+        if t.orbitals[0][2] > 0:
+            assert len(t.orbitals) == 1
+            one_bump += 1
+        else:
+            assert first < 1
+        collinear += first == into_u
+        assert (u in pts) == (first != into_u) and v in pts
+    assert (len(wraps), one_bump, collinear) == (413, 336, 0)
 
 
 def test_build_cache_keeps_no_transported_copy(monkeypatch):
@@ -531,6 +572,29 @@ def test_build_memo_keeps_two_flat_tuples(monkeypatch):
     for top in tops:
         top.map.then(top.map)
         assert top.map._known_slopes() == slopes[top.map._bp]
+
+
+def test_each_rotation_level_reads_its_largest_top_value_off_the_rotation(monkeypatch):
+    # every level `_build` rotates, from a cold memo, for each signature with
+    # n <= 5 and values <= 3 and the 64-leaf chain: the largest value against
+    # the top is one more than the largest of the rotation's first row, and
+    # when it is at most 2 the rotated build's first function is the unit bump
+    _fresh_build_cache(monkeypatch)
+    levels, rotate = [], build.sig_rotate
+    monkeypatch.setattr(build, "sig_rotate", lambda s: levels.append((s, rotate(s))) or levels[-1][1])
+    for s in [s for n in range(6) for s in enumerate_signatures(n, 3)] + [
+            parse_term("*".join(["1"] * 64))]:
+        build._build(s)
+    assert len(levels) == 780
+    unit = 0
+    for s, rotation in levels[:]:  # each rotated build below is a memo hit
+        top = s.n - 1
+        largest = max(s.val(i, top) for i in range(top))
+        assert largest == max(rotation.vals[:top]) + 1
+        if largest <= 2:
+            assert build._build(rotation)[0][0][0] is build.UNIT_BUMP
+            unit += 1
+    assert unit == 462
 
 
 def test_realize_builds_no_inverse_map(monkeypatch):
