@@ -13,9 +13,9 @@ as a count of rotation steps; `signature_of`, `set_rotate` and
 
 Everything here works on the functions' reduced integer pairs (see
 `marked`): feet and maximum transition points sort on integer keys over one
-common denominator, other comparisons cross-multiply, and the JSON writer
-prints the bytes of `json.dumps(doc, indent=2)` with one f-string per
-breakpoint, read straight from the map's integer pairs.
+common denominator, which the walk then compares and halves as integers,
+and the JSON writer prints the bytes of `json.dumps(doc, indent=2)` with
+one f-string per breakpoint, read straight from the map's integer pairs.
 """
 
 from __future__ import annotations
@@ -25,9 +25,8 @@ from json.encoder import encode_basestring_ascii
 from typing import List, Sequence, Tuple
 
 from ..signature import MAX_PAIR_VALUE, Signature, _JSON, _pair_index, _trusted, quoted, short_int
-from .marked import (
-    MarkedFn, RealizationError, _rotation, conjugate, fn_rotate, is_standard_fn, square)
-from .plmap import PLMap, _lt, _quads, keys
+from .marked import MarkedFn, RealizationError, conjugate, fn_rotate, is_standard_fn, square
+from .plmap import PLMap, _quads, keys
 
 GenSet = List[MarkedFn]
 
@@ -79,7 +78,8 @@ def _fast_ordered(fns: Sequence[MarkedFn], what: str) -> Tuple[GenSet, list]:
     return fns, feet
 
 
-# A standard pair of oscillation v takes exactly v rotations; the CLI bounds v by MAX_PAIR_VALUE.
+# A standard pair of oscillation v takes exactly v rotations (the CLI bounds v by
+# MAX_PAIR_VALUE), each halving once: the walk shifts its keys this many bits.
 _STANDARD_FUEL = MAX_PAIR_VALUE + 1
 
 
@@ -91,22 +91,32 @@ def _standard_walk(fns: Sequence[MarkedFn]) -> Tuple[GenSet, List[int]]:
     top by exactly one (`sig_rotate`: o(new, i) = o(i, n) - 1; arXiv:1711.10998,
     on the fast sets of arXiv:1701.08321), so o(f, g) is the number of
     inside steps before f << g.  Rotation keeps a function standard and its
-    feet inside the old ones, so neither is checked down the recursion; a
-    standard support is one interval, so each step compares orbital ends
-    and rotates (orbitals, markers) with `_rotation`, building no map."""
-    fns, _ = _fast_ordered(fns, "a standard generating set")
+    feet inside the old ones, so neither is checked down the recursion.
+
+    Each orbital is read as (u, s, v), its ends and marker as `_feet_of`'s
+    keys shifted left by _STANDARD_FUEL bits, and rotated by `fn_rotate`'s
+    rule: (u, s) of the last orbital, marked at (u + s) >> 1.  Integer
+    compares decide exactly what rational ones would, as every point compared
+    is an orbital end or marker of an input function, a foot end that `keys`
+    holds exactly over one denominator, or a midpoint of two such points,
+    halved at most _STANDARD_FUEL times, once per rotation step."""
+    fns, feet = _fast_ordered(fns, "a standard generating set")
     for f in fns:
         if not is_standard_fn(f):
             raise NotSgenError(f"function {_named(fns, f)} is not standard")
+    ends = [[] for _ in fns]
+    for lo, hi, fi, _, _ in feet:  # a function's (u, s) and [t, v), orbital by orbital
+        ends[fi] += lo << _STANDARD_FUEL, hi << _STANDARD_FUEL
+    orbs = [tuple(zip(e[0::4], e[1::4], e[3::4])) for e in ends]
     vals = []
-    for low, high in itertools.combinations(fns, 2):
-        (fo, fm), (go, gm) = (low.orbitals, low.markers), (high.orbitals, high.markers)
+    for (low, fo), (high, go) in itertools.combinations(zip(fns, orbs), 2):
         for steps in range(_STANDARD_FUEL):
-            if not _lt(go[0][0], fo[-1][1]):  # f << g
+            if go[0][0] >= fo[-1][2]:  # f << g
                 break
-            if not (_lt(go[0][0], fo[0][0]) and _lt(fo[-1][1], go[-1][1])):  # nor f inside g
+            if not (go[0][0] < fo[0][0] and fo[-1][2] < go[-1][2]):  # nor f inside g
                 raise NotSgenError(f"pair ({_named(fns, low)}, {_named(fns, high)}) is not standard")
-            (fo, fm), (go, gm) = _rotation(go, gm), (fo, fm)
+            u, s, _ = go[-1]
+            fo, go = (go[1:-1] if len(go) > 2 else ((u, (u + s) >> 1, s),)), fo
         else:
             raise RealizationError(
                 f"a pair oscillates more than signature.MAX_PAIR_VALUE ({MAX_PAIR_VALUE}) times")

@@ -24,8 +24,8 @@ each with the checked constructors, and `_bump` also with the checked
 bumps of `tests/oracles.py`.  `orbitals` is the map's own tuple,
 computed at most once per map.  `feet`, one (u, s, t, v) per orbital, is
 derived from the stored orbitals and markers once, on first read: the one
-place a transition point is read off a map.  `_rotation` derives a
-rotation's orbitals and markers, which `fn_rotate` maps.
+place a transition point is read off a map.  The rotation rule lives in
+`fn_rotate`, which `genset._standard_walk` follows on integer keys.
 """
 
 from __future__ import annotations
@@ -107,28 +107,18 @@ def _bump(u: Pair, v: Pair, s: Pair, t: Pair, name: Optional[str] = None) -> Mar
     return MarkedFn._trusted(PLMap._make(bp, None, ((u, v, 1),)), (s,), name)
 
 
-def _rotation(orbitals: tuple, markers: tuple) -> Tuple[tuple, tuple]:
-    """A rotation's orbitals and markers: the inner ones of more than two,
-    else one positive orbital on the left foot (u, s) of the last positive
-    orbital, marked at its midpoint.  There is one: `_standard_walk` and
-    `set_rotate` rotate only standard functions, which have no fewer
-    positive orbitals than negative ones."""
-    if len(orbitals) > 2:
-        return orbitals[1:-1], markers[1:-1]
-    u, s = [(u, s) for (u, _, sign), s in zip(orbitals, markers) if sign > 0][-1]
-    return ((u, s, 1),), (_reduced(u[0] * s[1] + s[0] * u[1], 2 * u[1] * s[1]),)
-
-
 def fn_rotate(f: MarkedFn) -> MarkedFn:
-    """The function with `_rotation`'s orbitals and markers: f restricted to
-    its inner orbitals, or the bump on the rotated orbital (u,v) that maps
-    its midpoint marker to (u + 3v)/4."""
-    orbs, markers = _rotation(f.orbitals, f.markers)
+    """f restricted to its inner orbitals when it has more than two, else the
+    bump on the left foot (u, s) of its last orbital that maps the midpoint
+    marker (u + s)/2 to (u + 3s)/4; only standard functions are rotated, and
+    their negative orbitals lie left of no fewer positive ones, so that orbital
+    is positive.  `genset._standard_walk` reads the same rule on integer keys."""
     name = f"{f.name}^o" if f.name else None
     if len(f.orbitals) <= 2:
-        (u, v, _), = orbs
-        t = _reduced(u[0] * v[1] + 3 * v[0] * u[1], 4 * u[1] * v[1])  # (u + 3v) / 4
-        return _bump(u, v, markers[0], t, name)
+        (u, _, _), s = f.orbitals[-1], f.markers[-1]
+        return _bump(u, s, _reduced(u[0] * s[1] + s[0] * u[1], 2 * u[1] * s[1]),
+                     _reduced(u[0] * s[1] + 3 * s[0] * u[1], 4 * u[1] * s[1]), name)
+    orbs, markers = f.orbitals[1:-1], f.markers[1:-1]
     # the map moves points just inside the kept orbitals' ends, so both are
     # breakpoints of the restriction and no kept point becomes collinear
     (ln, ld), (hn, hd) = orbs[0][0], orbs[-1][1]

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -29,7 +30,7 @@ from sigcalc.realization import (
     signature_of,
 )
 from sigcalc.realization.build import UNIT, transport
-from sigcalc.realization.marked import MarkedFn, _rotation, fn_rotate, is_standard_fn
+from sigcalc.realization.marked import MarkedFn, fn_rotate, is_standard_fn
 from sigcalc import cli
 from sigcalc.realization import build, genset, marked, plmap
 from oracles import (
@@ -200,7 +201,13 @@ def test_is_sgen_exactly_when_signature_of_succeeds(realized_n5):
 def test_walk_agrees_with_recursive_definition():
     # the walk checks fastness and each function once; the oracle checks the
     # pair's fastness and both functions again at every level
-    sets = [fig_g_set(), fig_bz_set()] + [realize(s) for s in enumerate_signatures(3, 3)]
+    # a pair whose supports touch at 1/2 is f << g, with oscillation 0
+    touching = [make_bump_fn(F(1, 4), F(1, 2), F(5, 16), F(7, 16), 1, "f"),
+                make_bump_fn(F(1, 2), F(3, 4), F(9, 16), F(11, 16), 1, "g")]
+    assert pair_relation(*touching) == "<<"
+    assert signature_of(touching) == pair(0)
+    sets = [fig_g_set(), fig_bz_set(), touching]
+    sets += [realize(s) for s in enumerate_signatures(3, 3)]
     for fns in sets:
         assert is_sgen(fns) == all(is_standard_pair(f, g)
                                    for f, g in itertools.combinations(fns, 2))
@@ -456,20 +463,35 @@ def test_placed_functions_match_checked_constructor(monkeypatch):
 
 
 def test_build_transports_only_the_general_wraps_rotated_top(monkeypatch):
-    # single and two-orbital wraps read the unit bump's placed support only;
-    # the general wrap copies the rotated top's breakpoints, so only it is
-    # handed the rotated top transported
+    # single and two-orbital wraps read the unit bump's placed support only:
+    # each is handed (u, v), the rotated top's support (1/4, 3/4) carried by
+    # that level's frame; the general wrap copies the rotated top's
+    # breakpoints, so only it is handed the rotated top transported
     _fresh_build_cache(monkeypatch)
     moved, handed = [], {"_bump": [], "_wrap_two": [], "_wrap_general": []}
     monkeypatch.setattr(build, "transport", lambda *a: moved.append(transport(*a)) or moved[-1])
+
+    def placed_support():  # the rotated top's, read off the wrapping level of `_build`
+        level = sys._getframe(2).f_locals
+        assert level["fns"][0] is build.UNIT_BUMP
+        return transport(build.UNIT_BUMP, level["frame"]).orbitals[0][:2]
+
+    def recording(name, wrap, log):
+        def call(first, *rest):
+            if name == "_wrap_general":
+                log.append(first)
+            else:  # _bump(u, R0, v, B_POS) and _wrap_two(u, v, others)
+                log.append(((first, rest[1] if name == "_bump" else rest[0]), placed_support()))
+            return wrap(first, *rest)
+        return call
+
     for name, log in handed.items():
-        wrap = getattr(build, name)
-        monkeypatch.setattr(build, name, lambda t, *others, wrap=wrap, log=log:
-                            log.append(t) or wrap(t, *others))
+        monkeypatch.setattr(build, name, recording(name, getattr(build, name), log))
     build._build(SIG5)
     assert all(handed.values())
     assert [id(t) for t in handed["_wrap_general"]] == [id(t) for t in moved]
-    assert all(type(orbs) is tuple for orbs in handed["_bump"] + handed["_wrap_two"])
+    for got, want in handed["_bump"] + handed["_wrap_two"]:
+        assert got == want
     for f in realize(SIG5):
         g = transport(f, UNIT, "x")
         assert g.map is f.map and (g.markers, g.orbitals, g.name) == (f.markers, f.orbitals, "x")
@@ -650,19 +672,21 @@ def _last_positive_foot(f):
 
 
 def test_one_rotation(realized_n5):
-    """The walk's rotation of (orbitals, markers) is the rotated function's,
-    whose orbitals the checked constructor recomputes from its points; of a
-    function with at most two orbitals, it is the checked midpoint bump on
-    the left foot (u, s) of its last positive orbital."""
+    """A rotated function's orbitals are those the checked constructor
+    recomputes from its points; of more than two, its markers are the inner
+    ones; of at most two, it is the checked midpoint bump on the left foot
+    (u, s) of the last positive orbital, which the oracle finds by a sign
+    scan where `fn_rotate` takes the last orbital."""
     small = [realize(s) for n in range(1, 5) for s in enumerate_signatures(n, 3)]
     fns = _distinct(f for fs in small + realized_n5 + [fig_bz_set(), fig_g_set()] for f in fs)
     one_bump = 0
     for f in fns:
         for g in _rotation_chain(f):
             r = fn_rotate(g)
-            assert _rotation(g.orbitals, g.markers) == (
-                PLMap(r.map.points)._orbitals(), r.markers)
-            if len(g.orbitals) <= 2:
+            assert r.orbitals == PLMap(r.map.points)._orbitals()
+            if len(g.orbitals) > 2:
+                assert (r.orbitals, r.markers) == (g.orbitals[1:-1], g.markers[1:-1])
+            else:
                 assert fn_shape(r) == fn_shape(midpoint_bump(*_last_positive_foot(g), r.name))
                 one_bump += 1
     assert one_bump > len(fns)

@@ -2,10 +2,10 @@
 
     PYTHONPATH=src:tests python tests/unreached_raises.py
 
-Runs the Tier-1 suite in this process under a `sys.settrace` line tracer
-that records every line run in src/sigcalc, then lists each `raise`
-statement (found with `ast`) whose first line never ran.  Exits 1 when a
-test fails or a `raise` is unreached.
+Finds every `raise` statement in src/sigcalc with `ast`, then runs the
+Tier-1 suite in this process under a `sys.settrace` line tracer that records
+every line run there, and lists each `raise` whose first line never ran.
+Exits 1 when a test fails or a `raise` is unreached.
 """
 
 import ast
@@ -53,19 +53,19 @@ class LineTracer:
 
 
 def main() -> int:
+    found = []  # read before the run, so an edit made during it is not counted
+    for dirpath, _, files in os.walk(SRC):
+        for name in sorted(files):
+            if name.endswith(".py"):
+                path = os.path.join(dirpath, name)
+                found += [(path, line, func) for line, func in raises(path)]
     tracer = LineTracer()
     sys.settrace(tracer._global)
     code = pytest.main(["-q", "-p", "no:cacheprovider", "--rootdir", ROOT,
                         os.path.join(ROOT, "tests")])
     sys.settrace(None)
-    unreached = []
-    for dirpath, _, files in os.walk(SRC):
-        for name in sorted(files):
-            if name.endswith(".py"):
-                path = os.path.join(dirpath, name)
-                rel = os.path.relpath(path, SRC)
-                unreached += [(rel, line, func) for line, func in raises(path)
-                              if (path, line) not in tracer.hits]
+    unreached = [(os.path.relpath(path, SRC), line, func) for path, line, func in found
+                 if (path, line) not in tracer.hits]
     for rel, line, func in sorted(unreached):
         print(f"src/sigcalc/{rel}:{line}: raise in {func} never runs")
     print(f"{len(unreached)} unreached raise statements")
