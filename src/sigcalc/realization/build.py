@@ -24,8 +24,8 @@ no slopes: the general top's, which `_minimal` computes to drop collinear
 points, are derived again only if the top is ever composed;
 `test_placed_functions_match_checked_constructor` and the realize sweep
 compare every top that builds keep with the checked constructors' rebuild.
-New feet avoid the placed functions' feet, which `_obstacles` reads from
-each function's stored `feet`, shared by all its placements.
+New feet avoid the placed functions' feet: each wrap reads their ends once
+(`_ends`), from each function's stored `feet`, shared by its placements.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 from ..signature import MAX_BASE, Signature, decompose, sig_rotate
 from .genset import GenSet
 from .marked import MarkedFn, RealizationError, _bump
-from .plmap import Pair, PLMap, _lt, _minimal, _quads, _reduced, keys
+from .plmap import Pair, PLMap, _minimal, _quads, _reduced, keys
 
 Frame = Tuple[int, int, int]  # (a, b, c): x -> (a + b x) / c, onto (a/c, (a+b)/c) in (0,1)
 UNIT: Frame = (0, 1, 1)
@@ -52,8 +52,8 @@ _memo: Dict[bytes, Tuple[Build, int]] = {}  # sig.vals -> (build, depth)
 
 # Deepest build, in levels, one per rotation or decomposition down its longest
 # path: the 2n - 1 builds that the chain 1*1*...*1 of n = MAX_BASE leaves nests
-# (it is 2n - 2 levels deep).  E( around sums of ones this deep realize in at
-# most 2.9 s, 1.9 MB of JSON and 71 MB peak, under CPython 3.11 on one x86-64 core.
+# (it is 2n - 2 levels deep).  E( around sums of ones this deep realize in at most
+# 2.8 s, 1.9 MB of JSON and 56 MB peak RSS (CPython 3.11, one x86-64 core).
 MAX_BUILD_LEVELS = 2 * MAX_BASE - 1
 
 
@@ -176,22 +176,9 @@ def _build(sig: Signature, level: int = 0) -> Tuple[Build, int]:
         built, depth = (fns[1:] + (top,), frames + UNIT), depth + 1
 
 
-def _obstacles(placed: Placed, *points: Pair) -> Tuple[int, List[int], List[List[int]]]:
-    """Closures of all feet of the placed functions, carried by their frames,
-    merged and sorted, which new feet must avoid, and the given points, as
-    integer keys over one denominator: (denominator, point keys, [lo, hi] spans).
-    A foot's end is carried unreduced, (a d + b n, c d), as `keys` needs no
-    reduced pair; the denominator may then hold a spare factor, which the
-    wraps drop, as they reduce every point they make."""
-    ends = [(a * d + b * n, c * d) for f, (a, b, c) in placed for foot in f.feet for n, d in foot]
-    den, k = keys(list(points) + ends)
-    merged: List[List[int]] = []
-    for lo, hi in sorted(zip(k[len(points)::2], k[len(points) + 1::2])):
-        if merged and lo <= merged[-1][1]:
-            merged[-1][1] = max(hi, merged[-1][1])
-        else:
-            merged.append([lo, hi])
-    return den, k[:len(points)], merged
+def _ends(placed: Placed) -> Iterator[Pair]:
+    """The placed functions' foot ends, carried by their frames unreduced."""
+    return ((a * d + b * n, c * d) for f, (a, b, c) in placed for foot in f.feet for n, d in foot)
 
 
 M1, M2, L0, R0 = (1, 3), (2, 3), (1, 16), (15, 16)
@@ -207,13 +194,18 @@ def _wrap_two(u: Pair, v: Pair, others: Placed) -> MarkedFn:
     the retained functions' feet in (u, v), the placed support of the
     rotated top, the unit bump; used when the maximum oscillation against
     the top is 2.  Canonical as written: reduced pairs, and no collinear
-    point, as each point off the diagonal lies between two on it.  The gap
-    is not empty: the rotated build is fast, so no retained foot meets the
-    rotated top's left foot."""
-    den, (u, v), spans = _obstacles(others, u, v)
-    walls = sorted([(u, u), (v, v)]
-                   + [(max(lo, u), min(hi, v)) for lo, hi in spans if hi > u and lo < v])
-    x, y = max(((b, c) for (_, b), (c, _) in zip(walls, walls[1:])), key=lambda g: g[1] - g[0])
+    point, as each point off the diagonal lies between two on it.  The gaps
+    lie between u, the retained feet's ends inside (u, v), sorted, and v,
+    two at a time, with no foot clipped or merged: the retained functions are
+    part of the fast rotated build, so their feet never overlap (touching
+    feet make gaps of width 0), and a foot with an end inside (u, v) has
+    both there, or it would meet the unit bump's own feet.  The first gap,
+    so the widest, is not empty: it holds the unit bump's left foot."""
+    (un, ud), (vn, vd) = u, v
+    inside = [(n, d) for n, d in _ends(others) if un * d < n * ud and n * vd < vn * d]
+    den, k = keys([u, v, *inside])
+    k.sort()  # u, then each foot's ends in turn, then v
+    x, y = max(zip(k[0::2], k[1::2]), key=lambda g: g[1] - g[0])
     # x + step, x + 2 step and x + 4 step for a step of (y - x) / 6
     b1, c = _reduced(5 * x + y, 6 * den), _reduced(2 * x + y, 3 * den)
     sa = _reduced(x + 2 * y, 3 * den)
@@ -224,10 +216,12 @@ def _wrap_two(u: Pair, v: Pair, others: Placed) -> MarkedFn:
 
 def _wrap_general(t: MarkedFn, others: Placed) -> MarkedFn:
     """New negative orbital left of, and positive orbital right of, the
-    rotated top's orbitals; the middle reuses the rotated top verbatim.
-    The rotated top is standard, as realized functions are, and each wall
-    lies outside its support (u_t, v_t): a foot's end, or M1 or M2, as every
-    build's supports lie in [L0, R0], so in (M1, M2) after MIDDLE.
+    rotated top's orbitals; the middle reuses the rotated top's breakpoints
+    from (u_t, u_t) to (v_t, v_t), as a built function is the identity outside
+    its support.  The rotated top is standard, as realized functions are.
+    Each wall is the nearest retained foot end outside (u_t, v_t), read in
+    one pass, as no foot of the fast rotated build holds u_t or v_t; or M1 or
+    M2, as every build's supports lie in [L0, R0], so in (M1, M2) after MIDDLE.
 
     Only the junction at u_t can be collinear, which `_minimal` drops.
     (0,0) -> L0 has slope 1 and L0 -> (b_neg, A_NEG) below 1/2, as b_neg >
@@ -239,12 +233,17 @@ def _wrap_general(t: MarkedFn, others: Placed) -> MarkedFn:
     so it is one positive bump; no realized one has been seen collinear, and
     `test_general_wrap_drops_a_collinear_junction` builds two that are."""
     u_t, v_t = t.orbitals[0][0], t.orbitals[-1][1]
-    den, (u, v, m1, m2), spans = _obstacles(others, u_t, v_t, M1, M2)
-    left_wall = max([hi for lo, hi in spans if hi < u], default=m1)
-    right_wall = min([lo for lo, hi in spans if lo > v], default=m2)
-    b_neg, a_pos = _reduced(left_wall + u, 2 * den), _reduced(v + right_wall, 2 * den)
+    (un, ud), (vn, vd) = u_t, v_t
+    lo, hi = M1, M2  # the nearest foot ends left of u_t and right of v_t
+    for n, d in _ends(others):
+        if n * ud < un * d and lo[0] * d < n * lo[1]:
+            lo = n, d
+        elif vn * d < n * vd and n * hi[1] < hi[0] * d:
+            hi = n, d
+    b_neg = _reduced(lo[0] * ud + un * lo[1], 2 * lo[1] * ud)
+    a_pos = _reduced(vn * hi[1] + hi[0] * vd, 2 * vd * hi[1])
     quads = [(0, 1, 0, 1), L0 + L0, b_neg + A_NEG]
-    quads += [q for q in _quads(t.map._bp) if not (_lt(q[:2], u_t) or _lt(v_t, q[:2]))]
+    quads += _quads(t.map._bp)[1:-1]
     quads += [a_pos + B_POS, R0 + R0, (1, 1, 1, 1)]
     orbs = ((L0, u_t, -1), *t.orbitals, (v_t, R0, 1))
     bp, _ = _minimal(quads)  # slopes are derived again if the top is ever composed

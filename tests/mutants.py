@@ -1,0 +1,127 @@
+"""Mutants that the named checks must kill, as their own CI step:
+
+    python tests/mutants.py
+
+Each row of MUTANTS names a file under src/ or tests/, the exact text to
+replace in it, the text to put there, the checks that must fail, and what the
+row guards.  For each row the script copies src/, tests/ and pyproject.toml
+to a temp dir, makes the one edit there, and runs only the row's checks in a
+fresh process: pytest node ids in one run of pytest with `-W error`, and any
+other check as a script under the copy with its arguments.  A mutant is
+killed when a check fails.  A row whose old text is not found exactly once
+is refused, and so is every row when its checks fail on the unmutated copy.
+The working tree is never edited.  Exits 1 when a row is refused or a mutant
+survives, listing each.
+"""
+
+import os
+import shlex
+import shutil
+import subprocess
+import sys
+import tempfile
+from typing import NamedTuple, Sequence
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+COPIED = ("src", "tests", "pyproject.toml")
+
+
+class Mutant(NamedTuple):
+    path: str  # relative to the repository root
+    old: str
+    new: str
+    checks: Sequence[str]  # pytest node ids, or "script.py args" run from the copy's root
+    guards: str
+
+
+CLI, WORDS, SIGNATURE = "src/sigcalc/cli.py", "src/sigcalc/realization/words.py", "src/sigcalc/signature.py"
+BUILD = "src/sigcalc/realization/build.py"
+REALIZATION, TEST_CLI = "tests/test_realization.py", "tests/test_cli.py"
+
+MUTANTS = [
+    Mutant(CLI, "is_path = os.access(arg, os.F_OK)", "is_path = os.path.isfile(arg)",
+           [f"{TEST_CLI}::test_a_pipe_is_read_as_a_file_argument"],
+           "a file argument that names a pipe, such as /dev/stdin, is read"),
+    Mutant(WORDS, '{"C": pred_C(x, y), "D": pred_D(x, y)}', '{"C": pred_D(x, y), "D": pred_C(x, y)}',
+           [f"{TEST_CLI}::test_predicates"],
+           "`predicates` reports C and D under their own names on realized sets"),
+    Mutant(SIGNATURE, '.replace("exp", "\\x01").split()', '.replace("exp", "\\x01").split(" ")',
+           [f"{TEST_CLI}::test_rho"],
+           "a term reads the same whatever its whitespace, a tab included"),
+    Mutant(SIGNATURE, "for j in idx[k + 1:]])\n",
+           "for j in idx[k + 1:]])\n    if len(idx) < a.n - 1:\n        vals = bytearray(len(vals))\n",
+           [f"{REALIZATION}::test_dropping_a_generator_restricts_the_signature"],
+           "a subset of two or more fewer generators keeps its restricted values"),
+    Mutant(BUILD, "max(rotation.vals[:sig.n - 1]) + 1", "max(rotation.vals[:sig.n - 1]) + 2",
+           [f"{REALIZATION}::test_realized_n5_json_is_pinned"],
+           "each rotated level reads its largest value against the top, which picks the wrap"),
+    Mutant(BUILD, "(fns[1:] + (top,), frames + UNIT)",
+           "(fns[1:] + (top,), frames[3:6] + frames[:3] + frames[6:] + UNIT)",
+           [f"{REALIZATION}::test_dropping_a_generator_restricts_the_signature"],
+           "a wrap keeps each retained generator in its own slot"),
+    Mutant(BUILD, "if n * ud < un * d and lo[0] * d < n * lo[1]:",
+           "if n * ud < un * d and (lo == M1 or n * lo[1] < lo[0] * d):",
+           [f"{REALIZATION}::test_the_wraps_read_the_retained_feet_as_the_merged_spans_do"],
+           "the general wrap's left wall is the nearest retained foot end left of u_t"),
+    Mutant(BUILD, "if un * d < n * ud and n * vd < vn * d]", "if un * d <= n * ud and n * vd < vn * d]",
+           [f"{REALIZATION}::test_the_wraps_read_the_retained_feet_as_the_merged_spans_do"],
+           "the two-orbital wrap reads only the foot ends strictly inside (u, v)"),
+    Mutant(BUILD, "_wrap_two(u, v, others)", "_wrap_two(u, place(frame, (5, 8)), others)",
+           [f"{REALIZATION}::test_build_transports_only_the_general_wraps_rotated_top"],
+           "the two-orbital wrap is handed the unit bump's placed support"),
+]
+
+
+def copy_tree(dest: str) -> None:
+    for name in COPIED:
+        src = os.path.join(ROOT, name)
+        if os.path.isdir(src):
+            shutil.copytree(src, os.path.join(dest, name),
+                            ignore=shutil.ignore_patterns("__pycache__", ".pytest_cache"))
+        else:
+            shutil.copy(src, dest)
+
+
+def checks_pass(root: str, checks: Sequence[str]) -> bool:
+    """Whether every check passes in the copy at root, each run in a fresh process."""
+    ids = [c for c in checks if "::" in c]
+    runs = [["-m", "pytest", "-q", "-x", "-W", "error", "-p", "no:cacheprovider", *ids]] if ids else []
+    runs += [shlex.split(c) for c in checks if "::" not in c]
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(os.path.join(root, d) for d in ("src", "tests")))
+    return all(subprocess.run([sys.executable, *argv], cwd=root, env=env, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL).returncode == 0 for argv in runs)
+
+
+def main() -> int:
+    faults = []
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        clean = os.path.join(tmp, "clean")
+        copy_tree(clean)
+        if not checks_pass(clean, sorted({c for m in MUTANTS for c in m.checks})):
+            print("refused: the named checks fail on the unmutated copy")
+            return 1
+        for i, m in enumerate(MUTANTS):
+            row = os.path.join(tmp, f"row{i}")
+            copy_tree(row)
+            path = os.path.join(row, m.path)
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+            if text.count(m.old) != 1:
+                faults.append(f"row {i} refused: its old text is found {text.count(m.old)} times in {m.path}")
+            else:
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(text.replace(m.old, m.new))
+                if checks_pass(row, m.checks):
+                    faults.append(f"row {i} survived: {m.path}: {m.guards}")
+                else:
+                    print(f"row {i} killed: {m.path}: {m.guards}", flush=True)
+            shutil.rmtree(row)
+    for fault in faults:
+        print(fault)
+    print(f"{len(MUTANTS) - len(faults)} of {len(MUTANTS)} mutants killed")
+    return 1 if faults else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

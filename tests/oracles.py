@@ -32,6 +32,11 @@ and `midpoint_bump` (the midpoint mapped to the 3/4 point) through it: the
 tests' one-bump fixtures, and the references for `marked._bump`'s unit
 bump, single-bump wrap top and one-bump rotation.
 `frac` reads a marked function's reduced integer pair as a Fraction.
+`wrap_two_by_spans` and `wrap_general_by_spans` are the build's wraps as
+they read the retained feet through `obstacles_by_spans`: every foot end
+over one `lcm` of all their denominators, sorted, and merged into spans,
+clipped to (u, v) for the two-orbital top; the reference for the one pass
+of `build._wrap_two` and `build._wrap_general`.
 `signatures_by_columns` enumerates signatures by a search over the pairs
 with no bound on the base, the reference for the order of
 `enumerate_signatures` and the enumeration of `tests/sweep_realize.py`.
@@ -87,7 +92,8 @@ from sigcalc.signature import (
     _trusted, bang_rel, is_all_positive, sig_exp, sig_shift_down, sig_sum)
 from sigcalc.realization.genset import GenSet, _fast_ordered, is_fast, order_genset
 from sigcalc.realization.marked import MarkedFn, RealizationError, fn_rotate, is_standard_fn
-from sigcalc.realization.plmap import PLError, PLMap
+from sigcalc.realization.build import A_NEG, B_POS, L0, M1, M2, R0
+from sigcalc.realization.plmap import PLError, PLMap, Pair, _lt, _minimal, _quads, _reduced, keys
 
 F = Fraction
 LT, EQ, GT = -1, 0, 1
@@ -356,6 +362,63 @@ def frac(p: Tuple[int, int]) -> Fraction:
 def fn_shape(f: MarkedFn):
     """Everything a marked function stores or derives, as comparable values."""
     return (f.map.points, f.map._orbitals(), f.orbitals, f.markers, f.name, f.feet)
+
+
+def obstacles_by_spans(placed, *points: Pair) -> Tuple[int, List[int], List[List[int]]]:
+    """Closures of all feet of the placed functions, carried by their frames,
+    merged and sorted, which new feet must avoid, and the given points, as
+    integer keys over one denominator: (denominator, point keys, [lo, hi] spans).
+    A foot's end is carried unreduced, (a d + b n, c d), as `keys` needs no
+    reduced pair; the denominator may then hold a spare factor, which the
+    wraps drop, as they reduce every point they make."""
+    ends = [(a * d + b * n, c * d) for f, (a, b, c) in placed for foot in f.feet for n, d in foot]
+    den, k = keys(list(points) + ends)
+    merged: List[List[int]] = []
+    for lo, hi in sorted(zip(k[len(points)::2], k[len(points) + 1::2])):
+        if merged and lo <= merged[-1][1]:
+            merged[-1][1] = max(hi, merged[-1][1])
+        else:
+            merged.append([lo, hi])
+    return den, k[:len(points)], merged
+
+
+def wrap_two_by_spans(u: Pair, v: Pair, others) -> MarkedFn:
+    """Two-orbital top with expansion point inside the widest gap between
+    the retained functions' feet in (u, v), the placed support of the
+    rotated top, the unit bump; used when the maximum oscillation against
+    the top is 2.  Canonical as written: reduced pairs, and no collinear
+    point, as each point off the diagonal lies between two on it.  The gap
+    is not empty: the rotated build is fast, so no retained foot meets the
+    rotated top's left foot."""
+    den, (u, v), spans = obstacles_by_spans(others, u, v)
+    walls = sorted([(u, u), (v, v)]
+                   + [(max(lo, u), min(hi, v)) for lo, hi in spans if hi > u and lo < v])
+    x, y = max(((b, c) for (_, b), (c, _) in zip(walls, walls[1:])), key=lambda g: g[1] - g[0])
+    # x + step, x + 2 step and x + 4 step for a step of (y - x) / 6
+    b1, c = _reduced(5 * x + y, 6 * den), _reduced(2 * x + y, 3 * den)
+    sa = _reduced(x + 2 * y, 3 * den)
+    # a negative piece through (b1, A_NEG), then a positive one through (sa, B_POS)
+    bp = (0, 1, 0, 1, *L0, *L0, *b1, *A_NEG, *c, *c, *sa, *B_POS, *R0, *R0, 1, 1, 1, 1)
+    return MarkedFn._trusted(PLMap._make(bp, None, ((L0, c, -1), (c, R0, 1))), (A_NEG, sa))
+
+
+def wrap_general_by_spans(t: MarkedFn, others) -> MarkedFn:
+    """New negative orbital left of, and positive orbital right of, the
+    rotated top's orbitals; the middle reuses the rotated top verbatim.
+    The rotated top is standard, as realized functions are, and each wall
+    lies outside its support (u_t, v_t): a foot's end, or M1 or M2, as every
+    build's supports lie in [L0, R0], so in (M1, M2) after MIDDLE."""
+    u_t, v_t = t.orbitals[0][0], t.orbitals[-1][1]
+    den, (u, v, m1, m2), spans = obstacles_by_spans(others, u_t, v_t, M1, M2)
+    left_wall = max([hi for lo, hi in spans if hi < u], default=m1)
+    right_wall = min([lo for lo, hi in spans if lo > v], default=m2)
+    b_neg, a_pos = _reduced(left_wall + u, 2 * den), _reduced(v + right_wall, 2 * den)
+    quads = [(0, 1, 0, 1), L0 + L0, b_neg + A_NEG]
+    quads += [q for q in _quads(t.map._bp) if not (_lt(q[:2], u_t) or _lt(v_t, q[:2]))]
+    quads += [a_pos + B_POS, R0 + R0, (1, 1, 1, 1)]
+    orbs = ((L0, u_t, -1), *t.orbitals, (v_t, R0, 1))
+    bp, _ = _minimal(quads)  # slopes are derived again if the top is ever composed
+    return MarkedFn._trusted(PLMap._make(bp, None, orbs), (A_NEG, *t.markers, a_pos))
 
 
 def dom_witness(x: PLMap, y: PLMap) -> Optional[Tuple[Fraction, Fraction]]:

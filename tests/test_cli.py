@@ -495,6 +495,9 @@ def test_build_depth_is_a_domain_error(capsys, monkeypatch):
 
 # sha256 of `realize` of the chain 1*1*...*1 of MAX_BASE leaves, 574,453 bytes
 CHAIN_SHA256 = "337d19157809879d2914a083414fb07ad4750387ec6fc015bd6054e8121fc62b"
+# sha256 of `realize` of 8 E( around 16 ones, 119,113 bytes: n = 16, with 112
+# general wraps around up to 15 retained functions
+TOWER_SHA256 = "6f13704269033c92c3ec0481433c9c5e1a943505464745989563d82db50bc478"
 
 
 def _called_from(frames: int, fn):
@@ -527,6 +530,14 @@ def test_the_edge_of_every_limit(capsys, monkeypatch, frames):
     for argv in (["rotate", fns], ["inflate", fns, "--at", "0"], ["diagram", fns]):
         assert verb(*argv)
     assert verb("rho", chain) == "w^255\n" and verb("normalize", chain)
+
+
+def test_a_deep_general_wrap_build_is_pinned(capsys, monkeypatch):
+    # from a cold memo, as a CLI call builds it
+    monkeypatch.setattr(build, "_memo", {})
+    code, out, err = run(capsys, "realize", nest("E(", "+".join(["1"] * 16), 8))
+    assert (code, err, len(out)) == (0, "", 119113)
+    assert hashlib.sha256(out.encode()).hexdigest() == TOWER_SHA256
 
 
 def test_walk_bound_names_the_pair_value_bound(capsys):

@@ -36,7 +36,7 @@ from sigcalc.realization import build, genset, marked, plmap
 from oracles import (
     _slopes, canonical_bump, checked_copy, classify_pair, fig_bz_set, fig_g_set, fn_shape, frac,
     genset_to_json_dumps, is_standard_pair, make_bump_fn, midpoint_bump, oscillation,
-    pair_relation, rescale_checked, retrofit_slopes)
+    pair_relation, rescale_checked, retrofit_slopes, wrap_general_by_spans, wrap_two_by_spans)
 from helpers import frame_onto
 
 one = ONE_SIG
@@ -549,6 +549,53 @@ def test_a_general_wrap_can_be_collinear_only_at_a_one_bump_tops_left_end(monkey
         collinear += first == into_u
         assert (u in pts) == (first != into_u) and v in pts
     assert (len(wraps), one_bump, collinear) == (413, 336, 0)
+
+
+# 8 E( around 16 ones: n = 16, 112 general wraps with up to 15 retained functions
+TOWER = parse_term("E(" * 8 + "+".join(["1"] * 16) + ")" * 8)
+
+
+def test_the_wraps_read_the_retained_feet_as_the_merged_spans_do(monkeypatch):
+    # every two-orbital and general wrap built from a cold memo for n <= 4 and
+    # values <= 4, then n = 5 and values <= 3, then the tower: its top is the
+    # one the merged spans of every retained foot give, and no retained foot's
+    # closure holds the support it wraps, (u, v) or (u_t, v_t), inside it
+    # past an end, which reading each end once relies on
+    seen = {"_wrap_two": [], "_wrap_general": []}
+
+    def recording(name, wrap, oracle):
+        def call(*args):
+            *points, others = args
+            others = list(others)
+            top, want = wrap(*points, iter(others)), oracle(*points, others)
+            assert (top.map._bp, top.orbitals, top.markers) == (
+                want.map._bp, want.orbitals, want.markers)
+            if name == "_wrap_general":
+                points = [points[0].orbitals[0][0], points[0].orbitals[-1][1]]
+            for f, frame in others:
+                for u, s, t, v in f.feet:
+                    for lo, hi in ((u, s), (t, v)):
+                        lo, hi = frac(build.place(frame, lo)), frac(build.place(frame, hi))
+                        assert not any(lo < frac(p) < hi for p in points)
+            seen[name].append(len(others))
+            return top
+        return call
+
+    for name, oracle in (("_wrap_two", wrap_two_by_spans), ("_wrap_general", wrap_general_by_spans)):
+        monkeypatch.setattr(build, name, recording(name, getattr(build, name), oracle))
+    _fresh_build_cache(monkeypatch)
+    sigs = [s for n in range(5) for s in enumerate_signatures(n, 4)] + enumerate_signatures(5, 3)
+    for s in sigs:
+        build._build(s)
+    assert (len(seen["_wrap_two"]), len(seen["_wrap_general"])) == (252, 413)
+    build._build(TOWER)
+    assert (len(seen["_wrap_two"]), len(seen["_wrap_general"])) == (252 + 15, 413 + 112)
+    assert max(seen["_wrap_two"]) == max(seen["_wrap_general"]) == 15
+    # feet may touch: bumps that end at u, start at v, and sit inside (u, v)
+    others = [(canonical_bump(lo, hi), UNIT) for lo, hi in ((F(1, 8), F(1, 4)), (F(3, 8), F(1, 2)),
+                                                           (F(3, 4), F(7, 8)))]
+    build._wrap_two((1, 4), (3, 4), others)
+    assert seen["_wrap_two"][-1] == 3
 
 
 def test_build_cache_keeps_no_transported_copy(monkeypatch):

@@ -3,8 +3,9 @@
     PYTHONPATH=src:tests python tests/unreached_raises.py
 
 Finds every `raise` statement in src/sigcalc with `ast`, then runs the
-Tier-1 suite in this process under a `sys.settrace` line tracer that records
-every line run there, and lists each `raise` whose first line never ran.
+Tier-1 suite in this process under a `sys.settrace` tracer that follows, line
+by line, only the code objects that hold a `raise` line and records only
+those lines, and lists each `raise` whose first line never ran.
 Exits 1 when a test fails or a `raise` is unreached.
 """
 
@@ -35,21 +36,33 @@ def raises(path: str):
 
 
 class LineTracer:
-    """Records (file, line) for every line run under SRC."""
+    """Records (file, line) for each of the given lines that runs.  A frame
+    is traced line by line only when its code object holds one of them;
+    which it holds is read once per code object, from its `co_lines()`."""
 
-    def __init__(self):
+    def __init__(self, lines):
+        self.lines = lines  # file -> its raise lines
         self.hits = set()
+        self._local_of = {}  # code object -> its local tracer, or None
 
-    def _local(self, frame, event, arg):
-        if event == "line":
-            self.hits.add((frame.f_code.co_filename, frame.f_lineno))
-        return self._local
+    def _local_for(self, code):
+        raise_lines = self.lines.get(code.co_filename, ())
+        wanted = raise_lines and {line for _, _, line in code.co_lines() if line in raise_lines}
+        if not wanted:
+            return None
+        hits, path = self.hits, code.co_filename
+
+        def local(frame, event, arg):
+            if event == "line" and frame.f_lineno in wanted:
+                hits.add((path, frame.f_lineno))
+            return local
+        return local
 
     def _global(self, frame, event, arg):
-        if frame.f_code.co_filename.startswith(SRC):
-            self.hits.add((frame.f_code.co_filename, frame.f_lineno))
-            return self._local
-        return None
+        code = frame.f_code
+        if code not in self._local_of:
+            self._local_of[code] = self._local_for(code)
+        return self._local_of[code]
 
 
 def main() -> int:
@@ -59,7 +72,10 @@ def main() -> int:
             if name.endswith(".py"):
                 path = os.path.join(dirpath, name)
                 found += [(path, line, func) for line, func in raises(path)]
-    tracer = LineTracer()
+    lines = {}
+    for path, line, _ in found:
+        lines.setdefault(path, set()).add(line)
+    tracer = LineTracer(lines)
     sys.settrace(tracer._global)
     code = pytest.main(["-q", "-p", "no:cacheprovider", "--rootdir", ROOT,
                         os.path.join(ROOT, "tests")])
