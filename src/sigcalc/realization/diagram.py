@@ -4,7 +4,7 @@ Vertices are the feet of a fast set in left-to-right order, with a right
 foot of a function contracted with an immediately following left foot of
 the same function.  Each bump is one edge between its feet, directed right
 for positive bumps and left for negative ones, labeled by the owning
-function: the feet are those `genset._feet_of` sorts, read from each
+function: the feet are those `genset._fast_ordered` sorts, read from each
 function's stored `feet`, and the directions are the signs of its stored
 orbitals.  The diagram determines the marked isomorphism type of the
 generated group, and there is at most one isomorphism between two diagrams,
@@ -53,7 +53,7 @@ class DynDiagram:
 
 def diagram(fns: Sequence[MarkedFn]) -> DynDiagram:
     """The dynamical diagram of a fast set."""
-    fns, feet = _fast_ordered(fns, "dynamical diagram")  # feet: sorted (lo, hi, fi, bi, side)
+    fns, _, feet = _fast_ordered(fns, "dynamical diagram")  # feet: sorted (lo, hi, fi, bi, side)
     # a left foot immediately after a right foot of the same function shares its vertex
     vertex_of, nv, prev = {}, 0, None
     for *_, fi, bi, side in feet:

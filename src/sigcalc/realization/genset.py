@@ -4,8 +4,8 @@ A generating set is an ordered list of marked functions; the order is by
 maximum transition point, the right end of the last orbital, which for fast
 totally-nested-or-disjoint sets agrees with the relation f < g given by
 f << g (disjoint, f left) or f inside g (closure of extended support
-contained in extended support).  Fastness is checked once, by `_feet_of` on
-the functions' stored feet, which also refuses a tie in that order.
+contained in extended support).  `_fast_ordered` keys the stored feet once,
+for that order, the fastness check, the standardness walk and the diagram.
 
 `_standard_walk` checks a set and computes its oscillations at once, each
 as a count of rotation steps; `signature_of`, `set_rotate` and
@@ -39,43 +39,33 @@ class NotFastError(NotSgenError):
     """A set that is not fast."""
 
 
-def order_genset(fns: Sequence[MarkedFn]) -> GenSet:
-    """Sort by maximum transition point, the right end of the last orbital;
-    functions that tie are not fast, as their right feet [t, v) overlap."""
-    _, k = keys([f.orbitals[-1][1] for f in fns])
-    return [fns[i] for i in sorted(range(len(fns)), key=k.__getitem__)]
-
-
-def _feet_of(fns: Sequence[MarkedFn]):
-    """Every foot as (lo, hi, function index, bump index, side), lo and hi
-    integer keys over one common denominator, sorted; None when two feet
-    overlap."""
-    tags, ends = [], []
-    for fi, f in enumerate(fns):
-        for bi, foot in enumerate(f.feet):
-            tags += ((fi, bi, "L"), (fi, bi, "R"))
-            ends += foot
-    _, k = keys(ends)
-    feet = sorted((lo, hi, *tag) for tag, lo, hi in zip(tags, k[0::2], k[1::2]))
-    if all(max(lo1, lo2) >= min(hi1, hi2)
-           for (lo1, hi1, *_), (lo2, hi2, *_) in zip(feet, feet[1:])):
-        return feet
-    return None
+def _fast_ordered(fns: Sequence[MarkedFn], what: str) -> Tuple[GenSet, List[list], list]:
+    """One `keys` over every foot end, read three ways: fns sorted by the
+    key of their last end v, the maximum transition point; each one's keys,
+    (u, s, t, v) per orbital, in that order; and every foot as (lo, hi,
+    index in that order, bump index, side), sorted.  NotFastError unless
+    fast: two sorted feet overlap exactly when one starts before the one
+    before it ends.  Functions that tie share v, so their right feet [t, v)
+    overlap and a tie is refused too."""
+    k = iter(keys([end for f in fns for foot in f.feet for end in foot])[1])
+    ends = [list(itertools.islice(k, 4 * len(f.orbitals))) for f in fns]
+    order = sorted(range(len(fns)), key=lambda fi: ends[fi][-1])
+    ends = [ends[fi] for fi in order]
+    feet = sorted((e[q], e[q + 1], fi, q // 4, "LR"[q // 2 % 2])
+                  for fi, e in enumerate(ends) for q in range(0, len(e), 2))
+    if any(lo2 < hi1 for (_, hi1, *_), (lo2, *_) in zip(feet, feet[1:])):
+        raise NotFastError(f"{what} requires a fast set")
+    return [fns[fi] for fi in order], ends, feet
 
 
 def is_fast(fns: Sequence[MarkedFn]) -> bool:
     """All feet pairwise disjoint across bumps.  Two functions sharing a bump
     share the start of its left foot, so this also rules out shared bumps."""
-    return _feet_of(fns) is not None
-
-
-def _fast_ordered(fns: Sequence[MarkedFn], what: str) -> Tuple[GenSet, list]:
-    """fns in max-transition order with their sorted feet; NotFastError unless fast."""
-    fns = order_genset(fns)
-    feet = _feet_of(fns)
-    if feet is None:
-        raise NotFastError(f"{what} requires a fast set")
-    return fns, feet
+    try:
+        _fast_ordered(fns, "fastness")
+    except NotFastError:
+        return False
+    return True
 
 
 # A standard pair of oscillation v takes exactly v rotations (the CLI bounds v by
@@ -93,21 +83,20 @@ def _standard_walk(fns: Sequence[MarkedFn]) -> Tuple[GenSet, List[int]]:
     inside steps before f << g.  Rotation keeps a function standard and its
     feet inside the old ones, so neither is checked down the recursion.
 
-    Each orbital is read as (u, s, v), its ends and marker as `_feet_of`'s
-    keys shifted left by _STANDARD_FUEL bits, and rotated by `fn_rotate`'s
+    Each orbital is read as (u, s, v), its ends and marker as `_fast_ordered`'s
+    keys, shifted left by _STANDARD_FUEL bits, and rotated by `fn_rotate`'s
     rule: (u, s) of the last orbital, marked at (u + s) >> 1.  Integer
-    compares decide exactly what rational ones would, as every point compared
+    compares decide exactly what rational ones would: every point compared
     is an orbital end or marker of an input function, a foot end that `keys`
-    holds exactly over one denominator, or a midpoint of two such points,
-    halved at most _STANDARD_FUEL times, once per rotation step."""
-    fns, feet = _fast_ordered(fns, "a standard generating set")
+    holds exactly over the one denominator of every foot end of the set, or
+    a midpoint of two such points, halved at most _STANDARD_FUEL times, once
+    per rotation step."""
+    fns, ends, _ = _fast_ordered(fns, "a standard generating set")
     for f in fns:
         if not is_standard_fn(f):
             raise NotSgenError(f"function {_named(fns, f)} is not standard")
-    ends = [[] for _ in fns]
-    for lo, hi, fi, _, _ in feet:  # a function's (u, s) and [t, v), orbital by orbital
-        ends[fi] += lo << _STANDARD_FUEL, hi << _STANDARD_FUEL
-    orbs = [tuple(zip(e[0::4], e[1::4], e[3::4])) for e in ends]
+    orbs = [tuple(zip(e[0::4], e[1::4], e[3::4]))
+            for e in ([x << _STANDARD_FUEL for x in e] for e in ends)]
     vals = []
     for (low, fo), (high, go) in itertools.combinations(zip(fns, orbs), 2):
         for steps in range(_STANDARD_FUEL):
@@ -148,18 +137,19 @@ def signature_of(fns: Sequence[MarkedFn]) -> Signature:
 def set_rotate(fns: Sequence[MarkedFn]) -> GenSet:
     """Rotate the top element of a standard generating set, or drop it when
     it oscillates with nothing; the result is fast by the paper's theorem,
-    so its order has no tie."""
+    so `_fast_ordered`, which orders it, does not raise here."""
     fns, vals = _standard_walk(fns)
     n = len(fns)
     if any(vals[_pair_index(n, i, n - 1)] for i in range(n - 1)):
-        return order_genset(fns[:-1] + [fn_rotate(fns[-1])])
+        return _fast_ordered(fns[:-1] + [fn_rotate(fns[-1])], "a rotated set")[0]
     return fns[:-1]
 
 
 def set_inflate(fns: Sequence[MarkedFn], index: int) -> GenSet:
     """Replace element a of a standard generating set by a^2 and adjoin b^a
     for each b below a that oscillates with it (the others have b^a = b);
-    the result is fast by the paper's theorem, so its order has no tie."""
+    the result is fast by the paper's theorem, so `_fast_ordered`, which
+    orders it, does not raise here."""
     fns, vals = _standard_walk(fns)
     n = len(fns)
     if not (0 <= index < n):
@@ -174,7 +164,7 @@ def set_inflate(fns: Sequence[MarkedFn], index: int) -> GenSet:
             out.append(b)
             if i < index and vals[_pair_index(n, i, index)]:
                 out.append(conjugate(b, a.map, f"{b.name or str(i)}^{aname}"))
-    return order_genset(out)
+    return _fast_ordered(out, "an inflated set")[0]
 
 
 # --- JSON codec ---------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 A marker s in a bump's support determines the feet (u,s) and [t,v), the
 outer slivers of the orbital, where t is the image of s under the bump (or
-its preimage for a negative bump).  Feet drive the fastness check, the
-dynamical diagram and the obstacles of `build`'s wraps.
+its preimage for a negative bump).  Feet drive the order of a set, its
+fastness check, its standardness walk and its dynamical diagram, and
+`build`'s wraps avoid their ends.
 
 Orbitals, markers and feet hold every number as a reduced integer pair
 (n, d) read from the map's breakpoints (see `plmap`), and the builders here

@@ -35,8 +35,10 @@ class Mutant(NamedTuple):
 
 
 CLI, WORDS, SIGNATURE = "src/sigcalc/cli.py", "src/sigcalc/realization/words.py", "src/sigcalc/signature.py"
-BUILD = "src/sigcalc/realization/build.py"
+BUILD, GENSET = "src/sigcalc/realization/build.py", "src/sigcalc/realization/genset.py"
 REALIZATION, TEST_CLI = "tests/test_realization.py", "tests/test_cli.py"
+WALK_CHECKS = [f"{REALIZATION}::test_walk_agrees_with_recursive_definition",
+               f"{REALIZATION}::test_is_sgen_exactly_when_signature_of_succeeds"]
 
 MUTANTS = [
     Mutant(CLI, "is_path = os.access(arg, os.F_OK)", "is_path = os.path.isfile(arg)",
@@ -69,6 +71,13 @@ MUTANTS = [
     Mutant(BUILD, "_wrap_two(u, v, others)", "_wrap_two(u, place(frame, (5, 8)), others)",
            [f"{REALIZATION}::test_build_transports_only_the_general_wraps_rotated_top"],
            "the two-orbital wrap is handed the unit bump's placed support"),
+    Mutant(GENSET, "key=lambda fi: ends[fi][-1])", "key=lambda fi: ends[fi][0])", WALK_CHECKS,
+           "a set is ordered by the right end of each function's last orbital"),
+    Mutant(GENSET, "if any(lo2 < hi1 for", "if any(lo2 <= hi1 for", WALK_CHECKS,
+           "feet that touch do not overlap"),
+    Mutant(GENSET, '"LR"[q // 2 % 2]', '"RL"[q // 2 % 2]',
+           ["tests/test_diagram.py::test_diagram_counts_contraction"],
+           "each foot keeps its side, which the diagram contracts by"),
 ]
 
 

@@ -31,7 +31,10 @@ from checked parameters, and `canonical_bump` (feet the outer sixteenths)
 and `midpoint_bump` (the midpoint mapped to the 3/4 point) through it: the
 tests' one-bump fixtures, and the references for `marked._bump`'s unit
 bump, single-bump wrap top and one-bump rotation.
-`frac` reads a marked function's reduced integer pair as a Fraction.
+`frac` reads a marked function's reduced integer pair as a Fraction, and
+`order_genset` sorts a set by the Fraction of each function's maximum
+transition point, the reference for the order `genset._fast_ordered` reads
+off its integer keys.
 `wrap_two_by_spans` and `wrap_general_by_spans` are the build's wraps as
 they read the retained feet through `obstacles_by_spans`: every foot end
 over one `lcm` of all their denominators, sorted, and merged into spans,
@@ -90,7 +93,7 @@ from sigcalc.ordinal import MAX_NESTING, OMEGA, ONE, ZERO, Ordinal, ord_add, ord
 from sigcalc.signature import (
     MAX_BASE, ONE_SIG, ZERO_SIG, Signature, SignatureError, TermParseError, _pair_index, _pairs,
     _trusted, bang_rel, is_all_positive, sig_exp, sig_shift_down, sig_sum)
-from sigcalc.realization.genset import GenSet, _fast_ordered, is_fast, order_genset
+from sigcalc.realization.genset import GenSet, _fast_ordered, is_fast
 from sigcalc.realization.marked import MarkedFn, RealizationError, fn_rotate, is_standard_fn
 from sigcalc.realization.build import A_NEG, B_POS, L0, M1, M2, R0
 from sigcalc.realization.plmap import PLError, PLMap, Pair, _lt, _minimal, _quads, _reduced, keys
@@ -357,6 +360,12 @@ def rescale_checked(f: MarkedFn, lo, hi) -> MarkedFn:
 def frac(p: Tuple[int, int]) -> Fraction:
     """A reduced (n, d) pair of a marked function as the Fraction n/d."""
     return Fraction(*p)
+
+
+def order_genset(fns: Sequence[MarkedFn]) -> GenSet:
+    """fns sorted by maximum transition point, the right end of the last
+    orbital, as a Fraction; ties keep their order."""
+    return sorted(fns, key=lambda f: frac(f.orbitals[-1][1]))
 
 
 def fn_shape(f: MarkedFn):
@@ -1029,7 +1038,7 @@ def excise(fns: Sequence[MarkedFn]) -> GenSet:
     function with more positive than negative bumps, the rightmost isolated
     bump; with balanced counts, the leftmost.
     """
-    fns, _ = _fast_ordered(fns, "excision")
+    fns, _, _ = _fast_ordered(fns, "excision")
     while True:
         isolated = _isolated_bumps(fns)
         removable = [(fi, bi) for fi, bi in isolated if len(fns[fi].orbitals) >= 2]

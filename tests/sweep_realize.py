@@ -10,7 +10,8 @@ read back from its realized set through `signature_of`.  On the same set,
 must read back as `sig_restrict(s, the others)`, with k the enumeration
 index mod n, so every index is inflated and dropped.  So must the
 functions at the subset whose bitmask is the index mod (2^n - 2), plus 1,
-so every proper nonempty subset is visited (62 at n = 6, 126 at n = 7).
+so every proper nonempty subset is visited (62 at n = 6, 126 at n = 7),
+given in reverse order, so `signature_of` must put them back in order.
 `normalize(s)` must be reduced, its own normal form and of the rank
 rho(s) = xi, and `materialize(xi)` must have the rank xi.  Every function
 that s's build keeps, the unit bump and the wrap tops, must equal its
@@ -60,7 +61,7 @@ def failure(s: Signature, index: int, fns: GenSet, seen: Dict[int, MarkedFn]) ->
     if signature_of([fns[i] for i in kept]) != sig_restrict(s, kept):
         return f"without generator {k} reads back otherwise than sig_restrict"
     kept = [i for i in range(s.n) if mask >> i & 1]
-    if signature_of([fns[i] for i in kept]) != sig_restrict(s, kept):
+    if signature_of([fns[i] for i in reversed(kept)]) != sig_restrict(s, kept):
         return f"at generators {kept} reads back otherwise than sig_restrict"
     xi, form = rho(s), normalize(s)
     if not (is_reduced(form) and normalize(form) == form and rho(form) == xi):

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import random
 import sys
 from fractions import Fraction as F
 
@@ -13,6 +14,7 @@ from sigcalc.signature import (
     enumerate_signatures,
     parse_term,
     sig_restrict,
+    sig_to_json,
 )
 from sigcalc.realization import (
     NotFastError,
@@ -28,6 +30,7 @@ from sigcalc.realization import (
     set_inflate,
     set_rotate,
     signature_of,
+    to_dot,
 )
 from sigcalc.realization.build import UNIT, transport
 from sigcalc.realization.marked import MarkedFn, fn_rotate, is_standard_fn
@@ -35,8 +38,9 @@ from sigcalc import cli
 from sigcalc.realization import build, genset, marked, plmap
 from oracles import (
     _slopes, canonical_bump, checked_copy, classify_pair, fig_bz_set, fig_g_set, fn_shape, frac,
-    genset_to_json_dumps, is_standard_pair, make_bump_fn, midpoint_bump, oscillation,
-    pair_relation, rescale_checked, retrofit_slopes, wrap_general_by_spans, wrap_two_by_spans)
+    genset_to_json_dumps, is_standard_pair, make_bump_fn, midpoint_bump, order_genset,
+    oscillation, pair_relation, rescale_checked, retrofit_slopes, wrap_general_by_spans,
+    wrap_two_by_spans)
 from helpers import frame_onto
 
 one = ONE_SIG
@@ -843,31 +847,26 @@ def test_transport_computes_no_orbitals(monkeypatch):
 
 def test_whole_set_ordered_and_fast_checked_once(monkeypatch, capsys):
     fns = realize(SIG5)
-    sorted_sizes, feet_sizes = [], []
-    order_genset, feet_of = genset.order_genset, genset._feet_of
+    sizes = []
+    fast_ordered = genset._fast_ordered
 
-    def counting_order(fs):
-        sorted_sizes.append(len(fs))
-        return order_genset(fs)
+    def counting(fs, what):
+        sizes.append(len(fs))
+        return fast_ordered(fs, what)
 
-    def counting_feet(fs):
-        feet_sizes.append(len(fs))
-        return feet_of(fs)
-
-    monkeypatch.setattr(genset, "order_genset", counting_order)
-    monkeypatch.setattr(genset, "_feet_of", counting_feet)
+    # the package's `diagram` is the function, so its module is read from sys.modules
+    for module in (genset, sys.modules["sigcalc.realization.diagram"]):
+        monkeypatch.setattr(module, "_fast_ordered", counting)
     # realize checks nothing; verify checks its input, then the set realize
     # builds from its signature; the diagram reads the feet its fastness
-    # check derived
+    # check keyed
     runs = [(lambda: signature_of(fns), 1), (lambda: realize(SIG5), 0),
             (lambda: is_sgen(fns), 1), (lambda: diagram(fns), 1),
             (lambda: cli.main(["verify", genset_to_json(fns)]) == 0, 2)]
     for run, sets in runs:
-        sorted_sizes.clear()
-        feet_sizes.clear()
+        sizes.clear()
         assert run()
-        assert sorted_sizes == [SIG5.n] * sets
-        assert feet_sizes == [SIG5.n] * sets
+        assert sizes == [SIG5.n] * sets
 
 
 def test_standard_walk_builds_no_map(monkeypatch):
@@ -918,10 +917,36 @@ def test_o_cut_one_on_realized(realized_n5):
     images += [set_inflate(fns, m) for fns in small for m in range(len(fns))]
     assert (len(small) + len(realized_n5), len(images)) == (1136, 802)
     for fns in small + realized_n5 + images:
-        fns = genset.order_genset(fns)
+        fns = order_genset(fns)
         counted = [oscillation(f, g) for f, g in itertools.combinations(fns, 2)]
         sig = signature_of(fns)  # built unchecked
         assert list(sig.vals) == counted and sig.violations() == []
+
+
+def test_one_keys_pass_orders_shuffled_sets_as_fractions_do():
+    """Every realized set with n <= 4, values <= 3, its rotation and its
+    inflations, each in a seeded shuffled order: `_fast_ordered` returns the
+    oracle's order, its keys order every foot end as their Fractions do, and
+    the set verbs print the same bytes as on the ordered set, inflating at
+    one seeded index."""
+    rng = random.Random(1)
+    small = [realize(s) for n in range(1, 5) for s in enumerate_signatures(n, 3)]
+    sets = small + [set_rotate(fns) for fns in small]
+    sets += [set_inflate(fns, m) for fns in small for m in range(len(fns))]
+
+    def printed(fns, m):
+        return (sig_to_json(signature_of(fns)), genset_to_json(set_rotate(fns)),
+                m is not None and genset_to_json(set_inflate(fns, m)), to_dot(diagram(fns)))
+
+    for fns in sets:
+        ordered, shuffled = order_genset(fns), rng.sample(fns, len(fns))
+        m = rng.randrange(len(fns)) if fns else None  # one inflation, at a seeded index
+        got, ends, _ = genset._fast_ordered(shuffled, "a shuffled set")
+        assert got == ordered
+        points = sorted(zip(itertools.chain.from_iterable(ends),
+                            [frac(e) for f in got for foot in f.feet for e in foot]))
+        assert all((ka < kb) == (a < b) for (ka, a), (kb, b) in zip(points, points[1:]))
+        assert printed(shuffled, m) == printed(ordered, m)
 
 
 def test_o_conj_bound_on_realized():
