@@ -4,12 +4,13 @@ A generating set is an ordered list of marked functions; the order is by
 maximum transition point, the right end of the last orbital, which for fast
 totally-nested-or-disjoint sets agrees with the relation f < g given by
 f << g (disjoint, f left) or f inside g (closure of extended support
-contained in extended support).  `_fast_ordered` keys the stored feet once,
-for that order, the fastness check, the standardness walk and the diagram.
+contained in extended support).  `_fast_ordered` keys an input's feet once,
+for its order, its fastness check, the standardness walk and the diagram.
 
-`_standard_walk` checks a set and computes its oscillations at once, each
-as a count of rotation steps; `signature_of`, `set_rotate` and
-`set_inflate` all start from it.
+`_standard_walk` checks a set and computes its signature at once, each
+oscillation a count of rotation steps; `signature_of` returns it, and
+`set_rotate` and `set_inflate` place their output in its rotated or inflated
+base order, which is the max-transition order (see their docstrings).
 
 Everything here works on the functions' reduced integer pairs (see
 `marked`): feet and maximum transition points sort on integer keys over one
@@ -24,7 +25,8 @@ import itertools
 from json.encoder import encode_basestring_ascii
 from typing import List, Sequence, Tuple
 
-from ..signature import MAX_PAIR_VALUE, Signature, _JSON, _pair_index, _trusted, quoted, short_int
+from ..signature import (
+    MAX_PAIR_VALUE, Signature, _JSON, _inflated_base, _trusted, decompose, quoted, short_int)
 from .marked import MarkedFn, RealizationError, conjugate, fn_rotate, is_standard_fn, square
 from .plmap import PLMap, _quads, keys
 
@@ -73,15 +75,16 @@ def is_fast(fns: Sequence[MarkedFn]) -> bool:
 _STANDARD_FUEL = MAX_PAIR_VALUE + 1
 
 
-def _standard_walk(fns: Sequence[MarkedFn]) -> Tuple[GenSet, List[int]]:
-    """The ordered set and its oscillations, row-major, when fns is a
-    standard generating set: fast, every function standard, and each pair
-    f < g has f << g, or f inside g with (g rotated, f) again standard;
-    NotSgenError otherwise.  Rotation lowers each oscillation against the
-    top by exactly one (`sig_rotate`: o(new, i) = o(i, n) - 1; arXiv:1711.10998,
-    on the fast sets of arXiv:1701.08321), so o(f, g) is the number of
-    inside steps before f << g.  Rotation keeps a function standard and its
-    feet inside the old ones, so neither is checked down the recursion.
+def _standard_walk(fns: Sequence[MarkedFn]) -> Tuple[GenSet, Signature]:
+    """The ordered set and its signature (see `signature_of`), labelled by
+    names, else indices, when fns is a standard generating set: fast, every
+    function standard, and each pair f < g has f << g, or f inside g with
+    (g rotated, f) again standard; NotSgenError otherwise.  Rotation lowers
+    each oscillation against the top by exactly one (`sig_rotate`: o(new, i)
+    = o(i, n) - 1; arXiv:1711.10998, on the fast sets of arXiv:1701.08321),
+    so o(f, g) is the number of inside steps before f << g.  Rotation keeps a
+    function standard and its feet inside the old ones, so neither is
+    checked down the recursion.
 
     Each orbital is read as (u, s, v), its ends and marker as `_fast_ordered`'s
     keys, shifted left by _STANDARD_FUEL bits, and rotated by `fn_rotate`'s
@@ -110,7 +113,7 @@ def _standard_walk(fns: Sequence[MarkedFn]) -> Tuple[GenSet, List[int]]:
             raise RealizationError(
                 f"a pair oscillates more than signature.MAX_PAIR_VALUE ({MAX_PAIR_VALUE}) times")
         vals.append(steps)
-    return fns, vals
+    return fns, _trusted(len(fns), vals, tuple(f.name or str(i) for i, f in enumerate(fns)))
 
 
 def _named(fns: GenSet, f: MarkedFn) -> str:  # its name cut by `quoted`, else its index
@@ -130,41 +133,38 @@ def is_sgen(fns: Sequence[MarkedFn]) -> bool:
 def signature_of(fns: Sequence[MarkedFn]) -> Signature:
     """The signature of a standard generating set, unchecked: its
     oscillations satisfy (!) by the paper's theorem (arXiv:1711.10998)."""
-    fns, vals = _standard_walk(fns)
-    return _trusted(len(fns), vals, tuple(f.name or str(i) for i, f in enumerate(fns)))
+    return _standard_walk(fns)[1]
 
 
 def set_rotate(fns: Sequence[MarkedFn]) -> GenSet:
-    """Rotate the top element of a standard generating set, or drop it when
-    it oscillates with nothing; the result is fast by the paper's theorem,
-    so `_fast_ordered`, which orders it, does not raise here."""
-    fns, vals = _standard_walk(fns)
-    n = len(fns)
-    if any(vals[_pair_index(n, i, n - 1)] for i in range(n - 1)):
-        return _fast_ordered(fns[:-1] + [fn_rotate(fns[-1])], "a rotated set")[0]
-    return fns[:-1]
+    """Rotate the top g of a standard generating set, or drop it when it
+    oscillates with nothing, as `sig_rotate` does: g^o goes to index k, where
+    the last summand starts.  An element below k does not oscillate with g,
+    so it lies left of g's support, and the walk checked (g^o, f) standard,
+    g^o first, for every later f: that is the max-transition order."""
+    fns, sig = _standard_walk(fns)
+    parts = decompose(sig)
+    if not parts or parts[-1].n == 1:
+        return fns[:-1]
+    k = len(fns) - parts[-1].n
+    return fns[:k] + [fn_rotate(fns[-1])] + fns[k:-1]
 
 
 def set_inflate(fns: Sequence[MarkedFn], index: int) -> GenSet:
     """Replace element a of a standard generating set by a^2 and adjoin b^a
-    for each b below a that oscillates with it (the others have b^a = b);
-    the result is fast by the paper's theorem, so `_fast_ordered`, which
-    orders it, does not raise here."""
-    fns, vals = _standard_walk(fns)
-    n = len(fns)
-    if not (0 <= index < n):
+    for each b below a that oscillates with it (the others have b^a = b), in
+    `sig_inflate`'s base order, the max-transition order: with s_a, t_a the
+    marker and transition point of a's last orbital, fastness gives such a b
+    v_b > s_a, so b^a's maximum transition point a(v_b) lies in (t_a, v_a),
+    above every element below a (at most t_a, by fastness); a^2 keeps v_a,
+    and a is increasing, so the conjugates keep b's order."""
+    fns, sig = _standard_walk(fns)
+    if not (0 <= index < len(fns)):
         raise RealizationError(f"no element at index {short_int(index)}")
-    a = fns[index]
-    aname = a.name or str(index)
-    out: List[MarkedFn] = []
-    for i, b in enumerate(fns):
-        if i == index:
-            out.append(square(a, f"{aname}^2"))
-        else:
-            out.append(b)
-            if i < index and vals[_pair_index(n, i, index)]:
-                out.append(conjugate(b, a.map, f"{b.name or str(i)}^{aname}"))
-    return _fast_ordered(out, "an inflated set")[0]
+    a, names = fns[index], sig.labels
+    return [conjugate(fns[x], a.map, f"{names[x]}^{names[index]}") if x_conj
+            else square(a, f"{names[x]}^2") if x == index else fns[x]
+            for x, x_conj in _inflated_base(sig, index)]
 
 
 # --- JSON codec ---------------------------------------------------------------

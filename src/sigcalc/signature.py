@@ -127,7 +127,7 @@ class Signature:
             raise SignatureError(f"(!) fails at {len(bad)} triples, first {bad[:5]}")
 
     def val(self, i: int, j: int) -> int:
-        """o(i,j), unchecked: `__repr__` and `sig_inflate` ask for i < j < n."""
+        """o(i,j), unchecked: `__repr__`, `sig_inflate`, `_inflated_base` ask i < j < n."""
         return self.vals[_pair_index(self.n, i, j)]
 
     def violations(self) -> List[Tuple[int, int, int]]:
@@ -290,12 +290,20 @@ def sig_rotate(a: Signature) -> Signature:
     return _trusted(a.n, vals, labels)
 
 
+def _inflated_base(a: Signature, m: int) -> List[Tuple[int, bool]]:
+    """The base of a inflated at m, as (old element, is a conjugate) pairs:
+    originals below m, then i^m for each i < m with o(i,m) > 0, in order,
+    then m and above; `sig_inflate` and `genset.set_inflate` both read it."""
+    conj = [(i, True) for i in range(m) if a.val(i, m) > 0]
+    return [(i, False) for i in range(m)] + conj + [(k, False) for k in range(m, a.n)]
+
+
 def sig_inflate(a: Signature, m: int) -> Signature:
     """Symbolic inflation at base element m.
 
-    Adjoins a conjugate i^m for each i < m with o(i,m) > 0.  The new base
-    order is: originals below m, then conjugates in order, then m and above.
-    Pairs of two originals or two conjugates keep their value; across,
+    Adjoins a conjugate i^m for each i < m with o(i,m) > 0, in the order of
+    `_inflated_base`.  Pairs of two originals or two conjugates keep their
+    value; across,
 
         o(i, j^m) = min(o(j,m) - 1, o(i,m))    for an original i < m,
         o(i^m, k) = min(o(i,m), o(m,k))        for k > m, and o(i^m, m) = o(i,m).
@@ -303,10 +311,7 @@ def sig_inflate(a: Signature, m: int) -> Signature:
     if not (0 <= m < a.n):
         raise SignatureError(f"base element {short_int(m)} out of range")
     val = a.val
-    conj = [i for i in range(m) if val(i, m) > 0]
-    # the new base as (old element, is a conjugate) pairs
-    base = [(i, False) for i in range(m)] + [(c, True) for c in conj]
-    base += [(k, False) for k in range(m, a.n)]
+    base = _inflated_base(a, m)
     vals = bytearray()
     for p, (x, x_conj) in enumerate(base):
         for y, y_conj in base[p + 1:]:
@@ -316,18 +321,11 @@ def sig_inflate(a: Signature, m: int) -> Signature:
                 vals.append(min(val(y, m) - 1, val(x, m)))
             else:
                 vals.append(val(x, m) if y == m else min(val(x, m), val(m, y)))
-
-    labels = None
-    src = a.default_labels()
-    if conj:
-        lm = src[m]
-        lm = lm if len(lm) == 1 else f"({lm})"
-        new_labels = [src[i] for i in range(m)]
-        new_labels += [f"{src[c]}^{lm}" for c in conj]
-        new_labels += [src[k] for k in range(m, a.n)]
-        labels = tuple(new_labels)
-    elif a.labels is not None:
-        labels = a.labels
+    labels = a.labels
+    if len(base) > a.n:
+        src = a.default_labels()
+        lm = src[m] if len(src[m]) == 1 else f"({src[m]})"
+        labels = tuple(f"{src[x]}^{lm}" if x_conj else src[x] for x, x_conj in base)
     return _trusted(len(base), vals, labels)
 
 

@@ -78,6 +78,16 @@ MUTANTS = [
     Mutant(GENSET, '"LR"[q // 2 % 2]', '"RL"[q // 2 % 2]',
            ["tests/test_diagram.py::test_diagram_counts_contraction"],
            "each foot keeps its side, which the diagram contracts by"),
+    Mutant(GENSET, "return fns[:k] + [fn_rotate(fns[-1])] + fns[k:-1]",
+           "return [fn_rotate(fns[-1])] + fns[:-1]",
+           [f"{REALIZATION}::test_one_bump_rotation_of_a_bump_moving_points_near_0",
+            f"{REALIZATION}::test_o_cut_one_on_realized"],
+           "a rotated top goes where the top's summand starts"),
+    Mutant(GENSET, "for x, x_conj in _inflated_base(sig, index)]",
+           "for x, x_conj in sorted(_inflated_base(sig, index),\n"
+           "                                    key=lambda p: (index if p[1] else p[0], p[1]))]",
+           [f"{REALIZATION}::test_o_cut_one_on_realized"],
+           "an inflation's conjugates go before its square"),
 ]
 
 

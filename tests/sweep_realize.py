@@ -5,10 +5,11 @@
 Every signature s with n = 6 and values <= 3 (7,084) and with n = 7 and
 values <= 2 (7,752), enumerated by `oracles.signatures_by_columns`, must
 read back from its realized set through `signature_of`.  On the same set,
-`set_rotate` must give `sig_rotate(s)`, `set_inflate` at k must give
-`sig_inflate(s, k)`, and the functions left when generator k is dropped
-must read back as `sig_restrict(s, the others)`, with k the enumeration
-index mod n, so every index is inflated and dropped.  So must the
+`set_rotate` must give `sig_rotate(s)` and `set_inflate` at k must give
+`sig_inflate(s, k)`, each already in max-transition order (as
+`genset._fast_ordered` sorts it), and the functions left when generator k
+is dropped must read back as `sig_restrict(s, the others)`, with k the
+enumeration index mod n, so every index is inflated and dropped.  So must the
 functions at the subset whose bitmask is the index mod (2^n - 2), plus 1,
 so every proper nonempty subset is visited (62 at n = 6, 126 at n = 7),
 given in reverse order, so `signature_of` must put them back in order.
@@ -29,7 +30,7 @@ from typing import Dict, Optional
 from sigcalc.normalizer import is_reduced, materialize, normalize, rho
 from sigcalc.realization import (
     build, genset_to_json, realize, set_inflate, set_rotate, signature_of)
-from sigcalc.realization.genset import GenSet
+from sigcalc.realization.genset import GenSet, _fast_ordered
 from sigcalc.realization.marked import MarkedFn
 from sigcalc.signature import Signature, sig_inflate, sig_restrict, sig_rotate
 from oracles import checked_copy, fn_shape, signatures_by_columns
@@ -53,10 +54,14 @@ def failure(s: Signature, index: int, fns: GenSet, seen: Dict[int, MarkedFn]) ->
             seen[id(f)] = f  # held, so that no other function takes its id
             if fn_shape(f) != fn_shape(checked_copy(f)):
                 return f"builds {f!r}, which the checked constructors rebuild otherwise"
-    if signature_of(set_rotate(fns)) != sig_rotate(s):
+    rotated, inflated = set_rotate(fns), set_inflate(fns, k)
+    if signature_of(rotated) != sig_rotate(s):
         return "rotates to a set of another signature than sig_rotate's"
-    if signature_of(set_inflate(fns, k)) != sig_inflate(s, k):
+    if signature_of(inflated) != sig_inflate(s, k):
         return f"inflates at {k} to a set of another signature than sig_inflate's"
+    for out, verb in ((rotated, "rotates"), (inflated, f"inflates at {k}")):
+        if list(map(id, _fast_ordered(out, "a sweep's set")[0])) != list(map(id, out)):
+            return f"{verb} to a set out of max-transition order"
     kept = [i for i in range(s.n) if i != k]
     if signature_of([fns[i] for i in kept]) != sig_restrict(s, kept):
         return f"without generator {k} reads back otherwise than sig_restrict"

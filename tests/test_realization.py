@@ -757,6 +757,20 @@ def test_one_bump_rotation_of_a_bump_moving_points_near_0():
     want = midpoint_bump(0, F(1, 4), "g^o")
     assert fn_shape(rotated) == fn_shape(want) == fn_shape(checked_copy(rotated))
     assert rotated.map._bp[:8] == (0, 1, 0, 1, 1, 8, 3, 16)
+    # the same pair carried onto (1/2, 1), after a bump h on (1/8, 1/4): the
+    # top's summand starts at index 1, where its rotation lands
+    h = {"breakpoints": [["0", "0"], ["1/8", "1/8"], ["3/16", "7/32"], ["1/4", "1/4"],
+                         ["1", "1"]], "markers": ["3/16"], "name": "h"}
+    g["breakpoints"] = [["0", "0"], ["1/2", "1/2"], ["5/8", "23/32"], ["3/4", "3/4"], ["1", "1"]]
+    g["markers"] = ["5/8"]
+    f["breakpoints"] = [["0", "0"], ["21/32", "21/32"], ["85/128", "87/128"],
+                        ["11/16", "11/16"], ["1", "1"]]
+    f["markers"] = ["85/128"]
+    fns = genset_from_json(json.dumps([g, f, h]))
+    assert signature_of(fns) == Signature(3, (0, 0, 1))
+    low, rotated, inner = set_rotate(fns)
+    assert (low, inner) == (fns[2], fns[1])
+    assert fn_shape(rotated) == fn_shape(midpoint_bump(F(1, 2), F(5, 8), "g^o"))
 
 
 def test_bump_builds_match_the_checked_references(monkeypatch):
@@ -859,9 +873,10 @@ def test_whole_set_ordered_and_fast_checked_once(monkeypatch, capsys):
         monkeypatch.setattr(module, "_fast_ordered", counting)
     # realize checks nothing; verify checks its input, then the set realize
     # builds from its signature; the diagram reads the feet its fastness
-    # check keyed
+    # check keyed; rotation and inflation order their input, not their output
     runs = [(lambda: signature_of(fns), 1), (lambda: realize(SIG5), 0),
             (lambda: is_sgen(fns), 1), (lambda: diagram(fns), 1),
+            (lambda: set_rotate(fns), 1), (lambda: set_inflate(fns, 2), 1),
             (lambda: cli.main(["verify", genset_to_json(fns)]) == 0, 2)]
     for run, sets in runs:
         sizes.clear()
@@ -885,8 +900,8 @@ def test_standard_walk_builds_no_map(monkeypatch):
     monkeypatch.setattr(PLMap, "_make", classmethod(counting_make))
     for module in (marked, genset):
         monkeypatch.setattr(module, "fn_rotate", counting_rotate)
-    _, vals = genset._standard_walk(fns)
-    assert max(vals) >= 2  # some pair takes two rotation steps
+    _, sig = genset._standard_walk(fns)
+    assert max(sig.vals) >= 2  # some pair takes two rotation steps
     with pytest.raises(NotSgenError):  # h inside f, but not inside f rotated
         genset._standard_walk(fig_g)
     assert (made, rotated) == ([], [])
@@ -916,6 +931,8 @@ def test_o_cut_one_on_realized(realized_n5):
     images = [set_rotate(fns) for fns in small]
     images += [set_inflate(fns, m) for fns in small for m in range(len(fns))]
     assert (len(small) + len(realized_n5), len(images)) == (1136, 802)
+    for out in images:  # placed in the oracle's order, not sorted into it
+        assert list(map(id, order_genset(out))) == list(map(id, out))
     for fns in small + realized_n5 + images:
         fns = order_genset(fns)
         counted = [oscillation(f, g) for f, g in itertools.combinations(fns, 2)]
