@@ -15,13 +15,12 @@ orbitals.
 A build is two tuples: its functions, and one flat tuple of integers holding
 each function's frame (a, b, c), the affine map x -> (a + b x) / c, in turn.
 Sub-builds are placed by composing frames, not copied, so builds share the
-unit bump and the wrap tops.  `transport` carries a function by its frame
-only when `realize` hands it out, or when the general wrap copies the
-rotated top's breakpoints.  The unit bump and the single-bump top are built
-by `marked._bump`, the other tops and the carried copies unchecked
-(`PLMap._make`, `MarkedFn._trusted`) with the orbitals they construct, and
-no slopes: the general top's, which `_minimal` computes to drop collinear
-points, are derived again only if the top is ever composed;
+unit bump and the wrap tops.  `transport` carries a function's breakpoints
+and markers by its frame only when `realize` hands it out, or when the
+general wrap copies the rotated top's breakpoints.  The unit bump and the
+single-bump top are built by `marked._bump`, the other tops and the carried
+copies unchecked (`PLMap._make`, `MarkedFn._trusted`), each top with the
+orbitals it constructs and no slopes, derived only if it is ever composed;
 `test_placed_functions_match_checked_constructor` and the realize sweep
 compare every top that builds keep with the checked constructors' rebuild.
 New feet avoid the placed functions' feet: each wrap reads their ends once
@@ -30,13 +29,14 @@ New feet avoid the placed functions' feet: each wrap reads their ends once
 
 from __future__ import annotations
 
+from itertools import chain
 from math import gcd
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..signature import MAX_BASE, Signature, decompose, sig_rotate
 from .genset import GenSet
 from .marked import MarkedFn, RealizationError, _bump
-from .plmap import Pair, PLMap, _minimal, _quads, _reduced, keys
+from .plmap import Pair, PLMap, _quads, _reduced, keys
 
 Frame = Tuple[int, int, int]  # (a, b, c): x -> (a + b x) / c, onto (a/c, (a+b)/c) in (0,1)
 UNIT: Frame = (0, 1, 1)
@@ -102,9 +102,8 @@ def transport(f: MarkedFn, frame: Frame, name: Optional[str] = None) -> MarkedFn
         bp[-4:] = (1, 1, 1, 1)
     else:
         bp += (1, 1, 1, 1)
-    orbs = tuple((place(frame, u), place(frame, v), sign) for u, v, sign in f.orbitals)
     markers = tuple(place(frame, s) for s in f.markers)
-    return MarkedFn._trusted(PLMap._make(tuple(bp), None, orbs), markers, name)
+    return MarkedFn._trusted(PLMap._make(tuple(bp)), markers, name)
 
 
 def _triples(frames: Tuple[int, ...]) -> Iterator[Frame]:
@@ -162,7 +161,7 @@ def _build(sig: Signature, level: int = 0) -> Tuple[Build, int]:
         frames = tuple(_then_all(frames[3:], MIDDLE))
         others = zip(fns[1:], _triples(frames))
         if maxrow > 2:
-            top = _wrap_general(transport(fns[0], frame), others)
+            top = _wrap_general(fns[0], frame, others)
         else:
             # The rotated top is UNIT_BUMP.  Its values are o(i, top) - 1 <= 1, and
             # an element with 0 against each earlier one and at most 1 against each
@@ -214,25 +213,29 @@ def _wrap_two(u: Pair, v: Pair, others: Placed) -> MarkedFn:
     return MarkedFn._trusted(PLMap._make(bp, None, ((L0, c, -1), (c, R0, 1))), (A_NEG, sa))
 
 
-def _wrap_general(t: MarkedFn, others: Placed) -> MarkedFn:
+def _wrap_general(f: MarkedFn, frame: Frame, others: Placed) -> MarkedFn:
     """New negative orbital left of, and positive orbital right of, the
-    rotated top's orbitals; the middle reuses the rotated top's breakpoints
-    from (u_t, u_t) to (v_t, v_t), as a built function is the identity outside
-    its support.  The rotated top is standard, as realized functions are.
-    Each wall is the nearest retained foot end outside (u_t, v_t), read in
-    one pass, as no foot of the fast rotated build holds u_t or v_t; or M1 or
-    M2, as every build's supports lie in [L0, R0], so in (M1, M2) after MIDDLE.
+    orbitals of t, the rotated top f carried by the frame, which places f's
+    orbitals too, so no map is walked; the middle reuses t's breakpoints from
+    (u_t, u_t) to (v_t, v_t), as a built function is the identity outside its
+    support.  The rotated top is standard, as realized functions are.  Each
+    wall is the nearest retained foot end outside (u_t, v_t), read in one
+    pass, as no foot of the fast rotated build holds u_t or v_t; or M1 or M2,
+    as every build's supports lie in [L0, R0], so in (M1, M2) after MIDDLE.
 
-    Only the junction at u_t can be collinear, which `_minimal` drops.
-    (0,0) -> L0 has slope 1 and L0 -> (b_neg, A_NEG) below 1/2, as b_neg >
-    M1; likewise at R0.  (b_neg, A_NEG) -> (u_t, u_t) has slope above 1, and
-    the top leaves u_t with slope below 1 unless its first orbital is
-    positive.  The top reaches v_t with slope below 1, as its last orbital is
-    positive, and leaves for (a_pos, B_POS) with slope above 1, as a_pos <
-    M2.  A standard top with a positive first orbital has no negative one,
-    so it is one positive bump; no realized one has been seen collinear, and
-    `test_general_wrap_drops_a_collinear_junction` builds two that are."""
-    u_t, v_t = t.orbitals[0][0], t.orbitals[-1][1]
+    Only the junction at u_t can be collinear: (u_t, u_t) goes when the
+    slopes into and out of it agree.  (0,0) -> L0 has slope 1 and L0 ->
+    (b_neg, A_NEG) below 1/2, as b_neg > M1; likewise at R0.  (b_neg, A_NEG)
+    -> (u_t, u_t) has slope above 1, and t leaves u_t with slope below 1
+    unless its first orbital is positive.  t reaches v_t with slope below 1,
+    as its last orbital is positive, and leaves for (a_pos, B_POS) with slope
+    above 1, as a_pos < M2.  A standard top with a positive first orbital has
+    no negative one, so it is one positive bump; no realized one has been
+    seen collinear, and `test_general_wrap_drops_a_collinear_junction`
+    builds two that are."""
+    t = transport(f, frame)
+    orbs = tuple((place(frame, u), place(frame, v), sign) for u, v, sign in f.orbitals)
+    u_t, v_t = orbs[0][0], orbs[-1][1]
     (un, ud), (vn, vd) = u_t, v_t
     lo, hi = M1, M2  # the nearest foot ends left of u_t and right of v_t
     for n, d in _ends(others):
@@ -240,11 +243,15 @@ def _wrap_general(t: MarkedFn, others: Placed) -> MarkedFn:
             lo = n, d
         elif vn * d < n * vd and n * hi[1] < hi[0] * d:
             hi = n, d
-    b_neg = _reduced(lo[0] * ud + un * lo[1], 2 * lo[1] * ud)
+    b_neg = bn, bd = _reduced(lo[0] * ud + un * lo[1], 2 * lo[1] * ud)
     a_pos = _reduced(vn * hi[1] + hi[0] * vd, 2 * vd * hi[1])
-    quads = [(0, 1, 0, 1), L0 + L0, b_neg + A_NEG]
-    quads += _quads(t.map._bp)[1:-1]
-    quads += [a_pos + B_POS, R0 + R0, (1, 1, 1, 1)]
-    orbs = ((L0, u_t, -1), *t.orbitals, (v_t, R0, 1))
-    bp, _ = _minimal(quads)  # slopes are derived again if the top is ever composed
+    middle = _quads(t.map._bp)[1:-1]  # (u_t, u_t), ..., (v_t, v_t)
+    (an, ad), (xn, xd, yn, yd) = A_NEG, middle[1]
+    # (u - A_NEG) / (u - b_neg) against (y - u) / (x - u), each side positive
+    if ((un * ad - an * ud) * bd * (xn * ud - un * xd) * yd
+            == (yn * ud - un * yd) * xd * (un * bd - bn * ud) * ad):
+        del middle[0]
+    bp = (0, 1, 0, 1, *L0, *L0, *b_neg, *A_NEG, *chain.from_iterable(middle),
+          *a_pos, *B_POS, *R0, *R0, 1, 1, 1, 1)
+    orbs = ((L0, u_t, -1), *orbs, (v_t, R0, 1))
     return MarkedFn._trusted(PLMap._make(bp, None, orbs), (A_NEG, *t.markers, a_pos))

@@ -22,10 +22,11 @@ copies and wrap tops of `build`.  `fn_rotate` and `_bump` build their maps
 with the unchecked `PLMap._make`, handing it the orbitals they know, as
 restriction and ordered pairs keep breakpoints increasing; tests compare
 each with the checked constructors, and `_bump` also with the checked
-bumps of `tests/oracles.py`.  `orbitals` is the map's own tuple,
-computed at most once per map.  `feet`, one (u, s, t, v) per orbital, is
-derived from the stored orbitals and markers once, on first read: the one
-place a transition point is read off a map.  The rotation rule lives in
+bumps of `tests/oracles.py`.  `orbitals` is the map's own tuple: the one
+its maker handed `_make`, else derived from the map on first read, as
+`build.transport`'s copies do.  `feet`, one (u, s, t, v) per orbital, is
+derived from the orbitals and markers once, on first read: the one place
+a transition point is read off a map.  The rotation rule lives in
 `fn_rotate`, which `genset._standard_walk` follows on integer keys.
 """
 
@@ -43,13 +44,13 @@ class RealizationError(ValueError):
 class MarkedFn:
     """A nonidentity PL bijection with a chosen marker in each orbital."""
 
-    __slots__ = ("map", "markers", "name", "orbitals", "_feet")
+    __slots__ = ("map", "markers", "name", "_feet")
 
     def __init__(self, plmap: PLMap, markers: Sequence, name: Optional[str] = None):
         self.map, self.name = plmap, name
         self.markers = tuple(sorted(map(ratio, markers), key=by_value))
         self._feet = None
-        self.orbitals = orbs = plmap._orbitals()
+        orbs = plmap._orbitals()
         if not orbs:
             raise RealizationError("identity maps cannot be marked")
         if len(orbs) != len(self.markers):
@@ -65,9 +66,14 @@ class MarkedFn:
         """A function transported from a valid one: `markers` is a sorted
         tuple with one inside each of plmap's orbitals.  Nothing is checked."""
         f = object.__new__(cls)
-        f.map, f.markers, f.orbitals, f.name = plmap, markers, plmap._orbitals(), name
-        f._feet = None
+        f.map, f.markers, f.name, f._feet = plmap, markers, name, None
         return f
+
+    @property
+    def orbitals(self) -> Tuple[Tuple[Pair, Pair, int], ...]:
+        """The map's orbitals, (u, v, sign) per orbital: those its maker
+        handed `PLMap._make`, else derived from the map on first read."""
+        return self.map._orbitals()
 
     @property
     def feet(self) -> Tuple[Tuple[Pair, Pair, Pair, Pair], ...]:

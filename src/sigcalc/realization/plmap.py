@@ -16,10 +16,10 @@ API hands out: `points` (built anew on each read), `__call__` and
 `ratio`, sorts the points only when they do not already strictly increase
 in x, checks that they run from (0,0) to (1,1), and in one pass drops
 collinear points and checks that every slope is p/q with p > 0 and q > 0,
-which holds exactly when both coordinates strictly increase; that pass,
-`_minimal`, also serves `build`'s general wrap.  `ratio` checks a string by
-hand against the grammar that the regular expression `_RATIO` in
-`tests/oracles.py` states, before it builds any integer.  Every other map
+which holds exactly when both coordinates strictly increase (`_minimal`).
+`ratio` checks a string by hand against the grammar that the regular
+expression `_RATIO` in `tests/oracles.py` states, before it builds any
+integer.  Every other map
 is built by the unchecked `PLMap._make`: `identity`; `inverse`, since
 swapping the coordinates of an increasing map keeps it increasing; the
 restrictions of `marked` and its one-bump builder `_bump`; the affine

@@ -37,6 +37,7 @@ class Mutant(NamedTuple):
 CLI, WORDS, SIGNATURE = "src/sigcalc/cli.py", "src/sigcalc/realization/words.py", "src/sigcalc/signature.py"
 BUILD, GENSET = "src/sigcalc/realization/build.py", "src/sigcalc/realization/genset.py"
 REALIZATION, TEST_CLI = "tests/test_realization.py", "tests/test_cli.py"
+VIOLATIONS_CHECK = "tests/test_signature.py::test_violations_row_compare_matches_pairwise"
 WALK_CHECKS = [f"{REALIZATION}::test_walk_agrees_with_recursive_definition",
                f"{REALIZATION}::test_is_sgen_exactly_when_signature_of_succeeds"]
 
@@ -71,6 +72,21 @@ MUTANTS = [
     Mutant(BUILD, "_wrap_two(u, v, others)", "_wrap_two(u, place(frame, (5, 8)), others)",
            [f"{REALIZATION}::test_build_transports_only_the_general_wraps_rotated_top"],
            "the two-orbital wrap is handed the unit bump's placed support"),
+    Mutant(BUILD, "            == (yn * ud - un * yd) * xd * (un * bd - bn * ud) * ad):",
+           "            != (yn * ud - un * yd) * xd * (un * bd - bn * ud) * ad):",
+           [f"{REALIZATION}::test_general_wrap_drops_a_collinear_junction"],
+           "the general wrap drops (u_t, u_t) only when the slopes into and out of it agree"),
+    Mutant(BUILD, "        del middle[0]", "        del middle[-1]",
+           [f"{REALIZATION}::test_general_wrap_drops_a_collinear_junction"],
+           "the collinear junction dropped is the one at u_t, not the one at v_t"),
+    Mutant(SIGNATURE, "clamps = {r: _IDENTITY[:r].ljust(256, _IDENTITY[r:r + 1])",
+           "clamps = {r: _IDENTITY[:r + 2].ljust(256, _IDENTITY[r + 1:r + 2] or b\"\\xff\")",
+           [VIOLATIONS_CHECK],
+           "a row pair passes whole only when o(i,k) is o(j,k) clamped at o(i,j), not o(i,j) + 1"),
+    Mutant(SIGNATURE, "                    r1 = r + 1\n",
+           "                    out += [(i, j, k) for k in range(j + 1, self.n)]\n                    continue\n",
+           [VIOLATIONS_CHECK],
+           "a row pair that fails the clamped compare is tested triple by triple: some p = r+1 pass"),
     Mutant(GENSET, "key=lambda fi: ends[fi][-1])", "key=lambda fi: ends[fi][0])", WALK_CHECKS,
            "a set is ordered by the right end of each function's last orbital"),
     Mutant(GENSET, "if any(lo2 < hi1 for", "if any(lo2 <= hi1 for", WALK_CHECKS,

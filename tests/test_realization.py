@@ -390,8 +390,10 @@ def test_verify_checks_the_round_trip_against_the_input(monkeypatch, capsys):
 
 
 def test_realize_computes_orbitals_once_per_function(monkeypatch):
-    # every function the build makes, wrap top or transport, is handed its
-    # orbitals, so none is walked, and no checked constructor is called
+    # a cold realize walks no map and calls no checked constructor: each wrap
+    # top is handed its orbitals, and the outputs carried by a frame other
+    # than the unit one are handed none; a later signature_of walks each of
+    # their maps once, when it first reads the function's feet
     made, walked, checked = [], [], []
     trusted, orbitals, init = MarkedFn._trusted.__func__, PLMap._orbitals, MarkedFn.__init__
 
@@ -412,9 +414,16 @@ def test_realize_computes_orbitals_once_per_function(monkeypatch):
     monkeypatch.setattr(PLMap, "_orbitals", counting_orbitals)
     monkeypatch.setattr(MarkedFn, "__init__", counting_init)
     _fresh_build_cache(monkeypatch)
-    assert signature_of(realize(SIG5)) == SIG5
+    fns = realize(SIG5)
     assert len(made) > 2 * SIG5.n  # the wrap tops, the rotated tops moved, the outputs
     assert walked == [] and checked == []
+    kept = {id(g.map) for g in build._build(SIG5)[0][0]}
+    moved = [f.map for f in fns if id(f.map) not in kept]
+    assert len(moved) == SIG5.n - 1 and all(m._orbs is None for m in moved)
+    assert signature_of(fns) == SIG5
+    assert sorted(map(id, walked)) == sorted(map(id, moved))
+    signature_of(fns)
+    assert len(walked) == len(moved) and checked == []
 
 
 def test_a_second_realize_derives_no_bump(monkeypatch):
@@ -470,10 +479,11 @@ def test_build_transports_only_the_general_wraps_rotated_top(monkeypatch):
     # single and two-orbital wraps read the unit bump's placed support only:
     # each is handed (u, v), the rotated top's support (1/4, 3/4) carried by
     # that level's frame; the general wrap copies the rotated top's
-    # breakpoints, so only it is handed the rotated top transported
+    # breakpoints, so only it transports the rotated top, by the frame it is
+    # handed with it
     _fresh_build_cache(monkeypatch)
     moved, handed = [], {"_bump": [], "_wrap_two": [], "_wrap_general": []}
-    monkeypatch.setattr(build, "transport", lambda *a: moved.append(transport(*a)) or moved[-1])
+    monkeypatch.setattr(build, "transport", lambda *a: moved.append(a) or transport(*a))
 
     def placed_support():  # the rotated top's, read off the wrapping level of `_build`
         level = sys._getframe(2).f_locals
@@ -483,7 +493,7 @@ def test_build_transports_only_the_general_wraps_rotated_top(monkeypatch):
     def recording(name, wrap, log):
         def call(first, *rest):
             if name == "_wrap_general":
-                log.append(first)
+                log.append((first, rest[0]))
             else:  # _bump(u, R0, v, B_POS) and _wrap_two(u, v, others)
                 log.append(((first, rest[1] if name == "_bump" else rest[0]), placed_support()))
             return wrap(first, *rest)
@@ -493,7 +503,8 @@ def test_build_transports_only_the_general_wraps_rotated_top(monkeypatch):
         monkeypatch.setattr(build, name, recording(name, getattr(build, name), log))
     build._build(SIG5)
     assert all(handed.values())
-    assert [id(t) for t in handed["_wrap_general"]] == [id(t) for t in moved]
+    assert [(id(f), frame) for f, frame in handed["_wrap_general"]] == [
+        (id(f), frame) for f, frame in moved]
     for got, want in handed["_bump"] + handed["_wrap_two"]:
         assert got == want
     for f in realize(SIG5):
@@ -507,7 +518,7 @@ def test_general_wrap_drops_a_collinear_junction():
     # its left end (3/8, 3/8) is not a breakpoint of the top
     t = MarkedFn(PLMap([(0, 0), (F(3, 8), F(3, 8)), (F(25, 64), F(65, 128)),
                         (F(5, 8), F(5, 8)), (1, 1)]), [F(25, 64)])
-    top = build._wrap_general(t, [])
+    top = build._wrap_general(t, UNIT, [])
     assert (F(3, 8), F(3, 8)) not in top.map.points
     assert [o[:2] for o in top.orbitals] == [
         ((1, 16), (3, 8)), ((3, 8), (5, 8)), ((5, 8), (15, 16))]
@@ -515,7 +526,7 @@ def test_general_wrap_drops_a_collinear_junction():
     # the same junction from a one-bump top as `marked._bump` builds it: the
     # bump on (1/2, 13/20) through (27/50, 129/200) leaves 1/2 with slope
     # 29/8, as (b, 19/96) reaches it for b = (1/3 + 1/2) / 2
-    top = build._wrap_general(marked._bump((1, 2), (13, 20), (27, 50), (129, 200)), [])
+    top = build._wrap_general(marked._bump((1, 2), (13, 20), (27, 50), (129, 200)), UNIT, [])
     assert (F(1, 2), F(1, 2)) not in top.map.points
     assert [o[:2] for o in top.orbitals] == [
         ((1, 16), (1, 2)), ((1, 2), (13, 20)), ((13, 20), (15, 16))]
@@ -528,8 +539,8 @@ def test_a_general_wrap_can_be_collinear_only_at_a_one_bump_tops_left_end(monkey
     # docstring bounds: only the junction at u_t can be collinear, and only
     # when the top is one positive bump
     wraps, wrap = [], build._wrap_general
-    monkeypatch.setattr(build, "_wrap_general",
-                        lambda t, others: wraps.append((t, wrap(t, others))) or wraps[-1][1])
+    monkeypatch.setattr(build, "_wrap_general", lambda f, frame, others: wraps.append(
+        (transport(f, frame), wrap(f, frame, others))) or wraps[-1][1])
     _fresh_build_cache(monkeypatch)
     for s in [s for n in range(5) for s in enumerate_signatures(n, 4)] + enumerate_signatures(5, 3):
         build._build(s)
@@ -571,7 +582,10 @@ def test_the_wraps_read_the_retained_feet_as_the_merged_spans_do(monkeypatch):
         def call(*args):
             *points, others = args
             others = list(others)
-            top, want = wrap(*points, iter(others)), oracle(*points, others)
+            top = wrap(*points, iter(others))
+            if name == "_wrap_general":  # the rotated top, and its frame
+                points = [transport(*points)]
+            want = oracle(*points, others)
             assert (top.map._bp, top.orbitals, top.markers) == (
                 want.map._bp, want.orbitals, want.markers)
             if name == "_wrap_general":
@@ -622,17 +636,11 @@ def test_build_memo_keeps_two_flat_tuples(monkeypatch):
     # and values <= 4: each entry, under its signature's pair values, is
     # ((functions, frames), depth) with one integer triple of frame per
     # function, and neither base of n <= 1 (both b"") is kept; a general
-    # wrap's top has no slopes until it is composed, then `_minimal`'s
+    # wrap's top has minimal breakpoints, and no slopes until it is composed,
+    # then the ones `_minimal` gives with them
     _fresh_build_cache(monkeypatch)
-    tops, slopes = [], {}  # slopes: breakpoints -> the slopes `_minimal` gave with them
-    wrap, minimal = build._wrap_general, build._minimal
-
-    def recording_minimal(quads):
-        bp, slopes[bp] = minimal(quads)
-        return bp, slopes[bp]
-
+    tops, wrap = [], build._wrap_general
     monkeypatch.setattr(build, "_wrap_general", lambda *a: tops.append(wrap(*a)) or tops[-1])
-    monkeypatch.setattr(build, "_minimal", recording_minimal)
     sigs = [parse_term("*".join(["1"] * 64))] + [s for n in range(5) for s in enumerate_signatures(n, 4)]
     for s in sigs:
         assert signature_of(realize(s)) == s
@@ -643,8 +651,9 @@ def test_build_memo_keeps_two_flat_tuples(monkeypatch):
         assert len(frames) == 3 * len(fns) and all(type(x) is int for x in frames)
     assert len(tops) > 100 and all(top.map.slopes is None for top in tops)
     for top in tops:
+        bp, slopes = plmap._minimal(plmap._quads(top.map._bp))
         top.map.then(top.map)
-        assert top.map._known_slopes() == slopes[top.map._bp]
+        assert bp == top.map._bp and top.map._known_slopes() == slopes
 
 
 def test_each_rotation_level_reads_its_largest_top_value_off_the_rotation(monkeypatch):
@@ -834,7 +843,9 @@ def test_diagram_unchanged_by_transport_and_renaming(realized_n5):
 
 
 def test_transport_computes_no_orbitals(monkeypatch):
+    # nor places any: a carried copy's orbitals are derived on first read
     fns = realize(SIG5)
+    chains = [_rotation_chain(f) for f in fns]  # reads each output's orbitals
     calls = []
     orbitals, canonical = PLMap._orbitals, plmap._canonical
 
@@ -849,11 +860,11 @@ def test_transport_computes_no_orbitals(monkeypatch):
 
     monkeypatch.setattr(PLMap, "_orbitals", counting_orbitals)
     monkeypatch.setattr(plmap, "_canonical", counting_canonical)
-    for f in fns:
+    for f, chain in zip(fns, chains):
         transport(f, UNIT, "x")
-        for g in _rotation_chain(f):
+        for g in chain:
             for lo, hi in INTERVALS:
-                transport(g, frame_onto(lo, hi))
+                assert transport(g, frame_onto(lo, hi)).map._orbs is None
     assert calls == []
     checked_copy(fns[0])  # the checked path is still counted
     assert calls == ["canonical", "orbitals"]
