@@ -26,15 +26,12 @@ o(i,i+1), ..., o(i,n-1), is one contiguous slice.  `_rows(a)` returns these
 n slices (the last one empty), and the operations that move whole blocks of
 a matrix (`sig_sum`, `decompose`, `sig_restrict`, `sig_rotate`) and
 `violations` read and build their values row by row from it; in a row,
-o(i,j) is at position j-i-1 and the top column o(i,n-1) is `row[-1]`.
-`violations` passes a row pair (i, j) whole with one `bytes.translate`
-compare, o(i,k) against o(j,k) clamped at o(i,j), and tests triple by
-triple only a pair that fails it.  By (!), a zero row is a zero block, so
-`decompose` splits after each all-zero row.  `sig_inflate` builds its
-values in one pass over the new base, `enumerate_signatures` grows
-signatures kept as rows by one column at a time, `sig_to_json` fills a
-text kept per base size, and `sig_exp` and `sig_shift_down` are one
-`bytes.translate` each.
+o(i,j) is at position j-i-1 and the top column o(i,n-1) is `row[-1]`.  By
+(!), a zero row is a zero block, so `decompose` splits after each all-zero
+row.  `sig_inflate` builds its values in one pass over the new base,
+`enumerate_signatures` grows signatures kept as rows by one column at a
+time, `sig_to_json` fills a text kept per base size, and `sig_exp` and
+`sig_shift_down` are one `bytes.translate` each.
 
 So every value lies in 0..255.  `Signature(...)` refuses one outside, and
 `_trusted` builds with `bytes(vals)`, which refuses one too; only a
@@ -133,23 +130,16 @@ class Signature:
         return self.vals[_pair_index(self.n, i, j)]
 
     def violations(self) -> List[Tuple[int, int, int]]:
-        """All triples i < j < k that fail (!), in lexicographic order.
-        With r = o(i,j), p = o(j,k) and q = o(i,k), r = p ! q holds iff
-        p = q <= r+1, q = r < p, or p = r+1 < q: q = min(p, r) does, and is
-        the only q that does unless p = r+1.  So a row pair (i, j) whose
-        o(i,k) equal its o(j,k) clamped at r fails at no k, and only a row
-        pair that fails this compare is tested triple by triple."""
+        """All triples i < j < k that fail (!), in lexicographic order."""
         out = []
         rows = _rows(self)
-        # clamps[r] maps p to min(p, r), for each value r
-        clamps = {r: _IDENTITY[:r].ljust(256, _IDENTITY[r:r + 1]) for r in set(self.vals)}
         for i, row_i in enumerate(rows):
             for j, r in enumerate(row_i, i + 1):
-                ps, qs = rows[j], row_i[j - i:]
-                if ps.translate(clamps[r]) != qs:
-                    r1 = r + 1
-                    out += [(i, j, k) for k, p, q in zip(itertools.count(j + 1), ps, qs)
-                            if (p > r1 if p == q else not (q == r < p or r1 == p < q))]
+                # r = o(i,j) against p = o(j,k), q = o(i,k) for k = j+1, ..., n-1:
+                # r = p ! q holds iff p = q <= r+1, q = r < p, or p = r+1 < q
+                r1, ps, qs = r + 1, rows[j], row_i[j - i:]
+                out += [(i, j, k) for k, p, q in zip(itertools.count(j + 1), ps, qs)
+                        if (p > r1 if p == q else not (q == r < p or r1 == p < q))]
         return out
 
     def __eq__(self, other):
@@ -203,7 +193,6 @@ ONE_SIG = Signature(1, ())
 # the one value that would wrap (255 and 0)
 _PLUS_ONE = bytes(range(1, 256)) + b"\0"
 _MINUS_ONE = b"\xff" + bytes(range(255))
-_IDENTITY = bytes(range(256))  # cut and padded into `violations`' tables
 
 
 def sig_sum(*parts: Signature) -> Signature:
@@ -353,13 +342,12 @@ def sig_inflate(a: Signature, m: int) -> Signature:
 # lowest common node of leaves i and j, plus 1 if that node is a '*'.
 
 # Largest base, a term's '1' leaves or a JSON matrix's "n": the (!) check of a
-# JSON matrix is one `bytes.translate` compare of up to n values per pair, so
-# n^3 byte steps (`Signature(...)` on the chain 1*1*...*1: 0.01 s at 256 and
-# 0.05 s at 512; `rho` on the 256-leaf chain as JSON: 0.04 s to read it, the
-# whole CLI call 0.11-0.14 s).  As a term the 256-leaf chain reads in 1.2 ms, `rho`
-# ranks it in under 1 ms (the whole CLI call 0.07 s, most of it interpreter
-# start-up) and `realize` builds its set, 510 levels deep, in 0.08 s (the CLI
-# call 0.15 s), under CPython 3.11 on one x86-64 core.
+# JSON matrix is n^3 work (`Signature(...)` on the chain 1*1*...*1: 0.11 s at
+# 256, 0.97 s at 512; `rho` on the 256-leaf chain as JSON: 0.15 s to read it,
+# the whole CLI call 0.22 s).  As a term the 256-leaf chain reads in 1.4 ms,
+# `rho` ranks it in under 1 ms (the whole CLI call 0.08 s, most of it
+# interpreter start-up) and `realize` builds its set, 510 levels deep, in
+# 0.09 s (the CLI call 0.17 s), under CPython 3.11 on one x86-64 core.
 MAX_BASE = 256
 
 _TOKEN = re.compile(r"\s*(exp|\S)")  # 'exp' or one character, after whitespace
@@ -571,7 +559,7 @@ def sig_from_json(text: str) -> Signature:
             i, j = int(i), int(j)
         except ValueError:
             raise SignatureParseError(f'"o" key {quoted(key)} is not "i,j"') from None
-        if type(v) is not int:  # a JSON value, so an int or a bool, float, str, ...
+        if not _is_int(v):
             raise SignatureParseError(f'"o" value at {quoted(key)} is not an integer')
         if v < 0:
             raise SignatureParseError(f'"o" value at {quoted(key)} is negative')

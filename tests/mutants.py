@@ -36,8 +36,8 @@ class Mutant(NamedTuple):
 
 CLI, WORDS, SIGNATURE = "src/sigcalc/cli.py", "src/sigcalc/realization/words.py", "src/sigcalc/signature.py"
 BUILD, GENSET = "src/sigcalc/realization/build.py", "src/sigcalc/realization/genset.py"
+MARKED = "src/sigcalc/realization/marked.py"
 REALIZATION, TEST_CLI = "tests/test_realization.py", "tests/test_cli.py"
-VIOLATIONS_CHECK = "tests/test_signature.py::test_violations_row_compare_matches_pairwise"
 WALK_CHECKS = [f"{REALIZATION}::test_walk_agrees_with_recursive_definition",
                f"{REALIZATION}::test_is_sgen_exactly_when_signature_of_succeeds"]
 
@@ -79,14 +79,9 @@ MUTANTS = [
     Mutant(BUILD, "        del middle[0]", "        del middle[-1]",
            [f"{REALIZATION}::test_general_wrap_drops_a_collinear_junction"],
            "the collinear junction dropped is the one at u_t, not the one at v_t"),
-    Mutant(SIGNATURE, "clamps = {r: _IDENTITY[:r].ljust(256, _IDENTITY[r:r + 1])",
-           "clamps = {r: _IDENTITY[:r + 2].ljust(256, _IDENTITY[r + 1:r + 2] or b\"\\xff\")",
-           [VIOLATIONS_CHECK],
-           "a row pair passes whole only when o(i,k) is o(j,k) clamped at o(i,j), not o(i,j) + 1"),
-    Mutant(SIGNATURE, "                    r1 = r + 1\n",
-           "                    out += [(i, j, k) for k in range(j + 1, self.n)]\n                    continue\n",
-           [VIOLATIONS_CHECK],
-           "a row pair that fails the clamped compare is tested triple by triple: some p = r+1 pass"),
+    Mutant(MARKED, "PLMap._make(tuple(bp), None, orbs)", "PLMap._make(tuple(bp), None, None)",
+           [f"{REALIZATION}::test_transport_computes_no_orbitals"],
+           "a rotation of three or more orbitals is handed its kept orbitals, so walks no map"),
     Mutant(GENSET, "key=lambda fi: ends[fi][-1])", "key=lambda fi: ends[fi][0])", WALK_CHECKS,
            "a set is ordered by the right end of each function's last orbital"),
     Mutant(GENSET, "if any(lo2 < hi1 for", "if any(lo2 <= hi1 for", WALK_CHECKS,

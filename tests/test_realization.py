@@ -843,9 +843,11 @@ def test_diagram_unchanged_by_transport_and_renaming(realized_n5):
 
 
 def test_transport_computes_no_orbitals(monkeypatch):
-    # nor places any: a carried copy's orbitals are derived on first read
+    # nor places any: a carried copy's orbitals are derived on first read;
+    # the outputs' own are derived here, and their rotations are handed theirs
     fns = realize(SIG5)
-    chains = [_rotation_chain(f) for f in fns]  # reads each output's orbitals
+    for f in fns:
+        f.orbitals
     calls = []
     orbitals, canonical = PLMap._orbitals, plmap._canonical
 
@@ -860,9 +862,9 @@ def test_transport_computes_no_orbitals(monkeypatch):
 
     monkeypatch.setattr(PLMap, "_orbitals", counting_orbitals)
     monkeypatch.setattr(plmap, "_canonical", counting_canonical)
-    for f, chain in zip(fns, chains):
+    for f in fns:
         transport(f, UNIT, "x")
-        for g in chain:
+        for g in _rotation_chain(f):
             for lo, hi in INTERVALS:
                 assert transport(g, frame_onto(lo, hi)).map._orbs is None
     assert calls == []
