@@ -15,23 +15,25 @@ checks its shape.  `sig_from_json` reads the "i,j" keys, each pair once, n
 labels and values, each an int in 0..MAX_PAIR_VALUE, then builds with the
 unchecked `_trusted` and checks (!) alone; `Signature(n, vals, labels)`
 checks values and (!) for library callers.  The operations, `parse_term`
-(which splits its tokens out with str methods and writes each leaf's
-column of pair values as it reads the term) and `enumerate_signatures` keep
-(!) by construction and build with `_trusted`; tests read the violations of
-any matrix as `_trusted(n, vals).violations()`.
+(which splits its tokens out with str methods, keeps each leaf's column of
+pair values as it reads the term, and reads the joined columns in row-major
+order through one `operator.itemgetter` per base size) and
+`enumerate_signatures` keep (!) by construction and build with `_trusted`;
+tests read the violations of any matrix as `_trusted(n, vals).violations()`.
 
 Pair values are stored row-major in one `bytes` object, a byte per pair:
 `vals` is o(0,1), ..., o(0,n-1), o(1,2), ..., o(n-2,n-1), so row i, holding
 o(i,i+1), ..., o(i,n-1), is one contiguous slice.  `_rows(a)` returns these
 n slices (the last one empty), and the operations that move whole blocks of
-a matrix (`sig_sum`, `decompose`, `sig_restrict`, `sig_rotate`) and
-`violations` read and build their values row by row from it; in a row,
-o(i,j) is at position j-i-1 and the top column o(i,n-1) is `row[-1]`.  By
-(!), a zero row is a zero block, so `decompose` splits after each all-zero
-row.  `sig_inflate` builds its values in one pass over the new base,
-`enumerate_signatures` grows signatures kept as rows by one column at a
-time, `sig_to_json` fills a text kept per base size, and `sig_exp` and
-`sig_shift_down` are one `bytes.translate` each.
+a matrix (`sig_sum`, `sig_restrict`, `sig_rotate`) and `violations` read and
+build their values row by row from it; in a row, o(i,j) is at position j-i-1
+and the top column o(i,n-1) is `row[-1]`.  `decompose` builds no list of
+rows: by (!), a summand that starts at lo ends one past the last nonzero of
+row lo, so it slices one row per summand, then the rows of each summand but
+the last, which is one slice of `vals`.  `sig_inflate` builds its values in
+one pass over the new base, `enumerate_signatures` grows signatures kept as
+rows by one column at a time, `sig_to_json` fills a text kept per base size,
+and `sig_exp` and `sig_shift_down` are one `bytes.translate` each.
 
 So every value lies in 0..255.  `Signature(...)` refuses one outside, and
 `_trusted` builds with `bytes(vals)`, which refuses one too; only a
@@ -237,21 +239,38 @@ def sig_shift_down(a: Signature) -> Signature:
 def decompose(a: Signature) -> List[Signature]:
     """The unique maximal splitting into indecomposable summands.
 
-    A split point p has o(i,k) = 0 for all i < p <= k, and is one exactly
-    when row p-1 is all zero: then for i < p-1 < k, o(i,p-1) = 0 ! o(i,k)
-    forces o(i,k) = 0, as 0 ! q = -1 for q > 0.  This holds for any matrix
-    that satisfies (!), and every caller passes one: checked where input
-    enters, or built by an operation.  An indecomposable one is returned as [a].
+    A split point p has o(i,k) = 0 for all i < p <= k.  A part [lo, hi)
+    ends one past the last nonzero of its first row, so this reads one row
+    per part: o(lo,k) = 0 for every k >= hi, as hi is a split point (or n),
+    and o(lo,hi-1) > 0 when hi - lo >= 2, as the part is indecomposable.
+    For that, take t = hi-1 and the largest j in lo..t-1 with o(j,t) = 0,
+    if any: for lo <= i < j, o(i,j) = 0 ! o(i,t) forces o(i,t) = 0, as
+    0 ! q = -1 for q > 0; then for lo <= i <= j < k < t, o(i,k) =
+    o(k,t) ! 0 = 0, as o(k,t) >= 1; so j+1 would split the part.  This
+    holds for any matrix that satisfies (!), and every caller passes one:
+    checked where input enters, or built by an operation.  The rows of each
+    part but the last are sliced out and joined; the last part is one slice,
+    from its first row on.  An indecomposable one is returned as [a].
     """
-    if a.n == 0:
+    n, vals, labels = a.n, a.vals, a.labels
+    if n == 0:
         return []
-    if a.n == 1 or a.vals[a.n - 2]:  # o(0,n-1) > 0 crosses every position
+    if n == 1 or vals[n - 2]:  # o(0,n-1) > 0 crosses every position
         return [a]
-    rows = _rows(a)
-    cuts = [0, *itertools.compress(range(1, a.n + 1), map(operator.not_, map(any, rows)))]
-    return [_trusted(hi - lo, b"".join([rows[i][:hi - i - 1] for i in range(lo, hi)]),
-                     None if a.labels is None else a.labels[lo:hi])
-            for lo, hi in zip(cuts, cuts[1:])]
+    parts, hi, start = [], 0, 0  # start: where row lo begins in vals
+    for lo in range(n):
+        if lo == hi:  # the first row of a part
+            hi = lo + 1 + len(vals[start:start + n - 1 - lo].rstrip(b"\0"))
+            if hi == n:
+                break
+            rows, at = [], start
+            for i in range(lo, hi):
+                rows.append(vals[at:at + hi - i - 1])
+                at += n - 1 - i
+            parts.append(_trusted(hi - lo, b"".join(rows), None if labels is None else labels[lo:hi]))
+        start += n - 1 - lo
+    parts.append(_trusted(n - lo, vals[start:], None if labels is None else labels[lo:]))
+    return parts
 
 
 def sig_restrict(a: Signature, subset: Iterable[int]) -> Signature:
@@ -344,10 +363,12 @@ def sig_inflate(a: Signature, m: int) -> Signature:
 # Largest base, a term's '1' leaves or a JSON matrix's "n": the (!) check of a
 # JSON matrix is n^3 work (`Signature(...)` on the chain 1*1*...*1: 0.11 s at
 # 256, 0.97 s at 512; `rho` on the 256-leaf chain as JSON: 0.15 s to read it,
-# the whole CLI call 0.22 s).  As a term the 256-leaf chain reads in 1.4 ms,
-# `rho` ranks it in under 1 ms (the whole CLI call 0.08 s, most of it
-# interpreter start-up) and `realize` builds its set, 510 levels deep, in
-# 0.09 s (the CLI call 0.17 s), under CPython 3.11 on one x86-64 core.
+# the whole CLI call 0.22 s).  As a term the 256-leaf chain reads in 3.8 ms
+# in a fresh process, most of it building the base's row-major getter (0.6 ms
+# once that is kept), `rho` ranks it in 1.3 ms (the whole CLI call 0.085 s,
+# most of it interpreter start-up) and `realize` builds its set, 510 levels
+# deep, in 0.09 s (the CLI call 0.16 s, median of 7); the term figures are
+# medians of 16 fresh processes, under CPython 3.11.7 on a 2-vCPU x86-64 host.
 MAX_BASE = 256
 
 _TOKEN = re.compile(r"\s*(exp|\S)")  # 'exp' or one character, after whitespace
@@ -362,7 +383,10 @@ def parse_term(text: str) -> Signature:
     factor not all-positive.  One pass over the tokens keeps a frame per open
     group: level, first leaf, first leaf of the current '+'-term, row (o(i,j)
     of each earlier leaf i for a leaf j read next in it; never changed once
-    built), own_pair (two '+'-terms hold leaves) and right ('*' before it)."""
+    built), own_pair (two '+'-terms hold leaves) and right ('*' before it).
+    Each leaf j keeps its row as its column o(0,j), ..., o(j-1,j); joined,
+    the columns hold the values column-major, and `_row_major(n)` picks
+    them out in row-major order with one itemgetter call."""
     def fail(message: str, k: int, offset: int = 0):  # at token k, or the end
         starts = [m.start(1) for m in _TOKEN.finditer(text)] + [len(text) - offset]
         raise TermParseError(message, starts[k] + offset)
@@ -415,10 +439,19 @@ def parse_term(text: str) -> Signature:
         star = tok == "*"
     if bad_star:
         raise SignatureError(_BAD_STAR)
-    vals = bytearray()
-    for i, col_row in enumerate(itertools.zip_longest(*cols[1:])):
-        vals.extend(col_row[i:])  # row i, after i fill values
-    return _trusted(len(cols), vals)
+    n, vals = len(cols), b"".join(cols)
+    return _trusted(n, _row_major(n)(vals) if n > 2 else vals)
+
+
+@functools.lru_cache(maxsize=16)
+def _row_major(n: int) -> operator.itemgetter:
+    """The getter of a signature's row-major values, as a tuple, from its
+    column-major ones, o(0,1), o(0,2), o(1,2), o(0,3), ..., where o(i,j) is
+    at j(j-1)/2 + i.  For n <= 2 the two orders agree, and a getter of one
+    index would return an int.  Keeps the getters of the 16 base sizes read
+    last: 1.3 MB at n = 256, 19.6 MB for the 16 largest (tracemalloc, CPython
+    3.11.7)."""
+    return operator.itemgetter(*[j * (j - 1) // 2 + i for i, j in _pairs(n)])
 
 
 def eval_term(sig: Signature) -> Signature:

@@ -4,14 +4,14 @@
 
 Each row of MUTANTS names a file under src/ or tests/, the exact text to
 replace in it, the text to put there, the checks that must fail, and what the
-row guards.  For each row the script copies src/, tests/ and pyproject.toml
-to a temp dir, makes the one edit there, and runs only the row's checks in a
-fresh process: pytest node ids in one run of pytest with `-W error`, and any
-other check as a script under the copy with its arguments.  A mutant is
-killed when a check fails.  A row whose old text is not found exactly once
-is refused, and so is every row when its checks fail on the unmutated copy.
-The working tree is never edited.  Exits 1 when a row is refused or a mutant
-survives, listing each.
+row guards.  For each row the script copies src/, tests/, bench/ and
+pyproject.toml to a temp dir, makes the one edit there, and runs only the
+row's checks in a fresh process: pytest node ids in one run of pytest with
+`-W error`, and any other check as a script under the copy with its
+arguments.  A mutant is killed when a check fails.  A row whose old text is
+not found exactly once is refused, and so is every row when its checks fail
+on the unmutated copy.  The working tree is never edited.  Exits 1 when a
+row is refused or a mutant survives, listing each.
 """
 
 import os
@@ -23,7 +23,7 @@ import tempfile
 from typing import NamedTuple, Sequence
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-COPIED = ("src", "tests", "pyproject.toml")
+COPIED = ("src", "tests", "bench", "pyproject.toml")  # some tests read bench/inputs.py
 
 
 class Mutant(NamedTuple):
@@ -38,6 +38,7 @@ CLI, WORDS, SIGNATURE = "src/sigcalc/cli.py", "src/sigcalc/realization/words.py"
 BUILD, GENSET = "src/sigcalc/realization/build.py", "src/sigcalc/realization/genset.py"
 MARKED = "src/sigcalc/realization/marked.py"
 REALIZATION, TEST_CLI = "tests/test_realization.py", "tests/test_cli.py"
+TEST_SIGNATURE = "tests/test_signature.py"
 WALK_CHECKS = [f"{REALIZATION}::test_walk_agrees_with_recursive_definition",
                f"{REALIZATION}::test_is_sgen_exactly_when_signature_of_succeeds"]
 
@@ -51,6 +52,16 @@ MUTANTS = [
     Mutant(SIGNATURE, '.replace("exp", "\\x01").split()', '.replace("exp", "\\x01").split(" ")',
            [f"{TEST_CLI}::test_rho"],
            "a term reads the same whatever its whitespace, a tab included"),
+    Mutant(SIGNATURE, "hi = lo + 1 + len(", "hi = lo + len(",
+           [f"{TEST_SIGNATURE}::test_decompose_matches_pairwise_past_the_enumerated_bases"],
+           "a part ends one past the last nonzero of its first row"),
+    Mutant(SIGNATURE, "j * (j - 1) // 2 + i for i, j in _pairs(n)",
+           "i * (i - 1) // 2 + j for i, j in _pairs(n)",
+           [f"{TEST_SIGNATURE}::test_reader_matches_the_recursive_reader"],
+           "a term's column-major values are read at o(i,j)'s column-major index"),
+    Mutant(SIGNATURE, "if n > 2 else vals", "if n > 1 else vals",
+           [f"{TEST_SIGNATURE}::test_reader_matches_the_recursive_reader"],
+           "a term on two leaves keeps its one value, which a one-index getter returns as an int"),
     Mutant(SIGNATURE, "for j in idx[k + 1:]])\n",
            "for j in idx[k + 1:]])\n    if len(idx) < a.n - 1:\n        vals = bytearray(len(vals))\n",
            [f"{REALIZATION}::test_dropping_a_generator_restricts_the_signature"],

@@ -440,6 +440,20 @@ def test_zero_row_is_a_zero_block_enumerated():
                 assert any(row) == any(block), (s, i)
 
 
+def test_first_row_ends_its_part_enumerated():
+    # a part [lo, hi) ends one past the last nonzero of its first row:
+    # decompose reads one row per part
+    for n in range(6):
+        for s in enumerate_signatures(n, 3):
+            lo = 0
+            for part in decompose_pairwise(s):
+                hi = lo + part.n
+                assert hi - lo < 2 or s.val(lo, hi - 1) > 0, (s, lo)
+                assert not any(s.val(lo, k) for k in range(hi, n)), (s, lo)
+                lo = hi
+            assert lo == n
+
+
 def test_decompose_matches_pairwise_past_the_enumerated_bases(monkeypatch):
     """decompose against the frontier scan of decompose_pairwise on bases up
     to 12 and at 256: the first 1,000 `ranks` benchmark terms of seeds 1 and
@@ -568,6 +582,31 @@ def test_reader_matches_the_recursive_reader():
         assert got == _read(parse_term_recursive, text), f"case {i} of seed {seed!r}: {text!r}"
         kinds.add(got[0] if isinstance(got[0], str) else "value")
     assert kinds == {"value", "TermParseError", "SignatureError"}
+
+
+def _mixed_term(n):
+    """A term on n leaves that mixes +, * and both wraps; each star's right
+    factor is an exp or E image."""
+    if n <= 1:
+        return str(n)
+    a, b = _mixed_term(n // 2), _mixed_term(n - n // 2)
+    return ["exp({})+{}", "{}*exp({})", "E({}+{})", "{}*E({})"][n % 4].format(a, b)
+
+
+def test_row_major_getters_stay_within_their_memo():
+    """Chains and mixed terms on every base 0..20 and on 256 read as the
+    recursive reader reads them, while the memo of row-major getters keeps
+    at most its 16 base sizes and drops the older ones."""
+    signature._row_major.cache_clear()
+    bound = signature._row_major.cache_info().maxsize
+    assert bound == 16
+    for n in [*range(21), MAX_BASE]:
+        texts = [op.join(["1"] * n) or "0" for op in "*+"] + [_mixed_term(n)]
+        for text in texts:
+            got = _read(parse_term, text)
+            assert got == _read(parse_term_recursive, text) and got[0] == n, text
+            assert signature._row_major.cache_info().currsize <= bound
+    assert signature._row_major.cache_info().misses == 19  # bases 3..20 and 256
 
 
 def test_split_and_regex_agree_on_whitespace():
