@@ -11,7 +11,10 @@ same way in both buffering modes, with one line, or with none when stdout is
 a closed pipe.  An error line that stderr cannot take is dropped, and the
 exit code stays the verb's.  All output is deterministic for fixed input.
 Signature arguments accept a JSON matrix (leading '{'), a signature-term
-string, or a path to a file holding either.
+string, or a path to a file holding either.  Only `realize`, `signature`,
+`diagram`, `verify` and `predicates`, and `rotate` and `inflate` given a
+generating set, load the piecewise-linear layer (`sigcalc.realization`);
+every other verb starts without it.
 
 Input limits, each exceeded with exit code 2 and a one-line message:
 ordinals and signature terms nest at most MAX_NESTING (100) levels of '(',
@@ -72,6 +75,7 @@ from .normalizer import (
 from .signature import (
     MAX_BASE,
     MAX_PAIR_VALUE,
+    RealizationError,
     Signature,
     SignatureError,
     SignatureParseError,
@@ -83,20 +87,6 @@ from .signature import (
     sig_inflate,
     sig_rotate,
     sig_to_json,
-)
-from .realization import (
-    NotFastError,
-    NotSgenError,
-    RealizationError,
-    diagram,
-    genset_from_json,
-    genset_to_json,
-    predicates,
-    realize,
-    set_inflate,
-    set_rotate,
-    signature_of,
-    to_dot,
 )
 
 
@@ -148,6 +138,7 @@ def load_genset(arg: str):
 
 
 def _parse_genset(text: str):
+    from .realization import genset_from_json
     try:
         return genset_from_json(text)
     except (TypeError, ValueError, ArithmeticError, RecursionError) as e:
@@ -279,36 +270,38 @@ def cmd_materialize(args):
 
 
 def cmd_realize(args):
+    from .realization import genset_to_json, realize
     s = load_signature(args.sig)
     fns = realize(s)
     return genset_to_json(fns) + "\n"
 
 
 def cmd_signature(args):
+    from .realization import signature_of
     fns = load_genset(args.genset)
     return sig_to_json(signature_of(fns)) + "\n"
 
 
 def cmd_diagram(args):
+    from .realization import diagram, to_dot
     fns = load_genset(args.genset)
     return to_dot(diagram(fns))
 
 
-def _by_argument_kind(args, set_op, signature_op):
-    """Apply set_op to a generating set (a JSON list), else signature_op."""
-    text = _read_arg(args.arg).strip()
-    if text.startswith("["):
-        return genset_to_json(set_op(_parse_genset(text))) + "\n"
-    return sig_to_json(signature_op(_parse_signature(text))) + "\n"
-
-
 def cmd_inflate(args):
-    return _by_argument_kind(args, lambda fns: set_inflate(fns, args.at),
-                             lambda s: sig_inflate(s, args.at))
+    text = _read_arg(args.arg).strip()
+    if text.startswith("["):  # a generating set
+        from .realization import genset_to_json, set_inflate
+        return genset_to_json(set_inflate(_parse_genset(text), args.at)) + "\n"
+    return sig_to_json(sig_inflate(_parse_signature(text), args.at)) + "\n"
 
 
 def cmd_rotate(args):
-    return _by_argument_kind(args, set_rotate, sig_rotate)
+    text = _read_arg(args.arg).strip()
+    if text.startswith("["):  # a generating set
+        from .realization import genset_to_json, set_rotate
+        return genset_to_json(set_rotate(_parse_genset(text))) + "\n"
+    return sig_to_json(sig_rotate(_parse_signature(text))) + "\n"
 
 
 def _report(args, report: dict) -> str:
@@ -318,6 +311,7 @@ def _report(args, report: dict) -> str:
 
 
 def cmd_verify(args):
+    from .realization import NotFastError, NotSgenError, realize, signature_of
     fns = load_genset(args.genset)
     try:
         sig = signature_of(fns)  # checks fastness, then standardness
@@ -339,6 +333,7 @@ def cmd_enumerate(args):
 
 
 def cmd_predicates(args):
+    from .realization import predicates
     fns = load_genset(args.genset)
     z = None if args.z is None else _parse_word(args.z)
     return _report(args, predicates(fns, _parse_word(args.x), _parse_word(args.y), z))

@@ -28,7 +28,7 @@ went from about 3,900 to 6,000 ops/s (BENCH_rank_memo.json; later BENCH_*.json
 files hold today's figures), and `rho` on a sum of 128 equal `E(1+1)` blocks,
 in a fresh process, from about 6 to 3 ms (CPython 3.11, x86-64).
 A one-shot CLI call whose blocks do not repeat gains nothing measurable
-(`rho` on the 256-leaf chain takes 85 ms a process, 77 ms of it starting the
+(`rho` on the 256-leaf chain takes 70 ms a process, 60 ms of it starting the
 interpreter and importing `sigcalc.cli`: medians of 16 fresh processes,
 CPython 3.11.7 on a 2-vCPU x86-64 host), and the same pass with both memos
 cleared after every call is no faster than with no memo.
@@ -37,7 +37,6 @@ cleared after every call is no faster than with no memo.
 from __future__ import annotations
 
 import functools
-from typing import List
 
 from .ordinal import (
     ONE,
@@ -148,7 +147,7 @@ def materialize(xi: Ordinal) -> Signature:
     """
     if xi == ONE:
         return ONE_SIG  # exp fixes one, so the recursion must bottom out here
-    parts: List[Signature] = []
+    parts: list[Signature] = []
     for beta, coeff in xi:
         parts.extend([_block(beta)] * coeff)
     if not parts:

@@ -2,11 +2,12 @@
 
 The package exports what the command line and the benchmark use; everything
 else is imported from its submodule (`plmap`, `marked`, `genset`, `build`,
-`diagram`, `words`).
+`diagram`, `words`).  Its domain error, RealizationError, lives in
+`sigcalc.signature`, so that the command line catches it without loading
+this package.
 """
 
 from .plmap import PLMap
-from .marked import RealizationError
 from .genset import (
     NotFastError,
     NotSgenError,
@@ -26,7 +27,6 @@ __all__ = [
     "NotFastError",
     "NotSgenError",
     "PLMap",
-    "RealizationError",
     "diagram",
     "genset_from_json",
     "genset_to_json",

@@ -31,24 +31,24 @@ from __future__ import annotations
 
 from itertools import chain
 from math import gcd
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from collections.abc import Iterable, Iterator
 
-from ..signature import MAX_BASE, Signature, decompose, sig_rotate
+from ..signature import MAX_BASE, RealizationError, Signature, decompose, sig_rotate
 from .genset import GenSet
-from .marked import MarkedFn, RealizationError, _bump
+from .marked import MarkedFn, _bump
 from .plmap import Pair, PLMap, _quads, _reduced, keys
 
-Frame = Tuple[int, int, int]  # (a, b, c): x -> (a + b x) / c, onto (a/c, (a+b)/c) in (0,1)
+Frame = tuple[int, int, int]  # (a, b, c): x -> (a + b x) / c, onto (a/c, (a+b)/c) in (0,1)
 UNIT: Frame = (0, 1, 1)
-Build = Tuple[Tuple[MarkedFn, ...], Tuple[int, ...]]  # functions, and their frames flat
-Placed = Iterable[Tuple[MarkedFn, Frame]]  # functions zipped with their frames, read once
+Build = tuple[tuple[MarkedFn, ...], tuple[int, ...]]  # functions, and their frames flat
+Placed = Iterable[tuple[MarkedFn, Frame]]  # functions zipped with their frames, read once
 
 # Signatures with n > 1 whose builds are kept, under their pair values (the
 # bytes name the signature: their length gives n), least recently used dropped
 # first.  Entries share functions: all 969 with n = 5, values <= 3 fill 1,124,
 # retaining 1.3 MiB (tracemalloc).
 BUILD_CACHE_SIZE = 4096
-_memo: Dict[bytes, Tuple[Build, int]] = {}  # sig.vals -> (build, depth)
+_memo: dict[bytes, tuple[Build, int]] = {}  # sig.vals -> (build, depth)
 
 # Deepest build, in levels, one per rotation or decomposition down its longest
 # path: the 2n - 1 builds that the chain 1*1*...*1 of n = MAX_BASE leaves nests
@@ -81,7 +81,7 @@ def place(frame: Frame, p: Pair) -> Pair:
     return _reduced(a * p[1] + b * p[0], c * p[1])
 
 
-def transport(f: MarkedFn, frame: Frame, name: Optional[str] = None) -> MarkedFn:
+def transport(f: MarkedFn, frame: Frame, name: str | None = None) -> MarkedFn:
     """f carried by the frame into (a/c, (a+b)/c), the identity outside.
     The unit frame shares f's map and markers under the new name.  Another
     frame places each breakpoint, reduced by one gcd; (0,0) replaces the
@@ -108,20 +108,20 @@ def transport(f: MarkedFn, frame: Frame, name: Optional[str] = None) -> MarkedFn
     return MarkedFn._trusted(PLMap._make(tuple(bp)), markers, name)
 
 
-def _triples(frames: Tuple[int, ...]) -> Iterator[Frame]:
+def _triples(frames: tuple[int, ...]) -> Iterator[Frame]:
     it = iter(frames)
     return zip(it, it, it)
 
 
-def _then_all(frames: Tuple[int, ...], outer: Frame) -> List[int]:
+def _then_all(frames: tuple[int, ...], outer: Frame) -> list[int]:
     """Each frame followed by outer, flat."""
-    out: List[int] = []
+    out: list[int] = []
     for frame in _triples(frames):
         out += _then(frame, outer)
     return out
 
 
-def _build(sig: Signature, level: int = 0) -> Tuple[Build, int]:
+def _build(sig: Signature, level: int = 0) -> tuple[Build, int]:
     """sig's build and depth, sig lying `level` levels below the signature
     realized.  An indecomposable signature's rotations descend in a loop and
     are wrapped on the way back up, so calls nest only at decompositions, whose
@@ -186,7 +186,7 @@ M1, M2, L0, R0 = (1, 3), (2, 3), (1, 16), (15, 16)
 MIDDLE = (1, 1, 3)  # onto (M1, M2)
 UNIT_U, UNIT_V = (1, 4), (3, 4)
 UNIT_BUMP = _bump(UNIT_U, UNIT_V, (9, 32), (23, 32))  # feet the orbital's outer sixteenths
-BASES: Tuple[Build, Build] = (((), ()), ((UNIT_BUMP,), UNIT))  # the builds of n = 0 and 1
+BASES: tuple[Build, Build] = (((), ()), ((UNIT_BUMP,), UNIT))  # the builds of n = 0 and 1
 A_NEG, B_POS = (19, 96), (77, 96)  # (L0 + M1) / 2 and (M2 + R0) / 2
 
 

@@ -13,7 +13,7 @@ so isomorphism reduces to equality of a canonical form.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from collections.abc import Sequence
 
 from .genset import _fast_ordered
 from .marked import MarkedFn
@@ -26,7 +26,7 @@ class DynDiagram:
 
     __slots__ = ("num_vertices", "edges", "names")
 
-    def __init__(self, num_vertices: int, raw_edges: Sequence[Tuple[int, int, int]],
+    def __init__(self, num_vertices: int, raw_edges: Sequence[tuple[int, int, int]],
                  names: Sequence[str]):
         edges = sorted(raw_edges)
         relabel = {}

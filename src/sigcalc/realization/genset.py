@@ -23,14 +23,15 @@ from __future__ import annotations
 
 import itertools
 from json.encoder import encode_basestring_ascii
-from typing import List, Sequence, Tuple
+from collections.abc import Sequence
 
 from ..signature import (
-    MAX_PAIR_VALUE, Signature, _JSON, _inflated_base, _trusted, decompose, quoted, short_int)
-from .marked import MarkedFn, RealizationError, conjugate, fn_rotate, is_standard_fn, square
+    MAX_PAIR_VALUE, RealizationError, Signature, _JSON, _inflated_base, _trusted, decompose, quoted,
+    short_int)
+from .marked import MarkedFn, conjugate, fn_rotate, is_standard_fn, square
 from .plmap import PLMap, _quads, keys
 
-GenSet = List[MarkedFn]
+GenSet = list[MarkedFn]
 
 
 class NotSgenError(RealizationError):
@@ -41,7 +42,7 @@ class NotFastError(NotSgenError):
     """A set that is not fast."""
 
 
-def _fast_ordered(fns: Sequence[MarkedFn], what: str) -> Tuple[GenSet, List[list], list]:
+def _fast_ordered(fns: Sequence[MarkedFn], what: str) -> tuple[GenSet, list[list], list]:
     """One `keys` over every foot end, read three ways: fns sorted by the
     key of their last end v, the maximum transition point; each one's keys,
     (u, s, t, v) per orbital, in that order; and every foot as (lo, hi,
@@ -75,7 +76,7 @@ def is_fast(fns: Sequence[MarkedFn]) -> bool:
 _STANDARD_FUEL = MAX_PAIR_VALUE + 1
 
 
-def _standard_walk(fns: Sequence[MarkedFn]) -> Tuple[GenSet, Signature]:
+def _standard_walk(fns: Sequence[MarkedFn]) -> tuple[GenSet, Signature]:
     """The ordered set and its signature (see `signature_of`), labelled by
     names, else indices, when fns is a standard generating set: fast, every
     function standard, and each pair f < g has f << g, or f inside g with

@@ -32,13 +32,10 @@ a transition point is read off a map.  The rotation rule lives in
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from collections.abc import Sequence
 
+from ..signature import RealizationError
 from .plmap import Pair, PLMap, _lt, _quads, _reduced, by_value, conj_map, fmt, ratio
-
-
-class RealizationError(ValueError):
-    pass
 
 
 class MarkedFn:
@@ -46,7 +43,7 @@ class MarkedFn:
 
     __slots__ = ("map", "markers", "name", "_feet")
 
-    def __init__(self, plmap: PLMap, markers: Sequence, name: Optional[str] = None):
+    def __init__(self, plmap: PLMap, markers: Sequence, name: str | None = None):
         self.map, self.name = plmap, name
         self.markers = tuple(sorted(map(ratio, markers), key=by_value))
         self._feet = None
@@ -61,8 +58,8 @@ class MarkedFn:
                 raise RealizationError(f"marker {fmt(s)} outside orbital ({fmt(u)},{fmt(v)})")
 
     @classmethod
-    def _trusted(cls, plmap: PLMap, markers: Tuple[Pair, ...],
-                 name: Optional[str] = None) -> "MarkedFn":
+    def _trusted(cls, plmap: PLMap, markers: tuple[Pair, ...],
+                 name: str | None = None) -> "MarkedFn":
         """A function transported from a valid one: `markers` is a sorted
         tuple with one inside each of plmap's orbitals.  Nothing is checked."""
         f = object.__new__(cls)
@@ -70,13 +67,13 @@ class MarkedFn:
         return f
 
     @property
-    def orbitals(self) -> Tuple[Tuple[Pair, Pair, int], ...]:
+    def orbitals(self) -> tuple[tuple[Pair, Pair, int], ...]:
         """The map's orbitals, (u, v, sign) per orbital: those its maker
         handed `PLMap._make`, else derived from the map on first read."""
         return self.map._orbitals()
 
     @property
-    def feet(self) -> Tuple[Tuple[Pair, Pair, Pair, Pair], ...]:
+    def feet(self) -> tuple[tuple[Pair, Pair, Pair, Pair], ...]:
         """One (u, s, t, v) per orbital (u, v) marked at s: the left foot
         (u, s) and the right foot [t, v), where the transition point t is s
         moved right by the map or by its inverse.  u < s < t < v needs no
@@ -104,7 +101,7 @@ def is_standard_fn(f: MarkedFn) -> bool:
             and signs == sorted(signs) and nneg <= len(signs) - nneg <= nneg + 1)
 
 
-def _bump(u: Pair, v: Pair, s: Pair, t: Pair, name: Optional[str] = None) -> MarkedFn:
+def _bump(u: Pair, v: Pair, s: Pair, t: Pair, name: str | None = None) -> MarkedFn:
     """The positive bump on (u,v) through (s,t), marked at s, from reduced
     pairs 0 <= u < s < t < v < 1.  Canonical as written: the one point off
     the diagonal lies between two on it, so no point is collinear."""
@@ -137,13 +134,13 @@ def fn_rotate(f: MarkedFn) -> MarkedFn:
     return MarkedFn._trusted(PLMap._make(tuple(bp), None, orbs), markers, name)
 
 
-def conjugate(f: MarkedFn, w: PLMap, name: Optional[str] = None) -> MarkedFn:
+def conjugate(f: MarkedFn, w: PLMap, name: str | None = None) -> MarkedFn:
     """f conjugated by w (apply w-inverse, f, then w); markers move by w,
     which carries f's orbitals onto the conjugate's in order."""
     return MarkedFn._trusted(conj_map(f.map, w), tuple(w._at(*s) for s in f.markers), name)
 
 
-def square(f: MarkedFn, name: Optional[str] = None) -> MarkedFn:
+def square(f: MarkedFn, name: str | None = None) -> MarkedFn:
     """f composed with itself, which has f's orbitals; markers of positive
     bumps are retained and markers of negative bumps move by f within them."""
     markers = tuple(s if sign > 0 else f.map._at(*s)

@@ -44,17 +44,17 @@ from fractions import Fraction
 from functools import cmp_to_key
 from itertools import chain
 from math import gcd, lcm
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from collections.abc import Iterable, Iterator, Sequence
 
 from ..signature import quoted, short_int
 
-Pair = Tuple[int, int]  # a reduced n/d, d > 0
+Pair = tuple[int, int]  # a reduced n/d, d > 0
 
 class PLError(ValueError):
     pass
 
 
-def _reduced(n: int, d: int) -> Tuple[int, int]:
+def _reduced(n: int, d: int) -> tuple[int, int]:
     g = gcd(n, d)
     return n // g, d // g
 
@@ -90,7 +90,7 @@ def fmt(p: Pair) -> str:
     return short_int(p[0]) if p[1] == 1 else f"{short_int(p[0])}/{short_int(p[1])}"
 
 
-def keys(pairs: Sequence[Pair]) -> Tuple[int, List[int]]:
+def keys(pairs: Sequence[Pair]) -> tuple[int, list[int]]:
     """(den, keys): den the lcm of the pairs' denominators, and each pair's
     numerator over den, so that the keys order the pairs as numbers."""
     den = lcm(*(d for _, d in pairs))
@@ -105,7 +105,7 @@ def _lt(a: Pair, b: Pair) -> bool:
 by_value = cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])
 
 
-def _quads(bp: Tuple[int, ...]) -> List[Tuple[int, int, int, int]]:
+def _quads(bp: tuple[int, ...]) -> list[tuple[int, int, int, int]]:
     it = iter(bp)
     return list(zip(it, it, it, it))
 
@@ -125,7 +125,7 @@ def _canonical(points: Iterable):
     return _minimal(bp)
 
 
-def _minimal(quads: Sequence[Tuple[int, int, int, int]]):
+def _minimal(quads: Sequence[tuple[int, int, int, int]]):
     """Breakpoint quads sorted by x, without collinear interior points, as
     a flat tuple, and their slopes; PLError unless both coordinates
     strictly increase."""
@@ -167,8 +167,8 @@ class PLMap:
         return cls._make(*_canonical(points))
 
     @classmethod
-    def _make(cls, bp: Tuple[int, ...], slopes: Optional[Tuple[Pair, ...]] = None,
-              orbitals: Optional[Tuple[Tuple[Pair, Pair, int], ...]] = None) -> "PLMap":
+    def _make(cls, bp: tuple[int, ...], slopes: tuple[Pair, ...] | None = None,
+              orbitals: tuple[tuple[Pair, Pair, int], ...] | None = None) -> "PLMap":
         """A map on breakpoints already canonical and strictly increasing,
         with its slopes and orbitals if known, unchecked."""
         m = object.__new__(cls)
@@ -176,11 +176,11 @@ class PLMap:
         return m
 
     @property
-    def points(self) -> Tuple[Tuple[Fraction, Fraction], ...]:
+    def points(self) -> tuple[tuple[Fraction, Fraction], ...]:
         """The breakpoints as Fraction pairs, built on each read."""
         return tuple((Fraction(xn, xd), Fraction(yn, yd)) for xn, xd, yn, yd in _quads(self._bp))
 
-    def _known_slopes(self) -> Tuple[Tuple[int, int], ...]:
+    def _known_slopes(self) -> tuple[tuple[int, int], ...]:
         if self.slopes is None:  # the breakpoints are minimal, so _minimal keeps them all
             self.slopes = _minimal(_quads(self._bp))[1]
         return self.slopes
@@ -228,7 +228,7 @@ class PLMap:
         bp = (0, 1, 0, 1, *chain.from_iterable(self._merge(other, slopes)))
         return PLMap._make(bp, tuple(slopes))
 
-    def _merge(self, other: "PLMap", slopes: List[Pair]) -> Iterator[Tuple[int, int, int, int]]:
+    def _merge(self, other: "PLMap", slopes: list[Pair]) -> Iterator[tuple[int, int, int, int]]:
         """The breakpoints of apply-self-then-other after (0,0), in order, as
         (xn, xd, yn, yd); the slope of each segment is appended to `slopes`
         once known.  Each point is final when yielded: no later step removes
@@ -298,11 +298,11 @@ class PLMap:
         pts = ", ".join(f"({fmt(q[:2])},{fmt(q[2:])})" for q in _quads(self._bp))
         return f"PLMap([{pts}])"
 
-    def orbitals(self) -> List[Tuple[Fraction, Fraction, int]]:
+    def orbitals(self) -> list[tuple[Fraction, Fraction, int]]:
         """`_orbitals` with Fraction ends."""
         return [(Fraction(*u), Fraction(*v), s) for u, v, s in self._orbitals()]
 
-    def _orbitals(self) -> Tuple[Tuple[Pair, Pair, int], ...]:
+    def _orbitals(self) -> tuple[tuple[Pair, Pair, int], ...]:
         """Maximal open intervals where the map moves points, with signs.
 
         Returns (u, v, sign) triples of reduced pairs u and v, with sign +1

@@ -25,13 +25,13 @@ from __future__ import annotations
 
 import functools
 from operator import eq
-from typing import List, Optional, Sequence, Tuple
+from collections.abc import Sequence
 
-from ..signature import short_int
-from .marked import MarkedFn, RealizationError
+from ..signature import RealizationError, short_int
+from .marked import MarkedFn
 from .plmap import PLMap, _lt, conj_map
 
-GroupWord = List[Tuple[int, int]]  # (generator index, nonzero exponent)
+GroupWord = list[tuple[int, int]]  # (generator index, nonzero exponent)
 
 # Entries in each predicate memo, least recently used dropped first.  An
 # entry keeps two maps and a bool alive.  One `predicates` call asks at
@@ -105,7 +105,7 @@ def pred_T(x: PLMap, y: PLMap, z: PLMap) -> bool:
 
 
 def predicates(fns: Sequence[MarkedFn], x_word: GroupWord, y_word: GroupWord,
-               z_word: Optional[GroupWord] = None) -> dict:
+               z_word: GroupWord | None = None) -> dict:
     """Evaluate C and D on (x,y), and T on (x,y,z) when z is given."""
     x = pl_eval(fns, x_word)
     y = pl_eval(fns, y_word)

@@ -65,13 +65,18 @@ import itertools
 import json
 import operator
 import re
-from typing import Iterable, List, Optional, Sequence, Tuple
+from collections.abc import Iterable, Sequence
 
 from .ordinal import MAX_NESTING
 
 
 class SignatureError(ValueError):
     pass
+
+
+class RealizationError(ValueError):
+    """The domain error of `sigcalc.realization`, defined here so that the
+    command line maps it to exit 1 without loading that package."""
 
 
 class SignatureParseError(SignatureError):
@@ -102,7 +107,7 @@ def _pair_index(n: int, i: int, j: int) -> int:
     return i * (2 * n - i - 1) // 2 + (j - i - 1)
 
 
-def _pairs(n: int) -> Iterable[Tuple[int, int]]:
+def _pairs(n: int) -> Iterable[tuple[int, int]]:
     return itertools.combinations(range(n), 2)
 
 
@@ -115,7 +120,7 @@ class Signature:
 
     __slots__ = ("n", "vals", "labels")
 
-    def __init__(self, n: int, vals: Sequence[int], labels: Optional[Sequence[str]] = None):
+    def __init__(self, n: int, vals: Sequence[int], labels: Sequence[str] | None = None):
         """Checks values (each an int in 0..255) and (!), not the shape:
         n >= 0, n(n-1)/2 values, n labels if any, as `sig_from_json` and the
         module constants give."""
@@ -131,7 +136,7 @@ class Signature:
         """o(i,j), unchecked: `__repr__`, `sig_inflate`, `_inflated_base` ask i < j < n."""
         return self.vals[_pair_index(self.n, i, j)]
 
-    def violations(self) -> List[Tuple[int, int, int]]:
+    def violations(self) -> list[tuple[int, int, int]]:
         """All triples i < j < k that fail (!), in lexicographic order."""
         out = []
         rows = _rows(self)
@@ -160,7 +165,7 @@ class Signature:
         cells = ", ".join(f"({i},{j})={self.val(i,j)}" for i, j in _pairs(self.n))
         return f"Signature(n={self.n}, {cells})"
 
-    def default_labels(self) -> Tuple[str, ...]:
+    def default_labels(self) -> tuple[str, ...]:
         return self.labels if self.labels is not None else tuple(str(i) for i in range(self.n))
 
 
@@ -178,7 +183,7 @@ def _trusted(n: int, vals: Sequence[int], labels=None) -> Signature:
     return s
 
 
-def _rows(a: Signature) -> List[bytes]:
+def _rows(a: Signature) -> list[bytes]:
     """The n rows of a's values: row i is (o(i,i+1), ..., o(i,n-1))."""
     vals, rows, start = a.vals, [], 0
     for width in range(a.n - 1, -1, -1):
@@ -236,7 +241,7 @@ def sig_shift_down(a: Signature) -> Signature:
     return _trusted(a.n, a.vals.translate(_MINUS_ONE), a.labels)
 
 
-def decompose(a: Signature) -> List[Signature]:
+def decompose(a: Signature) -> list[Signature]:
     """The unique maximal splitting into indecomposable summands.
 
     A split point p has o(i,k) = 0 for all i < p <= k.  A part [lo, hi)
@@ -314,7 +319,7 @@ def sig_rotate(a: Signature) -> Signature:
     return _trusted(a.n, vals, labels)
 
 
-def _inflated_base(a: Signature, m: int) -> List[Tuple[int, bool]]:
+def _inflated_base(a: Signature, m: int) -> list[tuple[int, bool]]:
     """The base of a inflated at m, as (old element, is a conjugate) pairs:
     originals below m, then i^m for each i < m with o(i,m) > 0, in order,
     then m and above; `sig_inflate` and `genset.set_inflate` both read it."""
@@ -363,12 +368,12 @@ def sig_inflate(a: Signature, m: int) -> Signature:
 # Largest base, a term's '1' leaves or a JSON matrix's "n": the (!) check of a
 # JSON matrix is n^3 work (`Signature(...)` on the chain 1*1*...*1: 0.11 s at
 # 256, 0.97 s at 512; `rho` on the 256-leaf chain as JSON: 0.15 s to read it,
-# the whole CLI call 0.22 s).  As a term the 256-leaf chain reads in 3.8 ms
-# in a fresh process, most of it building the base's row-major getter (0.6 ms
-# once that is kept), `rho` ranks it in 1.3 ms (the whole CLI call 0.085 s,
+# the whole CLI call 0.22 s).  As a term the 256-leaf chain reads in 4.0 ms
+# in a fresh process, most of it building the base's row-major getter (0.7 ms
+# once that is kept), `rho` ranks it in 0.7 ms (the whole CLI call 0.070 s,
 # most of it interpreter start-up) and `realize` builds its set, 510 levels
-# deep, in 0.09 s (the CLI call 0.16 s, median of 7); the term figures are
-# medians of 16 fresh processes, under CPython 3.11.7 on a 2-vCPU x86-64 host.
+# deep, in 0.08 s (the CLI call 0.18 s); the term figures are medians of 16
+# fresh processes, under CPython 3.11.7 on a 2-vCPU x86-64 host.
 MAX_BASE = 256
 
 _TOKEN = re.compile(r"\s*(exp|\S)")  # 'exp' or one character, after whitespace
@@ -462,7 +467,7 @@ def eval_term(sig: Signature) -> Signature:
 # --- enumeration and JSON ----------------------------------------------------
 
 
-def enumerate_signatures(n: int, vmax: int) -> List[Signature]:
+def enumerate_signatures(n: int, vmax: int) -> list[Signature]:
     """All signatures on base n with values <= vmax, in lexicographic order of
     the column key o(0,1), o(0,2), o(1,2), o(0,3), ....  Each one on the base
     0..k-1, kept as its rows, is extended by every column o(0,k), ...,
@@ -490,7 +495,7 @@ def enumerate_signatures(n: int, vmax: int) -> List[Signature]:
 
 
 @functools.lru_cache(maxsize=16)
-def _json_body(n: int) -> Tuple[str, Tuple[int, ...]]:
+def _json_body(n: int) -> tuple[str, tuple[int, ...]]:
     """The JSON of a signature on base n after its '{', with a %d for each
     pair value, and the pair index of each %d.  The "i,j" keys are in string
     order, as sort_keys puts them: from n = 11 on, "0,10" comes before "0,2"."""
@@ -513,8 +518,9 @@ def sig_to_json(a: Signature) -> str:
 # `parse_term`, which builds values up to 201): rho recurses once per unit
 # (from 249 on, a RecursionError), realize's functions get about one orbital
 # per unit, and the standardness walk of `signature_of` and `verify` takes
-# one rotation per unit.  On {"n": 2, "o": {"0,1": 64}}, realize takes 0.04 s and the whole
-# `realize` process 0.09 s, under CPython 3.11 on one x86-64 core.
+# one rotation per unit.  On {"n": 2, "o": {"0,1": 64}}, realize takes 0.02 s and the whole
+# `realize` process 0.09 s (medians of 16 fresh processes, under CPython 3.11.7
+# on a 2-vCPU x86-64 host).
 MAX_PAIR_VALUE = 64
 
 
@@ -542,7 +548,7 @@ def short_int(k: int) -> str:
     return text if len(text) <= cut else text[:cut] + "..."
 
 
-def _unique_keys(pairs: List[Tuple[str, object]]) -> dict:
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     """A JSON object's members as a dict; SignatureParseError when a key repeats."""
     doc = dict(pairs)
     if len(doc) < len(pairs):

@@ -43,6 +43,14 @@ WALK_CHECKS = [f"{REALIZATION}::test_walk_agrees_with_recursive_definition",
                f"{REALIZATION}::test_is_sgen_exactly_when_signature_of_succeeds"]
 
 MUTANTS = [
+    Mutant("src/sigcalc/__init__.py", '__version__ = "0.1.0"',
+           'from . import ordinal, signature, normalizer, realization\n\n__version__ = "0.1.0"',
+           [f"{TEST_CLI}::test_a_rank_verb_loads_no_pl_code"],
+           "importing the package loads no submodule, so a rank verb loads no PL code"),
+    Mutant(CLI, "except (SignatureError, RealizationError, OutsideComputedFamily) as e:",
+           "except (SignatureError, OutsideComputedFamily) as e:",
+           [f"{TEST_CLI}::test_build_depth_is_a_domain_error"],
+           "a domain error of the PL layer exits 1 with one line, not a traceback"),
     Mutant(CLI, "is_path = os.access(arg, os.F_OK)", "is_path = os.path.isfile(arg)",
            [f"{TEST_CLI}::test_a_pipe_is_read_as_a_file_argument"],
            "a file argument that names a pipe, such as /dev/stdin, is read"),

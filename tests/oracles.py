@@ -91,10 +91,10 @@ from typing import List, Optional, Sequence, Tuple
 from sigcalc.normalizer import MODES, _exp_inverse
 from sigcalc.ordinal import MAX_NESTING, OMEGA, ONE, ZERO, Ordinal, ord_add, ord_omega_pow
 from sigcalc.signature import (
-    MAX_BASE, ONE_SIG, ZERO_SIG, Signature, SignatureError, TermParseError, _pair_index, _pairs,
-    _trusted, bang_rel, is_all_positive, sig_exp, sig_shift_down, sig_sum)
+    MAX_BASE, ONE_SIG, ZERO_SIG, RealizationError, Signature, SignatureError, TermParseError,
+    _pair_index, _pairs, _trusted, bang_rel, is_all_positive, sig_exp, sig_shift_down, sig_sum)
 from sigcalc.realization.genset import GenSet, _fast_ordered, is_fast
-from sigcalc.realization.marked import MarkedFn, RealizationError, fn_rotate, is_standard_fn
+from sigcalc.realization.marked import MarkedFn, fn_rotate, is_standard_fn
 from sigcalc.realization.build import A_NEG, B_POS, L0, M1, M2, R0
 from sigcalc.realization.plmap import PLError, PLMap, Pair, _lt, _minimal, _quads, _reduced, keys
 

@@ -23,8 +23,9 @@ from sigcalc import cli, realization
 from sigcalc.normalizer import materialize
 from sigcalc.ordinal import MAX_NESTING, ord_parse
 from sigcalc.signature import (
-    MAX_BASE, MAX_PAIR_VALUE, Signature, parse_term, sig_from_json, sig_rotate, sig_to_json)
-from sigcalc.realization import RealizationError, build, diagram, genset_from_json, genset_to_json
+    MAX_BASE, MAX_PAIR_VALUE, RealizationError, Signature, parse_term, sig_from_json, sig_rotate,
+    sig_to_json)
+from sigcalc.realization import build, diagram, genset_from_json, genset_to_json
 from helpers import bumps_set, fresh_rank_caches, nest, one_function, placed, set_json
 from oracles import excise, fig_g_set
 
@@ -1045,6 +1046,39 @@ def test_realization_exports_what_cli_and_bench_import():
     public = {name for name, value in vars(realization).items()
               if not name.startswith("_") and type(value) is not type(realization)}
     assert public == imported
+
+
+# each rank verb, and rotate and inflate given a signature
+RANK_CALLS = [
+    ["rho", "exp(1+1)*exp(1)+1"], ["normalize", "1+exp(1)"], ["leq", "1", "1+1"],
+    ["ea", "w^w"], ["ea", "w+1", "--target"], ["materialize", "w^w+1"], ["ord", "w", "mul", "w"],
+    ["enumerate", "--n", "3", "--vmax", "1"], ["rotate", "exp(1+1)"],
+    ["inflate", "1*exp(1)", "--at", "1"],
+]
+# in a fresh interpreter with no `site` (which may load `typing`): each call's
+# exit code and the modules of UNUSED it leaves loaded
+LOADED_BY_EACH_CALL = """
+import io, json, sys
+from sigcalc import cli
+UNUSED = ("sigcalc.realization", "fractions", "decimal", "numbers", "typing")
+report, sys.stdout = [], io.TextIOWrapper(io.BytesIO())
+for argv in json.loads(sys.argv[1]):
+    code = cli.main(argv)
+    report.append([argv, code, sorted(m for m in sys.modules if m.startswith(UNUSED))])
+print(json.dumps(report), file=sys.__stdout__)
+"""
+
+
+def test_a_rank_verb_loads_no_pl_code():
+    calls = [*RANK_CALLS, ["realize", "exp(1+1)"]]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-S", "-c", LOADED_BY_EACH_CALL, json.dumps(calls)],
+                          capture_output=True, env=env, timeout=60, check=True)
+    report = json.loads(proc.stdout)
+    assert [argv for argv, _, _ in report] == calls
+    for argv, code, loaded in report[:-1]:
+        assert (code, loaded) == (0, []), argv
+    assert report[-1][1] == 0 and "sigcalc.realization" in report[-1][2]
 
 
 # --- fuzzing main ----------------------------------------------------------------------

@@ -3,9 +3,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from sigcalc.signature import ONE_SIG, Signature, parse_term, sig_sum
+from sigcalc.signature import ONE_SIG, RealizationError, Signature, parse_term, sig_sum
 from sigcalc.realization import (
-    PLMap, RealizationError, diagram, is_fast, realize, signature_of, to_dot)
+    PLMap, diagram, is_fast, realize, signature_of, to_dot)
 from sigcalc.realization.marked import MarkedFn, conjugate, square
 from oracles import excise, fig_bz_set, fig_g_set, frac, retrofit_slopes, transition_points
 

@@ -10,6 +10,7 @@ import pytest
 from sigcalc.signature import (
     ONE_SIG,
     ZERO_SIG,
+    RealizationError,
     Signature,
     enumerate_signatures,
     parse_term,
@@ -20,7 +21,6 @@ from sigcalc.realization import (
     NotFastError,
     NotSgenError,
     PLMap,
-    RealizationError,
     diagram,
     genset_from_json,
     genset_to_json,

@@ -4,6 +4,7 @@ import pytest
 
 from sigcalc.signature import (
     ONE_SIG,
+    RealizationError,
     Signature,
     enumerate_signatures,
     parse_term,
@@ -12,7 +13,7 @@ from sigcalc.signature import (
     sig_sum,
 )
 from sigcalc.realization import (
-    RealizationError, is_sgen, realize, set_inflate, set_rotate, signature_of)
+    is_sgen, realize, set_inflate, set_rotate, signature_of)
 from oracles import checked_copy
 
 one = ONE_SIG
