@@ -23,8 +23,9 @@ copies unchecked (`PLMap._make`, `MarkedFn._trusted`), each top with the
 orbitals it constructs and no slopes, derived only if it is ever composed;
 `test_placed_functions_match_checked_constructor` and the realize sweep
 compare every top that builds keep with the checked constructors' rebuild.
-New feet avoid the placed functions' feet: each wrap reads their ends once
-(`_ends`), from each function's stored `feet`, shared by its placements.
+New feet avoid the placed functions' feet: only the general wrap reads their
+ends, once (`_ends`), from each function's stored `feet`, shared by its
+placements; the two-orbital wrap has no retained foot end inside its support.
 """
 
 from __future__ import annotations
@@ -82,12 +83,11 @@ def place(frame: Frame, p: Pair) -> Pair:
 
 
 def transport(f: MarkedFn, frame: Frame, name: str | None = None) -> MarkedFn:
-    """f carried by the frame into (a/c, (a+b)/c), the identity outside.
-    The unit frame shares f's map and markers under the new name.  Another
-    frame places each breakpoint, reduced by one gcd; (0,0) replaces the
-    image of (0,0) when a = 0 or f's first piece is the identity, and goes
-    before it otherwise; likewise (1,1) when a + b = c or f's last piece is
-    the identity."""
+    """f carried by the frame into (a/c, (a+b)/c), the identity outside;
+    f must be the identity near 0 and 1, as every function a build keeps
+    is.  The unit frame shares f's map and markers under the new name.
+    Another frame places each breakpoint, reduced by one gcd, and (0,0)
+    and (1,1) replace the images of (0,0) and (1,1)."""
     if frame == UNIT:
         return MarkedFn._trusted(f.map, f.markers, name)
     a, b, c = frame
@@ -96,14 +96,7 @@ def transport(f: MarkedFn, frame: Frame, name: str | None = None) -> MarkedFn:
         n, d = a * d + b * n, c * d
         g = gcd(n, d)
         bp += n // g, d // g
-    if a == 0 or src[4:6] == src[6:8]:
-        bp[:4] = (0, 1, 0, 1)
-    else:
-        bp[:0] = (0, 1, 0, 1)
-    if a + b == c or src[-8:-6] == src[-6:-4]:
-        bp[-4:] = (1, 1, 1, 1)
-    else:
-        bp += (1, 1, 1, 1)
+    bp[:4], bp[-4:] = (0, 1, 0, 1), (1, 1, 1, 1)
     markers = tuple(place(frame, s) for s in f.markers)
     return MarkedFn._trusted(PLMap._make(tuple(bp)), markers, name)
 
@@ -161,9 +154,8 @@ def _build(sig: Signature, level: int = 0) -> tuple[Build, int]:
         fns, frames = built
         frame = _then(frames[:3], MIDDLE)
         frames = tuple(_then_all(frames[3:], MIDDLE))
-        others = zip(fns[1:], _triples(frames))
         if maxrow > 2:
-            top = _wrap_general(fns[0], frame, others)
+            top = _wrap_general(fns[0], frame, zip(fns[1:], _triples(frames)))
         else:
             # The rotated top is UNIT_BUMP.  Its values are o(i, top) - 1 <= 1, and
             # an element with 0 against each earlier one and at most 1 against each
@@ -173,7 +165,7 @@ def _build(sig: Signature, level: int = 0) -> tuple[Build, int]:
             # `decompose` put it alone in slot 0, left of every retained function,
             # and its support is the new bump's left foot.
             u, v = place(frame, UNIT_U), place(frame, UNIT_V)
-            top = _wrap_two(u, v, others) if maxrow == 2 else _bump(u, R0, v, B_POS)
+            top = _wrap_two(u, v) if maxrow == 2 else _bump(u, R0, v, B_POS)
         built, depth = (fns[1:] + (top,), frames + UNIT), depth + 1
 
 
@@ -190,23 +182,23 @@ BASES: tuple[Build, Build] = (((), ()), ((UNIT_BUMP,), UNIT))  # the builds of n
 A_NEG, B_POS = (19, 96), (77, 96)  # (L0 + M1) / 2 and (M2 + R0) / 2
 
 
-def _wrap_two(u: Pair, v: Pair, others: Placed) -> MarkedFn:
-    """Two-orbital top with expansion point inside the widest gap between
-    the retained functions' feet in (u, v), the placed support of the
-    rotated top, the unit bump; used when the maximum oscillation against
-    the top is 2.  Canonical as written: reduced pairs, and no collinear
-    point, as each point off the diagonal lies between two on it.  The gaps
-    lie between u, the retained feet's ends inside (u, v), sorted, and v,
-    two at a time, with no foot clipped or merged: the retained functions are
-    part of the fast rotated build, so their feet never overlap (touching
-    feet make gaps of width 0), and a foot with an end inside (u, v) has
-    both there, or it would meet the unit bump's own feet.  The first gap,
-    so the widest, is not empty: it holds the unit bump's left foot."""
-    (un, ud), (vn, vd) = u, v
-    inside = [(n, d) for n, d in _ends(others) if un * d < n * ud and n * vd < vn * d]
-    den, k = keys([u, v, *inside])
-    k.sort()  # u, then each foot's ends in turn, then v
-    x, y = max(zip(k[0::2], k[1::2]), key=lambda g: g[1] - g[0])
+def _wrap_two(u: Pair, v: Pair) -> MarkedFn:
+    """Two-orbital top with expansion point inside (u, v), the placed
+    support of the rotated top, the unit bump; used when the maximum
+    oscillation against the top is 2.  Canonical as written: reduced pairs,
+    and no collinear point, as each point off the diagonal lies between two
+    on it.  No retained foot end lies inside (u, v), so no foot is read.
+    The rotated build realizes sig_rotate(sig), whose element 0 is the
+    rotated top f0, so f0 is least in max-transition order of a fast
+    standard set, and each retained g has f0 << g or f0 inside g.  If
+    f0 << g, every end of g is at v or beyond.  If f0 is inside g, then
+    o(f0, g) = 1, as the maximum is 2, so the walk's next step has
+    g^o << f0 (`fn_rotate`'s rule, for 1, 2 or more orbitals): g's
+    orbitals before its last end at or before u, and so does its last
+    orbital's left foot, which would otherwise meet f0's left foot (u, s0);
+    and g's last orbital holds [u, v], so its right foot starts at v or
+    beyond, as it would otherwise meet f0's right foot [t0, v)."""
+    den, (x, y) = keys([u, v])
     # x + step, x + 2 step and x + 4 step for a step of (y - x) / 6
     b1, c = _reduced(5 * x + y, 6 * den), _reduced(2 * x + y, 3 * den)
     sa = _reduced(x + 2 * y, 3 * den)

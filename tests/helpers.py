@@ -9,7 +9,7 @@ from fractions import Fraction as F
 from sigcalc import normalizer
 from sigcalc.ordinal import ZERO, Ordinal
 from sigcalc.realization import PLMap
-from sigcalc.realization.build import transport
+from sigcalc.realization.build import _triples, transport
 from sigcalc.signature import enumerate_signatures
 from oracles import SigTerm, checked_ordinal, ord_cmp_by_terms
 
@@ -153,6 +153,14 @@ def placed(built):
     """A build's functions, each carried by its frame, three flat integers."""
     fns, frames = built
     return [transport(f, frames[3 * k:3 * k + 3]) for k, f in enumerate(fns)]
+
+
+def retained(level):
+    """The functions a wrap retains, each with its frame, read off level,
+    the frame of `build._build` that calls the wrap: the rotated build's
+    functions after its top, with their frames after MIDDLE."""
+    local = level.f_locals
+    return list(zip(local["fns"][1:], _triples(local["frames"])))
 
 
 def set_json(fns) -> str:

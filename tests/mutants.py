@@ -85,12 +85,16 @@ MUTANTS = [
            "if n * ud < un * d and (lo == M1 or n * lo[1] < lo[0] * d):",
            [f"{REALIZATION}::test_the_wraps_read_the_retained_feet_as_the_merged_spans_do"],
            "the general wrap's left wall is the nearest retained foot end left of u_t"),
-    Mutant(BUILD, "if un * d < n * ud and n * vd < vn * d]", "if un * d <= n * ud and n * vd < vn * d]",
-           [f"{REALIZATION}::test_the_wraps_read_the_retained_feet_as_the_merged_spans_do"],
-           "the two-orbital wrap reads only the foot ends strictly inside (u, v)"),
-    Mutant(BUILD, "_wrap_two(u, v, others)", "_wrap_two(u, place(frame, (5, 8)), others)",
+    Mutant(BUILD, "_wrap_two(u, v)", "_wrap_two(u, place(frame, (5, 8)))",
            [f"{REALIZATION}::test_build_transports_only_the_general_wraps_rotated_top"],
            "the two-orbital wrap is handed the unit bump's placed support"),
+    Mutant(BUILD, "_wrap_two(u, v)", "_wrap_two(u, M2)",
+           [f"{REALIZATION}::test_the_wraps_read_the_retained_feet_as_the_merged_spans_do"],
+           "no retained foot end lies inside the support the two-orbital wrap is handed"),
+    Mutant(BUILD, "bp[:4], bp[-4:] = (0, 1, 0, 1), (1, 1, 1, 1)",
+           "bp[:0], bp[-4:] = (0, 1, 0, 1), (1, 1, 1, 1)",
+           [f"{REALIZATION}::test_realized_n5_json_is_pinned"],
+           "a carried function's (0,0) replaces the image of its (0,0)"),
     Mutant(BUILD, "            == (yn * ud - un * yd) * xd * (un * bd - bn * ud) * ad):",
            "            != (yn * ud - un * yd) * xd * (un * bd - bn * ud) * ad):",
            [f"{REALIZATION}::test_general_wrap_drops_a_collinear_junction"],

@@ -39,7 +39,8 @@ off its integer keys.
 they read the retained feet through `obstacles_by_spans`: every foot end
 over one `lcm` of all their denominators, sorted, and merged into spans,
 clipped to (u, v) for the two-orbital top; the reference for the one pass
-of `build._wrap_two` and `build._wrap_general`.
+of `build._wrap_general`, and for `build._wrap_two`, which reads no retained
+foot, as none has an end inside (u, v).
 `signatures_by_columns` enumerates signatures by a search over the pairs
 with no bound on the base, the reference for the order of
 `enumerate_signatures` and the enumeration of `tests/sweep_realize.py`.

@@ -17,7 +17,10 @@ given in reverse order, so `signature_of` must put them back in order.
 rho(s) = xi, and `materialize(xi)` must have the rank xi.  Every function
 that s's build keeps, the unit bump and the wrap tops, must equal its
 rebuild by the checked constructors (`oracles.checked_copy`): map,
-orbitals, markers, name and feet.  The realized sets' JSON, concatenated
+orbitals, markers, name and feet.  No function that a two-orbital wrap
+retains may have a foot end inside (u, v), the support it wraps, which
+`build._wrap_two` reads none of; the retained functions are read off the
+wrapping level of `build._build`.  The realized sets' JSON, concatenated
 in enumeration order, must hash to the pinned sha256.  Exits 1 naming the
 first signature or sweep that fails.
 """
@@ -25,7 +28,7 @@ first signature or sweep that fails.
 import hashlib
 import sys
 import time
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from sigcalc.normalizer import is_reduced, materialize, normalize, rho
 from sigcalc.realization import (
@@ -33,7 +36,8 @@ from sigcalc.realization import (
 from sigcalc.realization.genset import GenSet, _fast_ordered
 from sigcalc.realization.marked import MarkedFn
 from sigcalc.signature import Signature, sig_inflate, sig_restrict, sig_rotate
-from oracles import checked_copy, fn_shape, signatures_by_columns
+from oracles import checked_copy, fn_shape, frac, signatures_by_columns
+from helpers import retained
 
 # (n, vmax): (signature count, sha256 of the realized JSON)
 SWEEPS = {
@@ -76,15 +80,33 @@ def failure(s: Signature, index: int, fns: GenSet, seen: Dict[int, MarkedFn]) ->
     return None
 
 
+def checking_wrap_two(wraps: List[bool]):
+    """`build._wrap_two`, appending to wraps, for each call, whether a
+    function retained at the wrapping level of `build._build` has a foot end
+    inside (u, v)."""
+    wrap_two = build._wrap_two
+
+    def call(u, v):
+        lo, hi = frac(u), frac(v)
+        wraps.append(any(lo < frac(build.place(frame, p)) < hi
+                         for f, frame in retained(sys._getframe(1)) for foot in f.feet for p in foot))
+        return wrap_two(u, v)
+    return call
+
+
 def main() -> int:
     seen: Dict[int, MarkedFn] = {}
+    wraps: List[bool] = []
+    build._wrap_two = checking_wrap_two(wraps)
     for (n, vmax), (count, pinned) in SWEEPS.items():
-        start = time.perf_counter()
+        start, made = time.perf_counter(), len(wraps)
         sigs = signatures_by_columns(n, vmax)
         digest = hashlib.sha256()
         for index, s in enumerate(sigs):
+            done = len(wraps)
             fns = realize(s)
-            problem = failure(s, index, fns, seen)
+            problem = ("makes a two-orbital wrap with a retained foot end inside (u, v)"
+                       if any(wraps[done:]) else failure(s, index, fns, seen))
             if problem:
                 print(f"n = {n}, values <= {vmax}: {s!r} {problem}")
                 return 1
@@ -94,7 +116,8 @@ def main() -> int:
                   f"sha256 {digest.hexdigest()}, pinned {count} and {pinned}")
             return 1
         print(f"n = {n}, values <= {vmax}: {count} signatures round-trip, rotate, inflate, "
-              f"restrict and rank, JSON as pinned, {len(seen)} built functions checked so far, "
+              f"restrict and rank, JSON as pinned, {len(wraps) - made} two-orbital wraps with "
+              f"no retained foot end inside, {len(seen)} built functions checked so far, "
               f"{time.perf_counter() - start:.1f} s")
     return 0
 

@@ -499,6 +499,9 @@ CHAIN_SHA256 = "337d19157809879d2914a083414fb07ad4750387ec6fc015bd6054e8121fc62b
 # sha256 of `realize` of 8 E( around 16 ones, 119,113 bytes: n = 16, with 112
 # general wraps around up to 15 retained functions
 TOWER_SHA256 = "6f13704269033c92c3ec0481433c9c5e1a943505464745989563d82db50bc478"
+# sha256 of `realize` of E( around 250 ones, 619,488 bytes: n = 250, with 249
+# two-orbital wraps around up to 249 retained functions
+E_SUM_SHA256 = "564567e2d1a80a4e518cc8a5615e26eb69013da27755d54f604d91a200904fa6"
 
 
 def _called_from(frames: int, fn):
@@ -539,6 +542,14 @@ def test_a_deep_general_wrap_build_is_pinned(capsys, monkeypatch):
     code, out, err = run(capsys, "realize", nest("E(", "+".join(["1"] * 16), 8))
     assert (code, err, len(out)) == (0, "", 119113)
     assert hashlib.sha256(out.encode()).hexdigest() == TOWER_SHA256
+
+
+def test_a_deep_two_orbital_wrap_build_is_pinned(capsys, monkeypatch):
+    # from a cold memo, as a CLI call builds it
+    monkeypatch.setattr(build, "_memo", {})
+    code, out, err = run(capsys, "realize", nest("E(", "+".join(["1"] * 250), 1))
+    assert (code, err, len(out)) == (0, "", 619488)
+    assert hashlib.sha256(out.encode()).hexdigest() == E_SUM_SHA256
 
 
 def test_walk_bound_names_the_pair_value_bound(capsys):

@@ -41,7 +41,7 @@ from oracles import (
     genset_to_json_dumps, is_standard_pair, make_bump_fn, midpoint_bump, order_genset,
     oscillation, pair_relation, rescale_checked, retrofit_slopes, wrap_general_by_spans,
     wrap_two_by_spans)
-from helpers import frame_onto
+from helpers import frame_onto, retained
 
 one = ONE_SIG
 
@@ -123,9 +123,10 @@ def test_rescale_at_the_ends_of_the_unit_interval():
     fixes_both = make_bump_fn(F(1, 4), F(1, 2), F(5, 16), F(7, 16))
     for f in (moves_at_0, moves_at_1, fixes_both, make_bump_fn(0, 1, F(1, 4), F(3, 4))):
         assert fn_shape(f) == fn_shape(checked_copy(f))
-        for lo, hi in ((0, F(1, 2)), (F(1, 2), 1), (F(1, 4), F(3, 4)), (0, 1)):
-            moved = transport(f, frame_onto(lo, hi), f.name)
-            assert fn_shape(moved) == fn_shape(rescale_checked(f, lo, hi))
+    # `transport` carries only functions that fix 0 and 1, as builds keep
+    for lo, hi in ((0, F(1, 2)), (F(1, 2), 1), (F(1, 4), F(3, 4)), (0, 1)):
+        moved = transport(fixes_both, frame_onto(lo, hi), fixes_both.name)
+        assert fn_shape(moved) == fn_shape(rescale_checked(fixes_both, lo, hi))
     with pytest.raises(RealizationError):
         make_bump_fn(0, F(1, 2), F(3, 8), F(1, 8))
 
@@ -575,26 +576,34 @@ def test_the_wraps_read_the_retained_feet_as_the_merged_spans_do(monkeypatch):
     # values <= 4, then n = 5 and values <= 3, then the tower: its top is the
     # one the merged spans of every retained foot give, and no retained foot's
     # closure holds the support it wraps, (u, v) or (u_t, v_t), inside it
-    # past an end, which reading each end once relies on
+    # past an end, which reading each end once relies on.  The two-orbital
+    # wrap is handed no retained function, as no retained foot end lies
+    # inside (u, v): they are read off the wrapping level of `_build`
     seen = {"_wrap_two": [], "_wrap_general": []}
 
     def recording(name, wrap, oracle):
         def call(*args):
-            *points, others = args
-            others = list(others)
-            top = wrap(*points, iter(others))
-            if name == "_wrap_general":  # the rotated top, and its frame
-                points = [transport(*points)]
+            if name == "_wrap_general":
+                *points, others = args
+                others = list(others)
+                top = wrap(*points, iter(others))
+                points = [transport(*points)]  # the rotated top, and its frame
+            else:
+                points, others = args, retained(sys._getframe(1))
+                top = wrap(*points)
             want = oracle(*points, others)
             assert (top.map._bp, top.orbitals, top.markers) == (
                 want.map._bp, want.orbitals, want.markers)
             if name == "_wrap_general":
                 points = [points[0].orbitals[0][0], points[0].orbitals[-1][1]]
+            u, v = map(frac, points)
             for f, frame in others:
-                for u, s, t, v in f.feet:
-                    for lo, hi in ((u, s), (t, v)):
-                        lo, hi = frac(build.place(frame, lo)), frac(build.place(frame, hi))
+                for foot in f.feet:
+                    ends = [frac(build.place(frame, p)) for p in foot]
+                    for lo, hi in (ends[:2], ends[2:]):
                         assert not any(lo < frac(p) < hi for p in points)
+                    if name == "_wrap_two":
+                        assert not any(u < end < v for end in ends)
             seen[name].append(len(others))
             return top
         return call
@@ -609,11 +618,6 @@ def test_the_wraps_read_the_retained_feet_as_the_merged_spans_do(monkeypatch):
     build._build(TOWER)
     assert (len(seen["_wrap_two"]), len(seen["_wrap_general"])) == (252 + 15, 413 + 112)
     assert max(seen["_wrap_two"]) == max(seen["_wrap_general"]) == 15
-    # feet may touch: bumps that end at u, start at v, and sit inside (u, v)
-    others = [(canonical_bump(lo, hi), UNIT) for lo, hi in ((F(1, 8), F(1, 4)), (F(3, 8), F(1, 2)),
-                                                           (F(3, 4), F(7, 8)))]
-    build._wrap_two((1, 4), (3, 4), others)
-    assert seen["_wrap_two"][-1] == 3
 
 
 def test_build_cache_keeps_no_transported_copy(monkeypatch):
@@ -720,9 +724,13 @@ def _distinct(fns):
 def test_trusted_transport_matches_checked_constructor():
     assert [o[:2] for o in CROSSING.orbitals] == [((0, 1), (1, 3)), ((1, 3), (4, 5)),
                                                   ((4, 5), (1, 1))]
-    fns = [CROSSING] + _distinct(f for s in enumerate_signatures(4, 3) for f in realize(s))
-    for f in fns:
-        for g in _rotation_chain(f) + [transport(f, frame_onto(lo, hi)) for lo, hi in INTERVALS]:
+    fns = _distinct(f for s in enumerate_signatures(4, 3) for f in realize(s))
+    for f in [CROSSING] + fns:
+        for g in _rotation_chain(f):
+            assert fn_shape(g) == fn_shape(checked_copy(g))
+    for f in fns:  # `transport` carries only functions that fix 0 and 1, as builds keep
+        for lo, hi in INTERVALS:
+            g = transport(f, frame_onto(lo, hi))
             assert fn_shape(g) == fn_shape(checked_copy(g))
 
 
