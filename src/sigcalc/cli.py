@@ -59,8 +59,6 @@ a marker or orbital end), cut with "...".  A function that is not standard is
 named by its name, or else by its index in max-transition order.
 """
 
-from __future__ import annotations
-
 import argparse
 import errno
 import json

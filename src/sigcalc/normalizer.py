@@ -34,8 +34,6 @@ CPython 3.11.7 on a 2-vCPU x86-64 host), and the same pass with both memos
 cleared after every call is no faster than with no memo.
 """
 
-from __future__ import annotations
-
 import functools
 
 from .ordinal import (

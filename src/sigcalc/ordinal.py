@@ -16,8 +16,6 @@ natural numbers; the arithmetic builds normal forms from normal forms.  The
 tests rebuild results through `tests/oracles.py::checked_ordinal`.
 """
 
-from __future__ import annotations
-
 
 class OrdinalParseError(ValueError):
     def __init__(self, message: str, pos: int):

@@ -28,8 +28,6 @@ ends, once (`_ends`), from each function's stored `feet`, shared by its
 placements; the two-orbital wrap has no retained foot end inside its support.
 """
 
-from __future__ import annotations
-
 from itertools import chain
 from math import gcd
 from collections.abc import Iterable, Iterator

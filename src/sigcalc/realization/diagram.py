@@ -11,8 +11,6 @@ generated group, and there is at most one isomorphism between two diagrams,
 so isomorphism reduces to equality of a canonical form.
 """
 
-from __future__ import annotations
-
 from collections.abc import Sequence
 
 from .genset import _fast_ordered

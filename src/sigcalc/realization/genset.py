@@ -19,8 +19,6 @@ and the JSON writer prints the bytes of `json.dumps(doc, indent=2)` with
 one f-string per breakpoint, read straight from the map's integer pairs.
 """
 
-from __future__ import annotations
-
 import itertools
 from json.encoder import encode_basestring_ascii
 from collections.abc import Sequence

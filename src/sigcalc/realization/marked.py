@@ -30,8 +30,6 @@ a transition point is read off a map.  The rotation rule lives in
 `fn_rotate`, which `genset._standard_walk` follows on integer keys.
 """
 
-from __future__ import annotations
-
 from collections.abc import Sequence
 
 from ..signature import RealizationError

@@ -37,8 +37,6 @@ ones; a map made by `_make` without them gets them when first composed.
 Orbitals are computed once per map too, unless `_make` is handed them.
 """
 
-from __future__ import annotations
-
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cmp_to_key

@@ -21,8 +21,6 @@ is reused across calls, so a CLI call gains what a benchmark operation
 gains.
 """
 
-from __future__ import annotations
-
 import functools
 from operator import eq
 from collections.abc import Sequence

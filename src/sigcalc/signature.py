@@ -57,8 +57,6 @@ omega^(-1 + x) with x a sum of ranks whose own blocks materialize below m
 of blocks with values <= m); tests/test_signature.py checks this bound.
 """
 
-from __future__ import annotations
-
 import collections
 import functools
 import itertools

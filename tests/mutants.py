@@ -122,6 +122,9 @@ MUTANTS = [
            "                                    key=lambda p: (index if p[1] else p[0], p[1]))]",
            [f"{REALIZATION}::test_o_cut_one_on_realized"],
            "an inflation's conjugates go before its square"),
+    Mutant("tests/unreached_raises.py", "return [ast.copy_location(mark, node), node]", "return node",
+           ["tests/test_unreached_raises.py::test_only_the_raise_that_never_runs_is_reported"],
+           "the raise check marks each `raise`, so one that runs is not reported"),
 ]
 
 

@@ -1092,6 +1092,14 @@ def test_a_rank_verb_loads_no_pl_code():
     assert report[-1][1] == 0 and "sigcalc.realization" in report[-1][2]
 
 
+def test_no_module_defers_its_annotations():
+    """No module of src/sigcalc imports from `__future__`, so each annotation is
+    evaluated when its module is imported, on every interpreter that runs Tier-1."""
+    for path in sorted(Path(cli.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            assert not (isinstance(node, ast.ImportFrom) and node.module == "__future__"), path
+
+
 # --- fuzzing main ----------------------------------------------------------------------
 
 

@@ -2,88 +2,88 @@
 
     PYTHONPATH=src:tests python tests/unreached_raises.py
 
-Finds every `raise` statement in src/sigcalc with `ast`, then runs the
-Tier-1 suite in this process under a `sys.settrace` tracer that follows, line
-by line, only the code objects that hold a `raise` line and records only
-those lines, and lists each `raise` whose first line never ran.
-Exits 1 when a test fails or a `raise` is unreached.
+Reads each module of src/sigcalc once with `ast`, and compiles it with a call
+put before each `raise` that records the line.  A meta-path finder imports
+sigcalc's modules from that code, with no bytecode cache, so the Tier-1 suite
+runs in this process with no trace function.  Then lists each `raise` whose
+call never ran.  Exits 1 when a test fails or a `raise` is unreached.
 """
 
 import ast
+import importlib.abc
 import os
 import sys
+from importlib.machinery import PathFinder
 
 import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SRC = os.path.join(ROOT, "src", "sigcalc")
+MARK = "_raise_reached"  # the module global that records a line
 
 
-def raises(path: str):
-    """(line, enclosing function) of every `raise` statement in the file."""
-    with open(path, encoding="utf-8") as fh:
-        tree = ast.parse(fh.read(), path)
-    found = []
+class Marker(ast.NodeTransformer):
+    """Puts `_raise_reached(line)` before each `raise`, and lists (line,
+    enclosing function) of each."""
 
-    def walk(node, func):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Raise):
-                found.append((child.lineno, func))
-            walk(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-                 else func)
-    walk(tree, "<module>")
-    return found
+    def __init__(self):
+        self.found, self.func = [], "<module>"
+
+    def visit_FunctionDef(self, node):
+        outer, self.func = self.func, node.name
+        self.generic_visit(node)
+        self.func = outer
+        return node
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Raise(self, node):
+        self.found.append((node.lineno, self.func))
+        mark = ast.Expr(ast.Call(ast.Name(MARK, ast.Load()), [ast.Constant(node.lineno)], []))
+        return [ast.copy_location(mark, node), node]
 
 
-class LineTracer:
-    """Records (file, line) for each of the given lines that runs.  A frame
-    is traced line by line only when its code object holds one of them;
-    which it holds is read once per code object, from its `co_lines()`."""
+class MarkedImports(importlib.abc.MetaPathFinder, importlib.abc.Loader):
+    """Imports the package under root from its marked code, compiled when
+    made, so an edit made during the run is not counted."""
 
-    def __init__(self, lines):
-        self.lines = lines  # file -> its raise lines
-        self.hits = set()
-        self._local_of = {}  # code object -> its local tracer, or None
+    def __init__(self, root: str, package: str):
+        self.root, self.package = root, package
+        self.found = []  # (file, line, enclosing function) of every raise
+        self.code, self.reached = {}, {}  # file -> its code; file -> its lines that ran
+        for dirpath, _, files in os.walk(os.path.join(root, package)):
+            for path in sorted(os.path.join(dirpath, f) for f in files if f.endswith(".py")):
+                marker = Marker()
+                with open(path, encoding="utf-8") as fh:
+                    tree = ast.fix_missing_locations(marker.visit(ast.parse(fh.read(), path)))
+                self.code[path] = compile(tree, path, "exec", dont_inherit=True)
+                self.reached[path] = set()
+                self.found += [(path, line, func) for line, func in marker.found]
 
-    def _local_for(self, code):
-        raise_lines = self.lines.get(code.co_filename, ())
-        wanted = raise_lines and {line for _, _, line in code.co_lines() if line in raise_lines}
-        if not wanted:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] != self.package:
             return None
-        hits, path = self.hits, code.co_filename
+        spec = PathFinder.find_spec(name, path or [self.root])
+        if spec is not None and spec.origin in self.code:
+            spec.loader = self
+        return spec
 
-        def local(frame, event, arg):
-            if event == "line" and frame.f_lineno in wanted:
-                hits.add((path, frame.f_lineno))
-            return local
-        return local
+    def exec_module(self, module):
+        path = module.__spec__.origin
+        module.__dict__[MARK] = self.reached[path].add
+        exec(self.code[path], module.__dict__)
 
-    def _global(self, frame, event, arg):
-        code = frame.f_code
-        if code not in self._local_of:
-            self._local_of[code] = self._local_for(code)
-        return self._local_of[code]
+    def unreached(self):
+        return [(path, line, func) for path, line, func in self.found if line not in self.reached[path]]
 
 
 def main() -> int:
-    found = []  # read before the run, so an edit made during it is not counted
-    for dirpath, _, files in os.walk(SRC):
-        for name in sorted(files):
-            if name.endswith(".py"):
-                path = os.path.join(dirpath, name)
-                found += [(path, line, func) for line, func in raises(path)]
-    lines = {}
-    for path, line, _ in found:
-        lines.setdefault(path, set()).add(line)
-    tracer = LineTracer(lines)
-    sys.settrace(tracer._global)
+    marked = MarkedImports(os.path.join(ROOT, "src"), "sigcalc")
+    sys.meta_path.insert(0, marked)
     code = pytest.main(["-q", "-p", "no:cacheprovider", "--rootdir", ROOT,
                         os.path.join(ROOT, "tests")])
-    sys.settrace(None)
-    unreached = [(os.path.relpath(path, SRC), line, func) for path, line, func in found
-                 if (path, line) not in tracer.hits]
-    for rel, line, func in sorted(unreached):
-        print(f"src/sigcalc/{rel}:{line}: raise in {func} never runs")
+    unreached = marked.unreached()
+    for path, line, func in sorted(unreached):
+        print(f"{os.path.relpath(path, ROOT)}:{line}: raise in {func} never runs")
     print(f"{len(unreached)} unreached raise statements")
     return 1 if code or unreached else 0
 
