@@ -94,8 +94,9 @@ class CliError(Exception):
         self.code, self.output = code, output  # output: printed first, as verify's report
 
 
-# Largest file argument read, in characters: the longest output measured, a
-# realized set of some 4.5 MB, fits, and /dev/zero stops here.
+# Largest file argument read, in characters: the longest realized set
+# measured, E(E( around 250 ones at 0.18 MB, fits many times over, and
+# /dev/zero stops here.
 MAX_ARG_CHARS = 16 * 2 ** 20
 
 

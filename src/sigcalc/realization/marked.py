@@ -4,7 +4,7 @@ A marker s in a bump's support determines the feet (u,s) and [t,v), the
 outer slivers of the orbital, where t is the image of s under the bump (or
 its preimage for a negative bump).  Feet drive the order of a set, its
 fastness check, its standardness walk and its dynamical diagram, and
-`build`'s wraps avoid their ends.
+`build` builds their order before it places them.
 
 Orbitals, markers and feet hold every number as a reduced integer pair
 (n, d) read from the map's breakpoints (see `plmap`), and the builders here
@@ -17,17 +17,18 @@ Functions carried over from a valid one go through `MarkedFn._trusted`,
 which takes the map and markers as given and checks nothing: a conjugate
 and a square, whose maps are compositions, the restriction of a function
 with more than two orbitals to its inner ones (`fn_rotate`), every one-bump
-function, which `_bump` builds from ordered reduced pairs, and the placed
-copies and wrap tops of `build`.  `fn_rotate` and `_bump` build their maps
-with the unchecked `PLMap._make`, handing it the orbitals they know, as
-restriction and ordered pairs keep breakpoints increasing; tests compare
-each with the checked constructors, and `_bump` also with the checked
-bumps of `tests/oracles.py`.  `orbitals` is the map's own tuple: the one
-its maker handed `_make`, else derived from the map on first read, as
-`build.transport`'s copies do.  `feet`, one (u, s, t, v) per orbital, is
-derived from the orbitals and markers once, on first read: the one place
-a transition point is read off a map.  The rotation rule lives in
-`fn_rotate`, which `genset._standard_walk` follows on integer keys.
+rotation, which `_bump` builds from ordered reduced pairs, and the functions
+`build.realize` places on its grid.  `fn_rotate`, `_bump` and `realize`
+build their maps with the unchecked `PLMap._make`, handing it the orbitals
+they know, as restriction, ordered pairs and an ordered grid keep
+breakpoints increasing; tests compare each with the checked constructors,
+and `_bump` also with the checked bumps of `tests/oracles.py`.  `orbitals`
+is the map's own tuple: the one its maker handed `_make`, else derived from
+the map on first read, as a conjugate's and a square's are.  `feet`, one
+(u, s, t, v) per orbital, is derived from the orbitals and markers once, on
+first read: the one place a transition point is read off a map.  The
+rotation rule lives in `fn_rotate`, which `genset._standard_walk` follows on
+integer keys.
 """
 
 from collections.abc import Sequence
@@ -58,8 +59,8 @@ class MarkedFn:
     @classmethod
     def _trusted(cls, plmap: PLMap, markers: tuple[Pair, ...],
                  name: str | None = None) -> "MarkedFn":
-        """A function transported from a valid one: `markers` is a sorted
-        tuple with one inside each of plmap's orbitals.  Nothing is checked."""
+        """A function valid by construction: `markers` is a sorted tuple
+        with one inside each of plmap's orbitals.  Nothing is checked."""
         f = object.__new__(cls)
         f.map, f.markers, f.name, f._feet = plmap, markers, name, None
         return f

@@ -22,8 +22,8 @@ expression `_RATIO` in `tests/oracles.py` states, before it builds any
 integer.  Every other map
 is built by the unchecked `PLMap._make`: `identity`; `inverse`, since
 swapping the coordinates of an increasing map keeps it increasing; the
-restrictions of `marked` and its one-bump builder `_bump`; the affine
-copies and wrap tops of `build`; and compositions, since a composition
+restrictions of `marked` and its one-bump builder `_bump`; the maps
+`build.realize` places on its grid; and compositions, since a composition
 of increasing maps increases, so `then` (and powers) drain the merge
 kernel, `_merge`, into `_make`.  `_merge` is the one composition loop:
 `words.pred_C` runs two of them side by side and stops at the first

@@ -31,7 +31,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-PINNED = "d8fb705b0a113d3fcb9667263f0b387ab374de6e772811eb86b6d7d25112fd63"
+PINNED = "1e8e0fbf50c2d3b999aa8e0f91cff106ea37f9a5c3d496ce920813d4eec634b2"
 TESTS = Path(__file__).resolve().parent
 
 

@@ -77,31 +77,21 @@ MUTANTS = [
     Mutant(BUILD, "max(rotation.vals[:sig.n - 1]) + 1", "max(rotation.vals[:sig.n - 1]) + 2",
            [f"{REALIZATION}::test_realized_n5_json_is_pinned"],
            "each rotated level reads its largest value against the top, which picks the wrap"),
-    Mutant(BUILD, "(fns[1:] + (top,), frames + UNIT)",
-           "(fns[1:] + (top,), frames[3:6] + frames[:3] + frames[6:] + UNIT)",
-           [f"{REALIZATION}::test_dropping_a_generator_restricts_the_signature"],
-           "a wrap keeps each retained generator in its own slot"),
-    Mutant(BUILD, "if n * ud < un * d and lo[0] * d < n * lo[1]:",
-           "if n * ud < un * d and (lo == M1 or n * lo[1] < lo[0] * d):",
-           [f"{REALIZATION}::test_the_wraps_read_the_retained_feet_as_the_merged_spans_do"],
-           "the general wrap's left wall is the nearest retained foot end left of u_t"),
-    Mutant(BUILD, "_wrap_two(u, v)", "_wrap_two(u, place(frame, (5, 8)))",
-           [f"{REALIZATION}::test_build_transports_only_the_general_wraps_rotated_top"],
-           "the two-orbital wrap is handed the unit bump's placed support"),
-    Mutant(BUILD, "_wrap_two(u, v)", "_wrap_two(u, M2)",
-           [f"{REALIZATION}::test_the_wraps_read_the_retained_feet_as_the_merged_spans_do"],
-           "no retained foot end lies inside the support the two-orbital wrap is handed"),
-    Mutant(BUILD, "bp[:4], bp[-4:] = (0, 1, 0, 1), (1, 1, 1, 1)",
-           "bp[:0], bp[-4:] = (0, 1, 0, 1), (1, 1, 1, 1)",
-           [f"{REALIZATION}::test_realized_n5_json_is_pinned"],
-           "a carried function's (0,0) replaces the image of its (0,0)"),
-    Mutant(BUILD, "            == (yn * ud - un * yd) * xd * (un * bd - bn * ud) * ad):",
-           "            != (yn * ud - un * yd) * xd * (un * bd - bn * ud) * ad):",
-           [f"{REALIZATION}::test_general_wrap_drops_a_collinear_junction"],
-           "the general wrap drops (u_t, u_t) only when the slopes into and out of it agree"),
-    Mutant(BUILD, "        del middle[0]", "        del middle[-1]",
-           [f"{REALIZATION}::test_general_wrap_drops_a_collinear_junction"],
-           "the collinear junction dropped is the one at u_t, not the one at v_t"),
+    Mutant(BUILD, "*out[:first], top, 2, *out[first:end]", "*out[:first - 2], top, 2, *out[first - 2:end]",
+           [f"{REALIZATION}::test_realize_orders_the_reference_sets_points"],
+           "the general wrap's new negative orbital's t goes just before u_t, past no retained point"),
+    Mutant(BUILD, "*out[first:end], top, last + 4,\n                   *out[end:]",
+           "*out[first:end + 2], top, last + 4,\n                   *out[end + 2:]",
+           [f"{REALIZATION}::test_realize_orders_the_reference_sets_points"],
+           "the general wrap's new positive orbital's s goes just after v_t, past no retained point"),
+    Mutant(BUILD, "*out[:first], top, 2, top, 3, top, 4, *out[first + 8:]",
+           "*out[:first], *out[first + 8:first + 10], top, 2, top, 3, top, 4, *out[first + 10:]",
+           [f"{REALIZATION}::test_realize_orders_the_reference_sets_points"],
+           "the two-orbital wrap puts its three points in place of the rotated top's four"),
+    Mutant(BUILD, "PLMap._make(*_minimal(quads), orbs)",
+           "PLMap._make(sum(quads, ()), _minimal(quads)[1], orbs)",
+           [f"{REALIZATION}::test_realize_drops_the_junctions_collinear_on_the_grid"],
+           "a junction that falls collinear on the grid is dropped, so each map is minimal"),
     Mutant(MARKED, "PLMap._make(tuple(bp), None, orbs)", "PLMap._make(tuple(bp), None, None)",
            [f"{REALIZATION}::test_transport_computes_no_orbitals"],
            "a rotation of three or more orbitals is handed its kept orbitals, so walks no map"),

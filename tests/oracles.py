@@ -25,22 +25,27 @@ and `ratio_by_regex` reads a coordinate string with the regular expression
 `_RATIO`, the reference for the grammar `plmap.ratio` checks by hand.
 `checked_copy` and `rescale_checked`
 rebuild a marked function through the checked constructors, the reference
-for the trusted transport (`transport`, `fn_rotate`, `marked._bump`).
+for the trusted constructions (`realize`, `fn_rotate`, `marked._bump`, and
+the frame build's `transport`).
 `make_bump_fn` builds a two-piece bump through the checked constructors
 from checked parameters, and `canonical_bump` (feet the outer sixteenths)
 and `midpoint_bump` (the midpoint mapped to the 3/4 point) through it: the
-tests' one-bump fixtures, and the references for `marked._bump`'s unit
-bump, single-bump wrap top and one-bump rotation.
+tests' one-bump fixtures, and the references for `marked._bump`'s one-bump
+rotation and the frame build's unit bump and single-bump wrap top.
 `frac` reads a marked function's reduced integer pair as a Fraction, and
 `order_genset` sorts a set by the Fraction of each function's maximum
 transition point, the reference for the order `genset._fast_ordered` reads
 off its integer keys.
-`wrap_two_by_spans` and `wrap_general_by_spans` are the build's wraps as
-they read the retained feet through `obstacles_by_spans`: every foot end
-over one `lcm` of all their denominators, sorted, and merged into spans,
-clipped to (u, v) for the two-orbital top; the reference for the one pass
-of `build._wrap_general`, and for `build._wrap_two`, which reads no retained
-foot, as none has an end inside (u, v).
+`realize_by_frames` realizes a signature by the frame build,
+`build_by_frames`, which places every point through nested affine frames
+and fits each general wrap's walls to the nearest retained foot ends: the
+reference sets whose point order, signature, diagram and predicates the
+label build of `build` must reproduce.  `wrap_two_by_spans` and
+`wrap_general_by_spans` are its wraps as they read the retained feet through
+`obstacles_by_spans`: every foot end over one `lcm` of all their
+denominators, sorted, and merged into spans, clipped to (u, v) for the
+two-orbital top; the reference for the one pass of `_wrap_general`, and for
+`_wrap_two`, which reads no retained foot, as none has an end inside (u, v).
 `signatures_by_columns` enumerates signatures by a search over the pairs
 with no bound on the base, the reference for the order of
 `enumerate_signatures` and the enumeration of `tests/sweep_realize.py`.
@@ -87,16 +92,17 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
 from sigcalc.normalizer import MODES, _exp_inverse
 from sigcalc.ordinal import MAX_NESTING, OMEGA, ONE, ZERO, Ordinal, ord_add, ord_omega_pow
 from sigcalc.signature import (
     MAX_BASE, ONE_SIG, ZERO_SIG, RealizationError, Signature, SignatureError, TermParseError,
-    _pair_index, _pairs, _trusted, bang_rel, is_all_positive, sig_exp, sig_shift_down, sig_sum)
+    _pair_index, _pairs, _trusted, bang_rel, decompose, is_all_positive, sig_exp, sig_rotate,
+    sig_shift_down, sig_sum)
 from sigcalc.realization.genset import GenSet, _fast_ordered, is_fast
-from sigcalc.realization.marked import MarkedFn, fn_rotate, is_standard_fn
-from sigcalc.realization.build import A_NEG, B_POS, L0, M1, M2, R0
+from sigcalc.realization.marked import MarkedFn, _bump, fn_rotate, is_standard_fn
 from sigcalc.realization.plmap import PLError, PLMap, Pair, _lt, _minimal, _quads, _reduced, keys
 
 F = Fraction
@@ -372,6 +378,157 @@ def order_genset(fns: Sequence[MarkedFn]) -> GenSet:
 def fn_shape(f: MarkedFn):
     """Everything a marked function stores or derives, as comparable values."""
     return (f.map.points, f.map._orbitals(), f.orbitals, f.markers, f.name, f.feet)
+
+
+# --- the frame build: the reference for `build` ------------------------------------
+
+Frame = Tuple[int, int, int]  # (a, b, c): x -> (a + b x) / c, onto (a/c, (a+b)/c) in (0,1)
+UNIT: Frame = (0, 1, 1)
+M1, M2, L0, R0 = (1, 3), (2, 3), (1, 16), (15, 16)
+MIDDLE: Frame = (1, 1, 3)  # onto (M1, M2)
+UNIT_U, UNIT_V = (1, 4), (3, 4)
+UNIT_BUMP = _bump(UNIT_U, UNIT_V, (9, 32), (23, 32))  # feet the orbital's outer sixteenths
+A_NEG, B_POS = (19, 96), (77, 96)  # (L0 + M1) / 2 and (M2 + R0) / 2
+_frame_builds: dict = {}  # sig.vals -> frame build, for n > 1, without bound
+
+
+def realize_by_frames(sig: Signature) -> GenSet:
+    """The reference set realizing sig: each function of its frame build
+    carried by its frame and named by its label."""
+    fns, frames = build_by_frames(sig)
+    return [transport(f, frame, name)
+            for f, frame, name in zip(fns, _triples(frames), sig.default_labels())]
+
+
+def build_by_frames(sig: Signature):
+    """sig's frame build: its functions, and one flat tuple of integers
+    holding each function's frame (a, b, c), the affine map x -> (a + b x)
+    / c, in turn.  Summands go into disjoint slots; an indecomposable
+    signature's rotation is built into the middle third (M1, M2), and a new
+    top is wrapped around the function realizing the rotated top: a single
+    positive bump when every value against the top is 1 (`_bump`), a
+    two-orbital function when the maximum is 2 (`_wrap_two`), and otherwise
+    `_wrap_general`.  Sub-builds are placed by composing frames, not copied,
+    so builds share the unit bump and the wrap tops."""
+    if sig.n <= 1:
+        return ((), ()) if sig.n == 0 else ((UNIT_BUMP,), UNIT)
+    if sig.vals in _frame_builds:
+        return _frame_builds[sig.vals]
+    parts = decompose(sig)
+    if len(parts) > 1:
+        fns, frames = [], []
+        for i, part in enumerate(parts):
+            part_fns, part_frames = build_by_frames(part)
+            slot = (4 * i + 1, 2, 4 * len(parts))  # onto ((4i + 1) / 4k, (4i + 3) / 4k)
+            fns += part_fns
+            frames += _then_all(part_frames, slot)
+        built = tuple(fns), tuple(frames)
+    else:
+        rotation = sig_rotate(sig)
+        maxrow = max(rotation.vals[:sig.n - 1]) + 1
+        fns, frames = build_by_frames(rotation)
+        frame = _then(frames[:3], MIDDLE)
+        frames = tuple(_then_all(frames[3:], MIDDLE))
+        if maxrow > 2:
+            top = _wrap_general(fns[0], frame, zip(fns[1:], _triples(frames)))
+        else:  # the rotated top is the unit bump; every value 1 puts it leftmost
+            u, v = place(frame, UNIT_U), place(frame, UNIT_V)
+            top = _wrap_two(u, v) if maxrow == 2 else _bump(u, R0, v, B_POS)
+        built = fns[1:] + (top,), frames + UNIT
+    _frame_builds[sig.vals] = built
+    return built
+
+
+def _then(inner: Frame, outer: Frame) -> Frame:
+    """The frame that applies inner, then outer, reduced by the gcd."""
+    a, b, c = outer[0] * inner[2] + outer[1] * inner[0], outer[1] * inner[1], outer[2] * inner[2]
+    g = gcd(a, b, c)
+    return a // g, b // g, c // g
+
+
+def _then_all(frames: Tuple[int, ...], outer: Frame) -> List[int]:
+    """Each frame followed by outer, flat."""
+    out: List[int] = []
+    for frame in _triples(frames):
+        out += _then(frame, outer)
+    return out
+
+
+def _triples(frames: Tuple[int, ...]):
+    it = iter(frames)
+    return zip(it, it, it)
+
+
+def place(frame: Frame, p: Pair) -> Pair:
+    """The reduced pair p carried by the frame."""
+    a, b, c = frame
+    return _reduced(a * p[1] + b * p[0], c * p[1])
+
+
+def transport(f: MarkedFn, frame: Frame, name: Optional[str] = None) -> MarkedFn:
+    """f carried by the frame into (a/c, (a+b)/c), the identity outside;
+    f must be the identity near 0 and 1, as every function a frame build
+    keeps is.  The unit frame shares f's map and markers under the new name.
+    Another frame places each breakpoint, reduced by one gcd, and (0,0)
+    and (1,1) replace the images of (0,0) and (1,1)."""
+    if frame == UNIT:
+        return MarkedFn._trusted(f.map, f.markers, name)
+    a, b, c = frame
+    src, bp = f.map._bp, []
+    for n, d in zip(src[0::2], src[1::2]):
+        n, d = a * d + b * n, c * d
+        g = gcd(n, d)
+        bp += n // g, d // g
+    bp[:4], bp[-4:] = (0, 1, 0, 1), (1, 1, 1, 1)
+    markers = tuple(place(frame, s) for s in f.markers)
+    return MarkedFn._trusted(PLMap._make(tuple(bp)), markers, name)
+
+
+def _wrap_two(u: Pair, v: Pair) -> MarkedFn:
+    """Two-orbital top with expansion point inside (u, v), the placed
+    support of the rotated top, the unit bump; used when the maximum
+    oscillation against the top is 2.  No retained foot end lies inside
+    (u, v) (the proof is in `build._build`), so no foot is read."""
+    den, (x, y) = keys([u, v])
+    # x + step, x + 2 step and x + 4 step for a step of (y - x) / 6
+    b1, c = _reduced(5 * x + y, 6 * den), _reduced(2 * x + y, 3 * den)
+    sa = _reduced(x + 2 * y, 3 * den)
+    # a negative piece through (b1, A_NEG), then a positive one through (sa, B_POS)
+    bp = (0, 1, 0, 1, *L0, *L0, *b1, *A_NEG, *c, *c, *sa, *B_POS, *R0, *R0, 1, 1, 1, 1)
+    return MarkedFn._trusted(PLMap._make(bp, None, ((L0, c, -1), (c, R0, 1))), (A_NEG, sa))
+
+
+def _wrap_general(f: MarkedFn, frame: Frame, others) -> MarkedFn:
+    """New negative orbital left of, and positive orbital right of, the
+    orbitals of t, the rotated top f carried by the frame; the middle reuses
+    t's breakpoints from (u_t, u_t) to (v_t, v_t).  Each wall is the nearest
+    end of a foot of `others`, the retained functions zipped with their
+    frames, outside (u_t, v_t), read in one pass; or M1 or M2, as every
+    build's supports lie in [L0, R0], so in (M1, M2) after MIDDLE.  Only the
+    junction at u_t can be collinear, and then (u_t, u_t) goes."""
+    t = transport(f, frame)
+    orbs = tuple((place(frame, u), place(frame, v), sign) for u, v, sign in f.orbitals)
+    u_t, v_t = orbs[0][0], orbs[-1][1]
+    (un, ud), (vn, vd) = u_t, v_t
+    lo, hi = M1, M2  # the nearest foot ends left of u_t and right of v_t
+    for n, d in ((a * d + b * n, c * d) for g, (a, b, c) in others for foot in g.feet
+                 for n, d in foot):
+        if n * ud < un * d and lo[0] * d < n * lo[1]:
+            lo = n, d
+        elif vn * d < n * vd and n * hi[1] < hi[0] * d:
+            hi = n, d
+    b_neg = bn, bd = _reduced(lo[0] * ud + un * lo[1], 2 * lo[1] * ud)
+    a_pos = _reduced(vn * hi[1] + hi[0] * vd, 2 * vd * hi[1])
+    middle = _quads(t.map._bp)[1:-1]  # (u_t, u_t), ..., (v_t, v_t)
+    (an, ad), (xn, xd, yn, yd) = A_NEG, middle[1]
+    # (u - A_NEG) / (u - b_neg) against (y - u) / (x - u), each side positive
+    if ((un * ad - an * ud) * bd * (xn * ud - un * xd) * yd
+            == (yn * ud - un * yd) * xd * (un * bd - bn * ud) * ad):
+        del middle[0]
+    bp = (0, 1, 0, 1, *L0, *L0, *b_neg, *A_NEG, *itertools.chain.from_iterable(middle),
+          *a_pos, *B_POS, *R0, *R0, 1, 1, 1, 1)
+    orbs = ((L0, u_t, -1), *orbs, (v_t, R0, 1))
+    return MarkedFn._trusted(PLMap._make(bp, None, orbs), (A_NEG, *t.markers, a_pos))
 
 
 def obstacles_by_spans(placed, *points: Pair) -> Tuple[int, List[int], List[List[int]]]:

@@ -15,49 +15,51 @@ so every proper nonempty subset is visited (62 at n = 6, 126 at n = 7),
 given in reverse order, so `signature_of` must put them back in order.
 `normalize(s)` must be reduced, its own normal form and of the rank
 rho(s) = xi, and `materialize(xi)` must have the rank xi.  Every function
-that s's build keeps, the unit bump and the wrap tops, must equal its
-rebuild by the checked constructors (`oracles.checked_copy`): map,
-orbitals, markers, name and feet.  No function that a two-orbital wrap
-retains may have a foot end inside (u, v), the support it wraps, which
-`build._wrap_two` reads none of; the retained functions are read off the
-wrapping level of `build._build`.  The realized sets' JSON, concatenated
-in enumeration order, must hash to the pinned sha256.  Exits 1 naming the
-first signature or sweep that fails.
+of the realized set must equal its rebuild by the checked constructors
+(`oracles.checked_copy`): map, orbitals, markers, name and feet.  The set
+must have the signature and the dynamical diagram of the reference set that
+the frame build of `tests/oracles.py` realizes; and in that build no
+function that a two-orbital wrap retains may have a foot end inside (u, v),
+the support it wraps, which `realize` relies on when it puts the new top's
+points in place of the rotated top's; the retained functions are read off
+the wrapping level of `oracles.build_by_frames`.  The realized sets' JSON,
+concatenated in enumeration order, must hash to the pinned sha256.  Exits 1
+naming the first signature or sweep that fails.
 """
 
 import hashlib
 import sys
 import time
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from sigcalc.normalizer import is_reduced, materialize, normalize, rho
 from sigcalc.realization import (
-    build, genset_to_json, realize, set_inflate, set_rotate, signature_of)
+    diagram, genset_to_json, realize, set_inflate, set_rotate, signature_of)
 from sigcalc.realization.genset import GenSet, _fast_ordered
-from sigcalc.realization.marked import MarkedFn
 from sigcalc.signature import Signature, sig_inflate, sig_restrict, sig_rotate
-from oracles import checked_copy, fn_shape, frac, signatures_by_columns
+import oracles
+from oracles import checked_copy, fn_shape, frac, realize_by_frames, signatures_by_columns
 from helpers import retained
 
 # (n, vmax): (signature count, sha256 of the realized JSON)
 SWEEPS = {
-    (6, 3): (7084, "c55007ad5daf33edf8b2d8a740488a14688ab367d5f3fe996f1acaf26ae408a3"),
-    (7, 2): (7752, "633a1f5c64f124b5de9bea0fcc7bad3fbb8c6f6813a4066b57117cdd3a4ef9b6"),
+    (6, 3): (7084, "831b29f32a9316b6240583ecef01db2aed57f1d13a54b4a9f68c9c8f961644ab"),
+    (7, 2): (7752, "b45d9003e7a2ca1146f9df967731049c83ebcfa41b0c41486541d321f060ace3"),
 }
 
 
-def failure(s: Signature, index: int, fns: GenSet, seen: Dict[int, MarkedFn]) -> Optional[str]:
+def failure(s: Signature, index: int, fns: GenSet) -> Optional[str]:
     """What the realized set fns of s, the enumeration's `index`-th
-    signature, its build, or s's ranks get wrong; None if nothing.  `seen`
-    holds the built functions already checked."""
+    signature, or s's ranks get wrong; None if nothing."""
     k, mask = index % s.n, index % (2 ** s.n - 2) + 1
     if signature_of(fns) != s:
         return "does not read back"
-    for f in build._build(s)[0][0]:
-        if id(f) not in seen:
-            seen[id(f)] = f  # held, so that no other function takes its id
-            if fn_shape(f) != fn_shape(checked_copy(f)):
-                return f"builds {f!r}, which the checked constructors rebuild otherwise"
+    for f in fns:
+        if fn_shape(f) != fn_shape(checked_copy(f)):
+            return f"realizes {f!r}, which the checked constructors rebuild otherwise"
+    ref = realize_by_frames(s)
+    if signature_of(ref) != s or diagram(fns) != diagram(ref):
+        return "has another signature or diagram than the frame build's reference set"
     rotated, inflated = set_rotate(fns), set_inflate(fns, k)
     if signature_of(rotated) != sig_rotate(s):
         return "rotates to a set of another signature than sig_rotate's"
@@ -81,23 +83,22 @@ def failure(s: Signature, index: int, fns: GenSet, seen: Dict[int, MarkedFn]) ->
 
 
 def checking_wrap_two(wraps: List[bool]):
-    """`build._wrap_two`, appending to wraps, for each call, whether a
-    function retained at the wrapping level of `build._build` has a foot end
-    inside (u, v)."""
-    wrap_two = build._wrap_two
+    """`oracles._wrap_two`, appending to wraps, for each call, whether a
+    function retained at the wrapping level of `oracles.build_by_frames` has
+    a foot end inside (u, v)."""
+    wrap_two = oracles._wrap_two
 
     def call(u, v):
         lo, hi = frac(u), frac(v)
-        wraps.append(any(lo < frac(build.place(frame, p)) < hi
+        wraps.append(any(lo < frac(oracles.place(frame, p)) < hi
                          for f, frame in retained(sys._getframe(1)) for foot in f.feet for p in foot))
         return wrap_two(u, v)
     return call
 
 
 def main() -> int:
-    seen: Dict[int, MarkedFn] = {}
     wraps: List[bool] = []
-    build._wrap_two = checking_wrap_two(wraps)
+    oracles._wrap_two = checking_wrap_two(wraps)
     for (n, vmax), (count, pinned) in SWEEPS.items():
         start, made = time.perf_counter(), len(wraps)
         sigs = signatures_by_columns(n, vmax)
@@ -105,8 +106,9 @@ def main() -> int:
         for index, s in enumerate(sigs):
             done = len(wraps)
             fns = realize(s)
-            problem = ("makes a two-orbital wrap with a retained foot end inside (u, v)"
-                       if any(wraps[done:]) else failure(s, index, fns, seen))
+            problem = failure(s, index, fns)
+            if not problem and any(wraps[done:]):
+                problem = "has a frame build with a retained foot end inside a two-orbital wrap's (u, v)"
             if problem:
                 print(f"n = {n}, values <= {vmax}: {s!r} {problem}")
                 return 1
@@ -116,8 +118,8 @@ def main() -> int:
                   f"sha256 {digest.hexdigest()}, pinned {count} and {pinned}")
             return 1
         print(f"n = {n}, values <= {vmax}: {count} signatures round-trip, rotate, inflate, "
-              f"restrict and rank, JSON as pinned, {len(wraps) - made} two-orbital wraps with "
-              f"no retained foot end inside, {len(seen)} built functions checked so far, "
+              f"restrict and rank, JSON as pinned, signatures and diagrams as the reference's, "
+              f"{len(wraps) - made} two-orbital wraps with no retained foot end inside, "
               f"{time.perf_counter() - start:.1f} s")
     return 0
 

@@ -25,13 +25,18 @@ from sigcalc.ordinal import MAX_NESTING, ord_parse
 from sigcalc.signature import (
     MAX_BASE, MAX_PAIR_VALUE, RealizationError, Signature, parse_term, sig_from_json, sig_rotate,
     sig_to_json)
-from sigcalc.realization import build, diagram, genset_from_json, genset_to_json
-from helpers import bumps_set, fresh_rank_caches, nest, one_function, placed, set_json
+from sigcalc.realization import build, diagram, genset_from_json, genset_to_json, realize
+from helpers import bumps_set, fresh_rank_caches, nest, one_function, set_json
 from oracles import excise, fig_g_set
 
 
-# realize 'exp(1+1)': the pair with oscillation 1
+# realize 'exp(1+1)': the pair with oscillation 1, its 7 points on the grid of 16ths
 PAIR1 = set_json([
+    ([("0", "0"), ("3/16", "3/16"), ("1/4", "5/16"), ("3/8", "3/8"), ("1", "1")], ["1/4"], "0"),
+    ([("0", "0"), ("1/16", "1/16"), ("1/8", "7/16"), ("1/2", "1/2"), ("1", "1")], ["1/8"], "1"),
+])
+# the same pair as the frame build of tests/oracles.py places it
+FRAME_PAIR1 = set_json([
     ([("0", "0"), ("9/16", "9/16"), ("217/384", "77/128"), ("29/48", "29/48"), ("1", "1")],
      ["217/384"], "0"),
     ([("0", "0"), ("19/48", "19/48"), ("7/16", "77/96"), ("15/16", "15/16"), ("1", "1")],
@@ -264,7 +269,7 @@ def test_inflate(capsys):
         ([("0", "0"), ("19/48", "19/48"), ("749/1872", "77/96"), ("7/16", "4151/4608"),
           ("15/16", "15/16"), ("1", "1")], ["7/16"], "1^2"),
     ])
-    assert run(capsys, "inflate", PAIR1, "--at", "1") == (0, want + "\n", "")
+    assert run(capsys, "inflate", FRAME_PAIR1, "--at", "1") == (0, want + "\n", "")
     expect_error(capsys, 1, "inflate", "exp(1+1)", "--at", "2")
     expect_error(capsys, 1, "inflate", PAIR1, "--at", "2")
     expect_error(capsys, 2, "inflate", "[", "--at", "0")
@@ -280,7 +285,7 @@ def test_rotate(capsys):
         ([("0", "0"), ("9/16", "9/16"), ("217/384", "77/128"), ("29/48", "29/48"), ("1", "1")],
          ["217/384"], "0"),
     ])
-    assert run(capsys, "rotate", PAIR1) == (0, want + "\n", "")
+    assert run(capsys, "rotate", FRAME_PAIR1) == (0, want + "\n", "")
     expect_error(capsys, 2, "rotate", "E(")
     for doc in (NOT_FAST, NOT_SGEN, TWO_BUMPS):  # refused as signature refuses them
         expect_error(capsys, 1, "rotate", doc)
@@ -494,14 +499,14 @@ def test_build_depth_is_a_domain_error(capsys, monkeypatch):
     assert expect_error(capsys, 1, "realize", past) == want  # its rotation now memoized
 
 
-# sha256 of `realize` of the chain 1*1*...*1 of MAX_BASE leaves, 574,453 bytes
-CHAIN_SHA256 = "337d19157809879d2914a083414fb07ad4750387ec6fc015bd6054e8121fc62b"
-# sha256 of `realize` of 8 E( around 16 ones, 119,113 bytes: n = 16, with 112
+# sha256 of `realize` of the chain 1*1*...*1 of MAX_BASE leaves, 87,539 bytes
+CHAIN_SHA256 = "8ada9961ccc59bfaae1e71c6103cd3d36215673a45eb0a8a4c27ecaffd8d38f1"
+# sha256 of `realize` of 8 E( around 16 ones, 35,263 bytes: n = 16, with 112
 # general wraps around up to 15 retained functions
-TOWER_SHA256 = "6f13704269033c92c3ec0481433c9c5e1a943505464745989563d82db50bc478"
-# sha256 of `realize` of E( around 250 ones, 619,488 bytes: n = 250, with 249
+TOWER_SHA256 = "86a15b8a5e8c54fbafbbef8a630e28874a4a795414e1d9a9d23c0a62353456a1"
+# sha256 of `realize` of E( around 250 ones, 118,239 bytes: n = 250, with 249
 # two-orbital wraps around up to 249 retained functions
-E_SUM_SHA256 = "564567e2d1a80a4e518cc8a5615e26eb69013da27755d54f604d91a200904fa6"
+E_SUM_SHA256 = "35986248611031a23247991b95739f03bb627978a5baabdc20c2031888edb56e"
 
 
 def _called_from(frames: int, fn):
@@ -523,7 +528,7 @@ def test_the_edge_of_every_limit(capsys, monkeypatch, frames):
         assert (code, err) == (0, "")
         return out
 
-    def sha(text):  # a failed comparison of two 0.5 MB texts would diff them
+    def sha(text):  # a failed comparison of two 87 kB texts would diff them
         return hashlib.sha256(text.encode()).hexdigest()
 
     fns = verb("realize", chain)
@@ -540,7 +545,7 @@ def test_a_deep_general_wrap_build_is_pinned(capsys, monkeypatch):
     # from a cold memo, as a CLI call builds it
     monkeypatch.setattr(build, "_memo", {})
     code, out, err = run(capsys, "realize", nest("E(", "+".join(["1"] * 16), 8))
-    assert (code, err, len(out)) == (0, "", 119113)
+    assert (code, err, len(out)) == (0, "", 35263)
     assert hashlib.sha256(out.encode()).hexdigest() == TOWER_SHA256
 
 
@@ -548,13 +553,13 @@ def test_a_deep_two_orbital_wrap_build_is_pinned(capsys, monkeypatch):
     # from a cold memo, as a CLI call builds it
     monkeypatch.setattr(build, "_memo", {})
     code, out, err = run(capsys, "realize", nest("E(", "+".join(["1"] * 250), 1))
-    assert (code, err, len(out)) == (0, "", 619488)
+    assert (code, err, len(out)) == (0, "", 118239)
     assert hashlib.sha256(out.encode()).hexdigest() == E_SUM_SHA256
 
 
 def test_walk_bound_names_the_pair_value_bound(capsys):
     # a standard set whose pair oscillates 65 times, one past the bound
-    too_many = genset_to_json(placed(build._build(Signature(2, [MAX_PAIR_VALUE + 1]))[0]))
+    too_many = genset_to_json(realize(Signature(2, [MAX_PAIR_VALUE + 1])))
     for argv in (["signature", too_many], ["verify", too_many], ["rotate", too_many],
                  ["inflate", too_many, "--at", "0"]):
         err = expect_error(capsys, 1, *argv)
@@ -907,7 +912,7 @@ def test_output_path_that_cannot_be_written_is_a_parse_error(capsys, tmp_path, c
 
 
 ENUMERATE_N5 = ["enumerate", "--n", "5", "--vmax", "3"]  # 112,415 bytes, more than a pipe holds
-CHAIN_256 = ["realize", "*".join("1" * 256)]  # 574,453 bytes
+CHAIN_256 = ["realize", "*".join("1" * 256)]  # 87,539 bytes, more than a pipe holds
 # a child whose stdout would block, as a full pipe does that its reader reads only later
 NON_BLOCKING = ["-c", "import os, sys; os.set_blocking(1, False); from sigcalc import cli; "
                 "sys.exit(cli.main(sys.argv[1:]))"]

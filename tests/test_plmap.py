@@ -389,7 +389,7 @@ def test_carried_slopes_match_points(den):
         f, g, h = (random_map(rng, den) for _ in range(3))
         # the checked constructor carries the slopes, and so does the inverse
         assert f.slopes == int_slopes(f) and f.inverse().slopes == int_slopes(swapped(f))
-        # a map made by `_make`, as the transports in `build` make them,
+        # a map made by `_make` without slopes, as `fn_rotate` makes them,
         # has none until first composed, which derives them once, on the map
         t = PLMap._make(f._bp)
         assert t.slopes is None and t.inverse().slopes is None

@@ -32,15 +32,16 @@ from sigcalc.realization import (
     signature_of,
     to_dot,
 )
-from sigcalc.realization.build import UNIT, transport
 from sigcalc.realization.marked import MarkedFn, fn_rotate, is_standard_fn
+from sigcalc.realization.plmap import _lt
 from sigcalc import cli
 from sigcalc.realization import build, genset, marked, plmap
+import oracles
 from oracles import (
-    _slopes, canonical_bump, checked_copy, classify_pair, fig_bz_set, fig_g_set, fn_shape, frac,
-    genset_to_json_dumps, is_standard_pair, make_bump_fn, midpoint_bump, order_genset,
-    oscillation, pair_relation, rescale_checked, retrofit_slopes, wrap_general_by_spans,
-    wrap_two_by_spans)
+    UNIT, _slopes, build_by_frames, canonical_bump, checked_copy, classify_pair, fig_bz_set,
+    fig_g_set, fn_shape, frac, genset_to_json_dumps, is_standard_pair, make_bump_fn,
+    midpoint_bump, order_genset, oscillation, pair_relation, realize_by_frames, rescale_checked,
+    retrofit_slopes, transport, wrap_general_by_spans, wrap_two_by_spans)
 from helpers import frame_onto, retained
 
 one = ONE_SIG
@@ -229,7 +230,7 @@ def test_a_function_given_twice_is_refused_as_not_fast():
     for s in sigs:
         fns = realize(s)
         for i, f in enumerate(fns):
-            for twin in (f, transport(f, UNIT, "twin")):
+            for twin in (f, MarkedFn._trusted(f.map, f.markers, "twin")):
                 twice = fns[:i + 1] + [twin] + fns[i + 1:]
                 assert not is_fast(twice) and not is_sgen(twice), (s, i)
                 with pytest.raises(NotFastError, match="^a standard generating set requires"):
@@ -378,7 +379,7 @@ def test_verify_checks_the_round_trip_against_the_input(monkeypatch, capsys):
 
     monkeypatch.setattr(Signature, "violations", counting_violations)
     assert signature_of(realize(SIG5)) == SIG5 and checked == []
-    cases = [(sig, other, genset_to_json(realize(sig)), (tuple(realize(other)), UNIT * other.n))
+    cases = [(sig, other, genset_to_json(realize(sig)), build._build(other)[0])
              for sig, other in ((pair(1), parse_term("E(1+1)")), (pair(1), one), (SIG5, pair(3)))]
     checked.clear()  # pair() checks the signatures it makes
     for sig, other, text, built in cases:
@@ -391,10 +392,9 @@ def test_verify_checks_the_round_trip_against_the_input(monkeypatch, capsys):
 
 
 def test_realize_computes_orbitals_once_per_function(monkeypatch):
-    # a cold realize walks no map and calls no checked constructor: each wrap
-    # top is handed its orbitals, and the outputs carried by a frame other
-    # than the unit one are handed none; a later signature_of walks each of
-    # their maps once, when it first reads the function's feet
+    # a cold realize walks no map and calls no checked constructor: it makes
+    # one map per output function and hands it the orbitals it places, and a
+    # later signature_of, which reads each function's feet, walks none either
     made, walked, checked = [], [], []
     trusted, orbitals, init = MarkedFn._trusted.__func__, PLMap._orbitals, MarkedFn.__init__
 
@@ -416,25 +416,16 @@ def test_realize_computes_orbitals_once_per_function(monkeypatch):
     monkeypatch.setattr(MarkedFn, "__init__", counting_init)
     _fresh_build_cache(monkeypatch)
     fns = realize(SIG5)
-    assert len(made) > 2 * SIG5.n  # the wrap tops, the rotated tops moved, the outputs
+    assert list(map(id, made)) == [id(f.map) for f in fns]
     assert walked == [] and checked == []
-    kept = {id(g.map) for g in build._build(SIG5)[0][0]}
-    moved = [f.map for f in fns if id(f.map) not in kept]
-    assert len(moved) == SIG5.n - 1 and all(m._orbs is None for m in moved)
     assert signature_of(fns) == SIG5
-    assert sorted(map(id, walked)) == sorted(map(id, moved))
-    signature_of(fns)
-    assert len(walked) == len(moved) and checked == []
+    assert walked == [] and checked == [] and len(made) == SIG5.n
 
 
 def test_a_second_realize_derives_no_bump(monkeypatch):
-    # a placement carries no feet: an output function derives its own on
-    # first read, and a base function's are derived once, so a second realize
-    # of a cached signature reads no map and derives no orbital
+    # realize reads no map, cold or warm: an output function derives its own
+    # feet on first read, and no realize evaluates a map or derives an orbital
     _fresh_build_cache(monkeypatch)
-    first = realize(SIG5)
-    assert all(f._feet is None for f in first)
-    bases = [(f, f.feet) for f in build._build(SIG5)[0][0]]
     calls = []
     at, orbitals = PLMap._at, PLMap._orbitals
 
@@ -449,85 +440,65 @@ def test_a_second_realize_derives_no_bump(monkeypatch):
 
     monkeypatch.setattr(PLMap, "_at", counting_at)
     monkeypatch.setattr(PLMap, "_orbitals", counting_orbitals)
-    second = realize(SIG5)
+    first, second = realize(SIG5), realize(SIG5)
     assert calls == []
-    assert all(f._feet is None for f in second)
-    assert all(f.feet is feet for f, feet in bases)
+    assert all(f._feet is None for f in first + second)
     assert [fn_shape(f) for f in second] == [fn_shape(f) for f in first]
 
 
-def test_placed_functions_match_checked_constructor(monkeypatch):
+def test_placed_functions_match_checked_constructor():
     # every output function of the 1,296 signatures with n <= 4 and values
-    # <= 4, or n = 5 and values <= 3, and every function their builds keep
-    # (the unit bump and the wrap tops): its map, orbitals, markers and the
+    # <= 4, or n = 5 and values <= 3: its map, orbitals, markers and the
     # feet it derives from them are the checked constructors'
     sigs = [s for n in range(5) for s in enumerate_signatures(n, 4)] + enumerate_signatures(5, 3)
     assert len(sigs) == 1296
-    built = _recording_build_cache(monkeypatch)
     for s in sigs:
         for f in realize(s):
             checked = checked_copy(f)
             assert (f.map._bp, f.map._orbitals(), f.orbitals, f.markers) == (
                 checked.map._bp, checked.map._orbitals(), checked.orbitals, checked.markers)
             assert f.feet == checked.feet
-    tops = {id(f): f for _, (fns, _) in built for f in fns}
-    assert len(tops) > 800
-    for f in tops.values():
-        assert fn_shape(f) == fn_shape(checked_copy(f))
 
 
-def test_build_transports_only_the_general_wraps_rotated_top(monkeypatch):
-    # single and two-orbital wraps read the unit bump's placed support only:
-    # each is handed (u, v), the rotated top's support (1/4, 3/4) carried by
-    # that level's frame; the general wrap copies the rotated top's
-    # breakpoints, so only it transports the rotated top, by the frame it is
-    # handed with it
-    _fresh_build_cache(monkeypatch)
-    moved, handed = [], {"_bump": [], "_wrap_two": [], "_wrap_general": []}
-    monkeypatch.setattr(build, "transport", lambda *a: moved.append(a) or transport(*a))
-
-    def placed_support():  # the rotated top's, read off the wrapping level of `_build`
-        level = sys._getframe(2).f_locals
-        assert level["fns"][0] is build.UNIT_BUMP
-        return transport(build.UNIT_BUMP, level["frame"]).orbitals[0][:2]
-
-    def recording(name, wrap, log):
-        def call(first, *rest):
-            if name == "_wrap_general":
-                log.append((first, rest[0]))
-            else:  # _bump(u, R0, v, B_POS) and _wrap_two(u, v, others)
-                log.append(((first, rest[1] if name == "_bump" else rest[0]), placed_support()))
-            return wrap(first, *rest)
-        return call
-
-    for name, log in handed.items():
-        monkeypatch.setattr(build, name, recording(name, getattr(build, name), log))
-    build._build(SIG5)
-    assert all(handed.values())
-    assert [(id(f), frame) for f, frame in handed["_wrap_general"]] == [
-        (id(f), frame) for f, frame in moved]
-    for got, want in handed["_bump"] + handed["_wrap_two"]:
-        assert got == want
-    for f in realize(SIG5):
-        g = transport(f, UNIT, "x")
-        assert g.map is f.map and (g.markers, g.orbitals, g.name) == (f.markers, f.orbitals, "x")
+def test_realize_drops_the_junctions_collinear_on_the_grid():
+    # the point (v, v) where an orbital meets the next falls on the line
+    # between its neighbours for some grid positions, and goes, as the
+    # checked constructor drops it; every other point an orbital gives stays,
+    # and each map carries the slopes `_minimal` gives its breakpoints
+    kept = dropped = 0
+    for sig in (sig for n in range(2, 5) for sig in enumerate_signatures(n, 3)):
+        for f in realize(sig):
+            points, quads = f.map.points, plmap._quads(f.map._bp)
+            assert f.map.slopes == plmap._minimal(quads)[1]
+            assert f.orbitals[0][0] * 2 in quads and f.orbitals[-1][1] * 2 in quads
+            for (_, s, t, _), (_, _, sign) in zip(f.feet, f.orbitals):
+                assert (s + t if sign > 0 else t + s) in quads
+            for _, v, _ in f.orbitals[:-1]:
+                if v + v in quads:
+                    kept += 1
+                else:
+                    i = next(i for i, q in enumerate(quads) if _lt(v, q[:2]))
+                    assert _slopes(points[i - 1:i + 1]) == _slopes([points[i - 1], (frac(v),) * 2])
+                    dropped += 1
+    assert (kept, dropped) == (349, 89)
 
 
 def test_general_wrap_drops_a_collinear_junction():
-    # a rotated top whose first piece continues the line from the new
-    # negative orbital's interior point (b, 19/96), b = (1/3 + 3/8) / 2:
-    # its left end (3/8, 3/8) is not a breakpoint of the top
+    # the frame build's general wrap (tests/oracles.py) on two rotated tops
+    # whose first piece continues the line from the new negative orbital's
+    # interior point (b, 19/96): the junction (u_t, u_t) is dropped.  First a
+    # top with left end 3/8, for b = (1/3 + 3/8) / 2; then the bump on (1/2,
+    # 13/20) through (27/50, 129/200), as `marked._bump` builds it, which
+    # leaves 1/2 with slope 29/8, as (b, 19/96) reaches it for b = (1/3 +
+    # 1/2) / 2
     t = MarkedFn(PLMap([(0, 0), (F(3, 8), F(3, 8)), (F(25, 64), F(65, 128)),
                         (F(5, 8), F(5, 8)), (1, 1)]), [F(25, 64)])
-    top = build._wrap_general(t, UNIT, [])
+    top = oracles._wrap_general(t, UNIT, [])
     assert (F(3, 8), F(3, 8)) not in top.map.points
     assert [o[:2] for o in top.orbitals] == [
         ((1, 16), (3, 8)), ((3, 8), (5, 8)), ((5, 8), (15, 16))]
     assert fn_shape(top) == fn_shape(checked_copy(top))
-    # the same junction from a one-bump top as `marked._bump` builds it: the
-    # bump on (1/2, 13/20) through (27/50, 129/200) leaves 1/2 with slope
-    # 29/8, as (b, 19/96) reaches it for b = (1/3 + 1/2) / 2
-    top = build._wrap_general(marked._bump((1, 2), (13, 20), (27, 50), (129, 200)), UNIT, [])
+    top = oracles._wrap_general(marked._bump((1, 2), (13, 20), (27, 50), (129, 200)), UNIT, [])
     assert (F(1, 2), F(1, 2)) not in top.map.points
     assert [o[:2] for o in top.orbitals] == [
         ((1, 16), (1, 2)), ((1, 2), (13, 20)), ((13, 20), (15, 16))]
@@ -535,16 +506,16 @@ def test_general_wrap_drops_a_collinear_junction():
 
 
 def test_a_general_wrap_can_be_collinear_only_at_a_one_bump_tops_left_end(monkeypatch):
-    # every general wrap built from a cold memo for n <= 4 and values <= 4,
-    # then n = 5 and values <= 3, against the slopes `_wrap_general`'s
+    # every general wrap of the frame build from a cold memo for n <= 4 and
+    # values <= 4, then n = 5 and values <= 3, against the slopes its
     # docstring bounds: only the junction at u_t can be collinear, and only
     # when the top is one positive bump
-    wraps, wrap = [], build._wrap_general
-    monkeypatch.setattr(build, "_wrap_general", lambda f, frame, others: wraps.append(
+    wraps, wrap = [], oracles._wrap_general
+    monkeypatch.setattr(oracles, "_wrap_general", lambda f, frame, others: wraps.append(
         (transport(f, frame), wrap(f, frame, others))) or wraps[-1][1])
-    _fresh_build_cache(monkeypatch)
+    monkeypatch.setattr(oracles, "_frame_builds", {})
     for s in [s for n in range(5) for s in enumerate_signatures(n, 4)] + enumerate_signatures(5, 3):
-        build._build(s)
+        build_by_frames(s)
     one_bump = collinear = 0
     for t, top in wraps:
         inner, pts = t.map.points, top.map.points
@@ -572,13 +543,15 @@ TOWER = parse_term("E(" * 8 + "+".join(["1"] * 16) + ")" * 8)
 
 
 def test_the_wraps_read_the_retained_feet_as_the_merged_spans_do(monkeypatch):
-    # every two-orbital and general wrap built from a cold memo for n <= 4 and
-    # values <= 4, then n = 5 and values <= 3, then the tower: its top is the
-    # one the merged spans of every retained foot give, and no retained foot's
-    # closure holds the support it wraps, (u, v) or (u_t, v_t), inside it
-    # past an end, which reading each end once relies on.  The two-orbital
-    # wrap is handed no retained function, as no retained foot end lies
-    # inside (u, v): they are read off the wrapping level of `_build`
+    # every two-orbital and general wrap of the frame build from a cold memo
+    # for n <= 4 and values <= 4, then n = 5 and values <= 3, then the tower:
+    # its top is the one the merged spans of every retained foot give, and no
+    # retained foot's closure holds the support it wraps, (u, v) or (u_t,
+    # v_t), inside it past an end, which reading each end once relies on.
+    # The two-orbital wrap is handed no retained function, as no retained
+    # foot end lies inside (u, v): they are read off the wrapping level of
+    # `oracles.build_by_frames`.  So `build` may put the new points next to
+    # the rotated top's in the order
     seen = {"_wrap_two": [], "_wrap_general": []}
 
     def recording(name, wrap, oracle):
@@ -599,7 +572,7 @@ def test_the_wraps_read_the_retained_feet_as_the_merged_spans_do(monkeypatch):
             u, v = map(frac, points)
             for f, frame in others:
                 for foot in f.feet:
-                    ends = [frac(build.place(frame, p)) for p in foot]
+                    ends = [frac(oracles.place(frame, p)) for p in foot]
                     for lo, hi in (ends[:2], ends[2:]):
                         assert not any(lo < frac(p) < hi for p in points)
                     if name == "_wrap_two":
@@ -609,62 +582,78 @@ def test_the_wraps_read_the_retained_feet_as_the_merged_spans_do(monkeypatch):
         return call
 
     for name, oracle in (("_wrap_two", wrap_two_by_spans), ("_wrap_general", wrap_general_by_spans)):
-        monkeypatch.setattr(build, name, recording(name, getattr(build, name), oracle))
-    _fresh_build_cache(monkeypatch)
+        monkeypatch.setattr(oracles, name, recording(name, getattr(oracles, name), oracle))
+    monkeypatch.setattr(oracles, "_frame_builds", {})
     sigs = [s for n in range(5) for s in enumerate_signatures(n, 4)] + enumerate_signatures(5, 3)
     for s in sigs:
-        build._build(s)
+        build_by_frames(s)
     assert (len(seen["_wrap_two"]), len(seen["_wrap_general"])) == (252, 413)
-    build._build(TOWER)
+    build_by_frames(TOWER)
     assert (len(seen["_wrap_two"]), len(seen["_wrap_general"])) == (252 + 15, 413 + 112)
     assert max(seen["_wrap_two"]) == max(seen["_wrap_general"]) == 15
 
 
-def test_build_cache_keeps_no_transported_copy(monkeypatch):
-    # sub-builds are placed by frames, not copied: the only functions the
-    # cache holds are the unit bump and the top each wrap makes
-    tops = []
-    built = _recording_build_cache(monkeypatch)
-    for name in ("_bump", "_wrap_two", "_wrap_general"):
-        wrap = getattr(build, name)
-        monkeypatch.setattr(build, name, lambda *a, wrap=wrap: tops.append(wrap(*a)) or tops[-1])
-    assert signature_of(realize(SIG5)) == SIG5
-    assert len(built) == len(build._memo) and len(tops) > 1
-    held = {id(f) for _, (fns, _) in built for f in fns}
-    assert held == {id(build.UNIT_BUMP)} | {id(top) for top in tops}
-    assert len(held) == 1 + len(tops)
+def test_realize_orders_the_reference_sets_points():
+    # every signature with n <= 5 and values <= 3: the points of the frame
+    # build's set (tests/oracles.py), read at the labels of the build,
+    # strictly increase along its order, which holds one label per point;
+    # each function has the reference one's orbital signs; and the set realize
+    # places on the grid has the reference set's signature and diagram
+    sigs = [s for n in range(6) for s in enumerate_signatures(n, 3)]
+    assert len(sigs) == 1137
+    for s in sigs:
+        (fns, labels), _ = build._build(s)
+        ref = realize_by_frames(s)
+        assert list(fns) == [tuple(sign for *_, sign in f.orbitals) for f in ref]
+        points = [[f.feet[0][0], *(p for _, *stv in f.feet for p in stv)] for f in ref]
+        it = iter(labels)
+        xs = [frac(points[fi][k]) for fi, k in zip(it, it)]
+        assert all(a < b for a, b in zip(xs, xs[1:]))
+        assert len(xs) == sum(map(len, points))
+        fns = realize(s)
+        assert signature_of(fns) == signature_of(ref) == s
+        assert diagram(fns) == diagram(ref)
+
+
+def test_realized_points_are_dyadic(realized_n5):
+    # every breakpoint and marker of the realized sets with n <= 5 and values
+    # <= 3 lies on the grid k / 2^e, so has a power-of-two denominator
+    sets = [realize(s) for n in range(5) for s in enumerate_signatures(n, 3)] + realized_n5
+    for fns in sets:
+        for f in fns:
+            assert all(d & (d - 1) == 0 for d in f.map._bp[1::2])
+            assert all(d & (d - 1) == 0 for _, d in f.markers)
 
 
 def test_build_memo_keeps_two_flat_tuples(monkeypatch):
     # from a cold memo, after the 64-leaf chain and every signature with n <= 4
     # and values <= 4: each entry, under its signature's pair values, is
-    # ((functions, frames), depth) with one integer triple of frame per
-    # function, and neither base of n <= 1 (both b"") is kept; a general
-    # wrap's top has minimal breakpoints, and no slopes until it is composed,
-    # then the ones `_minimal` gives with them
+    # ((functions, labels), depth), each function the tuple of its orbitals'
+    # signs, and the labels one flat tuple of integers holding (function
+    # index, point index) once for each point of each function; so the memo
+    # holds no map and no marked function, and neither base of n <= 1 (both
+    # b"") is kept
     _fresh_build_cache(monkeypatch)
-    tops, wrap = [], build._wrap_general
-    monkeypatch.setattr(build, "_wrap_general", lambda *a: tops.append(wrap(*a)) or tops[-1])
     sigs = [parse_term("*".join(["1"] * 64))] + [s for n in range(5) for s in enumerate_signatures(n, 4)]
     for s in sigs:
         assert signature_of(realize(s)) == s
     assert b"" not in build._memo and len(build._memo) > 200
-    for vals, ((fns, frames), depth) in build._memo.items():
-        assert type(vals) is bytes and type(fns) is tuple and type(frames) is tuple
-        assert all(type(f) is MarkedFn for f in fns) and type(depth) is int
-        assert len(frames) == 3 * len(fns) and all(type(x) is int for x in frames)
-    assert len(tops) > 100 and all(top.map.slopes is None for top in tops)
-    for top in tops:
-        bp, slopes = plmap._minimal(plmap._quads(top.map._bp))
-        top.map.then(top.map)
-        assert bp == top.map._bp and top.map._known_slopes() == slopes
+    for vals, ((fns, labels), depth) in build._memo.items():
+        assert type(vals) is bytes and type(fns) is tuple and type(labels) is tuple
+        assert type(depth) is int and all(type(x) is int for x in labels)
+        assert all(type(f) is tuple and f and set(f) <= {-1, 1} for f in fns)
+        it = iter(labels)
+        assert sorted(zip(it, it)) == [
+            (fi, k) for fi, f in enumerate(fns) for k in range(3 * len(f) + 1)]
 
 
 def test_each_rotation_level_reads_its_largest_top_value_off_the_rotation(monkeypatch):
     # every level `_build` rotates, from a cold memo, for each signature with
     # n <= 5 and values <= 3 and the 64-leaf chain: the largest value against
     # the top is one more than the largest of the rotation's first row, and
-    # when it is at most 2 the rotated build's first function is the unit bump
+    # when it is at most 2 the rotated build's first function is one positive
+    # orbital whose four points are adjacent in the order, first in it when
+    # the largest value is 1: the unit bump, with no point inside its support
     _fresh_build_cache(monkeypatch)
     levels, rotate = [], build.sig_rotate
     monkeypatch.setattr(build, "sig_rotate", lambda s: levels.append((s, rotate(s))) or levels[-1][1])
@@ -678,7 +667,10 @@ def test_each_rotation_level_reads_its_largest_top_value_off_the_rotation(monkey
         largest = max(s.val(i, top) for i in range(top))
         assert largest == max(rotation.vals[:top]) + 1
         if largest <= 2:
-            assert build._build(rotation)[0][0][0] is build.UNIT_BUMP
+            fns, labels = build._build(rotation)[0]
+            first = 2 * labels[0::2].index(0)
+            assert fns[0] == (1,) and labels[first:first + 8] == (0, 0, 0, 1, 0, 2, 0, 3)
+            assert first == 0 or largest == 2
             unit += 1
     assert unit == 462
 
@@ -791,15 +783,16 @@ def test_one_bump_rotation_of_a_bump_moving_points_near_0():
 
 
 def test_bump_builds_match_the_checked_references(monkeypatch):
-    # the unit bump, and every single-bump wrap top of the signatures with
-    # n <= 4 and values <= 4, are the checked bumps through the same points
-    assert fn_shape(build.UNIT_BUMP) == fn_shape(canonical_bump(F(1, 4), F(3, 4)))
-    _fresh_build_cache(monkeypatch)
+    # the frame build's unit bump, and every single-bump wrap top it makes
+    # for the signatures with n <= 4 and values <= 4, are the checked bumps
+    # through the same points
+    assert fn_shape(oracles.UNIT_BUMP) == fn_shape(canonical_bump(F(1, 4), F(3, 4)))
+    monkeypatch.setattr(oracles, "_frame_builds", {})
     made = []
-    monkeypatch.setattr(build, "_bump",
+    monkeypatch.setattr(oracles, "_bump",
                         lambda *a: made.append((a, marked._bump(*a))) or made[-1][1])
     for s in (s for n in range(5) for s in enumerate_signatures(n, 4)):
-        build._build(s)
+        build_by_frames(s)
     assert len(made) > 30
     for args, top in made:
         assert fn_shape(top) == fn_shape(make_bump_fn(*map(frac, args)))
@@ -812,7 +805,7 @@ def test_realized_n5_matches_checked_constructor(realized_n5):
 
 # sha256 of the realized n = 5 sets' JSON, concatenated in enumeration order,
 # as the json.dumps writer printed them
-REALIZED_N5_SHA256 = "8ed2102bf15910830dfb15f1eba8cc8de160b3baf9356a9c151afea83ca48b35"
+REALIZED_N5_SHA256 = "cf19df0b0a53b1e5a390479c7a2e7dc237c81638e1570586833579f0cb6dad97"
 
 
 def test_realized_n5_json_is_pinned(realized_n5):
@@ -835,7 +828,7 @@ def test_writer_matches_json_dumps(realized_n5):
         genset_from_json(genset_to_json(fns)),
     ]
     sets = [[], fns, [MarkedFn(fns[0].map, [frac(s) for s in fns[0].markers])]] + loaded
-    sets += [[transport(f, UNIT, name) for f in fns] for name in names]
+    sets += [[MarkedFn._trusted(f.map, f.markers, name) for f in fns] for name in names]
     for s in sets + realized_n5:
         assert genset_to_json(s) == genset_to_json_dumps(s)
 

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 import sys
@@ -14,7 +15,7 @@ from sigcalc.realization.words import conj_map
 from helpers import bump_map, random_bump_pair, random_pl_map
 from oracles import (
     WreathSplitError, canonical_bump, dom_witness, fig_bz_set, fig_g_set, frac, pred_C_products,
-    retrofit_slopes, sig_star_pairwise, wreath_witness)
+    realize_by_frames, retrofit_slopes, sig_star_pairwise, wreath_witness)
 
 
 def hull(m):
@@ -276,6 +277,25 @@ def test_predicate_memos_are_bounded():
         pred_T(x, y, z)
         assert all(memo.cache_info().currsize <= words.PREDICATE_CACHE_SIZE for memo in memos)
     assert pred_C.cache_info().misses > words.PREDICATE_CACHE_SIZE  # entries were dropped
+
+
+def test_predicates_agree_with_the_reference_sets():
+    """On 1,200 seeded word triples over the realized sets with n = 2..4 and
+    values <= 3 (words of 1 to 4 letters, exponents +-1 and +-2), C, D and T
+    on the set realize places on its grid are those on the frame build's
+    reference set (tests/oracles.py)."""
+    rng = random.Random(20171130)
+    sigs = [s for n in (2, 3, 4) for s in enumerate_signatures(n, 3)]
+    answers = collections.Counter()
+    for _ in range(1200):
+        s = rng.choice(sigs)
+        xyz = [[(rng.randrange(s.n), rng.choice((1, -1, 2, -2))) for _ in range(rng.randint(1, 4))]
+               for _ in range(3)]
+        got = predicates(realize(s), *xyz)
+        assert got == predicates(realize_by_frames(s), *xyz), (s, xyz)
+        answers[got["C"], got["D"], got["T"]] += 1
+    assert answers == {(False, False, False): 820, (True, False, False): 255,
+                       (False, True, False): 118, (False, True, True): 7}
 
 
 def test_memoized_predicates_answer_as_unwrapped():
