@@ -14,17 +14,19 @@ one new positive orbital on the right of the rotated top's orbitals.
 Everything read off a realized set, its order, fastness, standardness walk,
 signature and dynamical diagram, depends only on the order of its points
 (on fast sets the diagram fixes the marked isomorphism type,
-arXiv:1701.08321).  So a build is that order: its functions, each the tuple
-of its orbitals' signs over its 3m + 1 points u1, s1, t1, v1 = u2, ..., vm,
-and one flat tuple of integers holding a label (function index, point index)
-per point, in increasing order.  `realize` alone assigns coordinates: the
-i-th point of N goes to i / 2^e, e = N.bit_length(), and each orbital is
-emitted as (u,u), (s,t), or (t,s) when negative, then (v,v), marked at s;
-`_minimal` drops the junctions that fall collinear on the grid.
+arXiv:1701.08321).  So a build is that order: one flat tuple holding, for
+each point in increasing order, the index of the function that owns it.  A
+function's 3m + 1 points u1, s1, t1, v1 = u2, ..., vm are its occurrences in
+that order, and as every function built is standard, its first m // 2
+orbitals are negative and the rest positive.  `realize` alone assigns
+coordinates: the i-th point of N goes to i / 2^e, e = N.bit_length(), and
+each orbital is emitted as (u,u), (s,t), or (t,s) when negative, then (v,v),
+marked at s; `_minimal` drops the junctions that fall collinear on the grid.
 
-A sum concatenates its parts' labels in order.  A wrap drops the rotated
-top f0, so each retained function moves down one index, and appends the
-new top; its points go at the ends of the order and in place of f0's:
+A sum concatenates its parts' owners in order, each offset by the index of
+its part's first function.  A wrap drops the rotated top f0, so each
+retained function moves down one index, and appends the new top; its points
+go at the ends of the order and in place of f0's:
 - every value 1: f0 is the unit bump, alone in the first summand of the
   rotation, so first in the order; its u and v become the top's u and s,
   and the top's t and v go last;
@@ -33,8 +35,8 @@ new top; its points go at the ends of the order and in place of f0's:
   to the top's t1, v1 = u2 and s2; the top's u1 and s1 go first and its t2
   and v2 last;
 - otherwise: the top's u1 and s1 go first, its t1 just before f0's first
-  point u_t and its s_{m+2} just after f0's last point v_t, f0's points are
-  the top's middle orbitals, and its t_{m+2} and v_{m+2} go last.
+  point and its s_{m+2} just after f0's last point, f0's points are the
+  top's middle orbitals, and its t_{m+2} and v_{m+2} go last.
 No wrap reads a retained function.
 """
 
@@ -43,20 +45,20 @@ from .genset import GenSet
 from .marked import MarkedFn
 from .plmap import PLMap, _minimal
 
-Build = tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]  # orbital signs, flat labels
+Build = tuple[int, ...]  # the index of the function owning each point, in order
 
 # Signatures with n > 1 whose builds are kept, under their pair values (the
 # bytes name the signature: their length gives n), least recently used dropped
-# first.  All 969 with n = 5, values <= 3 fill 1,124 entries, retaining 0.8 MiB
-# (tracemalloc).
+# first.  All 969 with n = 5, values <= 3 fill 1,124 entries, retaining
+# 0.45 MiB (tracemalloc).
 BUILD_CACHE_SIZE = 4096
 _memo: dict[bytes, tuple[Build, int]] = {}  # sig.vals -> (build, depth)
 
 # Deepest build, in levels, one per rotation or decomposition down its longest
 # path: the 2n - 1 builds that the chain 1*1*...*1 of n = MAX_BASE leaves nests
 # (it is 2n - 2 levels deep).  Of the E( around sums of ones this deep, the
-# slowest known, E(E( around 250 ones, realizes in 0.26 s (0.23 to 0.32 s),
-# 0.18 MB of JSON and 50 MB peak RSS: the whole `realize` process, median of 5
+# slowest known, E(E( around 250 ones, realizes in 0.20 s (0.18 to 0.26 s),
+# 0.18 MB of JSON and 43 MB peak RSS: the whole `realize` process, median of 5
 # fresh ones, under CPython 3.11.7 on a 2-vCPU x86-64 host.
 MAX_BUILD_LEVELS = 2 * MAX_BASE - 1
 
@@ -65,21 +67,26 @@ def realize(sig: Signature) -> GenSet:
     """A standard generating set with the given signature, each function
     placed on the grid and named by its label;
     RealizationError when the build is deeper than MAX_BUILD_LEVELS."""
-    (fns, labels), _ = _build(sig)
-    den = 1 << (len(labels) // 2).bit_length()
-    at = [[None] * (3 * len(signs) + 1) for signs in fns]  # each function's points
-    it = iter(labels)
-    for x, (fi, k) in enumerate(zip(it, it), 1):
+    owners, _ = _build(sig)
+    den = 1 << len(owners).bit_length()
+    at = [[] for _ in range(sig.n)]  # each function's points, in order
+    for x, fi in enumerate(owners, 1):
         g = x & -x
-        at[fi][k] = x // g, den // g
+        at[fi].append((x // g, den // g))
     out = []
-    for signs, pts, name in zip(fns, at, sig.default_labels()):
+    for pts, name in zip(at, sig.default_labels()):
+        # m orbitals, the first m // 2 negative: the unit bump is (+), a sum
+        # keeps its parts' functions, and a wrap's new top is (+), (-, +), or
+        # (-, f0's signs, +)
+        m = len(pts) // 3
+        signs = (-1,) * (m // 2) + (1,) * (m - m // 2)
         quads = [(0, 1, 0, 1), pts[0] + pts[0]]
         for j, sign in enumerate(signs):
             s, t, v = pts[3 * j + 1:3 * j + 4]
             quads += s + t if sign > 0 else t + s, v + v
         quads.append((1, 1, 1, 1))
         orbs = tuple((pts[3 * j], pts[3 * j + 3], sign) for j, sign in enumerate(signs))
+        # only (-, +) junctions can go: at (+, +) or (-, -) the slopes straddle 1
         out.append(MarkedFn._trusted(PLMap._make(*_minimal(quads), orbs), tuple(pts[1::3]), name))
     return out
 
@@ -104,16 +111,13 @@ def _build(sig: Signature, level: int = 0) -> tuple[Build, int]:
         rotation = sig_rotate(sig)  # its first row is o(i, top) - 1 for each i < top
         rotated.append((sig, max(rotation.vals[:sig.n - 1]) + 1))
         sig, level = rotation, level + 1
-    if built is None:  # a sum of parts, side by side
-        fns, labels = (), []
+    if built is None:  # a sum of parts, side by side, each offset by its first index
+        owners, base = [], 0
         for part in parts:
-            (part_fns, part_labels), below = _build(part, level + 1)
-            depth, start = max(depth, below + 1), len(labels)
-            labels += part_labels
-            if fns:
-                labels[start::2] = [fi + len(fns) for fi in part_labels[0::2]]
-            fns += part_fns
-        built = fns, tuple(labels)
+            part_owners, below = _build(part, level + 1)
+            owners += [fi + base for fi in part_owners]
+            depth, base = max(depth, below + 1), base + part.n
+        built = tuple(owners)
     while True:
         if sig.n > 1:
             _memo[sig.vals] = built, depth
@@ -122,11 +126,9 @@ def _build(sig: Signature, level: int = 0) -> tuple[Build, int]:
         if not rotated:
             return built, depth
         sig, maxrow = rotated.pop()  # wrap a new top around the build of its rotation
-        fns, labels = built
-        top, last, fis = len(fns) - 1, 3 * len(fns[0]), labels[0::2]
-        out = list(labels)  # f0 dropped, and each retained function moved down one
-        out[0::2] = [fi - 1 if fi else top for fi in fis]
-        first = 2 * fis.index(0)  # f0's u, as its points increase with their index
+        top = sig.n - 1
+        out = [fi - 1 if fi else top for fi in built]  # f0 dropped, each retained moved down one
+        first = built.index(0)  # f0's u
         if maxrow == 1:
             # The rotated top is the unit bump.  Its values are o(i, top) - 1 <= 1, and
             # an element with 0 against each earlier one and at most 1 against each
@@ -135,7 +137,7 @@ def _build(sig: Signature, level: int = 0) -> tuple[Build, int]:
             # place with 0 against the new least element.  When every value is 1,
             # `decompose` put it alone in the first part, left of every retained
             # function, and its support is the new bump's left foot.
-            signs, out = (1,), [top, 0, top, 1, *out[8:], top, 2, top, 3]
+            out = [top, top, *out[4:], top, top]
         elif maxrow == 2:
             # The rotated top f0 is the unit bump, and no retained point lies
             # inside its support (u, v).  The rotated build realizes
@@ -149,20 +151,15 @@ def _build(sig: Signature, level: int = 0) -> tuple[Build, int]:
             # otherwise meet f0's left foot (u, s0); and g's last orbital holds
             # [u, v], so its right foot starts at v or beyond, as it would
             # otherwise meet f0's right foot [t0, v).
-            signs = (-1, 1)
-            out = [top, 0, top, 1, *out[:first], top, 2, top, 3, top, 4, *out[first + 8:],
-                   top, 5, top, 6]
+            out = [top, top, *out[:first], top, top, top, *out[first + 4:], top, top]
         else:
-            # f0's points become the top's 3 to last + 3; the new negative
+            # f0's points become the top's middle orbitals; the new negative
             # orbital's t goes just before f0's u and the positive one's s just
             # after f0's v, so the new feet there hold no other point
-            out[1::2] = [k if fi else k + 3 for fi, k in zip(fis, labels[1::2])]
-            end = 2 * (len(fis) - fis[::-1].index(0))  # just past f0's v
-            signs = (-1, *fns[0], 1)
-            out = [top, 0, top, 1, *out[:first], top, 2, *out[first:end], top, last + 4,
-                   *out[end:], top, last + 5, top, last + 6]
-        built, depth = (fns[1:] + (signs,), tuple(out)), depth + 1
+            end = len(built) - built[::-1].index(0)  # just past f0's v
+            out = [top, top, *out[:first], top, *out[first:end], top, *out[end:], top, top]
+        built, depth = tuple(out), depth + 1
 
 
-# the builds of n = 0 and 1, the unit bump: one positive orbital
-BASES: tuple[Build, Build] = (((), ()), (((1,),), (0, 0, 0, 1, 0, 2, 0, 3)))
+# the builds of n = 0 and 1, the unit bump: one orbital, its four points
+BASES: tuple[Build, Build] = ((), (0, 0, 0, 0))

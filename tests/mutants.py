@@ -77,17 +77,19 @@ MUTANTS = [
     Mutant(BUILD, "max(rotation.vals[:sig.n - 1]) + 1", "max(rotation.vals[:sig.n - 1]) + 2",
            [f"{REALIZATION}::test_realized_n5_json_is_pinned"],
            "each rotated level reads its largest value against the top, which picks the wrap"),
-    Mutant(BUILD, "*out[:first], top, 2, *out[first:end]", "*out[:first - 2], top, 2, *out[first - 2:end]",
+    Mutant(BUILD, "*out[:first], top, *out[first:end]", "*out[:first - 1], top, *out[first - 1:end]",
            [f"{REALIZATION}::test_realize_orders_the_reference_sets_points"],
-           "the general wrap's new negative orbital's t goes just before u_t, past no retained point"),
-    Mutant(BUILD, "*out[first:end], top, last + 4,\n                   *out[end:]",
-           "*out[first:end + 2], top, last + 4,\n                   *out[end + 2:]",
+           "the general wrap's new negative orbital's t goes just before f0's first point, past no retained point"),
+    Mutant(BUILD, "*out[first:end], top, *out[end:]", "*out[first:end + 1], top, *out[end + 1:]",
            [f"{REALIZATION}::test_realize_orders_the_reference_sets_points"],
-           "the general wrap's new positive orbital's s goes just after v_t, past no retained point"),
-    Mutant(BUILD, "*out[:first], top, 2, top, 3, top, 4, *out[first + 8:]",
-           "*out[:first], *out[first + 8:first + 10], top, 2, top, 3, top, 4, *out[first + 10:]",
+           "the general wrap's new positive orbital's s goes just after f0's last point, past no retained point"),
+    Mutant(BUILD, "*out[:first], top, top, top, *out[first + 4:]",
+           "*out[:first], *out[first + 4:first + 5], top, top, top, *out[first + 5:]",
            [f"{REALIZATION}::test_realize_orders_the_reference_sets_points"],
            "the two-orbital wrap puts its three points in place of the rotated top's four"),
+    Mutant(BUILD, "(-1,) * (m // 2) + (1,) * (m - m // 2)", "(-1,) * ((m + 1) // 2) + (1,) * (m - (m + 1) // 2)",
+           [f"{REALIZATION}::test_realize_orders_the_reference_sets_points"],
+           "a function of m orbitals has m // 2 negative ones first, as each function built is standard"),
     Mutant(BUILD, "PLMap._make(*_minimal(quads), orbs)",
            "PLMap._make(sum(quads, ()), _minimal(quads)[1], orbs)",
            [f"{REALIZATION}::test_realize_drops_the_junctions_collinear_on_the_grid"],

@@ -369,7 +369,9 @@ def test_verify_checks_the_round_trip_against_the_input(monkeypatch, capsys):
     # realize walks nothing, and a standard set's oscillations satisfy (!),
     # so neither realize nor signature_of checks (!) again; verify compares
     # the signature of the set realize builds with its input, and exits 1
-    # when a set of another signature comes back
+    # when a set of another signature comes back: the set realized from
+    # another signature, with its own n, handed back where verify imports
+    # realize
     checked = []
     violations = Signature.violations
 
@@ -379,11 +381,11 @@ def test_verify_checks_the_round_trip_against_the_input(monkeypatch, capsys):
 
     monkeypatch.setattr(Signature, "violations", counting_violations)
     assert signature_of(realize(SIG5)) == SIG5 and checked == []
-    cases = [(sig, other, genset_to_json(realize(sig)), build._build(other)[0])
+    cases = [(sig, other, genset_to_json(realize(sig)), realize(other))
              for sig, other in ((pair(1), parse_term("E(1+1)")), (pair(1), one), (SIG5, pair(3)))]
     checked.clear()  # pair() checks the signatures it makes
-    for sig, other, text, built in cases:
-        monkeypatch.setattr(build, "_build", lambda s, built=built: (built, 0))
+    for sig, other, text, fns in cases:
+        monkeypatch.setattr("sigcalc.realization.realize", lambda s, fns=fns: fns)
         capsys.readouterr()
         assert cli.main(["verify", text]) == 1
         assert capsys.readouterr() == (
@@ -464,8 +466,11 @@ def test_realize_drops_the_junctions_collinear_on_the_grid():
     # the point (v, v) where an orbital meets the next falls on the line
     # between its neighbours for some grid positions, and goes, as the
     # checked constructor drops it; every other point an orbital gives stays,
-    # and each map carries the slopes `_minimal` gives its breakpoints
-    kept = dropped = 0
+    # and each map carries the slopes `_minimal` gives its breakpoints.  Each
+    # junction dropped joins a negative orbital to a positive one: at a (+, +)
+    # or (-, -) junction the slopes on its two sides lie on opposite sides of
+    # 1, and a standard function has no (+, -) junction
+    kept, dropped = {}, 0
     for sig in (sig for n in range(2, 5) for sig in enumerate_signatures(n, 3)):
         for f in realize(sig):
             points, quads = f.map.points, plmap._quads(f.map._bp)
@@ -473,14 +478,15 @@ def test_realize_drops_the_junctions_collinear_on_the_grid():
             assert f.orbitals[0][0] * 2 in quads and f.orbitals[-1][1] * 2 in quads
             for (_, s, t, _), (_, _, sign) in zip(f.feet, f.orbitals):
                 assert (s + t if sign > 0 else t + s) in quads
-            for _, v, _ in f.orbitals[:-1]:
+            for (_, v, left), (*_, right) in zip(f.orbitals, f.orbitals[1:]):
                 if v + v in quads:
-                    kept += 1
+                    kept[left, right] = kept.get((left, right), 0) + 1
                 else:
                     i = next(i for i, q in enumerate(quads) if _lt(v, q[:2]))
                     assert _slopes(points[i - 1:i + 1]) == _slopes([points[i - 1], (frac(v),) * 2])
+                    assert (left, right) == (-1, 1)
                     dropped += 1
-    assert (kept, dropped) == (349, 89)
+    assert (kept, dropped) == ({(-1, 1): 232, (1, 1): 117}, 89)
 
 
 def test_general_wrap_drops_a_collinear_junction():
@@ -595,22 +601,26 @@ def test_the_wraps_read_the_retained_feet_as_the_merged_spans_do(monkeypatch):
 
 def test_realize_orders_the_reference_sets_points():
     # every signature with n <= 5 and values <= 3: the points of the frame
-    # build's set (tests/oracles.py), read at the labels of the build,
-    # strictly increase along its order, which holds one label per point;
-    # each function has the reference one's orbital signs; and the set realize
-    # places on the grid has the reference set's signature and diagram
+    # build's set (tests/oracles.py), each function's k-th read at its owner's
+    # k-th entry in the build, strictly increase along its order, which holds
+    # each function's points once; each function realize places on the grid
+    # has the orbital signs it derives from its point count, the reference
+    # one's; and the set has the reference set's signature and diagram
     sigs = [s for n in range(6) for s in enumerate_signatures(n, 3)]
     assert len(sigs) == 1137
     for s in sigs:
-        (fns, labels), _ = build._build(s)
+        owners, _ = build._build(s)
         ref = realize_by_frames(s)
-        assert list(fns) == [tuple(sign for *_, sign in f.orbitals) for f in ref]
         points = [[f.feet[0][0], *(p for _, *stv in f.feet for p in stv)] for f in ref]
-        it = iter(labels)
-        xs = [frac(points[fi][k]) for fi, k in zip(it, it)]
+        seen, xs = [0] * s.n, []
+        for fi in owners:
+            xs.append(frac(points[fi][seen[fi]]))
+            seen[fi] += 1
         assert all(a < b for a, b in zip(xs, xs[1:]))
-        assert len(xs) == sum(map(len, points))
+        assert seen == list(map(len, points))
         fns = realize(s)
+        assert [[sign for *_, sign in f.orbitals] for f in fns] == [
+            [sign for *_, sign in f.orbitals] for f in ref]
         assert signature_of(fns) == signature_of(ref) == s
         assert diagram(fns) == diagram(ref)
 
@@ -625,35 +635,35 @@ def test_realized_points_are_dyadic(realized_n5):
             assert all(d & (d - 1) == 0 for _, d in f.markers)
 
 
-def test_build_memo_keeps_two_flat_tuples(monkeypatch):
+def test_build_memo_keeps_one_flat_tuple(monkeypatch):
     # from a cold memo, after the 64-leaf chain and every signature with n <= 4
     # and values <= 4: each entry, under its signature's pair values, is
-    # ((functions, labels), depth), each function the tuple of its orbitals'
-    # signs, and the labels one flat tuple of integers holding (function
-    # index, point index) once for each point of each function; so the memo
-    # holds no map and no marked function, and neither base of n <= 1 (both
+    # (owners, depth), the owners one flat tuple of integers holding, for each
+    # point, the index of its function, and each function index in range(n)
+    # owning 3m + 1 entries, m >= 1; so the memo holds no map, no marked
+    # function, no point index and no sign, and neither base of n <= 1 (both
     # b"") is kept
     _fresh_build_cache(monkeypatch)
     sigs = [parse_term("*".join(["1"] * 64))] + [s for n in range(5) for s in enumerate_signatures(n, 4)]
     for s in sigs:
         assert signature_of(realize(s)) == s
     assert b"" not in build._memo and len(build._memo) > 200
-    for vals, ((fns, labels), depth) in build._memo.items():
-        assert type(vals) is bytes and type(fns) is tuple and type(labels) is tuple
-        assert type(depth) is int and all(type(x) is int for x in labels)
-        assert all(type(f) is tuple and f and set(f) <= {-1, 1} for f in fns)
-        it = iter(labels)
-        assert sorted(zip(it, it)) == [
-            (fi, k) for fi, f in enumerate(fns) for k in range(3 * len(f) + 1)]
+    for vals, (owners, depth) in build._memo.items():
+        assert type(vals) is bytes and type(owners) is tuple and type(depth) is int
+        assert all(type(fi) is int for fi in owners)
+        n = next(n for n in itertools.count(2) if n * (n - 1) // 2 == len(vals))
+        counts = [owners.count(fi) for fi in range(n)]
+        assert sum(counts) == len(owners) and all(c > 1 and c % 3 == 1 for c in counts)
 
 
 def test_each_rotation_level_reads_its_largest_top_value_off_the_rotation(monkeypatch):
     # every level `_build` rotates, from a cold memo, for each signature with
     # n <= 5 and values <= 3 and the 64-leaf chain: the largest value against
     # the top is one more than the largest of the rotation's first row, and
-    # when it is at most 2 the rotated build's first function is one positive
-    # orbital whose four points are adjacent in the order, first in it when
-    # the largest value is 1: the unit bump, with no point inside its support
+    # when it is at most 2 the rotated build's first function owns four
+    # adjacent entries, so is realized as one positive orbital, first in the
+    # order when the largest value is 1: the unit bump, with no point inside
+    # its support
     _fresh_build_cache(monkeypatch)
     levels, rotate = [], build.sig_rotate
     monkeypatch.setattr(build, "sig_rotate", lambda s: levels.append((s, rotate(s))) or levels[-1][1])
@@ -667,9 +677,10 @@ def test_each_rotation_level_reads_its_largest_top_value_off_the_rotation(monkey
         largest = max(s.val(i, top) for i in range(top))
         assert largest == max(rotation.vals[:top]) + 1
         if largest <= 2:
-            fns, labels = build._build(rotation)[0]
-            first = 2 * labels[0::2].index(0)
-            assert fns[0] == (1,) and labels[first:first + 8] == (0, 0, 0, 1, 0, 2, 0, 3)
+            owners = build._build(rotation)[0]
+            first = owners.index(0)
+            assert owners.count(0) == 4 and owners[first:first + 4] == (0, 0, 0, 0)
+            assert [sign for *_, sign in realize(rotation)[0].orbitals] == [1]
             assert first == 0 or largest == 2
             unit += 1
     assert unit == 462
